@@ -6,7 +6,7 @@ use crate::{tail_mask, words_for};
 ///
 /// Used for the per-role "alive" sets of the constraint network: bit `i` is
 /// set while role value `i` is still a candidate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

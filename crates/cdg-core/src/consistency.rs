@@ -20,7 +20,9 @@
 //! disturbed counter with 64×64 tile kernels ([`bitmat::bmm`]) instead of
 //! per-(value, arc) walks. The incremental and BMM paths charge identical
 //! `support_checks`/`support_inits`; BMM additionally records its physical
-//! tile work in the observational `bmm_tiles`/`bmm_words` counters.
+//! tile work in the observational `bmm_tiles`/`bmm_words` counters. BMM is
+//! the default under the kernel evaluator; the full scan is the
+//! differential oracle and the incremental filter the counter oracle.
 
 use crate::error::EngineError;
 use crate::network::{NetParts, Network, SlotId};

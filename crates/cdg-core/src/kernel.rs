@@ -26,7 +26,12 @@
 //! 4. **Row masks.** For each live value `a` of the row slot, the allowed
 //!    columns form a [`BitVec`] mask (one per distinct row signature);
 //!    applying it is a word-parallel `row_and_count` — the software
-//!    analogue of the MasPar's constant-time AND over a row of PEs.
+//!    analogue of the MasPar's constant-time AND over a row of PEs. Each
+//!    arc's column classes are gathered once into column masks; a row
+//!    starts from the mask its own class selects and looks up pair
+//!    verdicts only for the columns whose class is `Unknown`. A row with
+//!    none is applied as that column mask directly, building no mask of
+//!    its own.
 //!
 //! Results are bit-identical to the naive path: the mask has a 1 exactly
 //! where the naive per-cell check would keep the entry, dead columns are
@@ -151,6 +156,27 @@ pub(crate) fn slot_signatures_into(
     out.all_pass_as_x = !out.classes.is_empty() && out.classes.iter().all(|c| c.0 == Truth::True);
 }
 
+/// One arc's column classes, gathered for whole-row application.
+/// Ordering 1 binds the row value as `x` and the column value as `y`;
+/// ordering 2 swaps them. Where a row's own class leaves an ordering
+/// `Unknown`, the columns with a definite class for it are settled by the
+/// `pass*` masks, and only the `unknown*` columns need pair verdicts.
+#[derive(Default)]
+struct ColumnClasses {
+    /// Alive columns whose ordering-1 class is `True`.
+    pass1: BitVec,
+    /// Alive columns whose ordering-2 class is `True`.
+    pass2: BitVec,
+    /// `pass1 ∧ pass2`.
+    pass12: BitVec,
+    /// Alive columns whose ordering-1 class is `Unknown`.
+    unknown1: Vec<u32>,
+    /// Alive columns whose ordering-2 class is `Unknown`.
+    unknown2: Vec<u32>,
+    /// Alive columns with either class `Unknown`.
+    unknown12: Vec<u32>,
+}
+
 /// Reusable scratch state for [`kernel_arc`]. The per-arc tables are
 /// generation-stamped instead of reallocated: entries from a previous arc
 /// read as absent under the current generation, so applying a constraint
@@ -162,8 +188,13 @@ pub struct KernelScratch {
     gen: u64,
     /// Per row signature: (gen, ordering-1 class, ordering-2 class).
     row_class: Vec<(u64, Truth, Truth)>,
-    /// Per column signature, computed on demand.
+    /// Per column signature: (gen, ordering-1 class, ordering-2 class),
+    /// filled for every alive column when the arc's first row gets past
+    /// its row class.
     col_class: Vec<(u64, Truth, Truth)>,
+    /// Generation whose columns `cols` describes.
+    cols_gen: u64,
+    cols: ColumnClasses,
     /// Per signature pair: (gen, pair survives).
     verdicts: Vec<(u64, bool)>,
     /// Per row signature: (gen, allowed-column mask).
@@ -183,6 +214,8 @@ impl KernelScratch {
             gen: 0,
             row_class: Vec::new(),
             col_class: Vec::new(),
+            cols_gen: 0,
+            cols: ColumnClasses::default(),
             verdicts: Vec::new(),
             masks: Vec::new(),
             sigs: Vec::new(),
@@ -208,6 +241,76 @@ impl KernelScratch {
         if self.masks.len() < ri {
             self.masks.resize_with(ri, || (0, BitVec::zeros(0)));
         }
+    }
+
+    /// Classify every alive column of the arc once (both orderings, with
+    /// the row value open) and gather the verdicts into [`ColumnClasses`].
+    /// Evaluates exactly the column classes a full per-pair walk of one
+    /// row would: one per distinct alive signature, refining only the
+    /// `Unknown` slot-level classes, counted in `checks`.
+    fn column_classes(
+        &mut self,
+        prog: &KernelProgram,
+        sentence: &Sentence,
+        sj: &RoleSlot,
+        gj: &SlotSigs,
+        open_i: PartialBinding,
+        checks: &mut usize,
+    ) {
+        let gen = self.gen;
+        self.cols_gen = gen;
+        let cols = &mut self.cols;
+        cols.pass1.reset(sj.domain.len());
+        cols.pass2.reset(sj.domain.len());
+        cols.unknown1.clear();
+        cols.unknown2.clear();
+        cols.unknown12.clear();
+        for b in sj.alive.iter_ones() {
+            let sb = gj.ids[b] as usize;
+            let cc = &mut self.col_class[sb];
+            if cc.0 != gen {
+                // Slot-level classes of the column slot: `.1` has the
+                // representative as `y` (our ordering 1), `.0` as `x`
+                // (ordering 2). Refine only the Unknowns.
+                let bb = PartialBinding::Bound(sj.binding(b));
+                let (t1, t2) = gj.classes[sb];
+                let c1 = if t2 != Truth::Unknown {
+                    t2
+                } else {
+                    *checks += 1;
+                    prog.eval_partial(sentence, open_i, bb, &mut self.stack)
+                        .truth()
+                };
+                let c2 = if t1 != Truth::Unknown {
+                    t1
+                } else {
+                    *checks += 1;
+                    prog.eval_partial(sentence, bb, open_i, &mut self.stack)
+                        .truth()
+                };
+                *cc = (gen, c1, c2);
+            }
+            let (_, c1, c2) = *cc;
+            let (u1, u2) = (c1 == Truth::Unknown, c2 == Truth::Unknown);
+            if u1 {
+                cols.unknown1.push(b as u32);
+            }
+            if u2 {
+                cols.unknown2.push(b as u32);
+            }
+            if u1 || u2 {
+                cols.unknown12.push(b as u32);
+            }
+            if c1 == Truth::True {
+                cols.pass1.set(b, true);
+            }
+            if c2 == Truth::True {
+                cols.pass2.set(b, true);
+            }
+        }
+        cols.pass12.reset(sj.domain.len());
+        cols.pass12.or_assign(&cols.pass1);
+        cols.pass12.and_assign(&cols.pass2);
     }
 }
 
@@ -370,15 +473,40 @@ pub fn kernel_arc(
             counts.memo_hits += alive_j;
             continue;
         }
+        if scratch.cols_gen != gen {
+            scratch.column_classes(prog, sentence, sj, gj, open_i, &mut counts.checks);
+        }
+        // Each ordering of the row is decided by its own `True` class or,
+        // column by column, by a definite column class; only the columns
+        // left `Unknown` for an undecided ordering need pair verdicts.
+        // `r1`/`r2` are each `True` or `Unknown` here, not both `True`.
+        let cols = &scratch.cols;
+        let (base, undecided) = if r1 == Truth::True {
+            (&cols.pass2, &cols.unknown2)
+        } else if r2 == Truth::True {
+            (&cols.pass1, &cols.unknown1)
+        } else {
+            (&cols.pass12, &cols.unknown12)
+        };
+        if undecided.is_empty() {
+            // Class-decided: the surviving columns are exactly `base`.
+            counts.memo_hits += alive_j;
+            counts.zeroed += m.row_and_count(a, base);
+            continue;
+        }
         let mask_entry = &mut scratch.masks[sa];
         if mask_entry.0 == gen {
             // A whole row of pair verdicts answered by the memo table.
             counts.memo_hits += alive_j;
         } else {
+            // Columns outside `undecided` are settled by `base`.
             mask_entry.0 = gen;
             mask_entry.1.reset(sj.domain.len());
+            mask_entry.1.or_assign(base);
+            counts.memo_hits += alive_j - undecided.len();
             let ba = si.binding(a);
-            for b in sj.alive.iter_ones() {
+            for &b in undecided {
+                let b = b as usize;
                 let sb = gj.ids[b] as usize;
                 let v = &mut scratch.verdicts[sa * gj.count + sb];
                 let pass = if v.0 == gen {
@@ -386,41 +514,7 @@ pub fn kernel_arc(
                     v.1
                 } else {
                     let bb = sj.binding(b);
-                    let cc = &mut scratch.col_class[sb];
-                    let (c1, c2) = if cc.0 == gen {
-                        (cc.1, cc.2)
-                    } else {
-                        // Slot-level classes of the column slot: `.1` has
-                        // the representative as `y` (our ordering 1), `.0`
-                        // as `x` (ordering 2). Refine only the Unknowns.
-                        let (t1, t2) = gj.classes[sb];
-                        let c1 = if t2 != Truth::Unknown {
-                            t2
-                        } else {
-                            counts.checks += 1;
-                            prog.eval_partial(
-                                sentence,
-                                open_i,
-                                PartialBinding::Bound(bb),
-                                &mut scratch.stack,
-                            )
-                            .truth()
-                        };
-                        let c2 = if t1 != Truth::Unknown {
-                            t1
-                        } else {
-                            counts.checks += 1;
-                            prog.eval_partial(
-                                sentence,
-                                PartialBinding::Bound(bb),
-                                open_i,
-                                &mut scratch.stack,
-                            )
-                            .truth()
-                        };
-                        scratch.col_class[sb] = (gen, c1, c2);
-                        (c1, c2)
-                    };
+                    let (_, c1, c2) = scratch.col_class[sb];
                     // Resolve each ordering from the strongest definite
                     // class, falling back to a full pair evaluation only
                     // when both the row and column classes are Unknown.
@@ -714,6 +808,41 @@ mod tests {
             net.stats.kernel_memo_hits
         );
         assert!(net.stats.kernel_masks > 0);
+    }
+
+    #[test]
+    fn column_classes_decide_a_b_mutual_rows() {
+        // `a-b-mutual` on a¹²b¹² (n = 24): the a–a and b–b arcs, and every a–b row
+        // but one, are decided by row and column classes alone, so they
+        // are applied as precomputed column masks — no pair verdicts, no
+        // per-row mask. The one exception per a–b arc is the row that
+        // points at the column's word: its first ordering hinges on
+        // whether the column points back, which only a pair evaluation
+        // can answer.
+        let g = cdg_grammar::grammars::formal::anbn_grammar();
+        let s = cdg_grammar::grammars::formal::anbn_sentence(&g, &corpus::formal::anbn(12));
+        let c = g
+            .binary_constraints()
+            .iter()
+            .find(|c| c.name == "a-b-mutual")
+            .expect("grammar has a-b-mutual");
+        let settle = |eval| {
+            let mut net = Network::build(&g, &s);
+            net.eval = eval;
+            crate::propagate::apply_all_unary(&mut net);
+            net.init_arcs();
+            let zeroed = crate::propagate::apply_binary(&mut net, c);
+            (zeroed, net)
+        };
+        let (zk, nk) = settle(EvalStrategy::Kernel);
+        let (zn, nn) = settle(EvalStrategy::Naive);
+        assert!(
+            zk > 0,
+            "a-b-mutual zeroed nothing; the check lost its teeth"
+        );
+        assert_eq!(zk, zn);
+        assert_eq!(nk.arcs_raw(), nn.arcs_raw());
+        assert_eq!(nk.stats.kernel_masks, 12 * 12, "one mask per a–b arc");
     }
 
     #[test]

@@ -36,14 +36,19 @@ pub enum EvalStrategy {
 /// of `support_checks`/`support_inits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterStrategy {
-    /// Preserve the historical coupling: kernel evaluation filters
-    /// incrementally, naive evaluation rescans — exactly the pre-strategy
-    /// behavior, so existing digests and baselines are unchanged.
+    /// Follow the evaluation strategy: kernel evaluation filters with the
+    /// blocked-BMM core ([`FilterStrategy::Bmm`]), naive evaluation
+    /// rescans ([`FilterStrategy::Naive`], the differential oracle). The
+    /// choice moves no digest and no abstract counter: every strategy
+    /// settles the same network, and BMM charges the incremental
+    /// strategy's `support_checks`/`support_inits` exactly.
     #[default]
     Auto,
     /// Full rescan every pass ([`crate::consistency::filter`]).
     Naive,
     /// AC-4 support counters ([`crate::consistency::IncrementalFilter`]).
+    /// Selectable, never the default: it is the counter oracle the BMM
+    /// core's `NetStats` are checked against.
     Incremental,
     /// Blocked boolean-matrix-multiplication core
     /// ([`crate::consistency::BmmFilter`]): the incremental counter
@@ -58,7 +63,7 @@ impl FilterStrategy {
     pub fn resolve(self, eval: EvalStrategy) -> FilterStrategy {
         match self {
             FilterStrategy::Auto => match eval {
-                EvalStrategy::Kernel => FilterStrategy::Incremental,
+                EvalStrategy::Kernel => FilterStrategy::Bmm,
                 EvalStrategy::Naive => FilterStrategy::Naive,
             },
             other => other,

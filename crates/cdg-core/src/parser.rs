@@ -41,7 +41,8 @@ pub struct ParseOptions {
     pub eval: EvalStrategy,
     /// Filtering implementation: full-scan, AC-4 incremental, or blocked
     /// BMM. All produce bit-identical removal schedules and networks; the
-    /// default `Auto` preserves the historical eval-coupled choice.
+    /// default `Auto` resolves to BMM under the kernel evaluator and to
+    /// full scans under the naive one.
     pub filter_strategy: FilterStrategy,
 }
 

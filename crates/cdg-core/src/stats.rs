@@ -27,11 +27,15 @@ pub struct NetStats {
     /// Support counters initialized when building the incremental filter
     /// (one per (value, incident arc); paid once, not per pass).
     pub support_inits: usize,
-    /// Allowed-row masks materialized by the kernel engine (one per
-    /// distinct signature of the row slot, per arc, per constraint).
+    /// Allowed-row masks materialized by the kernel engine from pair
+    /// verdicts (at most one per distinct signature of the row slot, per
+    /// arc, per constraint). Rows decided by row and column classes
+    /// alone reuse the arc's precomputed column masks and build none.
     pub kernel_masks: usize,
-    /// Pair verdicts answered from the kernel engine's signature memo
-    /// table instead of evaluating the constraint.
+    /// Pair verdicts the kernel engine answered without a pair lookup or
+    /// evaluation: from its signature memo table, or from row and column
+    /// classes (every alive column of a class-decided row, and the
+    /// definite-class columns of the other rows).
     pub kernel_memo_hits: usize,
     /// Role values removed (by unary propagation or consistency).
     pub removals: usize,

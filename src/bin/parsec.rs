@@ -17,7 +17,8 @@
 //!   --naive-eval                                 use the naive tree-walk evaluator (oracle)
 //!   --filter <auto|naive|incremental|bmm>        consistency filter: full rescans, AC-4
 //!                                                worklist, or blocked boolean-matrix-multiply
-//!                                                kernels (default auto: follow the evaluator)
+//!                                                kernels (default auto: bmm, or naive under
+//!                                                --naive-eval)
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
 //!   --maspar-scalar                              (maspar) unpacked Plural<bool> oracle, no bit-slicing

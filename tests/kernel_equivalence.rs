@@ -26,11 +26,15 @@ use cdg_grammar::{Grammar, Sentence};
 /// fault-injection suites.
 const SEEDS: u64 = 64;
 
+/// Filter pass budget shared by every cell of the differential.
+const PASSES: usize = 32;
+
 fn options(eval: EvalStrategy) -> ParseOptions {
     // Bounded filtering keeps both evaluators on the same pass budget;
-    // 10 passes reaches the fixpoint on everything these sizes generate.
+    // 32 passes reaches the fixpoint on everything these sizes generate
+    // (a one-short aⁿbⁿ string of 23 symbols takes 15).
     ParseOptions {
-        filter: FilterMode::Bounded(10),
+        filter: FilterMode::Bounded(PASSES),
         eval,
         ..Default::default()
     }
@@ -38,7 +42,7 @@ fn options(eval: EvalStrategy) -> ParseOptions {
 
 fn filter_options(strategy: FilterStrategy) -> ParseOptions {
     ParseOptions {
-        filter: FilterMode::Bounded(10),
+        filter: FilterMode::Bounded(PASSES),
         filter_strategy: strategy,
         ..Default::default()
     }
@@ -114,6 +118,10 @@ fn assert_outcomes_match(
 fn assert_kernel_matches_naive(grammar: &Grammar, sentence: &Sentence) {
     let kernel = parse(grammar, sentence, options(EvalStrategy::Kernel));
     let naive = parse(grammar, sentence, options(EvalStrategy::Naive));
+    assert!(
+        kernel.locally_consistent,
+        "`{sentence}` needs more than {PASSES} filter passes"
+    );
     assert_outcomes_match(&kernel, &naive, "kernel-vs-naive", sentence);
 
     // The filter axis: full-rescan / AC-4 worklist / blocked BMM, all on
@@ -192,6 +200,22 @@ fn kernel_matches_naive_on_formal_languages() {
         assert_kernel_matches_naive(&ww, &formal::ww_sentence(&ww, &w));
         let b = corpus::formal::nested_brackets(n);
         assert_kernel_matches_naive(&brackets, &formal::brackets_sentence(&brackets, &b));
+    }
+    // Longer strings, where most rows of the mutuality and nesting
+    // constraints are decided by row and column classes alone, plus
+    // one-short rejects whose gap moves the filter's removal cascade.
+    for n in [16, 24] {
+        let s = corpus::formal::anbn(n / 2);
+        let b = corpus::formal::nested_brackets(n / 2);
+        assert_kernel_matches_naive(&anbn, &formal::anbn_sentence(&anbn, &s));
+        assert_kernel_matches_naive(&brackets, &formal::brackets_sentence(&brackets, &b));
+        for gap in [0, n / 3, n / 2, n - 1] {
+            let (mut s, mut b) = (s.clone(), b.clone());
+            s.remove(gap);
+            b.remove(gap);
+            assert_kernel_matches_naive(&anbn, &formal::anbn_sentence(&anbn, &s));
+            assert_kernel_matches_naive(&brackets, &formal::brackets_sentence(&brackets, &b));
+        }
     }
 }
 
