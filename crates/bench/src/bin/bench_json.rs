@@ -7,8 +7,8 @@
 //! Three row families:
 //!
 //! 1. **Engine sweep** — every CDG engine (serial, PRAM, mesh, MasPar-sim)
-//!    on English corpus sentences of increasing length: wall-clock plus the
-//!    model quantities (ops / parallel steps).
+//!    on English corpus sentences of increasing length, on one thread:
+//!    wall-clock plus the model quantities (ops / parallel steps).
 //! 2. **Formal grammars** — serial vs PRAM on the bundled a^n b^n and
 //!    balanced-brackets grammars (the CI bench-smoke inputs).
 //! 3. **Batch throughput** — `parse_batch` over an n-sentence corpus at 1
@@ -438,7 +438,12 @@ fn main() {
     } else {
         &[4, 6, 8, 10, 12]
     };
-    rayon::set_num_threads(n_threads);
+    // The sweep runs on one thread, as `parsec --engine maspar --threads 1`
+    // and perfbench do: the simulator's parallel sweeps start their
+    // threads per operation, so on a few shared vCPUs an N-thread sweep
+    // times the scheduler. One thread also keeps every sweep row keyed
+    // `1t` on any host, like the committed baseline.
+    rayon::set_num_threads(1);
     let mut kernel_speedups: Vec<f64> = Vec::new();
     let mut maspar_speedups: Vec<f64> = Vec::new();
     for &n in lengths {
@@ -452,12 +457,7 @@ fn main() {
         }
         rows.push(row_from(kernel, "english", 1, digest));
         rows.push(row_from(naive, "english", 1, digest));
-        rows.push(row_from(
-            best_of(|| pram_cdg(&g, &s)),
-            "english",
-            n_threads,
-            digest,
-        ));
+        rows.push(row_from(best_of(|| pram_cdg(&g, &s)), "english", 1, digest));
         rows.push(row_from(best_of(|| mesh_cdg(&g, &s)), "english", 1, digest));
         // Both MasPar rows carry the same digest, asserted equal between
         // the packed and scalar representations inside digest_maspar.
@@ -467,8 +467,8 @@ fn main() {
         if maspar.wall_secs > 0.0 {
             maspar_speedups.push(maspar_scalar.wall_secs / maspar.wall_secs);
         }
-        rows.push(row_from(maspar, "english", n_threads, maspar_digest));
-        rows.push(row_from(maspar_scalar, "english", n_threads, maspar_digest));
+        rows.push(row_from(maspar, "english", 1, maspar_digest));
+        rows.push(row_from(maspar_scalar, "english", 1, maspar_digest));
     }
     if !maspar_speedups.is_empty() {
         let geo =
@@ -625,12 +625,7 @@ fn main() {
             1,
             digest,
         ));
-        rows.push(row_from(
-            best_of(|| pram_cdg(g, s)),
-            name,
-            n_threads,
-            digest,
-        ));
+        rows.push(row_from(best_of(|| pram_cdg(g, s)), name, 1, digest));
     }
 
     // --- 3. Batch throughput: 1 thread vs N threads ------------------

@@ -133,7 +133,8 @@ pub struct EngineConfig {
     pub transient: Option<usize>,
     /// Parse-enumeration cap.
     pub max_parses: usize,
-    /// Consistency-filter implementation.
+    /// Consistency-filter implementation of the serial and P-RAM engines
+    /// (the MasPar engine filters with the simulated machine's scans).
     pub filter: FilterStrategy,
     /// Constraint-evaluation strategy.
     pub eval: EvalStrategy,
@@ -301,7 +302,7 @@ pub static KEYS: &[KeyDef] = &[
     },
     KeyDef {
         key: "filter",
-        help: "auto | naive | incremental | bmm",
+        help: "auto | naive | incremental | bmm (serial and pram; maspar ignores it)",
         apply: |b, v| {
             b.filter = Some(FilterStrategy::parse(v).map_err(|e| invalid("filter", e))?);
             Ok(())

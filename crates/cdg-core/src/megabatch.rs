@@ -7,11 +7,10 @@
 //! per-sentence `base`/`len` table, then run each phase once over the whole
 //! joined extent instead of once per sentence.
 //!
-//! [`MegaBatch`] is that offset table: the one piece of bookkeeping every
-//! mega-batched backend shares. The host engines use it to drive the
-//! phase-major sweep in [`parse_batch_mega_with_pool`]; the MasPar engine
-//! builds its joint plurals (one virtual PE array covering the whole
-//! chunk) and joint [`maspar_sim`-style] segment maps from the same table.
+//! [`MegaBatch`] is that offset table. The host engines use it to drive
+//! the phase-major sweep in [`parse_batch_mega_with_pool`]; the MasPar
+//! engine joins only sentences of one length, so its joined array is a
+//! stack of equal PE grids and needs no table.
 //!
 //! Two invariants make mega-batching safe to gate behind an option:
 //!
@@ -123,10 +122,8 @@ pub fn note_mega_fallback(reason: MegaFallback) {
 }
 
 /// The joined-buffer offset table: sentence `s` owns `len(s)` units
-/// starting at `base(s)` of a `total()`-unit joined buffer. "Unit" is
-/// whatever the backend joins — role-value slots on the host engines,
-/// virtual PEs or role-value groups on the MasPar engine — so one table
-/// type serves every layer (papagpu's `stack_base` generalized).
+/// starting at `base(s)` of a `total()`-unit joined buffer; the host
+/// engines join role-value slots (papagpu's `stack_base` generalized).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MegaBatch {
     base: Vec<usize>,
@@ -204,36 +201,6 @@ impl MegaBatch {
             }
             Err(i) => i - 1,
         }
-    }
-
-    /// A dense unit → sentence lookup table, for per-unit kernels that
-    /// cannot afford the binary search (the MasPar joint plurals index
-    /// this once per PE per broadcast).
-    pub fn sentence_table(&self) -> Vec<u32> {
-        let mut t = vec![0u32; self.total];
-        for s in 0..self.count() {
-            for slot in &mut t[self.range(s)] {
-                *slot = s as u32;
-            }
-        }
-        t
-    }
-
-    /// Per-sentence segment lengths for a joined segmented scan: sentence
-    /// `s` contributes `len(s) / seg(s)` segments of `seg(s)` units each
-    /// (`seg(s)` must divide `len(s)`). This is how the MasPar engine's
-    /// block/column [`SegmentMap`]s are joined: scans never cross a
-    /// sentence boundary because no segment does.
-    ///
-    /// [`SegmentMap`]: maspar_sim::SegmentMap
-    pub fn segment_lengths(&self, seg: impl Fn(usize) -> usize) -> Vec<usize> {
-        let mut lens = Vec::new();
-        for s in 0..self.count() {
-            let seg_len = seg(s);
-            debug_assert!(seg_len > 0 && self.len(s) % seg_len == 0);
-            lens.extend(std::iter::repeat_n(seg_len, self.len(s) / seg_len));
-        }
-        lens
     }
 }
 
@@ -462,19 +429,6 @@ mod tests {
             let s = mb.sentence_of(unit);
             assert!(mb.range(s).contains(&unit), "unit {unit} → sentence {s}");
         }
-        let table = mb.sentence_table();
-        assert_eq!(table.len(), mb.total());
-        for (unit, &s) in table.iter().enumerate() {
-            assert_eq!(s as usize, mb.sentence_of(unit));
-        }
-    }
-
-    #[test]
-    fn segment_lengths_never_cross_a_sentence() {
-        let mb = MegaBatch::from_lengths(&[6, 4]);
-        let lens = mb.segment_lengths(|s| if s == 0 { 3 } else { 2 });
-        assert_eq!(lens, vec![3, 3, 2, 2]);
-        assert_eq!(lens.iter().sum::<usize>(), mb.total());
     }
 
     #[test]

@@ -594,6 +594,23 @@ impl Machine {
         self.op_count
     }
 
+    /// The charge every data-carrying plural instruction opens with: one
+    /// plural op, plus the dead-PE skips it incurs. Returns the
+    /// instruction's index for the memory flips it must apply, or `None`
+    /// on a ghost machine, which stops right after the charge.
+    fn begin_plural(&mut self, lens: &[usize]) -> Option<u64> {
+        if self.ghost {
+            self.charge_plural_op();
+            return None;
+        }
+        for &len in lens {
+            assert_eq!(len, self.n_virt, "plural size mismatch");
+        }
+        let op = self.charge_plural_op();
+        self.count_dead_skips();
+        Some(op)
+    }
+
     /// One broadcast instruction: every active PE updates its slot of `p`
     /// from its PE id. Runs data-parallel on the host.
     pub fn par_map<T: Send + FaultWord>(
@@ -601,13 +618,9 @@ impl Machine {
         p: &mut Plural<T>,
         f: impl Fn(usize, &mut T) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
+        let Some(op) = self.begin_plural(&[p.len()]) else {
             return;
-        }
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_plural_op();
-        self.count_dead_skips();
+        };
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         p.as_mut_slice()
@@ -629,14 +642,9 @@ impl Machine {
         src: &Plural<U>,
         f: impl Fn(usize, &mut T, &U) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
             return;
-        }
-        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(src.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_plural_op();
-        self.count_dead_skips();
+        };
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         let src = src.as_slice();
@@ -660,15 +668,9 @@ impl Machine {
         b: &Plural<V>,
         f: impl Fn(usize, &mut T, &U, &V) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
+        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
             return;
-        }
-        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(a.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(b.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_plural_op();
-        self.count_dead_skips();
+        };
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         let a = a.as_slice();
@@ -681,6 +683,204 @@ impl Machine {
                     f(pe, slot, &a[pe], &b[pe]);
                 }
             });
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    // ------------------------------------------------------------------
+    // Addressed broadcasts
+    // ------------------------------------------------------------------
+    //
+    // The same instructions as `par_map`, `par_zip`, `par_zip2` and
+    // `par_zip_bits`, charged exactly like them (the charge is a property
+    // of the broadcast, not of which PEs the host visits): activity, dead
+    // PEs, memory flips and ghost machines behave identically. Only the
+    // host's walk changes.
+    //
+    // * The *grid* form hands the body the (column, row) position of each
+    //   PE in a column-major layout of `side`-PE columns (PE = column ·
+    //   side + row) instead of its flat id, so a body indexed by its
+    //   submatrix's column and row group pays no per-PE division.
+    // * The *strided* form visits only PEs with `pe % stride == 0`. A
+    //   plain op whose body starts with that guard computes the same
+    //   plural, but the host walks every PE to skip all but one in
+    //   `stride`.
+
+    /// Run `f(column, row, pe, slot)` on every live PE of `data`, split by
+    /// columns of `side` PEs through the same chunked sweep `par_map` uses.
+    fn visit_grid<T: Send>(
+        &self,
+        data: &mut [T],
+        side: usize,
+        f: impl Fn(usize, usize, usize, &mut T) + Sync,
+    ) {
+        assert!(
+            side > 0 && data.len() % side == 0,
+            "grid columns must tile the array: {} PEs / {side}",
+            data.len()
+        );
+        let mut columns: Vec<&mut [T]> = data.chunks_mut(side).collect();
+        columns
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(col, column)| {
+                let base = col * side;
+                for (row, slot) in column.iter_mut().enumerate() {
+                    if bits::live_at(&self.enabled, &self.virt_dead, base + row) {
+                        f(col, row, base + row, slot);
+                    }
+                }
+            });
+    }
+
+    /// Run `f(pe, slot)` on every live PE of `data` with `pe % stride == 0`.
+    fn visit_strided<T: Send>(
+        &self,
+        data: &mut [T],
+        stride: usize,
+        f: impl Fn(usize, &mut T) + Sync,
+    ) {
+        assert!(stride > 0, "a stride must be positive");
+        let mut heads: Vec<&mut T> = data.iter_mut().step_by(stride).collect();
+        heads.par_iter_mut().enumerate().for_each(|(k, slot)| {
+            let pe = k * stride;
+            if bits::live_at(&self.enabled, &self.virt_dead, pe) {
+                f(pe, slot);
+            }
+        });
+    }
+
+    /// [`Machine::par_map`] addressed by grid position: active PEs run
+    /// `f(pe / side, pe % side, slot)`.
+    pub fn par_map_grid<T: Send + FaultWord>(
+        &mut self,
+        p: &mut Plural<T>,
+        side: usize,
+        f: impl Fn(usize, usize, &mut T) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[p.len()]) else {
+            return;
+        };
+        self.visit_grid(p.as_mut_slice(), side, |c, r, _, slot| f(c, r, slot));
+        self.apply_memory_flips(op, p.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip`] addressed by grid position.
+    pub fn par_zip_grid<T: Send + FaultWord, U: Sync>(
+        &mut self,
+        dst: &mut Plural<T>,
+        src: &Plural<U>,
+        side: usize,
+        f: impl Fn(usize, usize, &mut T, &U) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
+            return;
+        };
+        let src = src.as_slice();
+        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
+            f(c, r, slot, &src[pe])
+        });
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip2`] addressed by grid position.
+    pub fn par_zip2_grid<T: Send + FaultWord, U: Sync, V: Sync>(
+        &mut self,
+        dst: &mut Plural<T>,
+        a: &Plural<U>,
+        b: &Plural<V>,
+        side: usize,
+        f: impl Fn(usize, usize, &mut T, &U, &V) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
+            return;
+        };
+        let (a, b) = (a.as_slice(), b.as_slice());
+        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
+            f(c, r, slot, &a[pe], &b[pe])
+        });
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip_bits`] addressed by grid position.
+    pub fn par_zip_bits_grid(
+        &mut self,
+        dst: &mut Plural<u64>,
+        src: &PluralBits,
+        side: usize,
+        f: impl Fn(usize, usize, &mut u64, bool) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
+            return;
+        };
+        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
+            f(c, r, slot, src.get(pe))
+        });
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    /// [`Machine::par_map`] on the PEs with `pe % stride == 0` only.
+    pub fn par_map_strided<T: Send + FaultWord>(
+        &mut self,
+        p: &mut Plural<T>,
+        stride: usize,
+        f: impl Fn(usize, &mut T) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[p.len()]) else {
+            return;
+        };
+        self.visit_strided(p.as_mut_slice(), stride, f);
+        self.apply_memory_flips(op, p.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip`] on the PEs with `pe % stride == 0` only.
+    pub fn par_zip_strided<T: Send + FaultWord, U: Sync>(
+        &mut self,
+        dst: &mut Plural<T>,
+        src: &Plural<U>,
+        stride: usize,
+        f: impl Fn(usize, &mut T, &U) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
+            return;
+        };
+        let src = src.as_slice();
+        self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| f(pe, slot, &src[pe]));
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip2`] on the PEs with `pe % stride == 0` only.
+    pub fn par_zip2_strided<T: Send + FaultWord, U: Sync, V: Sync>(
+        &mut self,
+        dst: &mut Plural<T>,
+        a: &Plural<U>,
+        b: &Plural<V>,
+        stride: usize,
+        f: impl Fn(usize, &mut T, &U, &V) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
+            return;
+        };
+        let (a, b) = (a.as_slice(), b.as_slice());
+        self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| {
+            f(pe, slot, &a[pe], &b[pe])
+        });
+        self.apply_memory_flips(op, dst.as_mut_slice());
+    }
+
+    /// [`Machine::par_zip_bits`] on the PEs with `pe % stride == 0` only.
+    pub fn par_zip_bits_strided(
+        &mut self,
+        dst: &mut Plural<u64>,
+        src: &PluralBits,
+        stride: usize,
+        f: impl Fn(usize, &mut u64, bool) + Sync,
+    ) {
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
+            return;
+        };
+        self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| {
+            f(pe, slot, src.get(pe))
+        });
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
@@ -1077,30 +1277,21 @@ impl Machine {
     // host representation (and host wall time) changes.
 
     /// One broadcast instruction: every live PE writes its slot of `dst`
-    /// from the per-PE `want` table. The packed counterpart of
-    /// `par_map(&mut p, |pe, v| *v = want[pe])`, executed as a masked
+    /// from the ACU's packed `want` table (bit `pe % 64` of word
+    /// `pe / 64`). The packed counterpart of
+    /// `par_map(&mut p, |pe, v| *v = want(pe))`, executed as a masked
     /// word merge per 64 PEs.
-    pub fn par_write_bits(&mut self, dst: &mut PluralBits, want: &[bool]) {
+    pub fn par_write_bits(&mut self, dst: &mut PluralBits, want: &[u64]) {
         if self.ghost {
             self.charge_plural_op();
             return;
         }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(want.len(), self.n_virt, "plural size mismatch");
+        assert_eq!(want.len(), dst.words().len(), "plural size mismatch");
         let op = self.charge_plural_op();
         self.count_dead_skips();
-        for w in 0..dst.words().len() {
+        for (w, &value) in want.iter().enumerate() {
             let live = self.live_word(w);
-            if live == 0 {
-                continue;
-            }
-            let base = w * 64;
-            let mut value = 0u64;
-            for (i, &b) in want[base..(base + 64).min(want.len())].iter().enumerate() {
-                if b {
-                    value |= 1u64 << i;
-                }
-            }
             let word = &mut dst.words_mut()[w];
             *word = (*word & !live) | (value & live);
         }
@@ -1156,14 +1347,9 @@ impl Machine {
         src: &PluralBits,
         f: impl Fn(usize, &mut u64, bool),
     ) {
-        if self.ghost {
-            self.charge_plural_op();
+        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
             return;
-        }
-        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(src.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_plural_op();
-        self.count_dead_skips();
+        };
         let d = dst.as_mut_slice();
         for w in 0..bits::word_count(self.n_virt) {
             let mut m = self.live_word(w);
@@ -1185,7 +1371,10 @@ impl Machine {
             self.par_write_bits(&mut p, &[]);
             return p;
         }
-        let want: Vec<bool> = (0..self.n_virt).map(f).collect();
+        let mut want = vec![0u64; bits::word_count(self.n_virt)];
+        for pe in (0..self.n_virt).filter(|&pe| f(pe)) {
+            want[pe / 64] |= 1u64 << (pe % 64);
+        }
         let mut p = self.alloc_bits(fill);
         self.par_write_bits(&mut p, &want);
         p
@@ -1579,6 +1768,15 @@ mod tests {
     // Fault injection
     // --------------------------------------------------------------
 
+    /// Pack one bool per PE into `par_write_bits`' word table.
+    fn pack(flags: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; flags.len().div_ceil(64)];
+        for (pe, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+            words[pe / 64] |= 1u64 << (pe % 64);
+        }
+        words
+    }
+
     /// A small machine with an armed plan, for fault tests.
     fn faulty(n_virt: usize, phys: usize, plan: FaultPlan) -> Machine {
         let mut m = Machine::new(
@@ -1792,7 +1990,7 @@ mod tests {
         // The same program through the packed kernels.
         let pu = pm.par_init(0u64, |pe| pe as u64);
         let mut pflags = pm.alloc_bits(false);
-        pm.par_write_bits(&mut pflags, &want);
+        pm.par_write_bits(&mut pflags, &pack(&want));
         let pmask = pm.par_init_bits(false, |pe| pe % 2 == 0);
         let mut pderived = pm.alloc_bits(false);
         let mut pacc = pm.alloc(0u64);
@@ -1935,8 +2133,7 @@ mod tests {
         // 8 virtual PEs on 4 physical: phys 1 hosts virts 1 and 5.
         let mut m = faulty(8, 4, FaultPlan::new().with_dead_pe(1));
         let mut p = m.alloc_bits(false);
-        let want = vec![true; 8];
-        m.par_write_bits(&mut p, &want);
+        m.par_write_bits(&mut p, &[0xFF]);
         assert_eq!(
             p.to_bools(),
             [true, false, true, true, true, false, true, true]
@@ -1958,7 +2155,7 @@ mod tests {
         for bit in [0u32, 3, 63] {
             let mut m = faulty(4, 4, FaultPlan::new().with_memory_flip(2, 2, bit));
             let mut p = m.alloc_bits(false);
-            let want = vec![true; 4];
+            let want = [0b1111];
             m.par_write_bits(&mut p, &want); // op 1: untouched
             assert_eq!(p.to_bools(), [true; 4]);
             m.par_write_bits(&mut p, &want); // op 2: flip hits virt 2
@@ -2068,5 +2265,156 @@ mod tests {
         assert_eq!(replayed, reductions, "queued reductions replay in order");
         assert!(ghost.leftover_ghost_reductions().is_empty());
         assert_eq!(real.estimated_seconds(), ghost.estimated_seconds());
+    }
+
+    /// One addressed broadcast under test, run against its inputs.
+    type Broadcast =
+        Box<dyn Fn(&mut Machine, &mut Plural<u64>, &Plural<u64>, &Plural<u64>, &PluralBits)>;
+
+    /// Run `op` as the seventh instruction of a small program: 24 virtual
+    /// PEs on 8 physical ones (so dead phys 4 freezes PEs 4, 12 and 20),
+    /// activity narrowed to PEs not divisible by 5, and a memory flip on
+    /// phys 6 scheduled for exactly that instruction. Returns what `op`
+    /// wrote and the machine's counters; on a ghost machine, only the
+    /// counters.
+    fn run_addressed(ghost: bool, op: &Broadcast) -> (Vec<u64>, MachineStats) {
+        let config = MachineConfig {
+            phys_pes: 8,
+            ..Default::default()
+        };
+        let mut m = if ghost {
+            Machine::new_ghost(config, 24)
+        } else {
+            let mut m = Machine::new(config, 24);
+            m.arm_faults(FaultPlan::new().with_dead_pe(4).with_memory_flip(7, 6, 2));
+            m
+        };
+        let a = m.par_init(0u64, |pe| pe as u64 * 3 + 1);
+        let b = m.par_init(0u64, |pe| pe as u64 ^ 5);
+        let flags = m.par_init_bits(false, |pe| pe % 3 == 0);
+        let mut dst = m.par_init(0u64, |pe| pe as u64 * 100);
+        let mask = m.par_init_bits(false, |pe| pe % 5 != 0);
+        m.with_activity_bits(&mask, |m| op(m, &mut dst, &a, &b, &flags));
+        assert_eq!(m.op_count(), 7);
+        (dst.as_slice().to_vec(), m.stats)
+    }
+
+    #[test]
+    fn addressed_broadcasts_match_guarded_plain_ops() {
+        const SIDE: usize = 6;
+        let pairs: Vec<(&str, Broadcast, Broadcast)> = vec![
+            (
+                "par_map_grid",
+                Box::new(|m, d, _, _, _| {
+                    m.par_map_grid(d, SIDE, |c, r, v| *v = *v * 7 + (c * 10 + r) as u64)
+                }),
+                Box::new(|m, d, _, _, _| {
+                    m.par_map(d, |pe, v| *v = *v * 7 + (pe / SIDE * 10 + pe % SIDE) as u64)
+                }),
+            ),
+            (
+                "par_zip_grid",
+                Box::new(|m, d, a, _, _| {
+                    m.par_zip_grid(d, a, SIDE, |c, r, v, &x| *v ^= x + (c * r) as u64)
+                }),
+                Box::new(|m, d, a, _, _| {
+                    m.par_zip(d, a, |pe, v, &x| *v ^= x + (pe / SIDE * (pe % SIDE)) as u64)
+                }),
+            ),
+            (
+                "par_zip2_grid",
+                Box::new(|m, d, a, b, _| {
+                    m.par_zip2_grid(d, a, b, SIDE, |c, r, v, &x, &y| {
+                        *v += x * y + (c + r) as u64
+                    })
+                }),
+                Box::new(|m, d, a, b, _| {
+                    m.par_zip2(d, a, b, |pe, v, &x, &y| {
+                        *v += x * y + (pe / SIDE + pe % SIDE) as u64
+                    })
+                }),
+            ),
+            (
+                "par_zip_bits_grid",
+                Box::new(|m, d, _, _, f| {
+                    m.par_zip_bits_grid(d, f, SIDE, |c, r, v, ok| *v |= (ok as u64) << (c + r))
+                }),
+                Box::new(|m, d, _, _, f| {
+                    m.par_zip_bits(d, f, |pe, v, ok| {
+                        *v |= (ok as u64) << (pe / SIDE + pe % SIDE)
+                    })
+                }),
+            ),
+            (
+                "par_map_strided",
+                Box::new(|m, d, _, _, _| m.par_map_strided(d, SIDE, |pe, v| *v += pe as u64 + 1)),
+                Box::new(|m, d, _, _, _| {
+                    m.par_map(d, |pe, v| {
+                        if pe % SIDE == 0 {
+                            *v += pe as u64 + 1
+                        }
+                    })
+                }),
+            ),
+            (
+                "par_zip_strided",
+                Box::new(|m, d, a, _, _| {
+                    m.par_zip_strided(d, a, SIDE, |pe, v, &x| *v = x << (pe % 7))
+                }),
+                Box::new(|m, d, a, _, _| {
+                    m.par_zip(d, a, |pe, v, &x| {
+                        if pe % SIDE == 0 {
+                            *v = x << (pe % 7)
+                        }
+                    })
+                }),
+            ),
+            (
+                "par_zip2_strided",
+                Box::new(|m, d, a, b, _| {
+                    m.par_zip2_strided(d, a, b, SIDE, |_, v, &x, &y| *v = x & !y)
+                }),
+                Box::new(|m, d, a, b, _| {
+                    m.par_zip2(d, a, b, |pe, v, &x, &y| {
+                        if pe % SIDE == 0 {
+                            *v = x & !y
+                        }
+                    })
+                }),
+            ),
+            (
+                "par_zip_bits_strided",
+                Box::new(|m, d, _, _, f| {
+                    m.par_zip_bits_strided(d, f, SIDE, |pe, v, ok| {
+                        *v = if ok { pe as u64 } else { 1 }
+                    })
+                }),
+                Box::new(|m, d, _, _, f| {
+                    m.par_zip_bits(d, f, |pe, v, ok| {
+                        if pe % SIDE == 0 {
+                            *v = if ok { pe as u64 } else { 1 }
+                        }
+                    })
+                }),
+            ),
+        ];
+        for (name, addressed, plain) in &pairs {
+            let (got, got_stats) = run_addressed(false, addressed);
+            let (want, want_stats) = run_addressed(false, plain);
+            assert_eq!(got, want, "{name}: results");
+            assert_eq!(got_stats, want_stats, "{name}: MachineStats");
+            assert_eq!(got[12], 0, "{name}: the dead PE never wrote its slot");
+            assert_eq!(got[10], 1000, "{name}: an inactive PE's slot is untouched");
+            assert!(got_stats.dead_pe_skips > 0, "{name}: dead PEs counted");
+            assert_eq!(got_stats.memory_flips, 1, "{name}: the flip lands at op 7");
+            let (ghost, ghost_stats) = run_addressed(true, addressed);
+            assert!(ghost.is_empty(), "{name}: a ghost touches no data");
+            assert_eq!(
+                ghost_stats,
+                run_addressed(true, plain).1,
+                "{name}: ghost charge"
+            );
+            assert_eq!(ghost_stats.plural_ops, want_stats.plural_ops, "{name}");
+        }
     }
 }

@@ -36,6 +36,13 @@ impl<T> Plural<T> {
     pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
+
+    /// Host-side readback that takes the array instead of copying it.
+    /// Like dropping a plural, it does not release the simulated memory;
+    /// call it after the program's last instruction.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
 }
 
 #[cfg(test)]

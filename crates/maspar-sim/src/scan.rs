@@ -2,9 +2,9 @@
 
 /// A segment's extent over the packed 64-PE-per-word representation:
 /// the inclusive word range it touches plus the partial-word masks at
-/// either end. Precomputed once per [`SegmentMap`] so the word-at-a-time
-/// scans ([`crate::Machine::scan_or_bits`]) never re-derive bit geometry
-/// in their inner loop.
+/// either end, derived once per segment so the word-at-a-time scans
+/// ([`crate::Machine::scan_or_bits`]) never re-derive bit geometry in
+/// their inner loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegSpan {
     pub first_word: usize,
@@ -50,42 +50,47 @@ fn span_for(start: usize, end: usize) -> SegSpan {
 /// the scan deposits each segment's reduction at its boundary (first) PE.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMap {
-    /// Start PE of each segment, ascending; segment `s` spans
-    /// `starts[s] .. starts[s+1]` (or to `len` for the last).
-    starts: Vec<usize>,
     /// Total PEs covered.
     len: usize,
-    /// Packed-word extent of each segment (same indexing as `starts`).
-    spans: Vec<SegSpan>,
+    starts: Starts,
+}
+
+/// Where the segments start. Equal-length segments — every map PARSEC
+/// builds per sentence — are stored as their length alone, so a map costs
+/// no memory per segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Starts {
+    /// Segment `s` spans `s·len .. (s+1)·len`.
+    Uniform(usize),
+    /// Start PE of each segment, ascending; segment `s` spans
+    /// `starts[s] .. starts[s+1]` (or to the map's end for the last).
+    Explicit(Vec<usize>),
 }
 
 impl SegmentMap {
-    fn with_starts(starts: Vec<usize>, len: usize) -> Self {
-        let spans = starts
-            .iter()
-            .enumerate()
-            .map(|(s, &start)| {
-                let end = starts.get(s + 1).copied().unwrap_or(len);
-                span_for(start, end)
-            })
-            .collect();
-        SegmentMap { starts, len, spans }
-    }
-
     /// Build from explicit segment lengths (must all be nonzero).
     pub fn from_lengths(lengths: &[usize]) -> Self {
         assert!(
             !lengths.is_empty(),
             "a segment map needs at least one segment"
         );
-        let mut starts = Vec::with_capacity(lengths.len());
-        let mut at = 0;
-        for &l in lengths {
-            assert!(l > 0, "zero-length segment");
-            starts.push(at);
-            at += l;
+        assert!(lengths.iter().all(|&l| l > 0), "zero-length segment");
+        let len = lengths.iter().sum();
+        if lengths.iter().all(|&l| l == lengths[0]) {
+            return SegmentMap::uniform(len, lengths[0]);
         }
-        SegmentMap::with_starts(starts, at)
+        let starts = lengths
+            .iter()
+            .scan(0, |at, &l| {
+                let start = *at;
+                *at += l;
+                Some(start)
+            })
+            .collect();
+        SegmentMap {
+            len,
+            starts: Starts::Explicit(starts),
+        }
     }
 
     /// Uniform segments of `seg_len` covering `total` PEs exactly.
@@ -94,22 +99,29 @@ impl SegmentMap {
             seg_len > 0 && total % seg_len == 0,
             "uniform segments must tile exactly: {total} / {seg_len}"
         );
-        SegmentMap::with_starts((0..total / seg_len).map(|s| s * seg_len).collect(), total)
+        SegmentMap {
+            len: total,
+            starts: Starts::Uniform(seg_len),
+        }
     }
 
     /// One segment spanning everything (a global reduction).
     pub fn global(total: usize) -> Self {
         assert!(total > 0);
-        SegmentMap::with_starts(vec![0], total)
+        SegmentMap::uniform(total, total)
     }
 
     /// Packed-word extent of segment `s`.
     pub(crate) fn span_of(&self, s: usize) -> SegSpan {
-        self.spans[s]
+        let range = self.range_of(s);
+        span_for(range.start, range.end)
     }
 
     pub fn num_segments(&self) -> usize {
-        self.starts.len()
+        match &self.starts {
+            Starts::Uniform(seg_len) => self.len / seg_len,
+            Starts::Explicit(starts) => starts.len(),
+        }
     }
 
     /// Total PEs covered.
@@ -123,25 +135,38 @@ impl SegmentMap {
 
     /// Start PE (boundary) of segment `s`.
     pub fn start_of(&self, s: usize) -> usize {
-        self.starts[s]
+        match &self.starts {
+            Starts::Uniform(seg_len) => {
+                assert!(s * seg_len < self.len, "segment {s} out of range");
+                s * seg_len
+            }
+            Starts::Explicit(starts) => starts[s],
+        }
     }
 
     /// Half-open PE range of segment `s`.
     pub fn range_of(&self, s: usize) -> std::ops::Range<usize> {
-        let end = self.starts.get(s + 1).copied().unwrap_or(self.len);
-        self.starts[s]..end
+        let start = self.start_of(s);
+        let end = match &self.starts {
+            Starts::Uniform(seg_len) => start + seg_len,
+            Starts::Explicit(starts) => starts.get(s + 1).copied().unwrap_or(self.len),
+        };
+        start..end
     }
 
-    /// The segment containing `pe` (binary search).
+    /// The segment containing `pe`.
     pub fn segment_of(&self, pe: usize) -> usize {
         assert!(
             pe < self.len,
             "PE {pe} outside segment map of {} PEs",
             self.len
         );
-        match self.starts.binary_search(&pe) {
-            Ok(s) => s,
-            Err(next) => next - 1,
+        match &self.starts {
+            Starts::Uniform(seg_len) => pe / seg_len,
+            Starts::Explicit(starts) => match starts.binary_search(&pe) {
+                Ok(s) => s,
+                Err(next) => next - 1,
+            },
         }
     }
 

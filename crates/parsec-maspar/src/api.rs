@@ -91,7 +91,6 @@ impl Maspar {
         let mut opts = self.options.clone();
         opts.budget = req.options.budget;
         opts.faults = req.faults.clone();
-        opts.filter_strategy = req.options.filter_strategy;
         match req.options.filter {
             FilterMode::None => opts.filter_iterations = 0,
             FilterMode::Bounded(k) => opts.filter_iterations = k,

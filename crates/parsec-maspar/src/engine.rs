@@ -30,8 +30,11 @@
 use crate::layout::Layout;
 use bitmat::BitVec;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
-use cdg_core::network::{FilterStrategy, NetParts, Network};
-use cdg_grammar::{Constraint, Grammar, Sentence};
+use cdg_core::network::{NetParts, Network};
+use cdg_grammar::expr::{Binding, EvalCtx};
+use cdg_grammar::kernel::{FeatureSet, KernelProgram, PartialBinding};
+use cdg_grammar::value::Truth;
+use cdg_grammar::{Constraint, Grammar, RoleId, Sentence};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
@@ -70,15 +73,11 @@ pub struct MasparOptions {
     /// kernel-vs-naive split. Both issue identical broadcast instructions
     /// and produce bit-identical outcomes and [`MachineStats`]; only host
     /// wall time differs.
+    ///
+    /// There is no filter-strategy option: the machine filters by its own
+    /// scan choreography (design decisions 3 and 5), and
+    /// [`MasparOutcome::to_network`] has one host readback.
     pub packed: bool,
-    /// Host-side realization of the readback that reconstructs the
-    /// [`Network`] from the machine's packed submatrices.
-    /// [`FilterStrategy::Bmm`] assembles whole arc-matrix rows a machine
-    /// word at a time; anything else keeps the per-entry scalar walk.
-    /// Like [`MasparOptions::packed`], the choice never reaches the
-    /// simulated machine: instruction stream, [`MachineStats`], and
-    /// estimated seconds are bit-identical either way.
-    pub filter_strategy: FilterStrategy,
 }
 
 impl Default for MasparOptions {
@@ -92,7 +91,6 @@ impl Default for MasparOptions {
             budget: ParseBudget::UNLIMITED,
             max_recovery_retries: 4,
             packed: true,
-            filter_strategy: FilterStrategy::default(),
         }
     }
 }
@@ -100,15 +98,15 @@ impl Default for MasparOptions {
 impl MasparOptions {
     /// Thin compatibility constructor from the unified
     /// [`cdg_core::EngineConfig`]: everything the machine reads off the
-    /// shared surface (budget, faults, packing, filter strategy), with the
-    /// machine shape supplied by the owner of the simulated array.
+    /// shared surface (budget, faults, packing), with the machine shape
+    /// supplied by the owner of the simulated array. The config's filter
+    /// strategy does not reach the machine.
     pub fn from_engine_config(config: &cdg_core::EngineConfig, machine: MachineConfig) -> Self {
         MasparOptions {
             machine,
             faults: config.faults.clone(),
             budget: config.budget,
             packed: config.packed,
-            filter_strategy: config.filter,
             ..Default::default()
         }
     }
@@ -171,9 +169,6 @@ pub struct MasparOutcome {
     /// short: the readback is a usable partial network and this records
     /// which limit bound. `None` for a complete parse.
     pub degraded: Option<EngineError>,
-    /// The host readback realization [`MasparOutcome::to_network`] picks
-    /// (recorded from [`MasparOptions::filter_strategy`]).
-    pub filter_strategy: FilterStrategy,
 }
 
 impl MasparOutcome {
@@ -226,18 +221,23 @@ impl MasparOutcome {
     /// state (alive sets and arc entries), so the standard extraction and
     /// rendering machinery applies.
     ///
-    /// Two host realizations produce bit-identical networks: the
-    /// per-entry [`MasparOutcome::readback_scalar`] walk (the oracle) and
-    /// the word-parallel [`MasparOutcome::readback_tiled`] path used when
-    /// the run was configured with [`FilterStrategy::Bmm`]. Either way the
-    /// simulated instruction stream and [`MachineStats`] are untouched —
-    /// the strategy only changes how the *host* materializes the result.
+    /// The word-parallel [`MasparOutcome::readback_tiled`] does the work;
+    /// the per-entry [`MasparOutcome::readback_scalar`] is its test
+    /// oracle. Neither touches the simulated machine.
     pub fn to_network<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
-        if self.filter_strategy == FilterStrategy::Bmm {
-            self.readback_tiled(grammar, sentence)
-        } else {
-            self.readback_scalar(grammar, sentence)
-        }
+        self.readback_tiled(grammar, sentence)
+    }
+
+    /// Role values the machine killed, as (slot, core domain index). The
+    /// core domain index of (label li, modifiee m_idx) is li·m + m_idx.
+    fn dead_values(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let lay = &self.layout;
+        (0..lay.groups).flat_map(move |g| {
+            let (w, r, m_idx) = lay.decode_group(g);
+            (0..lay.labels_of_role(r))
+                .filter(move |&li| !self.is_alive(g, li))
+                .map(move |li| (w * lay.q + r, li * lay.m + m_idx))
+        })
     }
 
     /// Per-entry readback: probe every (value, value) submatrix bit and
@@ -247,15 +247,8 @@ impl MasparOutcome {
         let lay = &self.layout;
         let mut net = Network::build(grammar, sentence);
         net.init_arcs();
-        // Remove dead role values. Core domain index = li·n + m_idx.
-        for g in 0..lay.groups {
-            let (w, r, m_idx) = lay.decode_group(g);
-            let slot = w * lay.q + r;
-            for li in 0..lay.labels_of_role(r) {
-                if !self.is_alive(g, li) {
-                    net.remove_value(slot, li * lay.m + m_idx);
-                }
-            }
+        for (slot, idx) in self.dead_values() {
+            net.remove_value(slot, idx);
         }
         // Zero arc entries the machine zeroed.
         let nslots = lay.n * lay.q;
@@ -284,28 +277,29 @@ impl MasparOutcome {
         net
     }
 
-    /// Word-parallel readback: for each alive arc row, gather one l-bit
-    /// label chunk per modifiee straight out of the packed PE submatrix
-    /// word, spread it to host column positions lj·m + mj through a
-    /// precomputed per-label-count table, and apply the assembled mask
-    /// with a single word-wise row AND. Bits the machine zeroed for pairs
-    /// with a dead endpoint are already zero on the host (rows/columns of
-    /// removed values), so masking with the raw machine row is exact.
-    /// Charges the same `entries_zeroed` as the scalar walk plus the
-    /// observational `bmm_words` counter.
+    /// Word-parallel readback. Dead values are removed before the arcs
+    /// exist, so `init_arcs` sets only entries between survivors. Then,
+    /// for each alive arc row, gather one l-bit label chunk per modifiee
+    /// straight out of the packed PE submatrix word, spread it to host
+    /// column positions lj·m + mj through a precomputed per-label-count
+    /// table, and apply the assembled mask with a single word-wise row
+    /// AND. Bits the machine zeroed for pairs with a dead endpoint are
+    /// already zero on the host, so masking with the raw machine row is
+    /// exact.
+    ///
+    /// Host stats equal [`MasparOutcome::readback_scalar`]'s up to the
+    /// observational `bmm_*` counters: the scalar walk zeroes the
+    /// |domᵢ|·|domⱼ| − |aliveᵢ|·|aliveⱼ| entries with a dead endpoint one
+    /// removal at a time, and this path adds that count directly. (MasPar
+    /// input is lexically unambiguous, so `init_arcs` would have set every
+    /// one of those entries.)
     pub fn readback_tiled<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
         let lay = &self.layout;
         let mut net = Network::build(grammar, sentence);
-        net.init_arcs();
-        for g in 0..lay.groups {
-            let (w, r, m_idx) = lay.decode_group(g);
-            let slot = w * lay.q + r;
-            for li in 0..lay.labels_of_role(r) {
-                if !self.is_alive(g, li) {
-                    net.remove_value(slot, li * lay.m + m_idx);
-                }
-            }
+        for (slot, idx) in self.dead_values() {
+            net.remove_value(slot, idx);
         }
+        net.init_arcs();
         let m = lay.m;
         let l = lay.l;
         let NetParts {
@@ -317,27 +311,29 @@ impl MasparOutcome {
         } = net.parts_mut();
         let mut mask = BitVec::zeros(0);
         let mut buf: Vec<u64> = Vec::new();
-        // spread[chunk] has bit lj·m set for every label bit lj of
+        // spread[labels][chunk] has bit lj·m set for every label bit lj of
         // `chunk`; shifting the whole pattern left by mj lands each label
-        // at its host column lj·m + mj. Rebuilt only when the column
-        // role's label count changes.
-        let mut spread: Vec<Vec<u64>> = Vec::new();
-        let mut spread_labels = usize::MAX;
+        // at its host column lj·m + mj. One table per column-role label
+        // count, built on first use.
+        let mut spread: Vec<Vec<Vec<u64>>> = vec![Vec::new(); l + 1];
         for &(si, sj, idx) in pairs {
+            let (alive_i, alive_j) = (slots[si].alive.count_ones(), slots[sj].alive.count_ones());
+            stats.entries_zeroed +=
+                slots[si].domain.len() * slots[sj].domain.len() - alive_i * alive_j;
             let (wi, ri) = (si / lay.q, si % lay.q);
             let (wj, rj) = (sj / lay.q, sj % lay.q);
             let labels_j = lay.labels_of_role(rj);
             let dom_j = slots[sj].domain.len();
             debug_assert_eq!(dom_j, labels_j * m);
             let row_words = dom_j.div_ceil(64);
-            if spread_labels != labels_j {
-                spread_labels = labels_j;
-                spread = vec![vec![0u64; row_words]; 1 << labels_j];
+            let spread = &mut spread[labels_j];
+            if spread.is_empty() {
+                spread.push(vec![0u64; row_words]);
                 for chunk in 1usize..1 << labels_j {
                     let lj = chunk.trailing_zeros() as usize;
                     let mut pat = spread[chunk & (chunk - 1)].clone();
                     pat[(lj * m) / 64] |= 1u64 << ((lj * m) % 64);
-                    spread[chunk] = pat;
+                    spread.push(pat);
                 }
             }
             for a in slots[si].alive.iter_ones() {
@@ -537,35 +533,33 @@ pub(crate) fn drive<B: BoolRepr>(
             *mark = machine.stats;
         };
 
-    // --- Init: every plural is a pure function of the PE id, so the host
-    // verifies it directly against expected values (no double execution
-    // needed). Fault-free, init_exact is exactly alloc + one par_map —
-    // the same instructions as the original engine.
+    // --- Init: every plural is a pure function of the PE's grid position,
+    // so the host verifies it directly against expected values (no double
+    // execution needed). Fault-free, each init is exactly alloc + one
+    // broadcast — the same instructions as the original engine.
     //
     // Validity mask: everything but the self-arc diagonal (Figure 11's
-    // disabled PEs). Computed once from PE ids — design decision 2: no
+    // disabled PEs). Computed from PE positions — design decision 2: no
     // broadcast needed.
     let retries = opts.max_recovery_retries.max(1);
-    let n_virt = lay.virt_pes();
-    let expect = |f: &dyn Fn(usize) -> u64| -> Vec<u64> { (0..n_virt).map(f).collect() };
     let _init = obsv::span("arc_init");
+    let t = Tables::new(&[&lay]);
+    let side = t.side;
     let valid = B::init_exact(
         &mut machine,
         "valid",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| !lay.is_diagonal(pe))
-            .collect::<Vec<_>>(),
+        side,
+        |c, r| !t.diagonal(c, r),
     )?;
     let block_boundary = B::init_exact(
         &mut machine,
         "block-boundary",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| !lay.is_diagonal(pe) && pe % lay.m == 0)
-            .collect::<Vec<_>>(),
+        side,
+        |c, r| t.block_boundary(c, r),
     )?;
 
     // Design decision 1: arc matrices first, all ones (Figure 9).
@@ -574,14 +568,16 @@ pub(crate) fn drive<B: BoolRepr>(
         "bits",
         retries,
         &mut recovery,
-        &expect(&|pe| lay.init_bits(pe)),
+        side,
+        |c, r| t.init_bits(c, r),
     )?;
     let mut alive: Plural<u64> = init_exact(
         &mut machine,
         "alive",
         retries,
         &mut recovery,
-        &expect(&|pe| lay.init_alive(pe)),
+        side,
+        |c, r| t.init_alive(c, r),
     )?;
 
     // Router index plurals for the alive-mask gathers (phase D).
@@ -590,18 +586,16 @@ pub(crate) fn drive<B: BoolRepr>(
         "col-idx",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| lay.decode_pe(pe).0 * lay.groups)
-            .collect::<Vec<_>>(),
+        side,
+        |c, _| t.col_idx(c),
     )?;
     let row_boundary_idx: Plural<usize> = init_exact(
         &mut machine,
         "row-idx",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| lay.decode_pe(pe).1 * lay.groups)
-            .collect::<Vec<_>>(),
+        side,
+        |c, r| t.row_idx(c, r),
     )?;
     phase(&machine, &mut phases, &mut mark, "init".into());
     drop(_init);
@@ -623,7 +617,7 @@ pub(crate) fn drive<B: BoolRepr>(
             &mut bits,
             &mut alive,
             |m, bits, alive| {
-                B::apply_unary(m, &lay, sentence, c, &valid, bits, alive);
+                B::apply_unary(m, &t, sentence, c, &valid, bits, alive);
                 0
             },
         )?;
@@ -649,7 +643,7 @@ pub(crate) fn drive<B: BoolRepr>(
             |m, bits, alive| {
                 mask_dead(
                     m,
-                    &lay,
+                    &t,
                     &valid,
                     bits,
                     alive,
@@ -678,7 +672,7 @@ pub(crate) fn drive<B: BoolRepr>(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &lay, sentence, c, &valid, bits);
+                apply_binary(m, &t, &[sentence], c, &valid, bits);
                 0
             },
         )?;
@@ -726,7 +720,7 @@ pub(crate) fn drive<B: BoolRepr>(
             |m, bits, alive| {
                 maintain(
                     m,
-                    &lay,
+                    &t,
                     &valid,
                     &block_boundary,
                     bits,
@@ -758,7 +752,7 @@ pub(crate) fn drive<B: BoolRepr>(
             .step_by(lay.groups)
             .copied()
             .collect(),
-        bits: bits.as_slice().to_vec(),
+        bits: bits.into_vec(),
         stats: machine.stats,
         estimated_seconds,
         phases,
@@ -769,20 +763,180 @@ pub(crate) fn drive<B: BoolRepr>(
         recovery,
         degraded,
         layout: lay,
-        filter_strategy: opts.filter_strategy,
     })
 }
 
-/// Allocate a plural and write `expected` into it, re-issuing the write
-/// until the readback matches (the values are pure functions of the PE id,
-/// so the host can verify them directly). Fault-free this is exactly one
-/// alloc + one broadcast, identical to the original `par_init`.
+/// The ACU's per-parse tables. A PE body reads its own memory plus these,
+/// which are pure functions of the layout and the sentences (design
+/// decision 2): the host builds them once per parse, and the addressed
+/// broadcasts hand each body the grid position that indexes them.
+///
+/// The PE array is a stack of G×G grids, one per sentence (a single parse
+/// has one; a mega-batch chunk joins sentences of one layout geometry).
+/// Grid column `col` is stacked group `col` — group `col % G` of sentence
+/// `col / G` — and its row groups are stacked groups `row_base(col) + row`.
+pub(crate) struct Tables {
+    /// Groups per sentence, G: the side of each grid.
+    pub(crate) side: usize,
+    pub(crate) l: usize,
+    pub(crate) m: usize,
+    q: usize,
+    /// Figure 12's scan segments over the whole stack: (column, row
+    /// word-role) blocks of m PEs and columns of G PEs.
+    pub(crate) blocks: SegmentMap,
+    pub(crate) columns: SegmentMap,
+    /// `rows_of[a]`: the submatrix bits of every column label in the l-bit
+    /// mask `a`; `cols_of[a]`: those of every row label in it.
+    rows_of: Vec<u64>,
+    cols_of: Vec<u64>,
+    /// Role value (stacked group g, label li) as a constraint binding, at
+    /// `g·l + li`; `None` pads roles with fewer than l labels.
+    bindings: Vec<Option<Binding>>,
+    /// (word, role) slot and role index of each group of a grid.
+    slot_of: Vec<usize>,
+    role_of: Vec<usize>,
+    /// First stacked group of each grid column's sentence: a table
+    /// rather than `col − col mod G`, so no PE body pays a division.
+    base_of: Vec<usize>,
+    /// Initial submatrix per (column role, row role), at `rc·q + rr`.
+    pair_bits: Vec<u64>,
+    /// Every valid label of each role, as an alive mask.
+    full: Vec<u64>,
+}
+
+impl Tables {
+    /// Tables for `lays` stacked in order; all must share one geometry.
+    pub(crate) fn new(lays: &[&Layout]) -> Tables {
+        let lay = lays[0];
+        assert!(
+            lays.iter()
+                .all(|x| (x.groups, x.q, x.l) == (lay.groups, lay.q, lay.l)),
+            "stacked grids must share one layout geometry"
+        );
+        let (l, q) = (lay.l, lay.q);
+        let label_masks = |mask_of: &dyn Fn(usize) -> u64| -> Vec<u64> {
+            (0..1usize << l)
+                .map(|a| {
+                    (0..l)
+                        .filter(|&i| a >> i & 1 == 1)
+                        .fold(0, |k, i| k | mask_of(i))
+                })
+                .collect()
+        };
+        let virt = lay.virt_pes() * lays.len();
+        Tables {
+            side: lay.groups,
+            l,
+            m: lay.m,
+            q,
+            blocks: SegmentMap::uniform(virt, lay.m),
+            columns: SegmentMap::uniform(virt, lay.groups),
+            rows_of: label_masks(&|i| lay.row_mask(i)),
+            cols_of: label_masks(&|j| lay.col_mask(j)),
+            bindings: lays
+                .iter()
+                .flat_map(|x| (0..x.groups * l).map(|k| x.binding(k / l, k % l)))
+                .collect(),
+            slot_of: (0..lay.groups).map(|g| g / lay.m).collect(),
+            role_of: (0..lay.groups).map(|g| g / lay.m % q).collect(),
+            base_of: (0..lays.len() * lay.groups)
+                .map(|g| g - g % lay.groups)
+                .collect(),
+            pair_bits: (0..q * q)
+                .map(|k| {
+                    let (rc, rr) = (k / q, k % q);
+                    let mut bits = 0u64;
+                    for i in 0..lay.labels_of_role(rc) {
+                        for j in 0..lay.labels_of_role(rr) {
+                            bits |= 1u64 << lay.bit(i, j);
+                        }
+                    }
+                    bits
+                })
+                .collect(),
+            full: (0..q)
+                .map(|r| (1u64 << lay.labels_of_role(r)) - 1)
+                .collect(),
+        }
+    }
+
+    /// First stacked group of the sentence grid column `col` lies in.
+    pub(crate) fn row_base(&self, col: usize) -> usize {
+        self.base_of[col]
+    }
+
+    /// Is PE (col, row) on the self-arc diagonal (same word and role —
+    /// Figure 11's disabled PEs)?
+    pub(crate) fn diagonal(&self, col: usize, row: usize) -> bool {
+        self.slot_of[col - self.base_of[col]] == self.slot_of[row]
+    }
+
+    /// Is PE (col, row) a valid block boundary — the first PE of a
+    /// (column, row word-role) block of Figure 12's scanOr?
+    pub(crate) fn block_boundary(&self, col: usize, row: usize) -> bool {
+        !self.diagonal(col, row) && self.slot_of[row] * self.m == row
+    }
+
+    /// Initial submatrix: every valid label pair set, diagonal PEs empty
+    /// (Figure 9: every role value present before unary propagation).
+    pub(crate) fn init_bits(&self, col: usize, row: usize) -> u64 {
+        let local = col - self.base_of[col];
+        if self.slot_of[local] == self.slot_of[row] {
+            0
+        } else {
+            self.pair_bits[self.role_of[local] * self.q + self.role_of[row]]
+        }
+    }
+
+    /// Initial alive mask: all valid labels at each column's boundary PE
+    /// (row 0), 0 elsewhere.
+    pub(crate) fn init_alive(&self, col: usize, row: usize) -> u64 {
+        if row == 0 {
+            self.full[self.role_of[col - self.base_of[col]]]
+        } else {
+            0
+        }
+    }
+
+    /// Router index of the column's alive mask: its boundary PE.
+    pub(crate) fn col_idx(&self, col: usize) -> usize {
+        col * self.side
+    }
+
+    /// Router index of the row group's alive mask.
+    pub(crate) fn row_idx(&self, col: usize, row: usize) -> usize {
+        (self.row_base(col) + row) * self.side
+    }
+}
+
+/// `f(col, row)` for every PE of a stack of `side`-PE columns, packed 64
+/// PEs to a word: the table [`Machine::par_write_bits`] broadcasts.
+pub(crate) fn grid_words(n_virt: usize, side: usize, f: impl Fn(usize, usize) -> bool) -> Vec<u64> {
+    let mut words = vec![0u64; n_virt.div_ceil(64)];
+    let mut pe = 0;
+    for col in 0..n_virt / side {
+        for row in 0..side {
+            if f(col, row) {
+                words[pe / 64] |= 1u64 << (pe % 64);
+            }
+            pe += 1;
+        }
+    }
+    words
+}
+
+/// Allocate a plural and write `f(col, row)` into it, re-issuing the write
+/// until the readback matches (the values are pure functions of the PE's
+/// grid position, so the host can verify them directly). Fault-free this
+/// is exactly one alloc + one broadcast, identical to the original
+/// `par_init`.
 fn init_exact<T>(
     machine: &mut Machine,
     name: &str,
     max_retries: usize,
     recovery: &mut RecoveryReport,
-    expected: &[T],
+    side: usize,
+    f: impl Fn(usize, usize) -> T + Sync,
 ) -> Result<Plural<T>, EngineError>
 where
     T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord,
@@ -791,8 +945,13 @@ where
     let mut attempts = 0;
     loop {
         attempts += 1;
-        machine.par_map(&mut p, |pe, v| *v = expected[pe]);
-        if !machine.faults_armed() || p.as_slice() == expected {
+        machine.par_map_grid(&mut p, side, |c, r, v| *v = f(c, r));
+        if !machine.faults_armed()
+            || p.as_slice()
+                .iter()
+                .enumerate()
+                .all(|(pe, v)| *v == f(pe / side, pe % side))
+        {
             return Ok(p);
         }
         recovery.phase_retries += 1;
@@ -873,7 +1032,8 @@ pub(crate) trait BoolRepr: Sized {
         name: &str,
         max_retries: usize,
         recovery: &mut RecoveryReport,
-        expected: &[bool],
+        side: usize,
+        f: impl Fn(usize, usize) -> bool + Sync,
     ) -> Result<Self, EngineError>;
     fn alloc_false(machine: &mut Machine) -> Self;
     fn free(self, machine: &mut Machine);
@@ -881,25 +1041,27 @@ pub(crate) trait BoolRepr: Sized {
     fn with_activity<R>(&self, machine: &mut Machine, body: impl FnOnce(&mut Machine) -> R) -> R;
     /// Maintenance phase A: each PE ORs its submatrix row for column
     /// label `li` into `dst` (one broadcast).
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, lay: &Layout, li: usize);
+    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize);
     fn scan_or(&self, machine: &mut Machine, segs: &SegmentMap) -> Self;
     fn scan_and(&self, machine: &mut Machine, segs: &SegmentMap) -> Self;
-    /// Maintenance phase D: boundary PEs record the supported bit `li`
-    /// into the accumulating `support` masks (one broadcast).
+    /// Maintenance phase D: the group boundary PEs (every `side`-th)
+    /// record the supported bit `li` into the accumulating `support`
+    /// masks (one broadcast).
     fn accumulate_support(
         &self,
         machine: &mut Machine,
         support: &mut Plural<u64>,
-        groups: usize,
+        side: usize,
         li: usize,
     );
     /// One unary constraint: every PE zeroes the submatrix columns/rows of
     /// its violating role values; boundary PEs update the alive masks. The
-    /// violation test is pure PE-local computation from the PE id plus the
-    /// ACU-broadcast constraint (design decision 2). Three broadcasts.
+    /// violation test is pure PE-local computation from the PE's position
+    /// plus the ACU-broadcast constraint (design decision 2). Three
+    /// broadcasts.
     fn apply_unary(
         machine: &mut Machine,
-        lay: &Layout,
+        t: &Tables,
         sentence: &Sentence,
         c: &Constraint,
         valid: &Self,
@@ -914,9 +1076,10 @@ impl BoolRepr for Plural<bool> {
         name: &str,
         max_retries: usize,
         recovery: &mut RecoveryReport,
-        expected: &[bool],
+        side: usize,
+        f: impl Fn(usize, usize) -> bool + Sync,
     ) -> Result<Self, EngineError> {
-        init_exact(machine, name, max_retries, recovery, expected)
+        init_exact(machine, name, max_retries, recovery, side, f)
     }
 
     fn alloc_false(machine: &mut Machine) -> Self {
@@ -931,11 +1094,12 @@ impl BoolRepr for Plural<bool> {
         machine.with_activity(self, body)
     }
 
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, lay: &Layout, li: usize) {
+    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize) {
+        let l = t.l;
         machine.par_zip(dst, bits, |_, out, &b| {
             let mut any = false;
-            for j in 0..lay.l {
-                if b >> lay.bit(li, j) & 1 == 1 {
+            for j in 0..l {
+                if b >> (li * l + j) & 1 == 1 {
                     any = true;
                     break;
                 }
@@ -956,11 +1120,11 @@ impl BoolRepr for Plural<bool> {
         &self,
         machine: &mut Machine,
         support: &mut Plural<u64>,
-        groups: usize,
+        side: usize,
         li: usize,
     ) {
-        machine.par_zip(support, self, move |pe, s, &ok| {
-            if pe % groups == 0 && ok {
+        machine.par_zip_strided(support, self, side, move |_, s, &ok| {
+            if ok {
                 *s |= 1u64 << li;
             }
         });
@@ -968,7 +1132,7 @@ impl BoolRepr for Plural<bool> {
 
     fn apply_unary(
         machine: &mut Machine,
-        lay: &Layout,
+        t: &Tables,
         sentence: &Sentence,
         c: &Constraint,
         valid: &Self,
@@ -976,39 +1140,37 @@ impl BoolRepr for Plural<bool> {
         alive: &mut Plural<u64>,
     ) {
         // The oracle stays deliberately naive: every PE re-evaluates the
-        // constraint for its own labels, exactly as first written.
+        // constraint for its own labels through the tree evaluator.
+        let l = t.l;
         let violates = |g: usize, li: usize| -> bool {
-            match lay.binding(g, li) {
+            match t.bindings[g * l + li] {
                 Some(b) => !c.check_unary(sentence, b),
                 None => false,
             }
         };
         machine.with_activity(valid, |m| {
-            m.par_map(bits, |pe, b| {
-                let (cg, rg) = lay.decode_pe(pe);
-                for i in 0..lay.l {
+            m.par_map_grid(bits, t.side, |cg, rg, b| {
+                for i in 0..l {
                     if violates(cg, i) {
-                        for j in 0..lay.l {
-                            *b &= !(1u64 << lay.bit(i, j));
+                        for j in 0..l {
+                            *b &= !(1u64 << (i * l + j));
                         }
                     }
                 }
-                for j in 0..lay.l {
+                for j in 0..l {
                     if violates(rg, j) {
-                        for i in 0..lay.l {
-                            *b &= !(1u64 << lay.bit(i, j));
+                        for i in 0..l {
+                            *b &= !(1u64 << (i * l + j));
                         }
                     }
                 }
             });
         });
-        machine.par_map(alive, |pe, a| {
-            if pe % lay.groups == 0 {
-                let g = pe / lay.groups;
-                for li in 0..lay.l {
-                    if violates(g, li) {
-                        *a &= !(1u64 << li);
-                    }
+        machine.par_map_strided(alive, t.side, |pe, a| {
+            let g = pe / t.side;
+            for li in 0..l {
+                if violates(g, li) {
+                    *a &= !(1u64 << li);
                 }
             }
         });
@@ -1021,14 +1183,21 @@ impl BoolRepr for PluralBits {
         name: &str,
         max_retries: usize,
         recovery: &mut RecoveryReport,
-        expected: &[bool],
+        side: usize,
+        f: impl Fn(usize, usize) -> bool + Sync,
     ) -> Result<Self, EngineError> {
+        // A ghost never reads the table it broadcasts.
+        let want = if machine.is_ghost() {
+            Vec::new()
+        } else {
+            grid_words(machine.n_virt(), side, f)
+        };
         let mut p = machine.alloc_bits(false);
         let mut attempts = 0;
         loop {
             attempts += 1;
-            machine.par_write_bits(&mut p, expected);
-            if !machine.faults_armed() || (0..expected.len()).all(|pe| p.get(pe) == expected[pe]) {
+            machine.par_write_bits(&mut p, &want);
+            if !machine.faults_armed() || p.words() == want {
                 return Ok(p);
             }
             recovery.phase_retries += 1;
@@ -1053,10 +1222,10 @@ impl BoolRepr for PluralBits {
         machine.with_activity_bits(self, body)
     }
 
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, lay: &Layout, li: usize) {
+    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize) {
         // One masked test replaces the per-label inner loop: the submatrix
-        // row for label li is a contiguous bit run (Layout::row_mask).
-        let row = lay.row_mask(li);
+        // row for label li is a contiguous bit run.
+        let row = t.rows_of[1 << li];
         machine.par_map_bits(dst, bits, move |_, b| b & row != 0);
     }
 
@@ -1072,11 +1241,11 @@ impl BoolRepr for PluralBits {
         &self,
         machine: &mut Machine,
         support: &mut Plural<u64>,
-        groups: usize,
+        side: usize,
         li: usize,
     ) {
-        machine.par_zip_bits(support, self, move |pe, s, ok| {
-            if pe % groups == 0 && ok {
+        machine.par_zip_bits_strided(support, self, side, move |_, s, ok| {
+            if ok {
                 *s |= 1u64 << li;
             }
         });
@@ -1084,107 +1253,141 @@ impl BoolRepr for PluralBits {
 
     fn apply_unary(
         machine: &mut Machine,
-        lay: &Layout,
+        t: &Tables,
         sentence: &Sentence,
         c: &Constraint,
         valid: &Self,
         bits: &mut Plural<u64>,
         alive: &mut Plural<u64>,
     ) {
-        // The unary test depends only on (group, label), so the ACU can
-        // evaluate it once per group on the host and broadcast keep masks
-        // — the PEs apply two ANDs instead of re-evaluating the constraint
-        // l times each. Same three broadcasts, bit-identical results.
-        //
-        // A ghost machine skips every plural callback, so the broadcast
-        // values are never read: skip the (real) host-side constraint
-        // evaluation too and issue the broadcasts with empty tables. The
-        // charge stream is identical either way.
-        if machine.is_ghost() {
-            machine.with_activity_bits(valid, |m| m.par_map(bits, |_, _| {}));
-            machine.par_map(alive, |_, _| {});
-            return;
-        }
-        let viol: Vec<u64> = (0..lay.groups)
-            .map(|g| {
-                let mut v = 0u64;
-                for li in 0..lay.l {
-                    if let Some(b) = lay.binding(g, li) {
-                        if !c.check_unary(sentence, b) {
-                            v |= 1u64 << li;
-                        }
-                    }
-                }
-                v
-            })
-            .collect();
-        let keep_cols: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for i in 0..lay.l {
-                    if v >> i & 1 == 1 {
-                        kill |= lay.row_mask(i);
-                    }
-                }
-                !kill
-            })
-            .collect();
-        let keep_rows: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for j in 0..lay.l {
-                    if v >> j & 1 == 1 {
-                        kill |= lay.col_mask(j);
-                    }
-                }
-                !kill
-            })
-            .collect();
-        machine.with_activity_bits(valid, |m| {
-            m.par_map(bits, |pe, b| {
-                let (cg, rg) = lay.decode_pe(pe);
-                *b &= keep_cols[cg] & keep_rows[rg];
-            });
-        });
-        machine.par_map(alive, |pe, a| {
-            if pe % lay.groups == 0 {
-                *a &= !viol[pe / lay.groups];
-            }
-        });
+        // The unary test depends only on (group, label), so the ACU
+        // evaluates it on the host ([`unary_violations`]) and broadcasts
+        // keep masks — the PEs apply two ANDs instead of re-evaluating the
+        // constraint l times each. Same three broadcasts, bit-identical
+        // results. A ghost machine never reads the tables, so it skips the
+        // evaluation; the charge stream is identical either way.
+        let viol = if machine.is_ghost() {
+            Vec::new()
+        } else {
+            unary_violations(t, &[sentence], c)
+        };
+        unary_from_table(machine, t, &viol, valid, bits, alive);
     }
 }
 
-/// One binary constraint: every PE checks its l×l pairs (both orderings).
-fn apply_binary<B: BoolRepr>(
+/// Bit li of entry g: role value (stacked group g, label li) violates the
+/// unary constraint `c`. Evaluated with the constraint's kernel bytecode,
+/// a (word, role) slot at a time. The slot is first evaluated with its
+/// value left open: most unary constraints are guarded by category or
+/// role, and a definite verdict then holds for every value of the slot.
+/// Otherwise each value is evaluated — once per (slot, label) when the
+/// program never reads the modifiee, since the slot's m groups differ
+/// only in modifiee.
+pub(crate) fn unary_violations(t: &Tables, sentences: &[&Sentence], c: &Constraint) -> Vec<u64> {
+    let program = KernelProgram::compile(&c.expr);
+    let per_label = !program.features().x.contains(FeatureSet::MODIFIEE);
+    let mut stack = Vec::with_capacity(program.max_depth());
+    let groups = t.bindings.len() / t.l;
+    let mut viol = vec![0u64; groups];
+    for first in (0..groups).step_by(t.m) {
+        let sentence = sentences[first / t.side];
+        let slot = t.slot_of[first % t.side];
+        let open = PartialBinding::Open {
+            pos: (slot / t.q) as u16 + 1,
+            role: RoleId((slot % t.q) as u16),
+        };
+        let slot_viol = &mut viol[first..first + t.m];
+        match program
+            .eval_partial(sentence, open, PartialBinding::Absent, &mut stack)
+            .truth()
+        {
+            Truth::True => continue,
+            Truth::False => {
+                slot_viol.fill(t.full[slot % t.q]);
+                continue;
+            }
+            Truth::Unknown => {}
+        }
+        for (m_idx, g) in (first..first + t.m).enumerate() {
+            if per_label && m_idx > 0 {
+                slot_viol[m_idx] = slot_viol[0];
+                continue;
+            }
+            for li in 0..t.l {
+                if let Some(b) = t.bindings[g * t.l + li] {
+                    let ok = program
+                        .eval_with(&EvalCtx::unary(sentence, b), &mut stack)
+                        .truth()
+                        .not_false();
+                    if !ok {
+                        slot_viol[m_idx] |= 1u64 << li;
+                    }
+                }
+            }
+        }
+    }
+    viol
+}
+
+/// Apply one unary constraint from its violation table (see
+/// [`unary_violations`]): valid PEs zero the submatrix rows and columns of
+/// violating values, and the group boundary PEs clear those values from
+/// the alive masks.
+pub(crate) fn unary_from_table(
     machine: &mut Machine,
-    lay: &Layout,
-    sentence: &Sentence,
+    t: &Tables,
+    viol: &[u64],
+    valid: &PluralBits,
+    bits: &mut Plural<u64>,
+    alive: &mut Plural<u64>,
+) {
+    let keep_cols: Vec<u64> = viol.iter().map(|&v| !t.rows_of[v as usize]).collect();
+    let keep_rows: Vec<u64> = viol.iter().map(|&v| !t.cols_of[v as usize]).collect();
+    machine.with_activity_bits(valid, |m| {
+        m.par_map_grid(bits, t.side, |cg, rg, b| {
+            *b &= keep_cols[cg] & keep_rows[t.row_base(cg) + rg];
+        });
+    });
+    machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
+}
+
+/// One binary constraint: every valid PE checks the live pairs of its l×l
+/// submatrix (both orderings), skipping empty submatrix rows. Column `col`
+/// belongs to `sentences[col / side]`.
+pub(crate) fn apply_binary<B: BoolRepr>(
+    machine: &mut Machine,
+    t: &Tables,
+    sentences: &[&Sentence],
     c: &Constraint,
     valid: &B,
     bits: &mut Plural<u64>,
 ) {
+    let l = t.l;
+    let label_mask = (1u64 << l) - 1;
     valid.with_activity(machine, |m| {
-        m.par_map(bits, |pe, b| {
+        m.par_map_grid(bits, t.side, |cg, row, b| {
             if *b == 0 {
                 return;
             }
-            let (cg, rg) = lay.decode_pe(pe);
-            for i in 0..lay.l {
-                let Some(bx) = lay.binding(cg, i) else {
+            let base = t.row_base(cg);
+            let sentence = sentences[base / t.side];
+            let rg = base + row;
+            for i in 0..l {
+                let mut live = *b >> (i * l) & label_mask;
+                if live == 0 {
+                    continue;
+                }
+                let Some(bx) = t.bindings[cg * l + i] else {
                     continue;
                 };
-                for j in 0..lay.l {
-                    let mask = 1u64 << lay.bit(i, j);
-                    if *b & mask == 0 {
-                        continue;
-                    }
-                    let Some(by) = lay.binding(rg, j) else {
+                while live != 0 {
+                    let j = live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    let Some(by) = t.bindings[rg * l + j] else {
                         continue;
                     };
                     if !c.check_pair(sentence, bx, by) {
-                        *b &= !mask;
+                        *b &= !(1u64 << (i * l + j));
                     }
                 }
             }
@@ -1194,49 +1397,28 @@ fn apply_binary<B: BoolRepr>(
 
 /// Zero every submatrix column/row belonging to a dead role value: two
 /// router gathers fetch the column's and row's alive masks from the
-/// boundary PEs, then one broadcast instruction applies them.
-///
-/// The closures depend only on `lay.l` and `lay.bit` — grammar-level
-/// geometry shared by every sentence of a batch — so the mega-batch
-/// driver reuses this over its joined plurals (the index plurals already
-/// carry the per-sentence base offsets).
+/// boundary PEs, then one broadcast per side keeps the submatrix lines of
+/// the gathered alive labels (a table lookup on the l-bit mask).
 pub(crate) fn mask_dead<B: BoolRepr>(
     machine: &mut Machine,
-    lay: &Layout,
+    t: &Tables,
     valid: &B,
     bits: &mut Plural<u64>,
     alive: &Plural<u64>,
     col_idx: &Plural<usize>,
     row_idx: &Plural<usize>,
 ) {
+    let label_mask = (1u64 << t.l) - 1;
     let mut col_alive = machine.alloc(0u64);
     let mut row_alive = machine.alloc(0u64);
     machine.gather(alive, col_idx, &mut col_alive);
     machine.gather(alive, row_idx, &mut row_alive);
     valid.with_activity(machine, |m| {
-        m.par_zip(bits, &col_alive, |pe, b, &ca| {
-            let _ = pe;
-            let mut keep = 0u64;
-            for i in 0..lay.l {
-                if ca >> i & 1 == 1 {
-                    for j in 0..lay.l {
-                        keep |= 1u64 << lay.bit(i, j);
-                    }
-                }
-            }
-            *b &= keep;
+        m.par_zip(bits, &col_alive, |_, b, &ca| {
+            *b &= t.rows_of[(ca & label_mask) as usize];
         });
-        m.par_zip(bits, &row_alive, |pe, b, &ra| {
-            let _ = pe;
-            let mut keep = 0u64;
-            for j in 0..lay.l {
-                if ra >> j & 1 == 1 {
-                    for i in 0..lay.l {
-                        keep |= 1u64 << lay.bit(i, j);
-                    }
-                }
-            }
-            *b &= keep;
+        m.par_zip(bits, &row_alive, |_, b, &ra| {
+            *b &= t.cols_of[(ra & label_mask) as usize];
         });
     });
     machine.free(col_alive);
@@ -1250,7 +1432,7 @@ pub(crate) fn mask_dead<B: BoolRepr>(
 #[allow(clippy::too_many_arguments)]
 fn maintain<B: BoolRepr>(
     machine: &mut Machine,
-    lay: &Layout,
+    t: &Tables,
     valid: &B,
     block_boundary: &B,
     bits: &mut Plural<u64>,
@@ -1258,25 +1440,24 @@ fn maintain<B: BoolRepr>(
     col_idx: &Plural<usize>,
     row_idx: &Plural<usize>,
 ) -> u64 {
-    let blocks = lay.block_segments();
-    let columns = lay.column_segments();
     let mut support = machine.alloc(0u64);
 
-    for li in 0..lay.l {
+    for li in 0..t.l {
         // Phase A: each PE ORs its submatrix row for column label li.
         let mut loc = B::alloc_false(machine);
-        valid.with_activity(machine, |m| B::row_or(m, &mut loc, bits, lay, li));
+        valid.with_activity(machine, |m| B::row_or(m, &mut loc, bits, t, li));
         // Phase B: scanOr within each (column, row word-role) block; the
         // block's OR lands on its boundary PE.
-        let block_or = valid.with_activity(machine, |m| loc.scan_or(m, &blocks));
+        let block_or = valid.with_activity(machine, |m| loc.scan_or(m, &t.blocks));
         loc.free(machine);
         // Phase C: scanAnd across the block-boundary PEs of each column
         // (self-arc blocks are invalid, hence skipped — the figure's
         // "disabled only during the scanAnd").
-        let col_support = block_boundary.with_activity(machine, |m| block_or.scan_and(m, &columns));
+        let col_support =
+            block_boundary.with_activity(machine, |m| block_or.scan_and(m, &t.columns));
         block_or.free(machine);
         // Phase D (accumulate): boundary PEs record the supported bit.
-        col_support.accumulate_support(machine, &mut support, lay.groups, li);
+        col_support.accumulate_support(machine, &mut support, t.side, li);
         col_support.free(machine);
     }
 
@@ -1284,22 +1465,16 @@ fn maintain<B: BoolRepr>(
     // of the bits each boundary PE loses), then one global sum tells the
     // ACU how much this iteration removed (0 = fixpoint reached).
     let mut lost = machine.alloc(0u64);
-    machine.par_zip2(&mut lost, alive, &support, |pe, out, &a, &s| {
-        if pe % lay.groups == 0 {
-            *out = (a & !s).count_ones() as u64;
-        }
+    machine.par_zip2_strided(&mut lost, alive, &support, t.side, |_, out, &a, &s| {
+        *out = (a & !s).count_ones() as u64;
     });
     let removed = machine.reduce_sum(&lost);
     machine.free(lost);
-    machine.par_zip(alive, &support, |pe, a, &s| {
-        if pe % lay.groups == 0 {
-            *a &= s;
-        }
-    });
+    machine.par_zip_strided(alive, &support, t.side, |_, a, &s| *a &= s);
     machine.free(support);
 
     if removed > 0 {
-        mask_dead(machine, lay, valid, bits, alive, col_idx, row_idx);
+        mask_dead(machine, t, valid, bits, alive, col_idx, row_idx);
     }
     removed
 }
@@ -1345,6 +1520,34 @@ mod tests {
         let s_label = lay.label_index(needs, g.label_id("S").unwrap()).unwrap();
         let rm2 = lay.modifiee_index(2, Modifiee::Word(2));
         assert!(out.is_alive(lay.group(2, needs, rm2), s_label));
+    }
+
+    #[test]
+    fn tables_lay_out_figures_9_to_13() {
+        let (g, s) = example();
+        let lay = Layout::new(&g, &s);
+        let t = Tables::new(&[&lay]);
+        // Figure 13: a 3×3 submatrix, all label pairs set; Figure 11's
+        // diagonal PEs (column group 0 × row groups 0–2) hold nothing.
+        assert_eq!(t.init_bits(0, 3).count_ones(), 9);
+        for row in 0..3 {
+            assert!(t.diagonal(0, row));
+            assert_eq!(t.init_bits(0, row), 0);
+        }
+        // Alive masks live on each column's boundary PE (row 0) only.
+        assert_eq!(t.init_alive(0, 0), 0b111);
+        assert_eq!(t.init_alive(1, 0), 0b111);
+        assert_eq!(t.init_alive(0, 1), 0);
+        // Figure 12's segments tile the array: 108 blocks, 18 columns.
+        assert_eq!(t.blocks.num_segments(), 324 / 3);
+        assert_eq!(t.columns.num_segments(), 18);
+        assert_eq!(t.columns.range_of(0), 0..18);
+        // The mask tables are the OR of the per-label lines.
+        for li in 0..lay.l {
+            assert_eq!(t.rows_of[1 << li], lay.row_mask(li));
+            assert_eq!(t.cols_of[1 << li], lay.col_mask(li));
+        }
+        assert_eq!(t.rows_of[0b111], (1 << 9) - 1);
     }
 
     #[test]
@@ -1507,41 +1710,27 @@ mod tests {
 
     #[test]
     fn tiled_readback_matches_scalar_oracle() {
-        let g = paper::grammar();
-        let lex = paper::lexicon(&g);
-        let sentences = vec![
-            paper::example_sentence(&g),
-            lex.sentence("program the runs").unwrap(),
-            paper::cost_sweep_sentence(&g, 3),
-            paper::cost_sweep_sentence(&g, 5),
-        ];
+        let (g, lex) = corpus::standard_setup();
+        let mut sentences = Vec::new();
+        for n in 3..=10usize {
+            let s = corpus::english_sentence(&g, &lex, n, n as u64);
+            sentences.push(corpus::scrambled(&lex, &s, n as u64 * 37));
+            sentences.push(s);
+        }
         for s in &sentences {
-            let scalar = parse_maspar(&g, s, &MasparOptions::default());
-            let tiled = parse_maspar(
-                &g,
-                s,
-                &MasparOptions {
-                    filter_strategy: FilterStrategy::Bmm,
-                    ..Default::default()
-                },
-            );
-            // The strategy is host-side only: the machine run must be
-            // bit-identical, instruction charges included.
-            assert_eq!(scalar.bits, tiled.bits);
-            assert_eq!(scalar.alive, tiled.alive);
-            assert_eq!(scalar.stats, tiled.stats);
-            let a = scalar.to_network(&g, s);
-            let b = tiled.to_network(&g, s);
+            let out = parse_maspar(&g, s, &MasparOptions::default());
+            let a = out.readback_scalar(&g, s);
+            let b = out.to_network(&g, s);
             for (sa, sb) in a.slots().iter().zip(b.slots()) {
-                assert_eq!(sa.alive, sb.alive);
+                assert_eq!(sa.alive, sb.alive, "`{s}`: alive sets");
             }
-            assert_eq!(a.arcs_raw(), b.arcs_raw());
+            assert_eq!(a.arcs_raw(), b.arcs_raw(), "`{s}`: arcs");
             let mut masked = b.stats;
             // A fully rejected sentence has no alive rows left to mask.
-            assert_eq!(masked.bmm_words > 0, b.total_alive() > 0);
+            assert_eq!(masked.bmm_words > 0, b.total_alive() > 0, "`{s}`");
             masked.bmm_words = a.stats.bmm_words;
             masked.bmm_tiles = a.stats.bmm_tiles;
-            assert_eq!(a.stats, masked, "host stats must agree up to bmm_*");
+            assert_eq!(a.stats, masked, "`{s}`: host stats must agree up to bmm_*");
         }
     }
 

@@ -11,7 +11,6 @@
 
 use cdg_grammar::expr::Binding;
 use cdg_grammar::{Grammar, LabelId, Modifiee, RoleId, RoleValue, Sentence};
-use maspar_sim::SegmentMap;
 
 /// Precomputed layout for one (grammar, sentence) pair.
 #[derive(Debug, Clone)]
@@ -189,48 +188,6 @@ impl Layout {
         mask
     }
 
-    /// Initial submatrix for a PE: all valid label pairs set, diagonal PEs
-    /// empty (Figure 9: every role value present before unary
-    /// propagation).
-    pub fn init_bits(&self, pe: usize) -> u64 {
-        if self.is_diagonal(pe) {
-            return 0;
-        }
-        let (cg, rg) = self.decode_pe(pe);
-        let (_, cr, _) = self.decode_group(cg);
-        let (_, rr, _) = self.decode_group(rg);
-        let mut bits = 0u64;
-        for i in 0..self.labels_of_role(cr) {
-            for j in 0..self.labels_of_role(rr) {
-                bits |= 1u64 << self.bit(i, j);
-            }
-        }
-        bits
-    }
-
-    /// Initial alive mask for the group whose column starts at this PE
-    /// (all valid labels), or 0 for non-boundary PEs.
-    pub fn init_alive(&self, pe: usize) -> u64 {
-        if pe % self.groups != 0 {
-            return 0;
-        }
-        let g = pe / self.groups;
-        let (_, r, _) = self.decode_group(g);
-        (1u64 << self.labels_of_role(r)) - 1
-    }
-
-    /// Segment map for Figure 12's `scanOr`: one segment per (column
-    /// group, row word-role) block — runs of `m` consecutive PEs.
-    pub fn block_segments(&self) -> SegmentMap {
-        SegmentMap::uniform(self.virt_pes(), self.m)
-    }
-
-    /// Segment map for Figure 12's `scanAnd`: one segment per column —
-    /// runs of G consecutive PEs.
-    pub fn column_segments(&self) -> SegmentMap {
-        SegmentMap::uniform(self.virt_pes(), self.groups)
-    }
-
     /// All PEs on the invalid diagonal.
     pub fn diagonal_pes(&self) -> Vec<usize> {
         (0..self.virt_pes())
@@ -294,15 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn figure13_submatrix_is_l_by_l() {
-        let (g, s) = example();
-        let lay = Layout::new(&g, &s);
-        let bits = lay.init_bits(lay.pe(0, 3)); // the/gov/nil × the/needs/nil
-        assert_eq!(bits.count_ones(), 9); // 3×3 labels all valid
-        assert_eq!(lay.init_bits(0), 0); // diagonal PE holds nothing
-    }
-
-    #[test]
     fn group_roundtrip() {
         let (g, s) = example();
         let lay = Layout::new(&g, &s);
@@ -338,16 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn alive_masks_at_boundaries_only() {
-        let (g, s) = example();
-        let lay = Layout::new(&g, &s);
-        assert_eq!(lay.init_alive(0), 0b111);
-        assert_eq!(lay.init_alive(18), 0b111);
-        assert_eq!(lay.init_alive(1), 0);
-        assert_eq!(lay.init_alive(19), 0);
-    }
-
-    #[test]
     fn bindings_carry_the_right_role_values() {
         let (g, s) = example();
         let lay = Layout::new(&g, &s);
@@ -363,17 +301,6 @@ mod tests {
         assert_eq!(b.value.modifiee, Modifiee::Word(3));
         // Invalid label slot yields None.
         assert_eq!(lay.binding(gid, 5), None);
-    }
-
-    #[test]
-    fn segment_maps_tile_the_array() {
-        let (g, s) = example();
-        let lay = Layout::new(&g, &s);
-        let blocks = lay.block_segments();
-        assert_eq!(blocks.num_segments(), 324 / 3);
-        let cols = lay.column_segments();
-        assert_eq!(cols.num_segments(), 18);
-        assert_eq!(cols.range_of(0), 0..18);
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! A short sentence leaves most of the 16K PE array idle: the paper's
 //! example uses 324 virtual PEs of 16,384. [`parse_maspar_mega`] packs a
-//! whole batch onto the array at once — every sentence's virtual PEs are
-//! concatenated into one joined array (a [`MegaBatch`] offset table gives
-//! each sentence its `base`/`len` extent, papagpu's `stack_base` layout),
-//! and each broadcast instruction of the parsing program runs **once**
-//! over the joined extent instead of once per sentence. Bit-sliced
-//! plurals pack 64 PEs per host word, so PEs from *different sentences*
-//! share u64 words; segmented scans are joined with per-sentence segment
-//! lengths, so no scan ever crosses a sentence boundary.
+//! whole batch onto the array at once — the virtual PEs of sentences of
+//! one length are stacked into one joined array of equal G×G grids
+//! (papagpu's `stack_base` layout), and each broadcast instruction of the
+//! parsing program runs **once** over the joined extent instead of once
+//! per sentence. Bit-sliced plurals pack 64 PEs per host word, so PEs
+//! from *different sentences* share u64 words; scan segments tile each
+//! grid, so no scan ever crosses a sentence boundary.
 //!
-//! Two things must stay per-sentence: the readback (partitioned by the
-//! offset table) and the *accounting* — [`MachineStats`], phase
+//! Two things must stay per-sentence: the readback (one grid per
+//! sentence) and the *accounting* — [`MachineStats`], phase
 //! attribution, estimated MP-1 seconds, and budget degradation are all
 //! defined per sentence, and a joint machine's counters are meaningless
 //! for any one of them. The driver therefore replays each sentence's
@@ -40,14 +39,15 @@
 //! and the unpacked scalar oracle.
 
 use crate::engine::{
-    drive, mask_dead, parse_maspar_checked, precheck, MasparOptions, MasparOutcome, RecoveryReport,
+    apply_binary, drive, grid_words, mask_dead, parse_maspar_checked, precheck, unary_from_table,
+    unary_violations, BoolRepr, MasparOptions, MasparOutcome, RecoveryReport, Tables,
     WORKING_SET_BYTES,
 };
 use crate::layout::Layout;
-use cdg_core::megabatch::{note_mega_fallback, MegaBatch, MegaFallback};
+use cdg_core::megabatch::{note_mega_fallback, MegaFallback};
 use cdg_core::EngineError;
 use cdg_grammar::{Grammar, Sentence};
-use maspar_sim::{Machine, Plural, PluralBits, SegmentMap};
+use maspar_sim::{Machine, Plural, PluralBits};
 
 /// The first reason (if any) this request cannot take the joined sweep.
 /// Shared with the CLI so its stderr notice names the same reason the
@@ -98,22 +98,21 @@ pub fn parse_maspar_mega(
     // 1. *Memory*: keep admitting sentences while the joined working set
     //    still fits the per-PE memory at the joined virtualization
     //    factor. A single sentence always fits — its own precheck passed.
-    // 2. *Iteration homogeneity*: a joint chunk sweeps its whole extent
-    //    until the slowest-converging member settles, so a long sentence
-    //    chunked with short ones makes every settled short sentence pay
-    //    (idempotent) sweep cost for the long tail's iterations. Banding
-    //    by power-of-two virtual-PE count keeps chunk members within 2x
-    //    of each other, bounding that waste; iteration counts track
-    //    sentence length closely enough that this recovers nearly all of
-    //    it. Results are written by original index, so the banded
-    //    execution order never reorders the returned batch.
+    // 2. *One geometry per chunk*: a chunk only joins sentences of one
+    //    length (hence one layout geometry), so the joined array is a
+    //    stack of equal G×G grids and the per-sentence PE bodies run on it
+    //    unchanged. Equal lengths also keep iteration counts close: a
+    //    joint chunk sweeps its whole extent until the slowest-converging
+    //    member settles, and iteration counts track sentence length.
+    //    Results are written by original index, so the banded execution
+    //    order never reorders the returned batch.
     let phys = opts.machine.phys_pes.max(1);
     let fits =
         |total: usize| total.div_ceil(phys) * WORKING_SET_BYTES <= opts.machine.pe_memory_bytes;
     let mut order: Vec<usize> = (0..sentences.len())
         .filter(|&i| lays[i].is_some())
         .collect();
-    let band = |i: usize| lays[i].as_ref().unwrap().virt_pes().next_power_of_two();
+    let band = |i: usize| lays[i].as_ref().unwrap().groups;
     // Stable sort: within a band, original batch order is preserved.
     order.sort_by_key(|&i| band(i));
     let mut chunk: Vec<usize> = Vec::new();
@@ -172,110 +171,50 @@ fn run_chunk(
 ) {
     let lay_of: Vec<&Layout> = idxs.iter().map(|&i| lays[i].as_ref().unwrap()).collect();
     let sent_refs: Vec<&Sentence> = idxs.iter().map(|&i| &sentences[i]).collect();
-    let virt_lens: Vec<usize> = lay_of.iter().map(|l| l.virt_pes()).collect();
-    let group_lens: Vec<usize> = lay_of.iter().map(|l| l.groups).collect();
-    let mega = MegaBatch::from_lengths(&virt_lens);
-    let gmega = MegaBatch::from_lengths(&group_lens);
-    let sent_of = mega.sentence_table();
-    // l (labels per role) is grammar-level geometry — identical for every
-    // sentence of the batch — so submatrix bit positions and row/column
-    // masks are shared across the joined array.
-    let lay0: &Layout = lay_of[0];
-    let l = lay0.l;
+    // Chunk members share one layout geometry (see the banding in
+    // `parse_maspar_mega`), so the joined array is a stack of equal G×G
+    // grids: sentence s holds PEs s·G²..(s+1)·G² and grid columns
+    // s·G..(s+1)·G, and every PE body of the per-sentence program runs
+    // unchanged off the stacked tables.
+    let t = Tables::new(&lay_of);
+    let side = t.side;
+    let per = side * side;
+    let total = per * idxs.len();
+    let sentence_pes = |s: usize| s * per..(s + 1) * per;
 
-    // Joined unit → (sentence index within chunk, PE-local id).
-    let geo = |pe: usize| -> (usize, usize) {
-        let s = sent_of[pe] as usize;
-        (s, pe - mega.base(s))
+    let mut machine = Machine::new(opts.machine.clone(), total);
+
+    // --- Joint init: every plural is a pure function of the grid position.
+    let bit_plural = |machine: &mut Machine, f: &dyn Fn(usize, usize) -> bool| {
+        let mut p = machine.alloc_bits(false);
+        machine.par_write_bits(&mut p, &grid_words(total, side, f));
+        p
     };
-
-    let mut machine = Machine::new(opts.machine.clone(), mega.total());
-
-    // --- Joint init: every plural is a pure function of the joined PE id.
-    let valid = machine.par_init_bits(false, |pe| {
-        let (s, local) = geo(pe);
-        !lay_of[s].is_diagonal(local)
-    });
-    let mut bits: Plural<u64> = machine.par_init(0u64, |pe| {
-        let (s, local) = geo(pe);
-        lay_of[s].init_bits(local)
-    });
-    let mut alive: Plural<u64> = machine.par_init(0u64, |pe| {
-        let (s, local) = geo(pe);
-        lay_of[s].init_alive(local)
-    });
+    let grid_plural = |machine: &mut Machine, f: &(dyn Fn(usize, usize) -> u64 + Sync)| {
+        let mut p = machine.alloc(0u64);
+        machine.par_map_grid(&mut p, side, |c, r, v| *v = f(c, r));
+        p
+    };
+    let valid = bit_plural(&mut machine, &|c, r| !t.diagonal(c, r));
+    let mut bits = grid_plural(&mut machine, &|c, r| t.init_bits(c, r));
+    let mut alive = grid_plural(&mut machine, &|c, r| t.init_alive(c, r));
     // Gather targets carry the sentence base, so the alive-mask routing
     // in `mask_dead` never crosses a sentence boundary.
-    let col_idx: Plural<usize> = machine.par_init(0usize, |pe| {
-        let (s, local) = geo(pe);
-        mega.base(s) + lay_of[s].decode_pe(local).0 * lay_of[s].groups
-    });
-    let row_idx: Plural<usize> = machine.par_init(0usize, |pe| {
-        let (s, local) = geo(pe);
-        mega.base(s) + lay_of[s].decode_pe(local).1 * lay_of[s].groups
-    });
+    let mut col_idx: Plural<usize> = machine.alloc(0);
+    machine.par_map_grid(&mut col_idx, side, |c, _, v| *v = t.col_idx(c));
+    let mut row_idx: Plural<usize> = machine.alloc(0);
+    machine.par_map_grid(&mut row_idx, side, |c, r, v| *v = t.row_idx(c, r));
 
-    // --- Joint unary propagation: host-computed keep tables per group,
-    // concatenated across sentences (the bit-sliced engine's ACU tables,
-    // joined end to end).
+    // --- Joint unary propagation: the per-sentence violation tables,
+    // stacked end to end.
     for c in grammar.unary_constraints() {
-        let mut viol = vec![0u64; gmega.total()];
-        for (ci, lay) in lay_of.iter().enumerate() {
-            for g in 0..lay.groups {
-                let mut v = 0u64;
-                for li in 0..l {
-                    if let Some(b) = lay.binding(g, li) {
-                        if !c.check_unary(sent_refs[ci], b) {
-                            v |= 1u64 << li;
-                        }
-                    }
-                }
-                viol[gmega.base(ci) + g] = v;
-            }
-        }
-        let keep_cols: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for i in 0..l {
-                    if v >> i & 1 == 1 {
-                        kill |= lay0.row_mask(i);
-                    }
-                }
-                !kill
-            })
-            .collect();
-        let keep_rows: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for j in 0..l {
-                    if v >> j & 1 == 1 {
-                        kill |= lay0.col_mask(j);
-                    }
-                }
-                !kill
-            })
-            .collect();
-        machine.with_activity_bits(&valid, |m| {
-            m.par_map(&mut bits, |pe, b| {
-                let (s, local) = geo(pe);
-                let (cg, rg) = lay_of[s].decode_pe(local);
-                *b &= keep_cols[gmega.base(s) + cg] & keep_rows[gmega.base(s) + rg];
-            });
-        });
-        machine.par_map(&mut alive, |pe, a| {
-            let (s, local) = geo(pe);
-            let groups = lay_of[s].groups;
-            if local % groups == 0 {
-                *a &= !viol[gmega.base(s) + local / groups];
-            }
-        });
+        let viol = unary_violations(&t, &sent_refs, c);
+        unary_from_table(&mut machine, &t, &viol, &valid, &mut bits, &mut alive);
     }
     // Re-mask after the unary kills, exactly like the per-sentence driver.
-    mask_dead::<PluralBits>(
+    mask_dead(
         &mut machine,
-        lay0,
+        &t,
         &valid,
         &mut bits,
         &alive,
@@ -283,41 +222,13 @@ fn run_chunk(
         &row_idx,
     );
 
-    // --- Joint binary propagation: each PE resolves its own sentence.
+    // --- Joint binary propagation: each column resolves its own sentence.
     for c in grammar.binary_constraints() {
-        machine.with_activity_bits(&valid, |m| {
-            m.par_map(&mut bits, |pe, b| {
-                if *b == 0 {
-                    return;
-                }
-                let (s, local) = geo(pe);
-                let lay = lay_of[s];
-                let (cg, rg) = lay.decode_pe(local);
-                for i in 0..l {
-                    let Some(bx) = lay.binding(cg, i) else {
-                        continue;
-                    };
-                    for j in 0..l {
-                        let mask = 1u64 << lay.bit(i, j);
-                        if *b & mask == 0 {
-                            continue;
-                        }
-                        let Some(by) = lay.binding(rg, j) else {
-                            continue;
-                        };
-                        if !c.check_pair(sent_refs[s], bx, by) {
-                            *b &= !mask;
-                        }
-                    }
-                }
-            });
-        });
+        apply_binary(&mut machine, &t, &sent_refs, c, &valid, &mut bits);
     }
 
-    // --- Joint consistency maintenance. Segments are joined with
-    // per-sentence lengths, so no scan crosses a sentence boundary.
-    let blocks = SegmentMap::from_lengths(&mega.segment_lengths(|ci| lay_of[ci].m));
-    let columns = SegmentMap::from_lengths(&mega.segment_lengths(|ci| lay_of[ci].groups));
+    // --- Joint consistency maintenance. Segments tile each grid, so no
+    // scan crosses a sentence boundary.
     let cap = opts.budget.max_filter_iterations.unwrap_or(usize::MAX);
     let max_iters = opts.filter_iterations.min(cap);
     let mut removals: Vec<Vec<u64>> = vec![Vec::new(); idxs.len()];
@@ -326,22 +237,12 @@ fn run_chunk(
     // the *slowest* sentence settles; a settled sentence's passes are
     // data-idempotent but not free on the host, so every pass below is
     // activity-narrowed to the sentences still converging (`recording`).
-    // The group-boundary mask also replaces the per-PE `boundary(pe)`
-    // predicate — one precomputed word-test instead of two table lookups
-    // per PE per pass. Masks are rebuilt only when a sentence settles.
+    // Masks are rebuilt only when a sentence settles.
     let build_live = |machine: &mut Machine, recording: &[bool]| {
-        let live_valid = machine.par_init_bits(false, |pe| {
-            let (s, local) = geo(pe);
-            recording[s] && !lay_of[s].is_diagonal(local)
-        });
-        let live_block = machine.par_init_bits(false, |pe| {
-            let (s, local) = geo(pe);
-            recording[s] && !lay_of[s].is_diagonal(local) && local % lay_of[s].m == 0
-        });
-        let live_group = machine.par_init_bits(false, |pe| {
-            let (s, local) = geo(pe);
-            recording[s] && local % lay_of[s].groups == 0
-        });
+        let live = |c: usize| recording[c / side];
+        let live_valid = bit_plural(machine, &|c, r| live(c) && !t.diagonal(c, r));
+        let live_block = bit_plural(machine, &|c, r| live(c) && t.block_boundary(c, r));
+        let live_group = bit_plural(machine, &|c, r| live(c) && r == 0);
         (live_valid, live_block, live_group)
     };
     let (mut live_valid, mut live_block, mut live_group) = build_live(&mut machine, &recording);
@@ -355,66 +256,56 @@ fn run_chunk(
             live_stale = false;
         }
         let mut support = machine.alloc(0u64);
-        for li in 0..l {
+        for li in 0..t.l {
             let mut loc = machine.alloc_bits(false);
-            let row = lay0.row_mask(li);
-            machine.with_activity_bits(&live_valid, |m| {
-                m.par_map_bits(&mut loc, &bits, |_, b| b & row != 0)
+            live_valid.with_activity(&mut machine, |m| {
+                PluralBits::row_or(m, &mut loc, &bits, &t, li)
             });
             let block_or =
-                machine.with_activity_bits(&live_valid, |m| m.scan_or_bits(&loc, &blocks));
+                machine.with_activity_bits(&live_valid, |m| m.scan_or_bits(&loc, &t.blocks));
             machine.free_bits(loc);
             let col_support =
-                machine.with_activity_bits(&live_block, |m| m.scan_and_bits(&block_or, &columns));
+                machine.with_activity_bits(&live_block, |m| m.scan_and_bits(&block_or, &t.columns));
             machine.free_bits(block_or);
-            machine.with_activity_bits(&live_group, |m| {
-                m.par_zip_bits(&mut support, &col_support, |_, sp, ok| {
-                    if ok {
-                        *sp |= 1u64 << li;
-                    }
-                })
+            live_group.with_activity(&mut machine, |m| {
+                col_support.accumulate_support(m, &mut support, side, li)
             });
             machine.free_bits(col_support);
         }
         let mut lost = machine.alloc(0u64);
         machine.with_activity_bits(&live_group, |m| {
-            m.par_zip2(&mut lost, &alive, &support, |_, out, &a, &s| {
+            m.par_zip2_strided(&mut lost, &alive, &support, side, |_, out, &a, &s| {
                 *out = (a & !s).count_ones() as u64;
             })
         });
-        // Per-sentence removal counts: host-side segmented sums over each
-        // sentence's extent of the joined `lost` plural. These are the
-        // values the ghost replay's `reduce_sum` will observe. A settled
-        // sentence's extent was skipped above and `lost` is freshly
-        // zeroed, so its count is 0 by construction.
+        // Per-sentence removal counts: host-side sums over each
+        // sentence's boundary PEs of the joined `lost` plural. These are
+        // the values the ghost replay's `reduce_sum` will observe. A
+        // settled sentence's extent was skipped above and `lost` is
+        // freshly zeroed, so its count is 0 by construction.
         let lost_slice = lost.as_slice();
         let removed: Vec<u64> = (0..idxs.len())
-            .map(|ci| lost_slice[mega.range(ci)].iter().sum())
+            .map(|ci| lost_slice[sentence_pes(ci)].iter().step_by(side).sum())
             .collect();
         machine.free(lost);
         machine.with_activity_bits(&live_group, |m| {
-            m.par_zip(&mut alive, &support, |_, a, &s| {
-                *a &= s;
-            })
+            m.par_zip_strided(&mut alive, &support, side, |_, a, &s| *a &= s)
         });
         machine.free(support);
         if removed.iter().any(|&r| r > 0) {
-            // Gate the O(l^2)-per-PE re-mask to the sentences that
-            // actually removed a value this iteration. The per-sentence
-            // driver only re-masks after its own removals; for everyone
-            // else the re-mask is the identity (alive unchanged since the
-            // last mask), so restricting the activity set keeps the bits
-            // identical while skipping the chunk's most expensive op for
-            // already-quiescent sentences.
-            let mut active = machine.alloc_bits(false);
-            machine.with_activity_bits(&valid, |m| {
-                m.par_map_bits(&mut active, &alive, |pe, _| {
-                    removed[sent_of[pe] as usize] > 0
-                })
+            // Gate the re-mask to the sentences that actually removed a
+            // value this iteration. The per-sentence driver only re-masks
+            // after its own removals; for everyone else the re-mask is the
+            // identity (alive unchanged since the last mask), so
+            // restricting the activity set keeps the bits identical while
+            // skipping the chunk's most expensive op for already-quiescent
+            // sentences.
+            let active = bit_plural(&mut machine, &|c, r| {
+                removed[c / side] > 0 && !t.diagonal(c, r)
             });
-            mask_dead::<PluralBits>(
+            mask_dead(
                 &mut machine,
-                lay0,
+                &t,
                 &active,
                 &mut bits,
                 &alive,
@@ -453,7 +344,6 @@ fn run_chunk(
     let bits_slice = bits.as_slice();
     for (ci, &i) in idxs.iter().enumerate() {
         let lay = lays[i].clone().unwrap();
-        let groups = lay.groups;
         let mut ghost = Machine::new_ghost(opts.machine.clone(), lay.virt_pes());
         ghost.push_ghost_reductions(&removals[ci]);
         let replay = drive::<PluralBits>(
@@ -465,12 +355,12 @@ fn run_chunk(
             RecoveryReport::default(),
         );
         results[i] = Some(replay.map(|mut out| {
-            out.alive = alive_slice[mega.range(ci)]
+            out.alive = alive_slice[sentence_pes(ci)]
                 .iter()
-                .step_by(groups)
+                .step_by(side)
                 .copied()
                 .collect();
-            out.bits = bits_slice[mega.range(ci)].to_vec();
+            out.bits = bits_slice[sentence_pes(ci)].to_vec();
             out
         }));
     }

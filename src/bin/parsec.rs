@@ -18,7 +18,8 @@
 //!   --filter <auto|naive|incremental|bmm>        consistency filter: full rescans, AC-4
 //!                                                worklist, or blocked boolean-matrix-multiply
 //!                                                kernels (default auto: bmm, or naive under
-//!                                                --naive-eval)
+//!                                                --naive-eval); serial and pram only, maspar
+//!                                                filters with the machine's own scans
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
 //!   --maspar-scalar                              (maspar) unpacked Plural<bool> oracle, no bit-slicing

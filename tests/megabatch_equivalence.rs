@@ -42,7 +42,8 @@ fn engine_in_scope(name: &str) -> bool {
 /// | `naive`; unset = engine default). Applied to BOTH the per-sentence
 /// oracle and the mega path, so each matrix cell checks batching parity
 /// *under* that filtering core — the blocked-BMM cells prove the tile
-/// kernels survive the SoA batching layout bit-for-bit.
+/// kernels survive the SoA batching layout bit-for-bit. The MasPar
+/// engine filters by its own scans and ignores the choice.
 fn filter_scope() -> Option<cdg_core::FilterStrategy> {
     std::env::var("MEGABATCH_FILTER")
         .ok()
@@ -182,10 +183,7 @@ fn maspar_mega_matches_including_machine_stats_and_rejections() {
     }
     let grammar = english::grammar();
     let lexicon = english::lexicon(&grammar);
-    let mut opts = MasparOptions::default();
-    if let Some(f) = filter_scope() {
-        opts.filter_strategy = f;
-    }
+    let opts = MasparOptions::default();
     // The deep check costs a full simulated parse per sentence per path;
     // a quarter of the seed budget keeps the matrix affordable.
     for seed in 0..seeds().div_ceil(4) {
