@@ -6,7 +6,7 @@
 //!               [--bmm-floor 2.0] [--fleet-floor 2.5] [--warm-floor 1.3]
 //! ```
 //!
-//! Eight checks, in order of severity:
+//! Seven checks, in order of severity:
 //!
 //! 1. **Determinism** — rows present in both reports must carry equal
 //!    output digests (parse results are machine- and thread-independent);
@@ -19,26 +19,21 @@
 //!    slower CI runner is not mistaken for a regression; rows whose
 //!    baseline wall is under `--min-wall-secs` sit below the timer noise
 //!    floor and are skipped.
-//! 4. **Representation parity** — inside the *current* report, every
-//!    `cdg-maspar` row must share its digest with the `cdg-maspar-scalar`
-//!    twin at the same grammar/n: the bit-sliced path and the unpacked
-//!    oracle produce byte-identical simulated runs, even in reports this
-//!    gate did not generate itself.
-//! 5. **Mega-batch floor** — inside the *current* report, the
+//! 4. **Mega-batch floor** — inside the *current* report, the
 //!    `batch-maspar-mega` rows on short-sentence batches (grammar suffix
 //!    `-short`) must clear a geomean speedup of `--mega-floor` (default
 //!    2x) over their per-sentence oracle twins — the joined-SoA sweep has
 //!    to keep earning its complexity, run after run. (The `-mixed` rows
 //!    carry digests and wall gates but no floor: long sentences
 //!    intentionally route to the per-sentence program.)
-//! 6. **BMM filter floor** — inside the *current* report, every
+//! 5. **BMM filter floor** — inside the *current* report, every
 //!    `filter-bmm` row must share its digest with the
 //!    `filter-incremental` twin at the same grammar/n (the blocked-BMM
 //!    core and the AC-4 oracle filter bit-identically), and the
 //!    filter-dominated large-n rows (n ≥ 32) must clear a geomean
 //!    speedup of `--bmm-floor` (default 2x) over the incremental oracle
 //!    (carried in `speedup_vs_1t` on the bmm row).
-//! 7. **Fleet floor** — inside the *current* report, every multi-shard
+//! 6. **Fleet floor** — inside the *current* report, every multi-shard
 //!    `serve-fleet` row (`threads` holds the shard count) must share its
 //!    digest with the single-shard twin at the same grammar/n — routing
 //!    requests across simulated machines never changes parse output —
@@ -47,7 +42,7 @@
 //!    is service-delay-bound rather than CPU-bound, its walls are
 //!    compared *unnormalized* in check 3: host calibration does not
 //!    scale a sleep.
-//! 8. **Warm-serving floor** — inside the *current* report, every
+//! 7. **Warm-serving floor** — inside the *current* report, every
 //!    `serve-warm` row must share its digest with the `serve-cold` twin
 //!    at the same grammar/n (the compiled-artifact + warm-scratch path
 //!    is bit-identical to compiling per request), and the short-sentence
@@ -264,36 +259,6 @@ fn main() {
         });
     }
 
-    // Representation parity: the packed engine's digest must equal its
-    // scalar-oracle twin within the current report.
-    let mut parity_pairs = 0usize;
-    for packed_row in current.rows.iter().filter(|r| r.engine == "cdg-maspar") {
-        let twin = current.rows.iter().find(|r| {
-            r.engine == "cdg-maspar-scalar"
-                && r.grammar == packed_row.grammar
-                && r.n == packed_row.n
-                && r.threads == packed_row.threads
-        });
-        let Some(twin) = twin else {
-            failures.push(format!(
-                "PARITY   {}: no cdg-maspar-scalar twin in {}",
-                packed_row.key(),
-                args.current
-            ));
-            continue;
-        };
-        parity_pairs += 1;
-        if packed_row.digest != twin.digest {
-            failures.push(format!(
-                "PARITY   {}: packed digest {:016x} != scalar oracle {:016x} — the \
-                 bit-sliced path no longer matches the unpacked representation",
-                packed_row.key(),
-                packed_row.digest,
-                twin.digest
-            ));
-        }
-    }
-
     // Mega-batch speedup floor: short-sentence `batch-maspar-mega` rows
     // carry their measured speedup over the per-sentence oracle in
     // `speedup_vs_1t`; the geomean must clear the floor.
@@ -504,8 +469,7 @@ fn main() {
 
     println!(
         "bench_compare: {} baseline row(s): {compared} wall-compared, \
-         {skipped_noise} below noise floor, {parity_pairs} maspar parity pair(s), \
-         {bmm_pairs} filter parity pair(s), {fleet_pairs} fleet parity pair(s), \
+         {skipped_noise} below noise floor, {bmm_pairs} filter parity pair(s), {fleet_pairs} fleet parity pair(s), \
          {warm_pairs} warm parity pair(s), {} failure(s)",
         baseline.rows.len(),
         failures.len()

@@ -24,8 +24,7 @@ use bench::json::Json;
 use bench::report::{calibrate, fnv1a, validate_trace, BenchReport, BenchRow};
 use bench::run::{
     binary_kernel, binary_naive, comparable_options, filter_bmm_phase, filter_incremental_phase,
-    maspar_cdg, maspar_scalar_cdg, mesh_cdg, pram_cdg, serial_cdg, serial_cdg_naive, Measurement,
-    FILTER_PASSES,
+    maspar_cdg, mesh_cdg, pram_cdg, serial_cdg, serial_cdg_naive, Measurement, FILTER_PASSES,
 };
 use cdg_core::api::{Engine, ParseRequest, Sequential};
 use cdg_core::{BatchOutcome, EvalStrategy, FilterStrategy};
@@ -98,12 +97,8 @@ fn digest_outcome(grammar: &Grammar, sentence: &Sentence) -> u64 {
 /// Digest of one MasPar run: final alive masks, every submatrix word, the
 /// full machine-op ledger and the estimated-seconds bits — everything the
 /// simulated MP-1 computed, so equal digests mean bit-identical execution.
-fn digest_maspar_with(grammar: &Grammar, sentence: &Sentence, packed: bool) -> u64 {
-    let opts = MasparOptions {
-        packed,
-        ..Default::default()
-    };
-    let out = parse_maspar(grammar, sentence, &opts);
+fn digest_maspar(grammar: &Grammar, sentence: &Sentence) -> u64 {
+    let out = parse_maspar(grammar, sentence, &MasparOptions::default());
     let buf = format!(
         "{:?};{:?};{:?};{:016x}",
         out.alive,
@@ -112,19 +107,6 @@ fn digest_maspar_with(grammar: &Grammar, sentence: &Sentence, packed: bool) -> u
         out.estimated_seconds.to_bits()
     );
     fnv1a(buf.as_bytes())
-}
-
-/// MasPar digest under the packed (bit-sliced) representation,
-/// cross-checked against the unpacked `Plural<bool>` oracle — the
-/// bit-identity guarantee the packed simulator ships under.
-fn digest_maspar(grammar: &Grammar, sentence: &Sentence) -> u64 {
-    let packed = digest_maspar_with(grammar, sentence, true);
-    let scalar = digest_maspar_with(grammar, sentence, false);
-    assert_eq!(
-        packed, scalar,
-        "packed and scalar maspar engines diverged — bit-identity bug"
-    );
-    packed
 }
 
 /// Digest of the network state right after the binary-propagation phase
@@ -445,7 +427,6 @@ fn main() {
     // `1t` on any host, like the committed baseline.
     rayon::set_num_threads(1);
     let mut kernel_speedups: Vec<f64> = Vec::new();
-    let mut maspar_speedups: Vec<f64> = Vec::new();
     for &n in lengths {
         let s = corpus::english_sentence(&g, &lex, n, 11);
         let digest = digest_outcome(&g, &s);
@@ -459,29 +440,13 @@ fn main() {
         rows.push(row_from(naive, "english", 1, digest));
         rows.push(row_from(best_of(|| pram_cdg(&g, &s)), "english", 1, digest));
         rows.push(row_from(best_of(|| mesh_cdg(&g, &s)), "english", 1, digest));
-        // Both MasPar rows carry the same digest, asserted equal between
-        // the packed and scalar representations inside digest_maspar.
         let maspar_digest = digest_maspar(&g, &s);
-        let maspar = best_of(|| maspar_cdg(&g, &s));
-        let maspar_scalar = best_of(|| maspar_scalar_cdg(&g, &s));
-        if maspar.wall_secs > 0.0 {
-            maspar_speedups.push(maspar_scalar.wall_secs / maspar.wall_secs);
-        }
-        rows.push(row_from(maspar, "english", 1, maspar_digest));
-        rows.push(row_from(maspar_scalar, "english", 1, maspar_digest));
-    }
-    if !maspar_speedups.is_empty() {
-        let geo =
-            maspar_speedups.iter().map(|s| s.ln()).sum::<f64>() / maspar_speedups.len() as f64;
-        eprintln!(
-            "maspar packed vs scalar: geomean host-wall speedup {:.2}x (per-n: {})",
-            geo.exp(),
-            maspar_speedups
-                .iter()
-                .map(|s| format!("{s:.2}x"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
+        rows.push(row_from(
+            best_of(|| maspar_cdg(&g, &s)),
+            "english",
+            1,
+            maspar_digest,
+        ));
     }
 
     // --- 1b. Binary-propagation scenarios ----------------------------
@@ -697,7 +662,11 @@ fn main() {
     // alive masks, submatrix words, MachineStats, phase tables — asserted
     // equal here, so `bench_compare` can gate both the bit-identity and
     // the short-batch speedup floor (`speedup_vs_1t` on the mega row is
-    // "vs the per-sentence oracle", not "vs 1 thread").
+    // "vs the per-sentence oracle", not "vs 1 thread"). Both sides run on
+    // one thread, as the rows' `threads: 1` key says: on the host pool
+    // every plural op of the per-sentence loop would pay a thread
+    // dispatch, which inflates the ratio the floor gates.
+    rayon::set_num_threads(1);
     let mega_batch_len = if args.quick { 48 } else { 64 };
     let mega_cases: Vec<(&str, Vec<Sentence>)> = vec![
         (
@@ -763,6 +732,7 @@ fn main() {
         rows.push(mk("batch-maspar-per-sentence", wall_per, 1.0));
         rows.push(mk("batch-maspar-mega", wall_mega, speedup));
     }
+    rayon::set_num_threads(0);
     if !mega_speedups.is_empty() {
         let geo = mega_speedups.iter().map(|s| s.ln()).sum::<f64>() / mega_speedups.len() as f64;
         eprintln!(

@@ -217,27 +217,6 @@ pub fn maspar_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
     }
 }
 
-/// PARSEC on the simulated MP-1 with bit-slicing disabled — the unpacked
-/// `Plural<bool>` oracle. Identical simulated work and digests; the
-/// host-wall gap between this row and `cdg-maspar` is the packing speedup.
-pub fn maspar_scalar_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
-    let opts = MasparOptions {
-        packed: false,
-        ..Default::default()
-    };
-    let (outcome, wall) = timed(|| parse_maspar(grammar, sentence, &opts));
-    Measurement {
-        engine: "cdg-maspar-scalar",
-        n: sentence.len(),
-        wall_secs: wall,
-        ops: None,
-        steps: Some(outcome.stats.scan_passes + outcome.stats.plural_slices),
-        processors: Some(outcome.layout.virt_pes() as u64),
-        est_secs: Some(outcome.estimated_seconds),
-        accepted: outcome.roles_nonempty(),
-    }
-}
-
 /// Sequential CKY (the "Sequential Machine" CFG row).
 pub fn serial_cky(grammar: &cfg_baseline::CnfGrammar, tokens: &[usize]) -> Measurement {
     let (result, wall) = timed(|| cfg_baseline::cky_recognize(grammar, tokens));

@@ -2,15 +2,15 @@
 //! built through one [`EngineConfigBuilder`], with every externally
 //! spellable option defined exactly once in [`KEYS`].
 //!
-//! Before this module the option surface had accreted: `packed` lived on
-//! `MasparOptions`, `eval`/`filter` on `ParseOptions`, `batch_strategy`/
-//! `threads` on `ParseRequest`, and the serve wire protocol grew its own
-//! `k=v` decoder — so adding a key meant touching three parsers that
-//! could (and did) drift. Now the CLI flag parser, the serve wire
-//! decoder, and programmatic callers all construct through the same
-//! table: each [`KeyDef`] pairs the parse function with its encoder, so
-//! `parse(encode(config)) == config` holds by construction (see the
-//! round-trip property test in `tests/config_roundtrip.rs`).
+//! Before this module the option surface had accreted: `eval`/`filter`
+//! lived on `ParseOptions`, `batch_strategy`/`threads` on `ParseRequest`,
+//! and the serve wire protocol grew its own `k=v` decoder — so adding a
+//! key meant touching three parsers that could (and did) drift. Now the
+//! CLI flag parser, the serve wire decoder, and programmatic callers all
+//! construct through the same table: each [`KeyDef`] pairs the parse
+//! function with its encoder, so `parse(encode(config)) == config` holds
+//! by construction (see the round-trip property test in
+//! `tests/config_roundtrip.rs`).
 //!
 //! Budget and fault specs are kept *verbatim* alongside their parsed
 //! forms: [`FaultPlan`] is intentionally opaque (no spec renderer) and
@@ -142,8 +142,6 @@ pub struct EngineConfig {
     pub batch: BatchStrategy,
     /// Worker-pool width for the host-parallel engines.
     pub threads: Option<usize>,
-    /// Bit-packed simulated execution (`false` = scalar oracle).
-    pub packed: bool,
 }
 
 /// Default parse-enumeration cap (the CLI's and the wire's default).
@@ -164,7 +162,6 @@ impl Default for EngineConfig {
             eval: EvalStrategy::Kernel,
             batch: BatchStrategy::PerSentence,
             threads: None,
-            packed: true,
         }
     }
 }
@@ -340,19 +337,6 @@ pub static KEYS: &[KeyDef] = &[
         },
         encode: |c| c.threads.map(|t| t.to_string()),
     },
-    KeyDef {
-        key: "packed",
-        help: "true | false (false = scalar differential oracle)",
-        apply: |b, v| {
-            b.packed = Some(match v {
-                "true" => true,
-                "false" => false,
-                other => return Err(invalid("packed", format!("`{other}` is not true/false"))),
-            });
-            Ok(())
-        },
-        encode: |c| (!c.packed).then(|| "false".to_string()),
-    },
 ];
 
 /// Look up a key definition by wire/CLI name.
@@ -376,7 +360,6 @@ pub struct EngineConfigBuilder {
     eval: Option<EvalStrategy>,
     batch: Option<BatchStrategy>,
     threads: Option<usize>,
-    packed: Option<bool>,
     fault_context: Option<(usize, u64)>,
 }
 
@@ -451,11 +434,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    pub fn packed(mut self, packed: bool) -> Self {
-        self.packed = Some(packed);
-        self
-    }
-
     /// Validate and build. Typed errors, never panics.
     pub fn build(self) -> Result<EngineConfig, ConfigError> {
         let budget_spec = self.budget_spec.unwrap_or_default();
@@ -498,7 +476,6 @@ impl EngineConfigBuilder {
             eval: self.eval.unwrap_or(EvalStrategy::Kernel),
             batch: self.batch.unwrap_or_default(),
             threads: self.threads,
-            packed: self.packed.unwrap_or(true),
         })
     }
 }
@@ -517,8 +494,7 @@ mod tests {
     #[test]
     fn every_key_round_trips_through_the_table() {
         let spec = "engine=maspar budget=ms=50,iters=3 class=interactive faults=42 \
-                    transient=2 parses=9 filter=bmm eval=naive batch=mega threads=4 \
-                    packed=false";
+                    transient=2 parses=9 filter=bmm eval=naive batch=mega threads=4";
         let c = EngineConfig::parse(spec).unwrap();
         assert_eq!(c.engine.as_deref(), Some("maspar"));
         assert_eq!(c.budget.max_filter_iterations, Some(3));
@@ -530,7 +506,6 @@ mod tests {
         assert_eq!(c.eval, EvalStrategy::Naive);
         assert_eq!(c.batch, BatchStrategy::Mega);
         assert_eq!(c.threads, Some(4));
-        assert!(!c.packed);
         let reparsed = EngineConfig::parse(&c.encode()).unwrap();
         assert_eq!(reparsed, c);
     }
@@ -538,10 +513,12 @@ mod tests {
     #[test]
     fn unknown_keys_and_bad_values_are_typed() {
         let mut b = EngineConfig::builder();
-        assert_eq!(
-            b.set("hats", "3"),
-            Err(ConfigError::UnknownKey { key: "hats".into() })
-        );
+        for key in ["hats", "packed"] {
+            assert_eq!(
+                b.set(key, "false"),
+                Err(ConfigError::UnknownKey { key: key.into() })
+            );
+        }
         assert!(matches!(
             b.set("budget", "fuel=9"),
             Err(ConfigError::InvalidValue { key: "budget", .. })

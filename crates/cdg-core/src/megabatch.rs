@@ -90,8 +90,6 @@ pub enum MegaFallback {
     /// A wall-time budget: elapsed time cannot be attributed per-sentence
     /// inside a joined sweep.
     WallBudget,
-    /// The unpacked scalar oracle was requested.
-    Unpacked,
 }
 
 impl MegaFallback {
@@ -101,7 +99,6 @@ impl MegaFallback {
             MegaFallback::Faults => "faults",
             MegaFallback::Trace => "trace",
             MegaFallback::WallBudget => "wall_budget",
-            MegaFallback::Unpacked => "unpacked",
         }
     }
 
@@ -110,7 +107,6 @@ impl MegaFallback {
             MegaFallback::Faults => "megabatch.fallback.faults",
             MegaFallback::Trace => "megabatch.fallback.trace",
             MegaFallback::WallBudget => "megabatch.fallback.wall_budget",
-            MegaFallback::Unpacked => "megabatch.fallback.unpacked",
         }
     }
 }

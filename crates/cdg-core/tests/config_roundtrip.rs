@@ -24,7 +24,6 @@ const FAULTS: &[&str] = &[
 const FILTERS: &[&str] = &["auto", "naive", "incremental", "bmm"];
 const EVALS: &[&str] = &["kernel", "naive"];
 const BATCHES: &[&str] = &["per-sentence", "mega"];
-const PACKED: &[&str] = &["true", "false"];
 
 /// `Some(index into a pool of len)` or `None` (key omitted), uniformly.
 fn opt(len: usize) -> impl Strategy<Value = Option<usize>> {
@@ -47,7 +46,6 @@ fn assemble(
     eval: Option<usize>,
     batch: Option<usize>,
     threads: Option<usize>,
-    packed: Option<usize>,
 ) -> Vec<String> {
     let engine = match (engine, faults) {
         (Some(_), Some(_)) => Some(2), // index of "maspar"
@@ -69,7 +67,6 @@ fn assemble(
     push("eval", eval.map(|i| EVALS[i].to_string()));
     push("batch", batch.map(|i| BATCHES[i].to_string()));
     push("threads", threads.map(|t| t.to_string()));
-    push("packed", packed.map(|i| PACKED[i].to_string()));
     tokens
 }
 
@@ -88,11 +85,10 @@ proptest! {
         eval in opt(EVALS.len()),
         batch in opt(BATCHES.len()),
         threads in prop_oneof![(1usize..=8).prop_map(Some), (0usize..1).prop_map(|_| None)],
-        packed in opt(PACKED.len()),
     ) {
         let tokens = assemble(
             engine, budget, class, faults, transient, parses, filter, eval,
-            batch, threads, packed,
+            batch, threads,
         );
         let spec = tokens.join(" ");
         let config = EngineConfig::parse(&spec)
@@ -118,11 +114,9 @@ proptest! {
         faults in opt(FAULTS.len()),
         parses in prop_oneof![(1usize..=12).prop_map(Some), (0usize..1).prop_map(|_| None)],
         eval in opt(EVALS.len()),
-        packed in opt(PACKED.len()),
     ) {
         let spec = assemble(
-            engine, budget, None, faults, None, parses, None, eval, None,
-            None, packed,
+            engine, budget, None, faults, None, parses, None, eval, None, None,
         )
         .join(" ");
         let config = EngineConfig::parse(&spec).unwrap();

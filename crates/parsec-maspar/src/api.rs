@@ -75,18 +75,6 @@ impl Maspar {
         Maspar { options }
     }
 
-    /// The unpacked `Plural<bool>` oracle engine (bit-sliced execution
-    /// off): identical outcomes and simulated costs, slower host wall —
-    /// the differential baseline for the packed path.
-    pub fn scalar_oracle() -> Self {
-        Maspar {
-            options: MasparOptions {
-                packed: false,
-                ..Default::default()
-            },
-        }
-    }
-
     fn options_for(&self, req: &ParseRequest<'_>) -> MasparOptions {
         let mut opts = self.options.clone();
         opts.budget = req.options.budget;
@@ -260,24 +248,6 @@ mod tests {
         assert_eq!(
             report.network.total_alive(),
             out.to_network(&g, &s).total_alive()
-        );
-    }
-
-    #[test]
-    fn scalar_oracle_engine_reports_identically() {
-        let g = paper::grammar();
-        let s = paper::example_sentence(&g);
-        let req = ParseRequest::new(&g).sentence(s).max_parses(10);
-        let packed = Maspar::default().parse(&req).unwrap();
-        let oracle = Maspar::scalar_oracle().parse(&req).unwrap();
-        assert_eq!(packed.accepted, oracle.accepted);
-        assert_eq!(packed.roles_nonempty, oracle.roles_nonempty);
-        assert_eq!(packed.filter_passes, oracle.filter_passes);
-        assert_eq!(packed.parses, oracle.parses);
-        assert_eq!(
-            packed.network.total_alive(),
-            oracle.network.total_alive(),
-            "packed and oracle engines must read back the same network"
         );
     }
 

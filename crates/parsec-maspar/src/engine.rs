@@ -43,6 +43,10 @@ use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, Plural
 pub(crate) const WORKING_SET_BYTES: usize = 96;
 
 /// Options for a MasPar parse.
+///
+/// There is no filter-strategy option: the machine filters by its own
+/// scan choreography (design decisions 3 and 5), and
+/// [`MasparOutcome::to_network`] has one host readback.
 #[derive(Debug, Clone)]
 pub struct MasparOptions {
     /// Machine parameters (physical PEs, memory, cost model).
@@ -67,17 +71,6 @@ pub struct MasparOptions {
     /// detected corruption before giving up with
     /// [`EngineError::Inconsistent`].
     pub max_recovery_retries: usize,
-    /// Run the boolean plurals bit-sliced ([`maspar_sim::PluralBits`],
-    /// 64 PEs per host word). `false` keeps the original unpacked
-    /// `Plural<bool>` path — the differential oracle, exactly like PR 3's
-    /// kernel-vs-naive split. Both issue identical broadcast instructions
-    /// and produce bit-identical outcomes and [`MachineStats`]; only host
-    /// wall time differs.
-    ///
-    /// There is no filter-strategy option: the machine filters by its own
-    /// scan choreography (design decisions 3 and 5), and
-    /// [`MasparOutcome::to_network`] has one host readback.
-    pub packed: bool,
 }
 
 impl Default for MasparOptions {
@@ -90,7 +83,6 @@ impl Default for MasparOptions {
             faults: None,
             budget: ParseBudget::UNLIMITED,
             max_recovery_retries: 4,
-            packed: true,
         }
     }
 }
@@ -98,7 +90,7 @@ impl Default for MasparOptions {
 impl MasparOptions {
     /// Thin compatibility constructor from the unified
     /// [`cdg_core::EngineConfig`]: everything the machine reads off the
-    /// shared surface (budget, faults, packing), with the machine shape
+    /// shared surface (budget, faults), with the machine shape
     /// supplied by the owner of the simulated array. The config's filter
     /// strategy does not reach the machine.
     pub fn from_engine_config(config: &cdg_core::EngineConfig, machine: MachineConfig) -> Self {
@@ -106,7 +98,6 @@ impl MasparOptions {
             machine,
             faults: config.faults.clone(),
             budget: config.budget,
-            packed: config.packed,
             ..Default::default()
         }
     }
@@ -458,11 +449,7 @@ pub fn parse_maspar_checked(
         }
     }
 
-    if opts.packed {
-        drive::<PluralBits>(machine, lay, grammar, sentence, opts, recovery)
-    } else {
-        drive::<Plural<bool>>(machine, lay, grammar, sentence, opts, recovery)
-    }
+    drive(machine, lay, grammar, sentence, opts, recovery)
 }
 
 /// The typed pre-flight checks every MasPar parse runs before touching a
@@ -499,10 +486,10 @@ pub(crate) fn precheck(
     Ok(lay)
 }
 
-/// The engine body, generic over the boolean-plural representation `B`
-/// (packed bit-sliced or unpacked oracle). Everything from data layout to
-/// readback; both instantiations issue identical broadcast instructions.
-pub(crate) fn drive<B: BoolRepr>(
+/// The engine body: everything from data layout to readback. Boolean
+/// plurals are bit-sliced ([`PluralBits`], 64 PEs per host word); how the
+/// host stores them is invisible to the simulated machine.
+pub(crate) fn drive(
     mut machine: Machine,
     lay: Layout,
     grammar: &Grammar,
@@ -545,7 +532,7 @@ pub(crate) fn drive<B: BoolRepr>(
     let _init = obsv::span("arc_init");
     let t = Tables::new(&[&lay]);
     let side = t.side;
-    let valid = B::init_exact(
+    let valid = init_bits_exact(
         &mut machine,
         "valid",
         retries,
@@ -553,7 +540,7 @@ pub(crate) fn drive<B: BoolRepr>(
         side,
         |c, r| !t.diagonal(c, r),
     )?;
-    let block_boundary = B::init_exact(
+    let block_boundary = init_bits_exact(
         &mut machine,
         "block-boundary",
         retries,
@@ -617,7 +604,16 @@ pub(crate) fn drive<B: BoolRepr>(
             &mut bits,
             &mut alive,
             |m, bits, alive| {
-                B::apply_unary(m, &t, sentence, c, &valid, bits, alive);
+                // The unary test depends only on (group, label), so the
+                // ACU evaluates it on the host and broadcasts keep masks.
+                // A ghost machine never reads the tables, so it skips the
+                // evaluation; the charge stream is identical either way.
+                let viol = if m.is_ghost() {
+                    Vec::new()
+                } else {
+                    unary_violations(&t, &[sentence], c)
+                };
+                unary_from_table(m, &t, &viol, &valid, bits, alive);
                 0
             },
         )?;
@@ -1017,261 +1013,38 @@ fn restore(machine: &mut Machine, p: &mut Plural<u64>, golden: &[u64]) {
     machine.par_map(p, |pe, v| *v = golden[pe]);
 }
 
-/// The boolean-plural representation the engine runs on: bit-sliced
-/// [`PluralBits`] (64 PEs per host word) or the unpacked [`Plural<bool>`]
-/// scalar oracle. Every method issues exactly the same broadcast
-/// instructions in both implementations — the differential suite
-/// (`tests/packed_equivalence.rs`) holds the two to bit-identical
-/// outcomes, typed errors and [`MachineStats`].
-pub(crate) trait BoolRepr: Sized {
-    /// Allocate and write a host-verified boolean plural (the boolean
-    /// counterpart of [`init_exact`]): one alloc + one broadcast when
-    /// fault-free, re-issued until the readback matches otherwise.
-    fn init_exact(
-        machine: &mut Machine,
-        name: &str,
-        max_retries: usize,
-        recovery: &mut RecoveryReport,
-        side: usize,
-        f: impl Fn(usize, usize) -> bool + Sync,
-    ) -> Result<Self, EngineError>;
-    fn alloc_false(machine: &mut Machine) -> Self;
-    fn free(self, machine: &mut Machine);
-    /// MPL's plural `if` over this mask.
-    fn with_activity<R>(&self, machine: &mut Machine, body: impl FnOnce(&mut Machine) -> R) -> R;
-    /// Maintenance phase A: each PE ORs its submatrix row for column
-    /// label `li` into `dst` (one broadcast).
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize);
-    fn scan_or(&self, machine: &mut Machine, segs: &SegmentMap) -> Self;
-    fn scan_and(&self, machine: &mut Machine, segs: &SegmentMap) -> Self;
-    /// Maintenance phase D: the group boundary PEs (every `side`-th)
-    /// record the supported bit `li` into the accumulating `support`
-    /// masks (one broadcast).
-    fn accumulate_support(
-        &self,
-        machine: &mut Machine,
-        support: &mut Plural<u64>,
-        side: usize,
-        li: usize,
-    );
-    /// One unary constraint: every PE zeroes the submatrix columns/rows of
-    /// its violating role values; boundary PEs update the alive masks. The
-    /// violation test is pure PE-local computation from the PE's position
-    /// plus the ACU-broadcast constraint (design decision 2). Three
-    /// broadcasts.
-    fn apply_unary(
-        machine: &mut Machine,
-        t: &Tables,
-        sentence: &Sentence,
-        c: &Constraint,
-        valid: &Self,
-        bits: &mut Plural<u64>,
-        alive: &mut Plural<u64>,
-    );
-}
-
-impl BoolRepr for Plural<bool> {
-    fn init_exact(
-        machine: &mut Machine,
-        name: &str,
-        max_retries: usize,
-        recovery: &mut RecoveryReport,
-        side: usize,
-        f: impl Fn(usize, usize) -> bool + Sync,
-    ) -> Result<Self, EngineError> {
-        init_exact(machine, name, max_retries, recovery, side, f)
-    }
-
-    fn alloc_false(machine: &mut Machine) -> Self {
-        machine.alloc(false)
-    }
-
-    fn free(self, machine: &mut Machine) {
-        machine.free(self);
-    }
-
-    fn with_activity<R>(&self, machine: &mut Machine, body: impl FnOnce(&mut Machine) -> R) -> R {
-        machine.with_activity(self, body)
-    }
-
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize) {
-        let l = t.l;
-        machine.par_zip(dst, bits, |_, out, &b| {
-            let mut any = false;
-            for j in 0..l {
-                if b >> (li * l + j) & 1 == 1 {
-                    any = true;
-                    break;
-                }
-            }
-            *out = any;
-        });
-    }
-
-    fn scan_or(&self, machine: &mut Machine, segs: &SegmentMap) -> Self {
-        machine.scan_or(self, segs)
-    }
-
-    fn scan_and(&self, machine: &mut Machine, segs: &SegmentMap) -> Self {
-        machine.scan_and(self, segs)
-    }
-
-    fn accumulate_support(
-        &self,
-        machine: &mut Machine,
-        support: &mut Plural<u64>,
-        side: usize,
-        li: usize,
-    ) {
-        machine.par_zip_strided(support, self, side, move |_, s, &ok| {
-            if ok {
-                *s |= 1u64 << li;
-            }
-        });
-    }
-
-    fn apply_unary(
-        machine: &mut Machine,
-        t: &Tables,
-        sentence: &Sentence,
-        c: &Constraint,
-        valid: &Self,
-        bits: &mut Plural<u64>,
-        alive: &mut Plural<u64>,
-    ) {
-        // The oracle stays deliberately naive: every PE re-evaluates the
-        // constraint for its own labels through the tree evaluator.
-        let l = t.l;
-        let violates = |g: usize, li: usize| -> bool {
-            match t.bindings[g * l + li] {
-                Some(b) => !c.check_unary(sentence, b),
-                None => false,
-            }
-        };
-        machine.with_activity(valid, |m| {
-            m.par_map_grid(bits, t.side, |cg, rg, b| {
-                for i in 0..l {
-                    if violates(cg, i) {
-                        for j in 0..l {
-                            *b &= !(1u64 << (i * l + j));
-                        }
-                    }
-                }
-                for j in 0..l {
-                    if violates(rg, j) {
-                        for i in 0..l {
-                            *b &= !(1u64 << (i * l + j));
-                        }
-                    }
-                }
-            });
-        });
-        machine.par_map_strided(alive, t.side, |pe, a| {
-            let g = pe / t.side;
-            for li in 0..l {
-                if violates(g, li) {
-                    *a &= !(1u64 << li);
-                }
-            }
-        });
-    }
-}
-
-impl BoolRepr for PluralBits {
-    fn init_exact(
-        machine: &mut Machine,
-        name: &str,
-        max_retries: usize,
-        recovery: &mut RecoveryReport,
-        side: usize,
-        f: impl Fn(usize, usize) -> bool + Sync,
-    ) -> Result<Self, EngineError> {
-        // A ghost never reads the table it broadcasts.
-        let want = if machine.is_ghost() {
-            Vec::new()
-        } else {
-            grid_words(machine.n_virt(), side, f)
-        };
-        let mut p = machine.alloc_bits(false);
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            machine.par_write_bits(&mut p, &want);
-            if !machine.faults_armed() || p.words() == want {
-                return Ok(p);
-            }
-            recovery.phase_retries += 1;
-            if attempts > max_retries {
-                return Err(EngineError::Inconsistent {
-                    phase: format!("init:{name}"),
-                    attempts,
-                });
-            }
+/// Allocate and write a host-verified boolean plural (the bit-sliced
+/// counterpart of [`init_exact`]): one alloc + one broadcast when
+/// fault-free, re-issued until the readback matches otherwise.
+fn init_bits_exact(
+    machine: &mut Machine,
+    name: &str,
+    max_retries: usize,
+    recovery: &mut RecoveryReport,
+    side: usize,
+    f: impl Fn(usize, usize) -> bool + Sync,
+) -> Result<PluralBits, EngineError> {
+    // A ghost never reads the table it broadcasts.
+    let want = if machine.is_ghost() {
+        Vec::new()
+    } else {
+        grid_words(machine.n_virt(), side, f)
+    };
+    let mut p = machine.alloc_bits(false);
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        machine.par_write_bits(&mut p, &want);
+        if !machine.faults_armed() || p.words() == want {
+            return Ok(p);
         }
-    }
-
-    fn alloc_false(machine: &mut Machine) -> Self {
-        machine.alloc_bits(false)
-    }
-
-    fn free(self, machine: &mut Machine) {
-        machine.free_bits(self);
-    }
-
-    fn with_activity<R>(&self, machine: &mut Machine, body: impl FnOnce(&mut Machine) -> R) -> R {
-        machine.with_activity_bits(self, body)
-    }
-
-    fn row_or(machine: &mut Machine, dst: &mut Self, bits: &Plural<u64>, t: &Tables, li: usize) {
-        // One masked test replaces the per-label inner loop: the submatrix
-        // row for label li is a contiguous bit run.
-        let row = t.rows_of[1 << li];
-        machine.par_map_bits(dst, bits, move |_, b| b & row != 0);
-    }
-
-    fn scan_or(&self, machine: &mut Machine, segs: &SegmentMap) -> Self {
-        machine.scan_or_bits(self, segs)
-    }
-
-    fn scan_and(&self, machine: &mut Machine, segs: &SegmentMap) -> Self {
-        machine.scan_and_bits(self, segs)
-    }
-
-    fn accumulate_support(
-        &self,
-        machine: &mut Machine,
-        support: &mut Plural<u64>,
-        side: usize,
-        li: usize,
-    ) {
-        machine.par_zip_bits_strided(support, self, side, move |_, s, ok| {
-            if ok {
-                *s |= 1u64 << li;
-            }
-        });
-    }
-
-    fn apply_unary(
-        machine: &mut Machine,
-        t: &Tables,
-        sentence: &Sentence,
-        c: &Constraint,
-        valid: &Self,
-        bits: &mut Plural<u64>,
-        alive: &mut Plural<u64>,
-    ) {
-        // The unary test depends only on (group, label), so the ACU
-        // evaluates it on the host ([`unary_violations`]) and broadcasts
-        // keep masks — the PEs apply two ANDs instead of re-evaluating the
-        // constraint l times each. Same three broadcasts, bit-identical
-        // results. A ghost machine never reads the tables, so it skips the
-        // evaluation; the charge stream is identical either way.
-        let viol = if machine.is_ghost() {
-            Vec::new()
-        } else {
-            unary_violations(t, &[sentence], c)
-        };
-        unary_from_table(machine, t, &viol, valid, bits, alive);
+        recovery.phase_retries += 1;
+        if attempts > max_retries {
+            return Err(EngineError::Inconsistent {
+                phase: format!("init:{name}"),
+                attempts,
+            });
+        }
     }
 }
 
@@ -1354,17 +1127,17 @@ pub(crate) fn unary_from_table(
 /// One binary constraint: every valid PE checks the live pairs of its l×l
 /// submatrix (both orderings), skipping empty submatrix rows. Column `col`
 /// belongs to `sentences[col / side]`.
-pub(crate) fn apply_binary<B: BoolRepr>(
+pub(crate) fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
     sentences: &[&Sentence],
     c: &Constraint,
-    valid: &B,
+    valid: &PluralBits,
     bits: &mut Plural<u64>,
 ) {
     let l = t.l;
     let label_mask = (1u64 << l) - 1;
-    valid.with_activity(machine, |m| {
+    machine.with_activity_bits(valid, |m| {
         m.par_map_grid(bits, t.side, |cg, row, b| {
             if *b == 0 {
                 return;
@@ -1399,10 +1172,10 @@ pub(crate) fn apply_binary<B: BoolRepr>(
 /// router gathers fetch the column's and row's alive masks from the
 /// boundary PEs, then one broadcast per side keeps the submatrix lines of
 /// the gathered alive labels (a table lookup on the l-bit mask).
-pub(crate) fn mask_dead<B: BoolRepr>(
+pub(crate) fn mask_dead(
     machine: &mut Machine,
     t: &Tables,
-    valid: &B,
+    valid: &PluralBits,
     bits: &mut Plural<u64>,
     alive: &Plural<u64>,
     col_idx: &Plural<usize>,
@@ -1413,7 +1186,7 @@ pub(crate) fn mask_dead<B: BoolRepr>(
     let mut row_alive = machine.alloc(0u64);
     machine.gather(alive, col_idx, &mut col_alive);
     machine.gather(alive, row_idx, &mut row_alive);
-    valid.with_activity(machine, |m| {
+    machine.with_activity_bits(valid, |m| {
         m.par_zip(bits, &col_alive, |_, b, &ca| {
             *b &= t.rows_of[(ca & label_mask) as usize];
         });
@@ -1425,16 +1198,61 @@ pub(crate) fn mask_dead<B: BoolRepr>(
     machine.free(row_alive);
 }
 
+/// Maintenance phases A–C for column label `li` (Figure 12). A: each
+/// valid PE ORs its submatrix row for `li` — one masked test, since the
+/// row is a contiguous bit run. B: scanOr within each (column, row
+/// word-role) block; the block's OR lands on its boundary PE. C: scanAnd
+/// across the block-boundary PEs of each column (self-arc blocks are
+/// invalid, hence skipped — the figure's "disabled only during the
+/// scanAnd"). The column's support lands on its group boundary PE.
+pub(crate) fn column_support(
+    machine: &mut Machine,
+    t: &Tables,
+    valid: &PluralBits,
+    block_boundary: &PluralBits,
+    bits: &Plural<u64>,
+    li: usize,
+) -> PluralBits {
+    let row = t.rows_of[1 << li];
+    let mut loc = machine.alloc_bits(false);
+    machine.with_activity_bits(valid, |m| {
+        m.par_map_bits(&mut loc, bits, move |_, b| b & row != 0)
+    });
+    let block_or = machine.with_activity_bits(valid, |m| m.scan_or_bits(&loc, &t.blocks));
+    machine.free_bits(loc);
+    let col_support =
+        machine.with_activity_bits(block_boundary, |m| m.scan_and_bits(&block_or, &t.columns));
+    machine.free_bits(block_or);
+    col_support
+}
+
+/// Maintenance phase D: the group boundary PEs (every `side`-th) record
+/// the supported bit `li` into the accumulating `support` masks (one
+/// broadcast).
+pub(crate) fn accumulate_support(
+    machine: &mut Machine,
+    t: &Tables,
+    col_support: &PluralBits,
+    support: &mut Plural<u64>,
+    li: usize,
+) {
+    machine.par_zip_bits_strided(support, col_support, t.side, move |_, s, ok| {
+        if ok {
+            *s |= 1u64 << li;
+        }
+    });
+}
+
 /// One consistency-maintenance iteration — Figure 12's scan choreography,
 /// repeated once per label (Figure 13). Returns how many role values were
 /// removed (counted on the machine: per-boundary popcount diff, then a
 /// global sum reduction).
 #[allow(clippy::too_many_arguments)]
-fn maintain<B: BoolRepr>(
+fn maintain(
     machine: &mut Machine,
     t: &Tables,
-    valid: &B,
-    block_boundary: &B,
+    valid: &PluralBits,
+    block_boundary: &PluralBits,
     bits: &mut Plural<u64>,
     alive: &mut Plural<u64>,
     col_idx: &Plural<usize>,
@@ -1443,22 +1261,9 @@ fn maintain<B: BoolRepr>(
     let mut support = machine.alloc(0u64);
 
     for li in 0..t.l {
-        // Phase A: each PE ORs its submatrix row for column label li.
-        let mut loc = B::alloc_false(machine);
-        valid.with_activity(machine, |m| B::row_or(m, &mut loc, bits, t, li));
-        // Phase B: scanOr within each (column, row word-role) block; the
-        // block's OR lands on its boundary PE.
-        let block_or = valid.with_activity(machine, |m| loc.scan_or(m, &t.blocks));
-        loc.free(machine);
-        // Phase C: scanAnd across the block-boundary PEs of each column
-        // (self-arc blocks are invalid, hence skipped — the figure's
-        // "disabled only during the scanAnd").
-        let col_support =
-            block_boundary.with_activity(machine, |m| block_or.scan_and(m, &t.columns));
-        block_or.free(machine);
-        // Phase D (accumulate): boundary PEs record the supported bit.
-        col_support.accumulate_support(machine, &mut support, t.side, li);
-        col_support.free(machine);
+        let col_support = column_support(machine, t, valid, block_boundary, bits, li);
+        accumulate_support(machine, t, &col_support, &mut support, li);
+        machine.free_bits(col_support);
     }
 
     // New alive = old ∧ supported; removal counting is PE-local (popcount
@@ -1682,34 +1487,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_engine_is_bit_identical_to_scalar_oracle() {
-        let (g, s) = example();
-        let packed = parse_maspar(&g, &s, &MasparOptions::default());
-        let scalar = parse_maspar(
-            &g,
-            &s,
-            &MasparOptions {
-                packed: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(packed.bits, scalar.bits);
-        assert_eq!(packed.alive, scalar.alive);
-        assert_eq!(
-            packed.stats, scalar.stats,
-            "both representations must issue identical instruction charges"
-        );
-        assert_eq!(packed.estimated_seconds, scalar.estimated_seconds);
-        assert_eq!(packed.removals_per_iteration, scalar.removals_per_iteration);
-        assert_eq!(packed.phases.len(), scalar.phases.len());
-        for (a, b) in packed.phases.iter().zip(&scalar.phases) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.stats, b.stats, "phase {} diverges", a.name);
-        }
-    }
-
-    #[test]
-    fn tiled_readback_matches_scalar_oracle() {
+    fn tiled_readback_matches_readback_scalar() {
         let (g, lex) = corpus::standard_setup();
         let mut sentences = Vec::new();
         for n in 3..=10usize {
@@ -1732,35 +1510,6 @@ mod tests {
             masked.bmm_tiles = a.stats.bmm_tiles;
             assert_eq!(a.stats, masked, "`{s}`: host stats must agree up to bmm_*");
         }
-    }
-
-    #[test]
-    fn packed_engine_matches_oracle_under_faults() {
-        let (g, s) = example();
-        let plan = FaultPlan::new()
-            .with_dead_pe(3)
-            .with_memory_flip(20, 7, 3)
-            .with_router_corrupt(60, 11, 0xFF)
-            .with_memory_flip(150, 30, 60);
-        let run = |packed: bool| {
-            parse_maspar_checked(
-                &g,
-                &s,
-                &MasparOptions {
-                    machine: small_machine(),
-                    faults: Some(plan.clone()),
-                    packed,
-                    ..Default::default()
-                },
-            )
-            .expect("recoverable plan")
-        };
-        let p = run(true);
-        let o = run(false);
-        assert_eq!(p.bits, o.bits);
-        assert_eq!(p.alive, o.alive);
-        assert_eq!(p.stats, o.stats);
-        assert_eq!(p.recovery, o.recovery);
     }
 
     #[test]

@@ -35,19 +35,19 @@
 //!
 //! Requests the joint sweep cannot account per-sentence fall back to the
 //! per-sentence engine: fault injection (fault horizons are keyed to
-//! per-sentence instruction counters), machine traces, wall-time budgets,
-//! and the unpacked scalar oracle.
+//! per-sentence instruction counters), machine traces, and wall-time
+//! budgets.
 
 use crate::engine::{
-    apply_binary, drive, grid_words, mask_dead, parse_maspar_checked, precheck, unary_from_table,
-    unary_violations, BoolRepr, MasparOptions, MasparOutcome, RecoveryReport, Tables,
-    WORKING_SET_BYTES,
+    accumulate_support, apply_binary, column_support, drive, grid_words, mask_dead,
+    parse_maspar_checked, precheck, unary_from_table, unary_violations, MasparOptions,
+    MasparOutcome, RecoveryReport, Tables, WORKING_SET_BYTES,
 };
 use crate::layout::Layout;
 use cdg_core::megabatch::{note_mega_fallback, MegaFallback};
 use cdg_core::EngineError;
 use cdg_grammar::{Grammar, Sentence};
-use maspar_sim::{Machine, Plural, PluralBits};
+use maspar_sim::{Machine, Plural};
 
 /// The first reason (if any) this request cannot take the joined sweep.
 /// Shared with the CLI so its stderr notice names the same reason the
@@ -59,8 +59,6 @@ pub fn mega_fallback_reason(opts: &MasparOptions) -> Option<MegaFallback> {
         Some(MegaFallback::Trace)
     } else if opts.budget.max_wall_time.is_some() {
         Some(MegaFallback::WallBudget)
-    } else if !opts.packed {
-        Some(MegaFallback::Unpacked)
     } else {
         None
     }
@@ -257,18 +255,9 @@ fn run_chunk(
         }
         let mut support = machine.alloc(0u64);
         for li in 0..t.l {
-            let mut loc = machine.alloc_bits(false);
-            live_valid.with_activity(&mut machine, |m| {
-                PluralBits::row_or(m, &mut loc, &bits, &t, li)
-            });
-            let block_or =
-                machine.with_activity_bits(&live_valid, |m| m.scan_or_bits(&loc, &t.blocks));
-            machine.free_bits(loc);
-            let col_support =
-                machine.with_activity_bits(&live_block, |m| m.scan_and_bits(&block_or, &t.columns));
-            machine.free_bits(block_or);
-            live_group.with_activity(&mut machine, |m| {
-                col_support.accumulate_support(m, &mut support, side, li)
+            let col_support = column_support(&mut machine, &t, &live_valid, &live_block, &bits, li);
+            machine.with_activity_bits(&live_group, |m| {
+                accumulate_support(m, &t, &col_support, &mut support, li)
             });
             machine.free_bits(col_support);
         }
@@ -346,7 +335,7 @@ fn run_chunk(
         let lay = lays[i].clone().unwrap();
         let mut ghost = Machine::new_ghost(opts.machine.clone(), lay.virt_pes());
         ghost.push_ghost_reductions(&removals[ci]);
-        let replay = drive::<PluralBits>(
+        let replay = drive(
             ghost,
             lay,
             grammar,
@@ -491,21 +480,14 @@ mod tests {
 
     #[test]
     fn fallback_paths_still_answer() {
-        // Unpacked / traced / wall-budgeted requests fall back to the
-        // per-sentence engine and must behave exactly like it.
+        // Traced requests fall back to the per-sentence engine and must
+        // behave exactly like it.
         let g = paper::grammar();
         let s = paper::example_sentence(&g);
-        for opts in [
-            MasparOptions {
-                packed: false,
-                ..Default::default()
-            },
-            MasparOptions {
-                trace: true,
-                ..Default::default()
-            },
-        ] {
-            check_batch(&g, &[s.clone(), s.clone()], &opts);
-        }
+        let opts = MasparOptions {
+            trace: true,
+            ..Default::default()
+        };
+        check_batch(&g, &[s.clone(), s], &opts);
     }
 }

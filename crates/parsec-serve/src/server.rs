@@ -787,7 +787,7 @@ fn handle_parse(shared: &Arc<Shared>, text: String, config: EngineConfig) -> Str
 /// restricted to jobs whose answers cannot depend on batching: no budget
 /// (a wall-time budget is accounted per request), no fault plan (fault
 /// horizons are per-request instruction counts), no transient window, and
-/// identical engine/parse-cap/filter/eval/packed settings. Class may
+/// identical engine/parse-cap/filter/eval settings. Class may
 /// differ — it only shapes admission and the response's `class=` field,
 /// both of which stay per-job.
 fn coalescable(a: &Job, b: &Job) -> bool {
@@ -800,7 +800,6 @@ fn coalescable(a: &Job, b: &Job) -> bool {
         && a.config.max_parses == b.config.max_parses
         && a.config.filter == b.config.filter
         && a.config.eval == b.config.eval
-        && a.config.packed == b.config.packed
 }
 
 /// Per-worker engine cache: each worker thread owns its engine instances

@@ -15,7 +15,7 @@
 //! `PARSE` options are exactly the keys of the unified
 //! [`cdg_core::config::KEYS`] table — `budget=`, `class=`, `faults=`,
 //! `transient=`, `parses=`, `engine=`, `filter=`, `eval=`, `batch=`,
-//! `threads=`, `packed=` — parsed by [`cdg_core::EngineConfigBuilder`],
+//! `threads=` — parsed by [`cdg_core::EngineConfigBuilder`],
 //! the same path the CLI flags take, so a config key is defined exactly
 //! once. Unknown keys are a *typed* error: `ERR cause=unknown-key
 //! key=<k>` (since wire/2; wire/1 rendered an untyped `proto=` message).
@@ -198,7 +198,7 @@ mod tests {
     fn full_option_set_parses() {
         let line =
             "PARSE budget=ms=50,iters=3 class=batch faults=7 transient=1 parses=2 engine=maspar \
-             filter=bmm eval=naive batch=mega packed=false -- the program runs";
+             filter=bmm eval=naive batch=mega -- the program runs";
         match parse_request(line, 16).unwrap() {
             Request::Parse { text, config } => {
                 assert_eq!(text, "the program runs");
@@ -213,7 +213,6 @@ mod tests {
                 assert_eq!(config.filter, FilterStrategy::Bmm);
                 assert_eq!(config.eval, EvalStrategy::Naive);
                 assert_eq!(config.batch, BatchStrategy::Mega);
-                assert!(!config.packed);
             }
             other => panic!("{other:?}"),
         }

@@ -22,7 +22,6 @@
 //!                                                filters with the machine's own scans
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
-//!   --maspar-scalar                              (maspar) unpacked Plural<bool> oracle, no bit-slicing
 //!   --relax                                      retry rejected sentences with relaxed constraints
 //!   --threads <N>                                worker threads for parallel engines (0 = auto)
 //!   --batch <file|->                             parse one sentence per line of a file (or stdin)
@@ -124,7 +123,6 @@ struct Args {
     metrics: bool,
     relax: bool,
     batch: Option<String>,
-    maspar_scalar: bool,
     words: Vec<String>,
 }
 
@@ -134,7 +132,7 @@ fn usage() -> ! {
          [--engine serial|pram|maspar] [--parses N] [--network] [--dot] [--stats] \
          [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive|incremental|bmm] \
          [--budget spec] [--faults spec] \
-         [--maspar-scalar] [--relax] [--threads N] [--batch file|-] \
+         [--relax] [--threads N] [--batch file|-] \
          [--batch-strategy per-sentence|mega] [--version] <sentence...>\n\
          \x20      parsec serve [SERVE OPTIONS]   (see `parsec serve --help`)"
     );
@@ -156,7 +154,6 @@ fn parse_args() -> Args {
     let mut metrics = false;
     let mut relax = false;
     let mut batch = None;
-    let mut maspar_scalar = false;
     let mut words = Vec::new();
     // Config flags funnel through the shared key table. Each flag keeps
     // its own error prefix (provenance), but the value syntax and the
@@ -235,12 +232,6 @@ fn parse_args() -> Args {
                     .set("batch", &v)
                     .unwrap_or_else(|e| invalid(format!("bad --batch-strategy: {e}")));
             }
-            "--maspar-scalar" => {
-                builder
-                    .set("packed", "false")
-                    .expect("`false` is in the packed table");
-                maspar_scalar = true;
-            }
             "--version" => {
                 println!("parsec {}", env!("CARGO_PKG_VERSION"));
                 std::process::exit(0);
@@ -262,9 +253,6 @@ fn parse_args() -> Args {
     if faults_given && engine != "maspar" {
         invalid("--faults injects faults into the simulated MasPar; pass --engine maspar".into());
     }
-    if maspar_scalar && engine != "maspar" {
-        invalid("--maspar-scalar forces the unpacked MasPar oracle; pass --engine maspar".into());
-    }
     let config = builder.build().unwrap_or_else(|e| invalid(e.to_string()));
     if batch.is_none() && config.batch != cdg_core::BatchStrategy::default() {
         invalid("--batch-strategy schedules a batch; pass --batch too".into());
@@ -281,7 +269,6 @@ fn parse_args() -> Args {
         metrics,
         relax,
         batch,
-        maspar_scalar,
         words,
     }
 }
@@ -420,13 +407,8 @@ fn emit_stats(args: &Args, report: &ParseReport<'_>, resolved: &cdg_grammar::com
             let host_wall = report.wall.as_secs_f64();
             if host_wall > 0.0 {
                 eprintln!(
-                    "maspar host: {:.4}s wall ({}, simulated/host {:.2}x)",
+                    "maspar host: {:.4}s wall (simulated/host {:.2}x)",
                     host_wall,
-                    if args.maspar_scalar {
-                        "unpacked oracle"
-                    } else {
-                        "bit-sliced"
-                    },
                     gauge("maspar.estimated_seconds") / host_wall,
                 );
             }
@@ -784,17 +766,9 @@ fn main() -> ExitCode {
     if let Some(n) = args.config.threads {
         rayon::set_num_threads(n);
     }
-    let engine: Box<dyn Engine> = if args.maspar_scalar {
-        // Validation already pinned the engine to "maspar"; swap in the
-        // unpacked differential oracle instead of the default bit-sliced
-        // configuration.
-        Box::new(parsec::prelude::Maspar::scalar_oracle())
-    } else {
-        let Some(engine) = parsec::engine_by_name(&args.engine) else {
-            eprintln!("error: unknown engine `{}`", args.engine);
-            return ExitCode::from(2);
-        };
-        engine
+    let Some(engine) = parsec::engine_by_name(&args.engine) else {
+        eprintln!("error: unknown engine `{}`", args.engine);
+        return ExitCode::from(2);
     };
     if args.batch.is_some() {
         return run_batch(&args, engine.as_ref());

@@ -1,8 +1,9 @@
 //! Golden instruction counts for the simulated MP-1.
 //!
 //! The MasPar engine may change how the *host* executes each broadcast —
-//! packed plurals, addressed broadcasts, table-driven PE bodies, joined
-//! mega-batch sweeps — but never the program the simulated machine runs.
+//! bit-sliced plurals, addressed broadcasts, table-driven PE bodies,
+//! joined mega-batch sweeps — but never the program the simulated machine
+//! runs. These tables are the engine's oracle.
 //! This suite pins, for a fixed corpus, every [`MachineStats`] field, the
 //! bits of the estimated MP-1 time, the removal count of every
 //! maintenance iteration, and the per-phase attribution (phase names with
@@ -16,6 +17,8 @@
 //! array), scrambled rejects, and the paper's example with its reject
 //! twin. On a mismatch the failure message carries the whole regenerated
 //! table.
+//!
+//! The fault paths are pinned the same way in `tests/packed_equivalence.rs`.
 
 use cdg_grammar::grammars::paper;
 use cdg_grammar::{Grammar, Sentence};
