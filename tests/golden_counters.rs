@@ -8,7 +8,10 @@
 //! the default filter resolved to BMM, over a fixed corpus: English
 //! n = 3–16 plus a scrambled twin each, aⁿbⁿ n = 6–48 plus a one-short
 //! reject each, and balanced brackets n = 6–48 (nested, and nested with
-//! alternating kinds).
+//! alternating kinds). Rows appended later cover ww n = 6–24 and www
+//! n = 6–18 with a one-short reject each, and lexically ambiguous
+//! sentences of the extended English grammar n = 4–12 with a scrambled
+//! twin each (see [`extended_corpus`]).
 //!
 //! Only the bookkeeping counters may move: `kernel_masks`,
 //! `kernel_memo_hits` and the observational `bmm_*` pair.
@@ -215,6 +218,86 @@ const GOLDEN: &[(&str, [usize; 8])] = &[
         "brackets-48-mixed",
         [20076, 194112, 186648, 159720, 656640, 6816, 9, 24178860],
     ),
+    ("ww-6", [235, 677, 112, 80, 1188, 96, 3, 6504]),
+    ("ww-6-short", [164, 334, 75, 67, 675, 75, 4, 3215]),
+    ("ww-12", [918, 5645, 2160, 1676, 9936, 408, 6, 99823]),
+    ("ww-12-short", [773, 4326, 1740, 1394, 7623, 363, 7, 71153]),
+    ("ww-18", [2061, 23671, 14760, 11434, 34020, 936, 8, 510710]),
+    (
+        "ww-18-short",
+        [1838, 19100, 11691, 9187, 28611, 867, 11, 406245],
+    ),
+    (
+        "ww-24",
+        [3636, 52382, 29387, 21511, 81216, 1570, 8, 1567076],
+    ),
+    (
+        "ww-24-short",
+        [3341, 45823, 24172, 17495, 71415, 1436, 7, 1321285],
+    ),
+    ("www-6", [564, 2115, 512, 336, 2376, 204, 4, 25127]),
+    ("www-6-short", [392, 1347, 293, 199, 1350, 150, 4, 12506]),
+    ("www-12", [2352, 17699, 14920, 10107, 19872, 840, 9, 403638]),
+    (
+        "www-12-short",
+        [1964, 13285, 9943, 6749, 15246, 726, 6, 284226],
+    ),
+    (
+        "www-18",
+        [5220, 50453, 61584, 44034, 68040, 1908, 11, 2000315],
+    ),
+    (
+        "www-18-short",
+        [4640, 41517, 47241, 33829, 57222, 1734, 8, 1588122],
+    ),
+    ("aux-4", [2815, 1440, 59, 43, 3080, 268, 2, 39133]),
+    (
+        "aux-scrambled-4",
+        [2825, 1364, 111, 94, 3080, 280, 2, 39170],
+    ),
+    ("aux-5", [4111, 1889, 79, 63, 5880, 404, 2, 86362]),
+    (
+        "aux-scrambled-5",
+        [4098, 1538, 144, 128, 5880, 420, 2, 86128],
+    ),
+    ("aux-6", [5464, 2800, 181, 145, 9996, 570, 2, 168442]),
+    (
+        "aux-scrambled-6",
+        [5440, 2570, 287, 254, 9996, 588, 2, 168403],
+    ),
+    ("aux-7", [7198, 3386, 217, 181, 15680, 762, 2, 298514]),
+    (
+        "aux-scrambled-7",
+        [7188, 3306, 418, 377, 15680, 784, 2, 298821],
+    ),
+    ("aux-8", [9866, 4150, 286, 248, 23184, 982, 2, 494022]),
+    (
+        "aux-scrambled-8",
+        [9867, 3757, 512, 479, 23184, 1008, 2, 494087],
+    ),
+    ("aux-9", [12159, 4820, 326, 288, 32760, 1230, 2, 771829]),
+    (
+        "aux-scrambled-9",
+        [12163, 4357, 683, 648, 32760, 1260, 2, 772087],
+    ),
+    ("aux-10", [15294, 7006, 762, 682, 44660, 1507, 4, 1156484]),
+    (
+        "aux-scrambled-10",
+        [15352, 7119, 1283, 1188, 44660, 1540, 2, 1157682],
+    ),
+    ("aux-11", [18112, 7883, 838, 758, 59136, 1811, 4, 1665843]),
+    (
+        "aux-scrambled-11",
+        [18213, 8994, 1717, 1596, 59136, 1848, 2, 1668772],
+    ),
+    (
+        "aux-12",
+        [20839, 10438, 1404, 1273, 76440, 2143, 3, 2330346],
+    ),
+    (
+        "aux-scrambled-12",
+        [21016, 13029, 2908, 2688, 76440, 2184, 2, 2336033],
+    ),
 ];
 
 /// Nested brackets of `n` symbols whose kinds alternate with depth:
@@ -269,7 +352,48 @@ fn corpus() -> Vec<(Grammar, Vec<(String, Sentence)>)> {
             formal::brackets_sentence(&brackets, &mixed_brackets(n)),
         ));
     }
-    vec![(eng, english), (anbn, a), (brackets, b)]
+    let mut groups = vec![(eng, english), (anbn, a), (brackets, b)];
+    groups.extend(extended_corpus());
+    groups
+}
+
+/// Corpus rows appended after the original table: the copy languages,
+/// whose constraints compare two category terms and read both roles, and
+/// lexically ambiguous English from the extended grammar, which applies
+/// unary constraints pairwise and resolves `cat` through the bound
+/// hypotheses. Recorded before the binary kernel evaluated constraints a
+/// slot at a time.
+fn extended_corpus() -> Vec<(Grammar, Vec<(String, Sentence)>)> {
+    let ww = formal::ww_grammar();
+    let www = formal::www_grammar();
+    let (mut w2, mut w3) = (Vec::new(), Vec::new());
+    for n in [6usize, 12, 18, 24] {
+        let s = corpus::formal::ww(n / 2, n as u64);
+        let short = one_short(&s, n / 3);
+        w2.push((format!("ww-{n}"), formal::ww_sentence(&ww, &s)));
+        w2.push((format!("ww-{n}-short"), formal::ww_sentence(&ww, &short)));
+    }
+    for n in [6usize, 12, 18] {
+        let w = corpus::formal::ww(n / 3, n as u64)[..n / 3].to_string();
+        let s = format!("{w}{w}{w}");
+        let short = one_short(&s, n / 2);
+        w3.push((format!("www-{n}"), formal::ww_sentence(&www, &s)));
+        w3.push((format!("www-{n}-short"), formal::ww_sentence(&www, &short)));
+    }
+    let (aux, lex) = corpus::extended_setup();
+    let mut ambiguous = Vec::new();
+    for n in 4..=12usize {
+        // The first seed from `n` up whose sentence carries an ambiguous
+        // base verb form.
+        let s = (n as u64..)
+            .map(|seed| corpus::english_aux_sentence(&aux, &lex, n, seed))
+            .find(|s| s.has_lexical_ambiguity())
+            .expect("the extended lexicon has ambiguous base forms");
+        let bad = corpus::scrambled(&lex, &s, n as u64 * 17);
+        ambiguous.push((format!("aux-{n}"), s));
+        ambiguous.push((format!("aux-scrambled-{n}"), bad));
+    }
+    vec![(ww, w2), (www, w3), (aux, ambiguous)]
 }
 
 fn counters(s: &NetStats) -> [usize; 8] {
