@@ -452,33 +452,56 @@ fn main() {
     // --- 1b. Binary-propagation scenarios ----------------------------
     // The kernel engine's acceptance gate: the measured region is the
     // binary sweep alone (build / unary / arc-init untimed), where the
-    // signature-memoized masks do their work. Digests cover alive sets
-    // AND raw arc matrices, so kernel-vs-naive bit-identity is checked
-    // on the phase output itself.
+    // lane passes do their work. Digests cover alive sets AND raw arc
+    // matrices, so kernel-vs-naive bit-identity is checked on the phase
+    // output itself. English rows exercise the class-decided paths (few
+    // pairs reach a pair verdict); the aⁿbⁿ and bracket rows exercise the
+    // per-row verdict passes, where `a-matching-nests`-style order
+    // constraints leave almost every row undecided by its classes.
     let bin_lengths: &[usize] = if args.quick { &[8, 12] } else { &[8, 12, 16] };
+    let bin_formal = if args.quick { 24 } else { 48 };
+    let bin_anbn = formal::anbn_grammar();
+    let bin_brackets = formal::brackets_grammar();
+    let mut bin_inputs: Vec<(&str, &Grammar, Sentence)> = bin_lengths
+        .iter()
+        .map(|&n| ("english", &g, corpus::english_sentence(&g, &lex, n, 11)))
+        .collect();
+    bin_inputs.push((
+        "anbn",
+        &bin_anbn,
+        formal::anbn_sentence(&bin_anbn, &corpus::formal::anbn(bin_formal / 2)),
+    ));
+    bin_inputs.push((
+        "brackets",
+        &bin_brackets,
+        formal::brackets_sentence(
+            &bin_brackets,
+            &corpus::formal::nested_brackets(bin_formal / 2),
+        ),
+    ));
     let mut binary_speedups: Vec<f64> = Vec::new();
-    for &n in bin_lengths {
-        let s = corpus::english_sentence(&g, &lex, n, 11);
-        let dk = digest_binary(&g, &s, EvalStrategy::Kernel);
-        let dn = digest_binary(&g, &s, EvalStrategy::Naive);
+    for (name, bg, s) in &bin_inputs {
+        let n = s.len();
+        let dk = digest_binary(bg, s, EvalStrategy::Kernel);
+        let dn = digest_binary(bg, s, EvalStrategy::Naive);
         assert_eq!(
             dk, dn,
-            "binary propagation diverged between evaluators at n={n}"
+            "binary propagation diverged between evaluators on {name} n={n}"
         );
-        eprintln!("binary propagation: n={n}");
-        let kernel = best_of(|| binary_kernel(&g, &s));
-        let naive = best_of(|| binary_naive(&g, &s));
+        eprintln!("binary propagation: {name} n={n}");
+        let kernel = best_of(|| binary_kernel(bg, s));
+        let naive = best_of(|| binary_naive(bg, s));
         if kernel.wall_secs > 0.0 {
             binary_speedups.push(naive.wall_secs / kernel.wall_secs);
         }
-        rows.push(row_from(kernel, "english", 1, dk));
-        rows.push(row_from(naive, "english", 1, dk));
+        rows.push(row_from(kernel, name, 1, dk));
+        rows.push(row_from(naive, name, 1, dk));
     }
     if !binary_speedups.is_empty() {
         let geo =
             binary_speedups.iter().map(|s| s.ln()).sum::<f64>() / binary_speedups.len() as f64;
         eprintln!(
-            "binary propagation kernel vs naive: geomean speedup {:.2}x (per-n: {})",
+            "binary propagation kernel vs naive: geomean speedup {:.2}x (per input: {})",
             geo.exp(),
             binary_speedups
                 .iter()

@@ -224,8 +224,15 @@ impl BitMatrix {
     /// per-cell zeroing would.
     pub fn row_and_count(&mut self, r: usize, mask: &BitVec) -> usize {
         assert_eq!(mask.len(), self.cols, "mask length mismatch");
+        self.row_and_count_words(r, mask.words())
+    }
+
+    /// [`BitMatrix::row_and_count`] with the mask as raw words (one per 64
+    /// columns, no bits past the last column).
+    pub fn row_and_count_words(&mut self, r: usize, mask: &[u64]) -> usize {
+        assert_eq!(mask.len(), self.row(r).len(), "mask length mismatch");
         let mut cleared = 0usize;
-        for (w, m) in self.row_mut(r).iter_mut().zip(mask.words()) {
+        for (w, m) in self.row_mut(r).iter_mut().zip(mask) {
             cleared += (*w & !*m).count_ones() as usize;
             *w &= *m;
         }

@@ -6,32 +6,46 @@
 //!
 //! 1. **Bytecode.** The constraint is lowered once to a flat
 //!    [`KernelProgram`] ([`cdg_grammar::kernel`]); each evaluation is a
-//!    loop over contiguous ops with a reused scratch stack instead of a
-//!    `Box`-chasing recursion.
-//! 2. **Partial-evaluation classes.** Before touching individual pairs,
-//!    each row (and, on demand, each column) is *classified* by evaluating
-//!    the program with the other slot's value [`PartialBinding::Open`]:
-//!    `pos`/`role` resolve (they are slot constants), only the open value's
-//!    features read as `Unknown`. Kleene monotonicity makes a definite
-//!    class verdict binding for every concrete pair in the row/column —
-//!    `False` zeroes the row in one word-parallel sweep, `True`×`True`
-//!    skips it untouched, and only the `Unknown` remainder is evaluated
-//!    pairwise.
-//! 3. **Signature memoization.** Within one slot, `pos` and `role` are
-//!    fixed; a pair verdict can only depend on the feature projections the
-//!    constraint actually reads (label / modifiee / category — see
-//!    `PairFeatures`). Domains collapse to a handful of distinct
-//!    signatures, so verdicts are computed once per *(signature,
-//!    signature)* and reused for every concrete pair sharing them.
-//! 4. **Row masks.** For each live value `a` of the row slot, the allowed
-//!    columns form a [`BitVec`] mask (one per distinct row signature);
-//!    applying it is a word-parallel `row_and_count` — the software
-//!    analogue of the MasPar's constant-time AND over a row of PEs. Each
-//!    arc's column classes are gathered once into column masks; a row
-//!    starts from the mask its own class selects and looks up pair
-//!    verdicts only for the columns whose class is `Unknown`. A row with
-//!    none is applied as that column mask directly, building no mask of
-//!    its own.
+//!    loop over contiguous ops instead of a `Box`-chasing recursion.
+//! 2. **Lane passes.** The program runs a slot at a time: one variable
+//!    scalar, the other ranging over a slot's alive domain, one lane per
+//!    domain entry ([`KernelProgram::eval_lanes`] over the network's
+//!    [`LaneTables`]). A pass returns Kleene `(true, false)` bitsets, so a
+//!    whole row or column of verdicts costs O(words) per op — the MP-1's
+//!    one broadcast instruction across every PE under an activity mask.
+//! 3. **Classes, then verdicts.** Kleene monotonicity makes a definite
+//!    verdict with one variable *partially* bound binding for every
+//!    concrete value it could take. Four things are computed as one lane
+//!    pass per ordering, each over the lanes the previous step left
+//!    `Unknown`:
+//!    - *slot classes* — each slot against an entirely unknown other
+//!      variable ([`PartialBinding::Any`]), once per constraint;
+//!    - *row classes* — each row slot against the column slot's
+//!      [`PartialBinding::Open`] (its `pos`/`role` known, its value not);
+//!    - *column classes* — the same with the roles swapped;
+//!    - *verdicts* — for each row still undecided, its value bound
+//!      against the columns both classes left `Unknown`.
+//!
+//!    `False` zeroes a row in one word-parallel sweep, `True`×`True`
+//!    skips it untouched, and every other row is ANDed with its allowed
+//!    column mask (`row_and_count` — the software analogue of the
+//!    MasPar's constant-time AND over a row of PEs). Values with equal
+//!    feature signatures (`PairFeatures`: within one slot a verdict
+//!    depends only on the label / modifiee / category the constraint
+//!    reads) share every verdict: a pass evaluates the first lane of each
+//!    signature and copies the verdict to the rest, and rows share one
+//!    mask. Column classes run only on arcs with an undecided row.
+//! 4. **The scalar ledger.** `binary_checks` still counts the evaluations
+//!    the one-value-at-a-time algorithm this replaced would have run:
+//!    two slot classes per distinct alive signature, one row or column
+//!    class per distinct signature and ordering whose slot class is
+//!    `Unknown`, and one pair verdict per distinct (row, column)
+//!    signature pair and ordering no class decides — the second ordering
+//!    of a row class or verdict only where the first did not definitely
+//!    fail. A lane set's membership is uniform within a signature, so the
+//!    popcount of a lane set ANDed with the slot's first-of-signature mask
+//!    is exactly the number of evaluations that algorithm spent on it,
+//!    and each pass charges that.
 //!
 //! Results are bit-identical to the naive path: the mask has a 1 exactly
 //! where the naive per-cell check would keep the entry, dead columns are
@@ -39,39 +53,69 @@
 //! `row_and_count` reports exactly the 1→0 transitions that per-cell
 //! `zero_arc_entry` calls would have counted.
 
-use crate::network::{Network, RoleSlot};
-use bitmat::{BitMatrix, BitVec};
-use cdg_grammar::expr::EvalCtx;
-use cdg_grammar::kernel::{signature_key, KernelProgram, PartialBinding};
+use crate::network::{Network, RoleSlot, SlotId};
+use bitmat::BitMatrix;
+use cdg_grammar::expr::{EvalCtx, Var};
+use cdg_grammar::kernel::{
+    signature_key, KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding,
+};
 use cdg_grammar::value::Truth;
 use cdg_grammar::{Constraint, Sentence, Value};
 use std::collections::HashMap;
 
-/// Per-slot signature table: `ids[v]` is a dense id (0..count) such that two
-/// *alive* domain entries share an id iff the constraint cannot distinguish
-/// them. Dead entries carry `u32::MAX` — the engine never looks at them,
-/// and interning only the live values keeps the per-arc scratch tables at
-/// the size of the pruned domain, not the initial one.
+/// Per-slot signature table and slot-level classes for one constraint.
+/// Two *alive* domain entries share a signature iff the constraint cannot
+/// distinguish them.
 #[derive(Default)]
 pub struct SlotSigs {
-    /// Dense signature id per domain entry (`u32::MAX` for dead entries).
-    pub ids: Vec<u32>,
+    /// Per alive domain entry, the first alive entry with its signature
+    /// (itself, for the first); dead entries carry `u32::MAX` — the engine
+    /// never looks at them.
+    pub rep: Vec<u32>,
     /// Number of distinct signatures among the slot's alive entries.
     pub count: usize,
-    /// Slot-level classes per signature: the constraint partially evaluated
-    /// with this signature's representative bound and the *other* variable
-    /// entirely unknown ([`PartialBinding::Any`]) — `.0` with the
-    /// representative as `x`, `.1` as `y`. A definite verdict holds against
-    /// every other slot, so it is computed once per constraint × slot
-    /// instead of once per arc; `Unknown` defers to the per-arc classes.
-    pub classes: Vec<(Truth, Truth)>,
-    /// True when every alive signature's as-`x` class (`classes[..].0`) is
-    /// definitely `True`: any pair with one of this slot's values bound as
-    /// `x` passes that ordering outright. When *both* endpoints of an arc
-    /// carry the flag, both orderings pass for every pair and the whole
-    /// arc is a no-op — the common case for label-guarded constraints on
-    /// slots whose labels never match the guard.
+    /// Number of alive entries.
+    pub alive: usize,
+    /// Words per bitset below.
+    w: usize,
+    /// Five bitsets over the domain, `w` words each: the first alive entry
+    /// of each signature (see [`SlotSigs::first`]), then the slot classes
+    /// (see [`SlotSigs::classes`]) as `x` true, `x` false, `y` true, `y`
+    /// false.
+    bits: Vec<u64>,
+    /// True when every alive entry's as-`x` class is true: any pair with one of
+    /// this slot's values bound as `x` passes that ordering outright. When
+    /// *both* endpoints of an arc carry the flag, both orderings pass for
+    /// every pair and the whole arc is a no-op — the common case for
+    /// label-guarded constraints on slots whose labels never match the
+    /// guard.
     pub all_pass_as_x: bool,
+}
+
+impl SlotSigs {
+    /// The first alive entry of each signature. A popcount of a lane set
+    /// ANDed with this mask counts the distinct signatures in the set.
+    pub fn first(&self) -> &[u64] {
+        &self.bits[..self.w]
+    }
+
+    /// Slot-level classes with the entry bound as `var`: the alive entries
+    /// whose verdict is definitely true / false with the other variable
+    /// entirely unknown ([`PartialBinding::Any`]). A definite verdict
+    /// holds against every other slot, so it is computed once per
+    /// constraint × slot instead of once per arc; the rest defer to the
+    /// per-arc classes.
+    pub fn classes(&self, var: Var) -> (&[u64], &[u64]) {
+        let at = match var {
+            Var::X => 1,
+            Var::Y => 3,
+        };
+        let w = self.w;
+        (
+            &self.bits[at * w..(at + 1) * w],
+            &self.bits[(at + 1) * w..(at + 2) * w],
+        )
+    }
 }
 
 /// Multiplicative hasher for the packed `u64` signature keys. One interner
@@ -99,109 +143,253 @@ impl std::hash::Hasher for KeyHasher {
 pub(crate) type KeyMap = HashMap<u64, u32, std::hash::BuildHasherDefault<KeyHasher>>;
 
 /// Intern the feature projections of every alive domain entry of `slot`
-/// under the features `prog` reads, and compute the slot-level classes
-/// (two partial evaluations per distinct signature, counted in `checks`).
-pub fn slot_signatures(
+/// under the features `prog` reads, and compute the slot-level classes as
+/// two lane passes (charged to `checks` as two evaluations per distinct
+/// signature). Fills caller-owned buffers, keeping their capacity: a warm
+/// worker's [`KernelScratch`] holds them across requests.
+#[allow(clippy::too_many_arguments)] // once per slot per constraint; flat borrows
+fn slot_signatures_into(
     prog: &KernelProgram,
     sentence: &Sentence,
     slot: &RoleSlot,
-    stack: &mut Vec<Value>,
-    checks: &mut usize,
-) -> SlotSigs {
-    let mut interner = KeyMap::default();
-    let mut out = SlotSigs::default();
-    slot_signatures_into(prog, sentence, slot, stack, checks, &mut interner, &mut out);
-    out
-}
-
-/// [`slot_signatures`] into caller-owned buffers: the interner and the
-/// output's `ids`/`classes` vectors are cleared and refilled, keeping
-/// their capacity. A warm worker's [`KernelScratch`] holds these across
-/// requests, so the per-constraint signature pass costs zero steady-state
-/// allocation — the same amortization `begin_arc` gives the per-arc
-/// tables.
-pub(crate) fn slot_signatures_into(
-    prog: &KernelProgram,
-    sentence: &Sentence,
-    slot: &RoleSlot,
-    stack: &mut Vec<Value>,
+    lanes: &LaneSlot<'_>,
+    buf: &mut PassBuffers,
     checks: &mut usize,
     interner: &mut KeyMap,
     out: &mut SlotSigs,
 ) {
     let f = prog.features().combined();
+    let len = slot.domain.len();
+    let w = slot.alive.words().len();
     interner.clear();
-    out.ids.clear();
-    out.ids.resize(slot.domain.len(), u32::MAX);
-    out.classes.clear();
+    out.rep.clear();
+    out.rep.resize(len, u32::MAX);
+    out.w = w;
+    out.bits.clear();
+    out.bits.resize(5 * w, 0);
+    out.alive = 0;
     for v in slot.alive.iter_ones() {
-        let next = interner.len() as u32;
-        let id = *interner
+        out.alive += 1;
+        let rep = *interner
             .entry(signature_key(f, slot.domain[v]))
-            .or_insert(next);
-        out.ids[v] = id;
-        if id == next && out.classes.len() == next as usize {
-            let b = PartialBinding::Bound(slot.binding(v));
-            *checks += 2;
-            let s1 = prog
-                .eval_partial(sentence, b, PartialBinding::Any, stack)
-                .truth();
-            let s2 = prog
-                .eval_partial(sentence, PartialBinding::Any, b, stack)
-                .truth();
-            out.classes.push((s1, s2));
+            .or_insert(v as u32);
+        out.rep[v] = rep;
+        if rep == v as u32 {
+            out.bits[v / 64] |= 1 << (v % 64);
         }
     }
-    out.count = out.classes.len();
-    out.all_pass_as_x = !out.classes.is_empty() && out.classes.iter().all(|c| c.0 == Truth::True);
+    out.count = interner.len();
+    out.all_pass_as_x = false;
+    if out.count == 0 {
+        return;
+    }
+    *checks += 2 * out.count;
+    let alive = slot.alive.words();
+    let (first, classes) = out.bits.split_at_mut(w);
+    for (var, planes) in [Var::X, Var::Y]
+        .into_iter()
+        .zip(classes.chunks_exact_mut(2 * w))
+    {
+        let (t, f) = planes.split_at_mut(w);
+        eval_mates(
+            prog,
+            sentence,
+            lanes,
+            (first, &out.rep),
+            var,
+            PartialBinding::Any,
+            alive,
+            buf,
+            t,
+            f,
+        );
+    }
+    out.all_pass_as_x = covers(out.classes(Var::X).0, alive);
 }
 
-/// One arc's column classes, gathered for whole-row application.
-/// Ordering 1 binds the row value as `x` and the column value as `y`;
-/// ordering 2 swaps them. Where a row's own class leaves an ordering
-/// `Unknown`, the columns with a definite class for it are settled by the
-/// `pass*` masks, and only the `unknown*` columns need pair verdicts.
+/// Run `prog` over the `set` lanes of `lanes` (see
+/// [`KernelProgram::eval_lanes`]) by evaluating only the first lane of each
+/// signature in the set and copying its verdict to its signature-mates,
+/// which share every verdict.
+#[allow(clippy::too_many_arguments)] // one lane pass; flat borrows
+fn eval_mates(
+    prog: &KernelProgram,
+    sentence: &Sentence,
+    lanes: &LaneSlot<'_>,
+    (first, rep): (&[u64], &[u32]),
+    var: Var,
+    scalar: PartialBinding,
+    set: &[u64],
+    buf: &mut PassBuffers,
+    t: &mut [u64],
+    f: &mut [u64],
+) {
+    if covers(first, set) {
+        prog.eval_lanes(sentence, lanes, var, scalar, set, &mut buf.lanes, t, f);
+        return;
+    }
+    buf.reps.clear();
+    buf.reps.extend(set.iter().zip(first).map(|(s, f)| s & f));
+    prog.eval_lanes(
+        sentence,
+        lanes,
+        var,
+        scalar,
+        &buf.reps,
+        &mut buf.lanes,
+        t,
+        f,
+    );
+    for (k, (&s, &fw)) in set.iter().zip(first).enumerate() {
+        let mut mates = s & !fw;
+        while mates != 0 {
+            let bit = mates.trailing_zeros() as usize;
+            mates &= mates - 1;
+            let r = rep[k * 64 + bit] as usize;
+            let (rk, rb) = (r / 64, 1u64 << (r % 64));
+            if t[rk] & rb != 0 {
+                t[k] |= 1 << bit;
+            }
+            if f[rk] & rb != 0 {
+                f[k] |= 1 << bit;
+            }
+        }
+    }
+}
+
+/// Slot `k`'s lanes in `tables`.
+fn lanes_of<'a>(tables: &'a LaneTables, k: SlotId, slot: &'a RoleSlot) -> LaneSlot<'a> {
+    tables.slot(k, slot.pos(), slot.role, &slot.domain)
+}
+
+/// `a ⊇ b`, word by word.
+fn covers(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(a, b)| b & !a == 0)
+}
+
+/// Popcount of `a ∧ b`.
+fn count_and(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a & b).count_ones() as usize)
+        .sum()
+}
+
+/// Whether bit `i` of `words` is set.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// The set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(k, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                k * 64 + b
+            })
+        })
+    })
+}
+
+/// The buffers a lane pass borrows: the first lane of each signature in
+/// its set, and the lane evaluator's scratch.
 #[derive(Default)]
-struct ColumnClasses {
-    /// Alive columns whose ordering-1 class is `True`.
-    pass1: BitVec,
-    /// Alive columns whose ordering-2 class is `True`.
-    pass2: BitVec,
-    /// `pass1 ∧ pass2`.
-    pass12: BitVec,
-    /// Alive columns whose ordering-1 class is `Unknown`.
-    unknown1: Vec<u32>,
-    /// Alive columns whose ordering-2 class is `Unknown`.
-    unknown2: Vec<u32>,
-    /// Alive columns with either class `Unknown`.
-    unknown12: Vec<u32>,
+struct PassBuffers {
+    reps: Vec<u64>,
+    lanes: LaneScratch,
 }
 
-/// Reusable scratch state for [`kernel_arc`]. The per-arc tables are
-/// generation-stamped instead of reallocated: entries from a previous arc
-/// read as absent under the current generation, so applying a constraint
-/// over hundreds of arcs costs zero steady-state allocation — without this,
-/// clearing the verdict table alone (O(sigs²) per arc) dominates the
-/// evaluations it saves.
+/// One lane pass: the lane set and its verdict words.
+#[derive(Default)]
+struct Pass {
+    set: Vec<u64>,
+    t: Vec<u64>,
+    f: Vec<u64>,
+    buf: PassBuffers,
+}
+
+impl Pass {
+    /// Run `prog` over the lanes in `self.set` (already filled) with the
+    /// lane variable `var` against `scalar`, charging the distinct
+    /// signatures in the set to `checks`. Evaluates nothing and returns
+    /// `false` when the set is empty; otherwise `self.t`/`self.f` hold the
+    /// verdict words.
+    #[allow(clippy::too_many_arguments)] // hot inner loop: flat borrows
+    fn run(
+        &mut self,
+        prog: &KernelProgram,
+        sentence: &Sentence,
+        lanes: &LaneSlot<'_>,
+        g: &SlotSigs,
+        var: Var,
+        scalar: PartialBinding,
+        checks: &mut usize,
+    ) -> bool {
+        // Signature membership is uniform, so the set is empty exactly
+        // when it holds no first lane.
+        let distinct = count_and(&self.set, g.first());
+        if distinct == 0 {
+            return false;
+        }
+        *checks += distinct;
+        self.t.resize(self.set.len(), 0);
+        self.f.resize(self.set.len(), 0);
+        eval_mates(
+            prog,
+            sentence,
+            lanes,
+            (g.first(), &g.rep),
+            var,
+            scalar,
+            &self.set,
+            &mut self.buf,
+            &mut self.t,
+            &mut self.f,
+        );
+        true
+    }
+}
+
+/// Reusable scratch state for [`kernel_arc`]: one arc's bitsets as word
+/// vectors, resized per arc without reallocating once warm. The
+/// per-row-signature mask table is generation-stamped instead of cleared:
+/// entries from a previous arc read as absent under the current
+/// generation, so applying a constraint over hundreds of arcs costs zero
+/// steady-state allocation.
+#[derive(Default)]
 pub struct KernelScratch {
-    stack: Vec<Value>,
+    pass: Pass,
+    /// Row classes: the rows whose ordering-1 / ordering-2 class is
+    /// definitely true / false (ordering 1 binds the row value as `x` and
+    /// the column value as `y`; ordering 2 swaps them).
+    r1t: Vec<u64>,
+    r1f: Vec<u64>,
+    r2t: Vec<u64>,
+    r2f: Vec<u64>,
+    /// Rows neither class-doomed nor class-passed.
+    undecided: Vec<u64>,
+    /// Column classes per ordering: definitely true / false / `Unknown`,
+    /// and the columns true in both or unknown in either.
+    c1t: Vec<u64>,
+    c1f: Vec<u64>,
+    c1u: Vec<u64>,
+    c2t: Vec<u64>,
+    c2f: Vec<u64>,
+    c2u: Vec<u64>,
+    c12t: Vec<u64>,
+    c12u: Vec<u64>,
+    /// One row's undecided columns whose first ordering definitely fails,
+    /// and those that survive both orderings.
+    o1_false: Vec<u64>,
+    keep: Vec<u64>,
     gen: u64,
-    /// Per row signature: (gen, ordering-1 class, ordering-2 class).
-    row_class: Vec<(u64, Truth, Truth)>,
-    /// Per column signature: (gen, ordering-1 class, ordering-2 class),
-    /// filled for every alive column when the arc's first row gets past
-    /// its row class.
-    col_class: Vec<(u64, Truth, Truth)>,
-    /// Generation whose columns `cols` describes.
-    cols_gen: u64,
-    cols: ColumnClasses,
-    /// Per signature pair: (gen, pair survives).
-    verdicts: Vec<(u64, bool)>,
-    /// Per row signature: (gen, allowed-column mask).
-    masks: Vec<(u64, BitVec)>,
-    /// Pooled per-slot signature tables for the pairwise sweep, reused
-    /// across constraint applications (and, on a warm worker, across
-    /// requests).
+    /// Per row signature, at its first row: (gen, allowed-column mask).
+    masks: Vec<(u64, Vec<u64>)>,
+    /// Pooled per-slot signature tables, reused across constraint
+    /// applications (and, on a warm worker, across requests).
     sigs: Vec<SlotSigs>,
     /// Pooled signature interner, cleared per slot.
     interner: KeyMap,
@@ -209,145 +397,13 @@ pub struct KernelScratch {
 
 impl KernelScratch {
     pub fn new() -> Self {
-        KernelScratch {
-            stack: Vec::new(),
-            gen: 0,
-            row_class: Vec::new(),
-            col_class: Vec::new(),
-            cols_gen: 0,
-            cols: ColumnClasses::default(),
-            verdicts: Vec::new(),
-            masks: Vec::new(),
-            sigs: Vec::new(),
-            interner: KeyMap::default(),
-        }
+        KernelScratch::default()
     }
-
-    /// Start a new arc with `ri`/`rj` distinct row/column signatures:
-    /// advance the generation (invalidating every stamped entry in O(1))
-    /// and grow the tables as needed.
-    fn begin_arc(&mut self, ri: usize, rj: usize) {
-        self.gen += 1;
-        let stale = (0, Truth::Unknown, Truth::Unknown);
-        if self.row_class.len() < ri {
-            self.row_class.resize(ri, stale);
-        }
-        if self.col_class.len() < rj {
-            self.col_class.resize(rj, stale);
-        }
-        if self.verdicts.len() < ri * rj {
-            self.verdicts.resize(ri * rj, (0, false));
-        }
-        if self.masks.len() < ri {
-            self.masks.resize_with(ri, || (0, BitVec::zeros(0)));
-        }
-    }
-
-    /// Classify every alive column of the arc once (both orderings, with
-    /// the row value open) and gather the verdicts into [`ColumnClasses`].
-    /// Evaluates exactly the column classes a full per-pair walk of one
-    /// row would: one per distinct alive signature, refining only the
-    /// `Unknown` slot-level classes, counted in `checks`.
-    fn column_classes(
-        &mut self,
-        prog: &KernelProgram,
-        sentence: &Sentence,
-        sj: &RoleSlot,
-        gj: &SlotSigs,
-        open_i: PartialBinding,
-        checks: &mut usize,
-    ) {
-        let gen = self.gen;
-        self.cols_gen = gen;
-        let cols = &mut self.cols;
-        cols.pass1.reset(sj.domain.len());
-        cols.pass2.reset(sj.domain.len());
-        cols.unknown1.clear();
-        cols.unknown2.clear();
-        cols.unknown12.clear();
-        for b in sj.alive.iter_ones() {
-            let sb = gj.ids[b] as usize;
-            let cc = &mut self.col_class[sb];
-            if cc.0 != gen {
-                // Slot-level classes of the column slot: `.1` has the
-                // representative as `y` (our ordering 1), `.0` as `x`
-                // (ordering 2). Refine only the Unknowns.
-                let bb = PartialBinding::Bound(sj.binding(b));
-                let (t1, t2) = gj.classes[sb];
-                let c1 = if t2 != Truth::Unknown {
-                    t2
-                } else {
-                    *checks += 1;
-                    prog.eval_partial(sentence, open_i, bb, &mut self.stack)
-                        .truth()
-                };
-                let c2 = if t1 != Truth::Unknown {
-                    t1
-                } else {
-                    *checks += 1;
-                    prog.eval_partial(sentence, bb, open_i, &mut self.stack)
-                        .truth()
-                };
-                *cc = (gen, c1, c2);
-            }
-            let (_, c1, c2) = *cc;
-            let (u1, u2) = (c1 == Truth::Unknown, c2 == Truth::Unknown);
-            if u1 {
-                cols.unknown1.push(b as u32);
-            }
-            if u2 {
-                cols.unknown2.push(b as u32);
-            }
-            if u1 || u2 {
-                cols.unknown12.push(b as u32);
-            }
-            if c1 == Truth::True {
-                cols.pass1.set(b, true);
-            }
-            if c2 == Truth::True {
-                cols.pass2.set(b, true);
-            }
-        }
-        cols.pass12.reset(sj.domain.len());
-        cols.pass12.or_assign(&cols.pass1);
-        cols.pass12.and_assign(&cols.pass2);
-    }
-}
-
-impl Default for KernelScratch {
-    fn default() -> Self {
-        KernelScratch::new()
-    }
-}
-
-#[inline]
-fn survives(v: Value) -> bool {
-    v.truth().not_false()
-}
-
-/// Evaluate the unordered-pair verdict (both orderings must survive),
-/// short-circuiting after a definite violation of the first — counting only
-/// evaluations actually performed.
-#[inline]
-pub fn pair_verdict(
-    prog: &KernelProgram,
-    sentence: &Sentence,
-    ba: cdg_grammar::expr::Binding,
-    bb: cdg_grammar::expr::Binding,
-    stack: &mut Vec<Value>,
-    checks: &mut usize,
-) -> bool {
-    *checks += 1;
-    if !survives(prog.eval_with(&EvalCtx::binary(sentence, ba, bb), stack)) {
-        return false;
-    }
-    *checks += 1;
-    survives(prog.eval_with(&EvalCtx::binary(sentence, bb, ba), stack))
 }
 
 /// Counters produced by kernel application over one arc. `checks` are the
-/// expression evaluations actually performed; `memo_hits` the verdicts
-/// answered from the memo table instead.
+/// scalar-ledger evaluations (module docs); `memo_hits` the pair verdicts
+/// settled without one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArcKernelCounts {
     pub zeroed: usize,
@@ -366,23 +422,65 @@ impl ArcKernelCounts {
     }
 }
 
-/// Apply a compiled program over a single arc with signature-memoized row
-/// masks. The shared inner loop of the serial and P-RAM kernel engines:
-/// each worker owns one arc matrix, so the parallel engine can call this
-/// per-arc race-free.
-#[allow(clippy::too_many_arguments)] // hot inner loop: flat borrows beat a context struct
-pub fn kernel_arc(
+/// Classify the `alive` lanes of one slot in one ordering (the slot value
+/// bound as `var`, the other endpoint `open`) into `t`/`f`: the slot
+/// classes `g.classes(var)` where definite, one lane pass over the rest.
+/// Lanes in `skip` (rows whose first ordering definitely failed) are
+/// neither passed nor classified.
+#[allow(clippy::too_many_arguments)] // four times per arc; flat borrows
+fn refine(
     prog: &KernelProgram,
     sentence: &Sentence,
-    si: &RoleSlot,
-    sj: &RoleSlot,
-    gi: &SlotSigs,
-    gj: &SlotSigs,
+    lanes: &LaneSlot<'_>,
+    g: &SlotSigs,
+    var: Var,
+    open: PartialBinding,
+    alive: &[u64],
+    skip: Option<&[u64]>,
+    pass: &mut Pass,
+    t: &mut Vec<u64>,
+    f: &mut Vec<u64>,
+    checks: &mut usize,
+) {
+    let (ct, cf) = g.classes(var);
+    pass.set.clear();
+    t.clear();
+    f.clear();
+    for k in 0..alive.len() {
+        let s = skip.map_or(0, |s| s[k]);
+        pass.set.push(alive[k] & !s & !(ct[k] | cf[k]));
+        t.push(ct[k] & !s);
+        f.push(cf[k] & !s);
+    }
+    if pass.run(prog, sentence, lanes, g, var, open, checks) {
+        for k in 0..t.len() {
+            t[k] |= pass.t[k];
+            f[k] |= pass.f[k];
+        }
+    }
+}
+
+/// Apply the sweep's program over arc `(i, j)` with matrix `m`: lane
+/// passes for the row classes, the column classes and each undecided
+/// row's verdicts, applied as word-parallel row masks. The shared inner
+/// loop of the serial and P-RAM kernel engines: each worker owns one arc
+/// matrix, so the parallel engine can call this per-arc race-free.
+pub fn kernel_arc(
+    sweep: &PairwiseSweep<'_>,
+    i: SlotId,
+    j: SlotId,
     m: &mut BitMatrix,
     scratch: &mut KernelScratch,
 ) -> ArcKernelCounts {
+    let PairwiseSweep { prog, sentence, .. } = *sweep;
+    let (si, sj, gi, gj) = (
+        &sweep.slots[i],
+        &sweep.slots[j],
+        &sweep.sigs[i],
+        &sweep.sigs[j],
+    );
     let mut counts = ArcKernelCounts::default();
-    let alive_j = sj.alive.count_ones();
+    let alive_j = gj.alive;
     if alive_j == 0 {
         return counts;
     }
@@ -392,11 +490,31 @@ pub fn kernel_arc(
         // Kleene monotonicity the slot-level verdicts cover each concrete
         // refinement. The arc matrix is untouched, exactly as the naive
         // path would leave it.
-        counts.memo_hits += si.alive.count_ones() * alive_j;
+        counts.memo_hits += gi.alive * alive_j;
         return counts;
     }
-    scratch.begin_arc(gi.count, gj.count);
-    let gen = scratch.gen;
+    let KernelScratch {
+        pass,
+        r1t,
+        r1f,
+        r2t,
+        r2f,
+        undecided,
+        c1t,
+        c1f,
+        c1u,
+        c2t,
+        c2f,
+        c2u,
+        c12t,
+        c12u,
+        o1_false,
+        keep,
+        gen,
+        masks,
+        ..
+    } = scratch;
+    let (li, lj) = (lanes_of(sweep.lanes, i, si), lanes_of(sweep.lanes, j, sj));
     // Partial bindings standing for "any value of this slot" — pos/role are
     // slot constants, so they resolve definitely even with the value open.
     let open_i = PartialBinding::Open {
@@ -407,173 +525,179 @@ pub fn kernel_arc(
         pos: sj.pos(),
         role: sj.role,
     };
-    for a in si.alive.iter_ones() {
-        let sa = gi.ids[a] as usize;
-        // Row *class*: the constraint partially evaluated with the column
-        // slot's value open, in both orderings. By Kleene monotonicity a
-        // definite class verdict holds for every concrete pair in the row:
-        // `False` zeroes it wholesale, `True`×`True` skips it untouched,
-        // and only the `Unknown` remainder falls through to the
-        // signature-memoized per-pair machinery. This is what beats the
-        // naive path: most constraints are vacuous on most rows (a guard
-        // like `(eq (lab x) S)` fails for every other label), and the
-        // class detects that in one evaluation per distinct signature
-        // instead of per pair.
-        let (r1, r2) = {
-            let rc = &mut scratch.row_class[sa];
-            if rc.0 == gen {
-                (rc.1, rc.2)
-            } else {
-                // Refine the slot-level class (other variable fully
-                // unknown) only where it is Unknown — a definite verdict
-                // there already holds against every column slot.
-                let (s1, s2) = gi.classes[sa];
-                let r1 = if s1 != Truth::Unknown {
-                    s1
-                } else {
-                    counts.checks += 1;
-                    prog.eval_partial(
-                        sentence,
-                        PartialBinding::Bound(si.binding(a)),
-                        open_j,
-                        &mut scratch.stack,
-                    )
-                    .truth()
-                };
-                // A definitely-failed first ordering dooms the row on its
-                // own (mirrors `pair_verdict`'s short-circuit).
-                let r2 = if r1 == Truth::False {
-                    Truth::Unknown
-                } else if s2 != Truth::Unknown {
-                    s2
-                } else {
-                    counts.checks += 1;
-                    prog.eval_partial(
-                        sentence,
-                        open_j,
-                        PartialBinding::Bound(si.binding(a)),
-                        &mut scratch.stack,
-                    )
-                    .truth()
-                };
-                scratch.row_class[sa] = (gen, r1, r2);
-                (r1, r2)
-            }
-        };
-        if r1 == Truth::False || r2 == Truth::False {
-            // Every pair in this row fails; dead columns are already zero,
-            // so the row's popcount is exactly the naive per-cell clears.
+    // Row classes: by Kleene monotonicity a definite class holds for every
+    // concrete pair in the row. This is what beats the naive path: most
+    // constraints are vacuous on most rows (a guard like `(eq (lab x) S)`
+    // fails for every other label), and one lane pass settles them all.
+    // Ordering 1 refines the rows' as-x slot classes, ordering 2 their
+    // as-y ones — except where the first definitely failed: that row is
+    // doomed either way.
+    let alive_i = si.alive.words();
+    refine(
+        prog,
+        sentence,
+        &li,
+        gi,
+        Var::X,
+        open_j,
+        alive_i,
+        None,
+        pass,
+        r1t,
+        r1f,
+        &mut counts.checks,
+    );
+    refine(
+        prog,
+        sentence,
+        &li,
+        gi,
+        Var::Y,
+        open_j,
+        alive_i,
+        Some(r1f),
+        pass,
+        r2t,
+        r2f,
+        &mut counts.checks,
+    );
+    undecided.clear();
+    for k in 0..alive_i.len() {
+        // Every pair of a doomed row fails; dead columns are already zero,
+        // so the row's popcount is exactly the naive per-cell clears.
+        let doomed = r1f[k] | r2f[k];
+        for a in ones(&[doomed]) {
+            let a = k * 64 + a;
             counts.zeroed += m.row_count_ones(a);
             m.zero_row(a);
-            continue;
         }
-        if r1 == Truth::True && r2 == Truth::True {
-            // Every pair in this row passes; the naive path would clear
-            // nothing here.
-            counts.memo_hits += alive_j;
-            continue;
-        }
-        if scratch.cols_gen != gen {
-            scratch.column_classes(prog, sentence, sj, gj, open_i, &mut counts.checks);
-        }
-        // Each ordering of the row is decided by its own `True` class or,
-        // column by column, by a definite column class; only the columns
-        // left `Unknown` for an undecided ordering need pair verdicts.
-        // `r1`/`r2` are each `True` or `Unknown` here, not both `True`.
-        let cols = &scratch.cols;
-        let (base, undecided) = if r1 == Truth::True {
-            (&cols.pass2, &cols.unknown2)
-        } else if r2 == Truth::True {
-            (&cols.pass1, &cols.unknown1)
+        // Every pair of a row passing both orderings survives.
+        let passed = r1t[k] & r2t[k];
+        counts.memo_hits += alive_j * passed.count_ones() as usize;
+        undecided.push(alive_i[k] & !doomed & !passed);
+    }
+    if undecided.iter().all(|&w| w == 0) {
+        return counts;
+    }
+    // Column classes, both orderings (ordering 1 binds the column value as
+    // `y`, so it refines the columns' as-y slot classes).
+    let alive_j_w = sj.alive.words();
+    for (var, t, f, u) in [
+        (Var::Y, &mut *c1t, &mut *c1f, &mut *c1u),
+        (Var::X, &mut *c2t, &mut *c2f, &mut *c2u),
+    ] {
+        refine(
+            prog,
+            sentence,
+            &lj,
+            gj,
+            var,
+            open_i,
+            alive_j_w,
+            None,
+            pass,
+            t,
+            f,
+            &mut counts.checks,
+        );
+        u.clear();
+        u.extend((0..t.len()).map(|k| alive_j_w[k] & !(t[k] | f[k])));
+    }
+    c12t.clear();
+    c12t.extend(c1t.iter().zip(c2t.iter()).map(|(a, b)| a & b));
+    c12u.clear();
+    c12u.extend(c1u.iter().zip(c2u.iter()).map(|(a, b)| a | b));
+    let first_j = gj.first();
+    if masks.len() < si.domain.len() {
+        masks.resize_with(si.domain.len(), || (0, Vec::new()));
+    }
+    *gen += 1;
+    for a in ones(undecided) {
+        // Each ordering of the row is `True` or `Unknown` here, not both
+        // `True`. It is decided by its own `True` class or, column by
+        // column, by a definite column class; only the columns left
+        // `Unknown` for an undecided ordering need pair verdicts.
+        let (r1, r2) = (bit(r1t, a), bit(r2t, a));
+        let (base, open): (&[u64], &[u64]) = if r1 {
+            (c2t, c2u)
+        } else if r2 {
+            (c1t, c1u)
         } else {
-            (&cols.pass12, &cols.unknown12)
+            (c12t, c12u)
         };
-        if undecided.is_empty() {
+        if open.iter().all(|&w| w == 0) {
             // Class-decided: the surviving columns are exactly `base`.
             counts.memo_hits += alive_j;
-            counts.zeroed += m.row_and_count(a, base);
+            counts.zeroed += m.row_and_count_words(a, base);
             continue;
         }
-        let mask_entry = &mut scratch.masks[sa];
-        if mask_entry.0 == gen {
-            // A whole row of pair verdicts answered by the memo table.
+        let sa = gi.rep[a] as usize;
+        if masks[sa].0 == *gen {
+            // A signature-mate's mask answers the whole row.
             counts.memo_hits += alive_j;
         } else {
-            // Columns outside `undecided` are settled by `base`.
-            mask_entry.0 = gen;
-            mask_entry.1.reset(sj.domain.len());
-            mask_entry.1.or_assign(base);
-            counts.memo_hits += alive_j - undecided.len();
-            let ba = si.binding(a);
-            for &b in undecided {
-                let b = b as usize;
-                let sb = gj.ids[b] as usize;
-                let v = &mut scratch.verdicts[sa * gj.count + sb];
-                let pass = if v.0 == gen {
-                    counts.memo_hits += 1;
-                    v.1
-                } else {
-                    let bb = sj.binding(b);
-                    let (_, c1, c2) = scratch.col_class[sb];
-                    // Resolve each ordering from the strongest definite
-                    // class, falling back to a full pair evaluation only
-                    // when both the row and column classes are Unknown.
-                    let o1 = if r1 != Truth::Unknown {
-                        r1
-                    } else if c1 != Truth::Unknown {
-                        c1
-                    } else {
-                        counts.checks += 1;
-                        prog.eval_with(&EvalCtx::binary(sentence, ba, bb), &mut scratch.stack)
-                            .truth()
-                    };
-                    let ok = o1.not_false() && {
-                        let o2 = if r2 != Truth::Unknown {
-                            r2
-                        } else if c2 != Truth::Unknown {
-                            c2
-                        } else {
-                            counts.checks += 1;
-                            prog.eval_with(&EvalCtx::binary(sentence, bb, ba), &mut scratch.stack)
-                                .truth()
-                        };
-                        o2.not_false()
-                    };
-                    scratch.verdicts[sa * gj.count + sb] = (gen, ok);
-                    ok
-                };
-                if pass {
-                    scratch.masks[sa].1.set(b, true);
+            let row = PartialBinding::Bound(si.binding(a));
+            // Ordering 1 (row value as `x`): the open columns' own class
+            // where definite, a lane pass where not.
+            o1_false.clear();
+            o1_false.resize(open.len(), 0);
+            if !r1 {
+                pass.set.clear();
+                pass.set
+                    .extend(open.iter().zip(c1u.iter()).map(|(o, u)| o & u));
+                let ran = pass.run(prog, sentence, &lj, gj, Var::Y, row, &mut counts.checks);
+                for k in 0..open.len() {
+                    o1_false[k] = open[k] & c1f[k] | if ran { pass.f[k] } else { 0 };
                 }
             }
+            // Ordering 2 (column value as `x`), only where the first did
+            // not definitely fail.
+            keep.clear();
+            keep.extend(open.iter().zip(o1_false.iter()).map(|(o, f)| o & !f));
+            if !r2 {
+                pass.set.clear();
+                pass.set.extend((0..open.len()).map(|k| keep[k] & c2u[k]));
+                let ran = pass.run(prog, sentence, &lj, gj, Var::X, row, &mut counts.checks);
+                for k in 0..open.len() {
+                    keep[k] &= !(open[k] & c2f[k] | if ran { pass.f[k] } else { 0 });
+                }
+            }
+            counts.memo_hits += alive_j - count_and(open, first_j);
             counts.masks_built += 1;
+            let entry = &mut masks[sa];
+            entry.0 = *gen;
+            entry.1.clear();
+            entry
+                .1
+                .extend(base.iter().zip(keep.iter()).map(|(b, k)| b | k));
         }
-        counts.zeroed += m.row_and_count(a, &scratch.masks[sa].1);
+        counts.zeroed += m.row_and_count_words(a, &masks[sa].1);
     }
     counts
 }
 
-/// Apply a constraint pairwise over every arc with signature-memoized row
-/// masks. Serves both binary constraints (`check_pair` semantics) and
-/// unary constraints applied pairwise with witness semantics — both reduce
-/// to "evaluate the expression in both orderings; the pair survives only
-/// if neither is definitely violated". Returns entries zeroed.
-pub fn apply_pairwise_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    let mut scratch = KernelScratch::new();
-    apply_pairwise_kernel_with(net, constraint, &mut scratch)
+/// What one pairwise constraint application shares across its arcs: the
+/// resolved program, every slot's signatures and slot classes, and the
+/// network's lane tables.
+pub struct PairwiseSweep<'a> {
+    pub prog: &'a KernelProgram,
+    pub sentence: &'a Sentence,
+    pub slots: &'a [RoleSlot],
+    pub sigs: &'a [SlotSigs],
+    pub lanes: &'a LaneTables,
+    /// Every arc as (slot i, slot j, triangular index), in storage order.
+    pub pairs: &'a [(SlotId, SlotId, usize)],
 }
 
-/// [`apply_pairwise_kernel`] with caller-owned scratch state, so a sweep
-/// over many constraints (or repeated filter rounds) reuses the class,
-/// verdict and mask buffers instead of reallocating them per constraint.
-pub fn apply_pairwise_kernel_with(
+/// Resolve `constraint`'s program from the grammar's compiled artifact
+/// when the caller attached one, compiling inline otherwise (the cold
+/// oracle, and the only path for extra constraints outside the grammar's
+/// own set), and hand it to `body`.
+fn with_program<R>(
     net: &mut Network<'_>,
     constraint: &Constraint,
-    scratch: &mut KernelScratch,
-) -> usize {
-    // Resolve the program from the grammar's compiled artifact when the
-    // caller attached one; compile inline otherwise (the cold oracle, and
-    // the only path for extra constraints outside the grammar's own set).
+    body: impl FnOnce(&mut Network<'_>, &KernelProgram) -> R,
+) -> R {
     let compiled = net.compiled.clone();
     let owned;
     let prog = match compiled
@@ -586,46 +710,86 @@ pub fn apply_pairwise_kernel_with(
             &owned
         }
     };
-    let mut totals = ArcKernelCounts::default();
-    let sentence = net.sentence();
-    // Move the pooled signature tables out of the scratch so the per-arc
-    // tables (borrowed mutably below) and the signatures can coexist; the
-    // buffers go back at the end, capacity intact.
-    let mut sigs = std::mem::take(&mut scratch.sigs);
-    if sigs.len() < net.slots().len() {
-        sigs.resize_with(net.slots().len(), SlotSigs::default);
-    }
-    for (slot, out) in net.slots().iter().zip(sigs.iter_mut()) {
-        slot_signatures_into(
-            prog,
-            sentence,
-            slot,
-            &mut scratch.stack,
-            &mut totals.checks,
-            &mut scratch.interner,
-            out,
-        );
-    }
+    body(net, prog)
+}
 
-    let parts = net.parts_mut();
-    for &(i, j, idx) in parts.pairs {
-        totals.absorb(kernel_arc(
+/// Apply a constraint pairwise over every arc. Serves both binary
+/// constraints (`check_pair` semantics) and unary constraints applied
+/// pairwise with witness semantics — both reduce to "evaluate the
+/// expression in both orderings; the pair survives only if neither is
+/// definitely violated". Returns entries zeroed.
+pub fn apply_pairwise_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
+    let mut scratch = KernelScratch::new();
+    apply_pairwise_kernel_with(net, constraint, &mut scratch)
+}
+
+/// [`apply_pairwise_kernel`] with caller-owned scratch state, so a sweep
+/// over many constraints (or repeated filter rounds) reuses the lane,
+/// class and mask buffers instead of reallocating them per constraint.
+pub fn apply_pairwise_kernel_with(
+    net: &mut Network<'_>,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+) -> usize {
+    apply_pairwise_kernel_by(net, constraint, scratch, |sweep, arcs, scratch| {
+        let mut totals = ArcKernelCounts::default();
+        for (m, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
+            totals.absorb(kernel_arc(sweep, i, j, m, scratch));
+        }
+        totals
+    })
+}
+
+/// The pairwise prologue and epilogue every engine shares: resolve the
+/// program, build the network's lane tables if it has none, compute every
+/// slot's signatures and slot classes, hand the [`PairwiseSweep`] and the arc
+/// matrices (in [`PairwiseSweep::pairs`] order) to `sweep`, and record its
+/// counters in the network's stats. Returns entries zeroed.
+pub fn apply_pairwise_kernel_by(
+    net: &mut Network<'_>,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+    sweep: impl FnOnce(&PairwiseSweep<'_>, &mut [BitMatrix], &mut KernelScratch) -> ArcKernelCounts,
+) -> usize {
+    with_program(net, constraint, |net, prog| {
+        net.ensure_lane_tables();
+        let parts = net.parts_mut();
+        // Move the pooled signature tables out of the scratch so they and
+        // the per-arc buffers (borrowed mutably by the sweep) can coexist;
+        // the buffers go back at the end, capacity intact.
+        let mut sigs = std::mem::take(&mut scratch.sigs);
+        if sigs.len() < parts.slots.len() {
+            sigs.resize_with(parts.slots.len(), SlotSigs::default);
+        }
+        let mut checks = 0;
+        for (k, (slot, out)) in parts.slots.iter().zip(sigs.iter_mut()).enumerate() {
+            slot_signatures_into(
+                prog,
+                parts.sentence,
+                slot,
+                &lanes_of(parts.lanes, k, slot),
+                &mut scratch.pass.buf,
+                &mut checks,
+                &mut scratch.interner,
+                out,
+            );
+        }
+        let view = PairwiseSweep {
             prog,
-            parts.sentence,
-            &parts.slots[i],
-            &parts.slots[j],
-            &sigs[i],
-            &sigs[j],
-            &mut parts.arcs[idx],
-            scratch,
-        ));
-    }
-    parts.stats.binary_checks += totals.checks;
-    parts.stats.kernel_masks += totals.masks_built;
-    parts.stats.kernel_memo_hits += totals.memo_hits;
-    parts.stats.entries_zeroed += totals.zeroed;
-    scratch.sigs = sigs;
-    totals.zeroed
+            sentence: parts.sentence,
+            slots: parts.slots,
+            sigs: &sigs,
+            lanes: parts.lanes,
+            pairs: parts.pairs,
+        };
+        let totals = sweep(&view, parts.arcs, scratch);
+        parts.stats.binary_checks += checks + totals.checks;
+        parts.stats.kernel_masks += totals.masks_built;
+        parts.stats.kernel_memo_hits += totals.memo_hits;
+        parts.stats.entries_zeroed += totals.zeroed;
+        scratch.sigs = sigs;
+        totals.zeroed
+    })
 }
 
 /// Apply a unary constraint with the bytecode evaluator, memoizing
@@ -638,19 +802,7 @@ pub fn apply_pairwise_kernel_with(
 /// (artifact) or compiled exactly once per call — once per parse, never
 /// once per word or per application.
 pub fn apply_unary_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    let compiled = net.compiled.clone();
-    let owned;
-    let prog = match compiled
-        .as_deref()
-        .and_then(|cg| cg.program_for(net.grammar(), constraint))
-    {
-        Some(p) => p,
-        None => {
-            owned = KernelProgram::compile(&constraint.expr);
-            &owned
-        }
-    };
-    apply_unary_kernel_prog(net, prog)
+    with_program(net, constraint, apply_unary_kernel_prog)
 }
 
 /// [`apply_unary_kernel`] with a pre-resolved program: the whole sweep —
@@ -710,7 +862,7 @@ pub fn apply_unary_kernel_prog(net: &mut Network<'_>, prog: &KernelProgram) -> u
                 }
                 None => {
                     let ctx = EvalCtx::unary(net.sentence(), slot.binding(idx));
-                    let v = survives(prog.eval_with(&ctx, &mut stack));
+                    let v = prog.eval_with(&ctx, &mut stack).truth().not_false();
                     memo.push((key, v));
                     v
                 }
@@ -784,8 +936,8 @@ mod tests {
     #[test]
     fn memoization_avoids_most_evaluations() {
         // `unique-root` reads only the labels, so a slot's domain (labels ×
-        // modifiees) collapses to one signature per label and the memo
-        // table answers the bulk of the pair verdicts. Arcs are built over
+        // modifiees) collapses to one signature per label and signature-
+        // mates share the bulk of the pair verdicts. Arcs are built over
         // the unpruned domains to exercise the full collapse.
         let g = english::grammar();
         let lex = english::lexicon(&g);
@@ -801,7 +953,7 @@ mod tests {
             .expect("grammar has unique-root");
         apply_pairwise_kernel(&mut net, c);
         let evals = net.stats.binary_checks;
-        assert!(net.stats.kernel_memo_hits > 0, "memo table never hit");
+        assert!(net.stats.kernel_memo_hits > 0, "no verdict was shared");
         assert!(
             net.stats.kernel_memo_hits > evals,
             "expected memoized verdicts ({}) to dominate evaluations ({evals})",

@@ -4,6 +4,7 @@ use crate::pool::ArcPool;
 use crate::stats::NetStats;
 use bitmat::{BitMatrix, BitVec};
 use cdg_grammar::expr::Binding;
+use cdg_grammar::kernel::LaneTables;
 use cdg_grammar::{CompiledGrammar, Grammar, Modifiee, RoleId, RoleValue, Sentence};
 use std::sync::Arc;
 
@@ -19,8 +20,9 @@ pub type SlotId = usize;
 /// oracle (`tests/kernel_equivalence.rs`) and for `--naive-eval` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Compile each constraint to flat bytecode, memoize pair verdicts by
-    /// feature signature, and apply them as word-parallel row masks.
+    /// Compile each constraint to flat bytecode, evaluate it a slot at a
+    /// time as bit-sliced lane passes, and apply the verdicts as
+    /// word-parallel row masks.
     #[default]
     Kernel,
     /// Walk the boxed `CExpr` tree once per pair — the paper's literal
@@ -109,6 +111,9 @@ pub struct NetParts<'a> {
     /// Every arc as (slot i, slot j, triangular index), i < j, in storage
     /// order (parallel to `arcs`).
     pub pairs: &'a [(SlotId, SlotId, usize)],
+    /// The lane tables of every slot (empty until
+    /// [`Network::ensure_lane_tables`]).
+    pub lanes: &'a LaneTables,
     pub stats: &'a mut NetStats,
 }
 
@@ -165,6 +170,7 @@ pub struct NetSlab {
     slots: Vec<RoleSlot>,
     pairs: Vec<(SlotId, SlotId, usize)>,
     arcs: Vec<BitMatrix>,
+    lanes: LaneTables,
     reuses: u64,
 }
 
@@ -200,6 +206,10 @@ pub struct Network<'g> {
     /// slice instead of rebuilding a `Vec` per constraint.
     pairs: Vec<(SlotId, SlotId, usize)>,
     arcs_ready: bool,
+    /// Bit-sliced tables of every slot's domain for the kernel's lane
+    /// evaluator. The domains and the sentence are fixed, so each slot's
+    /// are built on first use and kept for the parse.
+    lanes: LaneTables,
     /// How propagation evaluates constraints (see [`EvalStrategy`]).
     pub eval: EvalStrategy,
     /// Which filtering implementation the drivers run (see
@@ -280,6 +290,8 @@ impl<'g> Network<'g> {
         pairs.clear();
         let mut arcs = std::mem::take(&mut slab.arcs);
         arcs.clear();
+        let mut lanes = std::mem::take(&mut slab.lanes);
+        lanes.reset(0);
         Network {
             grammar,
             sentence: sentence.clone(),
@@ -287,6 +299,7 @@ impl<'g> Network<'g> {
             arcs,
             pairs,
             arcs_ready: false,
+            lanes,
             eval: EvalStrategy::default(),
             filter_strategy: FilterStrategy::default(),
             compiled: None,
@@ -455,7 +468,16 @@ impl<'g> Network<'g> {
             arcs: &mut self.arcs,
             sentence: &self.sentence,
             pairs: &self.pairs,
+            lanes: &self.lanes,
             stats: &mut self.stats,
+        }
+    }
+
+    /// Size the lane tables ([`NetParts::lanes`]) to this network unless
+    /// they already are; each slot's rows are built on first use.
+    pub fn ensure_lane_tables(&mut self) {
+        if self.lanes.len() != self.slots.len() {
+            self.lanes.reset(self.slots.len());
         }
     }
 
@@ -539,6 +561,7 @@ impl<'g> Network<'g> {
         slab.slots = std::mem::take(&mut self.slots);
         slab.pairs = std::mem::take(&mut self.pairs);
         slab.arcs = std::mem::take(&mut self.arcs);
+        slab.lanes = std::mem::take(&mut self.lanes);
         self.arcs_ready = false;
     }
 

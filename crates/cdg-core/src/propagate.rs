@@ -2,8 +2,9 @@
 //! network.
 //!
 //! Every entry point dispatches on [`Network::eval`]: the default
-//! [`EvalStrategy::Kernel`] path compiles the constraint to bytecode and
-//! applies signature-memoized row masks ([`crate::kernel`]); the
+//! [`EvalStrategy::Kernel`] path compiles the constraint to bytecode,
+//! evaluates it a slot at a time as bit-sliced lane passes and applies
+//! the verdicts as word-parallel row masks ([`crate::kernel`]); the
 //! [`EvalStrategy::Naive`] path is the paper's literal per-cell tree walk,
 //! kept as the differential oracle. Both produce bit-identical networks.
 
@@ -173,9 +174,9 @@ pub fn apply_unary_pairwise_naive(net: &mut Network<'_>, constraint: &Constraint
 /// On lexically ambiguous sentences, also applies every unary constraint
 /// pairwise (witness semantics). Returns total entries zeroed.
 pub fn apply_all_binary(net: &mut Network<'_>) -> usize {
-    // One scratch for the whole sweep: the class/verdict/mask buffers are
-    // generation-stamped, so reuse across constraints is free and saves
-    // the per-constraint allocations.
+    // One scratch for the whole sweep: the lane-pass, class and mask
+    // buffers are resized or generation-stamped per arc, so reuse across
+    // constraints is free and saves the per-constraint allocations.
     let mut scratch = crate::kernel::KernelScratch::new();
     apply_all_binary_with(net, &mut scratch)
 }

@@ -27,15 +27,17 @@ pub struct NetStats {
     /// Support counters initialized when building the incremental filter
     /// (one per (value, incident arc); paid once, not per pass).
     pub support_inits: usize,
-    /// Allowed-row masks materialized by the kernel engine from pair
-    /// verdicts (at most one per distinct signature of the row slot, per
-    /// arc, per constraint). Rows decided by row and column classes
-    /// alone reuse the arc's precomputed column masks and build none.
+    /// Allowed-row masks materialized by the kernel engine from row
+    /// verdict passes (at most one per distinct signature of the row
+    /// slot, per arc, per constraint). Rows decided by row and column
+    /// classes alone are applied as the arc's column-class masks and
+    /// build none.
     pub kernel_masks: usize,
-    /// Pair verdicts the kernel engine answered without a pair lookup or
-    /// evaluation: from its signature memo table, or from row and column
-    /// classes (every alive column of a class-decided row, and the
-    /// definite-class columns of the other rows).
+    /// Pair verdicts the kernel engine settled without a verdict of their
+    /// own: by row and column classes (every alive column of a
+    /// class-decided row, and the definite-class columns of the other
+    /// rows), or shared with a signature-mate (a row reusing its mate's
+    /// mask, a column its mate's verdict).
     pub kernel_memo_hits: usize,
     /// Role values removed (by unary propagation or consistency).
     pub removals: usize,

@@ -36,6 +36,10 @@ use crate::ids::{CatId, LabelId, Modifiee, RoleId, RoleValue};
 use crate::sentence::Sentence;
 use crate::value::Value;
 
+mod lanes;
+
+pub use lanes::{LaneScratch, LaneSlot, LaneTables};
+
 /// A constraint variable under *partial* binding.
 ///
 /// The propagation engines pre-classify whole matrix rows/columns by
@@ -60,6 +64,53 @@ pub enum PartialBinding {
     /// Not bound at all — accessors fail closed to `Nil`, exactly like a
     /// unary [`EvalCtx`] with no `y`.
     Absent,
+}
+
+/// The access functions of a partially bound variable: a `Bound` one reads
+/// its role value, an `Open` one knows only its slot constants (`pos`,
+/// `role`), an `Any` one nothing (`Unknown`), an `Absent` one fails closed
+/// to `Nil`.
+impl PartialBinding {
+    #[inline]
+    fn lab(self) -> Value {
+        match self {
+            PartialBinding::Bound(b) => Value::Label(b.value.label),
+            PartialBinding::Open { .. } | PartialBinding::Any => Value::Unknown,
+            PartialBinding::Absent => Value::Nil,
+        }
+    }
+
+    #[inline]
+    fn modifiee(self) -> Value {
+        match self {
+            PartialBinding::Bound(b) => match b.value.modifiee {
+                Modifiee::Nil => Value::Nil,
+                Modifiee::Word(p) => Value::Int(p as i64),
+            },
+            PartialBinding::Open { .. } | PartialBinding::Any => Value::Unknown,
+            PartialBinding::Absent => Value::Nil,
+        }
+    }
+
+    #[inline]
+    fn role(self) -> Value {
+        match self {
+            PartialBinding::Bound(b) => Value::Role(b.role),
+            PartialBinding::Open { role, .. } => Value::Role(role),
+            PartialBinding::Any => Value::Unknown,
+            PartialBinding::Absent => Value::Nil,
+        }
+    }
+
+    #[inline]
+    fn pos(self) -> Value {
+        match self {
+            PartialBinding::Bound(b) => Value::Int(b.pos as i64),
+            PartialBinding::Open { pos, .. } => Value::Int(pos as i64),
+            PartialBinding::Any => Value::Unknown,
+            PartialBinding::Absent => Value::Nil,
+        }
+    }
 }
 
 /// Internal evaluation context generalizing [`EvalCtx`] to partial
@@ -98,11 +149,28 @@ impl PCtx<'_> {
                 _ => {}
             }
         }
-        match self.sentence.word_at(p) {
-            Some(w) if w.cats.len() == 1 => Value::Cat(w.cats[0]),
-            Some(_) => Value::Unknown,
-            None => Value::Nil,
-        }
+        sentence_cat(self.sentence, p)
+    }
+}
+
+/// `(word e)`: a reference to the word at position `e`, `Nil` when there
+/// is none.
+fn word_of(sentence: &Sentence, e: Value) -> Value {
+    match e {
+        Value::Int(p) if p >= 1 && (p as usize) <= sentence.len() => Value::WordRef(p as u16),
+        Value::Unknown => Value::Unknown,
+        _ => Value::Nil,
+    }
+}
+
+/// The category of the word at position `p` when no bound variable's
+/// hypothesis decides it: unambiguous words pin it, ambiguous ones stay
+/// `Unknown`.
+fn sentence_cat(sentence: &Sentence, p: u16) -> Value {
+    match sentence.word_at(p) {
+        Some(w) if w.cats.len() == 1 => Value::Cat(w.cats[0]),
+        Some(_) => Value::Unknown,
+        None => Value::Nil,
     }
 }
 
@@ -301,40 +369,13 @@ impl KernelProgram {
                 KOp::PushCat(c) => stack.push(Value::Cat(c)),
                 KOp::PushRole(r) => stack.push(Value::Role(r)),
                 KOp::PushNil => stack.push(Value::Nil),
-                KOp::Lab(v) => stack.push(match ctx.get(v) {
-                    PartialBinding::Bound(b) => Value::Label(b.value.label),
-                    PartialBinding::Open { .. } | PartialBinding::Any => Value::Unknown,
-                    PartialBinding::Absent => Value::Nil,
-                }),
-                KOp::Mod(v) => stack.push(match ctx.get(v) {
-                    PartialBinding::Bound(b) => match b.value.modifiee {
-                        Modifiee::Nil => Value::Nil,
-                        Modifiee::Word(p) => Value::Int(p as i64),
-                    },
-                    PartialBinding::Open { .. } | PartialBinding::Any => Value::Unknown,
-                    PartialBinding::Absent => Value::Nil,
-                }),
-                KOp::RoleOf(v) => stack.push(match ctx.get(v) {
-                    PartialBinding::Bound(b) => Value::Role(b.role),
-                    PartialBinding::Open { role, .. } => Value::Role(role),
-                    PartialBinding::Any => Value::Unknown,
-                    PartialBinding::Absent => Value::Nil,
-                }),
-                KOp::Pos(v) => stack.push(match ctx.get(v) {
-                    PartialBinding::Bound(b) => Value::Int(b.pos as i64),
-                    PartialBinding::Open { pos, .. } => Value::Int(pos as i64),
-                    PartialBinding::Any => Value::Unknown,
-                    PartialBinding::Absent => Value::Nil,
-                }),
+                KOp::Lab(v) => stack.push(ctx.get(v).lab()),
+                KOp::Mod(v) => stack.push(ctx.get(v).modifiee()),
+                KOp::RoleOf(v) => stack.push(ctx.get(v).role()),
+                KOp::Pos(v) => stack.push(ctx.get(v).pos()),
                 KOp::Word => {
                     let e = stack.pop().expect("stack underflow");
-                    stack.push(match e {
-                        Value::Int(p) if p >= 1 && (p as usize) <= ctx.sentence.len() => {
-                            Value::WordRef(p as u16)
-                        }
-                        Value::Unknown => Value::Unknown,
-                        _ => Value::Nil,
-                    });
+                    stack.push(word_of(ctx.sentence, e));
                 }
                 KOp::Cat => {
                     let e = stack.pop().expect("stack underflow");

@@ -2,11 +2,10 @@
 
 use bitmat::BitVec;
 use cdg_core::consistency::{arc_generation_sweep, arc_support_counts, ArcSupport, ArcSweep};
-use cdg_core::kernel::{kernel_arc, slot_signatures, ArcKernelCounts, KernelScratch, SlotSigs};
+use cdg_core::kernel::{apply_pairwise_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch};
 use cdg_core::network::{EvalStrategy, FilterStrategy, NetParts, Network, RoleSlot};
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::PrecedenceGraph;
-use cdg_grammar::kernel::KernelProgram;
 use cdg_grammar::{Arity, Constraint, Grammar, Sentence};
 use rayon::prelude::*;
 
@@ -151,52 +150,26 @@ fn pairwise_width(net: &Network<'_>) -> usize {
         .sum()
 }
 
-/// The arc-parallel kernel sweep: compile once, then each worker owns one
-/// arc and runs the shared signature-memoized mask loop ([`kernel_arc`]).
-/// Bit-identical to the naive sweep; see `cdg_core::kernel`.
+/// The arc-parallel kernel sweep: the shared prologue resolves the program
+/// and builds the signatures, slot classes and lane tables once, then each
+/// worker owns one arc and runs the shared lane-pass loop
+/// ([`kernel_arc`]). Bit-identical to the naive sweep; see
+/// `cdg_core::kernel`.
 fn apply_pairwise_kernel_par(net: &mut Network<'_>, c: &Constraint) -> usize {
-    let compiled = net.compiled.clone();
-    let owned;
-    let prog = match compiled
-        .as_deref()
-        .and_then(|cg| cg.program_for(net.grammar(), c))
-    {
-        Some(p) => p,
-        None => {
-            owned = KernelProgram::compile(&c.expr);
-            &owned
+    apply_pairwise_kernel_by(net, c, &mut KernelScratch::new(), |sweep, arcs, _| {
+        let per_arc: Vec<ArcKernelCounts> = arcs
+            .par_iter_mut()
+            .zip(sweep.pairs.par_iter())
+            .map_init(KernelScratch::new, |scratch, (m, &(i, j, _))| {
+                kernel_arc(sweep, i, j, m, scratch)
+            })
+            .collect();
+        let mut totals = ArcKernelCounts::default();
+        for counts in per_arc {
+            totals.absorb(counts);
         }
-    };
-    let mut totals = ArcKernelCounts::default();
-    let mut sig_stack = Vec::new();
-    let sigs: Vec<SlotSigs> = {
-        let sentence = net.sentence();
-        net.slots()
-            .iter()
-            .map(|s| slot_signatures(prog, sentence, s, &mut sig_stack, &mut totals.checks))
-            .collect()
-    };
-    let parts = net.parts_mut();
-    let slots = parts.slots;
-    let sentence = parts.sentence;
-    let per_arc: Vec<ArcKernelCounts> = parts
-        .arcs
-        .par_iter_mut()
-        .zip(parts.pairs.par_iter())
-        .map_init(KernelScratch::new, |scratch, (m, &(i, j, _))| {
-            kernel_arc(
-                prog, sentence, &slots[i], &slots[j], &sigs[i], &sigs[j], m, scratch,
-            )
-        })
-        .collect();
-    for counts in per_arc {
-        totals.absorb(counts);
-    }
-    parts.stats.binary_checks += totals.checks;
-    parts.stats.kernel_masks += totals.masks_built;
-    parts.stats.kernel_memo_hits += totals.memo_hits;
-    parts.stats.entries_zeroed += totals.zeroed;
-    totals.zeroed
+        totals
+    })
 }
 
 /// One binary constraint over all arcs, in parallel (arc-owner workers).
