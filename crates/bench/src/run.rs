@@ -108,7 +108,7 @@ fn binary_phase(
     }
 }
 
-/// Binary propagation under the compiled signature-memoized kernel.
+/// Binary propagation under the compiled lane-pass kernel.
 pub fn binary_kernel(grammar: &Grammar, sentence: &Sentence) -> Measurement {
     binary_phase(grammar, sentence, EvalStrategy::Kernel, "cdg-binary-kernel")
 }

@@ -1,6 +1,6 @@
 //! Differential suite, two axes:
 //!
-//! * **Evaluator**: the compiled signature-memoized kernel engine
+//! * **Evaluator**: the compiled lane-pass kernel engine
 //!   (`EvalStrategy::Kernel`, the default) against the naive tree-walk
 //!   interpreter (`EvalStrategy::Naive`, the oracle).
 //! * **Filter**: the three consistency-maintenance implementations
