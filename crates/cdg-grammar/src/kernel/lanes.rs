@@ -268,9 +268,9 @@ impl<'a> LaneSlot<'a> {
     }
 }
 
-/// Reusable buffers for [`KernelProgram::eval_lanes`]: the symbolic stack
-/// and, for the rare per-lane fallback, one row of 64 values per stack
-/// depth.
+/// Reusable buffers for [`KernelProgram::eval_lanes`]: the symbolic stack,
+/// one row of 64 values per stack depth for the rare per-lane fallback,
+/// and the value stack of words run lane by lane.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
     stack: Vec<Entry>,
@@ -336,7 +336,9 @@ impl KernelProgram {
     /// [`KernelProgram::eval_partial`] with that lane bound, truth-wise.
     ///
     /// The program runs once per 64-lane word of `set` that has a lane in
-    /// it, so the cost follows the occupied words, not the domain size.
+    /// it, so the cost follows the occupied words, not the domain size; a
+    /// word with at most three lanes runs the scalar bytecode once
+    /// per lane instead.
     #[allow(clippy::too_many_arguments)] // one call per lane pass; flat borrows
     pub fn eval_lanes(
         &self,
