@@ -443,17 +443,18 @@ fn refine(
     checks: &mut usize,
 ) {
     let (ct, cf) = g.classes(var);
-    pass.set.clear();
-    t.clear();
-    f.clear();
-    for k in 0..alive.len() {
+    let w = alive.len();
+    pass.set.resize(w, 0);
+    t.resize(w, 0);
+    f.resize(w, 0);
+    for k in 0..w {
         let s = skip.map_or(0, |s| s[k]);
-        pass.set.push(alive[k] & !s & !(ct[k] | cf[k]));
-        t.push(ct[k] & !s);
-        f.push(cf[k] & !s);
+        pass.set[k] = alive[k] & !s & !(ct[k] | cf[k]);
+        t[k] = ct[k] & !s;
+        f[k] = cf[k] & !s;
     }
     if pass.run(prog, sentence, lanes, g, var, open, checks) {
-        for k in 0..t.len() {
+        for k in 0..w {
             t[k] |= pass.t[k];
             f[k] |= pass.f[k];
         }
