@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! bench_compare <baseline.json> <current.json> [--max-regress 0.25]
-//!               [--min-wall-secs 0.002] [--no-normalize] [--mega-floor 2.0]
-//!               [--bmm-floor 2.0] [--fleet-floor 2.5] [--warm-floor 1.3]
+//!               [--min-wall-secs 0.002] [--no-normalize] [--bmm-floor 2.0]
+//!               [--fleet-floor 2.5] [--warm-floor 1.3]
 //! ```
 //!
-//! Seven checks, in order of severity:
+//! Six checks, in order of severity:
 //!
 //! 1. **Determinism** — rows present in both reports must carry equal
 //!    output digests (parse results are machine- and thread-independent);
@@ -19,21 +19,14 @@
 //!    slower CI runner is not mistaken for a regression; rows whose
 //!    baseline wall is under `--min-wall-secs` sit below the timer noise
 //!    floor and are skipped.
-//! 4. **Mega-batch floor** — inside the *current* report, the
-//!    `batch-maspar-mega` rows on short-sentence batches (grammar suffix
-//!    `-short`) must clear a geomean speedup of `--mega-floor` (default
-//!    2x) over their per-sentence oracle twins — the joined-SoA sweep has
-//!    to keep earning its complexity, run after run. (The `-mixed` rows
-//!    carry digests and wall gates but no floor: long sentences
-//!    intentionally route to the per-sentence program.)
-//! 5. **BMM filter floor** — inside the *current* report, every
+//! 4. **BMM filter floor** — inside the *current* report, every
 //!    `filter-bmm` row must share its digest with the
 //!    `filter-incremental` twin at the same grammar/n (the blocked-BMM
 //!    core and the AC-4 oracle filter bit-identically), and the
 //!    filter-dominated large-n rows (n ≥ 32) must clear a geomean
 //!    speedup of `--bmm-floor` (default 2x) over the incremental oracle
 //!    (carried in `speedup_vs_1t` on the bmm row).
-//! 6. **Fleet floor** — inside the *current* report, every multi-shard
+//! 5. **Fleet floor** — inside the *current* report, every multi-shard
 //!    `serve-fleet` row (`threads` holds the shard count) must share its
 //!    digest with the single-shard twin at the same grammar/n — routing
 //!    requests across simulated machines never changes parse output —
@@ -42,7 +35,7 @@
 //!    is service-delay-bound rather than CPU-bound, its walls are
 //!    compared *unnormalized* in check 3: host calibration does not
 //!    scale a sleep.
-//! 7. **Warm-serving floor** — inside the *current* report, every
+//! 6. **Warm-serving floor** — inside the *current* report, every
 //!    `serve-warm` row must share its digest with the `serve-cold` twin
 //!    at the same grammar/n (the compiled-artifact + warm-scratch path
 //!    is bit-identical to compiling per request), and the short-sentence
@@ -64,7 +57,6 @@ struct Args {
     max_regress: f64,
     min_wall_secs: f64,
     normalize: bool,
-    mega_floor: f64,
     bmm_floor: f64,
     fleet_floor: f64,
     warm_floor: f64,
@@ -74,8 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_compare <baseline.json> <current.json> \
          [--max-regress FRACTION] [--min-wall-secs SECS] [--no-normalize] \
-         [--mega-floor RATIO] [--bmm-floor RATIO] [--fleet-floor RATIO] \
-         [--warm-floor RATIO]"
+         [--bmm-floor RATIO] [--fleet-floor RATIO] [--warm-floor RATIO]"
     );
     std::process::exit(2);
 }
@@ -88,7 +79,6 @@ fn parse_args() -> Args {
         max_regress: 0.25,
         min_wall_secs: 0.002,
         normalize: true,
-        mega_floor: 2.0,
         bmm_floor: 2.0,
         fleet_floor: 2.5,
         warm_floor: 1.3,
@@ -104,12 +94,6 @@ fn parse_args() -> Args {
             }
             "--min-wall-secs" => {
                 args.min_wall_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--mega-floor" => {
-                args.mega_floor = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -257,41 +241,6 @@ fn main() {
             cur_norm,
             verdict,
         });
-    }
-
-    // Mega-batch speedup floor: short-sentence `batch-maspar-mega` rows
-    // carry their measured speedup over the per-sentence oracle in
-    // `speedup_vs_1t`; the geomean must clear the floor.
-    let mega_speedups: Vec<(String, f64)> = current
-        .rows
-        .iter()
-        .filter(|r| r.engine == "batch-maspar-mega" && r.grammar.ends_with("-short"))
-        .map(|r| (r.key(), r.speedup_vs_1t))
-        .collect();
-    if args.mega_floor > 0.0 && !mega_speedups.is_empty() {
-        let geo = (mega_speedups
-            .iter()
-            .map(|(_, s)| s.max(1e-9).ln())
-            .sum::<f64>()
-            / mega_speedups.len() as f64)
-            .exp();
-        let detail = mega_speedups
-            .iter()
-            .map(|(k, s)| format!("{k}={s:.2}x"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        if geo < args.mega_floor {
-            failures.push(format!(
-                "FLOOR    mega-batch short-sentence geomean speedup {geo:.2}x is under the \
-                 {:.2}x floor ({detail})",
-                args.mega_floor
-            ));
-        } else {
-            println!(
-                "mega-batch floor: geomean {geo:.2}x over per-sentence (floor {:.2}x; {detail})",
-                args.mega_floor
-            );
-        }
     }
 
     // BMM filter parity + speedup floor: every `filter-bmm` row must be

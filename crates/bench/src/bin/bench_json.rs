@@ -277,7 +277,6 @@ fn fleet_loopback(requests: usize, shards: usize) -> (f64, Vec<String>, bool) {
         shards,
         bands: parsec_serve::BandSpec::Count(1),
         cache_capacity: 0, // cache hits depend on arrival order; keep runs comparable
-        coalesce: 1,
         service_delay: std::time::Duration::from_millis(4),
         ..Default::default()
     })
@@ -672,96 +671,6 @@ fn main() {
         // On a 1-core host the N-thread row would duplicate the 1-thread
         // key; the single row above is both.
         rows.push(mk_batch_row(n_threads, wall_nt, wall_1t / wall_nt));
-    }
-
-    // --- 3b. Cross-sentence mega-batching on the simulated MP-1 --------
-    // The paper's workload is many short sentences, and per-sentence
-    // batching re-pays the whole broadcast program (and a mostly-empty
-    // final u64 word per bit column) for every one of them. The mega path
-    // joins the batch into one SoA sweep where packed PEs from different
-    // sentences share words. Measured at the array-sweep level
-    // (`parse_maspar_mega` vs a `parse_maspar_checked` loop); twin rows
-    // per case carry one digest over the *full* per-sentence outcomes —
-    // alive masks, submatrix words, MachineStats, phase tables — asserted
-    // equal here, so `bench_compare` can gate both the bit-identity and
-    // the short-batch speedup floor (`speedup_vs_1t` on the mega row is
-    // "vs the per-sentence oracle", not "vs 1 thread"). Both sides run on
-    // one thread, as the rows' `threads: 1` key says: on the host pool
-    // every plural op of the per-sentence loop would pay a thread
-    // dispatch, which inflates the ratio the floor gates.
-    rayon::set_num_threads(1);
-    let mega_batch_len = if args.quick { 48 } else { 64 };
-    let mega_cases: Vec<(&str, Vec<Sentence>)> = vec![
-        (
-            "english-short",
-            (0..mega_batch_len as u64)
-                .map(|seed| corpus::english_sentence(&g, &lex, 3, seed))
-                .collect(),
-        ),
-        (
-            "english-mixed",
-            (0..mega_batch_len as u64)
-                .map(|seed| corpus::english_sentence(&g, &lex, 3 + (seed as usize % 8), seed))
-                .collect(),
-        ),
-    ];
-    let mega_opts = MasparOptions::default();
-    let mut mega_speedups: Vec<f64> = Vec::new();
-    for (label, mega_sentences) in &mega_cases {
-        eprintln!("mega-batch: {label}, {} sentences", mega_sentences.len());
-        let mut wall_per = f64::INFINITY;
-        let mut wall_mega = f64::INFINITY;
-        let mut out_per = Vec::new();
-        let mut out_mega = Vec::new();
-        let _ = parsec_maspar::parse_maspar_mega(&g, mega_sentences, &mega_opts);
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let per: Vec<_> = mega_sentences
-                .iter()
-                .map(|s| parsec_maspar::parse_maspar_checked(&g, s, &mega_opts))
-                .collect();
-            wall_per = wall_per.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            let mega = parsec_maspar::parse_maspar_mega(&g, mega_sentences, &mega_opts);
-            wall_mega = wall_mega.min(t.elapsed().as_secs_f64());
-            out_per = per;
-            out_mega = mega;
-        }
-        let mega_digest = fnv1a(format!("{out_per:?}").as_bytes());
-        assert_eq!(
-            mega_digest,
-            fnv1a(format!("{out_mega:?}").as_bytes()),
-            "mega-batch sweep diverged from the per-sentence oracle ({label})"
-        );
-        let speedup = wall_per / wall_mega;
-        if label.ends_with("-short") {
-            mega_speedups.push(speedup);
-        }
-        let accepted = out_per
-            .iter()
-            .all(|r| r.as_ref().is_ok_and(|o| o.roles_nonempty()));
-        let mk = |engine: &str, wall: f64, speedup: f64| BenchRow {
-            engine: engine.into(),
-            grammar: (*label).into(),
-            n: mega_sentences.len(),
-            threads: 1,
-            wall_secs: wall,
-            ops: mega_sentences.len() as u64,
-            steps: 0,
-            speedup_vs_1t: speedup,
-            accepted,
-            digest: mega_digest,
-        };
-        rows.push(mk("batch-maspar-per-sentence", wall_per, 1.0));
-        rows.push(mk("batch-maspar-mega", wall_mega, speedup));
-    }
-    rayon::set_num_threads(0);
-    if !mega_speedups.is_empty() {
-        let geo = mega_speedups.iter().map(|s| s.ln()).sum::<f64>() / mega_speedups.len() as f64;
-        eprintln!(
-            "mega-batch vs per-sentence (short sentences): geomean host-wall speedup {:.2}x",
-            geo.exp()
-        );
     }
 
     if !kernel_speedups.is_empty() {

@@ -27,7 +27,6 @@ use crate::consistency::BmmScratch;
 use crate::error::{EngineError, ParseBudget};
 use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
-use crate::megabatch::BatchStrategy;
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::parser::{parse_with_state, FilterMode, ParseOptions};
 use crate::pool::{ArcPool, PoolStats};
@@ -79,10 +78,6 @@ pub struct ParseRequest<'g> {
     pub faults: Option<FaultPlan>,
     /// Worker thread hint for batch parsing (`None` = all cores).
     pub threads: Option<usize>,
-    /// How [`Engine::parse_batch`] schedules the batch: one parse per
-    /// sentence (the oracle, default) or one joined mega-batch sweep.
-    /// Ignored by [`Engine::parse`].
-    pub batch: BatchStrategy,
     /// Collect a phase trace ([`ParseReport::trace`]).
     pub trace: bool,
     /// Collect a metrics registry snapshot ([`ParseReport::metrics`]).
@@ -106,7 +101,6 @@ impl<'g> ParseRequest<'g> {
             options: ParseOptions::default(),
             faults: None,
             threads: None,
-            batch: BatchStrategy::default(),
             trace: false,
             metrics: false,
             max_parses: 10,
@@ -124,7 +118,6 @@ impl<'g> ParseRequest<'g> {
             options: config.parse_options(),
             faults: config.faults.clone(),
             threads: config.threads,
-            batch: config.batch,
             trace: false,
             metrics: false,
             max_parses: config.max_parses,
@@ -169,11 +162,6 @@ impl<'g> ParseRequest<'g> {
 
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    pub fn batch_strategy(mut self, batch: BatchStrategy) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -569,22 +557,13 @@ impl Engine for Sequential {
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
         let mut pool = ArcPool::new();
-        let outcomes = match req.batch {
-            BatchStrategy::PerSentence => crate::batch::parse_batch_with_pool(
-                req.grammar,
-                sentences,
-                req.options,
-                req.max_parses,
-                &mut pool,
-            ),
-            BatchStrategy::Mega => crate::megabatch::parse_batch_mega_with_pool(
-                req.grammar,
-                sentences,
-                req.options,
-                req.max_parses,
-                &mut pool,
-            ),
-        };
+        let outcomes = crate::batch::parse_batch_with_pool(
+            req.grammar,
+            sentences,
+            req.options,
+            req.max_parses,
+            &mut pool,
+        );
         record_pool_stats(&pool.stats);
         obsv::counter_add("batch.sentences", sentences.len() as u64);
         let (trace, metrics) = scope.finish();

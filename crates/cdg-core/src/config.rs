@@ -3,7 +3,7 @@
 //! spellable option defined exactly once in [`KEYS`].
 //!
 //! Before this module the option surface had accreted: `eval`/`filter`
-//! lived on `ParseOptions`, `batch_strategy`/`threads` on `ParseRequest`,
+//! lived on `ParseOptions`, `threads` on `ParseRequest`,
 //! and the serve wire protocol grew its own `k=v` decoder — so adding a
 //! key meant touching three parsers that could (and did) drift. Now the
 //! CLI flag parser, the serve wire decoder, and programmatic callers all
@@ -18,7 +18,6 @@
 //! carries the spelling, not a re-rendering.
 
 use crate::error::ParseBudget;
-use crate::megabatch::BatchStrategy;
 use crate::network::{EvalStrategy, FilterStrategy};
 use maspar_sim::{FaultPlan, MachineConfig};
 use std::fmt;
@@ -138,8 +137,6 @@ pub struct EngineConfig {
     pub filter: FilterStrategy,
     /// Constraint-evaluation strategy.
     pub eval: EvalStrategy,
-    /// Batch execution strategy.
-    pub batch: BatchStrategy,
     /// Worker-pool width for the host-parallel engines.
     pub threads: Option<usize>,
 }
@@ -160,7 +157,6 @@ impl Default for EngineConfig {
             max_parses: DEFAULT_MAX_PARSES,
             filter: FilterStrategy::Auto,
             eval: EvalStrategy::Kernel,
-            batch: BatchStrategy::PerSentence,
             threads: None,
         }
     }
@@ -320,15 +316,6 @@ pub static KEYS: &[KeyDef] = &[
         encode: |c| (c.eval == EvalStrategy::Naive).then(|| "naive".to_string()),
     },
     KeyDef {
-        key: "batch",
-        help: "per-sentence | mega",
-        apply: |b, v| {
-            b.batch = Some(BatchStrategy::parse(v).map_err(|e| invalid("batch", e))?);
-            Ok(())
-        },
-        encode: |c| (c.batch == BatchStrategy::Mega).then(|| "mega".to_string()),
-    },
-    KeyDef {
         key: "threads",
         help: "host worker threads (>= 1)",
         apply: |b, v| {
@@ -358,7 +345,6 @@ pub struct EngineConfigBuilder {
     max_parses: Option<usize>,
     filter: Option<FilterStrategy>,
     eval: Option<EvalStrategy>,
-    batch: Option<BatchStrategy>,
     threads: Option<usize>,
     fault_context: Option<(usize, u64)>,
 }
@@ -424,11 +410,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    pub fn batch(mut self, b: BatchStrategy) -> Self {
-        self.batch = Some(b);
-        self
-    }
-
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -474,7 +455,6 @@ impl EngineConfigBuilder {
             max_parses,
             filter: self.filter.unwrap_or(FilterStrategy::Auto),
             eval: self.eval.unwrap_or(EvalStrategy::Kernel),
-            batch: self.batch.unwrap_or_default(),
             threads: self.threads,
         })
     }
@@ -494,7 +474,7 @@ mod tests {
     #[test]
     fn every_key_round_trips_through_the_table() {
         let spec = "engine=maspar budget=ms=50,iters=3 class=interactive faults=42 \
-                    transient=2 parses=9 filter=bmm eval=naive batch=mega threads=4";
+                    transient=2 parses=9 filter=bmm eval=naive threads=4";
         let c = EngineConfig::parse(spec).unwrap();
         assert_eq!(c.engine.as_deref(), Some("maspar"));
         assert_eq!(c.budget.max_filter_iterations, Some(3));
@@ -504,7 +484,6 @@ mod tests {
         assert_eq!(c.max_parses, 9);
         assert_eq!(c.filter, FilterStrategy::Bmm);
         assert_eq!(c.eval, EvalStrategy::Naive);
-        assert_eq!(c.batch, BatchStrategy::Mega);
         assert_eq!(c.threads, Some(4));
         let reparsed = EngineConfig::parse(&c.encode()).unwrap();
         assert_eq!(reparsed, c);
@@ -513,9 +492,9 @@ mod tests {
     #[test]
     fn unknown_keys_and_bad_values_are_typed() {
         let mut b = EngineConfig::builder();
-        for key in ["hats", "packed"] {
+        for (key, value) in [("hats", "false"), ("packed", "false"), ("batch", "mega")] {
             assert_eq!(
-                b.set(key, "false"),
+                b.set(key, value),
                 Err(ConfigError::UnknownKey { key: key.into() })
             );
         }

@@ -37,9 +37,9 @@ pub enum EvalStrategy {
 /// and therefore in wall-clock and in the incremental-vs-full-scan split
 /// of `support_checks`/`support_inits`.
 ///
-/// The choice reaches the serial, mega-batch and P-RAM drivers only. The
-/// MasPar engine filters with the simulated machine's own scans (the
-/// paper's design decisions 3 and 5) and reads its network back one way.
+/// The choice reaches the serial and P-RAM drivers only. The MasPar
+/// engine filters with the simulated machine's own scans (the paper's
+/// design decisions 3 and 5) and reads its network back one way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterStrategy {
     /// Follow the evaluation strategy: kernel evaluation filters with the

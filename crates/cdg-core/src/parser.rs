@@ -343,8 +343,7 @@ pub fn parse_with_state<'g>(
 }
 
 /// Arc-matrix cells `init_arcs` would allocate: Σ_{i<j} |dom i|·|dom j|.
-/// Shared with the mega-batch sweep so both paths degrade identically.
-pub(crate) fn predicted_arc_cells(net: &Network<'_>) -> u64 {
+fn predicted_arc_cells(net: &Network<'_>) -> u64 {
     let sizes: Vec<u64> = net.slots().iter().map(|s| s.domain.len() as u64).collect();
     let total: u64 = sizes.iter().sum();
     let squares: u64 = sizes.iter().map(|d| d * d).sum();

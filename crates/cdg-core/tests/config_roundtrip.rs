@@ -23,7 +23,6 @@ const FAULTS: &[&str] = &[
 ];
 const FILTERS: &[&str] = &["auto", "naive", "incremental", "bmm"];
 const EVALS: &[&str] = &["kernel", "naive"];
-const BATCHES: &[&str] = &["per-sentence", "mega"];
 
 /// `Some(index into a pool of len)` or `None` (key omitted), uniformly.
 fn opt(len: usize) -> impl Strategy<Value = Option<usize>> {
@@ -44,7 +43,6 @@ fn assemble(
     parses: Option<usize>,
     filter: Option<usize>,
     eval: Option<usize>,
-    batch: Option<usize>,
     threads: Option<usize>,
 ) -> Vec<String> {
     let engine = match (engine, faults) {
@@ -65,7 +63,6 @@ fn assemble(
     push("parses", parses.map(|n| n.to_string()));
     push("filter", filter.map(|i| FILTERS[i].to_string()));
     push("eval", eval.map(|i| EVALS[i].to_string()));
-    push("batch", batch.map(|i| BATCHES[i].to_string()));
     push("threads", threads.map(|t| t.to_string()));
     tokens
 }
@@ -83,12 +80,10 @@ proptest! {
         parses in prop_oneof![(1usize..=12).prop_map(Some), (0usize..1).prop_map(|_| None)],
         filter in opt(FILTERS.len()),
         eval in opt(EVALS.len()),
-        batch in opt(BATCHES.len()),
         threads in prop_oneof![(1usize..=8).prop_map(Some), (0usize..1).prop_map(|_| None)],
     ) {
         let tokens = assemble(
-            engine, budget, class, faults, transient, parses, filter, eval,
-            batch, threads,
+            engine, budget, class, faults, transient, parses, filter, eval, threads,
         );
         let spec = tokens.join(" ");
         let config = EngineConfig::parse(&spec)
@@ -116,7 +111,7 @@ proptest! {
         eval in opt(EVALS.len()),
     ) {
         let spec = assemble(
-            engine, budget, None, faults, None, parses, None, eval, None, None,
+            engine, budget, None, faults, None, parses, None, eval, None,
         )
         .join(" ");
         let config = EngineConfig::parse(&spec).unwrap();

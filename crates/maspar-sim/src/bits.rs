@@ -11,7 +11,7 @@
 //! activity, deadness and data with plain bitwise ops.
 //!
 //! Invariant: bits at positions `len..` of the last word are always zero,
-//! so popcounts and word scans never see ghost PEs.
+//! so popcounts and word scans never see PEs past the end.
 //!
 //! Like [`crate::Plural`], construction goes through the machine
 //! ([`crate::Machine::alloc_bits`]) so the 16 KB-per-PE budget is charged

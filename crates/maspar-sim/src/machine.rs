@@ -7,7 +7,6 @@ use crate::plural::Plural;
 use crate::scan::SegmentMap;
 use crate::stats::{CostModel, MachineStats};
 use rayon::prelude::*;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Static machine parameters.
@@ -90,16 +89,6 @@ pub struct Machine {
     /// like `enabled`. Empty when unarmed (so the fault-free path never
     /// consults it).
     virt_dead: Vec<u64>,
-    /// Ghost mode: every broadcast instruction charges exactly what the
-    /// real machine would charge, then returns without touching data
-    /// (plurals stay empty). Used to replay a program's instruction
-    /// stream for per-sentence [`MachineStats`] accounting after the data
-    /// work already happened on a joined mega-batch machine.
-    ghost: bool,
-    /// Pre-recorded results handed back by [`Machine::reduce_sum`] in
-    /// ghost mode, in program order (the data-dependent values the real
-    /// run observed).
-    ghost_reductions: VecDeque<u64>,
     pub stats: MachineStats,
 }
 
@@ -150,8 +139,6 @@ impl Machine {
             retired: Vec::new(),
             healthy: Vec::new(),
             virt_dead: Vec::new(),
-            ghost: false,
-            ghost_reductions: VecDeque::new(),
             stats: MachineStats::default(),
         }
     }
@@ -159,40 +146,6 @@ impl Machine {
     /// Full-size MP-1 with default cost model.
     pub fn mp1(n_virt: usize) -> Self {
         Machine::new(MachineConfig::default(), n_virt)
-    }
-
-    /// A ghost machine: charges instructions and memory exactly like
-    /// [`Machine::new`] for the same program, but executes no data work —
-    /// plurals are allocated empty and every broadcast returns after its
-    /// `charge_*` call. Data-dependent scalars ([`Machine::reduce_sum`])
-    /// are replayed from the queue loaded via
-    /// [`Machine::push_ghost_reductions`]. Ghost machines must never be
-    /// fault-armed or traced: both paths inspect plural contents.
-    pub fn new_ghost(config: MachineConfig, n_virt: usize) -> Self {
-        let mut m = Machine::new(config, n_virt);
-        m.ghost = true;
-        m
-    }
-
-    /// Is this a ghost (charge-only) machine?
-    pub fn is_ghost(&self) -> bool {
-        self.ghost
-    }
-
-    /// Queue the `reduce_sum` results a ghost replay should observe, in
-    /// program order. Call before running the program; extra queued
-    /// entries are simply never popped (see
-    /// [`Machine::leftover_ghost_reductions`]).
-    pub fn push_ghost_reductions(&mut self, values: &[u64]) {
-        assert!(self.ghost, "reduction replay is ghost-only");
-        self.ghost_reductions.extend(values.iter().copied());
-    }
-
-    /// Reduction results queued but not consumed (a replay that early-exits
-    /// leaves its trailing entries here; callers may assert they are all
-    /// zeros).
-    pub fn leftover_ghost_reductions(&self) -> Vec<u64> {
-        self.ghost_reductions.iter().copied().collect()
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -553,9 +506,6 @@ impl Machine {
     /// 16 KB-per-PE budget (each physical PE holds `virt_factor` layers).
     pub fn alloc<T: Clone + Send + Sync>(&mut self, init: T) -> Plural<T> {
         self.charge_alloc(std::mem::size_of::<T>());
-        if self.ghost {
-            return Plural::from_vec(Vec::new());
-        }
         Plural::from_vec(vec![init; self.n_virt])
     }
 
@@ -570,9 +520,6 @@ impl Machine {
     /// unpacked programs hit the 16 KB budget at the same instruction.
     pub fn alloc_bits(&mut self, init: bool) -> PluralBits {
         self.charge_alloc(std::mem::size_of::<bool>());
-        if self.ghost {
-            return PluralBits::filled(0, init);
-        }
         PluralBits::filled(self.n_virt, init)
     }
 
@@ -596,19 +543,14 @@ impl Machine {
 
     /// The charge every data-carrying plural instruction opens with: one
     /// plural op, plus the dead-PE skips it incurs. Returns the
-    /// instruction's index for the memory flips it must apply, or `None`
-    /// on a ghost machine, which stops right after the charge.
-    fn begin_plural(&mut self, lens: &[usize]) -> Option<u64> {
-        if self.ghost {
-            self.charge_plural_op();
-            return None;
-        }
+    /// instruction's index for the memory flips it must apply.
+    fn begin_plural(&mut self, lens: &[usize]) -> u64 {
         for &len in lens {
             assert_eq!(len, self.n_virt, "plural size mismatch");
         }
         let op = self.charge_plural_op();
         self.count_dead_skips();
-        Some(op)
+        op
     }
 
     /// One broadcast instruction: every active PE updates its slot of `p`
@@ -618,9 +560,7 @@ impl Machine {
         p: &mut Plural<T>,
         f: impl Fn(usize, &mut T) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[p.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[p.len()]);
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         p.as_mut_slice()
@@ -642,9 +582,7 @@ impl Machine {
         src: &Plural<U>,
         f: impl Fn(usize, &mut T, &U) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         let src = src.as_slice();
@@ -668,9 +606,7 @@ impl Machine {
         b: &Plural<V>,
         f: impl Fn(usize, &mut T, &U, &V) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
         let a = a.as_slice();
@@ -693,7 +629,7 @@ impl Machine {
     // The same instructions as `par_map`, `par_zip`, `par_zip2` and
     // `par_zip_bits`, charged exactly like them (the charge is a property
     // of the broadcast, not of which PEs the host visits): activity, dead
-    // PEs, memory flips and ghost machines behave identically. Only the
+    // PEs and memory flips behave identically. Only the
     // host's walk changes.
     //
     // * The *grid* form hands the body the (column, row) position of each
@@ -757,9 +693,7 @@ impl Machine {
         side: usize,
         f: impl Fn(usize, usize, &mut T) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[p.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[p.len()]);
         self.visit_grid(p.as_mut_slice(), side, |c, r, _, slot| f(c, r, slot));
         self.apply_memory_flips(op, p.as_mut_slice());
     }
@@ -772,9 +706,7 @@ impl Machine {
         side: usize,
         f: impl Fn(usize, usize, &mut T, &U) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         let src = src.as_slice();
         self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
             f(c, r, slot, &src[pe])
@@ -791,9 +723,7 @@ impl Machine {
         side: usize,
         f: impl Fn(usize, usize, &mut T, &U, &V) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
         let (a, b) = (a.as_slice(), b.as_slice());
         self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
             f(c, r, slot, &a[pe], &b[pe])
@@ -809,9 +739,7 @@ impl Machine {
         side: usize,
         f: impl Fn(usize, usize, &mut u64, bool) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
             f(c, r, slot, src.get(pe))
         });
@@ -825,9 +753,7 @@ impl Machine {
         stride: usize,
         f: impl Fn(usize, &mut T) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[p.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[p.len()]);
         self.visit_strided(p.as_mut_slice(), stride, f);
         self.apply_memory_flips(op, p.as_mut_slice());
     }
@@ -840,9 +766,7 @@ impl Machine {
         stride: usize,
         f: impl Fn(usize, &mut T, &U) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         let src = src.as_slice();
         self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| f(pe, slot, &src[pe]));
         self.apply_memory_flips(op, dst.as_mut_slice());
@@ -857,9 +781,7 @@ impl Machine {
         stride: usize,
         f: impl Fn(usize, &mut T, &U, &V) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), a.len(), b.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
         let (a, b) = (a.as_slice(), b.as_slice());
         self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| {
             f(pe, slot, &a[pe], &b[pe])
@@ -875,9 +797,7 @@ impl Machine {
         stride: usize,
         f: impl Fn(usize, &mut u64, bool) + Sync,
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| {
             f(pe, slot, src.get(pe))
         });
@@ -907,10 +827,6 @@ impl Machine {
         mask: &Plural<bool>,
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
-        if self.ghost {
-            self.charge_plural_op();
-            return body(self);
-        }
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
         let saved = self.enabled.clone();
         self.activity_stack.push(saved);
@@ -939,10 +855,6 @@ impl Machine {
         mask: &PluralBits,
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
-        if self.ghost {
-            self.charge_plural_op();
-            return body(self);
-        }
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
         let saved = self.enabled.clone();
         self.activity_stack.push(saved);
@@ -974,10 +886,6 @@ impl Machine {
 
     /// Global OR over active PEs (the MP-1's `globalor`).
     pub fn reduce_or(&mut self, p: &Plural<bool>) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return false;
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -991,10 +899,6 @@ impl Machine {
 
     /// Global AND over active PEs (identity `true` when none active).
     pub fn reduce_and(&mut self, p: &Plural<bool>) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return true;
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1008,10 +912,6 @@ impl Machine {
 
     /// Global sum of a u64 plural over active PEs.
     pub fn reduce_sum(&mut self, p: &Plural<u64>) -> u64 {
-        if self.ghost {
-            self.charge_scan();
-            return self.ghost_reductions.pop_front().unwrap_or(0);
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1045,10 +945,6 @@ impl Machine {
     /// the reductions, but enumeration-style kernels (e.g. compacting the
     /// surviving role values) are built on scanAdd.
     pub fn scan_add(&mut self, p: &Plural<u64>, segs: &SegmentMap) -> Plural<u64> {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc(0u64);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op = self.charge_scan();
@@ -1091,10 +987,6 @@ impl Machine {
         identity: bool,
         op: impl Fn(bool, bool) -> bool + Sync,
     ) -> Plural<bool> {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc(identity);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
@@ -1132,10 +1024,6 @@ impl Machine {
     /// (MPL's enumeration primitive — the ACU uses it to pick a
     /// representative PE). Costs one scan.
     pub fn select_first(&mut self, p: &Plural<bool>) -> Option<usize> {
-        if self.ghost {
-            self.charge_scan();
-            return None;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         self.charge_scan();
         self.count_dead_skips();
@@ -1184,10 +1072,6 @@ impl Machine {
         index: &Plural<usize>,
         dst: &mut Plural<T>,
     ) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1227,10 +1111,6 @@ impl Machine {
         index: &Plural<usize>,
         dst: &mut Plural<T>,
     ) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1282,10 +1162,6 @@ impl Machine {
     /// `par_map(&mut p, |pe, v| *v = want(pe))`, executed as a masked
     /// word merge per 64 PEs.
     pub fn par_write_bits(&mut self, dst: &mut PluralBits, want: &[u64]) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(want.len(), dst.words().len(), "plural size mismatch");
         let op = self.charge_plural_op();
@@ -1307,10 +1183,6 @@ impl Machine {
         src: &Plural<u64>,
         f: impl Fn(usize, u64) -> bool,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
@@ -1347,9 +1219,7 @@ impl Machine {
         src: &PluralBits,
         f: impl Fn(usize, &mut u64, bool),
     ) {
-        let Some(op) = self.begin_plural(&[dst.len(), src.len()]) else {
-            return;
-        };
+        let op = self.begin_plural(&[dst.len(), src.len()]);
         let d = dst.as_mut_slice();
         for w in 0..bits::word_count(self.n_virt) {
             let mut m = self.live_word(w);
@@ -1366,11 +1236,6 @@ impl Machine {
     /// Build a fresh packed plural in one instruction (live PEs run `f`;
     /// the rest hold `fill`) — the packed [`Machine::par_init`].
     pub fn par_init_bits(&mut self, fill: bool, f: impl Fn(usize) -> bool) -> PluralBits {
-        if self.ghost {
-            let mut p = self.alloc_bits(fill);
-            self.par_write_bits(&mut p, &[]);
-            return p;
-        }
         let mut want = vec![0u64; bits::word_count(self.n_virt)];
         for pe in (0..self.n_virt).filter(|&pe| f(pe)) {
             want[pe / 64] |= 1u64 << (pe % 64);
@@ -1383,10 +1248,6 @@ impl Machine {
     /// Global OR over active PEs of a packed plural: a word scan with
     /// early exit — 64 PEs per iteration instead of one.
     pub fn reduce_or_bits(&mut self, p: &PluralBits) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return false;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1403,10 +1264,6 @@ impl Machine {
     /// Global AND over active PEs of a packed plural (identity `true`
     /// when none active): early-exits on the first live zero bit.
     pub fn reduce_and_bits(&mut self, p: &PluralBits) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return true;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1423,10 +1280,6 @@ impl Machine {
     /// `selectFirst` over a packed plural: the first nonzero live word
     /// plus a `trailing_zeros` pinpoints the lowest flagged PE.
     pub fn select_first_bits(&mut self, p: &PluralBits) -> Option<usize> {
-        if self.ghost {
-            self.charge_scan();
-            return None;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         self.charge_scan();
         self.count_dead_skips();
@@ -1452,10 +1305,6 @@ impl Machine {
     }
 
     fn seg_reduce_bits(&mut self, p: &PluralBits, segs: &SegmentMap, identity: bool) -> PluralBits {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc_bits(identity);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
@@ -1489,10 +1338,6 @@ impl Machine {
     /// senders and receivers are iterated via word masks, fetching one bit
     /// per live PE.
     pub fn gather_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1524,10 +1369,6 @@ impl Machine {
     /// [`Machine::scatter`]): applied in descending PE order so the
     /// lowest-numbered sender wins write conflicts, exactly as unpacked.
     pub fn scatter_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -2210,63 +2051,6 @@ mod tests {
         assert!(r.is_err(), "fault-free OOB gather is a program bug");
     }
 
-    /// One representative program exercising every op family, run on a
-    /// real machine and replayed on a ghost: charges must be identical.
-    fn stats_program(m: &mut Machine) -> Vec<u64> {
-        let mut reductions = Vec::new();
-        let segs = SegmentMap::uniform(m.n_virt(), m.n_virt() / 2);
-        let flags = m.par_init(false, |pe| pe % 3 == 0);
-        let mut counts = m.alloc(0u64);
-        m.with_activity(&flags, |m| {
-            m.par_map(&mut counts, |pe, v| *v = pe as u64);
-        });
-        reductions.push(m.reduce_sum(&counts));
-        let packed = m.par_init_bits(false, |pe| pe % 2 == 0);
-        let reduced = m.with_activity_bits(&packed, |m| m.scan_or_bits(&packed, &segs));
-        let idx = m.par_init(0usize, |pe| pe / 2);
-        let mut fetched = m.alloc_bits(false);
-        m.gather_bits(&reduced, &idx, &mut fetched);
-        let mut lost = m.alloc(0u64);
-        m.par_zip_bits(&mut lost, &fetched, |_, out, b| *out = b as u64);
-        reductions.push(m.reduce_sum(&lost));
-        m.free(lost);
-        m.free_bits(fetched);
-        m.free_bits(reduced);
-        m.free_bits(packed);
-        m.free(counts);
-        m.free(flags);
-        reductions
-    }
-
-    #[test]
-    fn ghost_replay_charges_identically() {
-        let mut real = Machine::new(
-            MachineConfig {
-                phys_pes: 4,
-                ..Default::default()
-            },
-            10,
-        );
-        let reductions = stats_program(&mut real);
-
-        let mut ghost = Machine::new_ghost(
-            MachineConfig {
-                phys_pes: 4,
-                ..Default::default()
-            },
-            10,
-        );
-        assert!(ghost.is_ghost());
-        ghost.push_ghost_reductions(&reductions);
-        let replayed = stats_program(&mut ghost);
-
-        assert_eq!(real.stats, ghost.stats);
-        assert_eq!(real.op_count(), ghost.op_count());
-        assert_eq!(replayed, reductions, "queued reductions replay in order");
-        assert!(ghost.leftover_ghost_reductions().is_empty());
-        assert_eq!(real.estimated_seconds(), ghost.estimated_seconds());
-    }
-
     /// One addressed broadcast under test, run against its inputs.
     type Broadcast =
         Box<dyn Fn(&mut Machine, &mut Plural<u64>, &Plural<u64>, &Plural<u64>, &PluralBits)>;
@@ -2275,20 +2059,14 @@ mod tests {
     /// PEs on 8 physical ones (so dead phys 4 freezes PEs 4, 12 and 20),
     /// activity narrowed to PEs not divisible by 5, and a memory flip on
     /// phys 6 scheduled for exactly that instruction. Returns what `op`
-    /// wrote and the machine's counters; on a ghost machine, only the
-    /// counters.
-    fn run_addressed(ghost: bool, op: &Broadcast) -> (Vec<u64>, MachineStats) {
+    /// wrote and the machine's counters.
+    fn run_addressed(op: &Broadcast) -> (Vec<u64>, MachineStats) {
         let config = MachineConfig {
             phys_pes: 8,
             ..Default::default()
         };
-        let mut m = if ghost {
-            Machine::new_ghost(config, 24)
-        } else {
-            let mut m = Machine::new(config, 24);
-            m.arm_faults(FaultPlan::new().with_dead_pe(4).with_memory_flip(7, 6, 2));
-            m
-        };
+        let mut m = Machine::new(config, 24);
+        m.arm_faults(FaultPlan::new().with_dead_pe(4).with_memory_flip(7, 6, 2));
         let a = m.par_init(0u64, |pe| pe as u64 * 3 + 1);
         let b = m.par_init(0u64, |pe| pe as u64 ^ 5);
         let flags = m.par_init_bits(false, |pe| pe % 3 == 0);
@@ -2399,22 +2177,14 @@ mod tests {
             ),
         ];
         for (name, addressed, plain) in &pairs {
-            let (got, got_stats) = run_addressed(false, addressed);
-            let (want, want_stats) = run_addressed(false, plain);
+            let (got, got_stats) = run_addressed(addressed);
+            let (want, want_stats) = run_addressed(plain);
             assert_eq!(got, want, "{name}: results");
             assert_eq!(got_stats, want_stats, "{name}: MachineStats");
             assert_eq!(got[12], 0, "{name}: the dead PE never wrote its slot");
             assert_eq!(got[10], 1000, "{name}: an inactive PE's slot is untouched");
             assert!(got_stats.dead_pe_skips > 0, "{name}: dead PEs counted");
             assert_eq!(got_stats.memory_flips, 1, "{name}: the flip lands at op 7");
-            let (ghost, ghost_stats) = run_addressed(true, addressed);
-            assert!(ghost.is_empty(), "{name}: a ghost touches no data");
-            assert_eq!(
-                ghost_stats,
-                run_addressed(true, plain).1,
-                "{name}: ghost charge"
-            );
-            assert_eq!(ghost_stats.plural_ops, want_stats.plural_ops, "{name}");
         }
     }
 }

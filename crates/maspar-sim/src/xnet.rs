@@ -36,10 +36,6 @@ impl Machine {
         fill: T,
         dst: &mut Plural<T>,
     ) {
-        if self.is_ghost() {
-            self.charge_xnet(offset.unsigned_abs());
-            return;
-        }
         assert_eq!(src.len(), self.n_virt(), "plural size mismatch");
         assert_eq!(dst.len(), self.n_virt(), "plural size mismatch");
         let op = self.charge_xnet(offset.unsigned_abs());
@@ -80,10 +76,6 @@ impl Machine {
         fill: bool,
         dst: &mut crate::bits::PluralBits,
     ) {
-        if self.is_ghost() {
-            self.charge_xnet(offset.unsigned_abs());
-            return;
-        }
         assert_eq!(src.len(), self.n_virt(), "plural size mismatch");
         assert_eq!(dst.len(), self.n_virt(), "plural size mismatch");
         let op = self.charge_xnet(offset.unsigned_abs());
@@ -113,9 +105,7 @@ impl Machine {
     /// property-tested); provided to let programs trade router passes for
     /// X-Net hops.
     pub fn xnet_reduce_or(&mut self, p: &Plural<bool>) -> bool {
-        if !self.is_ghost() {
-            assert_eq!(p.len(), self.n_virt(), "plural size mismatch");
-        }
+        assert_eq!(p.len(), self.n_virt(), "plural size mismatch");
         let mut acc = self.alloc(false);
         self.par_zip(&mut acc, p, |_, a, &v| *a = v);
         let mut shifted = self.alloc(false);
@@ -125,7 +115,7 @@ impl Machine {
             self.par_zip(&mut acc, &shifted, |_, a, &s| *a |= s);
             stride *= 2;
         }
-        let result = !self.is_ghost() && *acc.get(0);
+        let result = *acc.get(0);
         self.free(acc);
         self.free(shifted);
         result

@@ -1,12 +1,10 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
-use crate::engine::{parse_maspar_checked, MasparOptions, MasparOutcome};
-use crate::mega::parse_maspar_mega;
+use crate::engine::{parse_maspar_checked, MasparOptions};
 use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
 use cdg_core::batch::BatchOutcome;
 use cdg_core::consistency::is_locally_consistent;
 use cdg_core::extract::precedence_graphs;
-use cdg_core::megabatch::BatchStrategy;
 use cdg_core::parser::FilterMode;
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
@@ -24,30 +22,6 @@ fn rejected_outcome() -> BatchOutcome {
         degraded: true,
         total_alive: 0,
         parses: Vec::new(),
-    }
-}
-
-/// Host readback + summary for one mega-batch outcome — field for field
-/// what `run_core(...).summary()` produces on the per-sentence path.
-fn summarize_outcome(
-    out: &MasparOutcome,
-    req: &ParseRequest<'_>,
-    sentence: &Sentence,
-) -> BatchOutcome {
-    let network = {
-        let _rb = obsv::span("readback");
-        out.to_network(req.grammar, sentence)
-    };
-    let parses = precedence_graphs(&network, req.max_parses);
-    BatchOutcome {
-        accepted: !parses.is_empty(),
-        ambiguous: network.slots().iter().any(|s| s.alive_count() > 1),
-        roles_nonempty: out.roles_nonempty(),
-        locally_consistent: is_locally_consistent(&network),
-        filter_passes: out.filter_iterations_run,
-        degraded: out.degraded.is_some(),
-        total_alive: network.total_alive(),
-        parses,
     }
 }
 
@@ -169,9 +143,7 @@ impl Engine for Maspar {
         Ok(report)
     }
 
-    /// Sentences run one after another on the (single) simulated array —
-    /// or, under [`BatchStrategy::Mega`], packed together onto it so one
-    /// SIMD sweep covers the whole batch ([`parse_maspar_mega`]).
+    /// Sentences run one after another on the (single) simulated array.
     /// A sentence the machine cannot take — unsupported layout, blown
     /// budget pre-check, unrecoverable faults — becomes a rejected,
     /// `degraded` outcome instead of failing the whole batch.
@@ -183,31 +155,10 @@ impl Engine for Maspar {
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
         let mut outcomes = Vec::with_capacity(sentences.len());
-        match req.batch {
-            BatchStrategy::PerSentence => {
-                for sentence in sentences {
-                    match self.run_core(req, sentence) {
-                        Ok(report) => outcomes.push(report.summary()),
-                        Err(_) => outcomes.push(rejected_outcome()),
-                    }
-                }
-            }
-            BatchStrategy::Mega => {
-                let opts = self.options_for(req);
-                // One root span for the whole joined sweep (readback
-                // included) — the phase-major sweep has no per-sentence
-                // roots to report.
-                let _root = obsv::span("parse");
-                let results = parse_maspar_mega(req.grammar, sentences, &opts);
-                obsv::counter_add("megabatch.sentences", sentences.len() as u64);
-                for (sentence, result) in sentences.iter().zip(results) {
-                    match result {
-                        Ok(out) => {
-                            outcomes.push(summarize_outcome(&out, req, sentence));
-                        }
-                        Err(_) => outcomes.push(rejected_outcome()),
-                    }
-                }
+        for sentence in sentences {
+            match self.run_core(req, sentence) {
+                Ok(report) => outcomes.push(report.summary()),
+                Err(_) => outcomes.push(rejected_outcome()),
             }
         }
         obsv::counter_add("batch.sentences", sentences.len() as u64);
@@ -325,29 +276,5 @@ mod tests {
         assert_eq!(report.outcomes.len(), 2);
         assert!(report.outcomes[0].accepted);
         assert!(!report.outcomes[1].accepted);
-    }
-
-    #[test]
-    fn mega_batch_summaries_match_the_per_sentence_strategy() {
-        let g = paper::grammar();
-        let lex = paper::lexicon(&g);
-        let sentences = vec![
-            paper::example_sentence(&g),
-            lex.sentence("program the runs").unwrap(),
-            paper::cost_sweep_sentence(&g, 2),
-            paper::example_sentence(&g),
-        ];
-        let per = Maspar::default()
-            .parse_batch(&sentences, &ParseRequest::new(&g).max_parses(10))
-            .unwrap();
-        let mega = Maspar::default()
-            .parse_batch(
-                &sentences,
-                &ParseRequest::new(&g)
-                    .max_parses(10)
-                    .batch_strategy(BatchStrategy::Mega),
-            )
-            .unwrap();
-        assert_eq!(per.outcomes, mega.outcomes);
     }
 }

@@ -40,7 +40,7 @@ use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, Plural
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
 /// overflow the 16 KB PE memory with a typed error instead of a panic.
-pub(crate) const WORKING_SET_BYTES: usize = 96;
+const WORKING_SET_BYTES: usize = 96;
 
 /// Options for a MasPar parse.
 ///
@@ -83,22 +83,6 @@ impl Default for MasparOptions {
             faults: None,
             budget: ParseBudget::UNLIMITED,
             max_recovery_retries: 4,
-        }
-    }
-}
-
-impl MasparOptions {
-    /// Thin compatibility constructor from the unified
-    /// [`cdg_core::EngineConfig`]: everything the machine reads off the
-    /// shared surface (budget, faults), with the machine shape
-    /// supplied by the owner of the simulated array. The config's filter
-    /// strategy does not reach the machine.
-    pub fn from_engine_config(config: &cdg_core::EngineConfig, machine: MachineConfig) -> Self {
-        MasparOptions {
-            machine,
-            faults: config.faults.clone(),
-            budget: config.budget,
-            ..Default::default()
         }
     }
 }
@@ -454,9 +438,8 @@ pub fn parse_maspar_checked(
 
 /// The typed pre-flight checks every MasPar parse runs before touching a
 /// machine: layout construction (rejecting lexically ambiguous input),
-/// the arc-cell budget, and the PE-memory working set. Shared with the
-/// mega-batch driver so per-sentence and batched runs reject identically.
-pub(crate) fn precheck(
+/// the arc-cell budget, and the PE-memory working set.
+fn precheck(
     grammar: &Grammar,
     sentence: &Sentence,
     opts: &MasparOptions,
@@ -489,7 +472,7 @@ pub(crate) fn precheck(
 /// The engine body: everything from data layout to readback. Boolean
 /// plurals are bit-sliced ([`PluralBits`], 64 PEs per host word); how the
 /// host stores them is invisible to the simulated machine.
-pub(crate) fn drive(
+fn drive(
     mut machine: Machine,
     lay: Layout,
     grammar: &Grammar,
@@ -530,7 +513,7 @@ pub(crate) fn drive(
     // broadcast needed.
     let retries = opts.max_recovery_retries.max(1);
     let _init = obsv::span("arc_init");
-    let t = Tables::new(&[&lay]);
+    let t = Tables::new(&lay);
     let side = t.side;
     let valid = init_bits_exact(
         &mut machine,
@@ -574,7 +557,7 @@ pub(crate) fn drive(
         retries,
         &mut recovery,
         side,
-        |c, _| t.col_idx(c),
+        |c, _| t.boundary(c),
     )?;
     let row_boundary_idx: Plural<usize> = init_exact(
         &mut machine,
@@ -582,7 +565,7 @@ pub(crate) fn drive(
         retries,
         &mut recovery,
         side,
-        |c, r| t.row_idx(c, r),
+        |_, r| t.boundary(r),
     )?;
     phase(&machine, &mut phases, &mut mark, "init".into());
     drop(_init);
@@ -606,13 +589,7 @@ pub(crate) fn drive(
             |m, bits, alive| {
                 // The unary test depends only on (group, label), so the
                 // ACU evaluates it on the host and broadcasts keep masks.
-                // A ghost machine never reads the tables, so it skips the
-                // evaluation; the charge stream is identical either way.
-                let viol = if m.is_ghost() {
-                    Vec::new()
-                } else {
-                    unary_violations(&t, &[sentence], c)
-                };
+                let viol = unary_violations(&t, sentence, c);
                 unary_from_table(m, &t, &viol, &valid, bits, alive);
                 0
             },
@@ -668,7 +645,7 @@ pub(crate) fn drive(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &t, &[sentence], c, &valid, bits);
+                apply_binary(m, &t, sentence, c, &valid, bits);
                 0
             },
         )?;
@@ -763,37 +740,32 @@ pub(crate) fn drive(
 }
 
 /// The ACU's per-parse tables. A PE body reads its own memory plus these,
-/// which are pure functions of the layout and the sentences (design
+/// which are pure functions of the layout and the sentence (design
 /// decision 2): the host builds them once per parse, and the addressed
 /// broadcasts hand each body the grid position that indexes them.
 ///
-/// The PE array is a stack of G×G grids, one per sentence (a single parse
-/// has one; a mega-batch chunk joins sentences of one layout geometry).
-/// Grid column `col` is stacked group `col` — group `col % G` of sentence
-/// `col / G` — and its row groups are stacked groups `row_base(col) + row`.
-pub(crate) struct Tables {
-    /// Groups per sentence, G: the side of each grid.
-    pub(crate) side: usize,
-    pub(crate) l: usize,
-    pub(crate) m: usize,
+/// The PE array is one G×G grid: column `col` is group `col`, and its
+/// row `row` is group `row`.
+struct Tables {
+    /// Groups, G: the side of the grid.
+    side: usize,
+    l: usize,
+    m: usize,
     q: usize,
-    /// Figure 12's scan segments over the whole stack: (column, row
-    /// word-role) blocks of m PEs and columns of G PEs.
-    pub(crate) blocks: SegmentMap,
-    pub(crate) columns: SegmentMap,
+    /// Figure 12's scan segments over the grid: (column, row word-role)
+    /// blocks of m PEs and columns of G PEs.
+    blocks: SegmentMap,
+    columns: SegmentMap,
     /// `rows_of[a]`: the submatrix bits of every column label in the l-bit
     /// mask `a`; `cols_of[a]`: those of every row label in it.
     rows_of: Vec<u64>,
     cols_of: Vec<u64>,
-    /// Role value (stacked group g, label li) as a constraint binding, at
+    /// Role value (group g, label li) as a constraint binding, at
     /// `g·l + li`; `None` pads roles with fewer than l labels.
     bindings: Vec<Option<Binding>>,
-    /// (word, role) slot and role index of each group of a grid.
+    /// (word, role) slot and role index of each group.
     slot_of: Vec<usize>,
     role_of: Vec<usize>,
-    /// First stacked group of each grid column's sentence: a table
-    /// rather than `col − col mod G`, so no PE body pays a division.
-    base_of: Vec<usize>,
     /// Initial submatrix per (column role, row role), at `rc·q + rr`.
     pair_bits: Vec<u64>,
     /// Every valid label of each role, as an alive mask.
@@ -801,14 +773,7 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// Tables for `lays` stacked in order; all must share one geometry.
-    pub(crate) fn new(lays: &[&Layout]) -> Tables {
-        let lay = lays[0];
-        assert!(
-            lays.iter()
-                .all(|x| (x.groups, x.q, x.l) == (lay.groups, lay.q, lay.l)),
-            "stacked grids must share one layout geometry"
-        );
+    fn new(lay: &Layout) -> Tables {
         let (l, q) = (lay.l, lay.q);
         let label_masks = |mask_of: &dyn Fn(usize) -> u64| -> Vec<u64> {
             (0..1usize << l)
@@ -819,7 +784,7 @@ impl Tables {
                 })
                 .collect()
         };
-        let virt = lay.virt_pes() * lays.len();
+        let virt = lay.virt_pes();
         Tables {
             side: lay.groups,
             l,
@@ -829,15 +794,11 @@ impl Tables {
             columns: SegmentMap::uniform(virt, lay.groups),
             rows_of: label_masks(&|i| lay.row_mask(i)),
             cols_of: label_masks(&|j| lay.col_mask(j)),
-            bindings: lays
-                .iter()
-                .flat_map(|x| (0..x.groups * l).map(|k| x.binding(k / l, k % l)))
+            bindings: (0..lay.groups * l)
+                .map(|k| lay.binding(k / l, k % l))
                 .collect(),
             slot_of: (0..lay.groups).map(|g| g / lay.m).collect(),
             role_of: (0..lay.groups).map(|g| g / lay.m % q).collect(),
-            base_of: (0..lays.len() * lay.groups)
-                .map(|g| g - g % lay.groups)
-                .collect(),
             pair_bits: (0..q * q)
                 .map(|k| {
                     let (rc, rr) = (k / q, k % q);
@@ -856,58 +817,47 @@ impl Tables {
         }
     }
 
-    /// First stacked group of the sentence grid column `col` lies in.
-    pub(crate) fn row_base(&self, col: usize) -> usize {
-        self.base_of[col]
-    }
-
     /// Is PE (col, row) on the self-arc diagonal (same word and role —
     /// Figure 11's disabled PEs)?
-    pub(crate) fn diagonal(&self, col: usize, row: usize) -> bool {
-        self.slot_of[col - self.base_of[col]] == self.slot_of[row]
+    fn diagonal(&self, col: usize, row: usize) -> bool {
+        self.slot_of[col] == self.slot_of[row]
     }
 
     /// Is PE (col, row) a valid block boundary — the first PE of a
     /// (column, row word-role) block of Figure 12's scanOr?
-    pub(crate) fn block_boundary(&self, col: usize, row: usize) -> bool {
+    fn block_boundary(&self, col: usize, row: usize) -> bool {
         !self.diagonal(col, row) && self.slot_of[row] * self.m == row
     }
 
     /// Initial submatrix: every valid label pair set, diagonal PEs empty
     /// (Figure 9: every role value present before unary propagation).
-    pub(crate) fn init_bits(&self, col: usize, row: usize) -> u64 {
-        let local = col - self.base_of[col];
-        if self.slot_of[local] == self.slot_of[row] {
+    fn init_bits(&self, col: usize, row: usize) -> u64 {
+        if self.diagonal(col, row) {
             0
         } else {
-            self.pair_bits[self.role_of[local] * self.q + self.role_of[row]]
+            self.pair_bits[self.role_of[col] * self.q + self.role_of[row]]
         }
     }
 
     /// Initial alive mask: all valid labels at each column's boundary PE
     /// (row 0), 0 elsewhere.
-    pub(crate) fn init_alive(&self, col: usize, row: usize) -> u64 {
+    fn init_alive(&self, col: usize, row: usize) -> u64 {
         if row == 0 {
-            self.full[self.role_of[col - self.base_of[col]]]
+            self.full[self.role_of[col]]
         } else {
             0
         }
     }
 
-    /// Router index of the column's alive mask: its boundary PE.
-    pub(crate) fn col_idx(&self, col: usize) -> usize {
-        col * self.side
-    }
-
-    /// Router index of the row group's alive mask.
-    pub(crate) fn row_idx(&self, col: usize, row: usize) -> usize {
-        (self.row_base(col) + row) * self.side
+    /// Router index of group `g`'s alive mask: its boundary PE.
+    fn boundary(&self, g: usize) -> usize {
+        g * self.side
     }
 }
 
-/// `f(col, row)` for every PE of a stack of `side`-PE columns, packed 64
+/// `f(col, row)` for every PE of a grid of `side`-PE columns, packed 64
 /// PEs to a word: the table [`Machine::par_write_bits`] broadcasts.
-pub(crate) fn grid_words(n_virt: usize, side: usize, f: impl Fn(usize, usize) -> bool) -> Vec<u64> {
+fn grid_words(n_virt: usize, side: usize, f: impl Fn(usize, usize) -> bool) -> Vec<u64> {
     let mut words = vec![0u64; n_virt.div_ceil(64)];
     let mut pe = 0;
     for col in 0..n_virt / side {
@@ -1024,12 +974,7 @@ fn init_bits_exact(
     side: usize,
     f: impl Fn(usize, usize) -> bool + Sync,
 ) -> Result<PluralBits, EngineError> {
-    // A ghost never reads the table it broadcasts.
-    let want = if machine.is_ghost() {
-        Vec::new()
-    } else {
-        grid_words(machine.n_virt(), side, f)
-    };
+    let want = grid_words(machine.n_virt(), side, f);
     let mut p = machine.alloc_bits(false);
     let mut attempts = 0;
     loop {
@@ -1048,7 +993,7 @@ fn init_bits_exact(
     }
 }
 
-/// Bit li of entry g: role value (stacked group g, label li) violates the
+/// Bit li of entry g: role value (group g, label li) violates the
 /// unary constraint `c`. Evaluated with the constraint's kernel bytecode,
 /// a (word, role) slot at a time. The slot is first evaluated with its
 /// value left open: most unary constraints are guarded by category or
@@ -1056,15 +1001,13 @@ fn init_bits_exact(
 /// Otherwise each value is evaluated — once per (slot, label) when the
 /// program never reads the modifiee, since the slot's m groups differ
 /// only in modifiee.
-pub(crate) fn unary_violations(t: &Tables, sentences: &[&Sentence], c: &Constraint) -> Vec<u64> {
+fn unary_violations(t: &Tables, sentence: &Sentence, c: &Constraint) -> Vec<u64> {
     let program = KernelProgram::compile(&c.expr);
     let per_label = !program.features().x.contains(FeatureSet::MODIFIEE);
     let mut stack = Vec::with_capacity(program.max_depth());
-    let groups = t.bindings.len() / t.l;
-    let mut viol = vec![0u64; groups];
-    for first in (0..groups).step_by(t.m) {
-        let sentence = sentences[first / t.side];
-        let slot = t.slot_of[first % t.side];
+    let mut viol = vec![0u64; t.side];
+    for first in (0..t.side).step_by(t.m) {
+        let slot = t.slot_of[first];
         let open = PartialBinding::Open {
             pos: (slot / t.q) as u16 + 1,
             role: RoleId((slot % t.q) as u16),
@@ -1106,7 +1049,7 @@ pub(crate) fn unary_violations(t: &Tables, sentences: &[&Sentence], c: &Constrai
 /// [`unary_violations`]): valid PEs zero the submatrix rows and columns of
 /// violating values, and the group boundary PEs clear those values from
 /// the alive masks.
-pub(crate) fn unary_from_table(
+fn unary_from_table(
     machine: &mut Machine,
     t: &Tables,
     viol: &[u64],
@@ -1118,19 +1061,18 @@ pub(crate) fn unary_from_table(
     let keep_rows: Vec<u64> = viol.iter().map(|&v| !t.cols_of[v as usize]).collect();
     machine.with_activity_bits(valid, |m| {
         m.par_map_grid(bits, t.side, |cg, rg, b| {
-            *b &= keep_cols[cg] & keep_rows[t.row_base(cg) + rg];
+            *b &= keep_cols[cg] & keep_rows[rg];
         });
     });
     machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
 }
 
 /// One binary constraint: every valid PE checks the live pairs of its l×l
-/// submatrix (both orderings), skipping empty submatrix rows. Column `col`
-/// belongs to `sentences[col / side]`.
-pub(crate) fn apply_binary(
+/// submatrix (both orderings), skipping empty submatrix rows.
+fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
-    sentences: &[&Sentence],
+    sentence: &Sentence,
     c: &Constraint,
     valid: &PluralBits,
     bits: &mut Plural<u64>,
@@ -1138,13 +1080,10 @@ pub(crate) fn apply_binary(
     let l = t.l;
     let label_mask = (1u64 << l) - 1;
     machine.with_activity_bits(valid, |m| {
-        m.par_map_grid(bits, t.side, |cg, row, b| {
+        m.par_map_grid(bits, t.side, |cg, rg, b| {
             if *b == 0 {
                 return;
             }
-            let base = t.row_base(cg);
-            let sentence = sentences[base / t.side];
-            let rg = base + row;
             for i in 0..l {
                 let mut live = *b >> (i * l) & label_mask;
                 if live == 0 {
@@ -1172,7 +1111,7 @@ pub(crate) fn apply_binary(
 /// router gathers fetch the column's and row's alive masks from the
 /// boundary PEs, then one broadcast per side keeps the submatrix lines of
 /// the gathered alive labels (a table lookup on the l-bit mask).
-pub(crate) fn mask_dead(
+fn mask_dead(
     machine: &mut Machine,
     t: &Tables,
     valid: &PluralBits,
@@ -1205,7 +1144,7 @@ pub(crate) fn mask_dead(
 /// across the block-boundary PEs of each column (self-arc blocks are
 /// invalid, hence skipped — the figure's "disabled only during the
 /// scanAnd"). The column's support lands on its group boundary PE.
-pub(crate) fn column_support(
+fn column_support(
     machine: &mut Machine,
     t: &Tables,
     valid: &PluralBits,
@@ -1229,7 +1168,7 @@ pub(crate) fn column_support(
 /// Maintenance phase D: the group boundary PEs (every `side`-th) record
 /// the supported bit `li` into the accumulating `support` masks (one
 /// broadcast).
-pub(crate) fn accumulate_support(
+fn accumulate_support(
     machine: &mut Machine,
     t: &Tables,
     col_support: &PluralBits,
@@ -1331,7 +1270,7 @@ mod tests {
     fn tables_lay_out_figures_9_to_13() {
         let (g, s) = example();
         let lay = Layout::new(&g, &s);
-        let t = Tables::new(&[&lay]);
+        let t = Tables::new(&lay);
         // Figure 13: a 3×3 submatrix, all label pairs set; Figure 11's
         // diagonal PEs (column group 0 × row groups 0–2) hold nothing.
         assert_eq!(t.init_bits(0, 3).count_ones(), 9);

@@ -86,13 +86,6 @@ pub struct ServeConfig {
     /// Artificial per-request service time, for overload tests and the
     /// bench scenario (zero in production).
     pub service_delay: Duration,
-    /// Opportunistic mega-batching: a worker that pops a parse job also
-    /// takes up to this many *compatible* jobs queued right behind it
-    /// (same engine, no budget, no faults) and services them as one
-    /// flattened [`cdg_core::BatchStrategy::Mega`] batch. `0` or `1`
-    /// disables coalescing. Responses are identical to the per-request
-    /// path — coalescing changes throughput, never answers.
-    pub coalesce: usize,
     /// Machine shape for the maspar engine (tests shrink it so fault plans
     /// can kill the whole array).
     pub machine: MachineConfig,
@@ -129,7 +122,6 @@ impl Default for ServeConfig {
             drain_deadline: Duration::from_secs(2),
             max_connections: 64,
             service_delay: Duration::ZERO,
-            coalesce: 8,
             machine: MachineConfig::default(),
             retry: RetryPolicy::default(),
             shards: 1,

@@ -95,9 +95,7 @@ fn overload_storm_sheds_accounts_exactly_and_recovers() {
     // 16 clients × 4 requests against 2 workers and a 4-slot queue:
     // far past 4× the service capacity for the storm's duration. The
     // nightly CI soak widens the storm via CHAOS_STORM_CLIENTS; the
-    // accounting invariants below are storm-size independent. Workers
-    // coalesce at the default setting, so the storm also exercises the
-    // mega-batch path's accounting.
+    // accounting invariants below are storm-size independent.
     let clients: usize = std::env::var("CHAOS_STORM_CLIENTS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -198,11 +196,8 @@ fn interactive_deadlines_time_out_under_starvation() {
         hard_watermark: 8,
         cache_capacity: 0,
         // One worker at 150 ms/job against a 50 ms interactive allowance:
-        // whoever queues behind the first job misses its deadline. The
-        // point is starvation, so opportunistic coalescing (which would
-        // rescue the whole queue in one mega-batch) is off.
+        // whoever queues behind the first job misses its deadline.
         service_delay: Duration::from_millis(150),
-        coalesce: 1,
         ..Default::default()
     })
     .unwrap();
@@ -440,11 +435,9 @@ fn drain_flushes_in_flight_and_sheds_queued_at_deadline() {
         hard_watermark: 8,
         cache_capacity: 0,
         // The in-flight job (300 ms) outlives the drain deadline (100 ms):
-        // drain must wait for it while shedding everything still queued —
-        // coalescing off so exactly one job is in flight at the plug-pull.
+        // drain must wait for it while shedding everything still queued.
         service_delay: Duration::from_millis(300),
         drain_deadline: Duration::from_millis(100),
-        coalesce: 1,
         ..Default::default()
     })
     .unwrap();

@@ -6,9 +6,10 @@
 
 mod util;
 
-use maspar_sim::MachineConfig;
-use parsec_maspar::RetryPolicy;
-use parsec_serve::server::Server;
+use cdg_grammar::grammars::english;
+use maspar_sim::{MachineConfig, MachineStats};
+use parsec_maspar::{parse_maspar_checked, MasparOptions, RetryPolicy};
+use parsec_serve::server::{Server, ServerHandle};
 use parsec_serve::wire::decode_cause;
 use parsec_serve::ServeConfig;
 use std::time::Duration;
@@ -172,29 +173,10 @@ fn empty_sentence_is_a_typed_lexicon_error_not_a_proto_error() {
     assert_eq!(stats.parse_responses(), stats.requests);
 }
 
-#[test]
-fn coalesced_bursts_answer_every_request_identically() {
-    // One slow worker + a concurrent burst: the worker's first pop leaves
-    // the rest of the burst queued, so the next pop_group fuses them into
-    // one mega-batch. Every request must still get its own correct,
-    // fully-accounted response.
-    let handle = Server::start(ServeConfig {
-        workers: 1,
-        coalesce: 8,
-        cache_capacity: 0,
-        service_delay: Duration::from_millis(25),
-        ..english_config()
-    })
-    .unwrap();
+/// Send every text at once, one connection each, and collect each text's
+/// status and `accepted` field.
+fn burst(handle: &ServerHandle, texts: &[&'static str]) -> Vec<(&'static str, String, String)> {
     let addr = handle.addr();
-    let texts = [
-        "the dog runs",
-        "dog the runs",
-        "she sleeps",
-        "the dog runs in the park",
-        "runs sees",
-        "the watch runs",
-    ];
     let threads: Vec<_> = texts
         .iter()
         .map(|&text| {
@@ -205,8 +187,30 @@ fn coalesced_bursts_answer_every_request_identically() {
             })
         })
         .collect();
-    for t in threads {
-        let (text, status, accepted) = t.join().unwrap();
+    threads.into_iter().map(|t| t.join().unwrap()).collect()
+}
+
+#[test]
+fn bursts_answer_every_request_identically() {
+    // One slow worker + a concurrent burst: the worker's first pop leaves
+    // the rest of the burst queued behind it. Every request must still get
+    // its own correct, fully-accounted response.
+    let slow = ServeConfig {
+        workers: 1,
+        cache_capacity: 0,
+        service_delay: Duration::from_millis(25),
+        ..english_config()
+    };
+    let handle = Server::start(slow.clone()).unwrap();
+    let texts = [
+        "the dog runs",
+        "dog the runs",
+        "she sleeps",
+        "the dog runs in the park",
+        "runs sees",
+        "the watch runs",
+    ];
+    for (text, status, accepted) in burst(&handle, &texts) {
         assert_eq!(status, "OK", "`{text}`");
         let expect = !matches!(text, "dog the runs" | "runs sees");
         assert_eq!(accepted, expect.to_string(), "`{text}`");
@@ -215,6 +219,46 @@ fn coalesced_bursts_answer_every_request_identically() {
     assert_eq!(stats.requests, 6);
     assert_eq!(stats.ok, 6);
     assert_eq!(stats.parse_responses(), stats.requests);
+
+    // The same burst on the MasPar engine (lexically unambiguous texts):
+    // the shard ledger charges exactly what solo runs of the texts do.
+    let handle = Server::start(ServeConfig {
+        engine: "maspar".into(),
+        ..slow
+    })
+    .unwrap();
+    let texts = [
+        "the dog runs",
+        "dog the runs",
+        "the dog runs in the park",
+        "she sleeps",
+        "the dog sees a cat",
+    ];
+    for (text, status, _) in burst(&handle, &texts) {
+        assert_eq!(status, "OK", "`{text}`");
+    }
+    let g = english::grammar();
+    let lex = english::lexicon(&g);
+    let solo: Vec<MachineStats> = texts
+        .iter()
+        .map(|t| {
+            let s = lex.sentence(t).unwrap();
+            parse_maspar_checked(&g, &s, &MasparOptions::default())
+                .unwrap()
+                .stats
+        })
+        .collect();
+    let fleet = handle.fleet_stats();
+    assert_eq!(
+        fleet.iter().map(|s| s.machine.plural_ops).sum::<u64>(),
+        solo.iter().map(|s| s.plural_ops).sum::<u64>()
+    );
+    assert_eq!(
+        fleet.iter().map(|s| s.machine.router_ops).sum::<u64>(),
+        solo.iter().map(|s| s.router_ops).sum::<u64>()
+    );
+    let stats = handle.shutdown();
+    assert_eq!(stats.ok, texts.len() as u64);
 }
 
 #[test]

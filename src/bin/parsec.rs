@@ -25,8 +25,6 @@
 //!   --relax                                      retry rejected sentences with relaxed constraints
 //!   --threads <N>                                worker threads for parallel engines (0 = auto)
 //!   --batch <file|->                             parse one sentence per line of a file (or stdin)
-//!   --batch-strategy <per-sentence|mega>         batch scheduling (default per-sentence); `mega`
-//!                                                flattens the whole batch into one joined sweep
 //!   --version                                    print the version and exit
 //!
 //! SERVE OPTIONS (parse-as-a-service; see DESIGN.md §13):
@@ -45,8 +43,6 @@
 //!   --queue <N>            bounded queue capacity (default 64)
 //!   --soft <N> / --hard <N>  shedding watermarks (defaults 48 / 60)
 //!   --cache <N>            response cache entries, 0 disables (default 256)
-//!   --coalesce <N>         fuse up to N queued compatible requests into one
-//!                          mega-batch (default 8; 0/1 disables)
 //!   --drain-ms <N>         graceful-drain deadline (default 2000)
 //!   --max-conns <N>        simultaneous connection cap (default 64)
 //!   --metrics-out <path>   write the obsv metrics snapshot here on exit
@@ -132,8 +128,7 @@ fn usage() -> ! {
          [--engine serial|pram|maspar] [--parses N] [--network] [--dot] [--stats] \
          [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive|incremental|bmm] \
          [--budget spec] [--faults spec] \
-         [--relax] [--threads N] [--batch file|-] \
-         [--batch-strategy per-sentence|mega] [--version] <sentence...>\n\
+         [--relax] [--threads N] [--batch file|-] [--version] <sentence...>\n\
          \x20      parsec serve [SERVE OPTIONS]   (see `parsec serve --help`)"
     );
     std::process::exit(2);
@@ -226,12 +221,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|e| invalid(format!("bad --threads: {e}")));
             }
             "--batch" => batch = Some(it.next().unwrap_or_else(|| usage())),
-            "--batch-strategy" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                builder
-                    .set("batch", &v)
-                    .unwrap_or_else(|e| invalid(format!("bad --batch-strategy: {e}")));
-            }
             "--version" => {
                 println!("parsec {}", env!("CARGO_PKG_VERSION"));
                 std::process::exit(0);
@@ -254,9 +243,6 @@ fn parse_args() -> Args {
         invalid("--faults injects faults into the simulated MasPar; pass --engine maspar".into());
     }
     let config = builder.build().unwrap_or_else(|e| invalid(e.to_string()));
-    if batch.is_none() && config.batch != cdg_core::BatchStrategy::default() {
-        invalid("--batch-strategy schedules a batch; pass --batch too".into());
-    }
     Args {
         grammar,
         grammar_file,
@@ -550,23 +536,6 @@ fn run_batch(args: &Args, engine: &dyn Engine) -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // `--batch-strategy mega` silently degrading to per-sentence sweeps
-    // was invisible before: announce the fallback (the engine bumps the
-    // matching `megabatch.fallback.<reason>` counter when it happens).
-    if args.config.batch == cdg_core::BatchStrategy::Mega && args.engine == "maspar" {
-        let mut opts = parsec_maspar::MasparOptions::from_engine_config(
-            &args.config,
-            MachineConfig::default(),
-        );
-        opts.trace = args.trace.is_some();
-        if let Some(reason) = parsec_maspar::mega_fallback_reason(&opts) {
-            eprintln!(
-                "note: --batch-strategy mega is falling back to per-sentence sweeps \
-                 (reason={}); results are identical, only throughput changes",
-                reason.reason()
-            );
-        }
-    }
     let request =
         build_request(args, &grammar).compiled(cdg_grammar::compiled::resolve(&grammar).artifact);
     let report = match engine.parse_batch(&sentences, &request) {
@@ -671,7 +640,7 @@ fn run_serve(argv: &[String]) -> ExitCode {
             "usage: parsec serve [--addr host:port] [--grammar paper|english|file.cdg] \
              [--engine serial|pram|maspar] [--workers N] [--shards N] [--bands auto|N] \
              [--shard-faults k:after,...] [--queue N] [--soft N] [--hard N] \
-             [--cache N] [--coalesce N] [--drain-ms N] [--max-conns N] [--metrics-out path]"
+             [--cache N] [--drain-ms N] [--max-conns N] [--metrics-out path]"
         );
         std::process::exit(2);
     };
@@ -702,7 +671,6 @@ fn run_serve(argv: &[String]) -> ExitCode {
             "--soft" => config.soft_watermark = number(value()),
             "--hard" => config.hard_watermark = number(value()),
             "--cache" => config.cache_capacity = number(value()),
-            "--coalesce" => config.coalesce = number(value()),
             "--drain-ms" => {
                 config.drain_deadline = std::time::Duration::from_millis(number(value()) as u64)
             }

@@ -315,46 +315,18 @@ fn batch_runs_on_the_maspar_engine() {
 }
 
 #[test]
-fn batch_mega_strategy_matches_per_sentence_on_every_engine() {
-    let corpus = "the dog runs\ndog the runs\nshe sleeps\nthe dog runs in the park\n";
-    let path = write_temp("mega", corpus);
-    let p = path.to_str().unwrap();
-    for engine in ["serial", "pram", "maspar"] {
-        let mut per = vec!["--engine", engine, "--batch", p];
-        let mut mega = vec!["--engine", engine, "--batch", p, "--batch-strategy", "mega"];
-        if engine == "maspar" {
-            // The MasPar engine needs lexically unambiguous sentences;
-            // rejected lines degrade rather than fail, so the verdict
-            // lines still line up between the strategies.
-            per.extend_from_slice(&["--grammar", "english"]);
-            mega.extend_from_slice(&["--grammar", "english"]);
-        }
-        let a = stdout(&run(&per));
-        let b = stdout(&run(&mega));
-        let verdicts = |t: &str| {
-            t.lines()
-                .filter(|l| l.starts_with("ACCEPT") || l.starts_with("REJECT"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            verdicts(&a),
-            verdicts(&b),
-            "engine {engine}: mega diverged from per-sentence"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn batch_strategy_requires_batch_mode() {
-    let out = run(&["--batch-strategy", "mega", "the", "dog", "runs"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("pass --batch too"));
-
-    let out = run(&["--batch-strategy", "sideways", "--batch", "whatever.txt"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("bad --batch-strategy"));
+    // Batches run one sentence at a time on every engine, so there is no
+    // strategy to pick: the old flags are unknown, with the usage error.
+    for args in [
+        &["--batch-strategy", "mega", "--batch", "whatever.txt"][..],
+        &["--batch-strategy", "mega", "the", "dog", "runs"],
+        &["serve", "--coalesce", "8"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("usage: parsec"), "{args:?}");
+    }
 }
 
 #[test]

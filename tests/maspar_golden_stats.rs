@@ -1,16 +1,15 @@
 //! Golden instruction counts for the simulated MP-1.
 //!
 //! The MasPar engine may change how the *host* executes each broadcast —
-//! bit-sliced plurals, addressed broadcasts, table-driven PE bodies,
-//! joined mega-batch sweeps — but never the program the simulated machine
-//! runs. These tables are the engine's oracle.
+//! bit-sliced plurals, addressed broadcasts, table-driven PE bodies —
+//! but never the program the simulated machine runs. These tables are the engine's oracle.
 //! This suite pins, for a fixed corpus, every [`MachineStats`] field, the
 //! bits of the estimated MP-1 time, the removal count of every
 //! maintenance iteration, and the per-phase attribution (phase names with
 //! their stats, folded into one digest per sentence). The values were
 //! recorded before the host learned addressed broadcasts and
-//! table-driven PE bodies, and are checked through both the
-//! per-sentence entry point and the joined mega-batch sweep.
+//! table-driven PE bodies, and are checked through the checked
+//! per-sentence entry point.
 //!
 //! The corpus covers English n = 3–10 (n = 9 and 10 sit beyond the
 //! virtualization cliff: 26,244 and 40,000 virtual PEs on a 16,384-PE
@@ -23,7 +22,7 @@
 use cdg_grammar::grammars::paper;
 use cdg_grammar::{Grammar, Sentence};
 use maspar_sim::MachineStats;
-use parsec_maspar::{parse_maspar_checked, parse_maspar_mega, MasparOptions, MasparOutcome};
+use parsec_maspar::{parse_maspar_checked, MasparOptions, MasparOutcome};
 
 /// One corpus sentence's pinned values.
 struct Golden {
@@ -203,8 +202,7 @@ fn phase_digest(out: &MasparOutcome) -> u64 {
     h
 }
 
-/// The pinned corpus, grouped by grammar so each group can run as one
-/// mega-batch.
+/// The pinned corpus, grouped by grammar.
 fn corpus() -> Vec<(Grammar, Vec<(String, Sentence)>)> {
     let (eng, lex) = corpus::standard_setup();
     let mut english = Vec::new();
@@ -252,14 +250,15 @@ fn matches(want: &Golden, label: &str, out: &MasparOutcome) -> bool {
         && want.phase_digest == phase_digest(out)
 }
 
-/// Check every corpus sentence parsed by `run` against [`GOLDEN`].
-fn check(entry: &str, run: impl Fn(&Grammar, &[Sentence]) -> Vec<MasparOutcome>) {
+#[test]
+fn per_sentence_runs_match_the_golden_table() {
     let mut rows = Vec::new();
     let mut mismatched = Vec::new();
     let mut golden = GOLDEN.iter();
     for (grammar, cases) in corpus() {
-        let sentences: Vec<Sentence> = cases.iter().map(|(_, s)| s.clone()).collect();
-        for ((label, sentence), out) in cases.iter().zip(run(&grammar, &sentences)) {
+        for (label, sentence) in &cases {
+            let out = parse_maspar_checked(&grammar, sentence, &MasparOptions::default())
+                .expect("corpus fits");
             rows.push(row(label, &out));
             if !golden.next().is_some_and(|want| matches(want, label, &out)) {
                 mismatched.push(format!("{label} (`{sentence}`)"));
@@ -268,27 +267,7 @@ fn check(entry: &str, run: impl Fn(&Grammar, &[Sentence]) -> Vec<MasparOutcome>)
     }
     assert!(
         mismatched.is_empty() && golden.next().is_none(),
-        "{entry}: simulated machine moved for {mismatched:?}; regenerated table:\n{}",
+        "parse_maspar_checked: simulated machine moved for {mismatched:?}; regenerated table:\n{}",
         rows.join("\n")
     );
-}
-
-#[test]
-fn per_sentence_runs_match_the_golden_table() {
-    check("parse_maspar_checked", |g, sentences| {
-        sentences
-            .iter()
-            .map(|s| parse_maspar_checked(g, s, &MasparOptions::default()).expect("corpus fits"))
-            .collect()
-    });
-}
-
-#[test]
-fn mega_batch_runs_match_the_golden_table() {
-    check("parse_maspar_mega", |g, sentences| {
-        parse_maspar_mega(g, sentences, &MasparOptions::default())
-            .into_iter()
-            .map(|r| r.expect("corpus fits"))
-            .collect()
-    });
 }
