@@ -32,14 +32,6 @@ pub(crate) fn tail_mask(len: usize) -> u64 {
     }
 }
 
-/// Is PE `pe` live given packed enable and dead masks (`dead` may be empty
-/// — the fault-free fast path)?
-#[inline]
-pub(crate) fn live_at(enabled: &[u64], dead: &[u64], pe: usize) -> bool {
-    let (w, b) = (pe / 64, pe % 64);
-    enabled[w] >> b & 1 == 1 && (dead.is_empty() || dead[w] >> b & 1 == 0)
-}
-
 /// A packed boolean plural: one bit per virtual PE, 64 PEs per word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PluralBits {
@@ -48,15 +40,22 @@ pub struct PluralBits {
 }
 
 impl PluralBits {
-    /// All PEs set to `v`. Allocate through [`crate::Machine::alloc_bits`].
-    pub(crate) fn filled(len: usize, v: bool) -> Self {
-        let mut words = vec![if v { !0u64 } else { 0 }; word_count(len)];
+    /// All PEs set to `v`, in the host buffer `words` (its contents are
+    /// discarded). Allocate through [`crate::Machine::alloc_bits`].
+    pub(crate) fn filled_in(mut words: Vec<u64>, len: usize, v: bool) -> Self {
+        words.clear();
+        words.resize(word_count(len), if v { !0u64 } else { 0 });
         if v {
             if let Some(last) = words.last_mut() {
                 *last &= tail_mask(len);
             }
         }
         PluralBits { words, len }
+    }
+
+    /// The host buffer, for reuse by the next allocation.
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.words
     }
 
     /// Number of virtual PEs.
@@ -133,17 +132,17 @@ mod tests {
 
     #[test]
     fn filled_keeps_tail_bits_zero() {
-        let p = PluralBits::filled(70, true);
+        let p = PluralBits::filled_in(Vec::new(), 70, true);
         assert_eq!(p.len(), 70);
         assert_eq!(p.count_ones(), 70);
         assert_eq!(p.words()[1], tail_mask(70));
-        let q = PluralBits::filled(70, false);
+        let q = PluralBits::filled_in(Vec::new(), 70, false);
         assert_eq!(q.count_ones(), 0);
     }
 
     #[test]
     fn set_get_flip_roundtrip() {
-        let mut p = PluralBits::filled(100, false);
+        let mut p = PluralBits::filled_in(Vec::new(), 100, false);
         p.set(0, true);
         p.set(64, true);
         p.set(99, true);
@@ -155,16 +154,5 @@ mod tests {
         p.set(0, false);
         assert_eq!(p.count_ones(), 1);
         assert_eq!(p.to_bools().iter().filter(|&&b| b).count(), 1);
-    }
-
-    #[test]
-    fn live_at_handles_empty_dead_mask() {
-        let enabled = vec![0b101u64];
-        assert!(live_at(&enabled, &[], 0));
-        assert!(!live_at(&enabled, &[], 1));
-        assert!(live_at(&enabled, &[], 2));
-        let dead = vec![0b100u64];
-        assert!(live_at(&enabled, &dead, 0));
-        assert!(!live_at(&enabled, &dead, 2));
     }
 }

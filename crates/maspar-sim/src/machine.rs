@@ -7,7 +7,8 @@ use crate::plural::Plural;
 use crate::scan::SegmentMap;
 use crate::stats::{CostModel, MachineStats};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
+use std::ops::Range;
 
 /// Static machine parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,8 +67,8 @@ pub struct Machine {
     virt_factor: u64,
     /// Activity flags per virtual PE, packed 64 to a word (bit `pe % 64`
     /// of word `pe / 64`); the stack implements MPL's plural if. Packed
-    /// because the word-parallel kernels below mask activity with single
-    /// bitwise ops; scalar per-PE operations test individual bits.
+    /// because every instruction reads it a word at a time (see
+    /// [`Machine::sweep`]).
     enabled: Vec<u64>,
     activity_stack: Vec<Vec<u64>>,
     /// Simulated PE-local memory in use (bytes per physical PE).
@@ -89,6 +90,8 @@ pub struct Machine {
     /// like `enabled`. Empty when unarmed (so the fault-free path never
     /// consults it).
     virt_dead: Vec<u64>,
+    /// Host buffers of freed plurals, handed to the next allocation.
+    spares: Spares,
     pub stats: MachineStats,
 }
 
@@ -100,6 +103,138 @@ pub struct TraceEntry {
     pub op: &'static str,
     /// PEs active when the operation was broadcast.
     pub active: usize,
+}
+
+/// At most this many host chunks per instruction (see [`Machine::sweep`]).
+const MAX_CHUNKS: usize = 32;
+
+/// Smallest host chunk, in 64-PE words: one 16,384-PE physical array, so
+/// a program that fits the MP-1 unvirtualized runs as one chunk and
+/// starts no pool threads.
+const MIN_CHUNK_WORDS: usize = 256;
+
+/// The PEs an instruction runs on — active and not hosted on a dead
+/// physical PE — read a packed word at a time.
+#[derive(Clone, Copy)]
+struct Live<'a> {
+    enabled: &'a [u64],
+    /// Empty when no fault plan is armed.
+    dead: &'a [u64],
+}
+
+impl Live<'_> {
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        let e = self.enabled[w];
+        if self.dead.is_empty() {
+            e
+        } else {
+            e & !self.dead[w]
+        }
+    }
+
+    /// Call `run(lo, hi)` for every maximal run `lo..hi` of live PEs in
+    /// the packed words `words`. Zero words are skipped with one test, and
+    /// runs continue across word boundaries.
+    #[inline]
+    fn runs(&self, words: Range<usize>, mut run: impl FnMut(usize, usize)) {
+        let (mut lo, mut hi) = (0, 0);
+        for w in words {
+            let mut m = self.word(w);
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                let len = (!(m >> b)).trailing_zeros() as usize;
+                let start = w * 64 + b;
+                if start != hi {
+                    if lo < hi {
+                        run(lo, hi);
+                    }
+                    lo = start;
+                }
+                hi = start + len;
+                // Clear the run just taken (adding its lowest bit carries
+                // through it).
+                m &= m.wrapping_add(1 << b);
+            }
+        }
+        if lo < hi {
+            run(lo, hi);
+        }
+    }
+}
+
+/// Positions of the set bits of `m`, ascending.
+#[inline]
+fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let b = m.trailing_zeros() as usize;
+            m &= m - 1;
+            b
+        })
+    })
+}
+
+/// Is any bit of `words` in the PE range `range` set?
+#[inline]
+fn any_in(words: &[u64], range: Range<usize>) -> bool {
+    if range.len() <= 64 {
+        // Within two words: one 128-bit window, no branch on where the
+        // range falls.
+        let w = range.start / 64;
+        let pair = words[w] as u128 | (words.get(w + 1).copied().unwrap_or(0) as u128) << 64;
+        let bits = (pair >> (range.start % 64)) as u64;
+        return bits & (!0u64 >> (64 - range.len())) != 0;
+    }
+    // Longer: a masked head word, whole middle words, a masked tail word.
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    let head = !0u64 << (range.start % 64);
+    let tail = !0u64 >> (63 - (range.end - 1) % 64);
+    words[first] & head != 0
+        || words[first + 1..last].iter().any(|&w| w != 0)
+        || words[last] & tail != 0
+}
+
+/// Freed host buffers a machine keeps for reuse.
+const MAX_SPARES: usize = 8;
+
+/// Host buffers of freed plurals. Every plural of one machine has
+/// `n_virt` slots (or `n_virt / 64` words), so a freed buffer fits a
+/// later allocation and the host allocator is skipped. The simulated
+/// charge for an allocation is made either way.
+#[derive(Default)]
+struct Spares(Vec<Box<dyn Any + Send + Sync>>);
+
+impl Spares {
+    /// A kept buffer with room for `len` items that wastes at most half of
+    /// itself (so a freed plural's buffer never backs a packed one),
+    /// emptied.
+    fn take<T: 'static>(&mut self, len: usize) -> Option<Vec<T>> {
+        let best = self
+            .0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| Some(((**b).downcast_ref::<Vec<T>>()?.capacity(), i)))
+            .filter(|&(cap, _)| (len..=2 * len).contains(&cap))
+            .min();
+        let (_, i) = best?;
+        let buf = self.0.swap_remove(i).downcast::<Vec<T>>();
+        let mut buf = *buf.expect("the kept buffer was checked to be a Vec<T>");
+        buf.clear();
+        Some(buf)
+    }
+
+    fn keep<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
+        if self.0.len() < MAX_SPARES && buf.capacity() > 0 {
+            self.0.push(Box::new(buf));
+        }
+    }
+}
+
+impl std::fmt::Debug for Spares {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Spares({})", self.0.len())
+    }
 }
 
 impl Machine {
@@ -139,6 +274,7 @@ impl Machine {
             retired: Vec::new(),
             healthy: Vec::new(),
             virt_dead: Vec::new(),
+            spares: Spares::default(),
             stats: MachineStats::default(),
         }
     }
@@ -326,7 +462,7 @@ impl Machine {
     /// Does virtual PE `pe` execute broadcast instructions right now
     /// (active *and* physically alive)?
     pub(crate) fn is_live(&self, pe: usize) -> bool {
-        bits::live_at(&self.enabled, &self.virt_dead, pe)
+        self.live_word(pe / 64) >> (pe % 64) & 1 == 1
     }
 
     /// Is virtual PE `pe` hosted on a dead physical PE (false when no
@@ -335,15 +471,18 @@ impl Machine {
         !self.virt_dead.is_empty() && self.virt_dead[pe / 64] >> (pe % 64) & 1 == 1
     }
 
+    /// The PEs the next instruction runs on.
+    fn live(&self) -> Live<'_> {
+        Live {
+            enabled: &self.enabled,
+            dead: &self.virt_dead,
+        }
+    }
+
     /// Live-PE mask for packed word `w`: enabled minus dead.
     #[inline]
     fn live_word(&self, w: usize) -> u64 {
-        let e = self.enabled[w];
-        if self.virt_dead.is_empty() {
-            e
-        } else {
-            e & !self.virt_dead[w]
-        }
+        self.live().word(w)
     }
 
     /// Count the enabled-but-dead slots one data-carrying broadcast
@@ -504,15 +643,24 @@ impl Machine {
 
     /// Allocate a plural value, one `T` per virtual PE, charged against the
     /// 16 KB-per-PE budget (each physical PE holds `virt_factor` layers).
-    pub fn alloc<T: Clone + Send + Sync>(&mut self, init: T) -> Plural<T> {
+    /// The host array is a freed plural's buffer when one fits.
+    pub fn alloc<T: Clone + Send + Sync + 'static>(&mut self, init: T) -> Plural<T> {
         self.charge_alloc(std::mem::size_of::<T>());
-        Plural::from_vec(vec![init; self.n_virt])
+        let data = match self.spares.take::<T>(self.n_virt) {
+            Some(mut data) => {
+                data.resize(self.n_virt, init);
+                data
+            }
+            None => vec![init; self.n_virt],
+        };
+        Plural::from_vec(data)
     }
 
-    /// Release a plural's memory (host keeps the data; the budget shrinks).
-    pub fn free<T>(&mut self, plural: Plural<T>) {
+    /// Release a plural's memory: the budget shrinks, and the host keeps
+    /// the buffer for the next allocation.
+    pub fn free<T: Send + Sync + 'static>(&mut self, plural: Plural<T>) {
         self.release_alloc(std::mem::size_of::<T>());
-        drop(plural);
+        self.spares.keep(plural.into_vec());
     }
 
     /// Allocate a packed boolean plural, charged exactly like
@@ -520,13 +668,14 @@ impl Machine {
     /// unpacked programs hit the 16 KB budget at the same instruction.
     pub fn alloc_bits(&mut self, init: bool) -> PluralBits {
         self.charge_alloc(std::mem::size_of::<bool>());
-        PluralBits::filled(self.n_virt, init)
+        let words = self.spares.take::<u64>(bits::word_count(self.n_virt));
+        PluralBits::filled_in(words.unwrap_or_default(), self.n_virt, init)
     }
 
     /// Release a packed boolean plural's memory.
     pub fn free_bits(&mut self, plural: PluralBits) {
         self.release_alloc(std::mem::size_of::<bool>());
-        drop(plural);
+        self.spares.keep(plural.into_words());
     }
 
     // ------------------------------------------------------------------
@@ -553,24 +702,91 @@ impl Machine {
         op
     }
 
+    // ------------------------------------------------------------------
+    // The host walk
+    // ------------------------------------------------------------------
+    //
+    // Every data-parallel instruction below walks the array through
+    // `sweep`: the array is cut into chunks of whole 64-PE words, the
+    // chunks go to the thread pool, and each chunk reads the live mask
+    // (`enabled & !virt_dead`) a word at a time. Zero words cost one
+    // test. `Live::runs` merges live PEs into runs that a body walks as a
+    // plain loop over its slots; the word-level kernels use the words
+    // directly. The walk decides only which host loop visits a PE, never
+    // whether the PE runs, so the charges cannot move.
+
+    /// 64-PE words per host chunk: at least one physical array's worth,
+    /// and at most [`MAX_CHUNKS`] chunks. A function of `n_virt` only, so
+    /// results are byte-identical at any thread count.
+    fn chunk_words(&self) -> usize {
+        bits::word_count(self.n_virt)
+            .div_ceil(MAX_CHUNKS)
+            .max(MIN_CHUNK_WORDS)
+    }
+
+    /// Run `body(words, part)` for every host chunk, where chunk `i` covers
+    /// words `i·cw ..` and `part` is its piece of the instruction's data,
+    /// cut by the caller at the same boundaries. Per-chunk results come
+    /// back in chunk order.
+    fn sweep<P: Send, R: Send>(
+        &self,
+        parts: impl Iterator<Item = P>,
+        body: impl Fn(Range<usize>, P) -> R + Sync,
+    ) -> Vec<R> {
+        let (cw, words) = (self.chunk_words(), bits::word_count(self.n_virt));
+        let mut parts: Vec<(Range<usize>, P)> = parts
+            .enumerate()
+            .map(|(i, p)| (i * cw..((i + 1) * cw).min(words), p))
+            .collect();
+        if parts.len() == 1 {
+            let (range, part) = parts.pop().expect("one chunk");
+            return vec![body(range, part)];
+        }
+        parts
+            .into_par_iter()
+            .map(|(range, part)| body(range, part))
+            .collect()
+    }
+
+    /// Run `run(acc, lo, slots)` for every maximal run of live PEs, where
+    /// `slots` are the run's items of `data` (one per PE, from PE `lo`) and
+    /// `acc` is the chunk's accumulator. Returns the accumulators in chunk
+    /// order.
+    fn visit<T: Send, R: Default + Send>(
+        &self,
+        data: &mut [T],
+        run: impl Fn(&mut R, usize, &mut [T]) + Sync,
+    ) -> Vec<R> {
+        let live = self.live();
+        let chunk = self.chunk_words() * 64;
+        self.sweep(data.chunks_mut(chunk), |words, part| {
+            let base = words.start * 64;
+            let mut acc = R::default();
+            live.runs(words, |lo, hi| {
+                run(&mut acc, lo, &mut part[lo - base..hi - base])
+            });
+            acc
+        })
+    }
+
+    /// [`Machine::visit`] with the body called per live PE.
+    fn visit_pes<T: Send>(&self, data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        self.visit(data, |_: &mut (), lo, slots| {
+            for (k, slot) in slots.iter_mut().enumerate() {
+                f(lo + k, slot);
+            }
+        });
+    }
+
     /// One broadcast instruction: every active PE updates its slot of `p`
-    /// from its PE id. Runs data-parallel on the host.
+    /// from its PE id.
     pub fn par_map<T: Send + FaultWord>(
         &mut self,
         p: &mut Plural<T>,
         f: impl Fn(usize, &mut T) + Sync,
     ) {
         let op = self.begin_plural(&[p.len()]);
-        let enabled: &[u64] = &self.enabled;
-        let dead: &[u64] = &self.virt_dead;
-        p.as_mut_slice()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(pe, slot)| {
-                if bits::live_at(enabled, dead, pe) {
-                    f(pe, slot);
-                }
-            });
+        self.visit_pes(p.as_mut_slice(), f);
         self.apply_memory_flips(op, p.as_mut_slice());
     }
 
@@ -583,17 +799,13 @@ impl Machine {
         f: impl Fn(usize, &mut T, &U) + Sync,
     ) {
         let op = self.begin_plural(&[dst.len(), src.len()]);
-        let enabled: &[u64] = &self.enabled;
-        let dead: &[u64] = &self.virt_dead;
         let src = src.as_slice();
-        dst.as_mut_slice()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(pe, slot)| {
-                if bits::live_at(enabled, dead, pe) {
-                    f(pe, slot, &src[pe]);
-                }
-            });
+        self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
+            let src = &src[lo..lo + slots.len()];
+            for (k, (slot, x)) in slots.iter_mut().zip(src).enumerate() {
+                f(lo + k, slot, x);
+            }
+        });
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
@@ -607,18 +819,13 @@ impl Machine {
         f: impl Fn(usize, &mut T, &U, &V) + Sync,
     ) {
         let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
-        let enabled: &[u64] = &self.enabled;
-        let dead: &[u64] = &self.virt_dead;
-        let a = a.as_slice();
-        let b = b.as_slice();
-        dst.as_mut_slice()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(pe, slot)| {
-                if bits::live_at(enabled, dead, pe) {
-                    f(pe, slot, &a[pe], &b[pe]);
-                }
-            });
+        let (a, b) = (a.as_slice(), b.as_slice());
+        self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
+            let (a, b) = (&a[lo..lo + slots.len()], &b[lo..lo + slots.len()]);
+            for (k, ((slot, x), y)) in slots.iter_mut().zip(a).zip(b).enumerate() {
+                f(lo + k, slot, x, y);
+            }
+        });
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
@@ -627,45 +834,43 @@ impl Machine {
     // ------------------------------------------------------------------
     //
     // The same instructions as `par_map`, `par_zip`, `par_zip2` and
-    // `par_zip_bits`, charged exactly like them (the charge is a property
-    // of the broadcast, not of which PEs the host visits): activity, dead
-    // PEs and memory flips behave identically. Only the
-    // host's walk changes.
+    // `par_zip_bits`, charged exactly like them: activity, dead PEs and
+    // memory flips behave identically. Only the host's walk changes.
     //
-    // * The *grid* form hands the body the (column, row) position of each
-    //   PE in a column-major layout of `side`-PE columns (PE = column ·
-    //   side + row) instead of its flat id, so a body indexed by its
-    //   submatrix's column and row group pays no per-PE division.
-    // * The *strided* form visits only PEs with `pe % stride == 0`. A
-    //   plain op whose body starts with that guard computes the same
-    //   plural, but the host walks every PE to skip all but one in
-    //   `stride`.
+    // * The *grid* form addresses PEs by (column, row) in a column-major
+    //   layout of `side`-PE columns (PE = column · side + row). Live runs
+    //   are split at column boundaries and each piece goes to the body
+    //   whole, with its column and rows: the body loops over rows with the
+    //   column fixed, pays no per-PE division, and a body that zips its
+    //   slots with per-row tables compiles to a vector loop.
+    // * The *strided* form visits only PEs with `pe % stride == 0`,
+    //   stepping from one to the next inside each live run.
 
-    /// Run `f(column, row, pe, slot)` on every live PE of `data`, split by
-    /// columns of `side` PEs through the same chunked sweep `par_map` uses.
-    fn visit_grid<T: Send>(
-        &self,
-        data: &mut [T],
+    /// [`Machine::par_map`] addressed by grid position: for every run of
+    /// active PEs within one column, `f(column, rows, slots)`, where
+    /// `slots` hold the PEs `column · side + row` for `row` in `rows`.
+    pub fn par_map_grid<T: Send + FaultWord>(
+        &mut self,
+        p: &mut Plural<T>,
         side: usize,
-        f: impl Fn(usize, usize, usize, &mut T) + Sync,
+        f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
     ) {
         assert!(
-            side > 0 && data.len() % side == 0,
+            side > 0 && p.len() % side == 0,
             "grid columns must tile the array: {} PEs / {side}",
-            data.len()
+            p.len()
         );
-        let mut columns: Vec<&mut [T]> = data.chunks_mut(side).collect();
-        columns
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(col, column)| {
-                let base = col * side;
-                for (row, slot) in column.iter_mut().enumerate() {
-                    if bits::live_at(&self.enabled, &self.virt_dead, base + row) {
-                        f(col, row, base + row, slot);
-                    }
-                }
-            });
+        let op = self.begin_plural(&[p.len()]);
+        self.visit(p.as_mut_slice(), |_: &mut (), lo, mut slots| {
+            let (mut col, mut row) = (lo / side, lo % side);
+            while !slots.is_empty() {
+                let n = (side - row).min(slots.len());
+                let (column, rest) = std::mem::take(&mut slots).split_at_mut(n);
+                f(col, row..row + n, column);
+                (slots, col, row) = (rest, col + 1, 0);
+            }
+        });
+        self.apply_memory_flips(op, p.as_mut_slice());
     }
 
     /// Run `f(pe, slot)` on every live PE of `data` with `pe % stride == 0`.
@@ -676,74 +881,12 @@ impl Machine {
         f: impl Fn(usize, &mut T) + Sync,
     ) {
         assert!(stride > 0, "a stride must be positive");
-        let mut heads: Vec<&mut T> = data.iter_mut().step_by(stride).collect();
-        heads.par_iter_mut().enumerate().for_each(|(k, slot)| {
-            let pe = k * stride;
-            if bits::live_at(&self.enabled, &self.virt_dead, pe) {
-                f(pe, slot);
+        self.visit(data, |_: &mut (), lo, slots| {
+            let end = lo + slots.len();
+            for pe in (lo.next_multiple_of(stride)..end).step_by(stride) {
+                f(pe, &mut slots[pe - lo]);
             }
         });
-    }
-
-    /// [`Machine::par_map`] addressed by grid position: active PEs run
-    /// `f(pe / side, pe % side, slot)`.
-    pub fn par_map_grid<T: Send + FaultWord>(
-        &mut self,
-        p: &mut Plural<T>,
-        side: usize,
-        f: impl Fn(usize, usize, &mut T) + Sync,
-    ) {
-        let op = self.begin_plural(&[p.len()]);
-        self.visit_grid(p.as_mut_slice(), side, |c, r, _, slot| f(c, r, slot));
-        self.apply_memory_flips(op, p.as_mut_slice());
-    }
-
-    /// [`Machine::par_zip`] addressed by grid position.
-    pub fn par_zip_grid<T: Send + FaultWord, U: Sync>(
-        &mut self,
-        dst: &mut Plural<T>,
-        src: &Plural<U>,
-        side: usize,
-        f: impl Fn(usize, usize, &mut T, &U) + Sync,
-    ) {
-        let op = self.begin_plural(&[dst.len(), src.len()]);
-        let src = src.as_slice();
-        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
-            f(c, r, slot, &src[pe])
-        });
-        self.apply_memory_flips(op, dst.as_mut_slice());
-    }
-
-    /// [`Machine::par_zip2`] addressed by grid position.
-    pub fn par_zip2_grid<T: Send + FaultWord, U: Sync, V: Sync>(
-        &mut self,
-        dst: &mut Plural<T>,
-        a: &Plural<U>,
-        b: &Plural<V>,
-        side: usize,
-        f: impl Fn(usize, usize, &mut T, &U, &V) + Sync,
-    ) {
-        let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
-        let (a, b) = (a.as_slice(), b.as_slice());
-        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
-            f(c, r, slot, &a[pe], &b[pe])
-        });
-        self.apply_memory_flips(op, dst.as_mut_slice());
-    }
-
-    /// [`Machine::par_zip_bits`] addressed by grid position.
-    pub fn par_zip_bits_grid(
-        &mut self,
-        dst: &mut Plural<u64>,
-        src: &PluralBits,
-        side: usize,
-        f: impl Fn(usize, usize, &mut u64, bool) + Sync,
-    ) {
-        let op = self.begin_plural(&[dst.len(), src.len()]);
-        self.visit_grid(dst.as_mut_slice(), side, |c, r, pe, slot| {
-            f(c, r, slot, src.get(pe))
-        });
-        self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
     /// [`Machine::par_map`] on the PEs with `pe % stride == 0` only.
@@ -806,7 +949,7 @@ impl Machine {
 
     /// Build a fresh plural from PE ids in one instruction (active PEs run
     /// `f`; inactive PEs hold `fill`).
-    pub fn par_init<T: Clone + Send + Sync + FaultWord>(
+    pub fn par_init<T: Clone + Send + Sync + FaultWord + 'static>(
         &mut self,
         fill: T,
         f: impl Fn(usize) -> T + Sync,
@@ -910,17 +1053,29 @@ impl Machine {
         self.corrupt_reduction(op, result)
     }
 
-    /// Global sum of a u64 plural over active PEs.
+    /// Global sum of a u64 plural over active PEs: a fully live word adds
+    /// its 64 values without testing a bit.
     pub fn reduce_sum(&mut self, p: &Plural<u64>) -> u64 {
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
-        let result = p
-            .as_slice()
-            .par_iter()
-            .enumerate()
-            .map(|(pe, &v)| if self.is_live(pe) { v } else { 0 })
-            .sum();
+        let live = self.live();
+        let partials = self.sweep(
+            p.as_slice().chunks(self.chunk_words() * 64),
+            |words, vals| {
+                let mut sum = 0u64;
+                for (w, vals) in words.zip(vals.chunks(64)) {
+                    let m = live.word(w);
+                    if m == !0 {
+                        sum += vals.iter().sum::<u64>();
+                    } else {
+                        sum += set_bits(m).map(|b| vals[b]).sum::<u64>();
+                    }
+                }
+                sum
+            },
+        );
+        let result = partials.into_iter().sum();
         self.corrupt_reduction(op, result)
     }
 
@@ -1078,26 +1233,30 @@ impl Machine {
         let op = self.charge_router();
         self.count_dead_skips();
         let armed = self.faults.is_some();
-        let oob = AtomicU64::new(0);
-        {
-            let s = src.as_slice();
-            let idx = index.as_slice();
-            dst.as_mut_slice()
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(pe, slot)| {
-                    if self.is_live(pe) {
-                        let target = idx[pe];
-                        if target >= s.len() {
-                            assert!(armed, "router gather out of range: PE {pe} -> {target}");
-                            oob.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        *slot = s[target];
+        let (s, idx) = (src.as_slice(), index.as_slice());
+        let oob: u64 = self
+            .visit(dst.as_mut_slice(), |oob: &mut u64, lo, slots| {
+                let idx = &idx[lo..lo + slots.len()];
+                let mut dropped = 0;
+                for (slot, &target) in slots.iter_mut().zip(idx) {
+                    match s.get(target) {
+                        Some(&v) => *slot = v,
+                        None => dropped += 1,
                     }
-                });
-        }
-        self.stats.oob_routes += oob.into_inner();
+                }
+                if dropped > 0 {
+                    let pe = lo + idx.iter().position(|&t| t >= s.len()).unwrap_or(0);
+                    assert!(
+                        armed,
+                        "router gather out of range: PE {pe} -> {}",
+                        idx[pe - lo]
+                    );
+                    *oob += dropped;
+                }
+            })
+            .into_iter()
+            .sum();
+        self.stats.oob_routes += oob;
         self.apply_router_corruption(op, dst.as_mut_slice());
     }
 
@@ -1176,36 +1335,49 @@ impl Machine {
 
     /// One broadcast instruction: every live PE computes its bit of `dst`
     /// from its word of `src` (the packed counterpart of a
-    /// `par_zip(&mut bool_dst, &u64_src, ...)`).
+    /// `par_zip(&mut bool_dst, &u64_src, ...)`). Each result word is built
+    /// from the body's answers by shifts alone and merged under the live
+    /// mask.
     pub fn par_map_bits(
         &mut self,
         dst: &mut PluralBits,
         src: &Plural<u64>,
-        f: impl Fn(usize, u64) -> bool,
+        f: impl Fn(usize, u64) -> bool + Sync,
     ) {
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
         self.count_dead_skips();
-        let s = src.as_slice();
-        for w in 0..dst.words().len() {
-            let mut m = self.live_word(w);
-            if m == 0 {
-                continue;
-            }
-            let mut word = dst.words()[w];
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let pe = w * 64 + b;
-                if f(pe, s[pe]) {
-                    word |= 1u64 << b;
-                } else {
-                    word &= !(1u64 << b);
+        let (s, live) = (src.as_slice(), self.live());
+        self.sweep(
+            dst.words_mut().chunks_mut(self.chunk_words()),
+            |words, out| {
+                for (w, word) in words.zip(out) {
+                    let m = live.word(w);
+                    if m == 0 {
+                        continue;
+                    }
+                    let base = w * 64;
+                    let v = if m == !0 {
+                        // Eight PEs to a byte, so every shift is a constant.
+                        let mut v = 0u64;
+                        for (j, eight) in s[base..base + 64].chunks_exact(8).enumerate() {
+                            let eight: &[u64; 8] = eight.try_into().expect("chunks of eight");
+                            let pe = base + 8 * j;
+                            let mut byte = 0u64;
+                            for (k, &x) in eight.iter().enumerate() {
+                                byte |= (f(pe + k, x) as u64) << k;
+                            }
+                            v |= byte << (8 * j);
+                        }
+                        v
+                    } else {
+                        set_bits(m).fold(0u64, |v, b| v | (f(base + b, s[base + b]) as u64) << b)
+                    };
+                    *word = (*word & !m) | v;
                 }
-                m &= m - 1;
-            }
-            dst.words_mut()[w] = word;
-        }
+            },
+        );
         self.apply_memory_flips_bits(op, dst);
     }
 
@@ -1217,19 +1389,10 @@ impl Machine {
         &mut self,
         dst: &mut Plural<u64>,
         src: &PluralBits,
-        f: impl Fn(usize, &mut u64, bool),
+        f: impl Fn(usize, &mut u64, bool) + Sync,
     ) {
         let op = self.begin_plural(&[dst.len(), src.len()]);
-        let d = dst.as_mut_slice();
-        for w in 0..bits::word_count(self.n_virt) {
-            let mut m = self.live_word(w);
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let pe = w * 64 + b;
-                f(pe, &mut d[pe], src.get(pe));
-                m &= m - 1;
-            }
-        }
+        self.visit_pes(dst.as_mut_slice(), |pe, slot| f(pe, slot, src.get(pe)));
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
@@ -1304,29 +1467,34 @@ impl Machine {
         self.seg_reduce_bits(p, segs, true)
     }
 
+    /// The segmented reduction behind both packed scans. A live PE whose
+    /// bit differs from the identity decides its segment, so each word is
+    /// masked once and every segment is one test over the words it
+    /// spans, walked in order.
     fn seg_reduce_bits(&mut self, p: &PluralBits, segs: &SegmentMap, identity: bool) -> PluralBits {
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
         self.count_dead_skips();
+        let flip = if identity { !0u64 } else { 0 };
+        let deciding: Vec<u64> = p
+            .words()
+            .iter()
+            .enumerate()
+            .map(|(w, &word)| (word ^ flip) & self.live_word(w))
+            .collect();
         let mut out = self.alloc_bits(identity);
         let mut dead_boundaries = 0u64;
-        for s in 0..segs.num_segments() {
-            let span = segs.span_of(s);
-            let value = if identity {
-                // AND: true unless some live active PE holds a zero bit.
-                (span.first_word..=span.last_word)
-                    .all(|w| !p.words()[w] & self.live_word(w) & span.mask_for(w) == 0)
-            } else {
-                // OR: true once any live active PE holds a set bit.
-                (span.first_word..=span.last_word)
-                    .any(|w| p.words()[w] & self.live_word(w) & span.mask_for(w) != 0)
-            };
-            let boundary = segs.start_of(s);
+        let words = out.words_mut();
+        for range in segs.ranges() {
+            let boundary = range.start;
+            // A dead boundary PE cannot receive the deposit: its slot
+            // keeps the identity and the loss is counted.
             if self.virt_is_dead(boundary) {
                 dead_boundaries += 1;
             } else {
-                out.set(boundary, value);
+                // The slot holds the identity; a deciding PE flips it.
+                words[boundary / 64] ^= (any_in(&deciding, range) as u64) << (boundary % 64);
             }
         }
         self.stats.dead_pe_skips += dead_boundaries;
@@ -2084,43 +2252,14 @@ mod tests {
             (
                 "par_map_grid",
                 Box::new(|m, d, _, _, _| {
-                    m.par_map_grid(d, SIDE, |c, r, v| *v = *v * 7 + (c * 10 + r) as u64)
+                    m.par_map_grid(d, SIDE, |c, rows, slots| {
+                        for (r, v) in rows.zip(slots) {
+                            *v = *v * 7 + (c * 10 + r) as u64
+                        }
+                    })
                 }),
                 Box::new(|m, d, _, _, _| {
                     m.par_map(d, |pe, v| *v = *v * 7 + (pe / SIDE * 10 + pe % SIDE) as u64)
-                }),
-            ),
-            (
-                "par_zip_grid",
-                Box::new(|m, d, a, _, _| {
-                    m.par_zip_grid(d, a, SIDE, |c, r, v, &x| *v ^= x + (c * r) as u64)
-                }),
-                Box::new(|m, d, a, _, _| {
-                    m.par_zip(d, a, |pe, v, &x| *v ^= x + (pe / SIDE * (pe % SIDE)) as u64)
-                }),
-            ),
-            (
-                "par_zip2_grid",
-                Box::new(|m, d, a, b, _| {
-                    m.par_zip2_grid(d, a, b, SIDE, |c, r, v, &x, &y| {
-                        *v += x * y + (c + r) as u64
-                    })
-                }),
-                Box::new(|m, d, a, b, _| {
-                    m.par_zip2(d, a, b, |pe, v, &x, &y| {
-                        *v += x * y + (pe / SIDE + pe % SIDE) as u64
-                    })
-                }),
-            ),
-            (
-                "par_zip_bits_grid",
-                Box::new(|m, d, _, _, f| {
-                    m.par_zip_bits_grid(d, f, SIDE, |c, r, v, ok| *v |= (ok as u64) << (c + r))
-                }),
-                Box::new(|m, d, _, _, f| {
-                    m.par_zip_bits(d, f, |pe, v, ok| {
-                        *v |= (ok as u64) << (pe / SIDE + pe % SIDE)
-                    })
                 }),
             ),
             (
@@ -2186,5 +2325,401 @@ mod tests {
             assert!(got_stats.dead_pe_skips > 0, "{name}: dead PEs counted");
             assert_eq!(got_stats.memory_flips, 1, "{name}: the flip lands at op 7");
         }
+    }
+
+    // --------------------------------------------------------------
+    // The word-run walk against the per-PE walk it replaced
+    // --------------------------------------------------------------
+
+    /// The plurals every word-run case starts from.
+    struct Inputs {
+        a: Plural<u64>,
+        b: Plural<u64>,
+        idx: Plural<usize>,
+        flags: PluralBits,
+        flags_bool: Plural<bool>,
+        dst: Plural<u64>,
+        dst_bits: PluralBits,
+    }
+
+    /// One instruction under test: it runs on the inputs with the grid's
+    /// column height and returns what it wrote (or reduced).
+    type Instruction = Box<dyn Fn(&mut Machine, &mut Inputs, usize) -> Vec<u64>>;
+
+    /// The per-PE reference walk: one plural instruction that tests
+    /// `is_live` on every PE in turn.
+    fn reference_op(m: &mut Machine, p: &mut Plural<u64>, f: impl Fn(usize, &mut u64)) {
+        let op = m.begin_plural(&[p.len()]);
+        for pe in 0..m.n_virt() {
+            if m.is_live(pe) {
+                f(pe, &mut p.as_mut_slice()[pe]);
+            }
+        }
+        m.apply_memory_flips(op, p.as_mut_slice());
+    }
+
+    /// [`reference_op`] writing a packed plural.
+    fn reference_bits(m: &mut Machine, p: &mut PluralBits, f: impl Fn(usize) -> bool) {
+        let op = m.begin_plural(&[p.len()]);
+        for pe in 0..m.n_virt() {
+            if m.is_live(pe) {
+                p.set(pe, f(pe));
+            }
+        }
+        m.apply_memory_flips_bits(op, p);
+    }
+
+    fn words_of(p: &PluralBits) -> Vec<u64> {
+        p.words().to_vec()
+    }
+
+    /// Run `op` as the tenth instruction on `n_virt` virtual PEs over
+    /// `phys` physical ones. Dead phys 7 freezes every PE ≡ 7 (mod
+    /// `phys`); activity is narrowed so that, word by word, four in four
+    /// PEs, four in five, none and 40 in 64 stay live (full, partial and
+    /// zero words); a memory flip on phys 13 and a router corruption on
+    /// phys 21 are scheduled for the instruction under test.
+    fn run_word_case(
+        n_virt: usize,
+        side: usize,
+        phys: usize,
+        op: &Instruction,
+    ) -> (Vec<u64>, MachineStats) {
+        let config = MachineConfig {
+            phys_pes: phys,
+            ..Default::default()
+        };
+        let mut m = Machine::new(config, n_virt);
+        m.arm_faults(
+            FaultPlan::new()
+                .with_dead_pe(7)
+                .with_memory_flip(10, 13, 2)
+                .with_router_corrupt(10, 21, 0x31),
+        );
+        let flag = |pe: usize| pe % 3 == 0 || pe / 64 % 5 == 1;
+        let mut inputs = Inputs {
+            a: m.par_init(0u64, |pe| pe as u64 * 3 + 1),
+            b: m.par_init(0u64, |pe| pe as u64 ^ 0x55),
+            // Every 97th PE routes out of range: dropped and counted.
+            idx: m.par_init(0usize, |pe| match pe % 97 {
+                5 => n_virt + pe,
+                _ => (pe * 7 + 3) % n_virt,
+            }),
+            flags: m.par_init_bits(false, flag),
+            flags_bool: m.par_init(false, flag),
+            dst: m.par_init(0u64, |pe| pe as u64 * 100),
+            dst_bits: m.par_init_bits(false, |pe| pe % 2 == 0),
+        };
+        let mask = m.par_init_bits(false, |pe| match pe / 64 % 4 {
+            0 => true,
+            1 => pe % 5 != 0,
+            2 => false,
+            _ => pe % 64 < 40,
+        });
+        let out = m.with_activity_bits(&mask, |m| op(m, &mut inputs, side));
+        assert_eq!(m.op_count(), 10);
+        (out, m.stats)
+    }
+
+    /// Each rewritten instruction paired with its per-PE reference.
+    fn word_run_cases() -> Vec<(&'static str, Instruction, Instruction)> {
+        vec![
+            (
+                "par_map",
+                Box::new(|m, x, _| {
+                    m.par_map(&mut x.dst, |pe, v| *v = *v * 7 + pe as u64);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, _| {
+                    reference_op(m, &mut x.dst, |pe, v| *v = *v * 7 + pe as u64);
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip",
+                Box::new(|m, x, _| {
+                    m.par_zip(&mut x.dst, &x.a, |pe, v, &a| *v ^= a + pe as u64);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, _| {
+                    let a = x.a.as_slice();
+                    reference_op(m, &mut x.dst, |pe, v| *v ^= a[pe] + pe as u64);
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip2",
+                Box::new(|m, x, _| {
+                    m.par_zip2(&mut x.dst, &x.a, &x.b, |_, v, &a, &b| *v += a * b);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, _| {
+                    let (a, b) = (x.a.as_slice(), x.b.as_slice());
+                    reference_op(m, &mut x.dst, |pe, v| *v += a[pe] * b[pe]);
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_map_grid",
+                Box::new(|m, x, side| {
+                    m.par_map_grid(&mut x.dst, side, |c, rows, slots| {
+                        for (r, v) in rows.zip(slots) {
+                            *v = *v * 3 + (c * 1000 + r) as u64
+                        }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, side| {
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        *v = *v * 3 + (pe / side * 1000 + pe % side) as u64
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_map_strided",
+                Box::new(|m, x, side| {
+                    m.par_map_strided(&mut x.dst, side, |pe, v| *v += pe as u64 + 1);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, side| {
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        if pe % side == 0 {
+                            *v += pe as u64 + 1
+                        }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip_strided",
+                Box::new(|m, x, side| {
+                    m.par_zip_strided(&mut x.dst, &x.a, side, |pe, v, &a| *v = a << (pe % 7));
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, side| {
+                    let a = x.a.as_slice();
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        if pe % side == 0 {
+                            *v = a[pe] << (pe % 7)
+                        }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip2_strided",
+                Box::new(|m, x, side| {
+                    m.par_zip2_strided(&mut x.dst, &x.a, &x.b, side, |_, v, &a, &b| *v = a & !b);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, side| {
+                    let (a, b) = (x.a.as_slice(), x.b.as_slice());
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        if pe % side == 0 {
+                            *v = a[pe] & !b[pe]
+                        }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip_bits_strided",
+                Box::new(|m, x, side| {
+                    m.par_zip_bits_strided(&mut x.dst, &x.flags, side, |pe, v, ok| {
+                        *v = if ok { pe as u64 } else { 1 }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, side| {
+                    let flags = &x.flags;
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        if pe % side == 0 {
+                            *v = if flags.get(pe) { pe as u64 } else { 1 }
+                        }
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_zip_bits",
+                Box::new(|m, x, _| {
+                    m.par_zip_bits(&mut x.dst, &x.flags, |pe, v, ok| {
+                        *v |= (ok as u64) << (pe % 50)
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, _| {
+                    let flags = &x.flags;
+                    reference_op(m, &mut x.dst, |pe, v| {
+                        *v |= (flags.get(pe) as u64) << (pe % 50)
+                    });
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "par_map_bits",
+                Box::new(|m, x, _| {
+                    m.par_map_bits(&mut x.dst_bits, &x.a, |pe, a| (a + pe as u64) % 3 == 0);
+                    words_of(&x.dst_bits)
+                }),
+                Box::new(|m, x, _| {
+                    let a = x.a.as_slice();
+                    reference_bits(m, &mut x.dst_bits, |pe| (a[pe] + pe as u64) % 3 == 0);
+                    words_of(&x.dst_bits)
+                }),
+            ),
+            (
+                "gather",
+                Box::new(|m, x, _| {
+                    m.gather(&x.a, &x.idx, &mut x.dst);
+                    x.dst.as_slice().to_vec()
+                }),
+                Box::new(|m, x, _| {
+                    let op = m.charge_router();
+                    m.count_dead_skips();
+                    let (a, idx) = (x.a.as_slice(), x.idx.as_slice());
+                    for (pe, &target) in idx.iter().enumerate() {
+                        if m.is_live(pe) {
+                            match a.get(target) {
+                                Some(&v) => x.dst.as_mut_slice()[pe] = v,
+                                None => m.stats.oob_routes += 1,
+                            }
+                        }
+                    }
+                    m.apply_router_corruption(op, x.dst.as_mut_slice());
+                    x.dst.as_slice().to_vec()
+                }),
+            ),
+            (
+                "reduce_sum",
+                Box::new(|m, x, _| vec![m.reduce_sum(&x.a)]),
+                Box::new(|m, x, _| {
+                    let op = m.charge_scan();
+                    m.count_dead_skips();
+                    let a = x.a.as_slice();
+                    let sum = (0..m.n_virt())
+                        .filter(|&pe| m.is_live(pe))
+                        .map(|pe| a[pe])
+                        .sum();
+                    vec![m.corrupt_reduction(op, sum)]
+                }),
+            ),
+            (
+                "scan_or_bits in blocks",
+                Box::new(|m, x, side| {
+                    let segs = SegmentMap::uniform(x.a.len(), side / 2);
+                    words_of(&m.scan_or_bits(&x.flags, &segs))
+                }),
+                Box::new(|m, x, side| {
+                    let segs = SegmentMap::uniform(x.a.len(), side / 2);
+                    let out = m.scan_or(&x.flags_bool, &segs);
+                    pack(out.as_slice())
+                }),
+            ),
+            (
+                "scan_and_bits in columns",
+                Box::new(|m, x, side| {
+                    let segs = SegmentMap::uniform(x.a.len(), side);
+                    words_of(&m.scan_and_bits(&x.flags, &segs))
+                }),
+                Box::new(|m, x, side| {
+                    let segs = SegmentMap::uniform(x.a.len(), side);
+                    pack(m.scan_and(&x.flags_bool, &segs).as_slice())
+                }),
+            ),
+            (
+                "scan_or_bits in uneven segments",
+                Box::new(|m, x, _| {
+                    words_of(&m.scan_or_bits(&x.flags, &uneven_segments(x.a.len())))
+                }),
+                Box::new(|m, x, _| {
+                    pack(
+                        m.scan_or(&x.flags_bool, &uneven_segments(x.a.len()))
+                            .as_slice(),
+                    )
+                }),
+            ),
+            (
+                "scan_and_bits in uneven segments",
+                Box::new(|m, x, _| {
+                    words_of(&m.scan_and_bits(&x.flags, &uneven_segments(x.a.len())))
+                }),
+                Box::new(|m, x, _| {
+                    pack(
+                        m.scan_and(&x.flags_bool, &uneven_segments(x.a.len()))
+                            .as_slice(),
+                    )
+                }),
+            ),
+        ]
+    }
+
+    /// Segments of 1, 3, 61, 70 and 130 PEs in turn (one within a word,
+    /// some across one boundary, some across two), the last one cut to fit.
+    fn uneven_segments(n: usize) -> SegmentMap {
+        let mut lengths = Vec::new();
+        let mut left = n;
+        for &l in [1usize, 3, 61, 70, 130].iter().cycle() {
+            if left == 0 {
+                break;
+            }
+            lengths.push(l.min(left));
+            left -= l.min(left);
+        }
+        SegmentMap::from_lengths(&lengths)
+    }
+
+    #[test]
+    fn word_run_walk_matches_the_per_pe_reference() {
+        // Columns of 18, 50 and 200 PEs (taller than a word); no array is
+        // a whole number of words, and 18,000 PEs span two host chunks.
+        for (n_virt, side, phys) in [(1026, 18, 300), (2050, 50, 300), (18_000, 200, 1000)] {
+            assert_ne!(n_virt % 64, 0);
+            for (name, op, reference) in &word_run_cases() {
+                let ctx = format!("{name}: {n_virt} PEs, columns of {side}");
+                let want = run_word_case(n_virt, side, phys, reference);
+                for threads in [1, 2] {
+                    rayon::set_num_threads(threads);
+                    let got = run_word_case(n_virt, side, phys, op);
+                    rayon::set_num_threads(0);
+                    assert_eq!(got.0, want.0, "{ctx}: results at {threads} thread(s)");
+                    assert_eq!(got.1, want.1, "{ctx}: MachineStats at {threads} thread(s)");
+                }
+                assert!(want.1.dead_pe_skips > 0, "{ctx}: dead PEs counted");
+                assert_eq!(
+                    want.1.memory_flips + want.1.router_corruptions,
+                    1,
+                    "{ctx}: the scheduled fault lands on the instruction"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn freed_buffers_come_back_refilled_and_charged_again() {
+        let mut m = Machine::mp1(100);
+        let mut p = m.alloc(0u64);
+        m.par_map(&mut p, |pe, v| *v = pe as u64 + 1);
+        m.free(p);
+        let q = m.alloc(9u64);
+        assert_eq!(q.as_slice(), &[9u64; 100][..]);
+        assert_eq!(
+            m.stats.peak_pe_memory_bytes, 8,
+            "the reuse is charged again"
+        );
+        let mut bits = m.alloc_bits(false);
+        m.par_write_bits(&mut bits, &[!0, !0]);
+        m.free_bits(bits);
+        let bits = m.alloc_bits(false);
+        assert_eq!(bits.count_ones(), 0);
+        m.free_bits(bits);
+        let bits = m.alloc_bits(true);
+        assert_eq!(bits.count_ones(), 100);
+        // A freed packed plural's two words are too few for 100 slots.
+        m.free_bits(bits);
+        let r = m.alloc(3u64);
+        assert_eq!(r.as_slice(), &[3u64; 100][..]);
+        assert_eq!(m.stats.peak_pe_memory_bytes, 16);
     }
 }

@@ -1,47 +1,5 @@
 //! Segment geometry for the scanOr/scanAnd primitives.
 
-/// A segment's extent over the packed 64-PE-per-word representation:
-/// the inclusive word range it touches plus the partial-word masks at
-/// either end, derived once per segment so the word-at-a-time scans
-/// ([`crate::Machine::scan_or_bits`]) never re-derive bit geometry in
-/// their inner loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegSpan {
-    pub first_word: usize,
-    pub last_word: usize,
-    /// Valid bits of `first_word` belonging to this segment.
-    pub first_mask: u64,
-    /// Valid bits of `last_word` belonging to this segment.
-    pub last_mask: u64,
-}
-
-impl SegSpan {
-    /// The segment's bit mask within word `w` (callers only pass words in
-    /// `first_word..=last_word`).
-    #[inline]
-    pub(crate) fn mask_for(&self, w: usize) -> u64 {
-        let mut mask = !0u64;
-        if w == self.first_word {
-            mask &= self.first_mask;
-        }
-        if w == self.last_word {
-            mask &= self.last_mask;
-        }
-        mask
-    }
-}
-
-fn span_for(start: usize, end: usize) -> SegSpan {
-    debug_assert!(start < end);
-    let (first_word, last_word) = (start / 64, (end - 1) / 64);
-    SegSpan {
-        first_word,
-        last_word,
-        first_mask: !0u64 << (start % 64),
-        last_mask: !0u64 >> (63 - (end - 1) % 64),
-    }
-}
-
 /// A partition of the virtual PE array into contiguous segments.
 ///
 /// The MP-1's scan primitives operate within *segments*: runs of
@@ -111,10 +69,18 @@ impl SegmentMap {
         SegmentMap::uniform(total, total)
     }
 
-    /// Packed-word extent of segment `s`.
-    pub(crate) fn span_of(&self, s: usize) -> SegSpan {
-        let range = self.range_of(s);
-        span_for(range.start, range.end)
+    /// Every segment's PE range, in order.
+    pub(crate) fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let mut start = 0;
+        (0..self.num_segments()).map(move |s| {
+            let end = match &self.starts {
+                Starts::Uniform(seg_len) => start + seg_len,
+                Starts::Explicit(starts) => starts.get(s + 1).copied().unwrap_or(self.len),
+            };
+            let range = start..end;
+            start = end;
+            range
+        })
     }
 
     pub fn num_segments(&self) -> usize {
@@ -235,33 +201,16 @@ mod tests {
     }
 
     #[test]
-    fn spans_mirror_pe_ranges() {
-        // Segments crossing word boundaries, within one word, and exactly
-        // word-aligned must all reproduce their PE range bit-for-bit.
+    fn ranges_walk_every_segment_in_order() {
         for map in [
             SegmentMap::from_lengths(&[3, 60, 5, 130]),
             SegmentMap::uniform(192, 64),
             SegmentMap::uniform(90, 10),
             SegmentMap::global(7),
-            SegmentMap::global(200),
         ] {
-            for s in 0..map.num_segments() {
-                let span = map.span_of(s);
-                let range = map.range_of(s);
-                assert_eq!(span.first_word, range.start / 64);
-                assert_eq!(span.last_word, (range.end - 1) / 64);
-                for w in span.first_word..=span.last_word {
-                    let mask = span.mask_for(w);
-                    for b in 0..64 {
-                        let pe = w * 64 + b;
-                        assert_eq!(
-                            mask >> b & 1 == 1,
-                            range.contains(&pe),
-                            "segment {s}, word {w}, bit {b}"
-                        );
-                    }
-                }
-            }
+            let ranges: Vec<_> = map.ranges().collect();
+            let want: Vec<_> = (0..map.num_segments()).map(|s| map.range_of(s)).collect();
+            assert_eq!(ranges, want);
         }
     }
 }

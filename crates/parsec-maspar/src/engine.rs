@@ -34,8 +34,9 @@ use cdg_core::network::{NetParts, Network};
 use cdg_grammar::expr::{Binding, EvalCtx};
 use cdg_grammar::kernel::{FeatureSet, KernelProgram, PartialBinding};
 use cdg_grammar::value::Truth;
-use cdg_grammar::{Constraint, Grammar, RoleId, Sentence};
+use cdg_grammar::{Grammar, RoleId, Sentence, Value};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
+use std::cell::RefCell;
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
@@ -579,6 +580,7 @@ fn drive(
             break;
         }
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
+        let program = KernelProgram::compile(&c.expr);
         run_phase(
             &mut machine,
             retries,
@@ -589,7 +591,7 @@ fn drive(
             |m, bits, alive| {
                 // The unary test depends only on (group, label), so the
                 // ACU evaluates it on the host and broadcasts keep masks.
-                let viol = unary_violations(&t, sentence, c);
+                let viol = unary_violations(&t, sentence, &program);
                 unary_from_table(m, &t, &viol, &valid, bits, alive);
                 0
             },
@@ -637,6 +639,7 @@ fn drive(
             break;
         }
         let _c = obsv::span_with(|| format!("binary:{}", c.name));
+        let program = KernelProgram::compile(&c.expr);
         run_phase(
             &mut machine,
             retries,
@@ -645,7 +648,7 @@ fn drive(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &t, sentence, c, &valid, bits);
+                apply_binary(m, &t, sentence, &program, &valid, bits);
                 0
             },
         )?;
@@ -885,13 +888,17 @@ fn init_exact<T>(
     f: impl Fn(usize, usize) -> T + Sync,
 ) -> Result<Plural<T>, EngineError>
 where
-    T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord,
+    T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord + 'static,
 {
     let mut p = machine.alloc(T::default());
     let mut attempts = 0;
     loop {
         attempts += 1;
-        machine.par_map_grid(&mut p, side, |c, r, v| *v = f(c, r));
+        machine.par_map_grid(&mut p, side, |c, rows, slots| {
+            for (r, v) in rows.zip(slots) {
+                *v = f(c, r);
+            }
+        });
         if !machine.faults_armed()
             || p.as_slice()
                 .iter()
@@ -994,15 +1001,14 @@ fn init_bits_exact(
 }
 
 /// Bit li of entry g: role value (group g, label li) violates the
-/// unary constraint `c`. Evaluated with the constraint's kernel bytecode,
-/// a (word, role) slot at a time. The slot is first evaluated with its
-/// value left open: most unary constraints are guarded by category or
-/// role, and a definite verdict then holds for every value of the slot.
+/// unary constraint compiled to `program`. Evaluated a (word, role) slot
+/// at a time. The slot is first evaluated with its value left open:
+/// most unary constraints are guarded by category or role, and a
+/// definite verdict then holds for every value of the slot.
 /// Otherwise each value is evaluated — once per (slot, label) when the
 /// program never reads the modifiee, since the slot's m groups differ
 /// only in modifiee.
-fn unary_violations(t: &Tables, sentence: &Sentence, c: &Constraint) -> Vec<u64> {
-    let program = KernelProgram::compile(&c.expr);
+fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) -> Vec<u64> {
     let per_label = !program.features().x.contains(FeatureSet::MODIFIEE);
     let mut stack = Vec::with_capacity(program.max_depth());
     let mut viol = vec![0u64; t.side];
@@ -1060,49 +1066,69 @@ fn unary_from_table(
     let keep_cols: Vec<u64> = viol.iter().map(|&v| !t.rows_of[v as usize]).collect();
     let keep_rows: Vec<u64> = viol.iter().map(|&v| !t.cols_of[v as usize]).collect();
     machine.with_activity_bits(valid, |m| {
-        m.par_map_grid(bits, t.side, |cg, rg, b| {
-            *b &= keep_cols[cg] & keep_rows[rg];
+        m.par_map_grid(bits, t.side, |cg, rows, slots| {
+            let keep = keep_cols[cg];
+            for (b, &k) in slots.iter_mut().zip(&keep_rows[rows]) {
+                *b &= keep & k;
+            }
         });
     });
     machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
 }
 
-/// One binary constraint: every valid PE checks the live pairs of its l×l
-/// submatrix (both orderings), skipping empty submatrix rows.
+thread_local! {
+    /// The kernel evaluator's scratch stack for binary PE bodies, one per
+    /// host thread, so no PE allocates.
+    static BINARY_STACK: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One binary constraint, compiled to `program`: every valid PE checks
+/// the live pairs of its l×l submatrix (both orderings), skipping empty
+/// submatrix rows.
 fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
     sentence: &Sentence,
-    c: &Constraint,
+    program: &KernelProgram,
     valid: &PluralBits,
     bits: &mut Plural<u64>,
 ) {
     let l = t.l;
     let label_mask = (1u64 << l) - 1;
+    let holds = |x: Binding, y: Binding, stack: &mut Vec<Value>| {
+        program
+            .eval_with(&EvalCtx::binary(sentence, x, y), stack)
+            .truth()
+            .not_false()
+    };
     machine.with_activity_bits(valid, |m| {
-        m.par_map_grid(bits, t.side, |cg, rg, b| {
-            if *b == 0 {
-                return;
-            }
-            for i in 0..l {
-                let mut live = *b >> (i * l) & label_mask;
-                if live == 0 {
-                    continue;
-                }
-                let Some(bx) = t.bindings[cg * l + i] else {
-                    continue;
-                };
-                while live != 0 {
-                    let j = live.trailing_zeros() as usize;
-                    live &= live - 1;
-                    let Some(by) = t.bindings[rg * l + j] else {
+        m.par_map_grid(bits, t.side, |cg, rows, slots| {
+            BINARY_STACK.with_borrow_mut(|stack| {
+                for (rg, b) in rows.zip(slots) {
+                    if *b == 0 {
                         continue;
-                    };
-                    if !c.check_pair(sentence, bx, by) {
-                        *b &= !(1u64 << (i * l + j));
+                    }
+                    for i in 0..l {
+                        let mut live = *b >> (i * l) & label_mask;
+                        if live == 0 {
+                            continue;
+                        }
+                        let Some(bx) = t.bindings[cg * l + i] else {
+                            continue;
+                        };
+                        while live != 0 {
+                            let j = live.trailing_zeros() as usize;
+                            live &= live - 1;
+                            let Some(by) = t.bindings[rg * l + j] else {
+                                continue;
+                            };
+                            if !(holds(bx, by, stack) && holds(by, bx, stack)) {
+                                *b &= !(1u64 << (i * l + j));
+                            }
+                        }
                     }
                 }
-            }
+            });
         });
     });
 }
