@@ -383,6 +383,37 @@ impl WarmState {
         self.slab.reuses()
     }
 
+    /// Parse `sentence` on this state and summarize it with up to
+    /// `max_parses` parses, then hand the network's storage back for the
+    /// next sentence: one step of a batch. `compiled` is the grammar's
+    /// artifact (`None` compiles each constraint per parse — the oracle).
+    pub fn summarize(
+        &mut self,
+        grammar: &Grammar,
+        sentence: &Sentence,
+        options: ParseOptions,
+        max_parses: usize,
+        compiled: Option<Arc<CompiledGrammar>>,
+    ) -> BatchOutcome {
+        // One root span per sentence so batch traces aggregate cleanly
+        // (see `Engine::parse_batch`).
+        let _root = obsv::span("parse");
+        let mut outcome = parse_with_state(
+            grammar,
+            sentence,
+            options,
+            compiled,
+            &mut self.pool,
+            &mut self.scratch,
+            &mut self.bmm,
+            &mut self.slab,
+        );
+        let summary = BatchOutcome::summarize(&outcome, max_parses);
+        outcome.network.reclaim_arcs(&mut self.pool);
+        outcome.network.reclaim_slab(&mut self.slab);
+        summary
+    }
+
     /// Hand a consumed report's network allocations back to this warm
     /// state: arc matrices to the pool, slot/pair storage to the slab.
     /// Call once the response has been rendered — the report's network is
@@ -556,15 +587,16 @@ impl Engine for Sequential {
         req.reject_faults(self.name())?;
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let mut pool = ArcPool::new();
-        let outcomes = crate::batch::parse_batch_with_pool(
+        let mut warm = WarmState::new();
+        let outcomes = crate::batch::parse_batch_warm(
             req.grammar,
             sentences,
             req.options,
             req.max_parses,
-            &mut pool,
+            req.compiled.clone(),
+            &mut warm,
         );
-        record_pool_stats(&pool.stats);
+        record_pool_stats(warm.pool_stats());
         obsv::counter_add("batch.sentences", sentences.len() as u64);
         let (trace, metrics) = scope.finish();
         Ok(BatchReport {
@@ -763,6 +795,37 @@ mod tests {
             warm.pool_stats().reuses > 0,
             "second request should re-acquire the first request's arcs"
         );
+    }
+
+    #[test]
+    fn attached_artifact_and_warm_batch_change_no_outcome() {
+        // A batch with the artifact attached, one without it, and
+        // per-sentence warm parses all answer alike.
+        let _l = OBSV_LOCK.lock().unwrap();
+        let g = english::grammar();
+        let lex = english::lexicon(&g);
+        let sentences: Vec<Sentence> = [
+            "the dog runs",
+            "dog the runs",
+            "the watch runs",
+            "the big red dog sees a small cat",
+            "they often watch dogs near the table",
+        ]
+        .iter()
+        .map(|t| lex.sentence(t).unwrap())
+        .collect();
+        let compiled = resolve_compiled(&g);
+        let req = ParseRequest::new(&g).max_parses(10);
+        let cold = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
+        let req = req.compiled(compiled);
+        let attached = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
+        assert_eq!(cold, attached);
+        let mut warm = WarmState::new();
+        for (s, want) in sentences.iter().zip(&cold) {
+            let req = req.clone().sentence(s.clone());
+            let report = Sequential.parse_warm(&req, &mut warm).unwrap();
+            assert_eq!(&report.summary(), want, "`{s}`");
+        }
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Batched multi-sentence parsing.
 //!
 //! Parsing a corpus one [`crate::parse`] call at a time pays the arc-matrix
-//! allocation bill (O(n⁴) bits) once per sentence. [`parse_batch`] runs a
-//! whole slice of sentences against one grammar, threading a single
-//! [`ArcPool`] through the sequence so sentence *i+1* reuses sentence *i*'s
-//! arc buffers, and returns compact owned [`BatchOutcome`] summaries instead
-//! of grammar-borrowing networks — which is also what makes the parallel
-//! variant (`cdg_parallel::parse_batch`) possible: summaries are `Send`,
-//! full networks borrow the grammar and carry per-sentence arc storage.
+//! allocation bill (O(n⁴) bits) and the scratch set-up once per sentence.
+//! [`parse_batch`] runs a whole slice of sentences against one grammar on
+//! one [`WarmState`] (arc pool, kernel and BMM scratch, network slab), so
+//! sentence *i+1* reuses sentence *i*'s buffers, and returns compact owned
+//! [`BatchOutcome`] summaries instead of grammar-borrowing networks — which
+//! is also what makes the parallel variant (`cdg_parallel::parse_batch`)
+//! possible: summaries are `Send`, full networks borrow the grammar and
+//! carry per-sentence arc storage. [`parse_batch_warm`] also takes the
+//! grammar's compiled artifact, as `Engine::parse_batch` passes it.
 //!
 //! Results are byte-identical to calling [`crate::parse`] per sentence: the
-//! pool only recycles allocations, never state (see [`crate::pool`]).
+//! warm state only recycles allocations, never state (see [`crate::pool`]).
 
+use crate::api::WarmState;
 use crate::error::EngineError;
 use crate::extract::PrecedenceGraph;
-use crate::parser::{parse_with_pool, ParseOptions, ParseOutcome};
-use crate::pool::ArcPool;
-use cdg_grammar::{Grammar, Lexicon, Sentence};
+use crate::parser::{ParseOptions, ParseOutcome};
+use cdg_grammar::{CompiledGrammar, Grammar, Lexicon, Sentence};
+use std::sync::Arc;
 
 /// Owned per-sentence summary of a batch parse — everything the callers of
 /// the batch API (CLI, bench harness, tests) consume, detached from the
@@ -81,30 +84,31 @@ pub fn parse_batch(
     options: ParseOptions,
     max_parses: usize,
 ) -> Vec<BatchOutcome> {
-    let mut pool = ArcPool::new();
-    parse_batch_with_pool(grammar, sentences, options, max_parses, &mut pool)
+    parse_batch_warm(
+        grammar,
+        sentences,
+        options,
+        max_parses,
+        None,
+        &mut WarmState::new(),
+    )
 }
 
-/// [`parse_batch`] with a caller-held pool, so repeated batches (a server
-/// loop, the bench harness) keep their warm buffers between calls.
-pub fn parse_batch_with_pool(
+/// [`parse_batch`] on a caller-held [`WarmState`] — one pool, kernel
+/// scratch, BMM scratch and network slab for every sentence, kept between
+/// calls — with the grammar's compiled artifact attached (`None` compiles
+/// each constraint per parse).
+pub fn parse_batch_warm(
     grammar: &Grammar,
     sentences: &[Sentence],
     options: ParseOptions,
     max_parses: usize,
-    pool: &mut ArcPool,
+    compiled: Option<Arc<CompiledGrammar>>,
+    warm: &mut WarmState,
 ) -> Vec<BatchOutcome> {
     sentences
         .iter()
-        .map(|s| {
-            // One root span per sentence so batch traces aggregate cleanly
-            // (see `crate::api::Engine::parse_batch`).
-            let _root = obsv::span("parse");
-            let outcome = parse_with_pool(grammar, s, options, pool);
-            let summary = BatchOutcome::summarize(&outcome, max_parses);
-            outcome.network.recycle(pool);
-            summary
-        })
+        .map(|s| warm.summarize(grammar, s, options, max_parses, compiled.clone()))
         .collect()
 }
 
@@ -146,7 +150,7 @@ pub fn parse_batch_text(
     options: ParseOptions,
     max_parses: usize,
 ) -> Vec<TextLine> {
-    let mut pool = ArcPool::new();
+    let mut warm = WarmState::new();
     text.lines()
         .enumerate()
         .filter_map(|(i, raw)| {
@@ -155,13 +159,7 @@ pub fn parse_batch_text(
                 return None;
             }
             let result = match lexicon.sentence(line) {
-                Ok(sentence) => {
-                    let _root = obsv::span("parse");
-                    let outcome = parse_with_pool(grammar, &sentence, options, &mut pool);
-                    let summary = BatchOutcome::summarize(&outcome, max_parses);
-                    outcome.network.recycle(&mut pool);
-                    Ok(summary)
-                }
+                Ok(sentence) => Ok(warm.summarize(grammar, &sentence, options, max_parses, None)),
                 Err(e) => Err(EngineError::Lexicon(e)),
             };
             Some(TextLine {
@@ -206,12 +204,14 @@ mod tests {
     #[test]
     fn pool_actually_recycles_across_the_batch() {
         let (g, sentences) = corpus(&["the dog runs", "the dog sees the cat", "she sleeps"]);
-        let mut pool = ArcPool::new();
-        let _ = parse_batch_with_pool(&g, &sentences, ParseOptions::default(), 0, &mut pool);
-        // Sentence 1 fills the pool; sentences 2..n draw from it.
-        assert!(pool.stats.reuses > 0, "no buffers were reused");
-        assert_eq!(pool.stats.acquires, pool.stats.releases);
-        assert!(pool.idle_buffers() > 0);
+        let mut warm = WarmState::new();
+        let _ = parse_batch_warm(&g, &sentences, ParseOptions::default(), 0, None, &mut warm);
+        // Sentence 1 fills the pool and the slab; sentences 2..n draw
+        // from them.
+        let pool = warm.pool_stats();
+        assert!(pool.reuses > 0, "no buffers were reused");
+        assert_eq!(pool.acquires, pool.releases);
+        assert_eq!(warm.slab_reuses(), sentences.len() as u64 - 1);
     }
 
     #[test]

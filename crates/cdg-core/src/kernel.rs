@@ -52,15 +52,20 @@
 //! already all-zero (so the extra AND there clears nothing), and
 //! `row_and_count` reports exactly the 1→0 transitions that per-cell
 //! `zero_arc_entry` calls would have counted.
+//!
+//! Unary constraints run a slot at a time too ([`apply_unary_kernel_with`],
+//! [`unary_slot`]): the slot's class with its value open, then one lane
+//! pass over the alive values where the class is `Unknown`
+//! ([`KernelProgram::unary_lanes`]).
 
 use crate::network::{Network, RoleSlot, SlotId};
 use bitmat::BitMatrix;
-use cdg_grammar::expr::{EvalCtx, Var};
+use cdg_grammar::expr::Var;
 use cdg_grammar::kernel::{
     signature_key, KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding,
 };
 use cdg_grammar::value::Truth;
-use cdg_grammar::{Constraint, Sentence, Value};
+use cdg_grammar::{Constraint, Sentence};
 use std::collections::HashMap;
 
 /// Per-slot signature table and slot-level classes for one constraint.
@@ -281,7 +286,7 @@ fn bit(words: &[u64], i: usize) -> bool {
 }
 
 /// The set bits of `words`, ascending.
-fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(k, &w)| {
         let mut w = w;
         std::iter::from_fn(move || {
@@ -694,7 +699,7 @@ pub struct PairwiseSweep<'a> {
 /// when the caller attached one, compiling inline otherwise (the cold
 /// oracle, and the only path for extra constraints outside the grammar's
 /// own set), and hand it to `body`.
-fn with_program<R>(
+pub fn with_program<R>(
     net: &mut Network<'_>,
     constraint: &Constraint,
     body: impl FnOnce(&mut Network<'_>, &KernelProgram) -> R,
@@ -793,93 +798,83 @@ pub fn apply_pairwise_kernel_by(
     })
 }
 
-/// Apply a unary constraint with the bytecode evaluator, memoizing
-/// verdicts per slot by feature signature: within one slot, `pos` and
-/// `role` are constants, so two values the program's read set cannot
-/// distinguish share one verdict (the same argument the pairwise slot
-/// classes rest on). `checks` still counts one per alive value —
-/// identical to the naive path's accounting; verdicts answered from the
-/// memo are reported through `kernel_memo_hits`. The program is resolved
-/// (artifact) or compiled exactly once per call — once per parse, never
-/// once per word or per application.
-pub fn apply_unary_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    with_program(net, constraint, apply_unary_kernel_prog)
+/// One slot of a unary sweep: `doomed` receives the alive values of slot
+/// `k` that `prog` definitely violates, one bit per domain entry; returns
+/// the slot class ([`KernelProgram::unary_lanes`]). The shared body of the
+/// serial and P-RAM unary engines.
+pub fn unary_slot(
+    prog: &KernelProgram,
+    sentence: &Sentence,
+    lanes: &LaneTables,
+    k: SlotId,
+    slot: &RoleSlot,
+    scratch: &mut LaneScratch,
+    doomed: &mut Vec<u64>,
+) -> Truth {
+    doomed.resize(slot.alive.words().len(), 0);
+    prog.unary_lanes(
+        sentence,
+        &lanes_of(lanes, k, slot),
+        slot.alive.words(),
+        scratch,
+        doomed,
+    )
 }
 
-/// [`apply_unary_kernel`] with a pre-resolved program: the whole sweep —
-/// every slot, every alive value — runs off one compiled artifact.
-pub fn apply_unary_kernel_prog(net: &mut Network<'_>, prog: &KernelProgram) -> usize {
-    let mut stack: Vec<Value> = Vec::with_capacity(prog.max_depth());
-    let mut doomed: Vec<(usize, usize)> = Vec::new();
-    let mut checks = 0usize;
-    let mut memo_hits = 0usize;
-    let f = prog.features().combined();
-    // Per-slot verdict memo, linear-scanned: the distinct-signature count
-    // per slot is bounded by labels × categories × 3, and in practice a
-    // handful — a hash map would cost more than it saves.
-    let mut memo: Vec<(u64, bool)> = Vec::new();
-    for (slot_id, slot) in net.slots().iter().enumerate() {
-        // Slot-level class first: evaluate once with the slot constants
-        // (`pos`, `role`) bound and the value open. Most unary
-        // constraints are role- or position-guarded, so the guard
-        // resolves the whole slot in one evaluation — the unary analogue
-        // of the pairwise `all_pass_as_x` fast path. A definite verdict
-        // under `Open` holds for every value the slot could take.
-        let alive = slot.alive.count_ones();
-        if alive == 0 {
-            continue;
-        }
-        let open = PartialBinding::Open {
-            pos: slot.pos(),
-            role: slot.role,
-        };
-        let class = prog
-            .eval_partial(net.sentence(), open, PartialBinding::Absent, &mut stack)
-            .truth();
-        match class {
-            Truth::True => {
-                checks += alive;
-                memo_hits += alive;
+/// Apply a unary constraint a slot at a time
+/// ([`KernelProgram::unary_lanes`]): the slot class, then one lane pass
+/// over the alive values a class leaves undecided. `unary_checks` still
+/// counts one check per alive value — the naive path's accounting;
+/// `kernel_memo_hits` counts the values a slot class decides. The program
+/// is resolved (artifact) or compiled exactly once per call. Returns
+/// values removed.
+pub fn apply_unary_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
+    apply_unary_kernel_with(net, constraint, &mut KernelScratch::new())
+}
+
+/// [`apply_unary_kernel`] with caller-owned scratch state. The network's
+/// lane tables are sized here, so the rows a slot builds for a unary pass
+/// serve every later binary pass over that slot.
+pub fn apply_unary_kernel_with(
+    net: &mut Network<'_>,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+) -> usize {
+    with_program(net, constraint, |net, prog| {
+        net.ensure_lane_tables();
+        let Pass {
+            set: doomed, buf, ..
+        } = &mut scratch.pass;
+        let (mut checks, mut memo_hits, mut removed) = (0, 0, 0);
+        for k in 0..net.num_slots() {
+            let slot = net.slot(k);
+            let alive = slot.alive.count_ones();
+            if alive == 0 {
                 continue;
             }
-            Truth::False => {
-                checks += alive;
+            checks += alive;
+            let class = unary_slot(
+                prog,
+                net.sentence(),
+                net.lane_tables(),
+                k,
+                slot,
+                &mut buf.lanes,
+                doomed,
+            );
+            if class != Truth::Unknown {
                 memo_hits += alive;
-                for idx in slot.alive.iter_ones() {
-                    doomed.push((slot_id, idx));
-                }
-                continue;
             }
-            Truth::Unknown => {}
-        }
-        memo.clear();
-        for idx in slot.alive.iter_ones() {
-            checks += 1;
-            let key = signature_key(f, slot.domain[idx]);
-            let verdict = match memo.iter().find(|&&(k, _)| k == key) {
-                Some(&(_, v)) => {
-                    memo_hits += 1;
-                    v
-                }
-                None => {
-                    let ctx = EvalCtx::unary(net.sentence(), slot.binding(idx));
-                    let v = prog.eval_with(&ctx, &mut stack).truth().not_false();
-                    memo.push((key, v));
-                    v
-                }
-            };
-            if !verdict {
-                doomed.push((slot_id, idx));
+            // Removing a value of slot `k` changes no other slot's verdicts.
+            for idx in ones(doomed) {
+                net.remove_value(k, idx);
+                removed += 1;
             }
         }
-    }
-    net.stats.unary_checks += checks;
-    net.stats.kernel_memo_hits += memo_hits;
-    let removed = doomed.len();
-    for (slot_id, idx) in doomed {
-        net.remove_value(slot_id, idx);
-    }
-    removed
+        net.stats.unary_checks += checks;
+        net.stats.kernel_memo_hits += memo_hits;
+        removed
+    })
 }
 
 #[cfg(test)]

@@ -386,11 +386,17 @@ impl<'g> Network<'g> {
                 let (si, sj) = (&self.slots[i], &self.slots[j]);
                 let mut m = pool.acquire(si.domain.len(), sj.domain.len());
                 self.stats.arc_entries_initialized += si.domain.len() * sj.domain.len();
-                for a in si.alive.iter_ones() {
-                    for b in sj.alive.iter_ones() {
-                        let compatible = si.word != sj.word || si.domain[a].cat == sj.domain[b].cat;
-                        if compatible {
-                            m.set(a, b, true);
+                if si.word != sj.word {
+                    // Every alive row is the column slot's alive set.
+                    for a in si.alive.iter_ones() {
+                        m.row_mut(a).copy_from_slice(sj.alive.words());
+                    }
+                } else {
+                    for a in si.alive.iter_ones() {
+                        for b in sj.alive.iter_ones() {
+                            if si.domain[a].cat == sj.domain[b].cat {
+                                m.set(a, b, true);
+                            }
                         }
                     }
                 }
@@ -479,6 +485,12 @@ impl<'g> Network<'g> {
         if self.lanes.len() != self.slots.len() {
             self.lanes.reset(self.slots.len());
         }
+    }
+
+    /// The lane tables of every slot (empty until
+    /// [`Network::ensure_lane_tables`]).
+    pub fn lane_tables(&self) -> &LaneTables {
+        &self.lanes
     }
 
     /// Every arc as (slot i, slot j, triangular index), i < j — the list

@@ -9,7 +9,7 @@ use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
 use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::pool::ArcPool;
-use crate::propagate::{apply_all_binary_with, apply_all_unary, apply_binary, apply_unary};
+use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
 use cdg_grammar::{Arity, CompiledGrammar, Constraint, Grammar, Sentence};
 use std::sync::Arc;
 use std::time::Instant;
@@ -243,9 +243,9 @@ pub fn parse_with_state<'g>(
 
     if build_arcs && options.arcs_before_unary {
         net.init_arcs_with(pool);
-        apply_all_unary(&mut net);
+        apply_all_unary_with(&mut net, scratch);
     } else {
-        apply_all_unary(&mut net);
+        apply_all_unary_with(&mut net, scratch);
         if build_arcs && degraded.is_none() {
             if let Some(e) = over_time(&start) {
                 degraded = Some(e);

@@ -51,12 +51,24 @@ pub fn apply_unary_naive(net: &mut Network<'_>, constraint: &Constraint) -> usiz
 /// Apply every unary constraint of the grammar once, in declaration order.
 /// Returns total removals.
 pub fn apply_all_unary(net: &mut Network<'_>) -> usize {
+    apply_all_unary_with(net, &mut crate::kernel::KernelScratch::new())
+}
+
+/// [`apply_all_unary`] with caller-owned kernel scratch (see
+/// [`apply_all_binary_with`]).
+pub fn apply_all_unary_with(
+    net: &mut Network<'_>,
+    scratch: &mut crate::kernel::KernelScratch,
+) -> usize {
     let _phase = obsv::span("unary_propagation");
     let grammar = net.grammar();
     let mut removed = 0;
     for c in grammar.unary_constraints() {
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
-        removed += apply_unary(net, c);
+        removed += match net.eval {
+            EvalStrategy::Kernel => crate::kernel::apply_unary_kernel_with(net, c, scratch),
+            EvalStrategy::Naive => apply_unary_naive(net, c),
+        };
     }
     removed
 }

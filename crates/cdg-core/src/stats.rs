@@ -37,7 +37,8 @@ pub struct NetStats {
     /// own: by row and column classes (every alive column of a
     /// class-decided row, and the definite-class columns of the other
     /// rows), or shared with a signature-mate (a row reusing its mate's
-    /// mask, a column its mate's verdict).
+    /// mask, a column its mate's verdict). For unary constraints: the
+    /// alive values a slot class decided, with no lane pass over them.
     pub kernel_memo_hits: usize,
     /// Role values removed (by unary propagation or consistency).
     pub removals: usize,

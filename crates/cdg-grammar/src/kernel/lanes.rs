@@ -3,8 +3,11 @@
 //! The MP-1 applies a constraint once per broadcast instruction across
 //! every PE, under an activity mask. This is the host analogue over the
 //! 64 lanes of a word: one variable is scalar ([`PartialBinding::Bound`],
-//! `Open` or `Any`), the other ranges over a slot's domain, one lane per
-//! domain entry, and the program runs once for every lane in a set.
+//! `Open`, `Any` or `Absent`), the other ranges over a slot's domain, one
+//! lane per domain entry, and the program runs once for every lane in a
+//! set. A unary constraint is the `Absent` case: [`KernelProgram::unary_lanes`]
+//! decides a whole slot with one evaluation where it can and with one lane
+//! pass where it cannot.
 //!
 //! Stack entries stay symbolic while they can. A lane's `lab`, `mod`, its
 //! category hypothesis, and the category of its modifiee's word are
@@ -270,12 +273,14 @@ impl<'a> LaneSlot<'a> {
 
 /// Reusable buffers for [`KernelProgram::eval_lanes`]: the symbolic stack,
 /// one row of 64 values per stack depth for the rare per-lane fallback,
-/// and the value stack of words run lane by lane.
+/// the value stack of words run lane by lane (and of slot classes), and
+/// the true plane of a unary pass.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
     stack: Vec<Entry>,
     vals: Vec<Value>,
     scalar: Vec<Value>,
+    unary_t: Vec<u64>,
 }
 
 impl LaneScratch {
@@ -375,6 +380,57 @@ impl KernelProgram {
                 }
             };
         }
+    }
+}
+
+impl KernelProgram {
+    /// Apply a unary program to the `alive` lanes of `slot`, the MP-1's one
+    /// broadcast over every value of a role. The slot class comes first:
+    /// one [`KernelProgram::eval_partial`] with the slot's `pos` and `role`
+    /// bound and its value open. Most unary constraints are guarded by role
+    /// or category, so that class is usually definite, and a definite
+    /// verdict holds for every value the slot could take. Only an `Unknown`
+    /// class costs one [`KernelProgram::eval_lanes`] pass over `alive`,
+    /// with the other variable [`PartialBinding::Absent`] (a unary context).
+    ///
+    /// On return `doomed` holds the alive lanes whose verdict is definitely
+    /// false — the values the constraint removes. Returns the slot class:
+    /// `True` or `False` when it decided every lane without a pass.
+    pub fn unary_lanes(
+        &self,
+        sentence: &Sentence,
+        slot: &LaneSlot<'_>,
+        alive: &[u64],
+        scratch: &mut LaneScratch,
+        doomed: &mut [u64],
+    ) -> Truth {
+        let open = PartialBinding::Open {
+            pos: slot.pos,
+            role: slot.role,
+        };
+        let class = self
+            .eval_partial(sentence, open, PartialBinding::Absent, &mut scratch.scalar)
+            .truth();
+        match class {
+            Truth::True => doomed.fill(0),
+            Truth::False => doomed.copy_from_slice(alive),
+            Truth::Unknown => {
+                let mut t = std::mem::take(&mut scratch.unary_t);
+                t.resize(alive.len(), 0);
+                self.eval_lanes(
+                    sentence,
+                    slot,
+                    Var::X,
+                    PartialBinding::Absent,
+                    alive,
+                    scratch,
+                    &mut t,
+                    doomed,
+                );
+                scratch.unary_t = t;
+            }
+        }
+        class
     }
 }
 

@@ -1,11 +1,12 @@
 //! Differential test of the lane evaluator: every lane of
-//! `KernelProgram::eval_lanes` must equal scalar `eval_partial` with that
+//! `KernelProgram::eval_lanes` (and of the unary pass
+//! `KernelProgram::unary_lanes`) must equal scalar `eval_partial` with that
 //! lane bound, for the bundled grammars' constraints and for seeded random
 //! constraint ASTs.
 
 use cdg_grammar::expr::{Binding, CExpr, Var};
 use cdg_grammar::grammars::{english, english_aux, formal, paper};
-use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneTables, PartialBinding};
+use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding};
 use cdg_grammar::value::Truth;
 use cdg_grammar::{CatId, Grammar, LabelId, Modifiee, RoleId, RoleValue, Sentence};
 
@@ -138,9 +139,52 @@ fn check_pass(
     checked
 }
 
+/// `unary_lanes` over `set`: its doomed lanes are exactly the set lanes
+/// the scalar unary evaluation (`y` absent) definitely fails, and a
+/// definite slot class is that of every lane.
+fn check_unary(
+    prog: &KernelProgram,
+    s: &Sentence,
+    lanes: &LaneSlot<'_>,
+    slot: &Slot,
+    set: &[u64],
+    scratch: &mut LaneScratch,
+    what: &dyn Fn() -> String,
+) {
+    let mut doomed = vec![0u64; set.len()];
+    let class = prog.unary_lanes(s, lanes, set, scratch, &mut doomed);
+    let mut stack = Vec::new();
+    for (v, &value) in slot.domain.iter().enumerate() {
+        let bit = |w: &[u64]| w[v / 64] >> (v % 64) & 1 == 1;
+        let x = PartialBinding::Bound(Binding {
+            pos: slot.pos,
+            role: slot.role,
+            value,
+        });
+        let want = prog
+            .eval_partial(s, x, PartialBinding::Absent, &mut stack)
+            .truth();
+        if !bit(set) {
+            assert!(!bit(&doomed), "lane {v} outside the set doomed: {}", what());
+            continue;
+        }
+        assert_eq!(
+            bit(&doomed),
+            want == Truth::False,
+            "unary lane {v} ({value:?}): {}",
+            what()
+        );
+        if class != Truth::Unknown {
+            assert_eq!(class, want, "slot class vs lane {v}: {}", what());
+        }
+    }
+}
+
 /// Every slot pair (including a slot with itself), both lane variables,
 /// the scalar side `Bound` to each of `bound_stride`-spaced values, `Open`
-/// and `Any`, over the full lane set and random dense and sparse subsets.
+/// and `Any`, over the full lane set and random dense and sparse subsets;
+/// and every slot against an `Absent` scalar, the unary context, through
+/// both `eval_lanes` and `unary_lanes`.
 fn check_program(
     name: &str,
     prog: &KernelProgram,
@@ -154,6 +198,27 @@ fn check_program(
     let mut checked = 0;
     for (k, lane_slot) in slots.iter().enumerate() {
         let sets = lane_sets(lane_slot.domain.len(), rng);
+        let what = || format!("`{name}` on `{s}`, slot {k}");
+        for lane in [Var::X, Var::Y] {
+            for set in &sets {
+                checked += check_pass(
+                    prog,
+                    s,
+                    &tables,
+                    k,
+                    lane_slot,
+                    lane,
+                    PartialBinding::Absent,
+                    set,
+                    &mut scratch,
+                    &what,
+                );
+            }
+        }
+        let lanes = tables.slot(k, lane_slot.pos, lane_slot.role, &lane_slot.domain);
+        for set in &sets {
+            check_unary(prog, s, &lanes, lane_slot, set, &mut scratch, &what);
+        }
         for other in slots {
             let mut scalars = vec![
                 PartialBinding::Open {
@@ -182,7 +247,7 @@ fn check_program(
                             scalar,
                             set,
                             &mut scratch,
-                            &|| format!("`{name}` on `{s}`, slot {k}"),
+                            &what,
                         );
                     }
                 }

@@ -73,8 +73,13 @@ impl Engine for Pram {
         }
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let outcomes =
-            crate::batch::parse_batch(req.grammar, sentences, req.options, req.max_parses);
+        let outcomes = crate::batch::parse_batch_compiled(
+            req.grammar,
+            sentences,
+            req.options,
+            req.max_parses,
+            req.compiled.clone(),
+        );
         obsv::counter_add("batch.sentences", sentences.len() as u64);
         let (trace, metrics) = scope.finish();
         Ok(BatchReport {

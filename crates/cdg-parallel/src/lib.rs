@@ -29,7 +29,7 @@ pub mod extract_par;
 pub mod mesh;
 pub mod pram;
 
-pub use batch::parse_batch;
+pub use batch::{parse_batch, parse_batch_compiled};
 pub use engine::Pram;
 pub use extract_par::precedence_graphs_par;
 pub use mesh::{MeshCdg, MeshStats};

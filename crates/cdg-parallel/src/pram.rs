@@ -2,10 +2,14 @@
 
 use bitmat::BitVec;
 use cdg_core::consistency::{arc_generation_sweep, arc_support_counts, ArcSupport, ArcSweep};
-use cdg_core::kernel::{apply_pairwise_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch};
+use cdg_core::kernel::{
+    apply_pairwise_kernel_by, kernel_arc, ones, unary_slot, with_program, ArcKernelCounts,
+    KernelScratch,
+};
 use cdg_core::network::{EvalStrategy, FilterStrategy, NetParts, Network, RoleSlot};
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::PrecedenceGraph;
+use cdg_grammar::kernel::LaneScratch;
 use cdg_grammar::{Arity, Constraint, Grammar, Sentence};
 use rayon::prelude::*;
 
@@ -119,22 +123,47 @@ fn remove_values_par(net: &mut Network<'_>, doomed: &[(usize, usize)], stats: &m
 }
 
 /// One unary constraint over all role values, in parallel. O(1) P-RAM
-/// rounds, width O(n²).
+/// rounds, width O(n²). Under [`EvalStrategy::Kernel`] each worker runs
+/// one slot's class and lane pass ([`unary_slot`]); `Naive` tree-walks
+/// every value (the oracle).
 pub fn apply_unary_par(net: &mut Network<'_>, c: &Constraint, stats: &mut PramStats) -> usize {
     debug_assert_eq!(c.arity, Arity::Unary);
-    let sentence = net.sentence().clone();
-    let doomed: Vec<(usize, usize)> = net
-        .slots()
-        .par_iter()
-        .enumerate()
-        .flat_map_iter(|(slot_id, slot)| {
-            slot.alive
-                .iter_ones()
-                .filter(|&idx| !c.check_unary(&sentence, slot.binding(idx)))
-                .map(move |idx| (slot_id, idx))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let doomed: Vec<(usize, usize)> = match net.eval {
+        EvalStrategy::Kernel => with_program(net, c, |net, prog| {
+            net.ensure_lane_tables();
+            let (sentence, lanes) = (net.sentence(), net.lane_tables());
+            let per_slot: Vec<Vec<(usize, usize)>> = net
+                .slots()
+                .par_iter()
+                .enumerate()
+                .map_init(
+                    || (LaneScratch::new(), Vec::new()),
+                    |(scratch, words), (k, slot)| {
+                        if !slot.alive.any() {
+                            return Vec::new();
+                        }
+                        unary_slot(prog, sentence, lanes, k, slot, scratch, words);
+                        ones(words).map(|idx| (k, idx)).collect()
+                    },
+                )
+                .collect();
+            per_slot.concat()
+        }),
+        EvalStrategy::Naive => {
+            let sentence = net.sentence();
+            net.slots()
+                .par_iter()
+                .enumerate()
+                .flat_map_iter(|(slot_id, slot)| {
+                    slot.alive
+                        .iter_ones()
+                        .filter(|&idx| !c.check_unary(sentence, slot.binding(idx)))
+                        .map(move |idx| (slot_id, idx))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        }
+    };
     stats.round(net.total_alive());
     remove_values_par(net, &doomed, stats);
     doomed.len()

@@ -30,11 +30,11 @@
 use crate::layout::Layout;
 use bitmat::BitVec;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
+use cdg_core::kernel::ones;
 use cdg_core::network::{NetParts, Network};
 use cdg_grammar::expr::{Binding, EvalCtx};
-use cdg_grammar::kernel::{FeatureSet, KernelProgram, PartialBinding};
-use cdg_grammar::value::Truth;
-use cdg_grammar::{Grammar, RoleId, Sentence, Value};
+use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables};
+use cdg_grammar::{Grammar, RoleId, RoleValue, Sentence, Value};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
 use std::cell::RefCell;
 
@@ -580,7 +580,9 @@ fn drive(
             break;
         }
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
-        let program = KernelProgram::compile(&c.expr);
+        // The unary test depends only on (group, label), so the ACU
+        // evaluates it on the host and broadcasts keep masks.
+        let viol = unary_violations(&t, sentence, &KernelProgram::compile(&c.expr));
         run_phase(
             &mut machine,
             retries,
@@ -589,9 +591,6 @@ fn drive(
             &mut bits,
             &mut alive,
             |m, bits, alive| {
-                // The unary test depends only on (group, label), so the
-                // ACU evaluates it on the host and broadcasts keep masks.
-                let viol = unary_violations(&t, sentence, &program);
                 unary_from_table(m, &t, &viol, &valid, bits, alive);
                 0
             },
@@ -766,6 +765,14 @@ struct Tables {
     /// Role value (group g, label li) as a constraint binding, at
     /// `g·l + li`; `None` pads roles with fewer than l labels.
     bindings: Vec<Option<Binding>>,
+    /// The valid role values of every (word, role) slot as one lane
+    /// domain: slot k's lanes are `values[starts[k]..starts[k + 1]]`, in
+    /// (group, label) order, and `value_at` holds each lane's `g·l + li`.
+    values: Vec<RoleValue>,
+    value_at: Vec<usize>,
+    starts: Vec<usize>,
+    /// Lane tables over those slot domains, built on first use.
+    lanes: LaneTables,
     /// (word, role) slot and role index of each group.
     slot_of: Vec<usize>,
     role_of: Vec<usize>,
@@ -788,6 +795,21 @@ impl Tables {
                 .collect()
         };
         let virt = lay.virt_pes();
+        let bindings: Vec<Option<Binding>> = (0..lay.groups * l)
+            .map(|k| lay.binding(k / l, k % l))
+            .collect();
+        let (mut values, mut value_at, mut starts) = (Vec::new(), Vec::new(), vec![0]);
+        for (k, b) in bindings.iter().enumerate() {
+            if let Some(b) = b {
+                values.push(b.value);
+                value_at.push(k);
+            }
+            if (k + 1) % (lay.m * l) == 0 {
+                starts.push(values.len());
+            }
+        }
+        let mut lanes = LaneTables::new();
+        lanes.reset(starts.len() - 1);
         Tables {
             side: lay.groups,
             l,
@@ -797,9 +819,11 @@ impl Tables {
             columns: SegmentMap::uniform(virt, lay.groups),
             rows_of: label_masks(&|i| lay.row_mask(i)),
             cols_of: label_masks(&|j| lay.col_mask(j)),
-            bindings: (0..lay.groups * l)
-                .map(|k| lay.binding(k / l, k % l))
-                .collect(),
+            bindings,
+            values,
+            value_at,
+            starts,
+            lanes,
             slot_of: (0..lay.groups).map(|g| g / lay.m).collect(),
             role_of: (0..lay.groups).map(|g| g / lay.m % q).collect(),
             pair_bits: (0..q * q)
@@ -850,6 +874,18 @@ impl Tables {
         } else {
             0
         }
+    }
+
+    /// Slot `k`'s lanes (its valid role values at the slot's position and
+    /// role) and each lane's `g·l + li`.
+    fn slot_lanes(&self, k: usize) -> (LaneSlot<'_>, &[usize]) {
+        let span = self.starts[k]..self.starts[k + 1];
+        let pos = (k / self.q) as u16 + 1;
+        let role = RoleId((k % self.q) as u16);
+        (
+            self.lanes.slot(k, pos, role, &self.values[span.clone()]),
+            &self.value_at[span],
+        )
     }
 
     /// Router index of group `g`'s alive mask: its boundary PE.
@@ -1002,50 +1038,26 @@ fn init_bits_exact(
 
 /// Bit li of entry g: role value (group g, label li) violates the
 /// unary constraint compiled to `program`. Evaluated a (word, role) slot
-/// at a time. The slot is first evaluated with its value left open:
-/// most unary constraints are guarded by category or role, and a
-/// definite verdict then holds for every value of the slot.
-/// Otherwise each value is evaluated — once per (slot, label) when the
-/// program never reads the modifiee, since the slot's m groups differ
-/// only in modifiee.
+/// at a time, as [`KernelProgram::unary_lanes`] over the slot's valid
+/// bindings ([`Tables::slot_lanes`]): the slot class first (most unary
+/// constraints are guarded by category or role, and a definite class holds
+/// for every value of the slot), one lane pass where it is `Unknown`.
 fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) -> Vec<u64> {
-    let per_label = !program.features().x.contains(FeatureSet::MODIFIEE);
-    let mut stack = Vec::with_capacity(program.max_depth());
+    let mut scratch = LaneScratch::new();
+    let (mut all, mut doomed) = (Vec::new(), Vec::new());
     let mut viol = vec![0u64; t.side];
-    for first in (0..t.side).step_by(t.m) {
-        let slot = t.slot_of[first];
-        let open = PartialBinding::Open {
-            pos: (slot / t.q) as u16 + 1,
-            role: RoleId((slot % t.q) as u16),
-        };
-        let slot_viol = &mut viol[first..first + t.m];
-        match program
-            .eval_partial(sentence, open, PartialBinding::Absent, &mut stack)
-            .truth()
-        {
-            Truth::True => continue,
-            Truth::False => {
-                slot_viol.fill(t.full[slot % t.q]);
-                continue;
-            }
-            Truth::Unknown => {}
+    for k in 0..t.side / t.m {
+        let (lanes, bindings) = t.slot_lanes(k);
+        all.clear();
+        all.resize(bindings.len().div_ceil(64), !0u64);
+        if bindings.len() % 64 != 0 {
+            *all.last_mut().expect("a slot has valid bindings") >>= 64 - bindings.len() % 64;
         }
-        for (m_idx, g) in (first..first + t.m).enumerate() {
-            if per_label && m_idx > 0 {
-                slot_viol[m_idx] = slot_viol[0];
-                continue;
-            }
-            for li in 0..t.l {
-                if let Some(b) = t.bindings[g * t.l + li] {
-                    let ok = program
-                        .eval_with(&EvalCtx::unary(sentence, b), &mut stack)
-                        .truth()
-                        .not_false();
-                    if !ok {
-                        slot_viol[m_idx] |= 1u64 << li;
-                    }
-                }
-            }
+        doomed.resize(all.len(), 0);
+        program.unary_lanes(sentence, &lanes, &all, &mut scratch, &mut doomed);
+        for lane in ones(&doomed) {
+            let gl = bindings[lane];
+            viol[gl / t.l] |= 1u64 << (gl % t.l);
         }
     }
     viol
