@@ -826,15 +826,9 @@ pub fn unary_slot(
 /// over the alive values a class leaves undecided. `unary_checks` still
 /// counts one check per alive value — the naive path's accounting;
 /// `kernel_memo_hits` counts the values a slot class decides. The program
-/// is resolved (artifact) or compiled exactly once per call. Returns
-/// values removed.
-pub fn apply_unary_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    apply_unary_kernel_with(net, constraint, &mut KernelScratch::new())
-}
-
-/// [`apply_unary_kernel`] with caller-owned scratch state. The network's
+/// is resolved (artifact) or compiled exactly once per call. The network's
 /// lane tables are sized here, so the rows a slot builds for a unary pass
-/// serve every later binary pass over that slot.
+/// serve every later binary pass over that slot. Returns values removed.
 pub fn apply_unary_kernel_with(
     net: &mut Network<'_>,
     constraint: &Constraint,

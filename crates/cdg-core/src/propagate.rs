@@ -8,6 +8,7 @@
 //! [`EvalStrategy::Naive`] path is the paper's literal per-cell tree walk,
 //! kept as the differential oracle. Both produce bit-identical networks.
 
+use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, Network};
 use cdg_grammar::{Arity, Constraint};
 
@@ -15,13 +16,22 @@ use cdg_grammar::{Arity, Constraint};
 /// removing violators. Returns the number of role values removed.
 /// O(n²) checks — the paper's per-unary-constraint cost.
 pub fn apply_unary(net: &mut Network<'_>, constraint: &Constraint) -> usize {
+    apply_unary_with(net, constraint, &mut KernelScratch::new())
+}
+
+/// [`apply_unary`] with caller-owned kernel scratch.
+fn apply_unary_with(
+    net: &mut Network<'_>,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+) -> usize {
     assert_eq!(
         constraint.arity,
         Arity::Unary,
         "apply_unary needs a unary constraint"
     );
     match net.eval {
-        EvalStrategy::Kernel => crate::kernel::apply_unary_kernel(net, constraint),
+        EvalStrategy::Kernel => crate::kernel::apply_unary_kernel_with(net, constraint, scratch),
         EvalStrategy::Naive => apply_unary_naive(net, constraint),
     }
 }
@@ -51,24 +61,18 @@ pub fn apply_unary_naive(net: &mut Network<'_>, constraint: &Constraint) -> usiz
 /// Apply every unary constraint of the grammar once, in declaration order.
 /// Returns total removals.
 pub fn apply_all_unary(net: &mut Network<'_>) -> usize {
-    apply_all_unary_with(net, &mut crate::kernel::KernelScratch::new())
+    apply_all_unary_with(net, &mut KernelScratch::new())
 }
 
 /// [`apply_all_unary`] with caller-owned kernel scratch (see
 /// [`apply_all_binary_with`]).
-pub fn apply_all_unary_with(
-    net: &mut Network<'_>,
-    scratch: &mut crate::kernel::KernelScratch,
-) -> usize {
+pub fn apply_all_unary_with(net: &mut Network<'_>, scratch: &mut KernelScratch) -> usize {
     let _phase = obsv::span("unary_propagation");
     let grammar = net.grammar();
     let mut removed = 0;
     for c in grammar.unary_constraints() {
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
-        removed += match net.eval {
-            EvalStrategy::Kernel => crate::kernel::apply_unary_kernel_with(net, c, scratch),
-            EvalStrategy::Naive => apply_unary_naive(net, c),
-        };
+        removed += apply_unary_with(net, c, scratch);
     }
     removed
 }

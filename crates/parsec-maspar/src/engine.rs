@@ -1047,17 +1047,16 @@ fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) ->
     let (mut all, mut doomed) = (Vec::new(), Vec::new());
     let mut viol = vec![0u64; t.side];
     for k in 0..t.side / t.m {
-        let (lanes, bindings) = t.slot_lanes(k);
+        let (lanes, at) = t.slot_lanes(k);
         all.clear();
-        all.resize(bindings.len().div_ceil(64), !0u64);
-        if bindings.len() % 64 != 0 {
-            *all.last_mut().expect("a slot has valid bindings") >>= 64 - bindings.len() % 64;
+        all.resize(at.len().div_ceil(64), !0u64);
+        if at.len() % 64 != 0 {
+            *all.last_mut().expect("a slot has valid bindings") >>= 64 - at.len() % 64;
         }
         doomed.resize(all.len(), 0);
         program.unary_lanes(sentence, &lanes, &all, &mut scratch, &mut doomed);
         for lane in ones(&doomed) {
-            let gl = bindings[lane];
-            viol[gl / t.l] |= 1u64 << (gl % t.l);
+            viol[at[lane] / t.l] |= 1u64 << (at[lane] % t.l);
         }
     }
     viol
