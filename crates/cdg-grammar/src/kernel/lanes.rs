@@ -381,9 +381,7 @@ impl KernelProgram {
             };
         }
     }
-}
 
-impl KernelProgram {
     /// Apply a unary program to the `alive` lanes of `slot`, the MP-1's one
     /// broadcast over every value of a role. The slot class comes first:
     /// one [`KernelProgram::eval_partial`] with the slot's `pos` and `role`
