@@ -69,7 +69,12 @@ fn virtualization(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(phys), &s, |b, s| {
-            b.iter(|| black_box(parsec_maspar::parse_maspar(&g, s, &opts)))
+            b.iter(|| {
+                black_box(
+                    parsec_maspar::parse_maspar_checked(&g, s, &opts)
+                        .expect("the MasPar parse fits the simulated machine"),
+                )
+            })
         });
     }
     group.finish();

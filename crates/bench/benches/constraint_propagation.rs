@@ -85,11 +85,14 @@ fn maspar_full_parse(c: &mut Criterion) {
         let s = cdg_grammar::grammars::paper::cost_sweep_sentence(&g, n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &s, |b, s| {
             b.iter(|| {
-                black_box(parsec_maspar::parse_maspar(
-                    &g,
-                    s,
-                    &parsec_maspar::MasparOptions::default(),
-                ))
+                black_box(
+                    parsec_maspar::parse_maspar_checked(
+                        &g,
+                        s,
+                        &parsec_maspar::MasparOptions::default(),
+                    )
+                    .expect("the MasPar parse fits the simulated machine"),
+                )
             })
         });
     }

@@ -27,11 +27,14 @@ fn cdg_engines(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("maspar-sim", n), &s, |b, s| {
             b.iter(|| {
-                black_box(parsec_maspar::parse_maspar(
-                    &g,
-                    s,
-                    &parsec_maspar::MasparOptions::default(),
-                ))
+                black_box(
+                    parsec_maspar::parse_maspar_checked(
+                        &g,
+                        s,
+                        &parsec_maspar::MasparOptions::default(),
+                    )
+                    .expect("the MasPar parse fits the simulated machine"),
+                )
             })
         });
     }

@@ -31,7 +31,7 @@ use cdg_core::{BatchOutcome, EvalStrategy, FilterStrategy};
 use cdg_grammar::grammars::{english, formal};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::Pram;
-use parsec_maspar::{parse_maspar, Maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 
 struct Args {
     quick: bool,
@@ -98,7 +98,8 @@ fn digest_outcome(grammar: &Grammar, sentence: &Sentence) -> u64 {
 /// full machine-op ledger and the estimated-seconds bits — everything the
 /// simulated MP-1 computed, so equal digests mean bit-identical execution.
 fn digest_maspar(grammar: &Grammar, sentence: &Sentence) -> u64 {
-    let out = parse_maspar(grammar, sentence, &MasparOptions::default());
+    let out = parse_maspar_checked(grammar, sentence, &MasparOptions::default())
+        .expect("the MasPar parse fits the simulated machine");
     let buf = format!(
         "{:?};{:?};{:?};{:016x}",
         out.alive,

@@ -18,7 +18,7 @@ use bench::{fit_exponent, TextTable};
 use cdg_core::parser::{parse, ParseOptions};
 use cdg_grammar::grammars::paper;
 use maspar_sim::CostModel;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -73,7 +73,9 @@ fn throughput() {
         cdg_parallel::parse_pram(&g, s, opts).roles_nonempty
     });
     run("cdg-maspar-sim", &|s| {
-        parse_maspar(&g, s, &MasparOptions::default()).roles_nonempty()
+        parse_maspar_checked(&g, s, &MasparOptions::default())
+            .expect("the MasPar parse fits the simulated machine")
+            .roles_nonempty()
     });
     let cfg = cfg_baseline::gen::english_cfg();
     run("cky-serial", &|s| {
@@ -157,7 +159,8 @@ fn ablation() {
             },
             ..Default::default()
         };
-        let out = parse_maspar(&g2, &s2, &opts);
+        let out = parse_maspar_checked(&g2, &s2, &opts)
+            .expect("the MasPar parse fits the simulated machine");
         t.row(&[
             phys.to_string(),
             out.virt_factor.to_string(),
@@ -321,7 +324,8 @@ fn timing() {
     ]);
     for n in 1..=14 {
         let s = paper::cost_sweep_sentence(&g, n);
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default())
+            .expect("the MasPar parse fits the simulated machine");
         let note = match n {
             3 => "~0.15 s",
             7 => "<10 ms/constraint",

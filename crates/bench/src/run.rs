@@ -5,7 +5,7 @@ use cdg_core::{EvalStrategy, FilterStrategy};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::mesh::MeshCdg;
 use cdg_parallel::pram::parse_pram;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 use std::time::Instant;
 
 /// One engine's measurement on one input.
@@ -204,7 +204,10 @@ pub fn mesh_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
 /// PARSEC on the simulated MasPar MP-1 (the realized "Tree and Hypercube"
 /// class row: O(n⁴/log n)… PEs, O(k + log n) time).
 pub fn maspar_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
-    let (outcome, wall) = timed(|| parse_maspar(grammar, sentence, &MasparOptions::default()));
+    let (outcome, wall) = timed(|| {
+        parse_maspar_checked(grammar, sentence, &MasparOptions::default())
+            .expect("the MasPar parse fits the simulated machine")
+    });
     Measurement {
         engine: "cdg-maspar",
         n: sentence.len(),

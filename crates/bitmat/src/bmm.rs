@@ -193,7 +193,7 @@ fn mult_inner(
 /// This is the batched form of the AC-4 column walk: instead of probing
 /// one column bit per row, each 64×64 tile is transposed once and every
 /// column's contribution popcounted word-parallel. Blocks selecting fewer
-/// than [`SWEEP_TILE_THRESHOLD`] rows skip the transpose and charge
+/// than `SWEEP_TILE_THRESHOLD` rows skip the transpose and charge
 /// columns per set bit instead — a transpose's fixed cost only amortizes
 /// once a block carries enough selected rows. Both paths are exact.
 pub fn col_counts_masked(m: &BitMatrix, rows: Option<&BitVec>, out: &mut [u32], ops: &mut TileOps) {
@@ -348,7 +348,7 @@ const SWEEP_TILE_THRESHOLD: u32 = 8;
 /// Every cleared entry is counted exactly once; the return value is the
 /// total cleared, so `Σ dec_rows + Σ dec_cols == cleared`.
 ///
-/// Dense removed-row blocks (≥ [`SWEEP_TILE_THRESHOLD`] rows) take the
+/// Dense removed-row blocks (≥ `SWEEP_TILE_THRESHOLD` rows) take the
 /// tile-transpose path — the same batched column walk as
 /// [`col_counts_masked`] — while thin generations charge columns per set
 /// bit, which is cheaper than transposing an almost-empty tile. Both

@@ -15,10 +15,9 @@
 //! warm state only recycles allocations, never state (see [`crate::pool`]).
 
 use crate::api::WarmState;
-use crate::error::EngineError;
 use crate::extract::PrecedenceGraph;
 use crate::parser::{ParseOptions, ParseOutcome};
-use cdg_grammar::{CompiledGrammar, Grammar, Lexicon, Sentence};
+use cdg_grammar::{CompiledGrammar, Grammar, Sentence};
 use std::sync::Arc;
 
 /// Owned per-sentence summary of a batch parse — everything the callers of
@@ -112,65 +111,6 @@ pub fn parse_batch_warm(
         .collect()
 }
 
-/// One line of a text batch: where it came from and what became of it.
-/// A line that fails to lex carries a typed [`EngineError::Lexicon`]
-/// instead of panicking or aborting its siblings — the contract the batch
-/// CLI and the parse service both rely on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TextLine {
-    /// 1-based line number in the input text.
-    pub lineno: usize,
-    /// The trimmed source line.
-    pub text: String,
-    /// Parse summary, or the typed error that stopped this line (and only
-    /// this line).
-    pub result: Result<BatchOutcome, EngineError>,
-}
-
-/// Parse every non-blank, non-`#` line of `text` against one grammar,
-/// looking words up in `lexicon`. Malformed lines (unknown words, empty
-/// after tokenization) become per-line typed errors; well-formed lines
-/// parse exactly as [`parse_batch`] would, sharing one [`ArcPool`].
-///
-/// ```
-/// use cdg_core::{parse_batch_text, EngineError, ParseOptions};
-/// use cdg_grammar::grammars::english;
-///
-/// let g = english::grammar();
-/// let lex = english::lexicon(&g);
-/// let lines = parse_batch_text(&g, &lex, "the dog runs\nthe zyzzyva runs\n",
-///                              ParseOptions::default(), 10);
-/// assert!(lines[0].result.as_ref().unwrap().accepted);
-/// assert!(matches!(lines[1].result, Err(EngineError::Lexicon(_))));
-/// ```
-pub fn parse_batch_text(
-    grammar: &Grammar,
-    lexicon: &Lexicon,
-    text: &str,
-    options: ParseOptions,
-    max_parses: usize,
-) -> Vec<TextLine> {
-    let mut warm = WarmState::new();
-    text.lines()
-        .enumerate()
-        .filter_map(|(i, raw)| {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                return None;
-            }
-            let result = match lexicon.sentence(line) {
-                Ok(sentence) => Ok(warm.summarize(grammar, &sentence, options, max_parses, None)),
-                Err(e) => Err(EngineError::Lexicon(e)),
-            };
-            Some(TextLine {
-                lineno: i + 1,
-                text: line.to_string(),
-                result,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,44 +158,5 @@ mod tests {
     fn empty_batch() {
         let (g, _) = corpus(&[]);
         assert!(parse_batch(&g, &[], ParseOptions::default(), 10).is_empty());
-    }
-
-    #[test]
-    fn text_batch_survives_malformed_lines() {
-        let g = english::grammar();
-        let lex = english::lexicon(&g);
-        let text = "# corpus\n\nthe dog runs\nthe zyzzyva runs\n...\ndog the runs\n";
-        let lines = parse_batch_text(&g, &lex, text, ParseOptions::default(), 10);
-        assert_eq!(lines.len(), 4, "comments and blanks skipped");
-        assert_eq!(lines[0].lineno, 3);
-        assert!(lines[0].result.as_ref().unwrap().accepted);
-        match &lines[1].result {
-            Err(EngineError::Lexicon(e)) => {
-                assert_eq!(e.to_string(), "word `zyzzyva` is not in the lexicon")
-            }
-            other => panic!("expected typed lexicon error, got {other:?}"),
-        }
-        // An all-punctuation line lexes to no words: typed, not a panic.
-        assert!(matches!(lines[2].result, Err(EngineError::Lexicon(_))));
-        assert_eq!(lines[2].lineno, 5);
-        // The malformed lines did not poison the later well-formed one.
-        assert!(!lines[3].result.as_ref().unwrap().accepted);
-    }
-
-    #[test]
-    fn text_batch_matches_sentence_batch_on_clean_input() {
-        let (g, sentences) = corpus(&["the dog runs", "she sleeps"]);
-        let lex = english::lexicon(&g);
-        let by_sentence = parse_batch(&g, &sentences, ParseOptions::default(), 10);
-        let by_text = parse_batch_text(
-            &g,
-            &lex,
-            "the dog runs\nshe sleeps\n",
-            ParseOptions::default(),
-            10,
-        );
-        for (a, b) in by_sentence.iter().zip(&by_text) {
-            assert_eq!(a, b.result.as_ref().unwrap());
-        }
     }
 }

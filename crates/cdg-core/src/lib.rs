@@ -49,7 +49,7 @@ pub mod wire;
 pub use api::{
     resolve_compiled, BatchReport, Engine, ParseReport, ParseRequest, Sequential, WarmState,
 };
-pub use batch::{parse_batch, parse_batch_text, parse_batch_warm, BatchOutcome, TextLine};
+pub use batch::{parse_batch, parse_batch_warm, BatchOutcome};
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT_HORIZON_OPS};
 pub use consistency::{
     arc_generation_deltas, arc_generation_sweep, arc_support_counts, filter_bmm,

@@ -2,7 +2,7 @@
 //! content hash, shared process-wide.
 //!
 //! The paper's O(k + log n) bound assumes the grammar's k constraints are
-//! loaded onto the array *once*; re-lowering every [`CExpr`] to bytecode
+//! loaded onto the array *once*; re-lowering every [`CExpr`](crate::CExpr) to bytecode
 //! inside every parse is a per-request compile tax the MP-1 never paid.
 //! [`CompiledGrammar`] is the load-once artifact: for every unary and
 //! binary constraint it holds the compiled [`KernelProgram`], the feature

@@ -334,8 +334,9 @@ pub fn maintain_par(net: &mut Network<'_>, stats: &mut PramStats) -> usize {
 /// The blocked-BMM filter fanned arc-parallel — the P-RAM realization of
 /// `cdg_core::consistency::BmmFilter`.
 ///
-/// Each generation computes every disturbed arc's [`ArcDeltas`] and clears
-/// its rows/columns with a rayon `par_iter` (each worker owns one arc
+/// Each generation computes every disturbed arc's
+/// [`ArcDeltas`](cdg_core::consistency::ArcDeltas) and clears its
+/// rows/columns with a rayon `par_iter` (each worker owns one arc
 /// matrix — race-free by construction), collecting the per-arc results
 /// into a vector indexed by arc storage order. The counter decrements are
 /// then applied *sequentially in that order* — a deterministic chunk-order

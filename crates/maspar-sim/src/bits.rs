@@ -7,8 +7,8 @@
 //! genuine host-SIMD execution of the simulated SIMD machine. The machine
 //! keeps its enable/activity and dead-PE masks in the same packed form, so
 //! the word-parallel kernels in [`crate::Machine`] (`par_write_bits`,
-//! `scan_or_bits`, `reduce_or_bits`, `select_first_bits`, ...) mask
-//! activity, deadness and data with plain bitwise ops.
+//! `par_map_bits`, `scan_or_bits`, `scan_and_bits`) mask activity,
+//! deadness and data with plain bitwise ops.
 //!
 //! Invariant: bits at positions `len..` of the last word are always zero,
 //! so popcounts and word scans never see PEs past the end.
@@ -91,16 +91,6 @@ impl PluralBits {
         &mut self.words
     }
 
-    pub(crate) fn set(&mut self, pe: usize, v: bool) {
-        debug_assert!(pe < self.len);
-        let (w, b) = (pe / 64, pe % 64);
-        if v {
-            self.words[w] |= 1u64 << b;
-        } else {
-            self.words[w] &= !(1u64 << b);
-        }
-    }
-
     /// Flip one PE's bit (the packed form of a `bool` memory-word fault —
     /// a 1-bit word always flips, see [`crate::fault::FaultWord`]).
     pub(crate) fn flip(&mut self, pe: usize) {
@@ -141,17 +131,17 @@ mod tests {
     }
 
     #[test]
-    fn set_get_flip_roundtrip() {
+    fn get_flip_roundtrip() {
         let mut p = PluralBits::filled_in(Vec::new(), 100, false);
-        p.set(0, true);
-        p.set(64, true);
-        p.set(99, true);
+        p.flip(0);
+        p.flip(64);
+        p.flip(99);
         assert!(p.get(0) && p.get(64) && p.get(99));
         assert!(!p.get(1));
         assert_eq!(p.count_ones(), 3);
         p.flip(64);
         assert!(!p.get(64));
-        p.set(0, false);
+        p.flip(0);
         assert_eq!(p.count_ones(), 1);
         assert_eq!(p.to_bools().iter().filter(|&&b| b).count(), 1);
     }

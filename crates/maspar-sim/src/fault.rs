@@ -13,9 +13,10 @@
 //!   therefore invisible to time redundancy, which is why programs must
 //!   probe for them (see [`crate::Machine::probe_pes`]).
 //! * [`Fault::RouterCorrupt`] — the payload delivered to one physical PE
-//!   by one specific communication instruction (gather, scatter, X-Net
-//!   shift, or a scan's boundary deposit) is XORed with a mask. Transient:
-//!   keyed to a single global instruction count, it fires at most once.
+//!   by one specific communication instruction (a gather, a scan's
+//!   boundary deposit or a reduction's result) is XORed with a mask.
+//!   Transient: keyed to a single global instruction count, it fires at
+//!   most once.
 //! * [`Fault::MemoryFlip`] — one bit of the word a physical PE writes
 //!   during one specific broadcast instruction is flipped. Also transient.
 //!

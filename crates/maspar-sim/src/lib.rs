@@ -57,7 +57,6 @@ pub mod machine;
 pub mod plural;
 pub mod scan;
 pub mod stats;
-pub mod xnet;
 
 pub use bits::PluralBits;
 pub use fault::{Fault, FaultPlan, FaultWord};
@@ -65,4 +64,3 @@ pub use machine::{Machine, MachineConfig, TraceEntry};
 pub use plural::Plural;
 pub use scan::SegmentMap;
 pub use stats::{CostModel, MachineStats};
-pub use xnet::Edge;

@@ -50,7 +50,7 @@ impl Default for MachineConfig {
 ///   physical home is dead silently skips broadcast instructions — its
 ///   local memory goes stale, exactly the failure the paper's machine
 ///   could suffer;
-/// * router/X-Net/scan payloads and freshly written memory words can be
+/// * router/scan payloads and freshly written memory words can be
 ///   corrupted per the plan; out-of-range router targets (possible once
 ///   an index plural has been corrupted) are *dropped and counted*
 ///   instead of killing the program;
@@ -98,8 +98,9 @@ pub struct Machine {
 /// One traced machine operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
-    /// Operation kind: `plural`, `scan_or`, `scan_and`, `scan_add`,
-    /// `reduce`, `gather`, `scatter`, `xnet`, `activity`.
+    /// Operation kind: `plural` (a plural instruction or an activity
+    /// narrowing), `scan` (a scan or reduction) or `router` (a gather or
+    /// the remap of [`Machine::retire_pes`]).
     pub op: &'static str,
     /// PEs active when the operation was broadcast.
     pub active: usize,
@@ -367,7 +368,7 @@ impl Machine {
     }
 
     /// Broadcast instructions executed so far (plural ops, activity
-    /// narrowings, scans, router and X-Net operations all count).
+    /// narrowings, scans, reductions and router operations all count).
     pub fn op_count(&self) -> u64 {
         self.op_count
     }
@@ -461,7 +462,7 @@ impl Machine {
 
     /// Does virtual PE `pe` execute broadcast instructions right now
     /// (active *and* physically alive)?
-    pub(crate) fn is_live(&self, pe: usize) -> bool {
+    fn is_live(&self, pe: usize) -> bool {
         self.live_word(pe / 64) >> (pe % 64) & 1 == 1
     }
 
@@ -487,7 +488,7 @@ impl Machine {
 
     /// Count the enabled-but-dead slots one data-carrying broadcast
     /// instruction skipped (no-op on the fault-free path).
-    pub(crate) fn count_dead_skips(&mut self) {
+    fn count_dead_skips(&mut self) {
         if self.virt_dead.is_empty() {
             return;
         }
@@ -522,7 +523,7 @@ impl Machine {
 
     /// Apply the router-payload corruptions scheduled for instruction `op`
     /// to a communication result.
-    pub(crate) fn apply_router_corruption<T: FaultWord>(&mut self, op: u64, data: &mut [T]) {
+    fn apply_router_corruption<T: FaultWord>(&mut self, op: u64, data: &mut [T]) {
         let hits: Vec<(usize, u64)> = match &self.faults {
             Some(plan) => plan
                 .router_faults_at(op)
@@ -565,7 +566,7 @@ impl Machine {
     /// `bool::fault_xor` flips iff the mask is odd, but the event is
     /// counted either way — mirrored exactly so packed and unpacked runs
     /// report identical fault statistics.
-    pub(crate) fn apply_router_corruption_bits(&mut self, op: u64, data: &mut PluralBits) {
+    fn apply_router_corruption_bits(&mut self, op: u64, data: &mut PluralBits) {
         let hits: Vec<(usize, u64)> = match &self.faults {
             Some(plan) => plan
                 .router_faults_at(op)
@@ -809,33 +810,13 @@ impl Machine {
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
-    /// One broadcast instruction reading two plurals: `dst[pe] =
-    /// f(pe, dst[pe], a[pe], b[pe])` on active PEs.
-    pub fn par_zip2<T: Send + FaultWord, U: Sync, V: Sync>(
-        &mut self,
-        dst: &mut Plural<T>,
-        a: &Plural<U>,
-        b: &Plural<V>,
-        f: impl Fn(usize, &mut T, &U, &V) + Sync,
-    ) {
-        let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
-        let (a, b) = (a.as_slice(), b.as_slice());
-        self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
-            let (a, b) = (&a[lo..lo + slots.len()], &b[lo..lo + slots.len()]);
-            for (k, ((slot, x), y)) in slots.iter_mut().zip(a).zip(b).enumerate() {
-                f(lo + k, slot, x, y);
-            }
-        });
-        self.apply_memory_flips(op, dst.as_mut_slice());
-    }
-
     // ------------------------------------------------------------------
     // Addressed broadcasts
     // ------------------------------------------------------------------
     //
-    // The same instructions as `par_map`, `par_zip`, `par_zip2` and
-    // `par_zip_bits`, charged exactly like them: activity, dead PEs and
-    // memory flips behave identically. Only the host's walk changes.
+    // Each is one plural instruction, charged exactly like `par_map` or
+    // `par_zip`: activity, dead PEs and memory flips behave identically.
+    // Only the host's walk changes.
     //
     // * The *grid* form addresses PEs by (column, row) in a column-major
     //   layout of `side`-PE columns (PE = column · side + row). Live runs
@@ -915,7 +896,8 @@ impl Machine {
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
-    /// [`Machine::par_zip2`] on the PEs with `pe % stride == 0` only.
+    /// One broadcast instruction reading two plurals on the PEs with
+    /// `pe % stride == 0` only: `dst[pe] = f(pe, dst[pe], a[pe], b[pe])`.
     pub fn par_zip2_strided<T: Send + FaultWord, U: Sync, V: Sync>(
         &mut self,
         dst: &mut Plural<T>,
@@ -932,7 +914,8 @@ impl Machine {
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
-    /// [`Machine::par_zip_bits`] on the PEs with `pe % stride == 0` only.
+    /// One broadcast instruction on the PEs with `pe % stride == 0` only:
+    /// each updates its word of `dst` from its bit of the packed `src`.
     pub fn par_zip_bits_strided(
         &mut self,
         dst: &mut Plural<u64>,
@@ -1027,32 +1010,6 @@ impl Machine {
         self.op_count
     }
 
-    /// Global OR over active PEs (the MP-1's `globalor`).
-    pub fn reduce_or(&mut self, p: &Plural<bool>) -> bool {
-        assert_eq!(p.len(), self.n_virt);
-        let op = self.charge_scan();
-        self.count_dead_skips();
-        let result = p
-            .as_slice()
-            .par_iter()
-            .enumerate()
-            .any(|(pe, &v)| self.is_live(pe) && v);
-        self.corrupt_reduction(op, result)
-    }
-
-    /// Global AND over active PEs (identity `true` when none active).
-    pub fn reduce_and(&mut self, p: &Plural<bool>) -> bool {
-        assert_eq!(p.len(), self.n_virt);
-        let op = self.charge_scan();
-        self.count_dead_skips();
-        let result = p
-            .as_slice()
-            .par_iter()
-            .enumerate()
-            .all(|(pe, &v)| !self.is_live(pe) || v);
-        self.corrupt_reduction(op, result)
-    }
-
     /// Global sum of a u64 plural over active PEs: a fully live word adds
     /// its 64 values without testing a bit.
     pub fn reduce_sum(&mut self, p: &Plural<u64>) -> u64 {
@@ -1091,48 +1048,6 @@ impl Machine {
     /// boundary PE (identity `true` for empty/inactive segments).
     pub fn scan_and(&mut self, p: &Plural<bool>, segs: &SegmentMap) -> Plural<bool> {
         self.seg_reduce(p, segs, true, |a, b| a && b)
-    }
-
-    /// Segmented `scanAdd` as an *inclusive prefix sum*: each active PE
-    /// receives the sum of active values from its segment's start through
-    /// itself (inactive PEs keep 0 and contribute 0). The MP-1 exposed
-    /// exactly this family of prefix primitives; PARSEC itself only needs
-    /// the reductions, but enumeration-style kernels (e.g. compacting the
-    /// surviving role values) are built on scanAdd.
-    pub fn scan_add(&mut self, p: &Plural<u64>, segs: &SegmentMap) -> Plural<u64> {
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
-        let op = self.charge_scan();
-        self.count_dead_skips();
-        let mut out = self.alloc(0u64);
-        let src = p.as_slice();
-        let results: Vec<(usize, Vec<u64>)> = (0..segs.num_segments())
-            .into_par_iter()
-            .map(|s| {
-                let range = segs.range_of(s);
-                let mut acc = 0u64;
-                let prefix: Vec<u64> = range
-                    .clone()
-                    .map(|pe| {
-                        if self.is_live(pe) {
-                            acc += src[pe];
-                        }
-                        acc
-                    })
-                    .collect();
-                (range.start, prefix)
-            })
-            .collect();
-        let slice = out.as_mut_slice();
-        for (start, prefix) in results {
-            for (offset, v) in prefix.into_iter().enumerate() {
-                if self.is_live(start + offset) {
-                    slice[start + offset] = v;
-                }
-            }
-        }
-        self.apply_router_corruption(op, out.as_mut_slice());
-        out
     }
 
     fn seg_reduce(
@@ -1175,37 +1090,9 @@ impl Machine {
         out
     }
 
-    /// `selectFirst`: the lowest-numbered *active* PE whose flag is set
-    /// (MPL's enumeration primitive — the ACU uses it to pick a
-    /// representative PE). Costs one scan.
-    pub fn select_first(&mut self, p: &Plural<bool>) -> Option<usize> {
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        self.charge_scan();
-        self.count_dead_skips();
-        // Explicit early-exit loop: return at the first live hit, testing
-        // the cheap flag before the liveness bits. The packed variant
-        // ([`Machine::select_first_bits`]) goes further and skips 64 PEs
-        // per word via `trailing_zeros`.
-        for (pe, &v) in p.as_slice().iter().enumerate() {
-            if v && self.is_live(pe) {
-                return Some(pe);
-            }
-        }
-        None
-    }
-
     // ------------------------------------------------------------------
     // Global router
     // ------------------------------------------------------------------
-
-    pub(crate) fn charge_xnet(&mut self, hops: usize) -> u64 {
-        self.record("xnet");
-        self.stats.xnet_shifts += hops as u64 * self.virt_factor;
-        self.stats.plural_ops += 1;
-        self.stats.plural_slices += self.virt_factor;
-        self.op_count += 1;
-        self.op_count
-    }
 
     fn charge_router(&mut self) -> u64 {
         self.record("router");
@@ -1256,50 +1143,6 @@ impl Machine {
             })
             .into_iter()
             .sum();
-        self.stats.oob_routes += oob;
-        self.apply_router_corruption(op, dst.as_mut_slice());
-    }
-
-    /// Routed scatter: every active PE sends its value to `dst[index[pe]]`.
-    /// Write conflicts resolve deterministically: the lowest-numbered
-    /// sending PE wins (the CRCW "a single processor succeeds" rule made
-    /// reproducible). Out-of-range targets behave as in [`Machine::gather`].
-    pub fn scatter<T: Copy + Send + Sync + FaultWord>(
-        &mut self,
-        src: &Plural<T>,
-        index: &Plural<usize>,
-        dst: &mut Plural<T>,
-    ) {
-        assert_eq!(src.len(), self.n_virt);
-        assert_eq!(index.len(), self.n_virt);
-        assert_eq!(dst.len(), self.n_virt);
-        let op = self.charge_router();
-        self.count_dead_skips();
-        let armed = self.faults.is_some();
-        // Deterministic serial application in ascending PE order; the
-        // lowest sender's write lands last... no: lowest wins means apply
-        // in descending order so the lowest overwrites.
-        let mut oob = 0u64;
-        {
-            let idx = index.as_slice();
-            let s = src.as_slice();
-            let d = dst.as_mut_slice();
-            for pe in (0..s.len()).rev() {
-                if self.is_live(pe) {
-                    let target = idx[pe];
-                    if target >= d.len() {
-                        assert!(armed, "router scatter out of range: PE {pe} -> {target}");
-                        oob += 1;
-                        continue;
-                    }
-                    // A dead receiving PE's memory cannot be written.
-                    if self.virt_is_dead(target) {
-                        continue;
-                    }
-                    d[target] = s[pe];
-                }
-            }
-        }
         self.stats.oob_routes += oob;
         self.apply_router_corruption(op, dst.as_mut_slice());
     }
@@ -1381,21 +1224,6 @@ impl Machine {
         self.apply_memory_flips_bits(op, dst);
     }
 
-    /// One broadcast instruction: every live PE updates its word of `dst`
-    /// from its bit of `src` (the packed counterpart of a
-    /// `par_zip(&mut u64_dst, &bool_src, ...)`). `f` runs for *every*
-    /// live PE, matching the unpacked semantics.
-    pub fn par_zip_bits(
-        &mut self,
-        dst: &mut Plural<u64>,
-        src: &PluralBits,
-        f: impl Fn(usize, &mut u64, bool) + Sync,
-    ) {
-        let op = self.begin_plural(&[dst.len(), src.len()]);
-        self.visit_pes(dst.as_mut_slice(), |pe, slot| f(pe, slot, src.get(pe)));
-        self.apply_memory_flips(op, dst.as_mut_slice());
-    }
-
     /// Build a fresh packed plural in one instruction (live PEs run `f`;
     /// the rest hold `fill`) — the packed [`Machine::par_init`].
     pub fn par_init_bits(&mut self, fill: bool, f: impl Fn(usize) -> bool) -> PluralBits {
@@ -1406,53 +1234,6 @@ impl Machine {
         let mut p = self.alloc_bits(fill);
         self.par_write_bits(&mut p, &want);
         p
-    }
-
-    /// Global OR over active PEs of a packed plural: a word scan with
-    /// early exit — 64 PEs per iteration instead of one.
-    pub fn reduce_or_bits(&mut self, p: &PluralBits) -> bool {
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_scan();
-        self.count_dead_skips();
-        let mut result = false;
-        for (w, &word) in p.words().iter().enumerate() {
-            if word & self.live_word(w) != 0 {
-                result = true;
-                break;
-            }
-        }
-        self.corrupt_reduction(op, result)
-    }
-
-    /// Global AND over active PEs of a packed plural (identity `true`
-    /// when none active): early-exits on the first live zero bit.
-    pub fn reduce_and_bits(&mut self, p: &PluralBits) -> bool {
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_scan();
-        self.count_dead_skips();
-        let mut result = true;
-        for (w, &word) in p.words().iter().enumerate() {
-            if !word & self.live_word(w) != 0 {
-                result = false;
-                break;
-            }
-        }
-        self.corrupt_reduction(op, result)
-    }
-
-    /// `selectFirst` over a packed plural: the first nonzero live word
-    /// plus a `trailing_zeros` pinpoints the lowest flagged PE.
-    pub fn select_first_bits(&mut self, p: &PluralBits) -> Option<usize> {
-        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
-        self.charge_scan();
-        self.count_dead_skips();
-        for (w, &word) in p.words().iter().enumerate() {
-            let hit = word & self.live_word(w);
-            if hit != 0 {
-                return Some(w * 64 + hit.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 
     /// Segmented `scanOr` over a packed plural — word-at-a-time over each
@@ -1500,72 +1281,6 @@ impl Machine {
         self.stats.dead_pe_skips += dead_boundaries;
         self.apply_router_corruption_bits(op_id, &mut out);
         out
-    }
-
-    /// Routed gather of a packed boolean plural (see [`Machine::gather`]):
-    /// senders and receivers are iterated via word masks, fetching one bit
-    /// per live PE.
-    pub fn gather_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        assert_eq!(src.len(), self.n_virt);
-        assert_eq!(index.len(), self.n_virt);
-        assert_eq!(dst.len(), self.n_virt);
-        let op = self.charge_router();
-        self.count_dead_skips();
-        let armed = self.faults.is_some();
-        let mut oob = 0u64;
-        let idx = index.as_slice();
-        for w in 0..bits::word_count(self.n_virt) {
-            let mut m = self.live_word(w);
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let pe = w * 64 + b;
-                m &= m - 1;
-                let target = idx[pe];
-                if target >= src.len() {
-                    assert!(armed, "router gather out of range: PE {pe} -> {target}");
-                    oob += 1;
-                    continue;
-                }
-                dst.set(pe, src.get(target));
-            }
-        }
-        self.stats.oob_routes += oob;
-        self.apply_router_corruption_bits(op, dst);
-    }
-
-    /// Routed scatter of a packed boolean plural (see
-    /// [`Machine::scatter`]): applied in descending PE order so the
-    /// lowest-numbered sender wins write conflicts, exactly as unpacked.
-    pub fn scatter_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        assert_eq!(src.len(), self.n_virt);
-        assert_eq!(index.len(), self.n_virt);
-        assert_eq!(dst.len(), self.n_virt);
-        let op = self.charge_router();
-        self.count_dead_skips();
-        let armed = self.faults.is_some();
-        let mut oob = 0u64;
-        let idx = index.as_slice();
-        for w in (0..bits::word_count(self.n_virt)).rev() {
-            let mut m = self.live_word(w);
-            while m != 0 {
-                let b = 63 - m.leading_zeros() as usize;
-                let pe = w * 64 + b;
-                m &= !(1u64 << b);
-                let target = idx[pe];
-                if target >= dst.len() {
-                    assert!(armed, "router scatter out of range: PE {pe} -> {target}");
-                    oob += 1;
-                    continue;
-                }
-                // A dead receiving PE's memory cannot be written.
-                if self.virt_is_dead(target) {
-                    continue;
-                }
-                dst.set(target, src.get(pe));
-            }
-        }
-        self.stats.oob_routes += oob;
-        self.apply_router_corruption_bits(op, dst);
     }
 }
 
@@ -1621,24 +1336,12 @@ mod tests {
     #[test]
     fn reductions_respect_activity() {
         let mut m = Machine::mp1(4);
-        let p = m.par_init(false, |pe| pe == 3);
-        assert!(m.reduce_or(&p));
-        let mask = m.par_init(false, |pe| pe < 3);
-        let inside = m.with_activity(&mask, |m| m.reduce_or(&p));
-        assert!(!inside);
-        let all_true = m.par_init(false, |_| true);
-        assert!(m.reduce_and(&all_true));
         let sums = m.par_init(0u64, |pe| pe as u64);
         assert_eq!(m.reduce_sum(&sums), 6);
-    }
-
-    #[test]
-    fn reduce_and_identity_when_none_active() {
-        let mut m = Machine::mp1(4);
+        let mask = m.par_init(false, |pe| pe < 3);
+        assert_eq!(m.with_activity(&mask, |m| m.reduce_sum(&sums)), 3);
         let none = m.alloc(false);
-        let p = m.par_init(true, |_| false);
-        let r = m.with_activity(&none, |m| m.reduce_and(&p));
-        assert!(r, "AND over an empty active set is the identity true");
+        assert_eq!(m.with_activity(&none, |m| m.reduce_sum(&sums)), 0);
     }
 
     #[test]
@@ -1668,34 +1371,18 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter() {
+    fn gather_fetches_by_index() {
         let mut m = Machine::mp1(5);
         let src = m.par_init(0u32, |pe| pe as u32 * 10);
         let reverse = m.par_init(0usize, |pe| 4 - pe);
         let mut dst = m.alloc(0u32);
         m.gather(&src, &reverse, &mut dst);
         assert_eq!(dst.as_slice(), &[40, 30, 20, 10, 0]);
-        // Scatter with a conflict: PEs 0, 1 and 2 all send to slot 0; the
-        // lowest sender (PE 0) wins.
-        let idx = m.par_init(0usize, |pe| if pe <= 2 { 0 } else { pe });
-        let vals = m.par_init(0u32, |pe| pe as u32 + 1);
-        let mut out = m.alloc(99u32);
-        m.scatter(&vals, &idx, &mut out);
-        assert_eq!(out.as_slice()[0], 1); // PE 0's value (pe+1 = 1)
-        assert_eq!(out.as_slice()[3], 4);
+        // Many-to-one reads are fine: every PE fetches PE 1's value.
+        let one = m.par_init(0usize, |_| 1);
+        m.gather(&src, &one, &mut dst);
+        assert_eq!(dst.as_slice(), &[10; 5]);
         assert_eq!(m.stats.router_ops, 2);
-    }
-
-    #[test]
-    fn select_first_respects_activity() {
-        let mut m = Machine::mp1(6);
-        let p = m.par_init(false, |pe| pe == 2 || pe == 4);
-        assert_eq!(m.select_first(&p), Some(2));
-        let mask = m.par_init(false, |pe| pe > 2);
-        let inside = m.with_activity(&mask, |m| m.select_first(&p));
-        assert_eq!(inside, Some(4));
-        let none = m.alloc(false);
-        assert_eq!(m.select_first(&none), None);
     }
 
     #[test]
@@ -1805,10 +1492,11 @@ mod tests {
         assert_eq!(m.op_count(), 0);
         let mut p = m.alloc(0u32);
         m.par_map(&mut p, |_, _| {}); // 1
-        let b = m.alloc(false);
-        let _ = m.reduce_or(&b); // 2
+        let sums = m.alloc(0u64);
+        let _ = m.reduce_sum(&sums); // 2
+        let b = m.alloc_bits(false);
         let segs = SegmentMap::global(4);
-        let _ = m.scan_or(&b, &segs); // 3
+        let _ = m.scan_or_bits(&b, &segs); // 3
         let idx = m.par_init(0usize, |pe| pe); // 4
         let mut dst = m.alloc(0u32);
         m.gather(&p, &idx, &mut dst); // 5
@@ -1828,9 +1516,10 @@ mod tests {
     #[test]
     fn dead_pe_contributes_identity_to_scans() {
         let mut m = faulty(4, 4, FaultPlan::new().with_dead_pe(3));
-        let p = m.par_init(false, |pe| pe == 3);
+        let p = m.par_init_bits(false, |pe| pe == 3);
         // The only set flag lives on the dead PE: the OR must miss it.
-        assert!(!m.reduce_or(&p));
+        let or = m.scan_or_bits(&p, &SegmentMap::global(4));
+        assert!(!or.get(0));
         let sums = m.par_init(0u64, |_| 1);
         assert_eq!(m.reduce_sum(&sums), 3);
     }
@@ -1893,9 +1582,6 @@ mod tests {
         m.gather(&src, &idx, &mut dst);
         assert_eq!(dst.as_slice(), &[1, 2, 0, 4], "PE 2's fetch dropped");
         assert_eq!(m.stats.oob_routes, 1);
-        let mut out = m.alloc(0u64);
-        m.scatter(&src, &idx, &mut out);
-        assert_eq!(m.stats.oob_routes, 2);
     }
 
     #[test]
@@ -1974,27 +1660,14 @@ mod tests {
         sm.par_map(&mut sflags, |pe, v| *v = want[pe]);
         let smask = sm.par_init(false, |pe| pe % 2 == 0);
         let mut sderived = sm.alloc(false);
-        let mut sacc = sm.alloc(0u64);
-        let (s_or, s_and, s_first) = sm.with_activity(&smask, |m| {
+        sm.with_activity(&smask, |m| {
             m.par_zip(&mut sderived, &su, |_, d, &s| *d = s & 2 != 0);
-            m.par_zip(&mut sacc, &sflags, |pe, a, &f| {
-                if f {
-                    *a |= 1 << (pe % 60)
-                }
-            });
-            (
-                m.reduce_or(&sflags),
-                m.reduce_and(&sflags),
-                m.select_first(&sflags),
-            )
         });
         let s_scan_or = sm.scan_or(&sflags, &segs);
         let s_scan_and = sm.scan_and(&sderived, &segs);
         let sidx = sm.par_init(0usize, |pe| idx[pe]);
-        let mut s_gath = sm.alloc(false);
-        sm.gather(&sflags, &sidx, &mut s_gath);
-        let mut s_scat = sm.alloc(false);
-        sm.scatter(&sflags, &sidx, &mut s_scat);
+        let mut s_gath = sm.alloc(0u64);
+        sm.gather(&su, &sidx, &mut s_gath);
 
         // The same program through the packed kernels.
         let pu = pm.par_init(0u64, |pe| pe as u64);
@@ -2002,41 +1675,25 @@ mod tests {
         pm.par_write_bits(&mut pflags, &pack(&want));
         let pmask = pm.par_init_bits(false, |pe| pe % 2 == 0);
         let mut pderived = pm.alloc_bits(false);
-        let mut pacc = pm.alloc(0u64);
-        let (p_or, p_and, p_first) = pm.with_activity_bits(&pmask, |m| {
+        pm.with_activity_bits(&pmask, |m| {
             m.par_map_bits(&mut pderived, &pu, |_, s| s & 2 != 0);
-            m.par_zip_bits(&mut pacc, &pflags, |pe, a, f| {
-                if f {
-                    *a |= 1 << (pe % 60)
-                }
-            });
-            (
-                m.reduce_or_bits(&pflags),
-                m.reduce_and_bits(&pflags),
-                m.select_first_bits(&pflags),
-            )
         });
         let p_scan_or = pm.scan_or_bits(&pflags, &segs);
         let p_scan_and = pm.scan_and_bits(&pderived, &segs);
         let pidx = pm.par_init(0usize, |pe| idx[pe]);
-        let mut p_gath = pm.alloc_bits(false);
-        pm.gather_bits(&pflags, &pidx, &mut p_gath);
-        let mut p_scat = pm.alloc_bits(false);
-        pm.scatter_bits(&pflags, &pidx, &mut p_scat);
+        let mut p_gath = pm.alloc(0u64);
+        pm.gather(&pu, &pidx, &mut p_gath);
 
         let ctx = format!("n={n} faults={}", plan.is_some());
         assert_eq!(pflags.to_bools(), sflags.as_slice().to_vec(), "{ctx}");
         assert_eq!(pderived.to_bools(), sderived.as_slice().to_vec(), "{ctx}");
-        assert_eq!(pacc.as_slice(), sacc.as_slice(), "{ctx}");
-        assert_eq!((p_or, p_and, p_first), (s_or, s_and, s_first), "{ctx}");
         assert_eq!(p_scan_or.to_bools(), s_scan_or.as_slice().to_vec(), "{ctx}");
         assert_eq!(
             p_scan_and.to_bools(),
             s_scan_and.as_slice().to_vec(),
             "{ctx}"
         );
-        assert_eq!(p_gath.to_bools(), s_gath.as_slice().to_vec(), "{ctx}");
-        assert_eq!(p_scat.to_bools(), s_scat.as_slice().to_vec(), "{ctx}");
+        assert_eq!(p_gath.as_slice(), s_gath.as_slice(), "{ctx}");
         assert_eq!(sm.stats, pm.stats, "{ctx}");
         assert_eq!(sm.op_count(), pm.op_count(), "{ctx}");
     }
@@ -2101,27 +1758,6 @@ mod tests {
     }
 
     #[test]
-    fn select_first_stops_at_the_lowest_live_hit() {
-        let mut m = Machine::mp1(100);
-        let p = m.par_init(false, |pe| pe >= 37); // many hits after the first
-        assert_eq!(m.select_first(&p), Some(37));
-        let none = m.alloc(false);
-        assert_eq!(m.select_first(&none), None);
-        // Narrowed activity moves the first hit.
-        let mask = m.par_init(false, |pe| pe >= 50);
-        let inside = m.with_activity(&mask, |m| m.select_first(&p));
-        assert_eq!(inside, Some(50));
-        // A dead PE can't raise its flag.
-        let mut f = faulty(8, 4, FaultPlan::new().with_dead_pe(1));
-        let pf = f.par_init(false, |pe| pe == 1 || pe == 5 || pe == 6);
-        assert_eq!(f.select_first(&pf), Some(6), "virts 1 and 5 are dead");
-        let mut fp = faulty(8, 4, FaultPlan::new().with_dead_pe(1));
-        let pp = fp.par_init_bits(false, |pe| pe == 1 || pe == 5 || pe == 6);
-        assert_eq!(fp.select_first_bits(&pp), Some(6));
-        assert_eq!(f.stats, fp.stats);
-    }
-
-    #[test]
     fn with_activity_bits_nests_like_unpacked() {
         let mut m = Machine::mp1(6);
         let even = m.par_init_bits(false, |pe| pe % 2 == 0);
@@ -2180,43 +1816,13 @@ mod tests {
         // A boolean payload XORs with the mask's low bit (FaultWord for
         // bool), but the corruption event is counted either way.
         for (mask, flipped) in [(0x01u64, true), (0xF0, false)] {
-            let mut m = faulty(4, 4, FaultPlan::new().with_router_corrupt(3, 1, mask));
-            let src = m.par_init_bits(false, |_| false);
-            let idx = m.par_init(0usize, |pe| pe);
-            let mut dst = m.alloc_bits(false);
-            m.gather_bits(&src, &idx, &mut dst); // op 3
-            assert_eq!(dst.get(1), flipped, "mask={mask:#x}");
+            let mut m = faulty(4, 4, FaultPlan::new().with_router_corrupt(2, 1, mask));
+            let src = m.par_init_bits(false, |_| false); // op 1
+                                                         // One PE per segment: PE 1's deposit is its own OR.
+            let or = m.scan_or_bits(&src, &SegmentMap::uniform(4, 1)); // op 2
+            assert_eq!(or.get(1), flipped, "mask={mask:#x}");
             assert_eq!(m.stats.router_corruptions, 1);
         }
-    }
-
-    #[test]
-    fn packed_scatter_lowest_sender_wins_and_oob_drops() {
-        let mut m = faulty(4, 4, FaultPlan::new());
-        // PEs 0 and 2 both target slot 1: the lowest sender's value wins.
-        let src = m.par_init_bits(false, |pe| pe == 0);
-        let idx = m.par_init(0usize, |pe| if pe == 3 { 999 } else { 1 });
-        let mut dst = m.alloc_bits(false);
-        m.scatter_bits(&src, &idx, &mut dst);
-        assert!(dst.get(1), "PE 0's true beats PE 2's false");
-        assert_eq!(m.stats.oob_routes, 1, "PE 3's route dropped");
-        let mut out = m.alloc_bits(false);
-        let idx_oob = m.par_init(0usize, |_| 999);
-        m.gather_bits(&src, &idx_oob, &mut out);
-        assert_eq!(m.stats.oob_routes, 5);
-        assert_eq!(out.count_ones(), 0);
-    }
-
-    #[test]
-    fn packed_oob_routes_still_assert_without_faults() {
-        let mut m = Machine::mp1(4);
-        let src = m.par_init_bits(false, |_| true);
-        let idx = m.par_init(0usize, |_| 999);
-        let mut dst = m.alloc_bits(false);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.gather_bits(&src, &idx, &mut dst);
-        }));
-        assert!(r.is_err(), "fault-free OOB gather is a program bug");
     }
 
     /// One addressed broadcast under test, run against its inputs.
@@ -2292,9 +1898,9 @@ mod tests {
                     m.par_zip2_strided(d, a, b, SIDE, |_, v, &x, &y| *v = x & !y)
                 }),
                 Box::new(|m, d, a, b, _| {
-                    m.par_zip2(d, a, b, |pe, v, &x, &y| {
+                    m.par_zip(d, a, |pe, v, &x| {
                         if pe % SIDE == 0 {
-                            *v = x & !y
+                            *v = x & !b.get(pe)
                         }
                     })
                 }),
@@ -2307,9 +1913,9 @@ mod tests {
                     })
                 }),
                 Box::new(|m, d, _, _, f| {
-                    m.par_zip_bits(d, f, |pe, v, ok| {
+                    m.par_map(d, |pe, v| {
                         if pe % SIDE == 0 {
-                            *v = if ok { pe as u64 } else { 1 }
+                            *v = if f.get(pe) { pe as u64 } else { 1 }
                         }
                     })
                 }),
@@ -2362,8 +1968,8 @@ mod tests {
     fn reference_bits(m: &mut Machine, p: &mut PluralBits, f: impl Fn(usize) -> bool) {
         let op = m.begin_plural(&[p.len()]);
         for pe in 0..m.n_virt() {
-            if m.is_live(pe) {
-                p.set(pe, f(pe));
+            if m.is_live(pe) && p.get(pe) != f(pe) {
+                p.flip(pe);
             }
         }
         m.apply_memory_flips_bits(op, p);
@@ -2448,18 +2054,6 @@ mod tests {
                 }),
             ),
             (
-                "par_zip2",
-                Box::new(|m, x, _| {
-                    m.par_zip2(&mut x.dst, &x.a, &x.b, |_, v, &a, &b| *v += a * b);
-                    x.dst.as_slice().to_vec()
-                }),
-                Box::new(|m, x, _| {
-                    let (a, b) = (x.a.as_slice(), x.b.as_slice());
-                    reference_op(m, &mut x.dst, |pe, v| *v += a[pe] * b[pe]);
-                    x.dst.as_slice().to_vec()
-                }),
-            ),
-            (
                 "par_map_grid",
                 Box::new(|m, x, side| {
                     m.par_map_grid(&mut x.dst, side, |c, rows, slots| {
@@ -2537,22 +2131,6 @@ mod tests {
                         if pe % side == 0 {
                             *v = if flags.get(pe) { pe as u64 } else { 1 }
                         }
-                    });
-                    x.dst.as_slice().to_vec()
-                }),
-            ),
-            (
-                "par_zip_bits",
-                Box::new(|m, x, _| {
-                    m.par_zip_bits(&mut x.dst, &x.flags, |pe, v, ok| {
-                        *v |= (ok as u64) << (pe % 50)
-                    });
-                    x.dst.as_slice().to_vec()
-                }),
-                Box::new(|m, x, _| {
-                    let flags = &x.flags;
-                    reference_op(m, &mut x.dst, |pe, v| {
-                        *v |= (flags.get(pe) as u64) << (pe % 50)
                     });
                     x.dst.as_slice().to_vec()
                 }),

@@ -4,7 +4,7 @@
 //! flags so the disabled cost at an instrumentation site is a single
 //! relaxed atomic load:
 //!
-//! * [`span`] / [`span_with`] — nestable timed spans in the spirit of the
+//! * [`span()`] / [`span_with`] — nestable timed spans in the spirit of the
 //!   `tracing` crate. Open spans live on a thread-local stack; completed
 //!   root trees are merged into a global buffer when their guard drops, so
 //!   worker threads synchronize once per root span. Drain with

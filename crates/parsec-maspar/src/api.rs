@@ -176,7 +176,7 @@ impl Engine for Maspar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::parse_maspar;
+    use crate::engine::parse_maspar_checked;
     use cdg_grammar::grammars::paper;
     use maspar_sim::FaultPlan;
     use std::sync::Mutex;
@@ -187,7 +187,7 @@ mod tests {
     fn report_matches_the_checked_entry_point() {
         let g = paper::grammar();
         let s = paper::example_sentence(&g);
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         let report = Maspar::default()
             .parse(&ParseRequest::new(&g).sentence(s.clone()).max_parses(10))
             .unwrap();

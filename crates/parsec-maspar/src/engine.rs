@@ -1,8 +1,8 @@
 //! The SIMD parsing kernels and host driver.
 //!
-//! Two entry points: [`parse_maspar`] is the paper's fault-free engine;
-//! [`parse_maspar_checked`] additionally runs under an optional injected
-//! [`FaultPlan`] and a [`ParseBudget`], detecting corruption and either
+//! One entry point, [`parse_maspar_checked`], runs the paper's engine,
+//! optionally under an injected [`FaultPlan`] and a [`ParseBudget`],
+//! detecting corruption and either
 //! *recovering* (retiring dead PEs, re-executing corrupted phases) or
 //! returning a typed [`EngineError`] — never a silently wrong network.
 //!
@@ -62,8 +62,7 @@ pub struct MasparOptions {
     /// Record a machine instruction trace (op kind + active PE count per
     /// broadcast) — the simulator's answer to the MP-1's debugging tools.
     pub trace: bool,
-    /// Inject this fault schedule and run the detect-and-recover protocol
-    /// ([`parse_maspar_checked`] only; [`parse_maspar`] refuses it).
+    /// Inject this fault schedule and run the detect-and-recover protocol.
     pub faults: Option<FaultPlan>,
     /// Resource limits; `max_wall_time` compares against the deterministic
     /// estimated MP-1 seconds, so budgeted runs reproduce exactly.
@@ -133,7 +132,7 @@ pub struct MasparOutcome {
     pub filter_iterations_run: usize,
     /// Role values removed by each maintenance iteration, counted on the
     /// machine itself (popcount diff of the alive masks, summed with a
-    /// global scanAdd-style reduction).
+    /// global sum reduction, `Machine::reduce_sum`).
     pub removals_per_iteration: Vec<u64>,
     /// The virtualization multiplier ⌈q²n⁴ / phys⌉.
     pub virt_factor: u64,
@@ -355,33 +354,22 @@ impl MasparOutcome {
     }
 }
 
-/// Run PARSEC on the simulated MP-1.
+/// Run PARSEC on the simulated MP-1, with fault detection/recovery and
+/// budget enforcement.
 ///
 /// ```
-/// use parsec_maspar::{parse_maspar, MasparOptions};
+/// use parsec_maspar::{parse_maspar_checked, MasparOptions};
 /// use cdg_grammar::grammars::paper;
 ///
 /// let grammar = paper::grammar();
 /// let sentence = paper::example_sentence(&grammar);
-/// let out = parse_maspar(&grammar, &sentence, &MasparOptions::default());
+/// let out = parse_maspar_checked(&grammar, &sentence, &MasparOptions::default()).unwrap();
 /// assert!(out.roles_nonempty());
 /// assert_eq!(out.layout.virt_pes(), 324); // the paper's Figure 11
 /// assert_eq!(out.virt_factor, 1);         // fits the 16K array
 /// // Estimated MP-1 time lands on the paper's ~0.15 s.
 /// assert!((0.08..0.25).contains(&out.estimated_seconds));
 /// ```
-pub fn parse_maspar(grammar: &Grammar, sentence: &Sentence, opts: &MasparOptions) -> MasparOutcome {
-    assert!(
-        opts.faults.is_none(),
-        "parse_maspar cannot recover from injected faults; call parse_maspar_checked"
-    );
-    match parse_maspar_checked(grammar, sentence, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("MasPar parse failed: {e} (parse_maspar_checked returns this as a value)"),
-    }
-}
-
-/// [`parse_maspar`] with fault detection/recovery and budget enforcement.
 ///
 /// With `opts.faults` armed, the engine probes and retires dead PEs,
 /// double-executes every phase against golden checkpoints, and retries
@@ -1276,7 +1264,7 @@ mod tests {
     #[test]
     fn figure6_final_state_on_the_machine() {
         let (g, s) = example();
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         assert!(out.roles_nonempty());
         let lay = &out.layout;
         let governor = 0usize;
@@ -1335,7 +1323,7 @@ mod tests {
     fn equivalent_to_sequential_engine() {
         let (g, s) = example();
         let serial = parse(&g, &s, ParseOptions::default());
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         let net = out.to_network(&g, &s);
         for (a, b) in serial.network.slots().iter().zip(net.slots()) {
             assert_eq!(a.alive, b.alive, "alive sets diverge");
@@ -1352,7 +1340,7 @@ mod tests {
         let lex = paper::lexicon(&g);
         let s = lex.sentence("program the runs").unwrap();
         let serial = parse(&g, &s, ParseOptions::default());
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         assert_eq!(serial.roles_nonempty, out.roles_nonempty());
         assert!(!out.roles_nonempty());
     }
@@ -1371,7 +1359,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let out = parse_maspar(
+            let out = parse_maspar_checked(
                 &g,
                 &s,
                 &MasparOptions {
@@ -1379,7 +1367,8 @@ mod tests {
                     early_exit: false,
                     ..Default::default()
                 },
-            );
+            )
+            .unwrap();
             let net = out.to_network(&g, &s);
             for (a, b) in serial.network.slots().iter().zip(net.slots()) {
                 assert_eq!(a.alive, b.alive, "pass budget {passes}");
@@ -1392,7 +1381,7 @@ mod tests {
         // SUBJ-1 of program/governor survives unary propagation but is
         // eliminated by the first scan-based consistency iteration.
         let (g, s) = example();
-        let one = parse_maspar(
+        let one = parse_maspar_checked(
             &g,
             &s,
             &MasparOptions {
@@ -1400,7 +1389,8 @@ mod tests {
                 early_exit: false,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let lay = &one.layout;
         let subj = lay.label_index(0, g.label_id("SUBJ").unwrap()).unwrap();
         let pm1 = lay.modifiee_index(1, Modifiee::Word(1));
@@ -1412,24 +1402,26 @@ mod tests {
         // n ≤ 7 words fit the 16K array (q²n⁴ ≤ 9604); 10 words need
         // 40,000 virtual PEs → factor 3. The paper: 0.15 s vs 0.45 s.
         let g = paper::grammar();
-        let small = parse_maspar(
+        let small = parse_maspar_checked(
             &g,
             &paper::cost_sweep_sentence(&g, 7),
             &MasparOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(small.virt_factor, 1);
-        let big = parse_maspar(
+        let big = parse_maspar_checked(
             &g,
             &paper::cost_sweep_sentence(&g, 10),
             &MasparOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(big.virt_factor, 3);
     }
 
     #[test]
     fn phase_attribution_covers_all_constraints() {
         let (g, s) = example();
-        let out = parse_maspar(&g, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         let unary = out
             .phases
             .iter()
@@ -1472,7 +1464,7 @@ mod tests {
             sentences.push(s);
         }
         for s in &sentences {
-            let out = parse_maspar(&g, s, &MasparOptions::default());
+            let out = parse_maspar_checked(&g, s, &MasparOptions::default()).unwrap();
             let a = out.readback_scalar(&g, s);
             let b = out.to_network(&g, s);
             for (sa, sb) in a.slots().iter().zip(b.slots()) {
@@ -1491,7 +1483,7 @@ mod tests {
     #[test]
     fn checked_equals_unchecked_without_faults() {
         let (g, s) = example();
-        let plain = parse_maspar(&g, &s, &MasparOptions::default());
+        let plain = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         let checked = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         assert_eq!(plain.bits, checked.bits);
         assert_eq!(plain.alive, checked.alive);
@@ -1506,14 +1498,15 @@ mod tests {
     #[test]
     fn dead_pes_are_probed_retired_and_recovered_from() {
         let (g, s) = example();
-        let clean = parse_maspar(
+        let clean = parse_maspar_checked(
             &g,
             &s,
             &MasparOptions {
                 machine: small_machine(),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let opts = MasparOptions {
             machine: small_machine(),
             faults: Some(FaultPlan::new().with_dead_pe(3).with_dead_pe(40)),
@@ -1536,14 +1529,15 @@ mod tests {
     #[test]
     fn transient_corruption_is_detected_and_retried() {
         let (g, s) = example();
-        let clean = parse_maspar(
+        let clean = parse_maspar_checked(
             &g,
             &s,
             &MasparOptions {
                 machine: small_machine(),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Several transients spread across the run; each fires once, so
         // the double-execution protocol must catch and out-run them all.
         let plan = FaultPlan::new()

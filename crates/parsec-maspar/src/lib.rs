@@ -48,11 +48,6 @@ pub mod layout;
 pub mod retry;
 
 pub use api::Maspar;
-pub use engine::{
-    parse_maspar, parse_maspar_checked, MasparOptions, MasparOutcome, PhaseStats, RecoveryReport,
-};
+pub use engine::{parse_maspar_checked, MasparOptions, MasparOutcome, PhaseStats, RecoveryReport};
 pub use layout::Layout;
-pub use retry::{
-    faults_for_attempt, parse_with_retry, parse_with_retry_warm, request_key, RetryPolicy,
-    RetryStats,
-};
+pub use retry::{faults_for_attempt, parse_with_retry, request_key, RetryPolicy, RetryStats};

@@ -127,50 +127,17 @@ pub fn faults_for_attempt(
 
 /// Run `req` on `engine`, retrying transient failures
 /// ([`EngineError::is_transient`]) up to `policy.max_attempts` total
-/// attempts with deterministic capped-exponential backoff. The request's
-/// fault plan is attenuated per attempt via [`faults_for_attempt`] with
-/// `transient_for`. `sleep` performs the backoff wait — inject
-/// [`std::thread::sleep`] in production, a recorder in tests.
+/// attempts with deterministic capped-exponential backoff. Each attempt
+/// runs [`Engine::parse_warm`] against the caller's per-worker
+/// [`WarmState`] (engines without a warm override fall through to their
+/// cold `parse`). The request's fault plan is attenuated per attempt via
+/// [`faults_for_attempt`] with `transient_for`. `sleep` performs the
+/// backoff wait — inject [`std::thread::sleep`] in production, a recorder
+/// in tests.
 ///
 /// Non-transient errors and successes return immediately; the stats ledger
 /// always reports exactly what happened.
 pub fn parse_with_retry<'g>(
-    engine: &dyn Engine,
-    req: &ParseRequest<'g>,
-    transient_for: Option<usize>,
-    policy: &RetryPolicy,
-    mut sleep: impl FnMut(Duration),
-) -> (Result<ParseReport<'g>, EngineError>, RetryStats) {
-    let key = req
-        .sentence
-        .as_ref()
-        .map(|s| request_key(&s.to_string()))
-        .unwrap_or(0);
-    let max_attempts = policy.max_attempts.max(1);
-    let mut stats = RetryStats::default();
-    loop {
-        let attempt = stats.attempts;
-        stats.attempts += 1;
-        let mut attempt_req = req.clone();
-        attempt_req.faults = faults_for_attempt(req.faults.as_ref(), attempt, transient_for);
-        match engine.parse(&attempt_req) {
-            Ok(report) => return (Ok(report), stats),
-            Err(e) if e.is_transient() && stats.attempts < max_attempts => {
-                stats.retries += 1;
-                let delay = policy.backoff(key, stats.attempts);
-                stats.backoff_total += delay;
-                sleep(delay);
-            }
-            Err(e) => return (Err(e), stats),
-        }
-    }
-}
-
-/// [`parse_with_retry`] through the warm path: each attempt runs
-/// [`Engine::parse_warm`] against the caller's per-worker [`WarmState`].
-/// Identical retry/backoff/fault-attenuation semantics; engines without a
-/// warm override (PRAM, MasPar) fall through to their cold `parse`.
-pub fn parse_with_retry_warm<'g>(
     engine: &dyn Engine,
     req: &ParseRequest<'g>,
     transient_for: Option<usize>,
@@ -280,6 +247,7 @@ mod tests {
             Some(1),
             &RetryPolicy::default(),
             |d| slept.push(d),
+            &mut WarmState::new(),
         );
         let report = result.expect("attempt 2 runs fault-free");
         assert!(report.accepted);
@@ -298,7 +266,14 @@ mod tests {
             max_attempts: 3,
             ..Default::default()
         };
-        let (result, stats) = parse_with_retry(&tiny_maspar(), &req, None, &policy, |_| {});
+        let (result, stats) = parse_with_retry(
+            &tiny_maspar(),
+            &req,
+            None,
+            &policy,
+            |_| {},
+            &mut WarmState::new(),
+        );
         match result {
             Err(EngineError::PeFailure { dead, .. }) => assert!(!dead.is_empty()),
             other => panic!("expected PeFailure, got {other:?}"),
@@ -318,6 +293,7 @@ mod tests {
             None,
             &RetryPolicy::default(),
             |_| panic!("must not sleep"),
+            &mut WarmState::new(),
         );
         assert!(matches!(result, Err(EngineError::GrammarError(_))));
         assert_eq!(stats.attempts, 1);

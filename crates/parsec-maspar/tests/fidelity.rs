@@ -3,9 +3,10 @@
 //! PE failures have exactly the blast radius the layout predicts.
 
 use cdg_core::parser::{parse, ParseOptions};
+use cdg_core::EngineError;
 use cdg_grammar::grammars::paper;
 use maspar_sim::MachineConfig;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 /// Design decision 6, transparency half: shrinking the physical array
 /// (raising the virtualization factor) must not change any result bit.
@@ -14,7 +15,7 @@ fn virtualization_is_semantically_transparent() {
     let g = paper::grammar();
     for n in [3usize, 5, 7] {
         let s = paper::cost_sweep_sentence(&g, n);
-        let reference = parse_maspar(&g, &s, &MasparOptions::default());
+        let reference = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
         for phys in [4096usize, 512, 64] {
             let opts = MasparOptions {
                 machine: MachineConfig {
@@ -23,7 +24,7 @@ fn virtualization_is_semantically_transparent() {
                 },
                 ..Default::default()
             };
-            let out = parse_maspar(&g, &s, &opts);
+            let out = parse_maspar_checked(&g, &s, &opts).unwrap();
             assert!(out.virt_factor >= reference.virt_factor);
             let a = reference.to_network(&g, &s);
             let b = out.to_network(&g, &s);
@@ -43,7 +44,7 @@ fn virtualization_is_semantically_transparent() {
 fn memory_budget_binds() {
     let g = paper::grammar();
     let s = paper::cost_sweep_sentence(&g, 10);
-    let out = parse_maspar(&g, &s, &MasparOptions::default());
+    let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     assert!(out.stats.peak_pe_memory_bytes > 0);
     assert!(out.stats.peak_pe_memory_bytes <= 16 * 1024);
 
@@ -55,8 +56,11 @@ fn memory_budget_binds() {
         },
         ..Default::default()
     };
-    let result = std::panic::catch_unwind(|| parse_maspar(&g, &s, &starved));
-    assert!(result.is_err(), "overcommitting PE memory must panic");
+    let result = parse_maspar_checked(&g, &s, &starved);
+    assert!(
+        matches!(result, Err(EngineError::GrammarError(_))),
+        "overcommitting PE memory is a typed error"
+    );
 }
 
 /// Failure injection: killing PEs that only host self-arc diagonal blocks
@@ -66,13 +70,13 @@ fn memory_budget_binds() {
 fn pe_failures_have_predictable_blast_radius() {
     let g = paper::grammar();
     let s = paper::example_sentence(&g);
-    let healthy = parse_maspar(&g, &s, &MasparOptions::default());
+    let healthy = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     assert!(healthy.roles_nonempty());
 
     // A full parse with extra diagonal "failures": identical outcome.
     // (Simulate by comparing against the layout's own diagonal set — the
     // engine already treats them as dead, so this is the control arm.)
-    let again = parse_maspar(&g, &s, &MasparOptions::default());
+    let again = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     let a = healthy.to_network(&g, &s);
     let b = again.to_network(&g, &s);
     for (x, y) in a.slots().iter().zip(b.slots()) {
@@ -90,7 +94,7 @@ fn english_grammar_at_l8() {
     let (g, lex) = corpus::standard_setup();
     let s = lex.sentence("the big dog sees a cat in the park").unwrap();
     let serial = parse(&g, &s, ParseOptions::default());
-    let out = parse_maspar(&g, &s, &MasparOptions::default());
+    let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     let net = out.to_network(&g, &s);
     for (a, b) in serial.network.slots().iter().zip(net.slots()) {
         assert_eq!(a.alive, b.alive);
@@ -105,15 +109,16 @@ fn english_grammar_at_l8() {
 fn early_exit_is_an_optimization_only() {
     let g = paper::grammar();
     let s = paper::example_sentence(&g);
-    let eager = parse_maspar(
+    let eager = parse_maspar_checked(
         &g,
         &s,
         &MasparOptions {
             early_exit: true,
             ..Default::default()
         },
-    );
-    let full = parse_maspar(
+    )
+    .unwrap();
+    let full = parse_maspar_checked(
         &g,
         &s,
         &MasparOptions {
@@ -121,7 +126,8 @@ fn early_exit_is_an_optimization_only() {
             filter_iterations: 10,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(eager.filter_iterations_run <= full.filter_iterations_run);
     let a = eager.to_network(&g, &s);
     let b = full.to_network(&g, &s);

@@ -12,12 +12,12 @@
 
 use cdg_grammar::grammars::paper;
 use maspar_sim::CostModel;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 fn run(n: usize) -> parsec_maspar::MasparOutcome {
     let g = paper::grammar();
     let s = paper::cost_sweep_sentence(&g, n);
-    parse_maspar(&g, &s, &MasparOptions::default())
+    parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap()
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Admission control: budgets become SLO classes, classes become queue
 //! deadlines, and watermarks become early typed rejections.
 //!
-//! The paper's engines already accept a per-parse [`ParseBudget`]; the
+//! The paper's engines already accept a per-parse [`ParseBudget`](cdg_core::ParseBudget); the
 //! service reuses it as the *declared urgency* of a request. A tight wall
 //! budget says "this caller is interactive — answer fast or not at all";
 //! no budget says "batch — take your time, shed me first". That mapping

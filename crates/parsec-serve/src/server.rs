@@ -48,7 +48,7 @@ use cdg_core::{EngineConfig, EngineError};
 use cdg_grammar::grammars::{english, paper};
 use cdg_grammar::{CompiledGrammar, Grammar, Lexicon};
 use maspar_sim::MachineStats;
-use parsec_maspar::parse_with_retry_warm;
+use parsec_maspar::parse_with_retry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -969,7 +969,7 @@ fn service_job(
         stats.bump(&stats.warm_reuses, "serve.warm.reuses");
     }
     let engine = engines.get(&job.engine_name);
-    let (result, retry_stats) = parse_with_retry_warm(
+    let (result, retry_stats) = parse_with_retry(
         engine,
         &request,
         job.config.transient,

@@ -210,7 +210,7 @@ pub fn any<A: Arbitrary>() -> Any<A> {
 // ---------------------------------------------------------------------------
 // Collections.
 
-/// Length specifications accepted by [`vec`]: an exact `usize` or a
+/// Length specifications accepted by [`vec()`]: an exact `usize` or a
 /// half-open `Range<usize>`.
 pub struct SizeRange {
     low: usize,

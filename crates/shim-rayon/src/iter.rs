@@ -4,7 +4,7 @@
 //! Every parallel iterator is a *splittable producer*: it knows its base
 //! length, can be cut in two at any base index, and can be consumed as an
 //! ordinary sequential iterator. Terminal operations cut the producer
-//! into [`crate::pool::chunk_count`] pieces (boundaries depend on the
+//! into `pool::chunk_count` pieces (boundaries depend on the
 //! length only), run each piece on the pool, and combine the per-chunk
 //! results **in chunk order** — so `collect` preserves order exactly and
 //! even non-commutative reductions are byte-identical at any thread

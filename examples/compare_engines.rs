@@ -35,7 +35,8 @@ fn main() {
             let pram_t = t.elapsed().as_secs_f64();
 
             let (mesh_net, mesh_stats) = MeshCdg::run(&grammar, &sentence, options);
-            let maspar = parse_maspar(&grammar, &sentence, &MasparOptions::default());
+            let maspar = parse_maspar_checked(&grammar, &sentence, &MasparOptions::default())
+                .expect("the MasPar parse fits the simulated machine");
 
             // All engines must agree on every surviving role value.
             let maspar_net = maspar.to_network(&grammar, &sentence);

@@ -8,7 +8,7 @@
 
 use parsec::grammar::grammars::paper;
 use parsec::maspar::CostModel;
-use parsec::parsec::{parse_maspar, Layout, MasparOptions};
+use parsec::parsec::{parse_maspar_checked, Layout, MasparOptions};
 
 fn main() {
     let grammar = paper::grammar();
@@ -50,14 +50,15 @@ fn main() {
     );
 
     // --- Parse and report machine activity ---
-    let out = parse_maspar(
+    let out = parse_maspar_checked(
         &grammar,
         &sentence,
         &MasparOptions {
             trace: true,
             ..Default::default()
         },
-    );
+    )
+    .expect("the MasPar parse fits the simulated machine");
     println!(
         "instruction trace (first 12 broadcasts of {}):",
         out.trace.len()
@@ -88,7 +89,8 @@ fn main() {
     println!("  n   virtual PEs   factor   est time");
     for n in 1..=14 {
         let s = paper::cost_sweep_sentence(&grammar, n);
-        let out = parse_maspar(&grammar, &s, &MasparOptions::default());
+        let out = parse_maspar_checked(&grammar, &s, &MasparOptions::default())
+            .expect("the MasPar parse fits the simulated machine");
         println!(
             "  {n:>2}  {pes:>10}   {f:>4}x    {t:>6.3} s",
             pes = out.layout.virt_pes(),

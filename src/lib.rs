@@ -74,7 +74,7 @@ pub mod prelude {
     pub use cdg_core::{Network, PrecedenceGraph};
     pub use cdg_grammar::{Grammar, GrammarBuilder, Lexicon, Sentence};
     pub use cdg_parallel::{parse_pram, Pram};
-    pub use parsec_maspar::{parse_maspar, Maspar, MasparOptions};
+    pub use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 }
 
 #[cfg(test)]

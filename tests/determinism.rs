@@ -9,7 +9,7 @@ use cdg_core::parser::{parse, parse_with_pool, FilterMode, ParseOptions};
 use cdg_core::{ArcPool, PrecedenceGraph};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::parse_pram;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -70,14 +70,15 @@ fn engines_byte_identical_across_thread_counts() {
                 "pram diverged from serial at {threads} threads, seed {seed} (`{s}`)"
             );
             if !s.has_lexical_ambiguity() {
-                let maspar = parse_maspar(
+                let maspar = parse_maspar_checked(
                     &g,
                     &s,
                     &MasparOptions {
                         filter_iterations: 10,
                         ..Default::default()
                     },
-                );
+                )
+                .unwrap();
                 let net = maspar.to_network(&g, &s);
                 assert_eq!(
                     reference,

@@ -6,7 +6,7 @@ use cdg_core::parser::{parse, FilterMode, ParseOptions};
 use cdg_grammar::grammars::{english, formal};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::parse_pram;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 use proptest::prelude::*;
 
 fn options() -> ParseOptions {
@@ -33,14 +33,15 @@ fn assert_all_engines_agree(grammar: &Grammar, sentence: &Sentence) {
         "parse sets diverge on `{sentence}`"
     );
     if !sentence.has_lexical_ambiguity() {
-        let maspar = parse_maspar(
+        let maspar = parse_maspar_checked(
             grammar,
             sentence,
             &MasparOptions {
                 filter_iterations: 10,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let net = maspar.to_network(grammar, sentence);
         for (a, b) in serial.network.slots().iter().zip(net.slots()) {
             assert_eq!(a.alive, b.alive, "serial vs maspar on `{sentence}`");

@@ -5,7 +5,7 @@
 use cdg_core::parser::{parse, FilterMode, ParseOptions};
 use cdg_grammar::grammars::english_aux;
 use cdg_parallel::parse_pram;
-use parsec_maspar::{parse_maspar, MasparOptions};
+use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 fn setup() -> (cdg_grammar::Grammar, cdg_grammar::Lexicon) {
     let g = english_aux::grammar();
@@ -124,7 +124,7 @@ fn maspar_engine_handles_q3() {
     let s = lex.sentence("the dog can exist").unwrap();
     assert!(!s.has_lexical_ambiguity());
     let serial = parse(&g, &s, ParseOptions::default());
-    let out = parse_maspar(&g, &s, &MasparOptions::default());
+    let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     assert_eq!(out.layout.virt_pes(), 9 * 4usize.pow(4));
     let net = out.to_network(&g, &s);
     for (a, b) in serial.network.slots().iter().zip(net.slots()) {
@@ -133,7 +133,7 @@ fn maspar_engine_handles_q3() {
     assert!(out.roles_nonempty());
     // Rejection on the machine, too.
     let s = lex.sentence("the dog exists quickly near").unwrap();
-    let out = parse_maspar(&g, &s, &MasparOptions::default());
+    let out = parse_maspar_checked(&g, &s, &MasparOptions::default()).unwrap();
     assert!(!out.roles_nonempty());
 }
 
