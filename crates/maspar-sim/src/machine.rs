@@ -334,15 +334,6 @@ impl Machine {
         }
     }
 
-    /// Permanently disable specific PEs (used for layout diagonals and for
-    /// failure-injection tests). Applies to the *current* activity frame
-    /// and, by construction, everything nested within it.
-    pub fn disable_pes(&mut self, pes: &[usize]) {
-        for &pe in pes {
-            self.enabled[pe / 64] &= !(1u64 << (pe % 64));
-        }
-    }
-
     // ------------------------------------------------------------------
     // Fault injection
     // ------------------------------------------------------------------
@@ -1300,12 +1291,15 @@ mod tests {
     #[test]
     fn par_map_runs_on_active_pes_only() {
         let mut m = Machine::mp1(8);
-        m.disable_pes(&[3, 5]);
+        let mask = m.par_init_bits(false, |pe| pe != 3 && pe != 5);
         let mut p = m.alloc(0u32);
-        m.par_map(&mut p, |pe, v| *v = pe as u32 + 1);
+        m.with_activity_bits(&mask, |m| {
+            assert_eq!(m.active_count(), 6);
+            m.par_map(&mut p, |pe, v| *v = pe as u32 + 1);
+        });
         assert_eq!(p.as_slice(), &[1, 2, 3, 0, 5, 0, 7, 8]);
-        assert_eq!(m.stats.plural_ops, 1);
-        assert_eq!(m.active_count(), 6);
+        // The mask's write, the narrowing and the map.
+        assert_eq!(m.stats.plural_ops, 3);
     }
 
     #[test]
@@ -1358,14 +1352,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_skips_disabled_pes() {
+    fn scan_and_skips_inactive_pes() {
         let mut m = Machine::mp1(6);
         let segs = SegmentMap::uniform(6, 3);
-        // Segment 0: values T,F,T with PE 1 disabled → AND = T.
-        // Segment 1: values T,T,F all enabled → AND = F.
-        m.disable_pes(&[1]);
+        // Segment 0: values T,F,T with PE 1 inactive → AND = T.
+        // Segment 1: values T,T,F all active → AND = F.
         let p = m.par_init(false, |pe| matches!(pe, 0 | 2 | 3 | 4));
-        let r = m.scan_and(&p, &segs);
+        let mask = m.par_init(false, |pe| pe != 1);
+        let r = m.with_activity(&mask, |m| m.scan_and(&p, &segs));
         assert!(r.as_slice()[0]);
         assert!(!r.as_slice()[3]);
     }
@@ -1817,9 +1811,10 @@ mod tests {
         // bool), but the corruption event is counted either way.
         for (mask, flipped) in [(0x01u64, true), (0xF0, false)] {
             let mut m = faulty(4, 4, FaultPlan::new().with_router_corrupt(2, 1, mask));
-            let src = m.par_init_bits(false, |_| false); // op 1
-                                                         // One PE per segment: PE 1's deposit is its own OR.
-            let or = m.scan_or_bits(&src, &SegmentMap::uniform(4, 1)); // op 2
+            // Op 1 writes the plural; op 2 scans it, one PE per segment,
+            // so PE 1's deposit is its own OR.
+            let src = m.par_init_bits(false, |_| false);
+            let or = m.scan_or_bits(&src, &SegmentMap::uniform(4, 1));
             assert_eq!(or.get(1), flipped, "mask={mask:#x}");
             assert_eq!(m.stats.router_corruptions, 1);
         }
