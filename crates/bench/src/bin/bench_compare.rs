@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bench_compare <baseline.json> <current.json> [--max-regress 0.25]
-//!               [--min-wall-secs 0.002] [--no-normalize] [--bmm-floor 2.0]
+//!               [--min-wall-secs 0.002] [--no-normalize] [--filter-floor 2.0]
 //!               [--fleet-floor 2.5] [--warm-floor 1.3]
 //! ```
 //!
@@ -19,13 +19,13 @@
 //!    slower CI runner is not mistaken for a regression; rows whose
 //!    baseline wall is under `--min-wall-secs` sit below the timer noise
 //!    floor and are skipped.
-//! 4. **BMM filter floor** — inside the *current* report, every
-//!    `filter-bmm` row must share its digest with the
-//!    `filter-incremental` twin at the same grammar/n (the blocked-BMM
-//!    core and the AC-4 oracle filter bit-identically), and the
+//! 4. **Filter floor** — inside the *current* report, every
+//!    `filter-incremental` row must share its digest with the
+//!    `filter-naive` twin at the same grammar/n (the incremental filter
+//!    and the full-scan oracle filter bit-identically), and the
 //!    filter-dominated large-n rows (n ≥ 32) must clear a geomean
-//!    speedup of `--bmm-floor` (default 2x) over the incremental oracle
-//!    (carried in `speedup_vs_1t` on the bmm row).
+//!    speedup of `--filter-floor` (default 2x) over the full scan
+//!    (carried in `speedup_vs_1t` on the incremental row).
 //! 5. **Fleet floor** — inside the *current* report, every multi-shard
 //!    `serve-fleet` row (`threads` holds the shard count) must share its
 //!    digest with the single-shard twin at the same grammar/n — routing
@@ -57,7 +57,7 @@ struct Args {
     max_regress: f64,
     min_wall_secs: f64,
     normalize: bool,
-    bmm_floor: f64,
+    filter_floor: f64,
     fleet_floor: f64,
     warm_floor: f64,
 }
@@ -66,7 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_compare <baseline.json> <current.json> \
          [--max-regress FRACTION] [--min-wall-secs SECS] [--no-normalize] \
-         [--bmm-floor RATIO] [--fleet-floor RATIO] [--warm-floor RATIO]"
+         [--filter-floor RATIO] [--fleet-floor RATIO] [--warm-floor RATIO]"
     );
     std::process::exit(2);
 }
@@ -79,7 +79,7 @@ fn parse_args() -> Args {
         max_regress: 0.25,
         min_wall_secs: 0.002,
         normalize: true,
-        bmm_floor: 2.0,
+        filter_floor: 2.0,
         fleet_floor: 2.5,
         warm_floor: 1.3,
     };
@@ -98,8 +98,8 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--bmm-floor" => {
-                args.bmm_floor = it
+            "--filter-floor" => {
+                args.filter_floor = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -243,61 +243,65 @@ fn main() {
         });
     }
 
-    // BMM filter parity + speedup floor: every `filter-bmm` row must be
-    // digest-identical to its `filter-incremental` twin, and the
+    // Filter parity + speedup floor: every `filter-incremental` row must
+    // be digest-identical to its `filter-naive` twin, and the
     // filter-dominated large-n rows (n >= 32) carry their measured
-    // speedup over the incremental oracle in `speedup_vs_1t` — the
-    // geomean must clear the floor.
-    let mut bmm_pairs = 0usize;
-    let mut bmm_speedups: Vec<(String, f64)> = Vec::new();
-    for bmm_row in current.rows.iter().filter(|r| r.engine == "filter-bmm") {
+    // speedup over the full scan in `speedup_vs_1t` — the geomean must
+    // clear the floor.
+    let mut filter_pairs = 0usize;
+    let mut filter_speedups: Vec<(String, f64)> = Vec::new();
+    for inc_row in current
+        .rows
+        .iter()
+        .filter(|r| r.engine == "filter-incremental")
+    {
         let twin = current.rows.iter().find(|r| {
-            r.engine == "filter-incremental" && r.grammar == bmm_row.grammar && r.n == bmm_row.n
+            r.engine == "filter-naive" && r.grammar == inc_row.grammar && r.n == inc_row.n
         });
         let Some(twin) = twin else {
             failures.push(format!(
-                "PARITY   {}: no filter-incremental twin in {}",
-                bmm_row.key(),
+                "PARITY   {}: no filter-naive twin in {}",
+                inc_row.key(),
                 args.current
             ));
             continue;
         };
-        bmm_pairs += 1;
-        if bmm_row.digest != twin.digest {
+        filter_pairs += 1;
+        if inc_row.digest != twin.digest {
             failures.push(format!(
-                "PARITY   {}: bmm digest {:016x} != incremental oracle {:016x} — the \
-                 blocked-BMM filter no longer matches the AC-4 removal schedule",
-                bmm_row.key(),
-                bmm_row.digest,
+                "PARITY   {}: incremental digest {:016x} != full-scan oracle {:016x} — the \
+                 incremental filter no longer matches the full scan's removal schedule",
+                inc_row.key(),
+                inc_row.digest,
                 twin.digest
             ));
         }
-        if bmm_row.n >= 32 {
-            bmm_speedups.push((bmm_row.key(), bmm_row.speedup_vs_1t));
+        if inc_row.n >= 32 {
+            filter_speedups.push((inc_row.key(), inc_row.speedup_vs_1t));
         }
     }
-    if args.bmm_floor > 0.0 && !bmm_speedups.is_empty() {
-        let geo = (bmm_speedups
+    if args.filter_floor > 0.0 && !filter_speedups.is_empty() {
+        let geo = (filter_speedups
             .iter()
             .map(|(_, s)| s.max(1e-9).ln())
             .sum::<f64>()
-            / bmm_speedups.len() as f64)
+            / filter_speedups.len() as f64)
             .exp();
-        let detail = bmm_speedups
+        let detail = filter_speedups
             .iter()
             .map(|(k, s)| format!("{k}={s:.2}x"))
             .collect::<Vec<_>>()
             .join(", ");
-        if geo < args.bmm_floor {
+        if geo < args.filter_floor {
             failures.push(format!(
-                "FLOOR    bmm filter large-n geomean speedup {geo:.2}x is under the \
+                "FLOOR    incremental filter large-n geomean speedup {geo:.2}x is under the \
                  {:.2}x floor ({detail})",
-                args.bmm_floor
+                args.filter_floor
             ));
         } else {
             println!(
-                "bmm filter floor: geomean {geo:.2}x over incremental (floor {:.2}x; {detail})",
-                args.bmm_floor
+                "filter floor: geomean {geo:.2}x over the full scan (floor {:.2}x; {detail})",
+                args.filter_floor
             );
         }
     }
@@ -418,7 +422,7 @@ fn main() {
 
     println!(
         "bench_compare: {} baseline row(s): {compared} wall-compared, \
-         {skipped_noise} below noise floor, {bmm_pairs} filter parity pair(s), {fleet_pairs} fleet parity pair(s), \
+         {skipped_noise} below noise floor, {filter_pairs} filter parity pair(s), {fleet_pairs} fleet parity pair(s), \
          {warm_pairs} warm parity pair(s), {} failure(s)",
         baseline.rows.len(),
         failures.len()

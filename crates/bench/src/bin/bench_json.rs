@@ -23,7 +23,7 @@
 use bench::json::Json;
 use bench::report::{calibrate, fnv1a, validate_trace, BenchReport, BenchRow};
 use bench::run::{
-    binary_kernel, binary_naive, comparable_options, filter_bmm_phase, filter_incremental_phase,
+    binary_kernel, binary_naive, comparable_options, filter_incremental_phase, filter_naive_phase,
     maspar_cdg, mesh_cdg, pram_cdg, serial_cdg, serial_cdg_naive, Measurement, FILTER_PASSES,
 };
 use cdg_core::api::{Engine, ParseRequest, Sequential};
@@ -133,28 +133,21 @@ fn digest_binary(grammar: &Grammar, sentence: &Sentence, eval: EvalStrategy) -> 
 }
 
 /// Digest of the network state after the consistency-filtering phase
-/// under `strategy` (the naive full-scan included as a third oracle):
-/// every slot's alive set plus the raw words of every arc matrix —
-/// equal digests across strategies mean bit-identical filtering, not
-/// merely equal verdicts.
+/// under `strategy` (`Auto` filters incrementally, `Naive` is the full
+/// scan): every slot's alive set plus the raw words of every arc
+/// matrix — equal digests across strategies mean bit-identical
+/// filtering, not merely equal verdicts.
 fn digest_filter(grammar: &Grammar, sentence: &Sentence, strategy: FilterStrategy) -> u64 {
     let mut net = cdg_core::Network::build(grammar, sentence);
     cdg_core::propagate::apply_all_unary(&mut net);
     net.init_arcs();
     cdg_core::propagate::apply_all_binary(&mut net);
     match strategy {
-        FilterStrategy::Naive => {
-            cdg_core::consistency::filter(&mut net, FILTER_PASSES);
+        FilterStrategy::Naive => cdg_core::consistency::filter(&mut net, FILTER_PASSES),
+        FilterStrategy::Auto => {
+            cdg_core::IncrementalFilter::build(&mut net).run(&mut net, FILTER_PASSES)
         }
-        FilterStrategy::Bmm => {
-            cdg_core::consistency::filter_bmm(&mut net, FILTER_PASSES)
-                .expect("bmm filter digests without internal errors");
-        }
-        _ => {
-            cdg_core::consistency::filter_incremental(&mut net, FILTER_PASSES)
-                .expect("incremental filter digests without internal errors");
-        }
-    }
+    };
     let mut buf = String::new();
     for slot in net.slots() {
         buf.push_str(&format!("{:?};", slot.alive_indices()));
@@ -512,21 +505,20 @@ fn main() {
     }
 
     // --- 1c. Consistency-filtering scenarios -------------------------
-    // The blocked-BMM core's acceptance gate: the measured region is the
-    // n⁴ filtering fixpoint alone (build / unary / arc-init / binary
-    // propagation untimed), where the fused tile sweeps replace the
-    // per-(value, arc) support walks. Digests cover alive sets AND raw
-    // arc matrices after filtering, asserted equal across all three
-    // strategies (naive full-scan, AC-4 incremental, blocked BMM), so
-    // bit-identity is checked on the phase output itself.
+    // The incremental filter's acceptance gate: the measured region is
+    // the n⁴ filtering fixpoint alone (build / unary / arc-init / binary
+    // propagation untimed), where re-testing only the rows and columns a
+    // removal touched replaces the full scan's every-value probe per
+    // pass. Digests cover alive sets AND raw arc matrices after
+    // filtering, asserted equal between the incremental filter and the
+    // full scan, so bit-identity is checked on the phase output itself.
     //
     // Workloads: english sentences are small-n parity anchors (tiny
-    // cascades — the incremental oracle is competitive there, which the
-    // rows honestly show); the formal-grammar rejection cascades are the
-    // filter-dominated rows, growing to n=48 (quick) / n=64 (full).
-    // The BMM row carries its speedup over the incremental oracle in
-    // `speedup_vs_1t`; `bench_compare --bmm-floor` gates the geomean of
-    // the large-n (>= 32) rows.
+    // cascades); the formal-grammar inputs are the filter-dominated rows,
+    // growing to n=48 (quick) / n=64 (full). The incremental row carries
+    // its speedup over the `filter-naive` twin in `speedup_vs_1t`;
+    // `bench_compare --filter-floor` gates the geomean of the large-n
+    // (>= 32) rows.
     let formal_depths: &[usize] = if args.quick {
         &[8, 12, 16, 24]
     } else {
@@ -553,28 +545,25 @@ fn main() {
     let mut filter_speedups: Vec<(usize, f64)> = Vec::new();
     for (name, fg, s) in &filter_inputs {
         let n = s.len();
-        let df = digest_filter(fg, s, FilterStrategy::Incremental);
-        for oracle in [FilterStrategy::Naive, FilterStrategy::Bmm] {
-            assert_eq!(
-                df,
-                digest_filter(fg, s, oracle),
-                "consistency filtering diverged between incremental and {} on {name} n={n}",
-                oracle.name()
-            );
-        }
+        let df = digest_filter(fg, s, FilterStrategy::Auto);
+        assert_eq!(
+            df,
+            digest_filter(fg, s, FilterStrategy::Naive),
+            "consistency filtering diverged between incremental and naive on {name} n={n}"
+        );
         eprintln!("consistency filtering: {name} n={n}");
-        let bmm = best_of(|| filter_bmm_phase(fg, s));
         let inc = best_of(|| filter_incremental_phase(fg, s));
-        let speedup = if bmm.wall_secs > 0.0 {
-            inc.wall_secs / bmm.wall_secs
+        let naive = best_of(|| filter_naive_phase(fg, s));
+        let speedup = if inc.wall_secs > 0.0 {
+            naive.wall_secs / inc.wall_secs
         } else {
             1.0
         };
         filter_speedups.push((n, speedup));
-        rows.push(row_from(inc, name, 1, df));
-        let mut bmm_row = row_from(bmm, name, 1, df);
-        bmm_row.speedup_vs_1t = speedup;
-        rows.push(bmm_row);
+        let mut inc_row = row_from(inc, name, 1, df);
+        inc_row.speedup_vs_1t = speedup;
+        rows.push(inc_row);
+        rows.push(row_from(naive, name, 1, df));
     }
     let large_n: Vec<f64> = filter_speedups
         .iter()
@@ -584,7 +573,7 @@ fn main() {
     if !large_n.is_empty() {
         let geo = large_n.iter().map(|s| s.ln()).sum::<f64>() / large_n.len() as f64;
         eprintln!(
-            "filtering bmm vs incremental: geomean host-wall speedup {:.2}x over n>=32 (all rows: {})",
+            "filtering incremental vs naive: geomean host-wall speedup {:.2}x over n>=32 (all rows: {})",
             geo.exp(),
             filter_speedups
                 .iter()

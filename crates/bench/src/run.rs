@@ -123,11 +123,11 @@ pub fn binary_naive(grammar: &Grammar, sentence: &Sentence) -> Measurement {
 /// the same amount of filtering.
 pub const FILTER_PASSES: usize = 10;
 
-/// Time only the consistency-filtering phase — the n⁴ workload the
-/// blocked-BMM core targets. Network build, unary filtering, arc
+/// Time only the consistency-filtering phase — the n⁴ workload of the
+/// paper's sequential filtering. Network build, unary filtering, arc
 /// initialization and binary propagation run untimed; the measured region
 /// is the filter driven to fixpoint (or [`FILTER_PASSES`]) under
-/// `strategy`.
+/// `strategy` (`Auto` is the incremental filter, `Naive` the full scan).
 fn filter_phase(
     grammar: &Grammar,
     sentence: &Sentence,
@@ -138,11 +138,12 @@ fn filter_phase(
     cdg_core::propagate::apply_all_unary(&mut net);
     net.init_arcs();
     cdg_core::propagate::apply_all_binary(&mut net);
-    let (result, wall) = timed(|| match strategy {
-        FilterStrategy::Bmm => cdg_core::consistency::filter_bmm(&mut net, FILTER_PASSES),
-        _ => cdg_core::consistency::filter_incremental(&mut net, FILTER_PASSES),
+    let ((removed, passes, _), wall) = timed(|| match strategy {
+        FilterStrategy::Naive => cdg_core::consistency::filter(&mut net, FILTER_PASSES),
+        FilterStrategy::Auto => {
+            cdg_core::IncrementalFilter::build(&mut net).run(&mut net, FILTER_PASSES)
+        }
     });
-    let (removed, passes, _) = result.expect("filter phase runs without internal errors");
     Measurement {
         engine,
         n: sentence.len(),
@@ -155,19 +156,20 @@ fn filter_phase(
     }
 }
 
-/// Consistency filtering under the AC-4-style incremental oracle.
+/// Consistency filtering under the counter-free incremental filter (the
+/// default path).
 pub fn filter_incremental_phase(grammar: &Grammar, sentence: &Sentence) -> Measurement {
     filter_phase(
         grammar,
         sentence,
-        FilterStrategy::Incremental,
+        FilterStrategy::Auto,
         "filter-incremental",
     )
 }
 
-/// Consistency filtering under the blocked 64×64-tile BMM core.
-pub fn filter_bmm_phase(grammar: &Grammar, sentence: &Sentence) -> Measurement {
-    filter_phase(grammar, sentence, FilterStrategy::Bmm, "filter-bmm")
+/// Consistency filtering under the full-scan oracle.
+pub fn filter_naive_phase(grammar: &Grammar, sentence: &Sentence) -> Measurement {
+    filter_phase(grammar, sentence, FilterStrategy::Naive, "filter-naive")
 }
 
 /// Rayon P-RAM-style CDG (the "CRCW P-RAM" CDG row).
@@ -303,10 +305,10 @@ mod tests {
         let lex = english::lexicon(&g);
         let s = corpus::english_sentence(&g, &lex, 8, 11);
         let inc = filter_incremental_phase(&g, &s);
-        let bmm = filter_bmm_phase(&g, &s);
-        assert_eq!(inc.ops, bmm.ops, "removal totals must match");
-        assert_eq!(inc.steps, bmm.steps, "pass counts must match");
-        assert_eq!(inc.accepted, bmm.accepted);
+        let naive = filter_naive_phase(&g, &s);
+        assert_eq!(inc.ops, naive.ops, "removal totals must match");
+        assert_eq!(inc.steps, naive.steps, "pass counts must match");
+        assert_eq!(inc.accepted, naive.accepted);
     }
 
     #[test]

@@ -21,16 +21,6 @@ impl BitVec {
         }
     }
 
-    /// All-one bitset of length `len`.
-    pub fn ones(len: usize) -> Self {
-        let mut v = BitVec {
-            len,
-            words: vec![!0u64; words_for(len)],
-        };
-        v.clamp_tail();
-        v
-    }
-
     fn clamp_tail(&mut self) {
         if let Some(last) = self.words.last_mut() {
             *last &= tail_mask(self.len);
@@ -48,8 +38,7 @@ impl BitVec {
     }
 
     /// Reset to an all-one bitset of length `len`, reusing the existing
-    /// word buffer (no allocation when capacity suffices). The recycled
-    /// counterpart of [`BitVec::ones`].
+    /// word buffer (no allocation when capacity suffices).
     pub fn reset_ones(&mut self, len: usize) {
         self.len = len;
         let n = words_for(len);
@@ -126,28 +115,6 @@ impl BitVec {
         })
     }
 
-    /// In-place intersection. Panics if lengths differ.
-    pub fn and_assign(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "BitVec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place union. Panics if lengths differ.
-    pub fn or_assign(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "BitVec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// True if `self` and `other` share any set bit.
-    pub fn intersects(&self, other: &BitVec) -> bool {
-        assert_eq!(self.len, other.len, "BitVec length mismatch");
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// Raw words (read-only), little-endian bit order within each word.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -175,7 +142,8 @@ mod tests {
         let z = BitVec::zeros(70);
         assert_eq!(z.count_ones(), 0);
         assert!(z.none());
-        let o = BitVec::ones(70);
+        let mut o = BitVec::zeros(0);
+        o.reset_ones(70);
         assert_eq!(o.count_ones(), 70);
         assert!(o.any());
         // Tail bits beyond len must not be set.
@@ -184,7 +152,8 @@ mod tests {
 
     #[test]
     fn reset_reuses_buffer_and_matches_zeros() {
-        let mut v = BitVec::ones(130);
+        let mut v = BitVec::zeros(0);
+        v.reset_ones(130);
         for len in [130, 7, 200, 0, 64] {
             v.reset(len);
             assert_eq!(v, BitVec::zeros(len));
@@ -225,24 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn boolean_ops() {
-        let mut a = BitVec::zeros(100);
-        let mut b = BitVec::zeros(100);
-        a.set(5, true);
-        a.set(70, true);
-        b.set(70, true);
-        b.set(99, true);
-        assert!(a.intersects(&b));
-        let mut u = a.clone();
-        u.or_assign(&b);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![5, 70, 99]);
-        a.and_assign(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![70]);
-        let c = BitVec::zeros(100);
-        assert!(!a.intersects(&c));
-    }
-
-    #[test]
     fn empty_bitvec() {
         let v = BitVec::zeros(0);
         assert!(v.is_empty());
@@ -261,28 +212,6 @@ mod tests {
             prop_assert_eq!(v.count_ones(), expected);
             let ones: Vec<usize> = bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
             prop_assert_eq!(v.iter_ones().collect::<Vec<_>>(), ones);
-        }
-
-        #[test]
-        fn and_or_match_reference(
-            a in proptest::collection::vec(any::<bool>(), 150),
-            b in proptest::collection::vec(any::<bool>(), 150),
-        ) {
-            let mut va = BitVec::zeros(150);
-            let mut vb = BitVec::zeros(150);
-            for i in 0..150 {
-                va.set(i, a[i]);
-                vb.set(i, b[i]);
-            }
-            let mut and = va.clone();
-            and.and_assign(&vb);
-            let mut or = va.clone();
-            or.or_assign(&vb);
-            for i in 0..150 {
-                prop_assert_eq!(and.get(i), a[i] && b[i]);
-                prop_assert_eq!(or.get(i), a[i] || b[i]);
-            }
-            prop_assert_eq!(va.intersects(&vb), (0..150).any(|i| a[i] && b[i]));
         }
     }
 }

@@ -9,21 +9,13 @@
 //!
 //! [`BitVec`] is a fixed-length bitset; [`BitMatrix`] is a row-major packed
 //! boolean matrix with the row/column primitives the parser needs:
-//! `zero_row`, `zero_col`, `row_any`, `col_any`, `row_and_assign`, and
-//! masked variants that restrict attention to the currently-alive values.
-//! [`bmm`] layers blocked boolean matrix multiplication over 64×64 `u64`
-//! tiles on top (`C |= A·Bᵀ`, masked support counts, batched column
-//! counts) — the filtering core of the parser's consistency phase.
+//! `zero_row`, `zero_col`, `row_any`, the masked row AND `row_and_count`,
+//! and `col_occupancy`, the OR of all rows.
 
 mod bitvec;
-pub mod bmm;
 mod matrix;
 
 pub use bitvec::BitVec;
-pub use bmm::{
-    col_counts_masked, generation_sweep, mult_transpose_or, mult_transpose_or_masked,
-    support_counts_masked, TileOps,
-};
 pub use matrix::BitMatrix;
 
 /// Number of `u64` words needed to hold `bits` bits.

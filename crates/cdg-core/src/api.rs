@@ -23,7 +23,6 @@
 //! caller breaks; new code should construct a request and pick an engine.
 
 use crate::batch::BatchOutcome;
-use crate::consistency::BmmScratch;
 use crate::error::{EngineError, ParseBudget};
 use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
@@ -327,8 +326,9 @@ pub trait Engine {
     ) -> Result<BatchReport, EngineError>;
 
     /// Parse `req.sentence` reusing the caller's [`WarmState`] — pooled
-    /// arc matrices, the generation-stamped kernel scratch, and the BMM
-    /// tile scratch survive from the previous request on this state.
+    /// arc matrices, the generation-stamped kernel scratch, and the
+    /// network's slot storage survive from the previous request on this
+    /// state.
     /// Results are bit-identical to [`Engine::parse`]; the default simply
     /// delegates there for engines with no warm path (PRAM's rayon workers
     /// and the MasPar simulator keep their own per-call state).
@@ -344,16 +344,15 @@ pub trait Engine {
 
 /// Per-worker state that survives across requests in warm serving: the
 /// [`ArcPool`] of recycled arc matrices, the generation-stamped
-/// [`KernelScratch`], and the [`BmmScratch`] tile buffers. One request's
-/// buffers become the next request's free list — steady-state serving
-/// allocates nothing per parse. Reset is by generation stamp (kernel) and
-/// explicit zeroing on acquire (pool), so reuse cannot leak state between
-/// requests and results stay bit-identical to a cold parse.
+/// [`KernelScratch`], and the [`NetSlab`] of slot storage. One request's
+/// buffers become the next request's free list. Reset is by generation
+/// stamp (kernel) and explicit zeroing on acquire (pool), so reuse cannot
+/// leak state between requests and results stay bit-identical to a cold
+/// parse.
 #[derive(Default)]
 pub struct WarmState {
     pool: ArcPool,
     scratch: KernelScratch,
-    bmm: BmmScratch,
     slab: NetSlab,
     parses: u64,
 }
@@ -371,11 +370,6 @@ impl WarmState {
     /// The warm pool's acquire/reuse/release ledger.
     pub fn pool_stats(&self) -> &PoolStats {
         &self.pool.stats
-    }
-
-    /// BMM count-buffer reuses on this state so far.
-    pub fn bmm_reuses(&self) -> u64 {
-        self.bmm.reuses()
     }
 
     /// Networks built out of recycled slot/pair storage so far.
@@ -405,7 +399,6 @@ impl WarmState {
             compiled,
             &mut self.pool,
             &mut self.scratch,
-            &mut self.bmm,
             &mut self.slab,
         );
         let summary = BatchOutcome::summarize(&outcome, max_parses);
@@ -550,7 +543,6 @@ impl Engine for Sequential {
                 req.compiled.clone(),
                 &mut pool,
                 &mut KernelScratch::new(),
-                &mut BmmScratch::default(),
                 &mut NetSlab::default(),
             );
             let parses = outcome.parses(req.max_parses);
@@ -618,7 +610,6 @@ impl Engine for Sequential {
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
         let pool_reuses_before = warm.pool.stats.reuses;
-        let bmm_reuses_before = warm.bmm.reuses();
         let slab_reuses_before = warm.slab.reuses();
         let (mut outcome, parses) = {
             let _root = obsv::span("parse");
@@ -629,7 +620,6 @@ impl Engine for Sequential {
                 req.compiled.clone(),
                 &mut warm.pool,
                 &mut warm.scratch,
-                &mut warm.bmm,
                 &mut warm.slab,
             );
             let parses = outcome.parses(req.max_parses);
@@ -645,7 +635,6 @@ impl Engine for Sequential {
                 "warm.pool.reuses",
                 (warm.pool.stats.reuses - pool_reuses_before) as u64,
             );
-            obsv::counter_add("warm.bmm.reuses", warm.bmm.reuses() - bmm_reuses_before);
             obsv::counter_add("warm.slab.reuses", warm.slab.reuses() - slab_reuses_before);
             obsv::counter_add("warm.scratch.reuses", 1);
         }

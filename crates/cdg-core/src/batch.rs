@@ -3,7 +3,7 @@
 //! Parsing a corpus one [`crate::parse`] call at a time pays the arc-matrix
 //! allocation bill (O(n⁴) bits) and the scratch set-up once per sentence.
 //! [`parse_batch`] runs a whole slice of sentences against one grammar on
-//! one [`WarmState`] (arc pool, kernel and BMM scratch, network slab), so
+//! one [`WarmState`] (arc pool, kernel scratch, network slab), so
 //! sentence *i+1* reuses sentence *i*'s buffers, and returns compact owned
 //! [`BatchOutcome`] summaries instead of grammar-borrowing networks — which
 //! is also what makes the parallel variant (`cdg_parallel::parse_batch`)
@@ -94,7 +94,7 @@ pub fn parse_batch(
 }
 
 /// [`parse_batch`] on a caller-held [`WarmState`] — one pool, kernel
-/// scratch, BMM scratch and network slab for every sentence, kept between
+/// scratch and network slab for every sentence, kept between
 /// calls — with the grammar's compiled artifact attached (`None` compiles
 /// each constraint per parse).
 pub fn parse_batch_warm(

@@ -295,7 +295,7 @@ pub static KEYS: &[KeyDef] = &[
     },
     KeyDef {
         key: "filter",
-        help: "auto | naive | incremental | bmm (serial and pram; maspar ignores it)",
+        help: "auto | naive (serial and pram; maspar ignores it)",
         apply: |b, v| {
             b.filter = Some(FilterStrategy::parse(v).map_err(|e| invalid("filter", e))?);
             Ok(())
@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn every_key_round_trips_through_the_table() {
         let spec = "engine=maspar budget=ms=50,iters=3 class=interactive faults=42 \
-                    transient=2 parses=9 filter=bmm eval=naive threads=4";
+                    transient=2 parses=9 filter=naive eval=naive threads=4";
         let c = EngineConfig::parse(spec).unwrap();
         assert_eq!(c.engine.as_deref(), Some("maspar"));
         assert_eq!(c.budget.max_filter_iterations, Some(3));
@@ -482,7 +482,7 @@ mod tests {
         assert!(c.faults.is_some());
         assert_eq!(c.transient, Some(2));
         assert_eq!(c.max_parses, 9);
-        assert_eq!(c.filter, FilterStrategy::Bmm);
+        assert_eq!(c.filter, FilterStrategy::Naive);
         assert_eq!(c.eval, EvalStrategy::Naive);
         assert_eq!(c.threads, Some(4));
         let reparsed = EngineConfig::parse(&c.encode()).unwrap();
@@ -506,6 +506,12 @@ mod tests {
             b.set("parses", "lots"),
             Err(ConfigError::InvalidValue { key: "parses", .. })
         ));
+        for gone in ["incremental", "bmm"] {
+            assert!(matches!(
+                b.set("filter", gone),
+                Err(ConfigError::InvalidValue { key: "filter", .. })
+            ));
+        }
     }
 
     #[test]

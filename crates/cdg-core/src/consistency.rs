@@ -10,25 +10,19 @@
 //! Circuit Value Problem), but that in practice fewer than ~10 passes
 //! suffice — the justification for bounding it by a constant on the MasPar.
 //!
-//! Three implementations coexist, producing identical removal schedules,
+//! Two implementations coexist, producing identical removal schedules,
 //! alive sets, and final matrices: the full-scan [`maintain`]/[`filter`]
 //! pair (one row/column probe per alive value per incident arc, every
-//! pass), the AC-4-style [`IncrementalFilter`], which pays one
-//! support-counter per (value, arc) up front and thereafter touches only
-//! counters disturbed by removals, and the blocked-BMM [`BmmFilter`],
-//! which keeps the incremental counter semantics but recomputes every
-//! disturbed counter with 64×64 tile kernels ([`bitmat::bmm`]) instead of
-//! per-(value, arc) walks. The incremental and BMM paths charge identical
-//! `support_checks`/`support_inits`; BMM additionally records its physical
-//! tile work in the observational `bmm_tiles`/`bmm_words` counters. BMM is
-//! the default under the kernel evaluator; the full scan is the
-//! differential oracle and the incremental filter the counter oracle.
+//! pass), the differential oracle; and the [`IncrementalFilter`], which
+//! runs the same zero-row/zero-column test but only on the rows and
+//! columns a removal touched, with no support counters. The incremental
+//! filter is the default under the kernel evaluator; the P-RAM engine runs
+//! its per-arc step ([`FilterStep::arc`]) in parallel.
 
-use crate::error::EngineError;
-use crate::network::{NetParts, Network, SlotId};
-use bitmat::{
-    col_counts_masked, generation_sweep, support_counts_masked, BitMatrix, BitVec, TileOps,
-};
+use crate::kernel::ones;
+use crate::network::{Network, RoleSlot, SlotId};
+use bitmat::{BitMatrix, BitVec};
+use std::convert::Infallible;
 
 /// One simultaneous pass of consistency maintenance: test the support of
 /// every alive role value against the current matrices, then remove every
@@ -44,9 +38,9 @@ pub fn maintain(net: &mut Network<'_>) -> usize {
         "consistency maintenance needs arc matrices"
     );
     // Column-support occupancy per arc, computed once per pass: bit `c` of
-    // `occ[idx]` is set iff column `c` of that arc matrix has any 1. This
-    // replaces the word-strided per-bit `col_any` probe in the i > j case
-    // with one O(1) bit test after a single word-parallel matrix scan.
+    // `occ[idx]` is set iff column `c` of that arc matrix has any 1, so
+    // the i > j case is one O(1) bit test after a single word-parallel
+    // matrix scan.
     let occ = column_occupancies(net);
     let mut doomed: Vec<(usize, usize)> = Vec::new();
     let mut support_checks = 0usize;
@@ -134,500 +128,235 @@ fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
     net.arcs_raw().iter().map(|m| m.col_occupancy()).collect()
 }
 
-/// AC-4-style incremental filtering state.
+/// The counter-free incremental filter: the paper's zero-row test, run
+/// only where a removal can have changed its answer.
 ///
-/// [`maintain`] rescans every alive value's support each pass, unchanged or
-/// not. This structure pays the scan once ([`IncrementalFilter::build`]):
-/// one counter per (value, incident arc) holding how many 1-entries support
-/// the value there. A removal then only *decrements* counters along the
-/// zeroed row/column; a counter reaching zero enqueues its value for the
-/// next generation. Invariants:
+/// By the dead-row invariant (a value's row and column are zeroed in
+/// every incident arc the moment it dies), a value is supported by an arc
+/// iff its row there has a 1, or, on the column side, iff the OR of the
+/// arc's rows has its bit set. The MP-1 settles the same question with a
+/// segmented `scanOr` per row or column (design decisions 3–4); here it is
+/// a word-parallel test per arc. No support is counted.
 ///
-/// * counters only decrease, and each equals the number of supporting
-///   1-entries in the corresponding arc at all generation boundaries;
-/// * generation g removes exactly the set that full-scan pass g would
-///   (generation 0 = values unsupported in the initial matrices), so
-///   removal order, `filter_passes`, `removals`, `entries_zeroed`, and the
-///   final network are identical to [`filter`]'s;
-/// * an empty generation is precisely the full-scan pass that removes
-///   nothing — the fixpoint.
+/// Work is scheduled in generations, exactly as [`filter`]'s passes:
 ///
-/// `support_checks` counts one per counter decrement (the incremental
-/// path's unit of support work); the one-time build cost is recorded
-/// separately in `support_inits`.
+/// * generation 0 ([`IncrementalFilter::build`]) is every alive value with
+///   an all-zero row or column in some arc;
+/// * generation k+1 is every value whose row or column lost its last 1
+///   when generation k was zeroed. Only rows with a 1 in a removed column,
+///   and columns with a 1 in a removed row, can lose support, so only
+///   those are tested again;
+/// * an empty generation is the full-scan pass that removes nothing — the
+///   fixpoint.
+///
+/// Generation g removes exactly the set full-scan pass g would, so alive
+/// sets, matrices, `removals`, `entries_zeroed` and the pass count equal
+/// [`filter`]'s. The ledger is the incremental one: `support_inits` is
+/// rows + columns per arc at the build, and `support_checks` is the number
+/// of 1-entries each generation zeroes, each counted once.
+///
+/// The filter's only state is two bitsets per slot: the values ever
+/// queued (never re-queued) and the generation being removed.
 pub struct IncrementalFilter {
-    num_slots: usize,
-    /// Per slot: `counts[slot][idx * num_slots + other]` = supporting
-    /// 1-entries for value `idx` in the arc toward `other`.
-    counts: Vec<Vec<u32>>,
-    /// Values ever enqueued (or doomed at build time) — never re-enqueued.
     queued: Vec<BitVec>,
-    /// The current generation of unsupported values.
+    removed: Vec<BitVec>,
+    /// The next generation, in ascending (slot, value) order.
     queue: Vec<(SlotId, usize)>,
+}
+
+/// What one step's arc work reads: the slots' alive sets and the filter's
+/// bitsets, frozen for the step. Every arc reads it and writes only its
+/// own matrix, so the arcs can run in any order or in parallel
+/// ([`FilterStep::arc`]).
+pub struct FilterStep<'a> {
+    slots: &'a [RoleSlot],
+    queued: &'a [BitVec],
+    removed: &'a [BitVec],
+    /// Every arc as (slot i, slot j, triangular index), in storage order.
+    pub pairs: &'a [(SlotId, SlotId, usize)],
+    /// Generation 0: every alive, unqueued value is tested.
+    build: bool,
+}
+
+impl FilterStep<'_> {
+    /// One arc's share of the step, on the arc's matrix `m` between row
+    /// slot `i` and column slot `j`: zero the removed rows and columns,
+    /// then push into `unsupported` every alive, unqueued value of either
+    /// slot left with no 1 in `m`. Returns the 1-entries zeroed. `words`
+    /// is scratch.
+    ///
+    /// Dead rows are all-zero, so only the alive rows are visited. At the
+    /// build every alive value is tested; after that only the rows that
+    /// lost a 1 and the columns that had a 1 in a removed row are. The
+    /// column test ORs the surviving rows and stops as soon as every
+    /// candidate is covered.
+    pub fn arc(
+        &self,
+        i: SlotId,
+        j: SlotId,
+        m: &mut BitMatrix,
+        words: &mut Vec<u64>,
+        unsupported: &mut Vec<(SlotId, usize)>,
+    ) -> usize {
+        let (rows, cols) = (&self.removed[i], &self.removed[j]);
+        if !self.build && rows.none() && cols.none() {
+            return 0;
+        }
+        let mut zeroed = 0usize;
+        // `words`: the candidate columns no surviving row covers yet —
+        // every column at the build, later those with a 1 in a removed
+        // row — narrowed to the alive, unqueued ones.
+        words.clear();
+        words.resize(m.cols().div_ceil(64), if self.build { !0 } else { 0 });
+        for r in rows.iter_ones() {
+            let row = m.row_mut(r);
+            for (x, w) in words.iter_mut().zip(row.iter()) {
+                *x |= w;
+                zeroed += w.count_ones() as usize;
+            }
+            row.fill(0);
+        }
+        let open = self.slots[j]
+            .alive
+            .words()
+            .iter()
+            .zip(self.queued[j].words());
+        for (x, (&a, &q)) in words.iter_mut().zip(open) {
+            *x &= a & !q;
+        }
+        let mut missing = words.iter().any(|&w| w != 0);
+        let clear = cols.any();
+        let queued = &self.queued[i];
+        for a in self.slots[i].alive.iter_ones() {
+            if !(self.build || clear || missing) {
+                break;
+            }
+            let row = m.row_mut(a);
+            let mut lost = 0usize;
+            if clear {
+                for (w, &c) in row.iter_mut().zip(cols.words()) {
+                    lost += (*w & c).count_ones() as usize;
+                    *w &= !c;
+                }
+                zeroed += lost;
+            }
+            if (self.build || lost > 0) && !queued.get(a) && row.iter().all(|&w| w == 0) {
+                unsupported.push((i, a));
+            }
+            if missing {
+                for (x, &w) in words.iter_mut().zip(row.iter()) {
+                    *x &= !w;
+                }
+                missing = words.iter().any(|&w| w != 0);
+            }
+        }
+        unsupported.extend(ones(words).map(|b| (j, b)));
+        zeroed
+    }
+}
+
+/// What a sweep of every arc returns: the 1-entries zeroed and the values
+/// left unsupported (in any order, duplicates allowed).
+pub type SweepResult = (usize, Vec<(SlotId, usize)>);
+
+/// The serial sweep: [`FilterStep::arc`] over the arcs in storage order.
+fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+    let mut words = Vec::new();
+    let mut unsupported = Vec::new();
+    let zeroed = arcs
+        .iter_mut()
+        .zip(step.pairs)
+        .map(|(m, &(i, j, _))| step.arc(i, j, m, &mut words, &mut unsupported))
+        .sum();
+    (zeroed, unsupported)
 }
 
 impl IncrementalFilter {
-    /// Scan the matrices once, populating every support counter and the
-    /// initial generation (values already unsupported somewhere).
+    /// Test every alive value once (generation 0) with the serial sweep.
     pub fn build(net: &mut Network<'_>) -> Self {
+        Self::build_by(net, sweep_arcs)
+    }
+
+    /// [`IncrementalFilter::build`] with the arc work run by `sweep`: the
+    /// P-RAM engine fans [`FilterStep::arc`] across workers. Any sweep
+    /// that runs every arc once gives the same filter.
+    pub fn build_by(
+        net: &mut Network<'_>,
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+    ) -> Self {
         assert!(net.arcs_ready(), "incremental filtering needs arc matrices");
-        let num = net.num_slots();
-        let mut counts: Vec<Vec<u32>> = net
-            .slots()
+        let bitsets = || -> Vec<BitVec> {
+            net.slots()
+                .iter()
+                .map(|s| BitVec::zeros(s.domain.len()))
+                .collect()
+        };
+        let mut filter = IncrementalFilter {
+            queued: bitsets(),
+            removed: bitsets(),
+            queue: Vec::new(),
+        };
+        net.stats.support_inits += net
+            .arcs_raw()
             .iter()
-            .map(|s| vec![0u32; s.domain.len() * num])
-            .collect();
-        let mut inits = 0usize;
-        for &(i, j, idx) in net.arc_pairs() {
-            let m = &net.arcs_raw()[idx];
-            for a in 0..m.rows() {
-                counts[i][a * num + j] = m.row_count_ones(a) as u32;
-                for b in m.row_ones(a) {
-                    counts[j][b * num + i] += 1;
-                }
-            }
-            inits += m.rows() + m.cols();
-        }
-        net.stats.support_inits += inits;
-        let mut queued: Vec<BitVec> = net
-            .slots()
-            .iter()
-            .map(|s| BitVec::zeros(s.domain.len()))
-            .collect();
-        let mut queue = Vec::new();
-        for (i, slot) in net.slots().iter().enumerate() {
-            for a in slot.alive.iter_ones() {
-                let unsupported = (0..num).any(|j| j != i && counts[i][a * num + j] == 0);
-                if unsupported {
-                    queued[i].set(a, true);
-                    queue.push((i, a));
-                }
-            }
-        }
-        IncrementalFilter {
-            num_slots: num,
-            counts,
-            queued,
-            queue,
-        }
+            .map(|m| m.rows() + m.cols())
+            .sum::<usize>();
+        let (_, unsupported) = filter.run_sweep(net, true, sweep);
+        filter.enqueue(unsupported);
+        filter
     }
 
-    /// Process one generation: remove every queued value, decrement the
-    /// counters its zeroed entries supported, and enqueue newly unsupported
-    /// values for the next generation. Returns (removed, reached_fixpoint);
-    /// an empty generation is the fixpoint (and still counts as a pass,
-    /// like the full-scan pass that removes nothing).
-    ///
-    /// Errors with [`EngineError::Internal`] if a support counter would
-    /// underflow — an engine bug that would otherwise silently corrupt
-    /// filtering; the request degrades instead.
-    pub fn pass(&mut self, net: &mut Network<'_>) -> Result<(usize, bool), EngineError> {
-        let _phase = obsv::span("maintain");
-        net.stats.maintain_passes += 1;
-        if self.queue.is_empty() {
-            return Ok((0, true));
-        }
-        let generation = std::mem::take(&mut self.queue);
-        let num = self.num_slots;
-        let mut next: Vec<(SlotId, usize)> = Vec::new();
-        let mut disturbed: Vec<usize> = Vec::new();
-        for &(slot, idx) in &generation {
-            for other in 0..num {
-                if other == slot {
-                    continue;
-                }
-                // Collect the entries this removal will zero *before*
-                // `remove_value` clears them.
-                disturbed.clear();
-                if slot < other {
-                    let m = &net.arcs_raw()[net.arc_index(slot, other)];
-                    disturbed.extend(m.row_ones(idx));
-                } else {
-                    let m = &net.arcs_raw()[net.arc_index(other, slot)];
-                    disturbed.extend((0..m.rows()).filter(|&r| m.get(r, idx)));
-                }
-                net.stats.support_checks += disturbed.len();
-                for &b in &disturbed {
-                    let c = &mut self.counts[other][b * num + slot];
-                    if *c == 0 {
-                        return Err(support_underflow(other, b, slot));
-                    }
-                    *c -= 1;
-                    if *c == 0 && net.slot(other).alive.get(b) && !self.queued[other].get(b) {
-                        self.queued[other].set(b, true);
-                        next.push((other, b));
-                    }
-                }
-            }
-            net.remove_value(slot, idx);
-        }
-        // Canonical ascending (slot, value) order within a generation —
-        // shared by all three strategies (full-scan dooms in this order,
-        // BMM sorts identically), so removal schedules compare bit-equal.
-        next.sort_unstable();
-        self.queue = next;
-        Ok((generation.len(), false))
+    /// Run `sweep` over every arc against this filter's bitsets.
+    fn run_sweep(
+        &self,
+        net: &mut Network<'_>,
+        build: bool,
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+    ) -> SweepResult {
+        let parts = net.parts_mut();
+        let step = FilterStep {
+            slots: parts.slots,
+            queued: &self.queued,
+            removed: &self.removed,
+            pairs: parts.pairs,
+            build,
+        };
+        sweep(&step, parts.arcs)
     }
 
-    /// Drive [`IncrementalFilter::pass`] like [`filter`]: at most
-    /// `max_passes` generations, stopping at the fixpoint. Returns (total
-    /// removed, passes run, reached_fixpoint).
-    pub fn run(
+    /// Queue `unsupported` as the next generation: sorted into the
+    /// canonical (slot, value) order [`maintain`] removes in, so removal
+    /// schedules compare bit-equal.
+    fn enqueue(&mut self, mut unsupported: Vec<(SlotId, usize)>) {
+        unsupported.sort_unstable();
+        unsupported.dedup();
+        for &(slot, idx) in &unsupported {
+            self.queued[slot].set(idx, true);
+        }
+        self.queue = unsupported;
+    }
+
+    /// Remove one generation with the serial sweep and queue the next.
+    /// Returns (removed, reached_fixpoint); an empty generation is the
+    /// fixpoint, and still counts as a pass, like the full-scan pass that
+    /// removes nothing.
+    pub fn pass(&mut self, net: &mut Network<'_>) -> (usize, bool) {
+        self.pass_by(net, sweep_arcs)
+    }
+
+    /// [`IncrementalFilter::pass`] with the arc work run by `sweep` (see
+    /// [`IncrementalFilter::build_by`]).
+    pub fn pass_by(
         &mut self,
         net: &mut Network<'_>,
-        max_passes: usize,
-    ) -> Result<(usize, usize, bool), EngineError> {
-        let mut total = 0;
-        let mut passes = 0;
-        while passes < max_passes {
-            passes += 1;
-            let (removed, fixpoint) = self.pass(net)?;
-            total += removed;
-            if fixpoint {
-                return Ok((total, passes, true));
-            }
-        }
-        Ok((total, passes, false))
-    }
-}
-
-/// Build an [`IncrementalFilter`] and run it — the incremental counterpart
-/// of [`filter`], with identical return semantics and removal sequence.
-pub fn filter_incremental(
-    net: &mut Network<'_>,
-    max_passes: usize,
-) -> Result<(usize, usize, bool), EngineError> {
-    if max_passes == 0 {
-        return Ok((0, 0, false));
-    }
-    let mut inc = IncrementalFilter::build(net);
-    inc.run(net, max_passes)
-}
-
-/// The [`EngineError::Internal`] raised when a support counter would
-/// underflow: decrementing past zero means the counters have drifted from
-/// the matrices, and continuing would silently corrupt filtering.
-fn support_underflow(slot: SlotId, idx: usize, other: SlotId) -> EngineError {
-    EngineError::Internal {
-        detail: format!("support counter underflow (slot {slot}, value {idx}, arc toward {other})"),
-    }
-}
-
-/// Support-counter totals of one arc matrix, computed with tile kernels:
-/// `row_counts[a]` = 1-entries in row `a` (how many column values support
-/// row value `a`), `col_counts[b]` = 1-entries in column `b`. Pure (no
-/// `Network`), so the parallel engine can fan arcs across threads and
-/// apply results sequentially in arc order.
-pub struct ArcSupport {
-    pub row_counts: Vec<u32>,
-    pub col_counts: Vec<u32>,
-    pub ops: TileOps,
-}
-
-/// Compute [`ArcSupport`] for one arc matrix with one fused data pass
-/// ([`support_counts_masked`]): row popcounts and the batched
-/// tile-transpose column walk share each loaded word.
-///
-/// `alive_rows`, when given, restricts the sweep to rows whose bit is
-/// set. This is exact, not approximate: the parser zeroes a value's row
-/// and column in every incident arc the moment the value dies, so a dead
-/// row contributes nothing to either count — skipping it skips only
-/// zeros. On the sparse networks the pipeline actually produces (a few
-/// alive values per slot against label×n-sized domains) this turns the
-/// build from a full-matrix scan into one proportional to the live rows.
-pub fn arc_support_counts(m: &BitMatrix, alive_rows: Option<&BitVec>) -> ArcSupport {
-    let mut ops = TileOps::default();
-    let mut row_counts = vec![0u32; m.rows()];
-    let mut col_counts = vec![0u32; m.cols()];
-    support_counts_masked(m, alive_rows, &mut row_counts, &mut col_counts, &mut ops);
-    ArcSupport {
-        row_counts,
-        col_counts,
-        ops,
-    }
-}
-
-/// Per-arc counter decrements owed by one generation of removals, where
-/// `rows`/`cols` mark the values removed this generation on the row /
-/// column side of the arc.
-///
-/// Attribution is *rows-first*: entries lying in removed rows decrement
-/// the column value's counter (`dec_cols`, via one masked tile-transpose
-/// sweep); entries lying in removed columns but **outside** removed rows
-/// decrement the row value's counter (`dec_rows`, via word-parallel
-/// masked row popcounts). Every entry the generation zeroes is thereby
-/// counted exactly once, so `Σ dec_rows + Σ dec_cols` equals both the
-/// sequential filter's `support_checks` charge and the entries zeroed in
-/// this arc. Contested entries (row *and* column removed) land on the
-/// column side, i.e. on a counter whose value is already dead — the only
-/// place the sequential order-dependent attribution could differ, and
-/// exactly where it is unobservable.
-pub struct ArcDeltas {
-    pub dec_rows: Vec<u32>,
-    pub dec_cols: Vec<u32>,
-    pub ops: TileOps,
-}
-
-/// Compute [`ArcDeltas`] from the pre-generation arc matrix. Pure: the
-/// caller zeroes the matrix afterwards ([`BitMatrix::clear_rows_cols`])
-/// and applies the decrements to its counters.
-pub fn arc_generation_deltas(m: &BitMatrix, rows: &BitVec, cols: &BitVec) -> ArcDeltas {
-    let mut ops = TileOps::default();
-    let mut dec_cols = vec![0u32; m.cols()];
-    if rows.any() {
-        col_counts_masked(m, Some(rows), &mut dec_cols, &mut ops);
-    }
-    let mut dec_rows = vec![0u32; m.rows()];
-    if cols.any() {
-        let row_words = m.cols().div_ceil(64);
-        for (a, slot) in dec_rows.iter_mut().enumerate() {
-            if rows.get(a) {
-                continue;
-            }
-            // One masked popcount reads the row and the column mask.
-            ops.words += 2 * row_words as u64;
-            *slot = m.row_masked_count_ones(a, cols) as u32;
-        }
-    }
-    ArcDeltas {
-        dec_rows,
-        dec_cols,
-        ops,
-    }
-}
-
-/// One generation's decrements for an arc in sparse form, produced by the
-/// fused [`generation_sweep`] kernel (which also zeroes the disturbed
-/// rows/columns in the same pass): `(value, count)` pairs for each side,
-/// plus the entries cleared.
-pub struct ArcSweep {
-    pub dec_rows: Vec<(u32, u32)>,
-    pub dec_cols: Vec<(u32, u32)>,
-    pub zeroed: usize,
-    pub ops: TileOps,
-}
-
-/// Run the fused generation kernel on one arc, returning sparse deltas.
-/// Semantically `arc_generation_deltas` + [`BitMatrix::clear_rows_cols`]
-/// in one sweep restricted to rows that can hold bits (`occupied` — the
-/// row-side slot's alive set; see [`arc_support_counts`] for why dead
-/// rows are skippable exactly). Allocates its own scratch, so the
-/// parallel engine can call it from independent arc tasks; the serial
-/// [`BmmFilter`] keeps reusable scratch instead.
-pub fn arc_generation_sweep(
-    m: &mut BitMatrix,
-    rows: &BitVec,
-    cols: &BitVec,
-    occupied: &BitVec,
-) -> ArcSweep {
-    let mut ops = TileOps::default();
-    let mut dec_rows = Vec::new();
-    let mut dense = vec![0u32; m.cols()];
-    let mut touched = Vec::new();
-    let zeroed = generation_sweep(
-        m,
-        rows,
-        cols,
-        occupied,
-        &mut dec_rows,
-        &mut dense,
-        &mut touched,
-        &mut ops,
-    );
-    let dec_cols = touched.iter().map(|&b| (b, dense[b as usize])).collect();
-    ArcSweep {
-        dec_rows,
-        dec_cols,
-        zeroed,
-        ops,
-    }
-}
-
-/// Blocked boolean-matrix-multiplication filtering state.
-///
-/// Same AC-4 counter semantics, queue discipline, and generation
-/// invariants as [`IncrementalFilter`] — but where the incremental path
-/// walks one (value, arc) at a time, this one processes a whole
-/// generation per arc with tile kernels: build populates both endpoints'
-/// counters from one alive-masked [`arc_support_counts`] sweep per arc,
-/// and each pass computes every decrement *and* zeroes the disturbed
-/// rows/columns with one fused [`generation_sweep`] over the occupied
-/// rows (dead rows are all-zero everywhere, so skipping them is exact).
-///
-/// Stats parity is exact: `support_checks`, `support_inits`,
-/// `entries_zeroed`, `removals`, and `maintain_passes` match the
-/// incremental filter bit-for-bit (see [`ArcDeltas`] for the attribution
-/// argument); the physical tile work is recorded separately in
-/// `bmm_tiles`/`bmm_words`.
-pub struct BmmFilter {
-    num_slots: usize,
-    /// Per slot: `counts[slot][idx * num_slots + other]` = supporting
-    /// 1-entries for value `idx` in the arc toward `other`.
-    counts: Vec<Vec<u32>>,
-    /// Values ever enqueued (or doomed at build time) — never re-enqueued.
-    queued: Vec<BitVec>,
-    /// The current generation of unsupported values.
-    queue: Vec<(SlotId, usize)>,
-    /// Per-slot scratch: values removed in the generation being processed.
-    removed: Vec<BitVec>,
-    /// Reusable sparse-sweep scratch: `(row, count)` pairs from the last
-    /// arc's sweep.
-    scratch_rows: Vec<(u32, u32)>,
-    /// Dense per-column accumulator sized to the largest domain; zero
-    /// outside the entries named by `scratch_touched` (reset after each
-    /// arc instead of cleared densely).
-    scratch_cols: Vec<u32>,
-    /// Columns whose accumulator entry is currently nonzero.
-    scratch_touched: Vec<u32>,
-}
-
-/// Reusable buffer bag for [`BmmFilter`]: the tile-sweep scratch vectors
-/// and recycled support-counter buffers. A warm serve worker keeps one
-/// `BmmScratch` across requests; [`BmmFilter::build_warm`] adopts the
-/// buffers (cleared and re-zeroed, so state is bit-identical to a cold
-/// build) and [`BmmFilter::recycle`] returns them when the parse is done.
-#[derive(Debug, Default)]
-pub struct BmmScratch {
-    rows: Vec<(u32, u32)>,
-    cols: Vec<u32>,
-    touched: Vec<u32>,
-    /// Retired support-counter buffers, largest-capacity last.
-    count_bufs: Vec<Vec<u32>>,
-    /// Counter buffers adopted from the bag instead of freshly allocated.
-    reuses: u64,
-}
-
-/// Keep at most this many retired counter buffers (one per slot of a
-/// recent parse; short serve sentences need only a handful).
-const BMM_BAG_CAP: usize = 64;
-
-impl BmmScratch {
-    /// How many buffer adoptions were served from the bag so far.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// A zeroed `Vec<u32>` of length `len`, recycled when possible.
-    fn take_buf(&mut self, len: usize) -> Vec<u32> {
-        match self.count_bufs.pop() {
-            Some(mut buf) => {
-                self.reuses += 1;
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0u32; len],
-        }
-    }
-}
-
-impl BmmFilter {
-    /// Scan the matrices once with tile kernels, populating every support
-    /// counter and the initial generation. Counter values, `support_inits`,
-    /// and the initial queue are identical to
-    /// [`IncrementalFilter::build`]'s.
-    pub fn build(net: &mut Network<'_>) -> Self {
-        Self::build_warm(net, &mut BmmScratch::default())
-    }
-
-    /// [`BmmFilter::build`] drawing every sizable buffer from `scratch`.
-    /// Adopted buffers are cleared and re-zeroed before use, so the
-    /// filter's observable behavior (counters, removal schedule, stats)
-    /// is identical to a cold [`BmmFilter::build`].
-    pub fn build_warm(net: &mut Network<'_>, scratch: &mut BmmScratch) -> Self {
-        assert!(net.arcs_ready(), "BMM filtering needs arc matrices");
-        let num = net.num_slots();
-        let mut counts: Vec<Vec<u32>> = net
-            .slots()
-            .iter()
-            .map(|s| scratch.take_buf(s.domain.len() * num))
-            .collect();
-        let mut inits = 0usize;
-        let mut ops = TileOps::default();
-        for &(i, j, idx) in net.arc_pairs() {
-            let m = &net.arcs_raw()[idx];
-            let support = arc_support_counts(m, Some(&net.slots()[i].alive));
-            ops.absorb(support.ops);
-            for (a, &c) in support.row_counts.iter().enumerate() {
-                counts[i][a * num + j] = c;
-            }
-            for (b, &c) in support.col_counts.iter().enumerate() {
-                counts[j][b * num + i] = c;
-            }
-            inits += m.rows() + m.cols();
-        }
-        net.stats.support_inits += inits;
-        net.stats.bmm_tiles += ops.tiles as usize;
-        net.stats.bmm_words += ops.words as usize;
-        let mut queued: Vec<BitVec> = net
-            .slots()
-            .iter()
-            .map(|s| BitVec::zeros(s.domain.len()))
-            .collect();
-        let mut queue = Vec::new();
-        for (i, slot) in net.slots().iter().enumerate() {
-            for a in slot.alive.iter_ones() {
-                let unsupported = (0..num).any(|j| j != i && counts[i][a * num + j] == 0);
-                if unsupported {
-                    queued[i].set(a, true);
-                    queue.push((i, a));
-                }
-            }
-        }
-        let removed = net
-            .slots()
-            .iter()
-            .map(|s| BitVec::zeros(s.domain.len()))
-            .collect();
-        let max_domain = net
-            .slots()
-            .iter()
-            .map(|s| s.domain.len())
-            .max()
-            .unwrap_or(0);
-        let mut scratch_rows = std::mem::take(&mut scratch.rows);
-        scratch_rows.clear();
-        let mut scratch_cols = std::mem::take(&mut scratch.cols);
-        scratch_cols.clear();
-        scratch_cols.resize(max_domain, 0);
-        let mut scratch_touched = std::mem::take(&mut scratch.touched);
-        scratch_touched.clear();
-        BmmFilter {
-            num_slots: num,
-            counts,
-            queued,
-            queue,
-            removed,
-            scratch_rows,
-            scratch_cols,
-            scratch_touched,
-        }
-    }
-
-    /// Retire this filter's buffers into `scratch` for the next parse.
-    pub fn recycle(self, scratch: &mut BmmScratch) {
-        scratch.rows = self.scratch_rows;
-        scratch.cols = self.scratch_cols;
-        scratch.touched = self.scratch_touched;
-        for buf in self.counts {
-            if scratch.count_bufs.len() >= BMM_BAG_CAP {
-                break;
-            }
-            scratch.count_bufs.push(buf);
-        }
-    }
-
-    /// Process one generation with tile kernels. Same contract and
-    /// observable effects as [`IncrementalFilter::pass`], including the
-    /// typed underflow error.
-    pub fn pass(&mut self, net: &mut Network<'_>) -> Result<(usize, bool), EngineError> {
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+    ) -> (usize, bool) {
         let _phase = obsv::span("maintain");
         net.stats.maintain_passes += 1;
         if self.queue.is_empty() {
-            return Ok((0, true));
+            return (0, true);
         }
         let generation = std::mem::take(&mut self.queue);
-        let num = self.num_slots;
         for mask in &mut self.removed {
             let len = mask.len();
             mask.reset(len);
@@ -636,123 +365,49 @@ impl BmmFilter {
             self.removed[slot].set(idx, true);
             net.clear_alive(slot, idx);
         }
-        let mut next: Vec<(SlotId, usize)> = Vec::new();
-        let mut ops = TileOps::default();
-        let mut support_checks = 0usize;
-        let mut zeroed = 0usize;
-        let NetParts {
-            slots, arcs, pairs, ..
-        } = net.parts_mut();
-        let BmmFilter {
-            counts,
-            queued,
-            removed,
-            scratch_rows,
-            scratch_cols,
-            scratch_touched,
-            ..
-        } = self;
-        for &(i, j, idx) in pairs {
-            let rows = &removed[i];
-            let cols = &removed[j];
-            if rows.none() && cols.none() {
-                continue;
-            }
-            scratch_rows.clear();
-            zeroed += generation_sweep(
-                &mut arcs[idx],
-                rows,
-                cols,
-                &slots[i].alive,
-                scratch_rows,
-                scratch_cols,
-                scratch_touched,
-                &mut ops,
-            );
-            for &(a, d) in scratch_rows.iter() {
-                let a = a as usize;
-                support_checks += d as usize;
-                let c = &mut counts[i][a * num + j];
-                if *c < d {
-                    return Err(support_underflow(i, a, j));
-                }
-                *c -= d;
-                if *c == 0 && slots[i].alive.get(a) && !queued[i].get(a) {
-                    queued[i].set(a, true);
-                    next.push((i, a));
-                }
-            }
-            for &b in scratch_touched.iter() {
-                let b = b as usize;
-                let d = scratch_cols[b];
-                scratch_cols[b] = 0;
-                support_checks += d as usize;
-                let c = &mut counts[j][b * num + i];
-                if *c < d {
-                    return Err(support_underflow(j, b, i));
-                }
-                *c -= d;
-                if *c == 0 && slots[j].alive.get(b) && !queued[j].get(b) {
-                    queued[j].set(b, true);
-                    next.push((j, b));
-                }
-            }
-            scratch_touched.clear();
-        }
-        debug_assert_eq!(
-            support_checks, zeroed,
-            "each zeroed entry must decrement exactly one counter"
-        );
-        net.stats.support_checks += support_checks;
+        let (zeroed, unsupported) = self.run_sweep(net, false, sweep);
+        net.stats.support_checks += zeroed;
         net.stats.entries_zeroed += zeroed;
-        net.stats.bmm_tiles += ops.tiles as usize;
-        net.stats.bmm_words += ops.words as usize;
-        next.sort_unstable();
-        self.queue = next;
-        Ok((generation.len(), false))
+        self.enqueue(unsupported);
+        (generation.len(), false)
     }
 
-    /// Drive [`BmmFilter::pass`] like [`filter`]: at most `max_passes`
-    /// generations, stopping at the fixpoint. Returns (total removed,
-    /// passes run, reached_fixpoint).
-    pub fn run(
-        &mut self,
-        net: &mut Network<'_>,
-        max_passes: usize,
-    ) -> Result<(usize, usize, bool), EngineError> {
+    /// Drive [`IncrementalFilter::pass`] like [`filter`]: at most
+    /// `max_passes` generations, stopping at the fixpoint. Returns (total
+    /// removed, passes run, reached_fixpoint).
+    pub fn run(&mut self, net: &mut Network<'_>, max_passes: usize) -> (usize, usize, bool) {
         let mut total = 0;
         let mut passes = 0;
         while passes < max_passes {
             passes += 1;
-            let (removed, fixpoint) = self.pass(net)?;
+            let (removed, fixpoint) = self.pass(net);
             total += removed;
             if fixpoint {
-                return Ok((total, passes, true));
+                return (total, passes, true);
             }
         }
-        Ok((total, passes, false))
+        (total, passes, false)
     }
 }
 
-/// Build a [`BmmFilter`] and run it — the blocked-BMM counterpart of
-/// [`filter`]/[`filter_incremental`], with identical return semantics and
-/// removal sequence.
-pub fn filter_bmm(
+/// Build an [`IncrementalFilter`] and run it — the incremental counterpart
+/// of [`filter`], with identical return semantics and removal sequence.
+/// It cannot fail; the `Result` keeps callers that `expect` it compiling.
+pub fn filter_incremental(
     net: &mut Network<'_>,
     max_passes: usize,
-) -> Result<(usize, usize, bool), EngineError> {
+) -> Result<(usize, usize, bool), Infallible> {
     if max_passes == 0 {
         return Ok((0, 0, false));
     }
-    let mut f = BmmFilter::build(net);
-    f.run(net, max_passes)
+    Ok(IncrementalFilter::build(net).run(net, max_passes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::propagate::{apply_all_binary, apply_all_unary, apply_binary};
-    use cdg_grammar::grammars::paper;
+    use cdg_grammar::grammars::{formal, paper};
 
     fn alive_strs(net: &Network<'_>, word: u16, role: &str) -> Vec<String> {
         let g = net.grammar();
@@ -880,44 +535,51 @@ mod tests {
     }
 
     #[test]
-    fn bmm_filter_matches_incremental_exactly() {
-        // The BMM filter is the incremental filter re-expressed in tile
-        // kernels: pass-by-pass removal counts, alive sets, matrices, and
-        // every stats field except the observational bmm_* counters must
-        // be identical.
-        let g = paper::grammar();
-        let s = paper::example_sentence(&g);
-        let mut inc = Network::build(&g, &s);
-        apply_all_unary(&mut inc);
-        inc.init_arcs();
-        apply_all_binary(&mut inc);
-        let mut bmm = inc.clone();
-
-        let mut fi = IncrementalFilter::build(&mut inc);
-        let mut fb = BmmFilter::build(&mut bmm);
-        assert_eq!(fi.counts, fb.counts, "built support counters differ");
-        assert_eq!(fi.queue, fb.queue, "initial generations differ");
-        loop {
-            let (ri, fxi) = fi.pass(&mut inc).unwrap();
-            let (rb, fxb) = fb.pass(&mut bmm).unwrap();
-            assert_eq!((ri, fxi), (rb, fxb), "pass results diverged");
-            assert_eq!(fi.queue, fb.queue, "next generations diverged");
-            for (a, b) in inc.slots().iter().zip(bmm.slots()) {
-                assert_eq!(a.alive, b.alive, "alive sets diverged");
+    fn incremental_generations_are_the_full_scan_passes() {
+        // Generation g removes exactly what full-scan pass g removes: after
+        // every pass the alive sets and matrices are equal, and each
+        // generation charges one support check per entry it zeroes.
+        let paper_g = paper::grammar();
+        let anbn = formal::anbn_grammar();
+        let cases = [
+            (&paper_g, paper::example_sentence(&paper_g)),
+            (&anbn, formal::anbn_sentence(&anbn, "aaaaabbbbbb")),
+            (&anbn, formal::anbn_sentence(&anbn, "aaaaaabbbbb")),
+        ];
+        for (g, s) in cases {
+            let mut full = Network::build(g, &s);
+            apply_all_unary(&mut full);
+            full.init_arcs();
+            apply_all_binary(&mut full);
+            let mut inc = full.clone();
+            let mut f = IncrementalFilter::build(&mut inc);
+            assert!(inc.stats.support_inits > 0);
+            loop {
+                let before = inc.stats;
+                let removed_full = maintain(&mut full);
+                let (removed_inc, fixpoint) = f.pass(&mut inc);
+                assert_eq!(
+                    removed_full, removed_inc,
+                    "`{s}`: generation sizes diverged"
+                );
+                assert_eq!(fixpoint, removed_full == 0);
+                for (a, b) in full.slots().iter().zip(inc.slots()) {
+                    assert_eq!(a.alive, b.alive, "`{s}`: alive sets diverged");
+                }
+                assert_eq!(full.arcs_raw(), inc.arcs_raw(), "`{s}`: matrices diverged");
+                assert_eq!(
+                    inc.stats.support_checks - before.support_checks,
+                    inc.stats.entries_zeroed - before.entries_zeroed
+                );
+                if fixpoint {
+                    break;
+                }
             }
-            assert_eq!(inc.arcs_raw(), bmm.arcs_raw(), "matrices diverged");
-            if fxi {
-                break;
-            }
+            assert_eq!(full.stats.removals, inc.stats.removals);
+            assert_eq!(full.stats.entries_zeroed, inc.stats.entries_zeroed);
+            assert_eq!(full.stats.maintain_passes, inc.stats.maintain_passes);
+            assert!(is_locally_consistent(&inc));
         }
-        let mut masked = bmm.stats;
-        // Words are always touched; tiles only appear when a block is
-        // dense enough for the adaptive kernels to transpose (the paper
-        // example is far below that threshold).
-        assert!(masked.bmm_words > 0);
-        masked.bmm_tiles = inc.stats.bmm_tiles;
-        masked.bmm_words = inc.stats.bmm_words;
-        assert_eq!(inc.stats, masked, "stats diverged beyond bmm_* counters");
     }
 
     #[test]

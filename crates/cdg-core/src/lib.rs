@@ -51,10 +51,7 @@ pub use api::{
 };
 pub use batch::{parse_batch, parse_batch_warm, BatchOutcome};
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT_HORIZON_OPS};
-pub use consistency::{
-    arc_generation_deltas, arc_generation_sweep, arc_support_counts, filter_bmm,
-    filter_incremental, ArcDeltas, ArcSupport, ArcSweep, BmmFilter, BmmScratch, IncrementalFilter,
-};
+pub use consistency::{filter_incremental, FilterStep, IncrementalFilter};
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
 pub use network::{EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId};

@@ -31,11 +31,11 @@ pub enum EvalStrategy {
 }
 
 /// Which filtering implementation the parse drivers run after binary
-/// propagation. All strategies produce bit-identical removal schedules,
-/// alive sets, and arc matrices (the generation-g invariant of
-/// `cdg_core::consistency`); they differ in how support is recomputed —
-/// and therefore in wall-clock and in the incremental-vs-full-scan split
-/// of `support_checks`/`support_inits`.
+/// propagation. Both produce bit-identical removal schedules, alive sets,
+/// and arc matrices (the generation-g invariant of
+/// `cdg_core::consistency`); they differ in how much of the network each
+/// pass re-tests — and therefore in wall-clock and in the incremental-vs-
+/// full-scan split of `support_checks`/`support_inits`.
 ///
 /// The choice reaches the serial and P-RAM drivers only. The MasPar
 /// engine filters with the simulated machine's own scans (the paper's
@@ -43,37 +43,20 @@ pub enum EvalStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterStrategy {
     /// Follow the evaluation strategy: kernel evaluation filters with the
-    /// blocked-BMM core ([`FilterStrategy::Bmm`]), naive evaluation
-    /// rescans ([`FilterStrategy::Naive`], the differential oracle). The
-    /// choice moves no digest and no abstract counter: every strategy
-    /// settles the same network, and BMM charges the incremental
-    /// strategy's `support_checks`/`support_inits` exactly.
+    /// counter-free [`crate::consistency::IncrementalFilter`], naive
+    /// evaluation rescans ([`FilterStrategy::Naive`], the differential
+    /// oracle). The choice moves no digest: both settle the same network.
     #[default]
     Auto,
     /// Full rescan every pass ([`crate::consistency::filter`]).
     Naive,
-    /// AC-4 support counters ([`crate::consistency::IncrementalFilter`]).
-    /// Selectable, never the default: it is the counter oracle the BMM
-    /// core's `NetStats` are checked against.
-    Incremental,
-    /// Blocked boolean-matrix-multiplication core
-    /// ([`crate::consistency::BmmFilter`]): the incremental counter
-    /// semantics, recomputed with 64×64 tile kernels. Stats-identical to
-    /// [`FilterStrategy::Incremental`] except for the purely
-    /// observational `bmm_tiles`/`bmm_words` counters.
-    Bmm,
 }
 
 impl FilterStrategy {
-    /// Resolve `Auto` against the evaluation strategy in force.
-    pub fn resolve(self, eval: EvalStrategy) -> FilterStrategy {
-        match self {
-            FilterStrategy::Auto => match eval {
-                EvalStrategy::Kernel => FilterStrategy::Bmm,
-                EvalStrategy::Naive => FilterStrategy::Naive,
-            },
-            other => other,
-        }
+    /// Whether the drivers filter incrementally: `Auto` under kernel
+    /// evaluation. Everything else runs the full scan.
+    pub fn incremental(self, eval: EvalStrategy) -> bool {
+        self == FilterStrategy::Auto && eval == EvalStrategy::Kernel
     }
 
     /// The CLI/wire name ([`FilterStrategy::parse`]'s inverse).
@@ -81,20 +64,16 @@ impl FilterStrategy {
         match self {
             FilterStrategy::Auto => "auto",
             FilterStrategy::Naive => "naive",
-            FilterStrategy::Incremental => "incremental",
-            FilterStrategy::Bmm => "bmm",
         }
     }
 
-    /// Parse a CLI/wire name (`auto`, `naive`, `incremental`, `bmm`).
+    /// Parse a CLI/wire name (`auto`, `naive`).
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
             "auto" => Ok(FilterStrategy::Auto),
             "naive" => Ok(FilterStrategy::Naive),
-            "incremental" => Ok(FilterStrategy::Incremental),
-            "bmm" => Ok(FilterStrategy::Bmm),
             other => Err(format!(
-                "unknown filter strategy `{other}` (expected auto, naive, incremental or bmm)"
+                "unknown filter strategy `{other}` (expected auto or naive)"
             )),
         }
     }

@@ -1,9 +1,6 @@
 //! The high-level sequential parse driver.
 
-use crate::consistency::{
-    filter, filter_bmm, filter_incremental, is_locally_consistent, BmmFilter, BmmScratch,
-    IncrementalFilter,
-};
+use crate::consistency::{filter, is_locally_consistent, IncrementalFilter};
 use crate::error::{BudgetResource, EngineError, ParseBudget};
 use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
 use crate::kernel::KernelScratch;
@@ -39,10 +36,10 @@ pub struct ParseOptions {
     /// Constraint evaluator: the kernel engine (default) or the naive
     /// tree-walk oracle. Outcomes are bit-identical; only the work differs.
     pub eval: EvalStrategy,
-    /// Filtering implementation: full-scan, AC-4 incremental, or blocked
-    /// BMM. All produce bit-identical removal schedules and networks; the
-    /// default `Auto` resolves to BMM under the kernel evaluator and to
-    /// full scans under the naive one.
+    /// Filtering implementation: incremental or full-scan. Both produce
+    /// bit-identical removal schedules and networks; the default `Auto`
+    /// filters incrementally under the kernel evaluator and with full
+    /// scans under the naive one.
     pub filter_strategy: FilterStrategy,
 }
 
@@ -113,27 +110,17 @@ impl<'g> ParseOutcome<'g> {
             }
         }
         // Same pass/removal sequence whichever strategy is in force; the
-        // counter-based paths rebuild support once instead of rescanning
-        // every pass.
+        // incremental filter tests every value once, then only what each
+        // generation's removals touched.
         let _filtering = obsv::span("filtering");
-        let strategy = self.network.filter_strategy.resolve(self.network.eval);
-        let step = match strategy {
-            FilterStrategy::Incremental if self.network.arcs_ready() => {
-                filter_incremental(&mut self.network, usize::MAX)
-            }
-            FilterStrategy::Bmm if self.network.arcs_ready() => {
-                filter_bmm(&mut self.network, usize::MAX)
-            }
-            _ => Ok(filter(&mut self.network, usize::MAX)),
+        let (_, passes, fixpoint) = if self.network.arcs_ready()
+            && self.network.filter_strategy.incremental(self.network.eval)
+        {
+            IncrementalFilter::build(&mut self.network).run(&mut self.network, usize::MAX)
+        } else {
+            filter(&mut self.network, usize::MAX)
         };
         drop(_filtering);
-        let (_, passes, fixpoint) = match step {
-            Ok(v) => v,
-            Err(e) => {
-                self.degraded = Some(e);
-                (0, 0, false)
-            }
-        };
         self.filter_passes += passes;
         self.locally_consistent = fixpoint;
         self.roles_nonempty = self.network.all_roles_nonempty();
@@ -181,7 +168,6 @@ pub fn parse_with_pool<'g>(
         None,
         pool,
         &mut KernelScratch::new(),
-        &mut BmmScratch::default(),
         &mut NetSlab::default(),
     )
 }
@@ -189,8 +175,8 @@ pub fn parse_with_pool<'g>(
 /// The fully warm entry point: [`parse_with_pool`] that additionally
 /// resolves constraint programs from a pre-built
 /// [`CompiledGrammar`] artifact (`None` = the compile-per-call oracle)
-/// and draws kernel and BMM scratch from caller-owned state that
-/// survives across parses. Every piece of reused state is
+/// and draws kernel scratch and network storage from caller-owned state
+/// that survives across parses. Every piece of reused state is
 /// generation-stamped or re-zeroed on adoption, so results are
 /// byte-identical to a cold [`parse`] — only allocation and compile
 /// traffic differ.
@@ -202,7 +188,6 @@ pub fn parse_with_state<'g>(
     compiled: Option<Arc<CompiledGrammar>>,
     pool: &mut ArcPool,
     scratch: &mut KernelScratch,
-    bmm_scratch: &mut BmmScratch,
     slab: &mut NetSlab,
 ) -> ParseOutcome<'g> {
     let start = Instant::now();
@@ -269,12 +254,11 @@ pub fn parse_with_state<'g>(
     let mut passes = 0usize;
     let mut fixpoint = false;
     let _filtering = obsv::span("filtering");
-    // The counter-based strategies (incremental, BMM) build support state
-    // once, each generation touching only disturbed rows. Built lazily so
-    // a FilterMode::None run pays nothing.
-    let strategy = options.filter_strategy.resolve(options.eval);
+    // The incremental filter tests every value once, then each generation
+    // only what its removals touched. Built lazily so a FilterMode::None
+    // run pays nothing.
+    let incremental_strategy = options.filter_strategy.incremental(options.eval);
     let mut incremental: Option<IncrementalFilter> = None;
-    let mut bmm: Option<BmmFilter> = None;
     while net.arcs_ready() && passes < mode_max {
         if degraded.is_none() {
             if let Some(cap) = budget.max_filter_iterations {
@@ -294,26 +278,12 @@ pub fn parse_with_state<'g>(
         } else {
             break;
         }
-        let step = match strategy {
-            FilterStrategy::Incremental => {
-                let inc = incremental.get_or_insert_with(|| IncrementalFilter::build(&mut net));
-                inc.pass(&mut net).map(|(_, fx)| (1, fx))
-            }
-            FilterStrategy::Bmm => {
-                let f = bmm.get_or_insert_with(|| BmmFilter::build_warm(&mut net, bmm_scratch));
-                f.pass(&mut net).map(|(_, fx)| (1, fx))
-            }
-            _ => {
-                let (_, p, fx) = filter(&mut net, 1);
-                Ok((p, fx))
-            }
-        };
-        let (p, fx) = match step {
-            Ok(v) => v,
-            Err(e) => {
-                degraded = Some(e);
-                break;
-            }
+        let (p, fx) = if incremental_strategy {
+            let inc = incremental.get_or_insert_with(|| IncrementalFilter::build(&mut net));
+            (1, inc.pass(&mut net).1)
+        } else {
+            let (_, p, fx) = filter(&mut net, 1);
+            (p, fx)
         };
         passes += p;
         if fx || p == 0 {
@@ -322,9 +292,6 @@ pub fn parse_with_state<'g>(
         }
     }
     drop(_filtering);
-    if let Some(f) = bmm {
-        f.recycle(bmm_scratch);
-    }
 
     let locally_consistent = if fixpoint {
         true

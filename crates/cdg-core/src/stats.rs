@@ -21,11 +21,11 @@ pub struct NetStats {
     pub entries_zeroed: usize,
     /// Support tests performed during consistency maintenance. On the
     /// full-scan path one row/column probe per (value, incident arc); on
-    /// the incremental (AC-4) path one counter decrement per disturbed
-    /// entry — the quantity the incremental filter drives down.
+    /// the incremental path one per entry a generation zeroes (each
+    /// counted once) — the quantity the incremental filter drives down.
     pub support_checks: usize,
-    /// Support counters initialized when building the incremental filter
-    /// (one per (value, incident arc); paid once, not per pass).
+    /// Rows plus columns per arc tested when building the incremental
+    /// filter (paid once, not per pass).
     pub support_inits: usize,
     /// Allowed-row masks materialized by the kernel engine from row
     /// verdict passes (at most one per distinct signature of the row
@@ -44,13 +44,13 @@ pub struct NetStats {
     pub removals: usize,
     /// Full consistency-maintenance passes executed.
     pub maintain_passes: usize,
-    /// 64×64 tiles multiplied/transposed by the blocked BMM filter.
-    /// Observational only (excluded from [`NetStats::total_ops`]): the
-    /// BMM strategy charges the *same* abstract `support_checks` as the
-    /// incremental oracle; this records the physical tile work done.
+    /// 64×64 bit tiles a word-parallel kernel transposed. Observational
+    /// only (excluded from [`NetStats::total_ops`]). No engine charges it
+    /// today; it stays because benchmark reports read it.
     pub bmm_tiles: usize,
-    /// `u64` words touched by the blocked BMM filter's tile kernels.
-    /// Observational only, like [`NetStats::bmm_tiles`].
+    /// `u64` words touched by a word-parallel host kernel: the MasPar
+    /// engine's tiled readback charges it. Observational only, like
+    /// [`NetStats::bmm_tiles`].
     pub bmm_words: usize,
 }
 

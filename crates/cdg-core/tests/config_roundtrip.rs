@@ -21,7 +21,7 @@ const FAULTS: &[&str] = &[
     "dead=0,dead=1",
     "dead=3,router=120:5:255,flip=80:3:17",
 ];
-const FILTERS: &[&str] = &["auto", "naive", "incremental", "bmm"];
+const FILTERS: &[&str] = &["auto", "naive"];
 const EVALS: &[&str] = &["kernel", "naive"];
 
 /// `Some(index into a pool of len)` or `None` (key omitted), uniformly.

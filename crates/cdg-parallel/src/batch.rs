@@ -4,8 +4,8 @@
 //! per arc sweep); a corpus offers the complementary, embarrassingly
 //! parallel axis: sentences are independent, so a batch fans out across
 //! cores with one worker per chunk of sentences. Each chunk carries its own
-//! [`WarmState`] (via `map_init`) — arc pool, kernel and BMM scratch,
-//! network slab — so buffers are recycled *within* a chunk and never
+//! [`WarmState`] (via `map_init`) — arc pool, kernel scratch, network
+//! slab — so buffers are recycled *within* a chunk and never
 //! contended *between* chunks.
 //!
 //! Determinism: chunk boundaries depend only on the batch length (the

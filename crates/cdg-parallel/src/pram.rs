@@ -1,12 +1,12 @@
 //! The CRCW-P-RAM-style engine on rayon.
 
-use bitmat::BitVec;
-use cdg_core::consistency::{arc_generation_sweep, arc_support_counts, ArcSupport, ArcSweep};
+use bitmat::{BitMatrix, BitVec};
+use cdg_core::consistency::{FilterStep, IncrementalFilter, SweepResult};
 use cdg_core::kernel::{
     apply_pairwise_kernel_by, kernel_arc, ones, unary_slot, with_program, ArcKernelCounts,
     KernelScratch,
 };
-use cdg_core::network::{EvalStrategy, FilterStrategy, NetParts, Network, RoleSlot};
+use cdg_core::network::{EvalStrategy, Network, RoleSlot};
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::PrecedenceGraph;
 use cdg_grammar::kernel::LaneScratch;
@@ -331,162 +331,58 @@ pub fn maintain_par(net: &mut Network<'_>, stats: &mut PramStats) -> usize {
     doomed.len()
 }
 
-/// The blocked-BMM filter fanned arc-parallel — the P-RAM realization of
-/// `cdg_core::consistency::BmmFilter`.
-///
-/// Each generation computes every disturbed arc's
-/// [`ArcDeltas`](cdg_core::consistency::ArcDeltas) and clears its
-/// rows/columns with a rayon `par_iter` (each worker owns one arc
-/// matrix — race-free by construction), collecting the per-arc results
-/// into a vector indexed by arc storage order. The counter decrements are
-/// then applied *sequentially in that order* — a deterministic chunk-order
-/// reduction, so counters, queues, removal schedule, and final network are
-/// identical to the serial `BmmFilter` (and hence to `maintain_par`'s
-/// generations) at any thread count.
-pub struct BmmFilterPar {
-    num_slots: usize,
-    /// Per slot: `counts[slot][idx * num_slots + other]` = supporting
-    /// 1-entries for value `idx` in the arc toward `other`.
-    counts: Vec<Vec<u32>>,
-    /// Values ever enqueued (or doomed at build time) — never re-enqueued.
-    queued: Vec<BitVec>,
-    /// The current generation of unsupported values.
-    queue: Vec<(usize, usize)>,
-    /// Per-slot scratch: values removed in the generation being processed.
-    removed: Vec<BitVec>,
+/// The incremental filter's arc sweep fanned arc-parallel: each worker owns
+/// one arc matrix (race-free by construction) and runs the serial filter's
+/// [`FilterStep::arc`]; the results are folded in arc storage order. The
+/// filter sorts each generation, so the removal schedule, the network and
+/// the `NetStats` ledger are the serial filter's at any thread count.
+fn sweep_arcs_par(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+    let per_arc: Vec<(usize, Vec<(usize, usize)>)> = arcs
+        .par_iter_mut()
+        .zip(step.pairs.par_iter())
+        .map_init(Vec::new, |words, (m, &(i, j, _))| {
+            let mut unsupported = Vec::new();
+            let zeroed = step.arc(i, j, m, words, &mut unsupported);
+            (zeroed, unsupported)
+        })
+        .collect();
+    let mut zeroed = 0;
+    let mut unsupported = Vec::new();
+    for (z, u) in per_arc {
+        zeroed += z;
+        unsupported.extend(u);
+    }
+    (zeroed, unsupported)
 }
 
-impl BmmFilterPar {
-    /// Build support counters with one arc-parallel [`arc_support_counts`]
-    /// sweep, folded in arc storage order. Counter values and the initial
-    /// generation are identical to the serial builds.
-    pub fn build(net: &mut Network<'_>, stats: &mut PramStats) -> Self {
-        let num = net.num_slots();
-        let slots_ref = net.slots();
-        let supports: Vec<ArcSupport> = net
-            .arcs_raw()
-            .par_iter()
-            .zip(net.arc_pairs().par_iter())
-            .map(|(m, &(i, _, _))| arc_support_counts(m, Some(&slots_ref[i].alive)))
-            .collect();
-        let mut counts: Vec<Vec<u32>> = net
-            .slots()
-            .iter()
-            .map(|s| vec![0u32; s.domain.len() * num])
-            .collect();
-        let mut inits = 0usize;
-        for (&(i, j, _), s) in net.arc_pairs().iter().zip(&supports) {
-            for (a, &c) in s.row_counts.iter().enumerate() {
-                counts[i][a * num + j] = c;
-            }
-            for (b, &c) in s.col_counts.iter().enumerate() {
-                counts[j][b * num + i] = c;
-            }
-            inits += s.row_counts.len() + s.col_counts.len();
-        }
-        net.stats.support_inits += inits;
-        for s in &supports {
-            net.stats.bmm_tiles += s.ops.tiles as usize;
-            net.stats.bmm_words += s.ops.words as usize;
-        }
-        // One parallel round: every counter initialized at once.
-        stats.round(inits.max(1));
-        let mut queued: Vec<BitVec> = net
-            .slots()
-            .iter()
-            .map(|s| BitVec::zeros(s.domain.len()))
-            .collect();
-        let mut queue = Vec::new();
-        for (i, slot) in net.slots().iter().enumerate() {
-            for a in slot.alive.iter_ones() {
-                let unsupported = (0..num).any(|j| j != i && counts[i][a * num + j] == 0);
-                if unsupported {
-                    queued[i].set(a, true);
-                    queue.push((i, a));
-                }
-            }
-        }
-        let removed = net
-            .slots()
-            .iter()
-            .map(|s| BitVec::zeros(s.domain.len()))
-            .collect();
-        BmmFilterPar {
-            num_slots: num,
-            counts,
-            queued,
-            queue,
-            removed,
-        }
+/// Filter to at most `max_passes` generations with the arc-parallel
+/// incremental filter. Returns the passes run. Charges one round for the
+/// build (every row and column tested at once) and one per non-empty
+/// generation (its removals against every other slot).
+fn filter_incremental_par(
+    net: &mut Network<'_>,
+    max_passes: usize,
+    stats: &mut PramStats,
+) -> usize {
+    if max_passes == 0 {
+        return 0;
     }
-
-    /// Process one generation: arc-parallel delta computation + clears,
-    /// sequential arc-order reduction. Returns values removed (0 at the
-    /// fixpoint; the empty pass still counts, like `maintain_par`'s last).
-    pub fn pass(&mut self, net: &mut Network<'_>, stats: &mut PramStats) -> usize {
-        let _phase = obsv::span("maintain");
+    let mut filter = IncrementalFilter::build_by(net, sweep_arcs_par);
+    let inits: usize = net.arcs_raw().iter().map(|m| m.rows() + m.cols()).sum();
+    stats.round(inits.max(1));
+    let num = net.num_slots();
+    let mut passes = 0;
+    while passes < max_passes {
+        passes += 1;
         stats.maintain_passes += 1;
-        if self.queue.is_empty() {
-            return 0;
+        let (removed, fixpoint) = filter.pass_by(net, sweep_arcs_par);
+        if fixpoint {
+            break;
         }
-        let generation = std::mem::take(&mut self.queue);
-        let num = self.num_slots;
-        for mask in &mut self.removed {
-            let len = mask.len();
-            mask.reset(len);
-        }
-        for &(slot, idx) in &generation {
-            self.removed[slot].set(idx, true);
-            net.clear_alive(slot, idx);
-        }
-        stats.removals += generation.len();
-        let removed = &self.removed;
-        let NetParts {
-            slots,
-            arcs,
-            pairs,
-            stats: net_stats,
-            ..
-        } = net.parts_mut();
-        let sweeps: Vec<Option<ArcSweep>> = arcs
-            .par_iter_mut()
-            .zip(pairs.par_iter())
-            .map(|(m, &(i, j, _))| {
-                let (rows, cols) = (&removed[i], &removed[j]);
-                if rows.none() && cols.none() {
-                    return None;
-                }
-                // Fused delta + clear, restricted to the occupied rows —
-                // see the serial `BmmFilter` for the exactness argument.
-                Some(arc_generation_sweep(m, rows, cols, &slots[i].alive))
-            })
-            .collect();
-        // One parallel round over all disturbed entries, one for the clears.
-        stats.round(generation.len() * num.max(1));
-        let mut next: Vec<(usize, usize)> = Vec::new();
-        for (&(i, j, _), sweep) in pairs.iter().zip(&sweeps) {
-            let Some(d) = sweep else { continue };
-            net_stats.bmm_tiles += d.ops.tiles as usize;
-            net_stats.bmm_words += d.ops.words as usize;
-            let mut apply = |slot: usize, other: usize, decs: &[(u32, u32)]| {
-                for &(v, dec) in decs {
-                    let v = v as usize;
-                    let c = &mut self.counts[slot][v * num + other];
-                    debug_assert!(*c >= dec, "support counter underflow");
-                    *c = c.saturating_sub(dec);
-                    if *c == 0 && slots[slot].alive.get(v) && !self.queued[slot].get(v) {
-                        self.queued[slot].set(v, true);
-                        next.push((slot, v));
-                    }
-                }
-            };
-            apply(i, j, &d.dec_rows);
-            apply(j, i, &d.dec_cols);
-        }
-        next.sort_unstable();
-        self.queue = next;
-        generation.len()
+        stats.removals += removed;
+        stats.round(removed * num.max(1));
     }
+    passes
 }
 
 /// The full parallel pipeline, mirroring `cdg_core::parse` phase for phase.
@@ -566,19 +462,12 @@ pub fn parse_pram_compiled<'g>(
         FilterMode::Bounded(max) => max,
         FilterMode::Fixpoint => usize::MAX,
     };
-    // The BMM strategy swaps the per-pass support scan for the arc-parallel
-    // tile filter; generations (and hence pass counts, alive sets, and
-    // matrices) are identical to `maintain_par`'s removal rounds.
-    if options.filter_strategy.resolve(options.eval) == FilterStrategy::Bmm {
-        if mode_max > 0 {
-            let mut f = BmmFilterPar::build(&mut net, &mut stats);
-            while passes < mode_max {
-                passes += 1;
-                if f.pass(&mut net, &mut stats) == 0 {
-                    break;
-                }
-            }
-        }
+    // The incremental filter swaps the per-pass support scan for the
+    // arc-parallel generation sweep; generations (and hence pass counts,
+    // alive sets, and matrices) are identical to `maintain_par`'s removal
+    // rounds.
+    if options.filter_strategy.incremental(options.eval) {
+        passes = filter_incremental_par(&mut net, mode_max, &mut stats);
     } else {
         while passes < mode_max {
             passes += 1;
@@ -599,7 +488,7 @@ pub fn parse_pram_compiled<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdg_grammar::grammars::{english, paper};
+    use cdg_grammar::grammars::{english, formal, paper};
 
     fn options() -> ParseOptions {
         ParseOptions::default()
@@ -704,36 +593,51 @@ mod tests {
     }
 
     #[test]
-    fn bmm_strategy_matches_default_filtering() {
-        // Arc-parallel BMM filtering must be indistinguishable from the
-        // support-scan path: same alive sets, parses, and pass counts.
-        let g = english::grammar();
-        let lex = english::lexicon(&g);
-        for text in [
-            "the dog runs in the park",
-            "program the runs",
-            "they often watch dogs near the table",
-        ] {
-            if let Ok(s) = lex.sentence(text) {
-                let base = parse_pram(&g, &s, options());
-                let bmm = parse_pram(
-                    &g,
-                    &s,
-                    ParseOptions {
-                        filter_strategy: FilterStrategy::Bmm,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(base.filter_passes, bmm.filter_passes, "`{text}`");
-                for (a, b) in base.network.slots().iter().zip(bmm.network.slots()) {
-                    assert_eq!(a.alive, b.alive, "`{text}` alive sets diverge");
+    fn incremental_filter_charges_the_serial_ledger() {
+        // The arc-parallel sweep runs the serial filter's per-arc step, so
+        // beyond the same network it must charge the same `NetStats`
+        // ledger — English n = 8–12, and aⁿbⁿ / brackets n = 18–24 in full
+        // and one symbol short.
+        let (english, lex) = corpus::standard_setup();
+        let anbn = formal::anbn_grammar();
+        let brackets = formal::brackets_grammar();
+        let mut cases: Vec<(&Grammar, Sentence)> = Vec::new();
+        for n in 8..=12 {
+            cases.push((
+                &english,
+                corpus::english_sentence(&english, &lex, n, n as u64),
+            ));
+        }
+        for n in [18, 24] {
+            let s = corpus::formal::anbn(n / 2);
+            let b = corpus::formal::nested_brackets(n / 2);
+            for gap in [None, Some(0), Some(n / 2), Some(n - 1)] {
+                let (mut s, mut b) = (s.clone(), b.clone());
+                if let Some(gap) = gap {
+                    s.remove(gap);
+                    b.remove(gap);
                 }
-                assert_eq!(base.parses(50), bmm.parses(50), "`{text}`");
-                // Words are always touched; tiles only appear when a
-                // block crosses the adaptive transpose threshold, which
-                // these small sparse networks never do.
-                assert!(bmm.network.stats.bmm_words > 0);
+                cases.push((&anbn, formal::anbn_sentence(&anbn, &s)));
+                cases.push((&brackets, formal::brackets_sentence(&brackets, &b)));
             }
+        }
+        for (g, s) in cases {
+            let serial = cdg_core::parse(g, &s, options());
+            let par = parse_pram(g, &s, options());
+            assert_eq!(serial.filter_passes, par.filter_passes, "`{s}`");
+            for (a, b) in serial.network.slots().iter().zip(par.network.slots()) {
+                assert_eq!(a.alive, b.alive, "`{s}`: alive sets diverge");
+            }
+            let (a, b) = (&serial.network.stats, &par.network.stats);
+            assert!(a.support_checks > 0, "`{s}`: no filter work to compare");
+            assert_eq!(a.support_checks, b.support_checks, "`{s}`: support_checks");
+            assert_eq!(a.support_inits, b.support_inits, "`{s}`: support_inits");
+            assert_eq!(a.entries_zeroed, b.entries_zeroed, "`{s}`: entries_zeroed");
+            assert_eq!(a.removals, b.removals, "`{s}`: removals");
+            assert_eq!(
+                a.maintain_passes, b.maintain_passes,
+                "`{s}`: maintain_passes"
+            );
         }
     }
 

@@ -353,11 +353,6 @@ impl Machine {
         self.faults.is_some()
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Broadcast instructions executed so far (plural ops, activity
     /// narrowings, scans, reductions and router operations all count).
     pub fn op_count(&self) -> u64 {
@@ -371,15 +366,6 @@ impl Machine {
             virt % self.config.phys_pes
         } else {
             self.healthy[virt % self.healthy.len()]
-        }
-    }
-
-    /// Physical PEs not yet retired.
-    pub fn healthy_count(&self) -> usize {
-        if self.healthy.is_empty() {
-            self.config.phys_pes
-        } else {
-            self.healthy.len()
         }
     }
 
@@ -1537,7 +1523,8 @@ mod tests {
     fn retire_refuses_to_empty_the_array() {
         let mut m = faulty(2, 2, FaultPlan::new().with_dead_pe(0).with_dead_pe(1));
         assert_eq!(m.retire_pes(&[0, 1]), 0);
-        assert_eq!(m.healthy_count(), 2, "mapping unchanged after refusal");
+        // Mapping unchanged after refusal: each virtual PE on its own.
+        assert_eq!((m.phys_of(0), m.phys_of(1)), (0, 1));
     }
 
     #[test]

@@ -198,7 +198,7 @@ mod tests {
     fn full_option_set_parses() {
         let line =
             "PARSE budget=ms=50,iters=3 class=batch faults=7 transient=1 parses=2 engine=maspar \
-             filter=bmm eval=naive -- the program runs";
+             filter=naive eval=naive -- the program runs";
         match parse_request(line, 16).unwrap() {
             Request::Parse { text, config } => {
                 assert_eq!(text, "the program runs");
@@ -210,7 +210,7 @@ mod tests {
                 assert_eq!(config.transient, Some(1));
                 assert_eq!(config.max_parses, 2);
                 assert_eq!(config.engine.as_deref(), Some("maspar"));
-                assert_eq!(config.filter, FilterStrategy::Bmm);
+                assert_eq!(config.filter, FilterStrategy::Naive);
                 assert_eq!(config.eval, EvalStrategy::Naive);
             }
             other => panic!("{other:?}"),

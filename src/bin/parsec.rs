@@ -15,10 +15,10 @@
 //!   --trace[=json]                               print the phase trace (tree, or one JSON line)
 //!   --metrics                                    print the metrics registry snapshot
 //!   --naive-eval                                 use the naive tree-walk evaluator (oracle)
-//!   --filter <auto|naive|incremental|bmm>        consistency filter: full rescans, AC-4
-//!                                                worklist, or blocked boolean-matrix-multiply
-//!                                                kernels (default auto: bmm, or naive under
-//!                                                --naive-eval); serial and pram only, maspar
+//!   --filter <auto|naive>                        consistency filter: auto re-tests only the
+//!                                                rows and columns a removal touched (full
+//!                                                rescans under --naive-eval); naive rescans
+//!                                                every pass; serial and pram only, maspar
 //!                                                filters with the machine's own scans
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
@@ -126,7 +126,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: parsec [--grammar paper|english|anbn|brackets|ww|www] [--grammar-file path] \
          [--engine serial|pram|maspar] [--parses N] [--network] [--dot] [--stats] \
-         [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive|incremental|bmm] \
+         [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive] \
          [--budget spec] [--faults spec] \
          [--relax] [--threads N] [--batch file|-] [--version] <sentence...>\n\
          \x20      parsec serve [SERVE OPTIONS]   (see `parsec serve --help`)"
@@ -429,10 +429,12 @@ fn emit_stats(args: &Args, report: &ParseReport<'_>, resolved: &cdg_grammar::com
                 st.support_inits
             );
             eprintln!(
-                "filter {}: {} tiles multiplied, {} words touched",
-                args.config.filter.resolve(args.config.eval).name(),
-                st.bmm_tiles,
-                st.bmm_words
+                "filter: {}",
+                if args.config.filter.incremental(args.config.eval) {
+                    "incremental"
+                } else {
+                    "naive"
+                }
             );
         }
     }

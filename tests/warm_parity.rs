@@ -19,12 +19,7 @@ use parsec_maspar::Maspar;
 /// The differential seed count shared with the determinism suite.
 const SEEDS: u64 = 64;
 
-const STRATEGIES: [FilterStrategy; 4] = [
-    FilterStrategy::Auto,
-    FilterStrategy::Naive,
-    FilterStrategy::Incremental,
-    FilterStrategy::Bmm,
-];
+const STRATEGIES: [FilterStrategy; 2] = [FilterStrategy::Auto, FilterStrategy::Naive];
 
 fn setups() -> Vec<(&'static str, Grammar, Lexicon)> {
     let pg = cdg_grammar::grammars::paper::grammar();
