@@ -144,9 +144,8 @@ fn digest_filter(grammar: &Grammar, sentence: &Sentence, strategy: FilterStrateg
     cdg_core::propagate::apply_all_binary(&mut net);
     match strategy {
         FilterStrategy::Naive => cdg_core::consistency::filter(&mut net, FILTER_PASSES),
-        FilterStrategy::Auto => {
-            cdg_core::IncrementalFilter::build(&mut net).run(&mut net, FILTER_PASSES)
-        }
+        FilterStrategy::Auto => cdg_core::filter_incremental(&mut net, FILTER_PASSES)
+            .expect("the incremental filter cannot fail"),
     };
     let mut buf = String::new();
     for slot in net.slots() {

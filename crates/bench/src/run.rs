@@ -140,9 +140,8 @@ fn filter_phase(
     cdg_core::propagate::apply_all_binary(&mut net);
     let ((removed, passes, _), wall) = timed(|| match strategy {
         FilterStrategy::Naive => cdg_core::consistency::filter(&mut net, FILTER_PASSES),
-        FilterStrategy::Auto => {
-            cdg_core::IncrementalFilter::build(&mut net).run(&mut net, FILTER_PASSES)
-        }
+        FilterStrategy::Auto => cdg_core::filter_incremental(&mut net, FILTER_PASSES)
+            .expect("the incremental filter cannot fail"),
     });
     Measurement {
         engine,

@@ -19,15 +19,18 @@
 //! parses, budget/fault flags, and — when requested — the phase trace and
 //! metrics snapshot from the `obsv` layer.
 //!
-//! The old free functions remain as thin wrappers (see their docs) so no
-//! caller breaks; new code should construct a request and pick an engine.
+//! The engines are thin: [`Sequential`] and `cdg_parallel::Pram` run the
+//! one phase driver ([`parse_with_state`]) with their executor, the MasPar
+//! engine runs its own. The free functions call the same drivers and
+//! return the bare outcome; new code should construct a request and pick
+//! an engine.
 
 use crate::batch::BatchOutcome;
 use crate::error::{EngineError, ParseBudget};
 use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
-use crate::parser::{parse_with_state, FilterMode, ParseOptions};
+use crate::parser::{parse_with_state, FilterMode, ParseOptions, ParseOutcome, Serial};
 use crate::pool::{ArcPool, PoolStats};
 use crate::stats::NetStats;
 use cdg_grammar::{compiled, CompiledGrammar, Grammar, Sentence};
@@ -246,7 +249,42 @@ pub struct ParseReport<'g> {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-impl ParseReport<'_> {
+impl<'g> ParseReport<'g> {
+    /// A host engine's report on its driver `outcome` (see
+    /// [`parse_with_state`]): records the `NetStats` ledger and the filter
+    /// passes in the metrics registry, then closes `scope`. `accepted` is
+    /// settled by the caller, which may have reclaimed the arc matrices
+    /// since.
+    pub fn from_outcome(
+        engine: &'static str,
+        outcome: ParseOutcome<'g>,
+        accepted: bool,
+        parses: Vec<PrecedenceGraph>,
+        start: Instant,
+        scope: ObsvScope,
+    ) -> Self {
+        record_net_stats(&outcome.network.stats);
+        obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
+        let (trace, metrics) = scope.finish();
+        ParseReport {
+            engine,
+            accepted,
+            ambiguous: outcome.ambiguous(),
+            roles_nonempty: outcome.roles_nonempty,
+            locally_consistent: outcome.locally_consistent,
+            filter_passes: outcome.filter_passes,
+            degraded: outcome.degraded,
+            fault_recovered: false,
+            parses,
+            wall: start.elapsed(),
+            machine_stats: None,
+            estimated_seconds: None,
+            trace,
+            metrics,
+            network: outcome.network,
+        }
+    }
+
     /// The abstract-operation counters of the settled network.
     pub fn stats(&self) -> &NetStats {
         &self.network.stats
@@ -400,6 +438,7 @@ impl WarmState {
             &mut self.pool,
             &mut self.scratch,
             &mut self.slab,
+            &mut Serial,
         );
         let summary = BatchOutcome::summarize(&outcome, max_parses);
         outcome.network.reclaim_arcs(&mut self.pool);
@@ -544,31 +583,21 @@ impl Engine for Sequential {
                 &mut pool,
                 &mut KernelScratch::new(),
                 &mut NetSlab::default(),
+                &mut Serial,
             );
             let parses = outcome.parses(req.max_parses);
             (outcome, parses)
         };
-        record_net_stats(&outcome.network.stats);
         record_pool_stats(&pool.stats);
-        obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
-        let (trace, metrics) = scope.finish();
-        Ok(ParseReport {
-            engine: self.name(),
-            accepted: outcome.accepted(),
-            ambiguous: outcome.ambiguous(),
-            roles_nonempty: outcome.roles_nonempty,
-            locally_consistent: outcome.locally_consistent,
-            filter_passes: outcome.filter_passes,
-            degraded: outcome.degraded,
-            fault_recovered: false,
+        let accepted = outcome.accepted();
+        Ok(ParseReport::from_outcome(
+            self.name(),
+            outcome,
+            accepted,
             parses,
-            wall: start.elapsed(),
-            machine_stats: None,
-            estimated_seconds: None,
-            trace,
-            metrics,
-            network: outcome.network,
-        })
+            start,
+            scope,
+        ))
     }
 
     fn parse_batch(
@@ -621,6 +650,7 @@ impl Engine for Sequential {
                 &mut warm.pool,
                 &mut warm.scratch,
                 &mut warm.slab,
+                &mut Serial,
             );
             let parses = outcome.parses(req.max_parses);
             (outcome, parses)
@@ -628,7 +658,6 @@ impl Engine for Sequential {
         // Acceptance reads the arc matrices, so settle it before handing
         // them back to the warm pool for the next request.
         let accepted = outcome.accepted();
-        let ambiguous = outcome.ambiguous();
         outcome.network.reclaim_arcs(&mut warm.pool);
         if warm.parses > 0 {
             obsv::counter_add(
@@ -639,27 +668,15 @@ impl Engine for Sequential {
             obsv::counter_add("warm.scratch.reuses", 1);
         }
         warm.parses += 1;
-        record_net_stats(&outcome.network.stats);
         record_pool_stats(&warm.pool.stats);
-        obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
-        let (trace, metrics) = scope.finish();
-        Ok(ParseReport {
-            engine: self.name(),
+        Ok(ParseReport::from_outcome(
+            self.name(),
+            outcome,
             accepted,
-            ambiguous,
-            roles_nonempty: outcome.roles_nonempty,
-            locally_consistent: outcome.locally_consistent,
-            filter_passes: outcome.filter_passes,
-            degraded: outcome.degraded,
-            fault_recovered: false,
             parses,
-            wall: start.elapsed(),
-            machine_stats: None,
-            estimated_seconds: None,
-            trace,
-            metrics,
-            network: outcome.network,
-        })
+            start,
+            scope,
+        ))
     }
 }
 

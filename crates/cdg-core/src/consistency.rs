@@ -21,6 +21,7 @@
 
 use crate::kernel::ones;
 use crate::network::{Network, RoleSlot, SlotId};
+use crate::parser::{Executor, Serial, Step};
 use bitmat::{BitMatrix, BitVec};
 use std::convert::Infallible;
 
@@ -37,32 +38,13 @@ pub fn maintain(net: &mut Network<'_>) -> usize {
         net.arcs_ready(),
         "consistency maintenance needs arc matrices"
     );
-    // Column-support occupancy per arc, computed once per pass: bit `c` of
-    // `occ[idx]` is set iff column `c` of that arc matrix has any 1, so
-    // the i > j case is one O(1) bit test after a single word-parallel
-    // matrix scan.
     let occ = column_occupancies(net);
     let mut doomed: Vec<(usize, usize)> = Vec::new();
     let mut support_checks = 0usize;
-    let num = net.num_slots();
-    for i in 0..num {
-        let si = net.slot(i);
-        'value: for a in si.alive.iter_ones() {
-            for j in 0..num {
-                if j == i {
-                    continue;
-                }
-                support_checks += 1;
-                let supported = if i < j {
-                    let (m, _) = net.arc(i, j);
-                    m.row_any(a)
-                } else {
-                    occ[net.arc_index(j, i)].get(a)
-                };
-                if !supported {
-                    doomed.push((i, a));
-                    continue 'value;
-                }
+    for i in 0..net.num_slots() {
+        for a in net.slot(i).alive.iter_ones() {
+            if !supported(net, &occ, i, a, &mut support_checks) {
+                doomed.push((i, a));
             }
         }
     }
@@ -75,23 +57,71 @@ pub fn maintain(net: &mut Network<'_>) -> usize {
     removed
 }
 
+/// Whether value `a` of slot `i` has a 1 in every incident arc matrix:
+/// in its row of arc (i, j) for j > i, in its column for j < i — one bit
+/// of that arc's column occupancy `occ` (computed once per pass by a
+/// single word-parallel matrix scan). Stops at the first arc without
+/// one; `checks` counts the arcs probed.
+fn supported(net: &Network<'_>, occ: &[BitVec], i: SlotId, a: usize, checks: &mut usize) -> bool {
+    (0..net.num_slots()).filter(|&j| j != i).all(|j| {
+        *checks += 1;
+        if i < j {
+            net.arc(i, j).0.row_any(a)
+        } else {
+            occ[net.arc_index(j, i)].get(a)
+        }
+    })
+}
+
 /// Iterate [`maintain`] until no value is removed or `max_passes` is
 /// reached. Returns (total removed, passes run, reached_fixpoint).
 ///
 /// `max_passes = usize::MAX` gives the paper's sequential *filtering*;
 /// a small constant gives the MasPar design decision 5.
 pub fn filter(net: &mut Network<'_>, max_passes: usize) -> (usize, usize, bool) {
-    let mut total = 0;
-    let mut passes = 0;
-    while passes < max_passes {
-        passes += 1;
-        let removed = maintain(net);
+    filter_with(net, &mut Serial, false, max_passes, |_| false)
+}
+
+/// Filter at most `max_passes` passes, one at a time, with the
+/// [`IncrementalFilter`] (`incremental`) or the full scan; `exec` runs
+/// the incremental filter's arc sweep and is charged each step. `stop` is
+/// asked before each pass with the passes run so far and ends the loop
+/// when it returns true, so a budget binds between passes and a pass in
+/// progress always completes. The incremental filter is built lazily, so
+/// a run that filters nothing pays nothing. Both filters remove the same
+/// values in the same passes. Returns (total removed, passes run,
+/// reached_fixpoint); a network without arcs has nothing to filter.
+pub(crate) fn filter_with<E: Executor>(
+    net: &mut Network<'_>,
+    exec: &mut E,
+    incremental: bool,
+    max_passes: usize,
+    mut stop: impl FnMut(usize) -> bool,
+) -> (usize, usize, bool) {
+    let mut filter: Option<IncrementalFilter> = None;
+    let (mut total, mut passes) = (0, 0);
+    while net.arcs_ready() && passes < max_passes && !stop(passes) {
+        let (step, removed, fixpoint) = if incremental {
+            let filter = filter.get_or_insert_with(|| {
+                let built = IncrementalFilter::build(net, |s, a| exec.sweep_arcs(s, a));
+                exec.cost(net, Step::FilterBuild, Some(0));
+                built
+            });
+            exec.cost(net, Step::Generation, None);
+            let (removed, fixpoint) = filter.pass(net, |s, a| exec.sweep_arcs(s, a));
+            (Step::Generation, removed, fixpoint)
+        } else {
+            exec.cost(net, Step::Scan, None);
+            let removed = maintain(net);
+            (Step::Scan, removed, removed == 0)
+        };
+        exec.cost(net, step, Some(removed));
         total += removed;
-        if removed == 0 {
+        passes += 1;
+        if fixpoint {
             return (total, passes, true);
         }
     }
-    // One extra check: fixpoint reached iff a further pass would remove 0.
     (total, passes, false)
 }
 
@@ -100,27 +130,12 @@ pub fn filter(net: &mut Network<'_>, max_passes: usize) -> (usize, usize, bool) 
 /// fixpoint condition.
 pub fn is_locally_consistent(net: &Network<'_>) -> bool {
     let occ = column_occupancies(net);
-    let num = net.num_slots();
-    for i in 0..num {
-        let si = net.slot(i);
-        for a in si.alive.iter_ones() {
-            for j in 0..num {
-                if j == i {
-                    continue;
-                }
-                let supported = if i < j {
-                    let (m, _) = net.arc(i, j);
-                    m.row_any(a)
-                } else {
-                    occ[net.arc_index(j, i)].get(a)
-                };
-                if !supported {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    (0..net.num_slots()).all(|i| {
+        net.slot(i)
+            .alive
+            .iter_ones()
+            .all(|a| supported(net, &occ, i, a, &mut 0))
+    })
 }
 
 /// Column occupancy of every arc matrix, in storage order.
@@ -260,7 +275,7 @@ impl FilterStep<'_> {
 pub type SweepResult = (usize, Vec<(SlotId, usize)>);
 
 /// The serial sweep: [`FilterStep::arc`] over the arcs in storage order.
-fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+pub fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
     let mut words = Vec::new();
     let mut unsupported = Vec::new();
     let zeroed = arcs
@@ -272,15 +287,11 @@ fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
 }
 
 impl IncrementalFilter {
-    /// Test every alive value once (generation 0) with the serial sweep.
-    pub fn build(net: &mut Network<'_>) -> Self {
-        Self::build_by(net, sweep_arcs)
-    }
-
-    /// [`IncrementalFilter::build`] with the arc work run by `sweep`: the
-    /// P-RAM engine fans [`FilterStep::arc`] across workers. Any sweep
-    /// that runs every arc once gives the same filter.
-    pub fn build_by(
+    /// Test every alive value once (generation 0), the arc work run by
+    /// `sweep`: [`sweep_arcs`] serially, or any sweep that runs every arc
+    /// once — the P-RAM engine fans [`FilterStep::arc`] across workers —
+    /// which gives the same filter.
+    pub fn build(
         net: &mut Network<'_>,
         sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
     ) -> Self {
@@ -336,17 +347,12 @@ impl IncrementalFilter {
         self.queue = unsupported;
     }
 
-    /// Remove one generation with the serial sweep and queue the next.
-    /// Returns (removed, reached_fixpoint); an empty generation is the
-    /// fixpoint, and still counts as a pass, like the full-scan pass that
-    /// removes nothing.
-    pub fn pass(&mut self, net: &mut Network<'_>) -> (usize, bool) {
-        self.pass_by(net, sweep_arcs)
-    }
-
-    /// [`IncrementalFilter::pass`] with the arc work run by `sweep` (see
-    /// [`IncrementalFilter::build_by`]).
-    pub fn pass_by(
+    /// Remove one generation, the arc work run by `sweep` (see
+    /// [`IncrementalFilter::build`]), and queue the next. Returns
+    /// (removed, reached_fixpoint); an empty generation is the fixpoint,
+    /// and still counts as a pass, like the full-scan pass that removes
+    /// nothing.
+    pub fn pass(
         &mut self,
         net: &mut Network<'_>,
         sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
@@ -371,36 +377,16 @@ impl IncrementalFilter {
         self.enqueue(unsupported);
         (generation.len(), false)
     }
-
-    /// Drive [`IncrementalFilter::pass`] like [`filter`]: at most
-    /// `max_passes` generations, stopping at the fixpoint. Returns (total
-    /// removed, passes run, reached_fixpoint).
-    pub fn run(&mut self, net: &mut Network<'_>, max_passes: usize) -> (usize, usize, bool) {
-        let mut total = 0;
-        let mut passes = 0;
-        while passes < max_passes {
-            passes += 1;
-            let (removed, fixpoint) = self.pass(net);
-            total += removed;
-            if fixpoint {
-                return (total, passes, true);
-            }
-        }
-        (total, passes, false)
-    }
 }
 
-/// Build an [`IncrementalFilter`] and run it — the incremental counterpart
+/// Filter with the [`IncrementalFilter`] — the incremental counterpart
 /// of [`filter`], with identical return semantics and removal sequence.
 /// It cannot fail; the `Result` keeps callers that `expect` it compiling.
 pub fn filter_incremental(
     net: &mut Network<'_>,
     max_passes: usize,
 ) -> Result<(usize, usize, bool), Infallible> {
-    if max_passes == 0 {
-        return Ok((0, 0, false));
-    }
-    Ok(IncrementalFilter::build(net).run(net, max_passes))
+    Ok(filter_with(net, &mut Serial, true, max_passes, |_| false))
 }
 
 #[cfg(test)]
@@ -552,12 +538,12 @@ mod tests {
             full.init_arcs();
             apply_all_binary(&mut full);
             let mut inc = full.clone();
-            let mut f = IncrementalFilter::build(&mut inc);
+            let mut f = IncrementalFilter::build(&mut inc, sweep_arcs);
             assert!(inc.stats.support_inits > 0);
             loop {
                 let before = inc.stats;
                 let removed_full = maintain(&mut full);
-                let (removed_inc, fixpoint) = f.pass(&mut inc);
+                let (removed_inc, fixpoint) = f.pass(&mut inc, sweep_arcs);
                 assert_eq!(
                     removed_full, removed_inc,
                     "`{s}`: generation sizes diverged"

@@ -54,7 +54,7 @@
 //! `zero_arc_entry` calls would have counted.
 //!
 //! Unary constraints run a slot at a time too ([`apply_unary_kernel_with`],
-//! [`unary_slot`]): the slot's class with its value open, then one lane
+//! [`UnarySweep::slot`]): the slot's class with its value open, then one lane
 //! pass over the alive values where the class is `Unknown`
 //! ([`KernelProgram::unary_lanes`]).
 
@@ -398,6 +398,8 @@ pub struct KernelScratch {
     sigs: Vec<SlotSigs>,
     /// Pooled signature interner, cleared per slot.
     interner: KeyMap,
+    /// Per slot, a unary sweep's class and doomed values.
+    unary: Vec<(Truth, Vec<u64>)>,
 }
 
 impl KernelScratch {
@@ -699,7 +701,7 @@ pub struct PairwiseSweep<'a> {
 /// when the caller attached one, compiling inline otherwise (the cold
 /// oracle, and the only path for extra constraints outside the grammar's
 /// own set), and hand it to `body`.
-pub fn with_program<R>(
+fn with_program<R>(
     net: &mut Network<'_>,
     constraint: &Constraint,
     body: impl FnOnce(&mut Network<'_>, &KernelProgram) -> R,
@@ -723,15 +725,9 @@ pub fn with_program<R>(
 /// constraints (`check_pair` semantics) and unary constraints applied
 /// pairwise with witness semantics — both reduce to "evaluate the
 /// expression in both orderings; the pair survives only if neither is
-/// definitely violated". Returns entries zeroed.
-pub fn apply_pairwise_kernel(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    let mut scratch = KernelScratch::new();
-    apply_pairwise_kernel_with(net, constraint, &mut scratch)
-}
-
-/// [`apply_pairwise_kernel`] with caller-owned scratch state, so a sweep
-/// over many constraints (or repeated filter rounds) reuses the lane,
-/// class and mask buffers instead of reallocating them per constraint.
+/// definitely violated". Returns entries zeroed. The caller-owned scratch
+/// lets a sweep over many constraints reuse the lane, class and mask
+/// buffers instead of reallocating them per constraint.
 pub fn apply_pairwise_kernel_with(
     net: &mut Network<'_>,
     constraint: &Constraint,
@@ -798,27 +794,36 @@ pub fn apply_pairwise_kernel_by(
     })
 }
 
-/// One slot of a unary sweep: `doomed` receives the alive values of slot
-/// `k` that `prog` definitely violates, one bit per domain entry; returns
-/// the slot class ([`KernelProgram::unary_lanes`]). The shared body of the
-/// serial and P-RAM unary engines.
-pub fn unary_slot(
-    prog: &KernelProgram,
-    sentence: &Sentence,
-    lanes: &LaneTables,
-    k: SlotId,
-    slot: &RoleSlot,
-    scratch: &mut LaneScratch,
-    doomed: &mut Vec<u64>,
-) -> Truth {
-    doomed.resize(slot.alive.words().len(), 0);
-    prog.unary_lanes(
-        sentence,
-        &lanes_of(lanes, k, slot),
-        slot.alive.words(),
-        scratch,
-        doomed,
-    )
+/// What one unary constraint application shares across its slots: the
+/// resolved program, the slots and the network's lane tables.
+pub struct UnarySweep<'a> {
+    prog: &'a KernelProgram,
+    sentence: &'a Sentence,
+    lanes: &'a LaneTables,
+    /// Every slot of the network, by [`SlotId`].
+    pub slots: &'a [RoleSlot],
+}
+
+impl UnarySweep<'_> {
+    /// One slot of the sweep: `doomed` receives the alive values of slot
+    /// `k` the program definitely violates, one bit per domain entry;
+    /// returns the slot class ([`KernelProgram::unary_lanes`]). A slot
+    /// with no alive value is skipped. Reads slot `k` only, so the slots
+    /// can run in any order or in parallel.
+    pub fn slot(&self, k: SlotId, scratch: &mut LaneScratch, doomed: &mut Vec<u64>) -> Truth {
+        let slot = &self.slots[k];
+        if !slot.alive.any() {
+            return Truth::Unknown;
+        }
+        doomed.resize(slot.alive.words().len(), 0);
+        self.prog.unary_lanes(
+            self.sentence,
+            &lanes_of(self.lanes, k, slot),
+            slot.alive.words(),
+            scratch,
+            doomed,
+        )
+    }
 }
 
 /// Apply a unary constraint a slot at a time
@@ -834,32 +839,50 @@ pub fn apply_unary_kernel_with(
     constraint: &Constraint,
     scratch: &mut KernelScratch,
 ) -> usize {
+    apply_unary_kernel_by(net, constraint, scratch, |sweep, out, lanes| {
+        for (k, (class, doomed)) in out.iter_mut().enumerate() {
+            *class = sweep.slot(k, lanes, doomed);
+        }
+    })
+}
+
+/// The unary prologue and epilogue every engine shares: resolve the
+/// program, size the network's lane tables, hand the [`UnarySweep`] and
+/// one (class, doomed) entry per slot to `sweep` (which fills each with
+/// [`UnarySweep::slot`]), then charge the ledger and remove the doomed
+/// values through [`Network::remove_value`]. Removing a value of one slot
+/// changes no other slot's verdicts, so the removals can wait for the
+/// whole sweep. Returns values removed.
+pub fn apply_unary_kernel_by(
+    net: &mut Network<'_>,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+    sweep: impl FnOnce(&UnarySweep<'_>, &mut [(Truth, Vec<u64>)], &mut LaneScratch),
+) -> usize {
     with_program(net, constraint, |net, prog| {
         net.ensure_lane_tables();
-        let Pass {
-            set: doomed, buf, ..
-        } = &mut scratch.pass;
+        let num = net.num_slots();
+        let out = &mut scratch.unary;
+        if out.len() < num {
+            out.resize_with(num, || (Truth::Unknown, Vec::new()));
+        }
+        let view = UnarySweep {
+            prog,
+            sentence: net.sentence(),
+            lanes: net.lane_tables(),
+            slots: net.slots(),
+        };
+        sweep(&view, &mut out[..num], &mut scratch.pass.buf.lanes);
         let (mut checks, mut memo_hits, mut removed) = (0, 0, 0);
-        for k in 0..net.num_slots() {
-            let slot = net.slot(k);
-            let alive = slot.alive.count_ones();
+        for (k, (class, doomed)) in out[..num].iter().enumerate() {
+            let alive = net.slot(k).alive.count_ones();
             if alive == 0 {
                 continue;
             }
             checks += alive;
-            let class = unary_slot(
-                prog,
-                net.sentence(),
-                net.lane_tables(),
-                k,
-                slot,
-                &mut buf.lanes,
-                doomed,
-            );
-            if class != Truth::Unknown {
+            if *class != Truth::Unknown {
                 memo_hits += alive;
             }
-            // Removing a value of slot `k` changes no other slot's verdicts.
             for idx in ones(doomed) {
                 net.remove_value(k, idx);
                 removed += 1;
@@ -941,7 +964,7 @@ mod tests {
             .iter()
             .find(|c| c.name == "unique-root")
             .expect("grammar has unique-root");
-        apply_pairwise_kernel(&mut net, c);
+        apply_pairwise_kernel_with(&mut net, c, &mut KernelScratch::new());
         let evals = net.stats.binary_checks;
         assert!(net.stats.kernel_memo_hits > 0, "no verdict was shared");
         assert!(

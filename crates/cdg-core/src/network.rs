@@ -37,9 +37,10 @@ pub enum EvalStrategy {
 /// pass re-tests — and therefore in wall-clock and in the incremental-vs-
 /// full-scan split of `support_checks`/`support_inits`.
 ///
-/// The choice reaches the serial and P-RAM drivers only. The MasPar
-/// engine filters with the simulated machine's own scans (the paper's
-/// design decisions 3 and 5) and reads its network back one way.
+/// The choice reaches the phase driver (the serial, P-RAM and mesh
+/// engines). The MasPar engine filters with the simulated machine's own
+/// scans (the paper's design decisions 3 and 5) and reads its network
+/// back one way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterStrategy {
     /// Follow the evaluation strategy: kernel evaluation filters with the
@@ -429,15 +430,6 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Mutable access to the raw triangular arc storage — for the parallel
-    /// engines, which split the arcs across workers (each arc is touched by
-    /// exactly one worker, so `par_iter_mut` is race-free). `arc_pairs`
-    /// lists (i, j, arc_index) in storage order.
-    pub fn arcs_mut(&mut self) -> &mut [BitMatrix] {
-        assert!(self.arcs_ready, "arcs not initialized");
-        &mut self.arcs
-    }
-
     /// Read access to the raw triangular arc storage (same order as
     /// [`Network::arc_pairs`]).
     pub fn arcs_raw(&self) -> &[BitMatrix] {
@@ -513,8 +505,8 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Clear one alive bit *without* touching arc matrices — for parallel
-    /// engines that zero rows/columns themselves in an arc-parallel sweep.
+    /// Clear one alive bit *without* touching arc matrices — for the
+    /// incremental filter, whose arc sweep zeroes the rows and columns.
     pub fn clear_alive(&mut self, slot: SlotId, idx: usize) {
         if self.slots[slot].alive.get(idx) {
             self.slots[slot].alive.set(idx, false);

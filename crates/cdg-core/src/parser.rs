@@ -1,12 +1,15 @@
-//! The high-level sequential parse driver.
+//! The phase driver: the paper's pipeline written once, run by the
+//! sequential engine and, through an [`Executor`], by the P-RAM and mesh
+//! engines of `cdg-parallel`.
 
-use crate::consistency::{filter, is_locally_consistent, IncrementalFilter};
+use crate::consistency::{filter_with, is_locally_consistent, sweep_arcs, FilterStep, SweepResult};
 use crate::error::{BudgetResource, EngineError, ParseBudget};
 use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
-use crate::kernel::KernelScratch;
+use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::pool::ArcPool;
 use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
+use bitmat::BitMatrix;
 use cdg_grammar::{Arity, CompiledGrammar, Constraint, Grammar, Sentence};
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,7 +100,8 @@ impl<'g> ParseOutcome<'g> {
 
     /// Propagate additional constraints (the paper §1.5: apply
     /// contextually-determined constraint sets to refine an ambiguous
-    /// network), then re-filter.
+    /// network), then re-filter to the fixpoint. Every engine's outcome
+    /// refines this way, with the serial kernels.
     pub fn propagate_extra(&mut self, constraints: &[Constraint]) {
         for c in constraints {
             match c.arity {
@@ -109,23 +113,85 @@ impl<'g> ParseOutcome<'g> {
                 }
             }
         }
-        // Same pass/removal sequence whichever strategy is in force; the
-        // incremental filter tests every value once, then only what each
-        // generation's removals touched.
         let _filtering = obsv::span("filtering");
-        let (_, passes, fixpoint) = if self.network.arcs_ready()
-            && self.network.filter_strategy.incremental(self.network.eval)
-        {
-            IncrementalFilter::build(&mut self.network).run(&mut self.network, usize::MAX)
-        } else {
-            filter(&mut self.network, usize::MAX)
-        };
+        let net = &mut self.network;
+        let incremental = net.filter_strategy.incremental(net.eval);
+        let (_, passes, fixpoint) =
+            filter_with(net, &mut Serial, incremental, usize::MAX, |_| false);
         drop(_filtering);
         self.filter_passes += passes;
         self.locally_consistent = fixpoint;
         self.roles_nonempty = self.network.all_roles_nonempty();
     }
 }
+
+/// A step of the phase sequence, as [`Executor::cost`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The network was built.
+    Build,
+    /// The arc matrices were initialized.
+    ArcInit,
+    /// One unary constraint over every role value.
+    Unary,
+    /// One binary constraint over every arc.
+    Binary,
+    /// One unary constraint over every arc, with witness semantics
+    /// (lexically ambiguous sentences).
+    UnaryPairwise,
+    /// The incremental filter tested every value (its generation 0).
+    FilterBuild,
+    /// One full-scan filtering pass.
+    Scan,
+    /// One generation of the incremental filter.
+    Generation,
+}
+
+/// How an engine runs the phase sequence [`parse_with_state`] drives: the
+/// kernel steps it may fan out, each defaulting to the serial kernel, and
+/// a cost hook for the engine's own step ledger. The naive tree-walk
+/// oracle and the full-scan filter always run the serial code.
+pub trait Executor {
+    /// One unary constraint under the kernel evaluator. Returns values
+    /// removed.
+    fn unary(
+        &mut self,
+        net: &mut Network<'_>,
+        c: &Constraint,
+        scratch: &mut KernelScratch,
+    ) -> usize {
+        apply_unary_kernel_with(net, c, scratch)
+    }
+
+    /// One constraint over every arc under the kernel evaluator: a binary
+    /// constraint, or a unary one with witness semantics. Returns entries
+    /// zeroed.
+    fn pairwise(
+        &mut self,
+        net: &mut Network<'_>,
+        c: &Constraint,
+        scratch: &mut KernelScratch,
+    ) -> usize {
+        apply_pairwise_kernel_with(net, c, scratch)
+    }
+
+    /// The incremental filter's sweep of every arc ([`FilterStep::arc`]).
+    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+        sweep_arcs(step, arcs)
+    }
+
+    /// Charge a step to the engine's ledger. Called with `None` before
+    /// each unary, pairwise and filtering step and with `Some(n)` after it
+    /// (`n` values removed, or entries zeroed for a pairwise step);
+    /// [`Step::Build`], [`Step::ArcInit`] and [`Step::FilterBuild`] are
+    /// reported once, after, with `Some(0)`.
+    fn cost(&mut self, _net: &Network<'_>, _step: Step, _done: Option<usize>) {}
+}
+
+/// The sequential engine's executor: every serial default, no ledger.
+pub struct Serial;
+
+impl Executor for Serial {}
 
 /// Run the full sequential pipeline: build, unary propagation, arcs, binary
 /// propagation, filtering per `options`.
@@ -169,6 +235,7 @@ pub fn parse_with_pool<'g>(
         pool,
         &mut KernelScratch::new(),
         &mut NetSlab::default(),
+        &mut Serial,
     )
 }
 
@@ -180,8 +247,14 @@ pub fn parse_with_pool<'g>(
 /// generation-stamped or re-zeroed on adoption, so results are
 /// byte-identical to a cold [`parse`] — only allocation and compile
 /// traffic differ.
+///
+/// This is the one phase driver: `exec` runs the kernel steps and keeps
+/// its engine's step ledger ([`Serial`] for the sequential engine; the
+/// P-RAM and mesh engines pass their own), while the sequence — budget
+/// checkpoints, the phase order, spans, the filter loop — is the same for
+/// every engine, and so are the network and its `NetStats` ledger.
 #[allow(clippy::too_many_arguments)]
-pub fn parse_with_state<'g>(
+pub fn parse_with_state<'g, E: Executor>(
     grammar: &'g Grammar,
     sentence: &Sentence,
     options: ParseOptions,
@@ -189,6 +262,7 @@ pub fn parse_with_state<'g>(
     pool: &mut ArcPool,
     scratch: &mut KernelScratch,
     slab: &mut NetSlab,
+    exec: &mut E,
 ) -> ParseOutcome<'g> {
     let start = Instant::now();
     let budget = options.budget;
@@ -209,6 +283,7 @@ pub fn parse_with_state<'g>(
     net.eval = options.eval;
     net.filter_strategy = options.filter_strategy;
     net.compiled = compiled;
+    exec.cost(&net, Step::Build, Some(0));
 
     // An arc-cell budget is checked *before* materializing the O(n⁴)
     // matrices: if they would not fit, the parse degrades to the unary
@@ -225,22 +300,25 @@ pub fn parse_with_state<'g>(
         }
         _ => true,
     };
+    let mut init_arcs = |net: &mut Network<'g>, exec: &mut E| {
+        net.init_arcs_with(pool);
+        exec.cost(net, Step::ArcInit, Some(0));
+    };
 
     if build_arcs && options.arcs_before_unary {
-        net.init_arcs_with(pool);
-        apply_all_unary_with(&mut net, scratch);
+        init_arcs(&mut net, exec);
+        apply_all_unary_with(&mut net, exec, scratch);
     } else {
-        apply_all_unary_with(&mut net, scratch);
-        if build_arcs && degraded.is_none() {
-            if let Some(e) = over_time(&start) {
-                degraded = Some(e);
-            } else {
-                net.init_arcs_with(pool);
+        apply_all_unary_with(&mut net, exec, scratch);
+        if build_arcs {
+            degraded = over_time(&start);
+            if degraded.is_none() {
+                init_arcs(&mut net, exec);
             }
         }
     }
     if net.arcs_ready() {
-        apply_all_binary_with(&mut net, scratch);
+        apply_all_binary_with(&mut net, exec, scratch);
     }
 
     // Filtering runs one pass at a time so both the iteration and the
@@ -251,46 +329,16 @@ pub fn parse_with_state<'g>(
         FilterMode::Bounded(max) => max,
         FilterMode::Fixpoint => usize::MAX,
     };
-    let mut passes = 0usize;
-    let mut fixpoint = false;
     let _filtering = obsv::span("filtering");
-    // The incremental filter tests every value once, then each generation
-    // only what its removals touched. Built lazily so a FilterMode::None
-    // run pays nothing.
-    let incremental_strategy = options.filter_strategy.incremental(options.eval);
-    let mut incremental: Option<IncrementalFilter> = None;
-    while net.arcs_ready() && passes < mode_max {
-        if degraded.is_none() {
-            if let Some(cap) = budget.max_filter_iterations {
-                if passes >= cap {
-                    degraded = Some(ParseBudget::exceeded(
-                        BudgetResource::FilterIterations,
-                        cap,
-                        passes + 1,
-                    ));
-                    break;
-                }
-            }
-            if let Some(e) = over_time(&start) {
-                degraded = Some(e);
-                break;
-            }
-        } else {
-            break;
-        }
-        let (p, fx) = if incremental_strategy {
-            let inc = incremental.get_or_insert_with(|| IncrementalFilter::build(&mut net));
-            (1, inc.pass(&mut net).1)
-        } else {
-            let (_, p, fx) = filter(&mut net, 1);
-            (p, fx)
-        };
-        passes += p;
-        if fx || p == 0 {
-            fixpoint = fx;
-            break;
-        }
-    }
+    let incremental = options.filter_strategy.incremental(options.eval);
+    let (_, passes, fixpoint) = filter_with(&mut net, exec, incremental, mode_max, |passes| {
+        degraded = budget
+            .max_filter_iterations
+            .filter(|&cap| passes >= cap)
+            .map(|cap| ParseBudget::exceeded(BudgetResource::FilterIterations, cap, passes + 1))
+            .or_else(|| over_time(&start));
+        degraded.is_some()
+    });
     drop(_filtering);
 
     let locally_consistent = if fixpoint {

@@ -10,30 +10,58 @@
 
 use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, Network};
+use crate::parser::{Executor, Serial, Step};
 use cdg_grammar::{Arity, Constraint};
 
 /// Apply one unary constraint to every alive role value of every slot,
 /// removing violators. Returns the number of role values removed.
 /// O(n²) checks — the paper's per-unary-constraint cost.
 pub fn apply_unary(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    apply_unary_with(net, constraint, &mut KernelScratch::new())
-}
-
-/// [`apply_unary`] with caller-owned kernel scratch.
-fn apply_unary_with(
-    net: &mut Network<'_>,
-    constraint: &Constraint,
-    scratch: &mut KernelScratch,
-) -> usize {
     assert_eq!(
         constraint.arity,
         Arity::Unary,
         "apply_unary needs a unary constraint"
     );
-    match net.eval {
-        EvalStrategy::Kernel => crate::kernel::apply_unary_kernel_with(net, constraint, scratch),
+    unary_step(net, &mut Serial, constraint, &mut KernelScratch::new())
+}
+
+/// One unary step of the phase sequence: `exec`'s kernel, or the serial
+/// tree walk under [`EvalStrategy::Naive`], between `exec`'s cost hooks.
+fn unary_step<E: Executor>(
+    net: &mut Network<'_>,
+    exec: &mut E,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+) -> usize {
+    exec.cost(net, Step::Unary, None);
+    let removed = match net.eval {
+        EvalStrategy::Kernel => exec.unary(net, constraint, scratch),
         EvalStrategy::Naive => apply_unary_naive(net, constraint),
-    }
+    };
+    exec.cost(net, Step::Unary, Some(removed));
+    removed
+}
+
+/// One pairwise step of the phase sequence — a binary constraint, or a
+/// unary one with witness semantics: `exec`'s kernel, or the serial tree
+/// walk under [`EvalStrategy::Naive`], between `exec`'s cost hooks.
+fn pairwise_step<E: Executor>(
+    net: &mut Network<'_>,
+    exec: &mut E,
+    constraint: &Constraint,
+    scratch: &mut KernelScratch,
+) -> usize {
+    let step = match constraint.arity {
+        Arity::Unary => Step::UnaryPairwise,
+        Arity::Binary => Step::Binary,
+    };
+    exec.cost(net, step, None);
+    let zeroed = match net.eval {
+        EvalStrategy::Kernel => exec.pairwise(net, constraint, scratch),
+        EvalStrategy::Naive => apply_pairwise_naive(net, constraint),
+    };
+    exec.cost(net, step, Some(zeroed));
+    zeroed
 }
 
 /// The tree-walking unary path (oracle for [`apply_unary`]).
@@ -61,18 +89,22 @@ pub fn apply_unary_naive(net: &mut Network<'_>, constraint: &Constraint) -> usiz
 /// Apply every unary constraint of the grammar once, in declaration order.
 /// Returns total removals.
 pub fn apply_all_unary(net: &mut Network<'_>) -> usize {
-    apply_all_unary_with(net, &mut KernelScratch::new())
+    apply_all_unary_with(net, &mut Serial, &mut KernelScratch::new())
 }
 
-/// [`apply_all_unary`] with caller-owned kernel scratch (see
-/// [`apply_all_binary_with`]).
-pub fn apply_all_unary_with(net: &mut Network<'_>, scratch: &mut KernelScratch) -> usize {
+/// [`apply_all_unary`] run by `exec` with caller-owned kernel scratch
+/// (see [`apply_all_binary_with`]): the unary phase of every engine.
+pub fn apply_all_unary_with<E: Executor>(
+    net: &mut Network<'_>,
+    exec: &mut E,
+    scratch: &mut KernelScratch,
+) -> usize {
     let _phase = obsv::span("unary_propagation");
     let grammar = net.grammar();
     let mut removed = 0;
     for c in grammar.unary_constraints() {
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
-        removed += apply_unary_with(net, c, scratch);
+        removed += unary_step(net, exec, c, scratch);
     }
     removed
 }
@@ -91,17 +123,21 @@ pub fn apply_binary(net: &mut Network<'_>, constraint: &Constraint) -> usize {
         net.arcs_ready(),
         "init_arcs must run before binary propagation"
     );
-    match net.eval {
-        EvalStrategy::Kernel => crate::kernel::apply_pairwise_kernel(net, constraint),
-        EvalStrategy::Naive => apply_binary_naive(net, constraint),
-    }
+    pairwise_step(net, &mut Serial, constraint, &mut KernelScratch::new())
 }
 
-/// The tree-walking binary path (oracle for [`apply_binary`]). The check
-/// counter records evaluations actually performed: an unordered pair costs
-/// one evaluation when the first ordering already violates, two otherwise —
-/// so the counter is comparable with the kernel path's.
-pub fn apply_binary_naive(net: &mut Network<'_>, constraint: &Constraint) -> usize {
+/// The tree-walking pairwise path (oracle for [`apply_binary`] and
+/// [`apply_unary_pairwise`]): a binary constraint checks each ordered pair,
+/// a unary one each value with the other as its witness. The check counter
+/// records evaluations actually performed: an unordered pair costs one
+/// evaluation when the first ordering already violates, two otherwise — so
+/// the counter is comparable with the kernel path's.
+pub fn apply_pairwise_naive(net: &mut Network<'_>, constraint: &Constraint) -> usize {
+    let sentence = net.sentence();
+    let check = |x, y| match constraint.arity {
+        Arity::Binary => constraint.check_binary(sentence, x, y),
+        Arity::Unary => constraint.check_unary_with_witness(sentence, x, y),
+    };
     let mut zeroed: Vec<(usize, usize, usize, usize)> = Vec::new();
     let mut checks = 0usize;
     for &(i, j, _) in net.arc_pairs() {
@@ -113,9 +149,10 @@ pub fn apply_binary_naive(net: &mut Network<'_>, constraint: &Constraint) -> usi
                     continue;
                 }
                 checks += 1;
-                let ok = constraint.check_binary(net.sentence(), ba, sj.binding(b)) && {
+                let bb = sj.binding(b);
+                let ok = check(ba, bb) && {
                     checks += 1;
-                    constraint.check_binary(net.sentence(), sj.binding(b), ba)
+                    check(bb, ba)
                 };
                 if !ok {
                     zeroed.push((i, a, j, b));
@@ -147,63 +184,25 @@ pub fn apply_unary_pairwise(net: &mut Network<'_>, constraint: &Constraint) -> u
         net.arcs_ready(),
         "init_arcs must run before pairwise propagation"
     );
-    match net.eval {
-        EvalStrategy::Kernel => crate::kernel::apply_pairwise_kernel(net, constraint),
-        EvalStrategy::Naive => apply_unary_pairwise_naive(net, constraint),
-    }
-}
-
-/// The tree-walking pairwise-witness path (oracle for
-/// [`apply_unary_pairwise`]); check counting mirrors [`apply_binary_naive`].
-pub fn apply_unary_pairwise_naive(net: &mut Network<'_>, constraint: &Constraint) -> usize {
-    let mut zeroed: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut checks = 0usize;
-    for &(i, j, _) in net.arc_pairs() {
-        let (si, sj) = (net.slot(i), net.slot(j));
-        for a in si.alive.iter_ones() {
-            let ba = si.binding(a);
-            for b in sj.alive.iter_ones() {
-                if !net.arc_entry(i, a, j, b) {
-                    continue;
-                }
-                checks += 1;
-                let bb = sj.binding(b);
-                let ok = constraint.check_unary_with_witness(net.sentence(), ba, bb) && {
-                    checks += 1;
-                    constraint.check_unary_with_witness(net.sentence(), bb, ba)
-                };
-                if !ok {
-                    zeroed.push((i, a, j, b));
-                }
-            }
-        }
-    }
-    net.stats.binary_checks += checks;
-    let count = zeroed.len();
-    for (i, a, j, b) in zeroed {
-        net.zero_arc_entry(i, a, j, b);
-    }
-    count
+    pairwise_step(net, &mut Serial, constraint, &mut KernelScratch::new())
 }
 
 /// Apply every binary constraint of the grammar once, in declaration order.
 /// On lexically ambiguous sentences, also applies every unary constraint
 /// pairwise (witness semantics). Returns total entries zeroed.
 pub fn apply_all_binary(net: &mut Network<'_>) -> usize {
-    // One scratch for the whole sweep: the lane-pass, class and mask
-    // buffers are resized or generation-stamped per arc, so reuse across
-    // constraints is free and saves the per-constraint allocations.
-    let mut scratch = crate::kernel::KernelScratch::new();
-    apply_all_binary_with(net, &mut scratch)
+    apply_all_binary_with(net, &mut Serial, &mut KernelScratch::new())
 }
 
-/// [`apply_all_binary`] with caller-owned kernel scratch: warm serve
-/// workers keep one [`crate::kernel::KernelScratch`] alive across
-/// requests, and the generation stamping makes the reuse bit-identical
-/// to a fresh scratch.
-pub fn apply_all_binary_with(
+/// [`apply_all_binary`] run by `exec` with caller-owned kernel scratch:
+/// the pairwise phase of every engine. One scratch serves the whole
+/// phase — the lane-pass, class and mask buffers are resized or
+/// generation-stamped per arc, so reuse across constraints (and, on a
+/// warm serve worker, across requests) is bit-identical to a fresh one.
+pub fn apply_all_binary_with<E: Executor>(
     net: &mut Network<'_>,
-    scratch: &mut crate::kernel::KernelScratch,
+    exec: &mut E,
+    scratch: &mut KernelScratch,
 ) -> usize {
     assert!(
         net.arcs_ready(),
@@ -211,32 +210,15 @@ pub fn apply_all_binary_with(
     );
     let _phase = obsv::span("binary_propagation");
     let grammar = net.grammar();
-    let pairwise_unary = net.sentence().has_lexical_ambiguity();
     let mut zeroed = 0;
-    match net.eval {
-        EvalStrategy::Kernel => {
-            for c in grammar.binary_constraints() {
-                let _c = obsv::span_with(|| format!("binary:{}", c.name));
-                zeroed += crate::kernel::apply_pairwise_kernel_with(net, c, scratch);
-            }
-            if pairwise_unary {
-                for c in grammar.unary_constraints() {
-                    let _c = obsv::span_with(|| format!("unary-pairwise:{}", c.name));
-                    zeroed += crate::kernel::apply_pairwise_kernel_with(net, c, scratch);
-                }
-            }
-        }
-        EvalStrategy::Naive => {
-            for c in grammar.binary_constraints() {
-                let _c = obsv::span_with(|| format!("binary:{}", c.name));
-                zeroed += apply_binary_naive(net, c);
-            }
-            if pairwise_unary {
-                for c in grammar.unary_constraints() {
-                    let _c = obsv::span_with(|| format!("unary-pairwise:{}", c.name));
-                    zeroed += apply_unary_pairwise_naive(net, c);
-                }
-            }
+    for c in grammar.binary_constraints() {
+        let _c = obsv::span_with(|| format!("binary:{}", c.name));
+        zeroed += pairwise_step(net, exec, c, scratch);
+    }
+    if net.sentence().has_lexical_ambiguity() {
+        for c in grammar.unary_constraints() {
+            let _c = obsv::span_with(|| format!("unary-pairwise:{}", c.name));
+            zeroed += pairwise_step(net, exec, c, scratch);
         }
     }
     zeroed

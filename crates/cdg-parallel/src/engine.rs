@@ -1,8 +1,7 @@
 //! The [`Engine`] implementation for the P-RAM backend.
 
-use crate::pram::parse_pram_compiled;
-use cdg_core::api::{record_net_stats, BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
-use cdg_core::consistency::is_locally_consistent;
+use crate::pram::{parse_pram_compiled, PramOutcome};
+use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
 use std::time::Instant;
@@ -11,9 +10,9 @@ use std::time::Instant;
 /// parses, sentence-parallel fan-out for batches.
 ///
 /// `ParseRequest::threads` resizes the global rayon pool (like the CLI's
-/// `--threads`); `ParseRequest::budget` is not enforced by this engine —
-/// the P-RAM pipeline has no budget checkpoints — so reports never come
-/// back degraded.
+/// `--threads`). The P-RAM pipeline runs the serial engine's phase
+/// driver, so a `ParseRequest::budget` binds at the same checkpoints and
+/// the report comes back degraded exactly when the serial one would.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -37,29 +36,18 @@ impl Engine for Pram {
             let parses = outcome.parses(req.max_parses);
             (outcome, parses)
         };
-        record_net_stats(&outcome.network.stats);
-        obsv::counter_add("pram.steps", outcome.stats.steps as u64);
-        obsv::gauge_set("pram.max_width", outcome.stats.max_width as f64);
-        obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
-        let locally_consistent = is_locally_consistent(&outcome.network);
-        let (trace, metrics) = scope.finish();
-        Ok(ParseReport {
-            engine: self.name(),
-            accepted: outcome.accepted(),
-            ambiguous: outcome.network.slots().iter().any(|s| s.alive_count() > 1),
-            roles_nonempty: outcome.roles_nonempty,
-            locally_consistent,
-            filter_passes: outcome.filter_passes,
-            degraded: None,
-            fault_recovered: false,
+        let PramOutcome { outcome, stats } = outcome;
+        obsv::counter_add("pram.steps", stats.steps as u64);
+        obsv::gauge_set("pram.max_width", stats.max_width as f64);
+        let accepted = outcome.accepted();
+        Ok(ParseReport::from_outcome(
+            self.name(),
+            outcome,
+            accepted,
             parses,
-            wall: start.elapsed(),
-            machine_stats: None,
-            estimated_seconds: None,
-            trace,
-            metrics,
-            network: outcome.network,
-        })
+            start,
+            scope,
+        ))
     }
 
     fn parse_batch(
@@ -97,6 +85,7 @@ mod tests {
     use super::*;
     use cdg_core::api::Sequential;
     use cdg_core::parser::ParseOptions;
+    use cdg_core::{BudgetResource, ParseBudget};
     use cdg_grammar::grammars::{english, paper};
     use std::sync::Mutex;
 
@@ -115,6 +104,46 @@ mod tests {
         assert_eq!(pram.ambiguous, serial.ambiguous);
         assert_eq!(pram.parses, serial.parses);
         assert_eq!(pram.network.total_alive(), serial.network.total_alive());
+    }
+
+    #[test]
+    fn budgets_bind_like_the_sequential_engine() {
+        let (g, lex) = corpus::standard_setup();
+        let s = corpus::english_sentence(&g, &lex, 10, 10);
+        let budget = |budget| ParseRequest::new(&g).sentence(s.clone()).budget(budget);
+        let iters = budget(ParseBudget {
+            max_filter_iterations: Some(1),
+            ..ParseBudget::UNLIMITED
+        });
+        let (serial, pram) = (
+            Sequential.parse(&iters).unwrap(),
+            Pram.parse(&iters).unwrap(),
+        );
+        assert!(matches!(
+            serial.degraded,
+            Some(EngineError::BudgetExceeded {
+                resource: BudgetResource::FilterIterations,
+                ..
+            })
+        ));
+        assert_eq!(pram.degraded, serial.degraded);
+        assert_eq!(pram.filter_passes, serial.filter_passes);
+
+        let cells = budget(ParseBudget {
+            max_arc_cells: Some(10),
+            ..ParseBudget::UNLIMITED
+        });
+        let pram = Pram.parse(&cells).unwrap();
+        assert!(matches!(
+            pram.degraded,
+            Some(EngineError::BudgetExceeded {
+                resource: BudgetResource::ArcCells,
+                ..
+            })
+        ));
+        assert!(!pram.network.arcs_ready());
+        assert!(!pram.accepted);
+        assert!(pram.parses.is_empty());
     }
 
     #[test]

@@ -13,15 +13,22 @@
 //!   row-ORs and per-value ANDs are constant-time on a CRCW P-RAM);
 //! * filtering: bounded iterations of the above.
 //!
-//! Total: O(k) parallel steps. On a real host rayon multiplexes those
-//! virtual processors onto cores; [`pram::PramStats`] counts the *parallel
-//! steps* and the *maximum width* (virtual processors) of each phase so the
-//! benchmarks can verify the O(k) step bound independently of core count,
-//! while wall-clock measurements show the data-parallel speedup.
+//! Total: O(k) parallel steps. That is the sequential algorithm with each
+//! phase's loop run in parallel, and the code is built the same way: both
+//! engines here are executors of the one phase driver,
+//! `cdg_core::parser::parse_with_state`, which holds the sequence, the
+//! budgets and the spans. [`pram::PramStats`] runs the unary kernel
+//! slot-parallel and the pairwise kernel and the filter sweep
+//! arc-parallel, and counts the *parallel steps* and the *maximum width*
+//! (virtual processors) of each phase, so the benchmarks can verify the
+//! O(k) step bound independently of core count while wall-clock
+//! measurements show the data-parallel speedup. [`mesh::MeshStats`] runs
+//! the serial kernels and counts mesh cell steps.
 //!
-//! Determinism: every phase collects its decisions from a read-only
-//! snapshot and applies them afterwards, so results are identical to the
-//! sequential engine (tested, including proptest equivalence).
+//! Determinism: every parallel step reads a frozen view and folds its
+//! workers' results in slot or arc order, so the network and its
+//! `NetStats` ledger are the sequential engine's at any thread count
+//! (tested, including proptest equivalence).
 
 pub mod batch;
 pub mod engine;

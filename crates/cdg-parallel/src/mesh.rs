@@ -24,8 +24,10 @@
 //! not need. EXPERIMENTS.md records both the measured exponent and this
 //! note.
 
-use cdg_core::network::Network;
-use cdg_core::parser::{FilterMode, ParseOptions};
+use cdg_core::kernel::KernelScratch;
+use cdg_core::network::{NetSlab, Network};
+use cdg_core::parser::{parse_with_state, Executor, ParseOptions, Step};
+use cdg_core::ArcPool;
 use cdg_grammar::{Grammar, Sentence};
 
 /// Step counts from a mesh run.
@@ -39,8 +41,6 @@ pub struct MeshStats {
     pub local_steps: usize,
     /// Nearest-neighbour communication hops for reductions.
     pub comm_steps: usize,
-    /// Consistency-maintenance passes.
-    pub passes: usize,
 }
 
 impl MeshStats {
@@ -50,90 +50,81 @@ impl MeshStats {
     }
 }
 
+/// The mesh executor: the serial kernels, with each step charged to the
+/// cells. A unary sweep costs the largest slot domain (role values are
+/// partitioned across cells too); a pairwise sweep the largest arc
+/// matrix's alive area; a filtering pass one scan of that area for the
+/// local support ORs, then per-role AND reductions across the cell grid.
+/// The incremental filter's generation k sees the alive sets full-scan
+/// pass k does, so the charge is the full scan's either way.
+impl Executor for MeshStats {
+    fn cost(&mut self, net: &Network<'_>, step: Step, done: Option<usize>) {
+        match (step, done) {
+            (Step::Build, _) => {
+                // Cell geometry: one cell per arc.
+                let nslots = net.num_slots();
+                self.cells = nslots * (nslots.saturating_sub(1)) / 2;
+                self.grid_side = (self.cells as f64).sqrt().ceil() as usize;
+            }
+            (Step::Unary, None) => {
+                self.local_steps += net
+                    .slots()
+                    .iter()
+                    .map(|s| s.domain.len())
+                    .max()
+                    .unwrap_or(0);
+            }
+            (Step::Binary | Step::UnaryPairwise, None) => self.local_steps += max_arc_area(net),
+            (Step::Scan | Step::Generation, None) => {
+                self.local_steps += max_arc_area(net);
+                self.comm_steps += 2 * self.grid_side.saturating_sub(1);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Per-cell work of a sweep: the largest arc matrix's alive area.
+fn max_arc_area(net: &Network<'_>) -> usize {
+    net.arc_pairs()
+        .iter()
+        .map(|&(i, j, _)| net.slot(i).alive_count() * net.slot(j).alive_count())
+        .max()
+        .unwrap_or(0)
+}
+
 /// The mesh emulation engine.
 pub struct MeshCdg;
 
 impl MeshCdg {
-    /// Run the full pipeline, returning the settled network and mesh step
-    /// accounting. The network state is identical to the sequential
-    /// engine's (the mesh changes *where* work happens, not *what* work).
+    /// Run the full pipeline — the `cdg-core` phase driver with the mesh
+    /// executor — returning the settled network and mesh step accounting.
+    /// The network and its `NetStats` ledger are the sequential engine's
+    /// (the mesh changes *where* work happens, not *what* work).
     pub fn run<'g>(
         grammar: &'g Grammar,
         sentence: &Sentence,
         options: ParseOptions,
     ) -> (Network<'g>, MeshStats) {
-        let mut net = Network::build(grammar, sentence);
         let mut stats = MeshStats::default();
-
-        // Cell geometry: one cell per arc.
-        let nslots = net.num_slots();
-        stats.cells = nslots * (nslots.saturating_sub(1)) / 2;
-        stats.grid_side = (stats.cells as f64).sqrt().ceil() as usize;
-
-        // Per-cell work of a sweep = the largest arc matrix's alive area.
-        let max_arc_area = |net: &Network<'_>| -> usize {
-            net.arc_pairs()
-                .iter()
-                .map(|&(i, j, _)| net.slot(i).alive_count() * net.slot(j).alive_count())
-                .max()
-                .unwrap_or(0)
-        };
-        // Unary sweeps: role values are partitioned across cells too; the
-        // dominant cost is the largest slot domain.
-        let max_domain = net
-            .slots()
-            .iter()
-            .map(|s| s.domain.len())
-            .max()
-            .unwrap_or(0);
-
-        if options.arcs_before_unary {
-            net.init_arcs();
-        }
-        for c in grammar.unary_constraints() {
-            cdg_core::propagate::apply_unary(&mut net, c);
-            stats.local_steps += max_domain;
-        }
-        if !options.arcs_before_unary {
-            net.init_arcs();
-        }
-        for c in grammar.binary_constraints() {
-            let area = max_arc_area(&net);
-            cdg_core::propagate::apply_binary(&mut net, c);
-            stats.local_steps += area;
-        }
-        if sentence.has_lexical_ambiguity() {
-            for c in grammar.unary_constraints() {
-                let area = max_arc_area(&net);
-                cdg_core::propagate::apply_unary_pairwise(&mut net, c);
-                stats.local_steps += area;
-            }
-        }
-
-        let max_passes = match options.filter {
-            FilterMode::None => 0,
-            FilterMode::Bounded(m) => m,
-            FilterMode::Fixpoint => usize::MAX,
-        };
-        let mut passes = 0;
-        while passes < max_passes {
-            passes += 1;
-            // Local support ORs: each cell scans its matrix once...
-            stats.local_steps += max_arc_area(&net);
-            // ...then per-role AND reductions cross the cell grid.
-            stats.comm_steps += 2 * stats.grid_side.saturating_sub(1);
-            if cdg_core::consistency::maintain(&mut net) == 0 {
-                break;
-            }
-        }
-        stats.passes = passes;
-        (net, stats)
+        let outcome = parse_with_state(
+            grammar,
+            sentence,
+            options,
+            None,
+            &mut ArcPool::new(),
+            &mut KernelScratch::new(),
+            &mut NetSlab::default(),
+            &mut stats,
+        );
+        (outcome.network, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdg_core::parser::FilterMode;
     use cdg_grammar::grammars::paper;
 
     #[test]

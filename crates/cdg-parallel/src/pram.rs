@@ -1,17 +1,19 @@
-//! The CRCW-P-RAM-style engine on rayon.
+//! The CRCW-P-RAM-style engine on rayon: an executor of the `cdg-core`
+//! phase driver whose kernel steps run slot- or arc-parallel, and which
+//! keeps the P-RAM round ledger.
 
-use bitmat::{BitMatrix, BitVec};
-use cdg_core::consistency::{FilterStep, IncrementalFilter, SweepResult};
+use bitmat::BitMatrix;
+use cdg_core::consistency::{FilterStep, SweepResult};
 use cdg_core::kernel::{
-    apply_pairwise_kernel_by, kernel_arc, ones, unary_slot, with_program, ArcKernelCounts,
-    KernelScratch,
+    apply_pairwise_kernel_by, apply_unary_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch,
 };
-use cdg_core::network::{EvalStrategy, Network, RoleSlot};
-use cdg_core::parser::{FilterMode, ParseOptions};
-use cdg_core::PrecedenceGraph;
+use cdg_core::network::{NetSlab, Network};
+use cdg_core::parser::{parse_with_state, Executor, ParseOptions, ParseOutcome, Step};
+use cdg_core::{ArcPool, PrecedenceGraph};
 use cdg_grammar::kernel::LaneScratch;
-use cdg_grammar::{Arity, Constraint, Grammar, Sentence};
+use cdg_grammar::{CompiledGrammar, Constraint, Grammar, Sentence};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Parallel-step and width accounting for the P-RAM model.
 ///
@@ -24,10 +26,6 @@ pub struct PramStats {
     pub steps: usize,
     /// Maximum virtual processors used by any single round.
     pub max_width: usize,
-    /// Consistency-maintenance passes run (each costs O(1) rounds).
-    pub maintain_passes: usize,
-    /// Role values removed in total.
-    pub removals: usize,
 }
 
 impl PramStats {
@@ -37,136 +35,100 @@ impl PramStats {
     }
 }
 
-/// Outcome of a P-RAM parse: the settled network plus step accounting.
-#[derive(Debug)]
-pub struct PramOutcome<'g> {
-    pub network: Network<'g>,
-    pub stats: PramStats,
-    pub roles_nonempty: bool,
-    pub filter_passes: usize,
-}
-
-impl<'g> PramOutcome<'g> {
-    pub fn accepted(&self) -> bool {
-        self.roles_nonempty && cdg_core::extract::has_parse(&self.network)
-    }
-
-    /// Enumerate parses with the parallel extractor (identical results to
-    /// the sequential one; see `extract_par`).
-    pub fn parses(&self, limit: usize) -> Vec<PrecedenceGraph> {
-        crate::extract_par::precedence_graphs_par(&self.network, limit)
-    }
-
-    /// Propagate additional constraints in parallel — the P-RAM analogue
-    /// of `ParseOutcome::propagate_extra` (§1.5 contextual constraint
-    /// sets), followed by maintenance to the fixpoint.
-    pub fn propagate_extra(&mut self, constraints: &[Constraint]) {
-        for c in constraints {
-            match c.arity {
-                Arity::Unary => {
-                    apply_unary_par(&mut self.network, c, &mut self.stats);
-                }
-                Arity::Binary => {
-                    apply_binary_par(&mut self.network, c, &mut self.stats);
-                }
-            }
-        }
-        loop {
-            self.filter_passes += 1;
-            if maintain_par(&mut self.network, &mut self.stats) == 0 {
-                break;
-            }
-        }
-        self.roles_nonempty = self.network.all_roles_nonempty();
-    }
-}
-
-/// Group removal indices by slot for the arc-parallel removal sweep.
-fn group_by_slot(num_slots: usize, doomed: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut by_slot = vec![Vec::new(); num_slots];
-    for &(slot, idx) in doomed {
-        by_slot[slot].push(idx);
-    }
-    by_slot
-}
-
-/// Apply removals: flip alive bits, then zero rows/columns arc-parallel
-/// (each worker owns one arc matrix — race-free by construction).
-fn remove_values_par(net: &mut Network<'_>, doomed: &[(usize, usize)], stats: &mut PramStats) {
-    if doomed.is_empty() {
-        return;
-    }
-    stats.removals += doomed.len();
-    let by_slot = group_by_slot(net.num_slots(), doomed);
-    if net.arcs_ready() {
-        let parts = net.parts_mut();
-        parts
-            .arcs
-            .par_iter_mut()
-            .zip(parts.pairs.par_iter())
-            .for_each(|(m, &(i, j, _))| {
-                for &idx in &by_slot[i] {
-                    m.zero_row(idx);
-                }
-                for &idx in &by_slot[j] {
-                    m.zero_col(idx);
-                }
-            });
-    }
-    for (slot_id, idxs) in by_slot.iter().enumerate() {
-        for &idx in idxs {
-            net.clear_alive(slot_id, idx);
-        }
-    }
-    // One parallel round for the zeroing sweep.
-    stats.round(doomed.len() * net.num_slots());
-}
-
-/// One unary constraint over all role values, in parallel. O(1) P-RAM
-/// rounds, width O(n²). Under [`EvalStrategy::Kernel`] each worker runs
-/// one slot's class and lane pass ([`unary_slot`]); `Naive` tree-walks
-/// every value (the oracle).
-pub fn apply_unary_par(net: &mut Network<'_>, c: &Constraint, stats: &mut PramStats) -> usize {
-    debug_assert_eq!(c.arity, Arity::Unary);
-    let doomed: Vec<(usize, usize)> = match net.eval {
-        EvalStrategy::Kernel => with_program(net, c, |net, prog| {
-            net.ensure_lane_tables();
-            let (sentence, lanes) = (net.sentence(), net.lane_tables());
-            let per_slot: Vec<Vec<(usize, usize)>> = net
-                .slots()
-                .par_iter()
+/// The P-RAM executor: every kernel step fans out — a unary constraint one
+/// worker per slot, a pairwise constraint and the incremental filter's
+/// sweep one worker per arc matrix (race-free by construction) — and each
+/// phase is charged as O(1) rounds:
+///
+/// * role-value generation: one round of O(n²) processors;
+/// * each unary constraint: one round over the alive values, plus one
+///   zeroing round when it removes any;
+/// * arc init, and each binary constraint: one round of O(n⁴);
+/// * each full-scan pass: one support round, plus one zeroing round when
+///   it removes any; the incremental filter: one round for its build and
+///   one per non-empty generation.
+///
+/// The naive tree-walk oracle and the full scan run serially but are
+/// charged the same rounds. Workers fold their results in slot or arc
+/// order, so the network and its `NetStats` ledger are the serial
+/// engine's at any thread count.
+impl Executor for PramStats {
+    fn unary(
+        &mut self,
+        net: &mut Network<'_>,
+        c: &Constraint,
+        scratch: &mut KernelScratch,
+    ) -> usize {
+        apply_unary_kernel_by(net, c, scratch, |sweep, out, _| {
+            out.par_iter_mut()
                 .enumerate()
-                .map_init(
-                    || (LaneScratch::new(), Vec::new()),
-                    |(scratch, words), (k, slot)| {
-                        if !slot.alive.any() {
-                            return Vec::new();
-                        }
-                        unary_slot(prog, sentence, lanes, k, slot, scratch, words);
-                        ones(words).map(|idx| (k, idx)).collect()
-                    },
-                )
-                .collect();
-            per_slot.concat()
-        }),
-        EvalStrategy::Naive => {
-            let sentence = net.sentence();
-            net.slots()
-                .par_iter()
-                .enumerate()
-                .flat_map_iter(|(slot_id, slot)| {
-                    slot.alive
-                        .iter_ones()
-                        .filter(|&idx| !c.check_unary(sentence, slot.binding(idx)))
-                        .map(move |idx| (slot_id, idx))
-                        .collect::<Vec<_>>()
+                .map_init(LaneScratch::new, |lanes, (k, (class, doomed))| {
+                    *class = sweep.slot(k, lanes, doomed);
                 })
-                .collect()
+                .for_each(|()| ());
+        })
+    }
+
+    fn pairwise(
+        &mut self,
+        net: &mut Network<'_>,
+        c: &Constraint,
+        scratch: &mut KernelScratch,
+    ) -> usize {
+        apply_pairwise_kernel_by(net, c, scratch, |sweep, arcs, _| {
+            let per_arc: Vec<ArcKernelCounts> = arcs
+                .par_iter_mut()
+                .zip(sweep.pairs.par_iter())
+                .map_init(KernelScratch::new, |scratch, (m, &(i, j, _))| {
+                    kernel_arc(sweep, i, j, m, scratch)
+                })
+                .collect();
+            let mut totals = ArcKernelCounts::default();
+            for counts in per_arc {
+                totals.absorb(counts);
+            }
+            totals
+        })
+    }
+
+    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+        let per_arc: Vec<(usize, Vec<(usize, usize)>)> = arcs
+            .par_iter_mut()
+            .zip(step.pairs.par_iter())
+            .map_init(Vec::new, |words, (m, &(i, j, _))| {
+                let mut unsupported = Vec::new();
+                let zeroed = step.arc(i, j, m, words, &mut unsupported);
+                (zeroed, unsupported)
+            })
+            .collect();
+        let mut zeroed = 0;
+        let mut unsupported = Vec::new();
+        for (z, u) in per_arc {
+            zeroed += z;
+            unsupported.extend(u);
         }
-    };
-    stats.round(net.total_alive());
-    remove_values_par(net, &doomed, stats);
-    doomed.len()
+        (zeroed, unsupported)
+    }
+
+    fn cost(&mut self, net: &Network<'_>, step: Step, done: Option<usize>) {
+        let num = net.num_slots();
+        let width = match (step, done) {
+            (Step::Build, _) | (Step::Unary, None) => net.total_alive(),
+            (Step::ArcInit, _) => net.stats.arc_entries_initialized.max(1),
+            (Step::Binary, None) => pairwise_width(net).max(1),
+            (Step::UnaryPairwise, None) => 1,
+            (Step::FilterBuild, _) => {
+                let inits: usize = net.arcs_raw().iter().map(|m| m.rows() + m.cols()).sum();
+                inits.max(1)
+            }
+            (Step::Scan, None) => (net.total_alive() * num.saturating_sub(1)).max(1),
+            (Step::Unary | Step::Scan | Step::Generation, Some(removed)) if removed > 0 => {
+                removed * num
+            }
+            _ => return,
+        };
+        self.round(width);
+    }
 }
 
 /// Sum of alive-pair products over all arcs — the virtual-processor width
@@ -179,213 +141,42 @@ fn pairwise_width(net: &Network<'_>) -> usize {
         .sum()
 }
 
-/// The arc-parallel kernel sweep: the shared prologue resolves the program
-/// and builds the signatures, slot classes and lane tables once, then each
-/// worker owns one arc and runs the shared lane-pass loop
-/// ([`kernel_arc`]). Bit-identical to the naive sweep; see
-/// `cdg_core::kernel`.
-fn apply_pairwise_kernel_par(net: &mut Network<'_>, c: &Constraint) -> usize {
-    apply_pairwise_kernel_by(net, c, &mut KernelScratch::new(), |sweep, arcs, _| {
-        let per_arc: Vec<ArcKernelCounts> = arcs
-            .par_iter_mut()
-            .zip(sweep.pairs.par_iter())
-            .map_init(KernelScratch::new, |scratch, (m, &(i, j, _))| {
-                kernel_arc(sweep, i, j, m, scratch)
-            })
-            .collect();
-        let mut totals = ArcKernelCounts::default();
-        for counts in per_arc {
-            totals.absorb(counts);
-        }
-        totals
-    })
+/// Outcome of a P-RAM parse: the driver's outcome (network, flags,
+/// budget report; reached through `Deref`) plus the round ledger.
+#[derive(Debug)]
+pub struct PramOutcome<'g> {
+    pub outcome: ParseOutcome<'g>,
+    pub stats: PramStats,
 }
 
-/// One binary constraint over all arcs, in parallel (arc-owner workers).
-/// O(1) P-RAM rounds, width O(n⁴).
-pub fn apply_binary_par(net: &mut Network<'_>, c: &Constraint, stats: &mut PramStats) -> usize {
-    debug_assert_eq!(c.arity, Arity::Binary);
-    let width = pairwise_width(net);
-    let zeroed = match net.eval {
-        EvalStrategy::Kernel => apply_pairwise_kernel_par(net, c),
-        EvalStrategy::Naive => {
-            let parts = net.parts_mut();
-            let slots = parts.slots;
-            let sentence = parts.sentence;
-            parts
-                .arcs
-                .par_iter_mut()
-                .zip(parts.pairs.par_iter())
-                .map(|(m, &(i, j, _))| {
-                    let (si, sj) = (&slots[i], &slots[j]);
-                    let mut count = 0;
-                    for a in si.alive.iter_ones() {
-                        let ba = si.binding(a);
-                        for b in sj.alive.iter_ones() {
-                            if m.get(a, b) && !c.check_pair(sentence, ba, sj.binding(b)) {
-                                m.set(a, b, false);
-                                count += 1;
-                            }
-                        }
-                    }
-                    count
-                })
-                .sum()
-        }
-    };
-    stats.round(width.max(1));
-    zeroed
-}
+impl<'g> std::ops::Deref for PramOutcome<'g> {
+    type Target = ParseOutcome<'g>;
 
-/// A unary constraint applied pairwise with witness semantics (lexically
-/// ambiguous sentences; see `cdg_core::propagate::apply_unary_pairwise`).
-pub fn apply_unary_pairwise_par(
-    net: &mut Network<'_>,
-    c: &Constraint,
-    stats: &mut PramStats,
-) -> usize {
-    debug_assert_eq!(c.arity, Arity::Unary);
-    let zeroed = match net.eval {
-        EvalStrategy::Kernel => apply_pairwise_kernel_par(net, c),
-        EvalStrategy::Naive => {
-            let parts = net.parts_mut();
-            let slots = parts.slots;
-            let sentence = parts.sentence;
-            parts
-                .arcs
-                .par_iter_mut()
-                .zip(parts.pairs.par_iter())
-                .map(|(m, &(i, j, _))| {
-                    let (si, sj) = (&slots[i], &slots[j]);
-                    let mut count = 0;
-                    for a in si.alive.iter_ones() {
-                        let ba = si.binding(a);
-                        for b in sj.alive.iter_ones() {
-                            if !m.get(a, b) {
-                                continue;
-                            }
-                            let bb = sj.binding(b);
-                            if !c.check_unary_with_witness(sentence, ba, bb)
-                                || !c.check_unary_with_witness(sentence, bb, ba)
-                            {
-                                m.set(a, b, false);
-                                count += 1;
-                            }
-                        }
-                    }
-                    count
-                })
-                .sum()
-        }
-    };
-    stats.round(1);
-    zeroed
-}
-
-/// One simultaneous consistency-maintenance pass: the parallel analogue of
-/// the paper's constant-time OR/AND support test. O(1) P-RAM rounds, width
-/// O(n⁴). Returns values removed.
-pub fn maintain_par(net: &mut Network<'_>, stats: &mut PramStats) -> usize {
-    let _phase = obsv::span("maintain");
-    let num = net.num_slots();
-    let support_width: usize = net.total_alive() * num.saturating_sub(1);
-    // Read-only support scan over (slot, value) in parallel.
-    let doomed: Vec<(usize, usize)> = {
-        let netref = &*net;
-        // Column support tested against per-arc occupancy vectors (one
-        // word-strided sweep per matrix) instead of per-value column scans.
-        let occ: Vec<BitVec> = netref
-            .arcs_raw()
-            .par_iter()
-            .map(|m| m.col_occupancy())
-            .collect();
-        let occ = &occ;
-        (0..num)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let si: &RoleSlot = netref.slot(i);
-                si.alive
-                    .iter_ones()
-                    .filter(move |&a| {
-                        (0..num).any(|j| {
-                            if j == i {
-                                return false;
-                            }
-                            let supported = if i < j {
-                                let (m, _) = netref.arc(i, j);
-                                m.row_any(a)
-                            } else {
-                                occ[netref.arc_index(j, i)].get(a)
-                            };
-                            !supported
-                        })
-                    })
-                    .map(move |a| (i, a))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    stats.round(support_width.max(1));
-    stats.maintain_passes += 1;
-    remove_values_par(net, &doomed, stats);
-    doomed.len()
-}
-
-/// The incremental filter's arc sweep fanned arc-parallel: each worker owns
-/// one arc matrix (race-free by construction) and runs the serial filter's
-/// [`FilterStep::arc`]; the results are folded in arc storage order. The
-/// filter sorts each generation, so the removal schedule, the network and
-/// the `NetStats` ledger are the serial filter's at any thread count.
-fn sweep_arcs_par(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
-    let per_arc: Vec<(usize, Vec<(usize, usize)>)> = arcs
-        .par_iter_mut()
-        .zip(step.pairs.par_iter())
-        .map_init(Vec::new, |words, (m, &(i, j, _))| {
-            let mut unsupported = Vec::new();
-            let zeroed = step.arc(i, j, m, words, &mut unsupported);
-            (zeroed, unsupported)
-        })
-        .collect();
-    let mut zeroed = 0;
-    let mut unsupported = Vec::new();
-    for (z, u) in per_arc {
-        zeroed += z;
-        unsupported.extend(u);
+    fn deref(&self) -> &ParseOutcome<'g> {
+        &self.outcome
     }
-    (zeroed, unsupported)
 }
 
-/// Filter to at most `max_passes` generations with the arc-parallel
-/// incremental filter. Returns the passes run. Charges one round for the
-/// build (every row and column tested at once) and one per non-empty
-/// generation (its removals against every other slot).
-fn filter_incremental_par(
-    net: &mut Network<'_>,
-    max_passes: usize,
-    stats: &mut PramStats,
-) -> usize {
-    if max_passes == 0 {
-        return 0;
+impl<'g> std::ops::DerefMut for PramOutcome<'g> {
+    fn deref_mut(&mut self) -> &mut ParseOutcome<'g> {
+        &mut self.outcome
     }
-    let mut filter = IncrementalFilter::build_by(net, sweep_arcs_par);
-    let inits: usize = net.arcs_raw().iter().map(|m| m.rows() + m.cols()).sum();
-    stats.round(inits.max(1));
-    let num = net.num_slots();
-    let mut passes = 0;
-    while passes < max_passes {
-        passes += 1;
-        stats.maintain_passes += 1;
-        let (removed, fixpoint) = filter.pass_by(net, sweep_arcs_par);
-        if fixpoint {
-            break;
+}
+
+impl PramOutcome<'_> {
+    /// Enumerate parses with the parallel extractor (identical results to
+    /// the sequential one; see `extract_par`). Empty for an arc-less
+    /// degraded outcome.
+    pub fn parses(&self, limit: usize) -> Vec<PrecedenceGraph> {
+        if !self.network.arcs_ready() {
+            return Vec::new();
         }
-        stats.removals += removed;
-        stats.round(removed * num.max(1));
+        crate::extract_par::precedence_graphs_par(&self.network, limit)
     }
-    passes
 }
 
-/// The full parallel pipeline, mirroring `cdg_core::parse` phase for phase.
+/// The full parallel pipeline: the `cdg-core` phase driver with the P-RAM
+/// executor.
 ///
 /// ```
 /// use cdg_parallel::parse_pram;
@@ -415,79 +206,27 @@ pub fn parse_pram_compiled<'g>(
     grammar: &'g Grammar,
     sentence: &Sentence,
     options: ParseOptions,
-    compiled: Option<std::sync::Arc<cdg_grammar::CompiledGrammar>>,
+    compiled: Option<Arc<CompiledGrammar>>,
 ) -> PramOutcome<'g> {
     let mut stats = PramStats::default();
-    // Role-value generation: one O(1) round of O(n²) processors. The host
-    // builds the domains; the round accounting mirrors the model.
-    let mut net = Network::build(grammar, sentence);
-    net.eval = options.eval;
-    net.filter_strategy = options.filter_strategy;
-    net.compiled = compiled;
-    stats.round(net.total_alive());
-
-    let run_unary = |net: &mut Network<'g>, stats: &mut PramStats| {
-        let _phase = obsv::span("unary_propagation");
-        for c in grammar.unary_constraints() {
-            let _c = obsv::span_with(|| format!("unary:{}", c.name));
-            apply_unary_par(net, c, stats);
-        }
-    };
-    if options.arcs_before_unary {
-        net.init_arcs();
-        stats.round(net.stats.arc_entries_initialized.max(1));
-        run_unary(&mut net, &mut stats);
-    } else {
-        run_unary(&mut net, &mut stats);
-        net.init_arcs();
-        stats.round(net.stats.arc_entries_initialized.max(1));
-    }
-    {
-        let _phase = obsv::span("binary_propagation");
-        for c in grammar.binary_constraints() {
-            let _c = obsv::span_with(|| format!("binary:{}", c.name));
-            apply_binary_par(&mut net, c, &mut stats);
-        }
-        if sentence.has_lexical_ambiguity() {
-            for c in grammar.unary_constraints() {
-                let _c = obsv::span_with(|| format!("unary-pairwise:{}", c.name));
-                apply_unary_pairwise_par(&mut net, c, &mut stats);
-            }
-        }
-    }
-    let mut passes = 0;
-    let _filtering = obsv::span("filtering");
-    let mode_max = match options.filter {
-        FilterMode::None => 0,
-        FilterMode::Bounded(max) => max,
-        FilterMode::Fixpoint => usize::MAX,
-    };
-    // The incremental filter swaps the per-pass support scan for the
-    // arc-parallel generation sweep; generations (and hence pass counts,
-    // alive sets, and matrices) are identical to `maintain_par`'s removal
-    // rounds.
-    if options.filter_strategy.incremental(options.eval) {
-        passes = filter_incremental_par(&mut net, mode_max, &mut stats);
-    } else {
-        while passes < mode_max {
-            passes += 1;
-            if maintain_par(&mut net, &mut stats) == 0 {
-                break;
-            }
-        }
-    }
-    drop(_filtering);
-    PramOutcome {
-        roles_nonempty: net.all_roles_nonempty(),
-        stats,
-        filter_passes: passes,
-        network: net,
-    }
+    let outcome = parse_with_state(
+        grammar,
+        sentence,
+        options,
+        compiled,
+        &mut ArcPool::new(),
+        &mut KernelScratch::new(),
+        &mut NetSlab::default(),
+        &mut stats,
+    );
+    PramOutcome { outcome, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdg_core::parser::FilterMode;
+    use cdg_core::{EvalStrategy, NetStats};
     use cdg_grammar::grammars::{english, formal, paper};
 
     fn options() -> ParseOptions {
@@ -594,10 +333,11 @@ mod tests {
 
     #[test]
     fn incremental_filter_charges_the_serial_ledger() {
-        // The arc-parallel sweep runs the serial filter's per-arc step, so
-        // beyond the same network it must charge the same `NetStats`
-        // ledger — English n = 8–12, and aⁿbⁿ / brackets n = 18–24 in full
-        // and one symbol short.
+        // The three engines run one phase driver and the same per-slot,
+        // per-arc steps, so beyond the same network they must charge the
+        // same `NetStats` ledger (the observational `bmm_*` aside) under
+        // every option set — English n = 8–12, and aⁿbⁿ / brackets
+        // n = 18–24 in full and one symbol short.
         let (english, lex) = corpus::standard_setup();
         let anbn = formal::anbn_grammar();
         let brackets = formal::brackets_grammar();
@@ -621,23 +361,42 @@ mod tests {
                 cases.push((&brackets, formal::brackets_sentence(&brackets, &b)));
             }
         }
-        for (g, s) in cases {
-            let serial = cdg_core::parse(g, &s, options());
-            let par = parse_pram(g, &s, options());
-            assert_eq!(serial.filter_passes, par.filter_passes, "`{s}`");
-            for (a, b) in serial.network.slots().iter().zip(par.network.slots()) {
-                assert_eq!(a.alive, b.alive, "`{s}`: alive sets diverge");
+        let option_sets = [
+            options(),
+            ParseOptions {
+                arcs_before_unary: true,
+                ..options()
+            },
+            ParseOptions {
+                eval: EvalStrategy::Naive,
+                ..options()
+            },
+        ];
+        let ledger = |s: NetStats| NetStats {
+            bmm_tiles: 0,
+            bmm_words: 0,
+            ..s
+        };
+        for opts in option_sets {
+            for (g, s) in &cases {
+                let serial = cdg_core::parse(g, s, opts);
+                let par = parse_pram(g, s, opts);
+                let (mesh, _) = crate::MeshCdg::run(g, s, opts);
+                assert_eq!(serial.filter_passes, par.filter_passes, "`{s}` {opts:?}");
+                let stats = serial.network.stats;
+                assert!(stats.support_checks > 0, "`{s}`: no filter work to compare");
+                assert_eq!(mesh.stats.maintain_passes, stats.maintain_passes, "`{s}`");
+                for (engine, net) in [("pram", &par.network), ("mesh", &mesh)] {
+                    for (a, b) in serial.network.slots().iter().zip(net.slots()) {
+                        assert_eq!(a.alive, b.alive, "`{s}` {engine}: alive sets diverge");
+                    }
+                    assert_eq!(
+                        ledger(stats),
+                        ledger(net.stats),
+                        "`{s}` {engine} {opts:?}: ledger diverges"
+                    );
+                }
             }
-            let (a, b) = (&serial.network.stats, &par.network.stats);
-            assert!(a.support_checks > 0, "`{s}`: no filter work to compare");
-            assert_eq!(a.support_checks, b.support_checks, "`{s}`: support_checks");
-            assert_eq!(a.support_inits, b.support_inits, "`{s}`: support_inits");
-            assert_eq!(a.entries_zeroed, b.entries_zeroed, "`{s}`: entries_zeroed");
-            assert_eq!(a.removals, b.removals, "`{s}`: removals");
-            assert_eq!(
-                a.maintain_passes, b.maintain_passes,
-                "`{s}`: maintain_passes"
-            );
         }
     }
 

@@ -58,7 +58,9 @@
 //!
 //! Every engine runs through the unified [`cdg_core::api::Engine`] trait:
 //! one `ParseRequest` in, one `ParseReport` out, so `--trace`, `--metrics`,
-//! `--budget`, and `--faults` behave uniformly. `--trace` prints the phase
+//! `--budget`, and `--faults` behave uniformly; the serial and P-RAM
+//! engines share one phase driver, so a budget binds on both at the same
+//! checkpoints (exit 3 when it cuts a parse short). `--trace` prints the phase
 //! tree (shared span vocabulary across engines — see DESIGN.md §11);
 //! `--trace=json` prints one `parsec-trace-v1` JSON document line.
 //!
