@@ -800,8 +800,7 @@ pub struct UnarySweep<'a> {
     prog: &'a KernelProgram,
     sentence: &'a Sentence,
     lanes: &'a LaneTables,
-    /// Every slot of the network, by [`SlotId`].
-    pub slots: &'a [RoleSlot],
+    slots: &'a [RoleSlot],
 }
 
 impl UnarySweep<'_> {
