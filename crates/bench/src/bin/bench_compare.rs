@@ -3,10 +3,10 @@
 //! ```text
 //! bench_compare <baseline.json> <current.json> [--max-regress 0.25]
 //!               [--min-wall-secs 0.002] [--no-normalize] [--filter-floor 2.0]
-//!               [--fleet-floor 2.5] [--warm-floor 1.3]
+//!               [--fleet-floor 2.5] [--warm-floor 1.3] [--binary-floor 3.0]
 //! ```
 //!
-//! Six checks, in order of severity:
+//! Seven checks, in order of severity:
 //!
 //! 1. **Determinism** — rows present in both reports must carry equal
 //!    output digests (parse results are machine- and thread-independent);
@@ -41,6 +41,13 @@
 //!    is bit-identical to compiling per request), and the short-sentence
 //!    rows must clear a geomean speedup of `--warm-floor` (default 1.3x)
 //!    over the cold oracle (carried in `speedup_vs_1t` on the warm row).
+//! 7. **Binary floor** — inside the *current* report, every
+//!    `cdg-binary-kernel` row must share its digest with the
+//!    `cdg-binary-naive` twin at the same grammar/n (the lane-pass kernel
+//!    and the tree-walk oracle leave bit-identical arc matrices), and the
+//!    geomean of the naive/kernel wall ratios over those pairs must clear
+//!    `--binary-floor` (default 3x). Both walls of a pair come from the
+//!    same run, so the ratio does not depend on the host's speed.
 //!
 //! On failure the gate prints a **row-by-row table** of every compared
 //! row — key, baseline/current digests, normalized walls, ratio, and a
@@ -60,13 +67,15 @@ struct Args {
     filter_floor: f64,
     fleet_floor: f64,
     warm_floor: f64,
+    binary_floor: f64,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_compare <baseline.json> <current.json> \
          [--max-regress FRACTION] [--min-wall-secs SECS] [--no-normalize] \
-         [--filter-floor RATIO] [--fleet-floor RATIO] [--warm-floor RATIO]"
+         [--filter-floor RATIO] [--fleet-floor RATIO] [--warm-floor RATIO] \
+         [--binary-floor RATIO]"
     );
     std::process::exit(2);
 }
@@ -82,6 +91,7 @@ fn parse_args() -> Args {
         filter_floor: 2.0,
         fleet_floor: 2.5,
         warm_floor: 1.3,
+        binary_floor: 3.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -112,6 +122,12 @@ fn parse_args() -> Args {
             }
             "--warm-floor" => {
                 args.warm_floor = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
+            }
+            "--binary-floor" => {
+                args.binary_floor = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -420,10 +436,74 @@ fn main() {
         }
     }
 
+    // Binary parity + speedup floor: every `cdg-binary-kernel` row must be
+    // digest-identical to its `cdg-binary-naive` twin (the digest covers
+    // every arc matrix after binary propagation), and the geomean of the
+    // naive/kernel wall ratios — twins timed in the same run — must clear
+    // the floor.
+    let mut binary_pairs = 0usize;
+    let mut binary_speedups: Vec<(String, f64)> = Vec::new();
+    for kernel_row in current
+        .rows
+        .iter()
+        .filter(|r| r.engine == "cdg-binary-kernel")
+    {
+        let twin = current.rows.iter().find(|r| {
+            r.engine == "cdg-binary-naive" && r.grammar == kernel_row.grammar && r.n == kernel_row.n
+        });
+        let Some(twin) = twin else {
+            failures.push(format!(
+                "PARITY   {}: no cdg-binary-naive twin in {}",
+                kernel_row.key(),
+                args.current
+            ));
+            continue;
+        };
+        binary_pairs += 1;
+        if kernel_row.digest != twin.digest {
+            failures.push(format!(
+                "PARITY   {}: kernel digest {:016x} != naive oracle {:016x} — binary \
+                 propagation no longer matches the tree-walk evaluator",
+                kernel_row.key(),
+                kernel_row.digest,
+                twin.digest
+            ));
+        }
+        binary_speedups.push((
+            kernel_row.key(),
+            twin.wall_secs / kernel_row.wall_secs.max(1e-12),
+        ));
+    }
+    if args.binary_floor > 0.0 && !binary_speedups.is_empty() {
+        let geo = (binary_speedups
+            .iter()
+            .map(|(_, s)| s.max(1e-9).ln())
+            .sum::<f64>()
+            / binary_speedups.len() as f64)
+            .exp();
+        let detail = binary_speedups
+            .iter()
+            .map(|(k, s)| format!("{k}={s:.2}x"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        if geo < args.binary_floor {
+            failures.push(format!(
+                "FLOOR    binary kernel geomean speedup {geo:.2}x over the naive evaluator is \
+                 under the {:.2}x floor ({detail})",
+                args.binary_floor
+            ));
+        } else {
+            println!(
+                "binary floor: geomean {geo:.2}x over the naive evaluator (floor {:.2}x; {detail})",
+                args.binary_floor
+            );
+        }
+    }
+
     println!(
         "bench_compare: {} baseline row(s): {compared} wall-compared, \
          {skipped_noise} below noise floor, {filter_pairs} filter parity pair(s), {fleet_pairs} fleet parity pair(s), \
-         {warm_pairs} warm parity pair(s), {} failure(s)",
+         {warm_pairs} warm parity pair(s), {binary_pairs} binary parity pair(s), {} failure(s)",
         baseline.rows.len(),
         failures.len()
     );

@@ -16,9 +16,11 @@
 //!    are byte-identical; `speedup_vs_1t` on the N-thread row is the
 //!    repo's headline multi-core trajectory number.
 //!
-//! Every row carries an FNV-1a digest of its parse output, so two reports
-//! (different thread counts, different machines) can be checked for
-//! byte-identical results by comparing digests — see `bench_compare`.
+//! Every row carries an FNV-1a digest of its own engine's parse output, so
+//! two reports (different thread counts, different machines) can be
+//! checked for byte-identical results by comparing digests — see
+//! `bench_compare`. Engine rows also report the processors or cells their
+//! model occupies (`processors`; reported, not gated).
 
 use bench::json::Json;
 use bench::report::{calibrate, fnv1a, validate_trace, BenchReport, BenchRow};
@@ -27,9 +29,12 @@ use bench::run::{
     maspar_cdg, mesh_cdg, pram_cdg, serial_cdg, serial_cdg_naive, Measurement, FILTER_PASSES,
 };
 use cdg_core::api::{Engine, ParseRequest, Sequential};
+use cdg_core::Network;
 use cdg_core::{BatchOutcome, EvalStrategy, FilterStrategy};
 use cdg_grammar::grammars::{english, formal};
 use cdg_grammar::{Grammar, Sentence};
+use cdg_parallel::mesh::MeshCdg;
+use cdg_parallel::pram::parse_pram;
 use cdg_parallel::Pram;
 use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 
@@ -68,17 +73,31 @@ fn usage() -> ! {
 }
 
 /// Digest of a settled single-sentence network: every slot's alive set.
+fn digest_network(net: &Network<'_>) -> u64 {
+    let mut buf = String::new();
+    for slot in net.slots() {
+        buf.push_str(&format!("{:?};", slot.alive_indices()));
+    }
+    fnv1a(buf.as_bytes())
+}
+
+/// [`digest_network`] of the serial engine's network under `eval`.
 fn digest_with(grammar: &Grammar, sentence: &Sentence, eval: EvalStrategy) -> u64 {
     let options = cdg_core::ParseOptions {
         eval,
         ..comparable_options()
     };
-    let outcome = cdg_core::parse(grammar, sentence, options);
-    let mut buf = String::new();
-    for slot in outcome.network.slots() {
-        buf.push_str(&format!("{:?};", slot.alive_indices()));
-    }
-    fnv1a(buf.as_bytes())
+    digest_network(&cdg_core::parse(grammar, sentence, options).network)
+}
+
+/// [`digest_network`] of the P-RAM engine's own network.
+fn digest_pram(grammar: &Grammar, sentence: &Sentence) -> u64 {
+    digest_network(&parse_pram(grammar, sentence, comparable_options()).network)
+}
+
+/// [`digest_network`] of the mesh engine's own network.
+fn digest_mesh(grammar: &Grammar, sentence: &Sentence) -> u64 {
+    digest_network(&MeshCdg::run(grammar, sentence, comparable_options()).0)
 }
 
 /// Digest under the default (kernel) evaluator, cross-checked against the
@@ -246,6 +265,7 @@ fn serve_loopback(requests: usize) -> (BenchRow, Vec<String>) {
         steps: stats.cache_hits,
         speedup_vs_1t: 1.0,
         accepted: all_ok,
+        processors: None,
         digest: 0, // filled by the caller from the normalized lines
     };
     (row, normalized)
@@ -385,6 +405,7 @@ fn row_from(m: Measurement, grammar: &str, threads: usize, digest: u64) -> Bench
         steps: m.steps.unwrap_or(0),
         speedup_vs_1t: 1.0,
         accepted: m.accepted,
+        processors: m.processors,
         digest,
     }
 }
@@ -430,8 +451,18 @@ fn main() {
         }
         rows.push(row_from(kernel, "english", 1, digest));
         rows.push(row_from(naive, "english", 1, digest));
-        rows.push(row_from(best_of(|| pram_cdg(&g, &s)), "english", 1, digest));
-        rows.push(row_from(best_of(|| mesh_cdg(&g, &s)), "english", 1, digest));
+        rows.push(row_from(
+            best_of(|| pram_cdg(&g, &s)),
+            "english",
+            1,
+            digest_pram(&g, &s),
+        ));
+        rows.push(row_from(
+            best_of(|| mesh_cdg(&g, &s)),
+            "english",
+            1,
+            digest_mesh(&g, &s),
+        ));
         let maspar_digest = digest_maspar(&g, &s);
         rows.push(row_from(
             best_of(|| maspar_cdg(&g, &s)),
@@ -601,7 +632,12 @@ fn main() {
             1,
             digest,
         ));
-        rows.push(row_from(best_of(|| pram_cdg(g, s)), name, 1, digest));
+        rows.push(row_from(
+            best_of(|| pram_cdg(g, s)),
+            name,
+            1,
+            digest_pram(g, s),
+        ));
     }
 
     // --- 3. Batch throughput: 1 thread vs N threads ------------------
@@ -653,6 +689,7 @@ fn main() {
         steps: 0,
         speedup_vs_1t: speedup,
         accepted: accepted_all,
+        processors: None,
         digest: digest_1t,
     };
     rows.push(mk_batch_row(1, wall_1t, 1.0));
@@ -730,6 +767,7 @@ fn main() {
         steps: 0,
         speedup_vs_1t: speedup,
         accepted: ok,
+        processors: None,
         digest: fleet_digest,
     };
     rows.push(mk_fleet_row(1, fleet_wall_1, 1.0, fleet_ok_1));
@@ -852,6 +890,7 @@ fn main() {
             steps: 0,
             speedup_vs_1t: speedup,
             accepted,
+            processors: None,
             digest: warm_digest,
         };
         rows.push(mk("serve-cold", wall_cold, 1.0));

@@ -26,6 +26,21 @@
 //!    - *verdicts* — for each row still undecided, its value bound
 //!      against the columns both classes left `Unknown`.
 //!
+//!    The slot classes alone may settle a whole arc. Ordering 1 (row
+//!    value as `x`) passes every pair when either endpoint says so: the
+//!    row slot passes as `x` everywhere, or the column slot as `y`.
+//!    Ordering 2 (column value as `x`) likewise, roles swapped.
+//!    [`kernel_arc`] skips an arc untouched when both endpoints pass as
+//!    `x` (charging nothing), or when one endpoint passes both
+//!    orderings: the row slot (charging nothing, as the full path would)
+//!    or the column slot (charging the row slot's `Unknown` slot classes,
+//!    which is what the full path's two row passes charge). In the
+//!    column case no row can be doomed: a definitely false ordering-1 row
+//!    verdict would, by Kleene monotonicity, be false against every alive
+//!    column value, which the column's all-`True` as-`y` class
+//!    contradicts. Every pair of a skipped arc counts as a
+//!    `kernel_memo_hits`.
+//!
 //!    `False` zeroes a row in one word-parallel sweep, `True`×`True`
 //!    skips it untouched, and every other row is ANDed with its allowed
 //!    column mask (`row_and_count` — the software analogue of the
@@ -88,13 +103,23 @@ pub struct SlotSigs {
     /// (see [`SlotSigs::classes`]) as `x` true, `x` false, `y` true, `y`
     /// false.
     bits: Vec<u64>,
-    /// True when every alive entry's as-`x` class is true: any pair with one of
-    /// this slot's values bound as `x` passes that ordering outright. When
-    /// *both* endpoints of an arc carry the flag, both orderings pass for
-    /// every pair and the whole arc is a no-op — the common case for
-    /// label-guarded constraints on slots whose labels never match the
-    /// guard.
+    /// True when every alive entry's as-`x` class is true: any pair with
+    /// one of this slot's values bound as `x` passes that ordering
+    /// outright, whatever the other endpoint holds. Ordering 1 (row value
+    /// as `x`) passes every pair of an arc when the row slot passes as `x`
+    /// *or* the column slot passes as `y`; ordering 2 likewise with the
+    /// roles swapped. So an arc is a no-op when both endpoints pass as `x`,
+    /// or when one endpoint passes both as `x` and as `y` — the common
+    /// case for label-guarded constraints on slots whose labels never match
+    /// the guard ([`kernel_arc`]).
     pub all_pass_as_x: bool,
+    /// True when every alive entry's as-`y` class is true.
+    pub all_pass_as_y: bool,
+    /// Distinct alive signatures whose as-`x` / as-`y` slot class is
+    /// `Unknown`: what the two row-class passes of [`kernel_arc`] charge
+    /// when no row is doomed.
+    pub unknown_x: usize,
+    pub unknown_y: usize,
 }
 
 impl SlotSigs {
@@ -185,6 +210,9 @@ fn slot_signatures_into(
     }
     out.count = interner.len();
     out.all_pass_as_x = false;
+    out.all_pass_as_y = false;
+    out.unknown_x = 0;
+    out.unknown_y = 0;
     if out.count == 0 {
         return;
     }
@@ -209,7 +237,15 @@ fn slot_signatures_into(
             f,
         );
     }
+    // `first` holds alive entries only.
+    let unknown = |(t, f): (&[u64], &[u64])| -> usize {
+        (0..w)
+            .map(|k| (out.first()[k] & !(t[k] | f[k])).count_ones() as usize)
+            .sum()
+    };
+    (out.unknown_x, out.unknown_y) = (unknown(out.classes(Var::X)), unknown(out.classes(Var::Y)));
     out.all_pass_as_x = covers(out.classes(Var::X).0, alive);
+    out.all_pass_as_y = covers(out.classes(Var::Y).0, alive);
 }
 
 /// Run `prog` over the `set` lanes of `lanes` (see
@@ -473,7 +509,60 @@ fn refine(
 /// row's verdicts, applied as word-parallel row masks. The shared inner
 /// loop of the serial and P-RAM kernel engines: each worker owns one arc
 /// matrix, so the parallel engine can call this per-arc race-free.
+///
+/// Three whole-arc exits run first, on the slot classes alone. Ordering 1
+/// (row value as `x`) passes every pair when the row slot passes as `x`
+/// or the column slot passes as `y`; ordering 2 (column value as `x`)
+/// when the column slot passes as `x` or the row slot passes as `y`. An
+/// arc whose two orderings both pass that way is left untouched, and each
+/// exit charges `checks` exactly what the full path would.
 pub fn kernel_arc(
+    sweep: &PairwiseSweep<'_>,
+    i: SlotId,
+    j: SlotId,
+    m: &mut BitMatrix,
+    scratch: &mut KernelScratch,
+) -> ArcKernelCounts {
+    let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
+    if gj.alive == 0 {
+        return ArcKernelCounts::default();
+    }
+    // Every exit below settles all `gi.alive × gj.alive` pairs.
+    let settled = ArcKernelCounts {
+        memo_hits: gi.alive * gj.alive,
+        ..ArcKernelCounts::default()
+    };
+    if gi.all_pass_as_x && gj.all_pass_as_x {
+        // Ordering 1 passes by `gi`'s classes, ordering 2 by `gj`'s, and
+        // by Kleene monotonicity a slot-level verdict covers each concrete
+        // refinement. This exit charges nothing (the full path would
+        // charge `gi`'s as-`y` row pass).
+        return settled;
+    }
+    if gi.all_pass_as_x && gi.all_pass_as_y {
+        // The row slot passes both orderings. The full path's row classes
+        // are all `True` from the slot classes, so nothing is charged.
+        return settled;
+    }
+    if gj.all_pass_as_x && gj.all_pass_as_y {
+        // The column slot passes both orderings. No row can be doomed: a
+        // definitely false ordering-1 row verdict (from its `Any` or `Open`
+        // class) would by Kleene monotonicity be false against every alive
+        // column value, which `gj`'s all-`True` as-`y` class contradicts.
+        // So the full path runs both row passes over every row its slot
+        // classes leave `Unknown`, finds every column class decided, and
+        // zeroes nothing.
+        return ArcKernelCounts {
+            checks: gi.unknown_x + gi.unknown_y,
+            ..settled
+        };
+    }
+    kernel_arc_full(sweep, i, j, m, scratch)
+}
+
+/// [`kernel_arc`] past its whole-arc exits: the row classes, the column
+/// classes and the pair verdicts.
+fn kernel_arc_full(
     sweep: &PairwiseSweep<'_>,
     i: SlotId,
     j: SlotId,
@@ -489,18 +578,6 @@ pub fn kernel_arc(
     );
     let mut counts = ArcKernelCounts::default();
     let alive_j = gj.alive;
-    if alive_j == 0 {
-        return counts;
-    }
-    if gi.all_pass_as_x && gj.all_pass_as_x {
-        // Ordering 1 (row value as `x`) passes by `gi`'s classes, ordering
-        // 2 (column value as `x`) by `gj`'s — every pair survives, and by
-        // Kleene monotonicity the slot-level verdicts cover each concrete
-        // refinement. The arc matrix is untouched, exactly as the naive
-        // path would leave it.
-        counts.memo_hits += gi.alive * alive_j;
-        return counts;
-    }
     let KernelScratch {
         pass,
         r1t,
@@ -1007,6 +1084,87 @@ mod tests {
         assert_eq!(zk, zn);
         assert_eq!(nk.arcs_raw(), nn.arcs_raw());
         assert_eq!(nk.stats.kernel_masks, 12 * 12, "one mask per a–b arc");
+    }
+
+    /// Each whole-arc exit of [`kernel_arc`] equals the full path. On
+    /// every arc of every binary constraint over a small corpus (and of
+    /// every unary constraint applied pairwise on a lexically ambiguous
+    /// sentence), wherever the row-both or column-both exit fires, the
+    /// full path run on a clone of the matrix leaves the same matrix and
+    /// charges the same ledger.
+    #[test]
+    fn whole_arc_exits_match_the_full_path() {
+        use cdg_grammar::grammars::formal;
+        let anbn = formal::anbn_grammar();
+        let brackets = formal::brackets_grammar();
+        let ww = formal::ww_grammar();
+        let eng = english::grammar();
+        let lex = english::lexicon(&eng);
+        let (aux, aux_lex) = corpus::extended_setup();
+        let ambiguous = (8u64..)
+            .map(|seed| corpus::english_aux_sentence(&aux, &aux_lex, 8, seed))
+            .find(|s| s.has_lexical_ambiguity())
+            .expect("the extended lexicon has ambiguous base forms");
+        let inputs = [
+            (
+                &anbn,
+                formal::anbn_sentence(&anbn, &corpus::formal::anbn(6)),
+            ),
+            (
+                &brackets,
+                formal::brackets_sentence(&brackets, &corpus::formal::nested_brackets(6)),
+            ),
+            (&ww, formal::ww_sentence(&ww, &corpus::formal::ww(4, 1))),
+            (&eng, corpus::english_sentence(&eng, &lex, 8, 11)),
+            (&aux, ambiguous),
+        ];
+        let both = |g: &SlotSigs| g.all_pass_as_x && g.all_pass_as_y;
+        let (mut row_both, mut column_both) = (0, 0);
+        for (g, s) in &inputs {
+            let mut net = Network::build(g, s);
+            crate::propagate::apply_all_unary(&mut net);
+            net.init_arcs();
+            let pairwise = s.has_lexical_ambiguity().then(|| g.unary_constraints());
+            for c in g
+                .binary_constraints()
+                .iter()
+                .chain(pairwise.into_iter().flatten())
+            {
+                let mut full_scratch = KernelScratch::new();
+                let mut scratch = KernelScratch::new();
+                apply_pairwise_kernel_by(&mut net, c, &mut scratch, |sweep, arcs, _| {
+                    let mut totals = ArcKernelCounts::default();
+                    for (m, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
+                        let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
+                        let mut full = m.clone();
+                        let want = kernel_arc_full(sweep, i, j, &mut full, &mut full_scratch);
+                        // The full path's first row pass sizes `r1t`; an
+                        // exit leaves a fresh scratch's empty.
+                        let mut fresh = KernelScratch::new();
+                        let got = kernel_arc(sweep, i, j, m, &mut fresh);
+                        let exited = fresh.r1t.is_empty();
+                        let old_exit = gj.alive == 0 || gi.all_pass_as_x && gj.all_pass_as_x;
+                        let at = format!("{} on arc ({i},{j}) of `{s}`", c.name);
+                        assert_eq!(exited, old_exit || both(gi) || both(gj), "exit: {at}");
+                        if exited && !old_exit {
+                            if both(gi) {
+                                row_both += 1;
+                            } else {
+                                column_both += 1;
+                            }
+                            assert_eq!(*m, full, "matrix differs: {at}");
+                            assert_eq!(got.zeroed, want.zeroed, "zeroed differs: {at}");
+                            assert_eq!(got.checks, want.checks, "checks differ: {at}");
+                            assert_eq!(got.memo_hits, want.memo_hits, "memo hits differ: {at}");
+                        }
+                        totals.absorb(got);
+                    }
+                    totals
+                });
+            }
+        }
+        assert!(row_both > 0, "the row-both exit never fired");
+        assert!(column_both > 0, "the column-both exit never fired");
     }
 
     #[test]
