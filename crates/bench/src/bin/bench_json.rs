@@ -19,8 +19,7 @@
 //! Every row carries an FNV-1a digest of its own engine's parse output, so
 //! two reports (different thread counts, different machines) can be
 //! checked for byte-identical results by comparing digests — see
-//! `bench_compare`. Engine rows also report the processors or cells their
-//! model occupies (`processors`; reported, not gated).
+//! `bench_compare`.
 
 use bench::json::Json;
 use bench::report::{calibrate, fnv1a, validate_trace, BenchReport, BenchRow};
@@ -265,7 +264,6 @@ fn serve_loopback(requests: usize) -> (BenchRow, Vec<String>) {
         steps: stats.cache_hits,
         speedup_vs_1t: 1.0,
         accepted: all_ok,
-        processors: None,
         digest: 0, // filled by the caller from the normalized lines
     };
     (row, normalized)
@@ -405,7 +403,6 @@ fn row_from(m: Measurement, grammar: &str, threads: usize, digest: u64) -> Bench
         steps: m.steps.unwrap_or(0),
         speedup_vs_1t: 1.0,
         accepted: m.accepted,
-        processors: m.processors,
         digest,
     }
 }
@@ -480,7 +477,9 @@ fn main() {
     // output itself. English rows exercise the class-decided paths (few
     // pairs reach a pair verdict); the aⁿbⁿ and bracket rows exercise the
     // per-row verdict passes, where `a-matching-nests`-style order
-    // constraints leave almost every row undecided by its classes.
+    // constraints leave almost every row undecided by its classes. The
+    // kernel row carries its speedup over the `cdg-binary-naive` twin in
+    // `speedup_vs_1t`; `bench_compare` gates the geomean.
     let bin_lengths: &[usize] = if args.quick { &[8, 12] } else { &[8, 12, 16] };
     let bin_formal = if args.quick { 24 } else { 48 };
     let bin_anbn = formal::anbn_grammar();
@@ -514,10 +513,15 @@ fn main() {
         eprintln!("binary propagation: {name} n={n}");
         let kernel = best_of(|| binary_kernel(bg, s));
         let naive = best_of(|| binary_naive(bg, s));
-        if kernel.wall_secs > 0.0 {
-            binary_speedups.push(naive.wall_secs / kernel.wall_secs);
-        }
-        rows.push(row_from(kernel, name, 1, dk));
+        let speedup = if kernel.wall_secs > 0.0 {
+            naive.wall_secs / kernel.wall_secs
+        } else {
+            1.0
+        };
+        binary_speedups.push(speedup);
+        let mut kernel_row = row_from(kernel, name, 1, dk);
+        kernel_row.speedup_vs_1t = speedup;
+        rows.push(kernel_row);
         rows.push(row_from(naive, name, 1, dk));
     }
     if !binary_speedups.is_empty() {
@@ -689,7 +693,6 @@ fn main() {
         steps: 0,
         speedup_vs_1t: speedup,
         accepted: accepted_all,
-        processors: None,
         digest: digest_1t,
     };
     rows.push(mk_batch_row(1, wall_1t, 1.0));
@@ -767,7 +770,6 @@ fn main() {
         steps: 0,
         speedup_vs_1t: speedup,
         accepted: ok,
-        processors: None,
         digest: fleet_digest,
     };
     rows.push(mk_fleet_row(1, fleet_wall_1, 1.0, fleet_ok_1));
@@ -890,7 +892,6 @@ fn main() {
             steps: 0,
             speedup_vs_1t: speedup,
             accepted,
-            processors: None,
             digest: warm_digest,
         };
         rows.push(mk("serve-cold", wall_cold, 1.0));

@@ -32,10 +32,6 @@ pub struct BenchRow {
     pub speedup_vs_1t: f64,
     /// Whether every sentence in the row was accepted.
     pub accepted: bool,
-    /// Processors or cells the engine's model occupies (P-RAM width, mesh
-    /// cells, MasPar virtual PEs; 1 for serial engines). Reported, not
-    /// gated; absent from rows with no model and from older reports.
-    pub processors: Option<u64>,
     /// FNV-1a digest of the parse output — equal digests mean
     /// byte-identical results (the determinism check across thread
     /// counts and machines).
@@ -52,7 +48,7 @@ impl BenchRow {
     }
 
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("engine".into(), Json::Str(self.engine.clone())),
             ("grammar".into(), Json::Str(self.grammar.clone())),
             ("n".into(), Json::Num(self.n as f64)),
@@ -62,13 +58,9 @@ impl BenchRow {
             ("steps".into(), Json::Num(self.steps as f64)),
             ("speedup_vs_1t".into(), Json::Num(self.speedup_vs_1t)),
             ("accepted".into(), Json::Bool(self.accepted)),
-        ];
-        if let Some(p) = self.processors {
-            fields.push(("processors".into(), Json::Num(p as f64)));
-        }
-        // Digests exceed 2^53; store as a hex string to stay exact.
-        fields.push(("digest".into(), Json::Str(format!("{:016x}", self.digest))));
-        Json::Obj(fields)
+            // Digests exceed 2^53; store as a hex string to stay exact.
+            ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
+        ])
     }
 
     pub fn from_json(v: &Json) -> Result<Self, String> {
@@ -93,10 +85,6 @@ impl BenchRow {
                 .as_f64()
                 .ok_or("speedup_vs_1t not a number")?,
             accepted: field("accepted")?.as_bool().ok_or("accepted not a bool")?,
-            processors: match v.get("processors") {
-                Some(p) => Some(p.as_u64().ok_or("processors not an integer")?),
-                None => None,
-            },
             digest: field("digest")?
                 .as_str()
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
@@ -299,7 +287,6 @@ mod tests {
             steps: 42,
             speedup_vs_1t: 2.5,
             accepted: true,
-            processors: Some(62_557),
             digest: 0xdead_beef_0042_1234,
         }
     }
