@@ -1,13 +1,12 @@
 //! The unified engine API: one request type, one report type, one trait.
 //!
 //! Historically each backend grew its own entry point and option struct:
-//! [`crate::parse`]/[`crate::parse_with_pool`] here,
-//! `cdg_parallel::parse_pram`, and `parsec_maspar::parse_maspar_checked`
-//! with `MasparOptions`. The [`Engine`] trait collapses those three
-//! surfaces into one:
+//! [`crate::parse`] here, `cdg_parallel::parse_pram`, and
+//! `parsec_maspar::parse_maspar_checked` with `MasparOptions`. The
+//! [`Engine`] trait collapses those three surfaces into one:
 //!
 //! ```text
-//! ParseRequest (builder) ──> Engine::parse ──> ParseReport
+//! ParseRequest (builder) ──> Engine::parse_warm(&mut WarmState) ──> ParseReport
 //!                       \──> Engine::parse_batch ──> BatchReport
 //! ```
 //!
@@ -19,18 +18,22 @@
 //! parses, budget/fault flags, and — when requested — the phase trace and
 //! metrics snapshot from the `obsv` layer.
 //!
-//! The engines are thin: [`Sequential`] and `cdg_parallel::Pram` run the
-//! one phase driver ([`parse_with_state`]) with their executor, the MasPar
-//! engine runs its own. The free functions call the same drivers and
-//! return the bare outcome; new code should construct a request and pick
-//! an engine.
+//! [`Engine::parse_warm`] is every engine's one parse body: it draws its
+//! buffers from the caller's [`WarmState`], and the caller hands the
+//! report back with [`WarmState::recycle_report`] once done with it.
+//! [`Engine::parse`] is the same body on a fresh state. The engines are
+//! thin: [`Sequential`] and `cdg_parallel::Pram` run the one phase driver
+//! ([`parse_with_state`]) through [`WarmState::run`] with their executor,
+//! the MasPar engine runs its own. The free functions call the same
+//! drivers and return the bare outcome; new code should construct a
+//! request and pick an engine.
 
 use crate::batch::BatchOutcome;
 use crate::error::{EngineError, ParseBudget};
 use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
-use crate::parser::{parse_with_state, FilterMode, ParseOptions, ParseOutcome, Serial};
+use crate::parser::{parse_with_state, Executor, FilterMode, ParseOptions, ParseOutcome, Serial};
 use crate::pool::{ArcPool, PoolStats};
 use crate::stats::NetStats;
 use cdg_grammar::{compiled, CompiledGrammar, Grammar, Sentence};
@@ -251,14 +254,11 @@ pub struct ParseReport<'g> {
 
 impl<'g> ParseReport<'g> {
     /// A host engine's report on its driver `outcome` (see
-    /// [`parse_with_state`]): records the `NetStats` ledger and the filter
-    /// passes in the metrics registry, then closes `scope`. `accepted` is
-    /// settled by the caller, which may have reclaimed the arc matrices
-    /// since.
+    /// [`WarmState::run`]): records the `NetStats` ledger and the filter
+    /// passes in the metrics registry, then closes `scope`.
     pub fn from_outcome(
         engine: &'static str,
         outcome: ParseOutcome<'g>,
-        accepted: bool,
         parses: Vec<PrecedenceGraph>,
         start: Instant,
         scope: ObsvScope,
@@ -268,7 +268,7 @@ impl<'g> ParseReport<'g> {
         let (trace, metrics) = scope.finish();
         ParseReport {
             engine,
-            accepted,
+            accepted: outcome.accepted(),
             ambiguous: outcome.ambiguous(),
             roles_nonempty: outcome.roles_nonempty,
             locally_consistent: outcome.locally_consistent,
@@ -322,6 +322,25 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
+    /// A batch's report on its per-sentence `outcomes`: counts the
+    /// sentences in the metrics registry, then closes `scope`.
+    pub fn from_outcomes(
+        engine: &'static str,
+        outcomes: Vec<BatchOutcome>,
+        start: Instant,
+        scope: ObsvScope,
+    ) -> Self {
+        obsv::counter_add("batch.sentences", outcomes.len() as u64);
+        let (trace, metrics) = scope.finish();
+        BatchReport {
+            engine,
+            outcomes,
+            wall: start.elapsed(),
+            trace,
+            metrics,
+        }
+    }
+
     pub fn accepted(&self) -> usize {
         self.outcomes.iter().filter(|o| o.accepted).count()
     }
@@ -352,8 +371,26 @@ pub trait Engine {
     /// Short stable name, also the `engine` field of trace documents.
     fn name(&self) -> &'static str;
 
-    /// Parse `req.sentence` and report everything the engine knows.
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError>;
+    /// Parse `req.sentence` and report everything the engine knows,
+    /// drawing buffers from the caller's [`WarmState`]: pooled arc
+    /// matrices, the generation-stamped kernel scratch, and the network's
+    /// slot storage survive from the previous request on this state.
+    /// Every reused buffer is zeroed or generation-stamped on adoption, so
+    /// the report is bit-identical to one on a fresh state. The report
+    /// keeps its network until the caller hands it back with
+    /// [`WarmState::recycle_report`]. The host engines run
+    /// [`WarmState::run`]; the MasPar simulator keeps its own per-call
+    /// state and ignores `warm`.
+    fn parse_warm<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError>;
+
+    /// [`Engine::parse_warm`] on a fresh [`WarmState`]: a cold parse.
+    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
+        self.parse_warm(req, &mut WarmState::new())
+    }
 
     /// Parse a slice of sentences under one request (`req.sentence` is
     /// ignored), returning per-sentence summaries plus batch observability.
@@ -362,22 +399,6 @@ pub trait Engine {
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError>;
-
-    /// Parse `req.sentence` reusing the caller's [`WarmState`] — pooled
-    /// arc matrices, the generation-stamped kernel scratch, and the
-    /// network's slot storage survive from the previous request on this
-    /// state.
-    /// Results are bit-identical to [`Engine::parse`]; the default simply
-    /// delegates there for engines with no warm path (PRAM's rayon workers
-    /// and the MasPar simulator keep their own per-call state).
-    fn parse_warm<'g>(
-        &self,
-        req: &ParseRequest<'g>,
-        warm: &mut WarmState,
-    ) -> Result<ParseReport<'g>, EngineError> {
-        let _ = warm;
-        self.parse(req)
-    }
 }
 
 /// Per-worker state that survives across requests in warm serving: the
@@ -415,34 +436,53 @@ impl WarmState {
         self.slab.reuses()
     }
 
-    /// Parse `sentence` on this state and summarize it with up to
-    /// `max_parses` parses, then hand the network's storage back for the
-    /// next sentence: one step of a batch. `compiled` is the grammar's
-    /// artifact (`None` compiles each constraint per parse — the oracle).
-    pub fn summarize(
+    /// Run the phase driver ([`parse_with_state`]) on `sentence` under
+    /// `req`'s grammar, options and artifact, with `exec` running the
+    /// kernel steps and every buffer drawn from this state. Records what
+    /// the parse drew from the arc pool (`pool.acquires`, `pool.recycles`)
+    /// and, from the second request on, the warm reuse counters
+    /// (`warm.pool.reuses`, `warm.slab.reuses`, `warm.scratch.reuses`).
+    pub fn run<'g, E: Executor>(
         &mut self,
-        grammar: &Grammar,
+        req: &ParseRequest<'g>,
         sentence: &Sentence,
-        options: ParseOptions,
-        max_parses: usize,
-        compiled: Option<Arc<CompiledGrammar>>,
-    ) -> BatchOutcome {
-        // One root span per sentence so batch traces aggregate cleanly
-        // (see `Engine::parse_batch`).
-        let _root = obsv::span("parse");
-        let mut outcome = parse_with_state(
-            grammar,
+        exec: &mut E,
+    ) -> ParseOutcome<'g> {
+        let pool_before = self.pool.stats;
+        let slab_before = self.slab.reuses();
+        let outcome = parse_with_state(
+            req.grammar,
             sentence,
-            options,
-            compiled,
+            req.options,
+            req.compiled.clone(),
             &mut self.pool,
             &mut self.scratch,
             &mut self.slab,
-            &mut Serial,
+            exec,
         );
-        let summary = BatchOutcome::summarize(&outcome, max_parses);
-        outcome.network.reclaim_arcs(&mut self.pool);
-        outcome.network.reclaim_slab(&mut self.slab);
+        let acquired = (self.pool.stats.acquires - pool_before.acquires) as u64;
+        let reused = (self.pool.stats.reuses - pool_before.reuses) as u64;
+        obsv::counter_add("pool.acquires", acquired);
+        obsv::counter_add("pool.recycles", reused);
+        if self.parses > 0 {
+            obsv::counter_add("warm.pool.reuses", reused);
+            obsv::counter_add("warm.slab.reuses", self.slab.reuses() - slab_before);
+            obsv::counter_add("warm.scratch.reuses", 1);
+        }
+        self.parses += 1;
+        outcome
+    }
+
+    /// Parse `sentence` on this state with the serial executor and
+    /// summarize it with up to `req.max_parses` parses, then hand the
+    /// network's storage back for the next sentence: one step of a batch.
+    pub fn summarize(&mut self, req: &ParseRequest<'_>, sentence: &Sentence) -> BatchOutcome {
+        // One root span per sentence so batch traces aggregate cleanly
+        // (see `Engine::parse_batch`).
+        let _root = obsv::span("parse");
+        let mut outcome = self.run(req, sentence, &mut Serial);
+        let summary = BatchOutcome::summarize(&outcome, req.max_parses);
+        self.reclaim(&mut outcome.network);
         summary
     }
 
@@ -452,8 +492,16 @@ impl WarmState {
     /// left empty (in particular [`ParseReport::summary`] would read
     /// zero alive values afterwards).
     pub fn recycle_report(&mut self, report: &mut ParseReport<'_>) {
-        report.network.reclaim_arcs(&mut self.pool);
-        report.network.reclaim_slab(&mut self.slab);
+        self.reclaim(&mut report.network);
+    }
+
+    fn reclaim(&mut self, network: &mut Network<'_>) {
+        let released = self.pool.stats.releases;
+        network.reclaim(&mut self.pool, &mut self.slab);
+        obsv::counter_add(
+            "pool.releases",
+            (self.pool.stats.releases - released) as u64,
+        );
     }
 }
 
@@ -551,13 +599,6 @@ pub fn record_net_stats(stats: &NetStats) {
     obsv::counter_add("bmm.words", stats.bmm_words as u64);
 }
 
-/// Feed an [`ArcPool`]'s counters into the registry.
-pub fn record_pool_stats(stats: &PoolStats) {
-    obsv::counter_add("pool.acquires", stats.acquires as u64);
-    obsv::counter_add("pool.recycles", stats.reuses as u64);
-    obsv::counter_add("pool.releases", stats.releases as u64);
-}
-
 /// The sequential engine (the paper's §1.4 pipeline).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
@@ -567,33 +608,24 @@ impl Engine for Sequential {
         "serial"
     }
 
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
+    fn parse_warm<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError> {
         let sentence = req.require_sentence()?;
         req.reject_faults(self.name())?;
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let mut pool = ArcPool::new();
         let (outcome, parses) = {
             let _root = obsv::span("parse");
-            let outcome = parse_with_state(
-                req.grammar,
-                sentence,
-                req.options,
-                req.compiled.clone(),
-                &mut pool,
-                &mut KernelScratch::new(),
-                &mut NetSlab::default(),
-                &mut Serial,
-            );
+            let outcome = warm.run(req, sentence, &mut Serial);
             let parses = outcome.parses(req.max_parses);
             (outcome, parses)
         };
-        record_pool_stats(&pool.stats);
-        let accepted = outcome.accepted();
         Ok(ParseReport::from_outcome(
             self.name(),
             outcome,
-            accepted,
             parses,
             start,
             scope,
@@ -609,71 +641,10 @@ impl Engine for Sequential {
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
         let mut warm = WarmState::new();
-        let outcomes = crate::batch::parse_batch_warm(
-            req.grammar,
-            sentences,
-            req.options,
-            req.max_parses,
-            req.compiled.clone(),
-            &mut warm,
-        );
-        record_pool_stats(warm.pool_stats());
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
-            outcomes,
-            wall: start.elapsed(),
-            trace,
-            metrics,
-        })
-    }
-
-    fn parse_warm<'g>(
-        &self,
-        req: &ParseRequest<'g>,
-        warm: &mut WarmState,
-    ) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let pool_reuses_before = warm.pool.stats.reuses;
-        let slab_reuses_before = warm.slab.reuses();
-        let (mut outcome, parses) = {
-            let _root = obsv::span("parse");
-            let outcome = parse_with_state(
-                req.grammar,
-                sentence,
-                req.options,
-                req.compiled.clone(),
-                &mut warm.pool,
-                &mut warm.scratch,
-                &mut warm.slab,
-                &mut Serial,
-            );
-            let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
-        };
-        // Acceptance reads the arc matrices, so settle it before handing
-        // them back to the warm pool for the next request.
-        let accepted = outcome.accepted();
-        outcome.network.reclaim_arcs(&mut warm.pool);
-        if warm.parses > 0 {
-            obsv::counter_add(
-                "warm.pool.reuses",
-                (warm.pool.stats.reuses - pool_reuses_before) as u64,
-            );
-            obsv::counter_add("warm.slab.reuses", warm.slab.reuses() - slab_reuses_before);
-            obsv::counter_add("warm.scratch.reuses", 1);
-        }
-        warm.parses += 1;
-        record_pool_stats(&warm.pool.stats);
-        Ok(ParseReport::from_outcome(
+        let outcomes = sentences.iter().map(|s| warm.summarize(req, s)).collect();
+        Ok(BatchReport::from_outcomes(
             self.name(),
-            outcome,
-            accepted,
-            parses,
+            outcomes,
             start,
             scope,
         ))
@@ -785,7 +756,7 @@ mod tests {
                 .sentence(s)
                 .max_parses(10)
                 .compiled(Arc::clone(&compiled));
-            let hot = Sequential.parse_warm(&req, &mut warm).unwrap();
+            let mut hot = Sequential.parse_warm(&req, &mut warm).unwrap();
             assert_eq!(cold.accepted, hot.accepted);
             assert_eq!(cold.ambiguous, hot.ambiguous);
             assert_eq!(cold.filter_passes, hot.filter_passes);
@@ -795,6 +766,7 @@ mod tests {
                 hot.network.total_alive(),
                 "warm reuse must be bit-identical to a cold parse"
             );
+            warm.recycle_report(&mut hot);
         }
         assert_eq!(warm.parses(), 3);
         assert!(

@@ -1,24 +1,20 @@
-//! Batched multi-sentence parsing.
+//! The batch row type.
 //!
-//! Parsing a corpus one [`crate::parse`] call at a time pays the arc-matrix
+//! Parsing a corpus one cold parse at a time pays the arc-matrix
 //! allocation bill (O(n⁴) bits) and the scratch set-up once per sentence.
-//! [`parse_batch`] runs a whole slice of sentences against one grammar on
-//! one [`WarmState`] (arc pool, kernel scratch, network slab), so
-//! sentence *i+1* reuses sentence *i*'s buffers, and returns compact owned
-//! [`BatchOutcome`] summaries instead of grammar-borrowing networks — which
-//! is also what makes the parallel variant (`cdg_parallel::parse_batch`)
-//! possible: summaries are `Send`, full networks borrow the grammar and
-//! carry per-sentence arc storage. [`parse_batch_warm`] also takes the
-//! grammar's compiled artifact, as `Engine::parse_batch` passes it.
+//! `Engine::parse_batch` runs a whole slice of sentences against one
+//! grammar on one [`crate::WarmState`] per worker (arc pool, kernel
+//! scratch, network slab), so sentence *i+1* reuses sentence *i*'s
+//! buffers, and returns compact owned [`BatchOutcome`] summaries instead
+//! of grammar-borrowing networks — which is also what lets the P-RAM
+//! engine fan a batch out across threads: summaries are `Send`, full
+//! networks borrow the grammar and carry per-sentence arc storage.
 //!
 //! Results are byte-identical to calling [`crate::parse`] per sentence: the
 //! warm state only recycles allocations, never state (see [`crate::pool`]).
 
-use crate::api::WarmState;
 use crate::extract::PrecedenceGraph;
-use crate::parser::{ParseOptions, ParseOutcome};
-use cdg_grammar::{CompiledGrammar, Grammar, Sentence};
-use std::sync::Arc;
+use crate::parser::ParseOutcome;
 
 /// Owned per-sentence summary of a batch parse — everything the callers of
 /// the batch API (CLI, bench harness, tests) consume, detached from the
@@ -60,62 +56,13 @@ impl BatchOutcome {
     }
 }
 
-/// Parse every sentence under one grammar, reusing pooled arc-matrix
-/// allocations across the batch. Outcomes are in input order and identical
-/// to per-sentence [`crate::parse`] calls.
-///
-/// ```
-/// use cdg_core::{parse_batch, ParseOptions};
-/// use cdg_grammar::grammars::english;
-///
-/// let g = english::grammar();
-/// let lex = english::lexicon(&g);
-/// let batch = vec![
-///     lex.sentence("the dog runs").unwrap(),
-///     lex.sentence("dog the runs").unwrap(),
-/// ];
-/// let outcomes = parse_batch(&g, &batch, ParseOptions::default(), 10);
-/// assert!(outcomes[0].accepted && !outcomes[1].accepted);
-/// ```
-pub fn parse_batch(
-    grammar: &Grammar,
-    sentences: &[Sentence],
-    options: ParseOptions,
-    max_parses: usize,
-) -> Vec<BatchOutcome> {
-    parse_batch_warm(
-        grammar,
-        sentences,
-        options,
-        max_parses,
-        None,
-        &mut WarmState::new(),
-    )
-}
-
-/// [`parse_batch`] on a caller-held [`WarmState`] — one pool, kernel
-/// scratch and network slab for every sentence, kept between
-/// calls — with the grammar's compiled artifact attached (`None` compiles
-/// each constraint per parse).
-pub fn parse_batch_warm(
-    grammar: &Grammar,
-    sentences: &[Sentence],
-    options: ParseOptions,
-    max_parses: usize,
-    compiled: Option<Arc<CompiledGrammar>>,
-    warm: &mut WarmState,
-) -> Vec<BatchOutcome> {
-    sentences
-        .iter()
-        .map(|s| warm.summarize(grammar, s, options, max_parses, compiled.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::api::{Engine, ParseRequest, Sequential, WarmState};
+    use crate::parser::{parse, ParseOptions};
     use cdg_grammar::grammars::english;
+    use cdg_grammar::{Grammar, Sentence};
 
     fn corpus(texts: &[&str]) -> (Grammar, Vec<Sentence>) {
         let g = english::grammar();
@@ -133,7 +80,8 @@ mod tests {
             "the watch runs",
             "she sleeps",
         ]);
-        let batch = parse_batch(&g, &sentences, ParseOptions::default(), 100);
+        let req = ParseRequest::new(&g).max_parses(100);
+        let batch = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
         assert_eq!(batch.len(), sentences.len());
         for (s, b) in sentences.iter().zip(&batch) {
             let solo = parse(&g, s, ParseOptions::default());
@@ -145,7 +93,10 @@ mod tests {
     fn pool_actually_recycles_across_the_batch() {
         let (g, sentences) = corpus(&["the dog runs", "the dog sees the cat", "she sleeps"]);
         let mut warm = WarmState::new();
-        let _ = parse_batch_warm(&g, &sentences, ParseOptions::default(), 0, None, &mut warm);
+        let req = ParseRequest::new(&g).max_parses(0);
+        for s in &sentences {
+            warm.summarize(&req, s);
+        }
         // Sentence 1 fills the pool and the slab; sentences 2..n draw
         // from them.
         let pool = warm.pool_stats();
@@ -157,6 +108,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let (g, _) = corpus(&[]);
-        assert!(parse_batch(&g, &[], ParseOptions::default(), 10).is_empty());
+        let report = Sequential.parse_batch(&[], &ParseRequest::new(&g)).unwrap();
+        assert!(report.outcomes.is_empty());
     }
 }

@@ -49,15 +49,13 @@ pub mod wire;
 pub use api::{
     resolve_compiled, BatchReport, Engine, ParseReport, ParseRequest, Sequential, WarmState,
 };
-pub use batch::{parse_batch, parse_batch_warm, BatchOutcome};
+pub use batch::BatchOutcome;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT_HORIZON_OPS};
 pub use consistency::{filter_incremental, FilterStep, IncrementalFilter};
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
 pub use network::{EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId};
-pub use parser::{
-    parse, parse_with_pool, parse_with_state, FilterMode, ParseOptions, ParseOutcome,
-};
+pub use parser::{parse, parse_with_state, FilterMode, ParseOptions, ParseOutcome};
 pub use pool::{ArcPool, PoolStats};
 pub use relax::{parse_relaxed, RelaxLadder, RelaxOutcome};
 pub use stats::NetStats;

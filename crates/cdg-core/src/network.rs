@@ -141,7 +141,7 @@ impl RoleSlot {
 /// Recycled [`Network`] allocations for a warm worker: slot storage
 /// (domain vectors and alive bitsets), the pair index, and the arc-matrix
 /// container, reclaimed from a finished parse's network via
-/// [`Network::reclaim_slab`] and reused by the next
+/// [`Network::reclaim`] and reused by the next
 /// [`Network::build_in`]. Every buffer is cleared and refilled on reuse,
 /// so networks built through a slab are byte-identical to fresh ones —
 /// only allocation traffic differs.
@@ -217,7 +217,7 @@ impl<'g> Network<'g> {
     /// from `slab` — the warm-worker path. Recycled buffers are cleared
     /// and refilled in the exact order a fresh build produces, so the
     /// resulting network is byte-identical; only allocation traffic
-    /// differs. Hand the network back with [`Network::reclaim_slab`]
+    /// differs. Hand the network back with [`Network::reclaim`]
     /// once its report has been fully consumed.
     pub fn build_in(grammar: &'g Grammar, sentence: &Sentence, slab: &mut NetSlab) -> Self {
         let _phase = obsv::span("network_build");
@@ -514,33 +514,16 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Dismantle the network, returning every arc matrix's backing buffer
-    /// to `pool` for the next sentence in a batch.
-    pub fn recycle(self, pool: &mut ArcPool) {
-        for m in self.arcs {
-            pool.release(m);
-        }
-    }
-
-    /// Return the arc matrices to `pool` in place, leaving the network
-    /// arc-less (`arcs_ready()` turns false; slots, stats, and parse flags
-    /// survive). Warm serving calls this after extraction so the next
-    /// request on the same worker re-acquires the buffers instead of
-    /// allocating.
-    pub fn reclaim_arcs(&mut self, pool: &mut ArcPool) {
+    /// Hand this network's storage back for the next parse: the arc
+    /// matrices to `pool`, and the slot storage, pair index and arc
+    /// container to `slab` for the next [`Network::build_in`]. The network
+    /// is left empty — call only once every reader of the report is done
+    /// with it (in particular, [`crate::ParseReport::summary`] reads the
+    /// alive sets).
+    pub fn reclaim(&mut self, pool: &mut ArcPool, slab: &mut NetSlab) {
         for m in self.arcs.drain(..) {
             pool.release(m);
         }
-        self.pairs.clear();
-        self.arcs_ready = false;
-    }
-
-    /// Hand this network's slot storage, pair index, and arc container
-    /// back to `slab` for the next [`Network::build_in`]. The network is
-    /// left empty — call only once every reader of the report is done
-    /// with it (in particular, [`crate::ParseReport::summary`] reads the
-    /// alive sets).
-    pub fn reclaim_slab(&mut self, slab: &mut NetSlab) {
         slab.slots = std::mem::take(&mut self.slots);
         slab.pairs = std::mem::take(&mut self.pairs);
         slab.arcs = std::mem::take(&mut self.arcs);

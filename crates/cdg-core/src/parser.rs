@@ -214,36 +214,23 @@ pub fn parse<'g>(
     sentence: &Sentence,
     options: ParseOptions,
 ) -> ParseOutcome<'g> {
-    parse_with_pool(grammar, sentence, options, &mut ArcPool::new())
-}
-
-/// [`parse`] drawing arc-matrix storage from `pool` — the batched-parsing
-/// path ([`crate::batch::parse_batch`]). Results are byte-identical to the
-/// pool-less parse; only allocation traffic differs. Recycle the outcome's
-/// network back into the pool with [`Network::recycle`] when done with it.
-pub fn parse_with_pool<'g>(
-    grammar: &'g Grammar,
-    sentence: &Sentence,
-    options: ParseOptions,
-    pool: &mut ArcPool,
-) -> ParseOutcome<'g> {
     parse_with_state(
         grammar,
         sentence,
         options,
         None,
-        pool,
+        &mut ArcPool::new(),
         &mut KernelScratch::new(),
         &mut NetSlab::default(),
         &mut Serial,
     )
 }
 
-/// The fully warm entry point: [`parse_with_pool`] that additionally
-/// resolves constraint programs from a pre-built
-/// [`CompiledGrammar`] artifact (`None` = the compile-per-call oracle)
-/// and draws kernel scratch and network storage from caller-owned state
-/// that survives across parses. Every piece of reused state is
+/// The fully warm entry point: [`parse`] that resolves constraint
+/// programs from a pre-built [`CompiledGrammar`] artifact (`None` = the
+/// compile-per-call oracle) and draws arc matrices, kernel scratch and
+/// network storage from caller-owned state that survives across parses
+/// (see [`crate::api::WarmState::run`]). Every piece of reused state is
 /// generation-stamped or re-zeroed on adoption, so results are
 /// byte-identical to a cold [`parse`] — only allocation and compile
 /// traffic differ.

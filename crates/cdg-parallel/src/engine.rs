@@ -1,9 +1,10 @@
 //! The [`Engine`] implementation for the P-RAM backend.
 
-use crate::pram::{parse_pram_compiled, PramOutcome};
-use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
+use crate::pram::{PramOutcome, PramStats};
+use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// The CRCW-P-RAM engine (§2.1): intra-sentence parallelism for single
@@ -21,7 +22,11 @@ impl Engine for Pram {
         "pram"
     }
 
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
+    fn parse_warm<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError> {
         let sentence = req.require_sentence()?;
         req.reject_faults(self.name())?;
         if let Some(threads) = req.threads {
@@ -29,27 +34,31 @@ impl Engine for Pram {
         }
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
+        let mut stats = PramStats::default();
         let (outcome, parses) = {
             let _root = obsv::span("parse");
-            let outcome =
-                parse_pram_compiled(req.grammar, sentence, req.options, req.compiled.clone());
+            let outcome = PramOutcome {
+                outcome: warm.run(req, sentence, &mut stats),
+                stats,
+            };
             let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
+            (outcome.outcome, parses)
         };
-        let PramOutcome { outcome, stats } = outcome;
         obsv::counter_add("pram.steps", stats.steps as u64);
         obsv::gauge_set("pram.max_width", stats.max_width as f64);
-        let accepted = outcome.accepted();
         Ok(ParseReport::from_outcome(
             self.name(),
             outcome,
-            accepted,
             parses,
             start,
             scope,
         ))
     }
 
+    /// Sentences fan out across the rayon pool, each worker on its own
+    /// [`WarmState`]. Chunk boundaries depend only on the batch length and
+    /// each parse is independent of its neighbours, so the outcomes equal
+    /// `Sequential`'s at any thread count.
     fn parse_batch(
         &self,
         sentences: &[Sentence],
@@ -61,22 +70,20 @@ impl Engine for Pram {
         }
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let outcomes = crate::batch::parse_batch_compiled(
-            req.grammar,
-            sentences,
-            req.options,
-            req.max_parses,
-            req.compiled.clone(),
-        );
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
+        // Each worker merges its per-sentence span trees into the global
+        // trace buffer on drop (see `obsv::span`).
+        let outcomes = sentences
+            .par_iter()
+            .map_init(WarmState::new, |warm, sentence| {
+                warm.summarize(req, sentence)
+            })
+            .collect();
+        Ok(BatchReport::from_outcomes(
+            self.name(),
             outcomes,
-            wall: start.elapsed(),
-            trace,
-            metrics,
-        })
+            start,
+            scope,
+        ))
     }
 }
 
@@ -84,7 +91,6 @@ impl Engine for Pram {
 mod tests {
     use super::*;
     use cdg_core::api::Sequential;
-    use cdg_core::parser::ParseOptions;
     use cdg_core::{BudgetResource, ParseBudget};
     use cdg_grammar::grammars::{english, paper};
     use std::sync::Mutex;
@@ -172,18 +178,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_via_trait_matches_free_function() {
+    fn batch_matches_sequential_batch_at_any_thread_count() {
         let g = english::grammar();
         let lex = english::lexicon(&g);
-        let sentences: Vec<_> = ["the dog runs", "dog the runs", "she sleeps"]
-            .iter()
-            .map(|t| lex.sentence(t).unwrap())
-            .collect();
-        let free = crate::batch::parse_batch(&g, &sentences, ParseOptions::default(), 10);
-        let report = Pram
-            .parse_batch(&sentences, &ParseRequest::new(&g).max_parses(10))
-            .unwrap();
-        assert_eq!(report.outcomes, free);
-        assert_eq!(report.accepted(), 2);
+        let sentences: Vec<Sentence> = [
+            "the dog runs",
+            "dog the runs",
+            "the dog runs in the park",
+            "the watch runs",
+            "she sleeps",
+            "the big red dog sees a small cat",
+            "they often watch dogs near the table",
+            "runs sees",
+        ]
+        .iter()
+        .map(|t| lex.sentence(t).unwrap())
+        .collect();
+        let req = ParseRequest::new(&g).max_parses(50);
+        let seq = Sequential.parse_batch(&sentences, &req).unwrap();
+        assert_eq!(seq.accepted(), 6);
+        let attached = req.clone().compiled(cdg_core::resolve_compiled(&g));
+        for threads in [1usize, 2, 8] {
+            for req in [&req, &attached] {
+                let par = Pram.parse_batch(&sentences, &req.clone().threads(threads));
+                assert_eq!(
+                    seq.outcomes,
+                    par.unwrap().outcomes,
+                    "batch diverged at {threads} threads"
+                );
+            }
+        }
+        rayon::set_num_threads(0);
     }
 }

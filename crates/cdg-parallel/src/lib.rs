@@ -30,14 +30,12 @@
 //! `NetStats` ledger are the sequential engine's at any thread count
 //! (tested, including proptest equivalence).
 
-pub mod batch;
 pub mod engine;
 pub mod extract_par;
 pub mod mesh;
 pub mod pram;
 
-pub use batch::{parse_batch, parse_batch_compiled};
 pub use engine::Pram;
 pub use extract_par::precedence_graphs_par;
 pub use mesh::{MeshCdg, MeshStats};
-pub use pram::{parse_pram, parse_pram_compiled, PramOutcome, PramStats};
+pub use pram::{parse_pram, PramOutcome, PramStats};

@@ -11,9 +11,8 @@ use cdg_core::network::{NetSlab, Network};
 use cdg_core::parser::{parse_with_state, Executor, ParseOptions, ParseOutcome, Step};
 use cdg_core::{ArcPool, PrecedenceGraph};
 use cdg_grammar::kernel::LaneScratch;
-use cdg_grammar::{CompiledGrammar, Constraint, Grammar, Sentence};
+use cdg_grammar::{Constraint, Grammar, Sentence};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Parallel-step and width accounting for the P-RAM model.
 ///
@@ -196,24 +195,12 @@ pub fn parse_pram<'g>(
     sentence: &Sentence,
     options: ParseOptions,
 ) -> PramOutcome<'g> {
-    parse_pram_compiled(grammar, sentence, options, None)
-}
-
-/// [`parse_pram`] with the grammar's compiled artifact attached: kernel
-/// sweeps look constraint programs up instead of recompiling per call.
-/// `None` is the compile-per-call oracle path; results are bit-identical.
-pub fn parse_pram_compiled<'g>(
-    grammar: &'g Grammar,
-    sentence: &Sentence,
-    options: ParseOptions,
-    compiled: Option<Arc<CompiledGrammar>>,
-) -> PramOutcome<'g> {
     let mut stats = PramStats::default();
     let outcome = parse_with_state(
         grammar,
         sentence,
         options,
-        compiled,
+        None,
         &mut ArcPool::new(),
         &mut KernelScratch::new(),
         &mut NetSlab::default(),

@@ -1,7 +1,7 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
 use crate::engine::{parse_maspar_checked, MasparOptions};
-use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
+use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::batch::BatchOutcome;
 use cdg_core::consistency::is_locally_consistent;
 use cdg_core::extract::precedence_graphs;
@@ -63,8 +63,9 @@ impl Maspar {
         opts
     }
 
-    /// One checked parse plus host readback; shared by [`Engine::parse`]
-    /// and [`Engine::parse_batch`] (which arm the obsv scope themselves).
+    /// One checked parse plus host readback; shared by
+    /// [`Engine::parse_warm`] and [`Engine::parse_batch`] (which arm the
+    /// obsv scope themselves).
     fn run_core<'g>(
         &self,
         req: &ParseRequest<'g>,
@@ -133,7 +134,12 @@ impl Engine for Maspar {
         "maspar"
     }
 
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
+    /// The simulated array keeps its own per-call state; `warm` is unused.
+    fn parse_warm<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        _warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError> {
         let sentence = req.require_sentence()?;
         let scope = ObsvScope::begin(req);
         let mut report = self.run_core(req, sentence)?;
@@ -161,15 +167,12 @@ impl Engine for Maspar {
                 Err(_) => outcomes.push(rejected_outcome()),
             }
         }
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
+        Ok(BatchReport::from_outcomes(
+            self.name(),
             outcomes,
-            wall: start.elapsed(),
-            trace,
-            metrics,
-        })
+            start,
+            scope,
+        ))
     }
 }
 

@@ -129,8 +129,7 @@ pub fn faults_for_attempt(
 /// ([`EngineError::is_transient`]) up to `policy.max_attempts` total
 /// attempts with deterministic capped-exponential backoff. Each attempt
 /// runs [`Engine::parse_warm`] against the caller's per-worker
-/// [`WarmState`] (engines without a warm override fall through to their
-/// cold `parse`). The request's fault plan is attenuated per attempt via
+/// [`WarmState`]. The request's fault plan is attenuated per attempt via
 /// [`faults_for_attempt`] with `transient_for`. `sleep` performs the
 /// backoff wait — inject [`std::thread::sleep`] in production, a recorder
 /// in tests.

@@ -68,7 +68,8 @@ pub struct ServeConfig {
     /// always run on the maspar engine — it is the only one with a fault
     /// model.
     pub engine: String,
-    /// Worker threads servicing the queue.
+    /// Worker threads sharing the queue when `shards == 1`; a fleet runs
+    /// one worker per shard.
     pub workers: usize,
     /// Queue capacity; a full queue sheds with `reason=queue_full`.
     pub queue_capacity: usize,
@@ -91,15 +92,14 @@ pub struct ServeConfig {
     pub machine: MachineConfig,
     /// Retry policy for transient engine failures.
     pub retry: RetryPolicy,
-    /// Independent simulated machines. `1` (the default) is the classic
-    /// single-queue server: `workers` threads share one queue. With more
-    /// shards the fleet takes over: one worker thread *per shard*, each
-    /// owning its engines and bounded queue (capacity `queue_capacity`
-    /// each), with requests routed by the [`fleet::BandPlan`] and work
-    /// stealing confined to band siblings.
+    /// Independent simulated machines, each with its bounded queue
+    /// (capacity `queue_capacity` each), requests routed by the
+    /// [`fleet::BandPlan`] and work stealing confined to band siblings.
+    /// `1` (the default) runs `workers` threads on the one shard; with
+    /// more shards each shard has one worker thread owning its engines.
     pub shards: usize,
-    /// How the fleet cuts sentence lengths into bands (ignored when
-    /// `shards == 1`).
+    /// How the fleet cuts sentence lengths into bands (never more bands
+    /// than shards).
     pub bands: fleet::BandSpec,
     /// Deterministic shard-death injections, for the chaos suite: shard
     /// `k` dies after servicing `after_requests` requests, drains its

@@ -8,9 +8,9 @@
 //!   producers get an immediate `Full`/`Closed` verdict, which the
 //!   admission layer converts into a typed `SHED` response. Backpressure
 //!   is explicit, not an unbounded channel quietly eating memory.
-//! * [`Bounded::pop`] blocks until an item arrives or the queue is closed
-//!   *and* empty — close-then-drain, so nothing admitted is ever dropped
-//!   by the queue itself.
+//! * [`Bounded::pop_timeout`] blocks until an item arrives, the queue is
+//!   closed *and* empty, or the timeout passes — close-then-drain, so
+//!   nothing admitted is ever dropped by the queue itself.
 //! * [`Bounded::drain_now`] empties the queue in one lock acquisition;
 //!   the drain supervisor uses it to shed leftovers when the drain
 //!   deadline expires (each leftover still gets its typed response — the
@@ -79,21 +79,6 @@ impl<T> Bounded<T> {
         Ok(depth)
     }
 
-    /// Block until an item is available (FIFO) or the queue is closed and
-    /// empty (`None` — the worker's signal to exit).
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.available.wait(st).unwrap();
-        }
-    }
-
     /// Non-blocking pop: the work-stealing primitive. `None` means empty
     /// *or* closed — a stealer probing a sibling queue cannot tell and
     /// does not need to.
@@ -101,10 +86,11 @@ impl<T> Bounded<T> {
         self.state.lock().unwrap().items.pop_front()
     }
 
-    /// Like [`Self::pop`] but gives up after `timeout`, returning
-    /// `(item, closed_and_empty)`. A `(None, false)` result is a timeout —
-    /// the shard worker's cue to go steal from band siblings rather than
-    /// camp on its own empty queue.
+    /// Block until an item is available (FIFO), the queue is closed and
+    /// empty, or `timeout` passes, returning `(item, closed_and_empty)`.
+    /// `(None, true)` is the worker's signal to exit; `(None, false)` is a
+    /// timeout — the shard worker's cue to go steal from band siblings
+    /// rather than camp on its own empty queue.
     pub fn pop_timeout(&self, timeout: std::time::Duration) -> (Option<T>, bool) {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.state.lock().unwrap();
@@ -134,7 +120,7 @@ impl<T> Bounded<T> {
     }
 
     /// Close the queue: pushes fail with [`PushError::Closed`], poppers
-    /// drain the remainder then observe `None`.
+    /// drain the remainder then observe `(None, true)`.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.available.notify_all();
@@ -148,14 +134,18 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Longer than any test waits: a pop that returns sooner did not time
+    /// out.
+    const LONG: Duration = Duration::from_secs(60);
+
     #[test]
     fn push_pop_fifo_within_capacity() {
         let q = Bounded::new(3);
         assert_eq!(q.try_push(1).unwrap(), 1);
         assert_eq!(q.try_push(2).unwrap(), 2);
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop_timeout(LONG), (Some(2), false));
     }
 
     #[test]
@@ -175,14 +165,17 @@ mod tests {
         q.try_push(11).unwrap();
         q.close();
         assert_eq!(q.try_push(12).unwrap_err().1, PushError::Closed);
-        // Already-queued items still come out, then poppers see None.
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), None);
-        // A popper blocked on an empty closed queue terminates too.
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.pop());
-        assert_eq!(t.join().unwrap(), None);
+        // Already-queued items still come out, then poppers see the end.
+        assert_eq!(q.pop_timeout(LONG), (Some(10), false));
+        assert_eq!(q.try_pop(), Some(11));
+        assert_eq!(q.pop_timeout(LONG), (None, true));
+        // A popper blocked on an empty open queue wakes when it closes.
+        let open = Arc::new(Bounded::<u32>::new(4));
+        let q2 = Arc::clone(&open);
+        let t = thread::spawn(move || q2.pop_timeout(LONG));
+        thread::sleep(Duration::from_millis(20));
+        open.close();
+        assert_eq!(t.join().unwrap(), (None, true));
     }
 
     #[test]
@@ -197,10 +190,10 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(5));
         // An available item returns immediately.
         q.try_push(2).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), (Some(2), false));
+        assert_eq!(q.pop_timeout(LONG), (Some(2), false));
         // Closed-and-empty is terminal, not a timeout.
         q.close();
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), (None, true));
+        assert_eq!(q.pop_timeout(LONG), (None, true));
     }
 
     #[test]
@@ -222,10 +215,13 @@ mod tests {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got = 0u64;
-                    while let Some(_item) = q.pop() {
-                        got += 1;
+                    loop {
+                        match q.pop_timeout(Duration::from_millis(5)) {
+                            (Some(_item), _) => got += 1,
+                            (None, true) => return got,
+                            (None, false) => {}
+                        }
                     }
-                    got
                 })
             })
             .collect();

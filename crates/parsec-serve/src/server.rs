@@ -11,14 +11,15 @@
 //!             cache lookup                                only)
 //! ```
 //!
-//! With `shards == 1` (the default) this is the classic single-queue
-//! server: `workers` threads share shard 0's queue — byte-identical
-//! behavior to the pre-fleet server. With more shards, each shard is an
-//! independent simulated MasPar machine: one worker thread that owns its
-//! engines and its bounded queue. Requests are routed by sentence length
-//! through the [`BandPlan`] so every shard's virtualization ratio stays on
-//! one side of the q²n⁴ cliffs, and an idle worker steals only from band
-//! siblings — a stolen job is the same size class as a native one.
+//! Every worker runs one loop: pop its shard's queue, steal from band
+//! siblings when idle, die when the shard-fault plan says so. With
+//! `shards == 1` (the default) `workers` threads share shard 0 and its
+//! queue. With more shards, each shard is an independent simulated
+//! MasPar machine: one worker thread that owns its engines and its
+//! bounded queue. Requests are routed by sentence length through the
+//! [`BandPlan`] so every shard's virtualization ratio stays on one side of
+//! the q²n⁴ cliffs, and an idle worker steals only from band siblings — a
+//! stolen job is the same size class as a native one.
 //!
 //! **Exactly one response per request** is owned by the connection
 //! handler: every `PARSE` line either produces an immediate typed
@@ -39,7 +40,7 @@
 
 use crate::admission::{decide, Admit, SloClass};
 use crate::cache::{request_digest, ResponseCache};
-use crate::fleet::{BandPlan, BandSpec};
+use crate::fleet::BandPlan;
 use crate::queue::{Bounded, PushError};
 use crate::wire::{self, cause_field, render_fields, Request, PROTOCOL_VERSION};
 use crate::{engine_for, ServeConfig, ServeStats, StatsSnapshot};
@@ -317,11 +318,7 @@ impl Server {
             TcpListener::bind(&config.addr).map_err(|e| format!("bind `{}`: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let plan = BandPlan::build(
-            if shard_count == 1 {
-                BandSpec::Count(1)
-            } else {
-                config.bands
-            },
+            config.bands,
             shard_count,
             grammar.num_roles(),
             config.machine.phys_pes,
@@ -354,23 +351,20 @@ impl Server {
             lexicon,
             config,
         });
-        let workers = if shard_count == 1 {
-            // Classic single-queue pool: `workers` threads on shard 0.
-            (0..shared.config.workers.max(1))
-                .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    thread::spawn(move || single_shard_worker(&shared))
-                })
-                .collect()
+        // One shard: `workers` threads share it. The fleet: one worker
+        // thread per shard, owning its engines.
+        let worker_shards: Vec<usize> = if shard_count == 1 {
+            vec![0; shared.config.workers.max(1)]
         } else {
-            // The fleet: one worker thread per shard, owning its engines.
-            (0..shard_count)
-                .map(|id| {
-                    let shared = Arc::clone(&shared);
-                    thread::spawn(move || fleet_worker(&shared, id))
-                })
-                .collect()
+            (0..shard_count).collect()
         };
+        let workers = worker_shards
+            .into_iter()
+            .map(|id| {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || shard_worker(&shared, id))
+            })
+            .collect();
         let accept = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || accept_loop(&shared, listener))
@@ -807,26 +801,11 @@ impl EngineSet {
     }
 }
 
-/// Classic single-queue worker (`shards == 1`): blocking pops on shard
-/// 0's queue.
-fn single_shard_worker(shared: &Arc<Shared>) {
-    let shard = &shared.shards[0];
-    let mut engines = EngineSet::new(shared.config.machine.clone());
-    // Every worker resolves the artifact through the shared registry — a
-    // hit, since `Server::start` already built it — and keeps warm scratch
-    // that survives across the requests it services.
-    let artifact = resolve_artifact(&shared.grammar, &shared.stats);
-    debug_assert!(Arc::ptr_eq(&artifact, &shared.compiled));
-    let mut warm = WarmState::new();
-    while let Some(job) = shard.queue.pop() {
-        run_job(shared, shard, &mut engines, &mut warm, job);
-    }
-}
-
-/// Fleet worker: owns shard `id`. Pops its own queue with a short
-/// timeout, steals from band siblings when idle, and executes its
+/// Shard worker: serves shard `id`, alone or beside the other workers of
+/// a single-shard server. Pops the shard's queue with a short timeout,
+/// steals from band siblings when idle, and executes the shard's
 /// deterministic death when the shard-fault plan says so.
-fn fleet_worker(shared: &Arc<Shared>, id: usize) {
+fn shard_worker(shared: &Arc<Shared>, id: usize) {
     let my = &shared.shards[id];
     let band = shared.plan.band_of_shard(id);
     let siblings: Vec<&Shard> = shared
@@ -837,17 +816,23 @@ fn fleet_worker(shared: &Arc<Shared>, id: usize) {
         .map(|&s| &shared.shards[s])
         .collect();
     let mut engines = EngineSet::new(shared.config.machine.clone());
-    // Shard workers resolve through the same process-wide registry as the
-    // single-queue pool: one artifact per grammar content hash, fleet-wide.
+    // Every worker resolves the artifact through the process-wide
+    // registry — a hit, since `Server::start` already built it: one
+    // artifact per grammar content hash, fleet-wide. The warm state
+    // survives across the requests this worker services.
     let artifact = resolve_artifact(&shared.grammar, &shared.stats);
     debug_assert!(Arc::ptr_eq(&artifact, &shared.compiled));
     obsv::counter_add(my.series.compile_hits, 1);
     let mut warm = WarmState::new();
     loop {
         // Deterministic shard death: after the fault plan's request count,
-        // mark dead, drain the queue to live siblings, and exit.
+        // mark dead, drain the queue to live siblings, and exit. The swap
+        // lets exactly one of a shard's workers carry out the death; the
+        // others find the queue closed and exit.
         if let Some(after) = my.fault_after {
-            if my.is_alive() && my.serviced.load(Ordering::Relaxed) >= after {
+            if my.serviced.load(Ordering::Relaxed) >= after
+                && my.alive.swap(false, Ordering::SeqCst)
+            {
                 kill_shard(shared, my, &siblings);
                 break;
             }
@@ -877,12 +862,11 @@ fn fleet_worker(shared: &Arc<Shared>, id: usize) {
     }
 }
 
-/// A dying shard's last act: flip the liveness flag, then re-home every
-/// queued job to a live band sibling — or answer it `DEGRADED
+/// A dying shard's last act, once its liveness flag is down: re-home
+/// every queued job to a live band sibling — or answer it `DEGRADED
 /// cause=shard` if no sibling can take it. Typed responses all the way
 /// down; the queue is closed so racing pushes spill at admission.
 fn kill_shard(shared: &Shared, my: &Shard, siblings: &[&Shard]) {
-    my.alive.store(false, Ordering::SeqCst);
     obsv::counter_add(my.series.deaths, 1);
     my.queue.close();
     for job in my.queue.drain_now() {

@@ -398,6 +398,45 @@ fn fleet_mode_parses_and_reports_shards() {
 }
 
 #[test]
+fn single_shard_fault_plan_fires_and_degrades_with_cause_shard() {
+    // One shard runs the same worker loop as a fleet, so its fault plan
+    // fires too: after two serviced requests shard 0 dies, and with no
+    // band sibling to take the next request it answers typed.
+    let handle = Server::start(ServeConfig {
+        cache_capacity: 0,
+        shard_faults: vec![parsec_serve::ShardFault {
+            shard: 0,
+            after_requests: 2,
+        }],
+        ..english_config()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr());
+    for _ in 0..2 {
+        let (status, _) = client.roundtrip("PARSE the dog runs");
+        assert_eq!(status, "OK");
+    }
+    let started = std::time::Instant::now();
+    while handle.fleet_stats()[0].alive {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "shard 0 never died: {:?}",
+            handle.fleet_stats()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let (status, fields) = client.roundtrip("PARSE the dog runs");
+    assert_eq!(status, "DEGRADED");
+    assert_eq!(field(&fields, "cause"), "shard");
+    assert_eq!(handle.fleet_stats()[0].serviced, 2);
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.ok, 2);
+    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.parse_responses(), stats.requests);
+}
+
+#[test]
 fn connection_cap_sheds_with_a_typed_line() {
     let handle = Server::start(ServeConfig {
         max_connections: 1,

@@ -31,7 +31,8 @@
 //!   --addr <host:port>     bind address (default 127.0.0.1:0; the bound port is printed)
 //!   --grammar <name|path>  paper | english | a .cdg file (default english)
 //!   --engine <name>        default engine for requests (default serial)
-//!   --workers <N>          worker threads (default 4; single-shard mode only)
+//!   --workers <N>          worker threads on the one shard (default 4; a fleet
+//!                          runs one per shard)
 //!   --shards <N>           independent simulated machines (default 1); with
 //!                          N > 1 each shard gets one worker thread, its own
 //!                          engines and bounded queue, length-band routing,
@@ -712,10 +713,8 @@ fn run_serve(argv: &[String]) -> ExitCode {
     }
     let (final_stats, fleet) = handle.join_full();
     println!("{}", final_stats.render_final());
-    if fleet.len() > 1 {
-        for shard in &fleet {
-            println!("{}", shard.render());
-        }
+    for shard in &fleet {
+        println!("{}", shard.render());
     }
     obsv::set_metrics(false);
     if let Some(path) = metrics_out {
@@ -738,7 +737,7 @@ fn main() -> ExitCode {
     if let Some(n) = args.config.threads {
         rayon::set_num_threads(n);
     }
-    let Some(engine) = parsec::engine_by_name(&args.engine) else {
+    let Some(engine) = parsec_serve::engine_for(&args.engine, &MachineConfig::default()) else {
         eprintln!("error: unknown engine `{}`", args.engine);
         return ExitCode::from(2);
     };

@@ -52,21 +52,6 @@ pub use corpus;
 pub use maspar_sim as maspar;
 pub use parsec_maspar as parsec;
 
-use cdg_core::api::Engine;
-
-/// Look up an engine by its stable CLI name (`"serial"`, `"pram"`,
-/// `"maspar"`). The returned trait object runs [`Engine::parse`] and
-/// [`Engine::parse_batch`] with default backend configuration; construct
-/// [`parsec_maspar::Maspar`] directly to customize the machine shape.
-pub fn engine_by_name(name: &str) -> Option<Box<dyn Engine>> {
-    match name {
-        "serial" => Some(Box::new(cdg_core::api::Sequential)),
-        "pram" => Some(Box::new(cdg_parallel::Pram)),
-        "maspar" => Some(Box::new(parsec_maspar::Maspar::default())),
-        _ => None,
-    }
-}
-
 /// The most common imports.
 pub mod prelude {
     pub use cdg_core::api::{BatchReport, Engine, ParseReport, ParseRequest, Sequential};
@@ -75,18 +60,4 @@ pub mod prelude {
     pub use cdg_grammar::{Grammar, GrammarBuilder, Lexicon, Sentence};
     pub use cdg_parallel::{parse_pram, Pram};
     pub use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_factory_knows_all_three_backends() {
-        for name in ["serial", "pram", "maspar"] {
-            let engine = engine_by_name(name).unwrap();
-            assert_eq!(engine.name(), name);
-        }
-        assert!(engine_by_name("abacus").is_none());
-    }
 }

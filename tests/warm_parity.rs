@@ -2,8 +2,9 @@
 //! [`CompiledGrammar`](cdg_grammar::CompiledGrammar) artifact and a
 //! long-lived [`WarmState`] is bit-identical to compile-per-call cold
 //! parsing — over the 64 differential seeds, both bundled grammars, every
-//! filter strategy, and every engine. Engines without a warm path (PRAM,
-//! MasPar) must treat the attached artifact as inert.
+//! filter strategy, and every engine. The host engines (serial, PRAM)
+//! carry one warm state across requests; every engine must treat the
+//! attached artifact as inert.
 
 use std::sync::Arc;
 
@@ -91,50 +92,54 @@ fn fingerprint(report: &cdg_core::ParseReport<'_>) -> Fingerprint {
 
 /// The tentpole contract: one `WarmState` carried across all 64 requests,
 /// with the shared compiled artifact attached, produces fingerprints
-/// bit-identical to the compile-per-call cold oracle — for every filter
-/// strategy on both bundled grammars.
+/// bit-identical to the compile-per-call cold oracle — for both host
+/// engines and every filter strategy on both bundled grammars.
 #[test]
 fn sequential_warm_matches_cold_oracle() {
     for (name, g, lex) in &setups() {
         let artifact = resolve_compiled(g);
         for strategy in STRATEGIES {
-            let mut warm = WarmState::new();
-            for seed in 0..SEEDS {
-                let s = seeded_sentence(g, lex, seed);
-                let cold = Sequential
-                    .parse(
-                        &ParseRequest::new(g)
-                            .sentence(s.clone())
-                            .options(options(strategy))
-                            .max_parses(8),
-                    )
-                    .expect("cold parse");
-                let req = ParseRequest::new(g)
-                    .sentence(s)
-                    .options(options(strategy))
-                    .max_parses(8)
-                    .compiled(Arc::clone(&artifact));
-                let mut hot = Sequential.parse_warm(&req, &mut warm).expect("warm parse");
-                assert_eq!(
-                    fingerprint(&cold),
-                    fingerprint(&hot),
-                    "warm/cold divergence: grammar={name} strategy={strategy:?} seed={seed}"
+            for engine in [&Sequential as &dyn Engine, &Pram] {
+                let engine_name = engine.name();
+                let mut warm = WarmState::new();
+                for seed in 0..SEEDS {
+                    let s = seeded_sentence(g, lex, seed);
+                    let cold = Sequential
+                        .parse(
+                            &ParseRequest::new(g)
+                                .sentence(s.clone())
+                                .options(options(strategy))
+                                .max_parses(8),
+                        )
+                        .expect("cold parse");
+                    let req = ParseRequest::new(g)
+                        .sentence(s)
+                        .options(options(strategy))
+                        .max_parses(8)
+                        .compiled(Arc::clone(&artifact));
+                    let mut hot = engine.parse_warm(&req, &mut warm).expect("warm parse");
+                    assert_eq!(
+                        fingerprint(&cold),
+                        fingerprint(&hot),
+                        "warm/cold divergence: engine={engine_name} grammar={name} \
+                         strategy={strategy:?} seed={seed}"
+                    );
+                    // Recycle only after the fingerprint is taken: the report's
+                    // network is consumed by the hand-back.
+                    warm.recycle_report(&mut hot);
+                }
+                assert_eq!(warm.parses(), SEEDS);
+                // The warm state actually warmed up: recycled slot storage and
+                // pooled arc matrices were reused across requests.
+                assert!(
+                    warm.slab_reuses() > 0,
+                    "no slab reuse: engine={engine_name} grammar={name} strategy={strategy:?}"
                 );
-                // Recycle only after the fingerprint is taken: the report's
-                // network is consumed by the hand-back.
-                warm.recycle_report(&mut hot);
+                assert!(
+                    warm.pool_stats().reuses > 0,
+                    "no pool reuse: engine={engine_name} grammar={name} strategy={strategy:?}"
+                );
             }
-            assert_eq!(warm.parses(), SEEDS);
-            // The warm state actually warmed up: recycled slot storage and
-            // pooled arc matrices were reused across requests.
-            assert!(
-                warm.slab_reuses() > 0,
-                "no slab reuse: grammar={name} strategy={strategy:?}"
-            );
-            assert!(
-                warm.pool_stats().reuses > 0,
-                "no pool reuse: grammar={name} strategy={strategy:?}"
-            );
         }
     }
 }
@@ -176,8 +181,8 @@ fn artifact_only_matches_cold_oracle() {
 
 /// PRAM consumes the artifact on its thread workers; MasPar ignores it
 /// (the simulated machine compiles into its own ledger). Both must be
-/// unaffected observationally, and `parse_warm` must equal `parse` for
-/// engines that delegate the default implementation.
+/// unaffected observationally: `parse_warm` with the artifact must equal
+/// the bare cold `parse`.
 #[test]
 fn pram_and_maspar_treat_artifact_as_inert() {
     // MasPar simulation is the slow engine; a seed subset keeps the suite
