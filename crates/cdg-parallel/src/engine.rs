@@ -10,10 +10,11 @@ use std::time::Instant;
 /// The CRCW-P-RAM engine (§2.1): intra-sentence parallelism for single
 /// parses, sentence-parallel fan-out for batches.
 ///
-/// `ParseRequest::threads` resizes the global rayon pool (like the CLI's
-/// `--threads`). The P-RAM pipeline runs the serial engine's phase
-/// driver, so a `ParseRequest::budget` binds at the same checkpoints and
-/// the report comes back degraded exactly when the serial one would.
+/// `ParseRequest::threads` runs the request on a pool of that width; the
+/// process-wide width (the CLI's `--threads`) is left as it was. The
+/// P-RAM pipeline runs the serial engine's phase driver, so a
+/// `ParseRequest::budget` binds at the same checkpoints and the report
+/// comes back degraded exactly when the serial one would.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -29,30 +30,29 @@ impl Engine for Pram {
     ) -> Result<ParseReport<'g>, EngineError> {
         let sentence = req.require_sentence()?;
         req.reject_faults(self.name())?;
-        if let Some(threads) = req.threads {
-            rayon::set_num_threads(threads);
-        }
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut stats = PramStats::default();
-        let (outcome, parses) = {
-            let _root = obsv::span("parse");
-            let outcome = PramOutcome {
-                outcome: warm.run(req, sentence, &mut stats),
-                stats,
+        with_width(req, || {
+            let scope = ObsvScope::begin(req);
+            let start = Instant::now();
+            let mut stats = PramStats::default();
+            let (outcome, parses) = {
+                let _root = obsv::span("parse");
+                let outcome = PramOutcome {
+                    outcome: warm.run(req, sentence, &mut stats),
+                    stats,
+                };
+                let parses = outcome.parses(req.max_parses);
+                (outcome.outcome, parses)
             };
-            let parses = outcome.parses(req.max_parses);
-            (outcome.outcome, parses)
-        };
-        obsv::counter_add("pram.steps", stats.steps as u64);
-        obsv::gauge_set("pram.max_width", stats.max_width as f64);
-        Ok(ParseReport::from_outcome(
-            self.name(),
-            outcome,
-            parses,
-            start,
-            scope,
-        ))
+            obsv::counter_add("pram.steps", stats.steps as u64);
+            obsv::gauge_set("pram.max_width", stats.max_width as f64);
+            Ok(ParseReport::from_outcome(
+                self.name(),
+                outcome,
+                parses,
+                start,
+                scope,
+            ))
+        })
     }
 
     /// Sentences fan out across the rayon pool, each worker on its own
@@ -65,25 +65,37 @@ impl Engine for Pram {
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
         req.reject_faults(self.name())?;
-        if let Some(threads) = req.threads {
-            rayon::set_num_threads(threads);
-        }
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        // Each worker merges its per-sentence span trees into the global
-        // trace buffer on drop (see `obsv::span`).
-        let outcomes = sentences
-            .par_iter()
-            .map_init(WarmState::new, |warm, sentence| {
-                warm.summarize(req, sentence)
-            })
-            .collect();
-        Ok(BatchReport::from_outcomes(
-            self.name(),
-            outcomes,
-            start,
-            scope,
-        ))
+        with_width(req, || {
+            let scope = ObsvScope::begin(req);
+            let start = Instant::now();
+            // Each worker merges its per-sentence span trees into the
+            // global trace buffer on drop (see `obsv::span`).
+            let outcomes = sentences
+                .par_iter()
+                .map_init(WarmState::new, |warm, sentence| {
+                    warm.summarize(req, sentence)
+                })
+                .collect();
+            Ok(BatchReport::from_outcomes(
+                self.name(),
+                outcomes,
+                start,
+                scope,
+            ))
+        })
+    }
+}
+
+/// Run `op` at the request's `threads` width when it carries one, on a
+/// pool installed for this call alone; at the process-wide width otherwise.
+fn with_width<R: Send>(req: &ParseRequest<'_>, op: impl FnOnce() -> R + Send) -> R {
+    match req.threads {
+        Some(threads) => rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the shim's pool builder cannot fail")
+            .install(op),
+        None => op(),
     }
 }
 
@@ -208,6 +220,19 @@ mod tests {
                 );
             }
         }
-        rayon::set_num_threads(0);
+    }
+
+    #[test]
+    fn a_request_width_leaves_the_process_width_alone() {
+        let g = paper::grammar();
+        let s = paper::example_sentence(&g);
+        let before = rayon::current_num_threads();
+        let req = ParseRequest::new(&g)
+            .sentence(s.clone())
+            .threads(before + 1);
+        assert!(Pram.parse(&req).unwrap().accepted);
+        assert_eq!(rayon::current_num_threads(), before, "after parse_warm");
+        Pram.parse_batch(&[s], &req).unwrap();
+        assert_eq!(rayon::current_num_threads(), before, "after parse_batch");
     }
 }

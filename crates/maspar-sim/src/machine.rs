@@ -176,26 +176,6 @@ fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Is any bit of `words` in the PE range `range` set?
-#[inline]
-fn any_in(words: &[u64], range: Range<usize>) -> bool {
-    if range.len() <= 64 {
-        // Within two words: one 128-bit window, no branch on where the
-        // range falls.
-        let w = range.start / 64;
-        let pair = words[w] as u128 | (words.get(w + 1).copied().unwrap_or(0) as u128) << 64;
-        let bits = (pair >> (range.start % 64)) as u64;
-        return bits & (!0u64 >> (64 - range.len())) != 0;
-    }
-    // Longer: a masked head word, whole middle words, a masked tail word.
-    let (first, last) = (range.start / 64, (range.end - 1) / 64);
-    let head = !0u64 << (range.start % 64);
-    let tail = !0u64 >> (63 - (range.end - 1) % 64);
-    words[first] & head != 0
-        || words[first + 1..last].iter().any(|&w| w != 0)
-        || words[last] & tail != 0
-}
-
 /// Freed host buffers a machine keeps for reuse.
 const MAX_SPARES: usize = 8;
 
@@ -1155,9 +1135,11 @@ impl Machine {
 
     /// One broadcast instruction: every live PE computes its bit of `dst`
     /// from its word of `src` (the packed counterpart of a
-    /// `par_zip(&mut bool_dst, &u64_src, ...)`). Each result word is built
-    /// from the body's answers by shifts alone and merged under the live
-    /// mask.
+    /// `par_zip(&mut bool_dst, &u64_src, ...)`). Each whole 64-PE word is
+    /// built from the body's answers eight PEs to a byte, by shifts alone,
+    /// and merged under the live mask; only the array's short last word
+    /// asks its live PEs one at a time. `f` must be pure: a whole word asks
+    /// every one of its PEs and keeps the live ones' answers.
     pub fn par_map_bits(
         &mut self,
         dst: &mut PluralBits,
@@ -1178,23 +1160,25 @@ impl Machine {
                         continue;
                     }
                     let base = w * 64;
-                    let v = if m == !0 {
-                        // Eight PEs to a byte, so every shift is a constant.
-                        let mut v = 0u64;
-                        for (j, eight) in s[base..base + 64].chunks_exact(8).enumerate() {
-                            let eight: &[u64; 8] = eight.try_into().expect("chunks of eight");
-                            let pe = base + 8 * j;
-                            let mut byte = 0u64;
-                            for (k, &x) in eight.iter().enumerate() {
-                                byte |= (f(pe + k, x) as u64) << k;
+                    let v = match s.get(base..base + 64) {
+                        Some(whole) => {
+                            // Eight PEs to a byte, so every shift is a constant.
+                            let mut v = 0u64;
+                            for (j, eight) in whole.chunks_exact(8).enumerate() {
+                                let eight: &[u64; 8] = eight.try_into().expect("chunks of eight");
+                                let pe = base + 8 * j;
+                                let mut byte = 0u64;
+                                for (k, &x) in eight.iter().enumerate() {
+                                    byte |= (f(pe + k, x) as u64) << k;
+                                }
+                                v |= byte << (8 * j);
                             }
-                            v |= byte << (8 * j);
+                            v
                         }
-                        v
-                    } else {
-                        set_bits(m).fold(0u64, |v, b| v | (f(base + b, s[base + b]) as u64) << b)
+                        None => set_bits(m)
+                            .fold(0u64, |v, b| v | (f(base + b, s[base + b]) as u64) << b),
                     };
-                    *word = (*word & !m) | v;
+                    *word = (*word & !m) | (v & m);
                 }
             },
         );
@@ -1213,9 +1197,8 @@ impl Machine {
         p
     }
 
-    /// Segmented `scanOr` over a packed plural — word-at-a-time over each
-    /// segment's precomputed word span (see [`SegmentMap`]), with early
-    /// exit on the first live hit.
+    /// Segmented `scanOr` over a packed plural: the live PEs holding
+    /// `true` decide their segments, and only those bits are walked.
     pub fn scan_or_bits(&mut self, p: &PluralBits, segs: &SegmentMap) -> PluralBits {
         self.seg_reduce_bits(p, segs, false)
     }
@@ -1226,33 +1209,48 @@ impl Machine {
     }
 
     /// The segmented reduction behind both packed scans. A live PE whose
-    /// bit differs from the identity decides its segment, so each word is
-    /// masked once and every segment is one test over the words it
-    /// spans, walked in order.
+    /// bit differs from the identity decides its segment, so the walk
+    /// visits only the set bits of those deciding words: the first one in
+    /// a segment flips the boundary's slot from the identity, and the walk
+    /// resumes at the segment's end. A dead boundary PE cannot receive the
+    /// deposit: its slot keeps the identity and the loss is counted, for
+    /// every segment whether decided or not, from the dead PEs' bits (none
+    /// on a fault-free machine).
     fn seg_reduce_bits(&mut self, p: &PluralBits, segs: &SegmentMap, identity: bool) -> PluralBits {
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
         self.count_dead_skips();
         let flip = if identity { !0u64 } else { 0 };
-        let deciding: Vec<u64> = p
-            .words()
-            .iter()
-            .enumerate()
-            .map(|(w, &word)| (word ^ flip) & self.live_word(w))
-            .collect();
         let mut out = self.alloc_bits(identity);
+        let (src, live, words) = (p.words(), self.live(), out.words_mut());
+        // `next`: the first PE past the last decided segment.
+        let (mut w, mut next) = (0, 0);
+        while w < src.len() {
+            let mut deciding = (src[w] ^ flip) & live.word(w);
+            if next > w * 64 {
+                deciding &= !0u64 << (next - w * 64);
+            }
+            w += 1;
+            while deciding != 0 {
+                let seg = segs.holding((w - 1) * 64 + deciding.trailing_zeros() as usize);
+                words[seg.start / 64] ^= 1u64 << (seg.start % 64);
+                next = seg.end;
+                if next >= w * 64 {
+                    // Resume at the word holding the segment's end.
+                    w = next / 64;
+                    break;
+                }
+                deciding &= !0u64 << (next % 64);
+            }
+        }
         let mut dead_boundaries = 0u64;
-        let words = out.words_mut();
-        for range in segs.ranges() {
-            let boundary = range.start;
-            // A dead boundary PE cannot receive the deposit: its slot
-            // keeps the identity and the loss is counted.
-            if self.virt_is_dead(boundary) {
-                dead_boundaries += 1;
-            } else {
-                // The slot holds the identity; a deciding PE flips it.
-                words[boundary / 64] ^= (any_in(&deciding, range) as u64) << (boundary % 64);
+        for (w, &dead) in self.virt_dead.iter().enumerate() {
+            for b in set_bits(dead) {
+                if segs.holding(w * 64 + b).start == w * 64 + b {
+                    dead_boundaries += 1;
+                    words[w] = (words[w] & !(1u64 << b)) | (flip & (1u64 << b));
+                }
             }
         }
         self.stats.dead_pe_skips += dead_boundaries;
@@ -1932,7 +1930,7 @@ mod tests {
 
     /// One instruction under test: it runs on the inputs with the grid's
     /// column height and returns what it wrote (or reduced).
-    type Instruction = Box<dyn Fn(&mut Machine, &mut Inputs, usize) -> Vec<u64>>;
+    type Instruction = Box<dyn Fn(&mut Machine, &mut Inputs, usize) -> Vec<u64> + Sync>;
 
     /// The per-PE reference walk: one plural instruction that tests
     /// `is_live` on every PE in turn.
@@ -2230,6 +2228,15 @@ mod tests {
         SegmentMap::from_lengths(&lengths)
     }
 
+    /// Run `op` on a pool of `threads` threads.
+    fn at_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(op)
+    }
+
     #[test]
     fn word_run_walk_matches_the_per_pe_reference() {
         // Columns of 18, 50 and 200 PEs (taller than a word); no array is
@@ -2240,9 +2247,7 @@ mod tests {
                 let ctx = format!("{name}: {n_virt} PEs, columns of {side}");
                 let want = run_word_case(n_virt, side, phys, reference);
                 for threads in [1, 2] {
-                    rayon::set_num_threads(threads);
-                    let got = run_word_case(n_virt, side, phys, op);
-                    rayon::set_num_threads(0);
+                    let got = at_threads(threads, || run_word_case(n_virt, side, phys, op));
                     assert_eq!(got.0, want.0, "{ctx}: results at {threads} thread(s)");
                     assert_eq!(got.1, want.1, "{ctx}: MachineStats at {threads} thread(s)");
                 }
@@ -2252,6 +2257,107 @@ mod tests {
                     1,
                     "{ctx}: the scheduled fault lands on the instruction"
                 );
+            }
+        }
+    }
+
+    /// One packed instruction under test: it runs on the inputs and
+    /// returns what it wrote.
+    type PackedInstruction = fn(&mut Machine, &mut PackedInputs) -> Vec<u64>;
+
+    /// The packed instructions, each beside its per-PE reference.
+    const PACKED_CASES: [(&str, PackedInstruction, PackedInstruction); 3] = [
+        (
+            "par_map_bits",
+            |m, x| {
+                m.par_map_bits(&mut x.dst, &x.src, |pe, v| (v + pe as u64) % 3 == 0);
+                words_of(&x.dst)
+            },
+            |m, x| {
+                let src = x.src.as_slice();
+                reference_bits(m, &mut x.dst, |pe| (src[pe] + pe as u64) % 3 == 0);
+                words_of(&x.dst)
+            },
+        ),
+        (
+            "scan_or_bits",
+            |m, x| words_of(&m.scan_or_bits(&x.data, &x.segs)),
+            |m, x| pack(m.scan_or(&x.data_bool, &x.segs).as_slice()),
+        ),
+        (
+            "scan_and_bits",
+            |m, x| words_of(&m.scan_and_bits(&x.data, &x.segs)),
+            |m, x| pack(m.scan_and(&x.data_bool, &x.segs).as_slice()),
+        ),
+    ];
+
+    struct PackedInputs {
+        data: PluralBits,
+        data_bool: Plural<bool>,
+        src: Plural<u64>,
+        dst: PluralBits,
+        segs: SegmentMap,
+    }
+
+    /// Run `op` as the seventh instruction on `n_virt` PEs over 1,000
+    /// physical ones, where dead phys 65 freezes PE 65 (the start of a
+    /// segment in every map the cases use) and every 1,000th PE after it.
+    /// Activity cuts words three ways: PEs 3–60 of a word, every PE but
+    /// each seventh, and none; every fourth word stays whole.
+    fn run_packed_case(
+        n_virt: usize,
+        segs: &SegmentMap,
+        data: fn(usize) -> bool,
+        op: PackedInstruction,
+    ) -> (Vec<u64>, MachineStats) {
+        let config = MachineConfig {
+            phys_pes: 1000,
+            ..Default::default()
+        };
+        let mut m = Machine::new(config, n_virt);
+        m.arm_faults(FaultPlan::new().with_dead_pe(65));
+        let mut inputs = PackedInputs {
+            data: m.par_init_bits(false, data),
+            data_bool: m.par_init(false, data),
+            src: m.par_init(0u64, |pe| pe as u64 * 5 + 2),
+            dst: m.par_init_bits(false, |pe| pe % 2 == 0),
+            segs: segs.clone(),
+        };
+        let mask = m.par_init_bits(false, |pe| match pe / 64 % 4 {
+            0 => true,
+            1 => (3..61).contains(&(pe % 64)),
+            2 => pe % 7 != 0,
+            _ => false,
+        });
+        let out = m.with_activity_bits(&mask, |m| op(m, &mut inputs));
+        assert_eq!(m.op_count(), 7);
+        (out, m.stats)
+    }
+
+    #[test]
+    fn packed_walks_match_the_per_pe_reference() {
+        // 1,300 PEs end in a short word; 16,900 span two host chunks. Both
+        // are whole numbers of 65-PE segments.
+        for n_virt in [1300usize, 16_900] {
+            let uniform = SegmentMap::uniform(n_virt, 65);
+            let uneven = uneven_segments(n_virt);
+            assert_eq!(uneven.holding(65).start, 65, "PE 65 starts a segment");
+            let sparse: fn(usize) -> bool = |pe| pe % 97 == 3;
+            let dense: fn(usize) -> bool = |pe| pe % 5 != 0;
+            for (name, op, reference) in PACKED_CASES {
+                for (map, segs) in [("uniform", &uniform), ("uneven", &uneven)] {
+                    for (pattern, data) in [("sparse", sparse), ("dense", dense)] {
+                        let ctx = format!("{name}: {n_virt} PEs, {map} segments, {pattern}");
+                        let want = run_packed_case(n_virt, segs, data, reference);
+                        for threads in [1, 2] {
+                            let got =
+                                at_threads(threads, || run_packed_case(n_virt, segs, data, op));
+                            assert_eq!(got.0, want.0, "{ctx}: results at {threads} thread(s)");
+                            assert_eq!(got.1, want.1, "{ctx}: MachineStats at {threads} thread(s)");
+                        }
+                        assert!(want.1.dead_pe_skips > 0, "{ctx}: the dead PE is counted");
+                    }
+                }
             }
         }
     }

@@ -69,20 +69,6 @@ impl SegmentMap {
         SegmentMap::uniform(total, total)
     }
 
-    /// Every segment's PE range, in order.
-    pub(crate) fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let mut start = 0;
-        (0..self.num_segments()).map(move |s| {
-            let end = match &self.starts {
-                Starts::Uniform(seg_len) => start + seg_len,
-                Starts::Explicit(starts) => starts.get(s + 1).copied().unwrap_or(self.len),
-            };
-            let range = start..end;
-            start = end;
-            range
-        })
-    }
-
     pub fn num_segments(&self) -> usize {
         match &self.starts {
             Starts::Uniform(seg_len) => self.len / seg_len,
@@ -133,6 +119,29 @@ impl SegmentMap {
                 Ok(s) => s,
                 Err(next) => next - 1,
             },
+        }
+    }
+
+    /// The PE range of the segment holding `pe`: where a packed scan finds
+    /// the boundary a deciding PE flips, and how far its walk may skip.
+    pub(crate) fn holding(&self, pe: usize) -> std::ops::Range<usize> {
+        debug_assert!(
+            pe < self.len,
+            "PE {pe} outside segment map of {} PEs",
+            self.len
+        );
+        match &self.starts {
+            Starts::Uniform(seg_len) => {
+                let start = pe - pe % seg_len;
+                start..start + seg_len
+            }
+            Starts::Explicit(starts) => {
+                let s = match starts.binary_search(&pe) {
+                    Ok(s) => s,
+                    Err(next) => next - 1,
+                };
+                starts[s]..starts.get(s + 1).copied().unwrap_or(self.len)
+            }
         }
     }
 
@@ -201,16 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn ranges_walk_every_segment_in_order() {
+    fn holding_finds_the_segment_of_every_pe() {
         for map in [
             SegmentMap::from_lengths(&[3, 60, 5, 130]),
             SegmentMap::uniform(192, 64),
             SegmentMap::uniform(90, 10),
             SegmentMap::global(7),
         ] {
-            let ranges: Vec<_> = map.ranges().collect();
-            let want: Vec<_> = (0..map.num_segments()).map(|s| map.range_of(s)).collect();
-            assert_eq!(ranges, want);
+            for pe in 0..map.len() {
+                assert_eq!(map.holding(pe), map.range_of(map.segment_of(pe)), "PE {pe}");
+            }
         }
     }
 }

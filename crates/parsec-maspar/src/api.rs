@@ -1,6 +1,6 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
-use crate::engine::{parse_maspar_checked, MasparOptions};
+use crate::engine::{parse_maspar_compiled, MasparOptions};
 use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::batch::BatchOutcome;
 use cdg_core::consistency::is_locally_consistent;
@@ -33,8 +33,9 @@ fn rejected_outcome() -> BatchOutcome {
 /// [`MasparOptions`]: `options.budget` and `faults` are taken from the
 /// request, and [`FilterMode`] maps onto the machine's bounded filtering
 /// (`None` → 0 iterations, `Bounded(k)` → k, `Fixpoint` → the configured
-/// iteration cap — design decision 5 has no true fixpoint mode).
-/// `ParseRequest::threads` is ignored: the simulated array's shape comes
+/// iteration cap — design decision 5 has no true fixpoint mode). The
+/// request's compiled artifact, when one is attached, supplies the
+/// constraint programs. `ParseRequest::threads` is ignored: the simulated array's shape comes
 /// from [`MasparOptions::machine`], not the host's core count.
 #[derive(Debug, Clone, Default)]
 pub struct Maspar {
@@ -75,7 +76,7 @@ impl Maspar {
         let start = Instant::now();
         let (out, network, parses) = {
             let _root = obsv::span("parse");
-            let out = parse_maspar_checked(req.grammar, sentence, &opts)?;
+            let out = parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
             let network = {
                 // Rebuilding the host network re-enters the sequential
                 // primitives, so their spans nest under `readback`.

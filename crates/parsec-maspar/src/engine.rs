@@ -33,9 +33,10 @@ use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
 use cdg_core::kernel::ones;
 use cdg_core::network::{NetParts, Network};
 use cdg_grammar::expr::{Binding, EvalCtx};
-use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables};
-use cdg_grammar::{Grammar, RoleId, RoleValue, Sentence, Value};
+use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding};
+use cdg_grammar::{CompiledGrammar, Constraint, Grammar, RoleId, RoleValue, Sentence, Value, Var};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
@@ -382,6 +383,17 @@ pub fn parse_maspar_checked(
     sentence: &Sentence,
     opts: &MasparOptions,
 ) -> Result<MasparOutcome, EngineError> {
+    parse_maspar_compiled(grammar, sentence, opts, None)
+}
+
+/// [`parse_maspar_checked`] taking the constraint programs from the
+/// grammar's compiled artifact when one is attached.
+pub(crate) fn parse_maspar_compiled(
+    grammar: &Grammar,
+    sentence: &Sentence,
+    opts: &MasparOptions,
+    compiled: Option<&CompiledGrammar>,
+) -> Result<MasparOutcome, EngineError> {
     let _build = obsv::span("network_build");
     let lay = precheck(grammar, sentence, opts)?;
 
@@ -422,7 +434,20 @@ pub fn parse_maspar_checked(
         }
     }
 
-    drive(machine, lay, grammar, sentence, opts, recovery)
+    drive(machine, lay, grammar, sentence, opts, compiled, recovery)
+}
+
+/// `c`'s program from the attached artifact, compiled here only when none
+/// is attached (as `cdg_core::kernel::with_program` resolves it).
+fn program_of<'a>(
+    compiled: Option<&'a CompiledGrammar>,
+    grammar: &Grammar,
+    c: &Constraint,
+) -> Cow<'a, KernelProgram> {
+    match compiled.and_then(|cg| cg.program_for(grammar, c)) {
+        Some(p) => Cow::Borrowed(p),
+        None => Cow::Owned(KernelProgram::compile(&c.expr)),
+    }
 }
 
 /// The typed pre-flight checks every MasPar parse runs before touching a
@@ -467,6 +492,7 @@ fn drive(
     grammar: &Grammar,
     sentence: &Sentence,
     opts: &MasparOptions,
+    compiled: Option<&CompiledGrammar>,
     mut recovery: RecoveryReport,
 ) -> Result<MasparOutcome, EngineError> {
     let over_time = |machine: &Machine| -> Option<EngineError> {
@@ -570,7 +596,7 @@ fn drive(
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
         // The unary test depends only on (group, label), so the ACU
         // evaluates it on the host and broadcasts keep masks.
-        let viol = unary_violations(&t, sentence, &KernelProgram::compile(&c.expr));
+        let viol = unary_violations(&t, sentence, &program_of(compiled, grammar, c));
         run_phase(
             &mut machine,
             retries,
@@ -621,12 +647,14 @@ fn drive(
 
     // --- Binary propagation ---
     let _binary = obsv::span("binary_propagation");
+    let mut class_scratch = ClassScratch::default();
     for c in grammar.binary_constraints() {
         if degraded.is_some() {
             break;
         }
         let _c = obsv::span_with(|| format!("binary:{}", c.name));
-        let program = KernelProgram::compile(&c.expr);
+        let program = program_of(compiled, grammar, c);
+        let classes = BinaryClasses::new(&t, sentence, &program, &mut class_scratch);
         run_phase(
             &mut machine,
             retries,
@@ -635,7 +663,7 @@ fn drive(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &t, sentence, &program, &valid, bits);
+                apply_binary(m, &t, &classes, sentence, &program, &valid, bits);
                 0
             },
         )?;
@@ -1036,11 +1064,7 @@ fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) ->
     let mut viol = vec![0u64; t.side];
     for k in 0..t.side / t.m {
         let (lanes, at) = t.slot_lanes(k);
-        all.clear();
-        all.resize(at.len().div_ceil(64), !0u64);
-        if at.len() % 64 != 0 {
-            *all.last_mut().expect("a slot has valid bindings") >>= 64 - at.len() % 64;
-        }
+        every_lane(&mut all, at.len());
         doomed.resize(all.len(), 0);
         program.unary_lanes(sentence, &lanes, &all, &mut scratch, &mut doomed);
         for lane in ones(&doomed) {
@@ -1048,6 +1072,15 @@ fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) ->
         }
     }
     viol
+}
+
+/// Set `all` to the lane set holding all of a slot's `n` lanes.
+fn every_lane(all: &mut Vec<u64>, n: usize) {
+    all.clear();
+    all.resize(n.div_ceil(64), !0u64);
+    if n % 64 != 0 {
+        *all.last_mut().expect("a slot has valid bindings") >>= 64 - n % 64;
+    }
 }
 
 /// Apply one unary constraint from its violation table (see
@@ -1081,52 +1114,183 @@ thread_local! {
     static BINARY_STACK: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One binary constraint, compiled to `program`: every valid PE checks
-/// the live pairs of its l×l submatrix (both orderings), skipping empty
-/// submatrix rows.
+/// Does one ordering of a pair hold — is the constraint's verdict on it,
+/// `x` then `y`, not definitely false?
+fn holds(
+    program: &KernelProgram,
+    sentence: &Sentence,
+    x: Binding,
+    y: Binding,
+    stack: &mut Vec<Value>,
+) -> bool {
+    program
+        .eval_with(&EvalCtx::binary(sentence, x, y), stack)
+        .truth()
+        .not_false()
+}
+
+/// One group's slot classes under a binary constraint. Bit `li` of
+/// `pass_x` is set when role value (group, li) makes the constraint
+/// definitely true as `x`, whatever `y` is; `pass_y` likewise as `y`;
+/// `fail` when it makes the constraint definitely false as `x` or as `y`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Class {
+    pass_x: u64,
+    pass_y: u64,
+    fail: u64,
+    /// Every valid label passes as `x` and as `y`: no pair a PE of this
+    /// group holds can fail either ordering.
+    settled: bool,
+}
+
+/// The buffers [`BinaryClasses::new`] reuses from one constraint to the
+/// next.
+#[derive(Debug, Default)]
+struct ClassScratch {
+    lanes: LaneScratch,
+    all: Vec<u64>,
+    pass: Vec<u64>,
+    fail: Vec<u64>,
+}
+
+/// The ACU's class table for one binary constraint, one [`Class`] per
+/// group. Per (word, role) slot and ordering it runs one
+/// [`KernelProgram::eval_lanes`] pass over the slot's valid role values
+/// ([`Tables::slot_lanes`]) with the other variable
+/// [`PartialBinding::Any`]. By Kleene monotonicity (as in
+/// `cdg_core::kernel::kernel_arc`) a definite verdict there is the verdict
+/// for every binding of the other variable, so a PE body evaluates only
+/// the orderings no class decides.
+struct BinaryClasses {
+    groups: Vec<Class>,
+}
+
+impl BinaryClasses {
+    fn new(
+        t: &Tables,
+        sentence: &Sentence,
+        program: &KernelProgram,
+        scratch: &mut ClassScratch,
+    ) -> BinaryClasses {
+        let mut groups = vec![Class::default(); t.side];
+        let ClassScratch {
+            lanes: lane_scratch,
+            all,
+            pass,
+            fail,
+        } = scratch;
+        for k in 0..t.side / t.m {
+            let (lanes, at) = t.slot_lanes(k);
+            every_lane(all, at.len());
+            pass.resize(all.len(), 0);
+            fail.resize(all.len(), 0);
+            for var in [Var::X, Var::Y] {
+                program.eval_lanes(
+                    sentence,
+                    &lanes,
+                    var,
+                    PartialBinding::Any,
+                    all,
+                    lane_scratch,
+                    pass,
+                    fail,
+                );
+                for lane in ones(pass) {
+                    let c = &mut groups[at[lane] / t.l];
+                    let bit = 1u64 << (at[lane] % t.l);
+                    match var {
+                        Var::X => c.pass_x |= bit,
+                        Var::Y => c.pass_y |= bit,
+                    }
+                }
+                for lane in ones(fail) {
+                    groups[at[lane] / t.l].fail |= 1u64 << (at[lane] % t.l);
+                }
+            }
+        }
+        for (g, c) in groups.iter_mut().enumerate() {
+            c.settled = c.pass_x & c.pass_y == t.full[t.role_of[g]];
+        }
+        BinaryClasses { groups }
+    }
+
+    /// The binary PE body on one column piece of group `cg`: the PEs of
+    /// `rows`, whose submatrices are `slots`. A settled column or row has
+    /// nothing to check. Otherwise the pairs a class fails are zeroed with
+    /// one `rows_of`/`cols_of` lookup per side, and `holds(x, y)` runs only
+    /// for the orderings of a live pair that no class decides.
+    fn decide_column(
+        &self,
+        t: &Tables,
+        cg: usize,
+        rows: std::ops::Range<usize>,
+        slots: &mut [u64],
+        mut holds: impl FnMut(Binding, Binding) -> bool,
+    ) {
+        let c = self.groups[cg];
+        if c.settled {
+            return;
+        }
+        let l = t.l;
+        let label_mask = (1u64 << l) - 1;
+        let keep = !t.rows_of[c.fail as usize];
+        for (rg, b) in rows.zip(slots) {
+            if *b == 0 {
+                continue;
+            }
+            let r = self.groups[rg];
+            if r.settled {
+                continue;
+            }
+            *b &= keep & !t.cols_of[r.fail as usize];
+            for i in 0..l {
+                let live = *b >> (i * l) & label_mask;
+                // Row labels whose ordering (column as x, row as y), or
+                // (row as x, column as y), no class decides.
+                let open_xy = if c.pass_x >> i & 1 == 1 { 0 } else { !r.pass_y };
+                let open_yx = if c.pass_y >> i & 1 == 1 { 0 } else { !r.pass_x };
+                let mut open = live & (open_xy | open_yx);
+                if open == 0 {
+                    continue;
+                }
+                let Some(bx) = t.bindings[cg * l + i] else {
+                    continue;
+                };
+                while open != 0 {
+                    let j = open.trailing_zeros() as usize;
+                    open &= open - 1;
+                    let Some(by) = t.bindings[rg * l + j] else {
+                        continue;
+                    };
+                    let ok = (open_xy >> j & 1 == 0 || holds(bx, by))
+                        && (open_yx >> j & 1 == 0 || holds(by, bx));
+                    if !ok {
+                        *b &= !(1u64 << (i * l + j));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One binary constraint, compiled to `program` and classified into
+/// `classes`: every valid PE checks the live pairs of its l×l submatrix in
+/// both orderings ([`BinaryClasses::decide_column`]).
 fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
+    classes: &BinaryClasses,
     sentence: &Sentence,
     program: &KernelProgram,
     valid: &PluralBits,
     bits: &mut Plural<u64>,
 ) {
-    let l = t.l;
-    let label_mask = (1u64 << l) - 1;
-    let holds = |x: Binding, y: Binding, stack: &mut Vec<Value>| {
-        program
-            .eval_with(&EvalCtx::binary(sentence, x, y), stack)
-            .truth()
-            .not_false()
-    };
     machine.with_activity_bits(valid, |m| {
         m.par_map_grid(bits, t.side, |cg, rows, slots| {
             BINARY_STACK.with_borrow_mut(|stack| {
-                for (rg, b) in rows.zip(slots) {
-                    if *b == 0 {
-                        continue;
-                    }
-                    for i in 0..l {
-                        let mut live = *b >> (i * l) & label_mask;
-                        if live == 0 {
-                            continue;
-                        }
-                        let Some(bx) = t.bindings[cg * l + i] else {
-                            continue;
-                        };
-                        while live != 0 {
-                            let j = live.trailing_zeros() as usize;
-                            live &= live - 1;
-                            let Some(by) = t.bindings[rg * l + j] else {
-                                continue;
-                            };
-                            if !(holds(bx, by, stack) && holds(by, bx, stack)) {
-                                *b &= !(1u64 << (i * l + j));
-                            }
-                        }
-                    }
-                }
+                classes.decide_column(t, cg, rows, slots, |x, y| {
+                    holds(program, sentence, x, y, stack)
+                })
             });
         });
     });
@@ -1478,6 +1642,213 @@ mod tests {
             masked.bmm_tiles = a.stats.bmm_tiles;
             assert_eq!(a.stats, masked, "`{s}`: host stats must agree up to bmm_*");
         }
+    }
+
+    /// The per-pair binary body the class-decided one replaced: both
+    /// orderings of every live pair through `eval_with`. The oracle for
+    /// [`apply_binary`].
+    fn apply_binary_per_pair(
+        machine: &mut Machine,
+        t: &Tables,
+        sentence: &Sentence,
+        program: &KernelProgram,
+        valid: &PluralBits,
+        bits: &mut Plural<u64>,
+    ) {
+        let l = t.l;
+        let label_mask = (1u64 << l) - 1;
+        machine.with_activity_bits(valid, |m| {
+            m.par_map_grid(bits, t.side, |cg, rows, slots| {
+                let mut stack = Vec::new();
+                for (rg, b) in rows.zip(slots) {
+                    for i in 0..l {
+                        let mut live = *b >> (i * l) & label_mask;
+                        let Some(bx) = t.bindings[cg * l + i] else {
+                            continue;
+                        };
+                        while live != 0 {
+                            let j = live.trailing_zeros() as usize;
+                            live &= live - 1;
+                            let Some(by) = t.bindings[rg * l + j] else {
+                                continue;
+                            };
+                            if !(holds(program, sentence, bx, by, &mut stack)
+                                && holds(program, sentence, by, bx, &mut stack))
+                            {
+                                *b &= !(1u64 << (i * l + j));
+                            }
+                        }
+                    }
+                }
+            });
+        });
+    }
+
+    /// A machine in the state `drive` leaves it in before binary
+    /// propagation: every unary constraint applied, dead values masked.
+    struct BinaryStart {
+        machine: Machine,
+        valid: PluralBits,
+        bits: Plural<u64>,
+    }
+
+    fn before_binary(g: &Grammar, s: &Sentence, lay: &Layout, t: &Tables) -> BinaryStart {
+        let mut machine = Machine::new(MachineConfig::default(), lay.virt_pes());
+        let mut rec = RecoveryReport::default();
+        let side = t.side;
+        let valid = init_bits_exact(&mut machine, "valid", 1, &mut rec, side, |c, r| {
+            !t.diagonal(c, r)
+        })
+        .unwrap();
+        let mut bits = init_exact(&mut machine, "bits", 1, &mut rec, side, |c, r| {
+            t.init_bits(c, r)
+        })
+        .unwrap();
+        let mut alive = init_exact(&mut machine, "alive", 1, &mut rec, side, |c, r| {
+            t.init_alive(c, r)
+        })
+        .unwrap();
+        let col = init_exact(&mut machine, "col", 1, &mut rec, side, |c, _| t.boundary(c)).unwrap();
+        let row = init_exact(&mut machine, "row", 1, &mut rec, side, |_, r| t.boundary(r)).unwrap();
+        for c in g.unary_constraints() {
+            let viol = unary_violations(t, s, &KernelProgram::compile(&c.expr));
+            unary_from_table(&mut machine, t, &viol, &valid, &mut bits, &mut alive);
+        }
+        mask_dead(&mut machine, t, &valid, &mut bits, &alive, &col, &row);
+        BinaryStart {
+            machine,
+            valid,
+            bits,
+        }
+    }
+
+    /// What the class-decided body did, over many applications.
+    #[derive(Debug, Default)]
+    struct BodyTally {
+        skipped_columns: usize,
+        class_zeroed: usize,
+        evals: usize,
+    }
+
+    /// Run [`BinaryClasses::decide_column`] straight on every whole column
+    /// of `bits` (a diagonal PE holds nothing, so a whole column stands for
+    /// its valid pieces) and tally the columns it skipped, the pairs the
+    /// classes zeroed and the orderings it evaluated.
+    fn decide_tallied(
+        classes: &BinaryClasses,
+        t: &Tables,
+        s: &Sentence,
+        program: &KernelProgram,
+        bits: &mut [u64],
+        tally: &mut BodyTally,
+    ) {
+        let mut stack = Vec::new();
+        for (cg, column) in bits.chunks_mut(t.side).enumerate() {
+            let before = column.to_vec();
+            let (mut evals, mut failed) = (0, 0);
+            classes.decide_column(t, cg, 0..t.side, column, |x, y| {
+                evals += 1;
+                let ok = holds(program, s, x, y, &mut stack);
+                failed += usize::from(!ok);
+                ok
+            });
+            let zeroed: usize = before
+                .iter()
+                .zip(&*column)
+                .map(|(b, a)| (b & !a).count_ones() as usize)
+                .sum();
+            let c = classes.groups[cg];
+            if c.settled && before.iter().any(|&b| b != 0) {
+                assert_eq!((evals, zeroed), (0, 0), "a settled column is skipped");
+                tally.skipped_columns += 1;
+            }
+            // An ordering that fails zeroes its pair; the rest are the
+            // classes' work, exactly the live pairs their fail masks name.
+            let named: usize = before
+                .iter()
+                .zip(&classes.groups)
+                .filter(|&(_, r)| !c.settled && !r.settled)
+                .map(|(b, r)| b & (t.rows_of[c.fail as usize] | t.cols_of[r.fail as usize]))
+                .map(|b| b.count_ones() as usize)
+                .sum();
+            assert_eq!(
+                zeroed - failed,
+                named,
+                "column {cg}: pairs the classes zeroed"
+            );
+            tally.evals += evals;
+            tally.class_zeroed += named;
+        }
+    }
+
+    /// Apply `constraints` in turn, as `drive` applies the binary ones,
+    /// through the class-decided body and the per-pair reference on two
+    /// machines (and straight through the tallied body), and demand
+    /// identical submatrices and machine counters after each one.
+    fn binary_bodies_agree(
+        g: &Grammar,
+        constraints: &[Constraint],
+        s: &Sentence,
+        tally: &mut BodyTally,
+    ) {
+        let lay = Layout::new(g, s);
+        let t = Tables::new(&lay);
+        let (mut fast, mut slow) = (before_binary(g, s, &lay, &t), before_binary(g, s, &lay, &t));
+        let mut direct = fast.bits.as_slice().to_vec();
+        let mut scratch = ClassScratch::default();
+        for c in constraints {
+            let program = KernelProgram::compile(&c.expr);
+            let classes = BinaryClasses::new(&t, s, &program, &mut scratch);
+            let (valid, bits) = (&fast.valid, &mut fast.bits);
+            apply_binary(&mut fast.machine, &t, &classes, s, &program, valid, bits);
+            apply_binary_per_pair(
+                &mut slow.machine,
+                &t,
+                s,
+                &program,
+                &slow.valid,
+                &mut slow.bits,
+            );
+            decide_tallied(&classes, &t, s, &program, &mut direct, tally);
+            let ctx = format!("`{s}`, constraint {}", c.name);
+            assert_eq!(fast.bits.as_slice(), slow.bits.as_slice(), "{ctx}");
+            assert_eq!(direct, slow.bits.as_slice(), "{ctx}: tallied body");
+            assert_eq!(fast.machine.stats, slow.machine.stats, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn class_decided_binary_body_matches_the_per_pair_reference() {
+        let (g, lex) = corpus::standard_setup();
+        // No class of the grammar's own binary constraints is definitely
+        // false: each reads `y` in its antecedent. This contextual one
+        // fails every subject ahead of its head whatever `y` is.
+        let mut constraints = g.binary_constraints().to_vec();
+        constraints.push(
+            g.compile_extra_constraint(
+                "subj-after-head",
+                "(if (eq (lab x) SUBJ) (and (lt (mod x) (pos x)) (not (eq (pos y) (pos x)))))",
+            )
+            .unwrap(),
+        );
+        let mut tally = BodyTally::default();
+        for n in 3..=10usize {
+            let s = corpus::english_sentence(&g, &lex, n, n as u64);
+            let scrambled = corpus::scrambled(&lex, &s, n as u64 * 37);
+            binary_bodies_agree(&g, &constraints, &scrambled, &mut tally);
+            binary_bodies_agree(&g, &constraints, &s, &mut tally);
+        }
+        assert!(tally.skipped_columns > 0, "{tally:?}");
+        assert!(tally.class_zeroed > 0, "{tally:?}");
+        assert!(tally.evals > 0, "{tally:?}");
+        // Beyond the virtualization cliff an instruction spans three host
+        // chunks, which two threads share.
+        let s = corpus::english_sentence(&g, &lex, 10, 1010);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        pool.install(|| binary_bodies_agree(&g, &constraints, &s, &mut BodyTally::default()));
     }
 
     #[test]

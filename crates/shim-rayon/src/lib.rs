@@ -22,14 +22,19 @@
 //!
 //! Thread count: `RAYON_NUM_THREADS` (read once), overridable at runtime
 //! with [`set_num_threads`] (the CLI's `--threads` flag and the
-//! determinism tests use this); default `available_parallelism()`.
+//! determinism tests use this); default `available_parallelism()`. A
+//! [`ThreadPool`] from [`ThreadPoolBuilder`] sets the width for the
+//! operations inside its [`ThreadPool::install`] alone.
 //! Nested parallel operations inside a worker run sequentially rather
 //! than spawning threads under threads.
 
 pub mod iter;
 pub mod pool;
 
-pub use pool::{current_num_threads, join, set_num_threads, ChunkQueue};
+pub use pool::{
+    current_num_threads, join, set_num_threads, ChunkQueue, ThreadPool, ThreadPoolBuildError,
+    ThreadPoolBuilder,
+};
 
 pub mod prelude {
     pub use crate::iter::{

@@ -10,9 +10,11 @@
 //! order — and therefore every result, bit for bit — is identical at any
 //! thread count. That is the workspace determinism contract.
 //!
-//! Thread count resolution: [`set_num_threads`] override (tests, the CLI
-//! `--threads` flag) > the `RAYON_NUM_THREADS` environment variable (read
-//! once) > `std::thread::available_parallelism()`.
+//! Thread count resolution: the width of the [`ThreadPool`] whose
+//! [`ThreadPool::install`] the calling thread is inside > the
+//! [`set_num_threads`] override (tests, the CLI `--threads` flag) > the
+//! `RAYON_NUM_THREADS` environment variable (read once) >
+//! `std::thread::available_parallelism()`.
 //!
 //! Nested parallel iterators inside a worker run sequentially (same chunk
 //! order, so still deterministic) instead of spawning threads under
@@ -41,13 +43,9 @@ fn env_threads() -> usize {
     })
 }
 
-/// Effective worker count for parallel execution. Mirrors
-/// `rayon::current_num_threads`.
-pub fn current_num_threads() -> usize {
-    let o = OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
+/// The width a pool gets when none is asked for: `RAYON_NUM_THREADS`,
+/// else `available_parallelism()`.
+fn default_threads() -> usize {
     let e = env_threads();
     if e > 0 {
         return e;
@@ -57,15 +55,99 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Effective worker count for parallel execution. Mirrors
+/// `rayon::current_num_threads`: inside [`ThreadPool::install`] it is that
+/// pool's width.
+pub fn current_num_threads() -> usize {
+    let installed = INSTALLED.with(Cell::get);
+    if installed > 0 {
+        return installed;
+    }
+    let o = OVERRIDE.load(Ordering::Relaxed);
+    if o > 0 {
+        return o;
+    }
+    default_threads()
+}
+
 /// Override the worker count at runtime (0 restores the
 /// `RAYON_NUM_THREADS` / `available_parallelism` default). The
 /// determinism contract makes this safe to flip mid-program: results are
-/// byte-identical at every thread count, only wall-clock changes.
+/// byte-identical at every thread count, only wall-clock changes. The
+/// override is process-wide; a library call that wants its own width for
+/// one operation uses [`ThreadPool::install`] instead.
 pub fn set_num_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+/// Mirrors `rayon::ThreadPoolBuilder`: `new().num_threads(n).build()`.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    pub fn new() -> Self {
+        ThreadPoolBuilder::default()
+    }
+
+    /// The pool's width; 0 (the default) means `RAYON_NUM_THREADS`, else
+    /// `available_parallelism()`.
+    pub fn num_threads(mut self, n: usize) -> Self {
+        self.num_threads = n;
+        self
+    }
+
+    /// Never fails here (the shim starts its threads per operation); the
+    /// `Result` keeps call sites source-compatible with rayon.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = match self.num_threads {
+            0 => default_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// Mirrors `rayon::ThreadPoolBuildError`.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError;
+
+/// Mirrors `rayon::ThreadPool`: a width that parallel operations run at
+/// while [`ThreadPool::install`] runs, without touching the process-wide
+/// [`set_num_threads`] override.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with this pool's width; the width
+    /// the thread had before comes back when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|i| i.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED.with(|i| i.replace(self.threads)));
+        op()
+    }
+
+    pub fn current_num_threads(&self) -> usize {
+        self.threads
+    }
+}
+
 thread_local! {
+    /// The width of the pool installed on this thread; 0 outside
+    /// [`ThreadPool::install`].
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
     /// Non-zero while the current thread is a pool worker; nested
     /// parallel operations then execute sequentially.
     static POOL_DEPTH: Cell<usize> = const { Cell::new(0) };

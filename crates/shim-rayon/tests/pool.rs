@@ -259,3 +259,30 @@ fn thread_count_override() {
     rayon::set_num_threads(0);
     assert!(rayon::current_num_threads() >= 1);
 }
+
+/// An installed pool sets the width for its operations alone: inside
+/// `install` it beats the process-wide override, and the caller's width
+/// comes back afterwards, also when the operation panics.
+#[test]
+fn installed_pool_width_is_scoped_to_install() {
+    let _cfg = thread_config_lock();
+    rayon::set_num_threads(5);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(3)
+        .build()
+        .unwrap();
+    assert_eq!(pool.current_num_threads(), 3);
+    let v: Vec<u64> = (0..1000).collect();
+    let (inside, sum) = pool.install(|| {
+        let sum: u64 = v.par_iter().sum();
+        (rayon::current_num_threads(), sum)
+    });
+    assert_eq!((inside, sum), (3, 499_500));
+    assert_eq!(rayon::current_num_threads(), 5);
+    let unwound = std::panic::catch_unwind(|| pool.install(|| panic!("inside the pool")));
+    assert!(unwound.is_err());
+    assert_eq!(rayon::current_num_threads(), 5);
+    rayon::set_num_threads(0);
+    let default = rayon::ThreadPoolBuilder::new().build().unwrap();
+    assert!(default.current_num_threads() >= 1);
+}
