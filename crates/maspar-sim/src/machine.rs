@@ -176,45 +176,90 @@ fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Freed host buffers a machine keeps for reuse.
+/// Freed host buffers a machine keeps per list, at most.
 const MAX_SPARES: usize = 8;
 
-/// Host buffers of freed plurals. Every plural of one machine has
-/// `n_virt` slots (or `n_virt / 64` words), so a freed buffer fits a
-/// later allocation and the host allocator is skipped. The simulated
-/// charge for an allocation is made either way.
+/// Host buffers of freed plurals, handed to later allocations so the
+/// host allocator is skipped; the simulated charge for an allocation is
+/// made either way. Every buffer has room for the largest PE count the
+/// machine has run (`pes`), so any kept buffer fits any later program
+/// until a larger one arrives, which drops them all. Per-PE and packed
+/// buffers are kept apart, so a packed plural's few words never stand in
+/// for a per-PE array. A buffer is made only when its list has none, so
+/// the kept buffers never outnumber the plurals the machine once held
+/// live at the same time.
 #[derive(Default)]
-struct Spares(Vec<Box<dyn Any + Send + Sync>>);
+struct Spares {
+    /// PEs every kept buffer has room for: the most the machine has run.
+    pes: usize,
+    /// Buffers of freed per-PE plurals, each a `Vec<T>` of some `T`.
+    per_pe: Vec<Box<dyn Any + Send + Sync>>,
+    /// Word buffers of freed packed plurals.
+    packed: Vec<Vec<u64>>,
+    /// Host buffers made because no kept one was there.
+    fresh: u64,
+}
 
 impl Spares {
-    /// A kept buffer with room for `len` items that wastes at most half of
-    /// itself (so a freed plural's buffer never backs a packed one),
-    /// emptied.
-    fn take<T: 'static>(&mut self, len: usize) -> Option<Vec<T>> {
-        let best = self
-            .0
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| Some(((**b).downcast_ref::<Vec<T>>()?.capacity(), i)))
-            .filter(|&(cap, _)| (len..=2 * len).contains(&cap))
-            .min();
-        let (_, i) = best?;
-        let buf = self.0.swap_remove(i).downcast::<Vec<T>>();
-        let mut buf = *buf.expect("the kept buffer was checked to be a Vec<T>");
-        buf.clear();
-        Some(buf)
+    /// Make room for programs of `pes` PEs: a count above every earlier
+    /// one drops the kept buffers, which are too small for it.
+    fn size_for(&mut self, pes: usize) {
+        if pes > self.pes {
+            self.pes = pes;
+            self.per_pe.clear();
+            self.packed.clear();
+        }
+    }
+
+    /// An empty buffer of `T`: a kept one, or a new one with room for the
+    /// most PEs the machine has run.
+    fn take<T: 'static>(&mut self) -> Vec<T> {
+        let kept = self.per_pe.iter().position(|b| b.is::<Vec<T>>());
+        match kept {
+            Some(i) => {
+                let buf = self.per_pe.swap_remove(i).downcast::<Vec<T>>();
+                let mut buf = *buf.expect("the kept buffer was checked to be a Vec<T>");
+                buf.clear();
+                buf
+            }
+            None => {
+                self.fresh += 1;
+                Vec::with_capacity(self.pes)
+            }
+        }
+    }
+
+    /// A packed plural's word buffer, kept or new (its contents are
+    /// discarded by [`PluralBits::filled_in`]).
+    fn take_words(&mut self) -> Vec<u64> {
+        self.packed.pop().unwrap_or_else(|| {
+            self.fresh += 1;
+            Vec::with_capacity(bits::word_count(self.pes))
+        })
     }
 
     fn keep<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
-        if self.0.len() < MAX_SPARES && buf.capacity() > 0 {
-            self.0.push(Box::new(buf));
+        if self.per_pe.len() < MAX_SPARES && buf.capacity() >= self.pes {
+            self.per_pe.push(Box::new(buf));
+        }
+    }
+
+    fn keep_words(&mut self, buf: Vec<u64>) {
+        if self.packed.len() < MAX_SPARES && buf.capacity() >= bits::word_count(self.pes) {
+            self.packed.push(buf);
         }
     }
 }
 
 impl std::fmt::Debug for Spares {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Spares({})", self.0.len())
+        write!(
+            f,
+            "Spares({} per-PE, {} packed, room for {} PEs)",
+            self.per_pe.len(),
+            self.packed.len(),
+            self.pes
+        )
     }
 }
 
@@ -235,6 +280,36 @@ impl Machine {
     /// assert_eq!(m.stats.scan_calls, 1);
     /// ```
     pub fn new(config: MachineConfig, n_virt: usize) -> Self {
+        Machine::with_spares(config, n_virt, Spares::default())
+    }
+
+    /// Put the machine back in exactly the state `Machine::new(config,
+    /// n_virt)` gives — counters, instruction count, trace, fault plan,
+    /// retired and dead PEs, activity and PE-memory ledger — keeping only
+    /// the host buffers of freed plurals for the next program's
+    /// allocations. A machine reset between programs runs each one as a
+    /// new machine would, without asking the host allocator for the
+    /// buffers again.
+    ///
+    /// ```
+    /// use maspar_sim::{Machine, MachineConfig, MachineStats};
+    ///
+    /// let mut m = Machine::mp1(40_000);
+    /// let p = m.alloc(0u64);
+    /// m.free(p);
+    /// m.reset(MachineConfig::default(), 324);
+    /// assert_eq!(m.stats, MachineStats::default());
+    /// let q = m.alloc(7u64); // the freed buffer, refilled and charged
+    /// assert_eq!(m.fresh_buffers(), 1);
+    /// assert_eq!(m.stats.peak_pe_memory_bytes, 8);
+    /// # m.free(q);
+    /// ```
+    pub fn reset(&mut self, config: MachineConfig, n_virt: usize) {
+        let spares = std::mem::take(&mut self.spares);
+        *self = Machine::with_spares(config, n_virt, spares);
+    }
+
+    fn with_spares(config: MachineConfig, n_virt: usize, mut spares: Spares) -> Self {
         assert!(n_virt > 0, "a program needs at least one virtual PE");
         assert!(config.phys_pes > 0);
         let virt_factor = n_virt.div_ceil(config.phys_pes) as u64;
@@ -242,6 +317,7 @@ impl Machine {
         if let Some(last) = enabled.last_mut() {
             *last &= bits::tail_mask(n_virt);
         }
+        spares.size_for(n_virt);
         Machine {
             config,
             n_virt,
@@ -255,7 +331,7 @@ impl Machine {
             retired: Vec::new(),
             healthy: Vec::new(),
             virt_dead: Vec::new(),
-            spares: Spares::default(),
+            spares,
             stats: MachineStats::default(),
         }
     }
@@ -601,16 +677,11 @@ impl Machine {
 
     /// Allocate a plural value, one `T` per virtual PE, charged against the
     /// 16 KB-per-PE budget (each physical PE holds `virt_factor` layers).
-    /// The host array is a freed plural's buffer when one fits.
+    /// The host array is a freed plural's buffer when one is kept.
     pub fn alloc<T: Clone + Send + Sync + 'static>(&mut self, init: T) -> Plural<T> {
         self.charge_alloc(std::mem::size_of::<T>());
-        let data = match self.spares.take::<T>(self.n_virt) {
-            Some(mut data) => {
-                data.resize(self.n_virt, init);
-                data
-            }
-            None => vec![init; self.n_virt],
-        };
+        let mut data = self.spares.take::<T>();
+        data.resize(self.n_virt, init);
         Plural::from_vec(data)
     }
 
@@ -621,19 +692,34 @@ impl Machine {
         self.spares.keep(plural.into_vec());
     }
 
+    /// Take back the host buffer of a plural the host read out with
+    /// [`Plural::into_vec`] after the program's last instruction, for the
+    /// next allocation. Charges nothing: the plural's simulated memory
+    /// went with the program.
+    pub fn recycle<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
+        self.spares.keep(buf);
+    }
+
     /// Allocate a packed boolean plural, charged exactly like
     /// `alloc::<bool>` — one simulated byte per PE — so packed and
     /// unpacked programs hit the 16 KB budget at the same instruction.
     pub fn alloc_bits(&mut self, init: bool) -> PluralBits {
         self.charge_alloc(std::mem::size_of::<bool>());
-        let words = self.spares.take::<u64>(bits::word_count(self.n_virt));
-        PluralBits::filled_in(words.unwrap_or_default(), self.n_virt, init)
+        PluralBits::filled_in(self.spares.take_words(), self.n_virt, init)
     }
 
     /// Release a packed boolean plural's memory.
     pub fn free_bits(&mut self, plural: PluralBits) {
         self.release_alloc(std::mem::size_of::<bool>());
-        self.spares.keep(plural.into_words());
+        self.spares.keep_words(plural.into_words());
+    }
+
+    /// Host buffers this machine has asked the allocator for because it
+    /// kept none to hand out, over its whole life ([`Machine::reset`]
+    /// keeps the count). Host bookkeeping, not a simulated cost, so it is
+    /// not part of [`MachineStats`].
+    pub fn fresh_buffers(&self) -> u64 {
+        self.spares.fresh
     }
 
     // ------------------------------------------------------------------
@@ -1212,10 +1298,11 @@ impl Machine {
     /// bit differs from the identity decides its segment, so the walk
     /// visits only the set bits of those deciding words: the first one in
     /// a segment flips the boundary's slot from the identity, and the walk
-    /// resumes at the segment's end. A dead boundary PE cannot receive the
-    /// deposit: its slot keeps the identity and the loss is counted, for
-    /// every segment whether decided or not, from the dead PEs' bits (none
-    /// on a fault-free machine).
+    /// resumes at the segment's end, from where it finds the next deciding
+    /// PE's segment ([`SegmentMap::holding_after`]). A dead boundary PE
+    /// cannot receive the deposit: its slot keeps the identity and the
+    /// loss is counted, for every segment whether decided or not, from the
+    /// dead PEs' bits (none on a fault-free machine).
     fn seg_reduce_bits(&mut self, p: &PluralBits, segs: &SegmentMap, identity: bool) -> PluralBits {
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
@@ -1233,7 +1320,8 @@ impl Machine {
             }
             w += 1;
             while deciding != 0 {
-                let seg = segs.holding((w - 1) * 64 + deciding.trailing_zeros() as usize);
+                let pe = (w - 1) * 64 + deciding.trailing_zeros() as usize;
+                let seg = segs.holding_after(next, pe);
                 words[seg.start / 64] ^= 1u64 << (seg.start % 64);
                 next = seg.end;
                 if next >= w * 64 {
@@ -2387,5 +2475,119 @@ mod tests {
         let r = m.alloc(3u64);
         assert_eq!(r.as_slice(), &[3u64; 100][..]);
         assert_eq!(m.stats.peak_pe_memory_bytes, 16);
+    }
+
+    /// Everything a program can observe of a machine before it runs.
+    fn observables(m: &Machine) -> (MachineStats, u64, bool, Vec<TraceEntry>, usize, Vec<usize>) {
+        (
+            m.stats,
+            m.op_count(),
+            m.faults_armed(),
+            m.trace().to_vec(),
+            m.active_count(),
+            (0..m.n_virt()).map(|v| m.phys_of(v)).collect(),
+        )
+    }
+
+    /// A short program touching every kind of instruction, its results
+    /// and the machine's counters after it.
+    fn small_program(m: &mut Machine) -> (Vec<u64>, Vec<bool>, MachineStats, u64) {
+        let n = m.n_virt();
+        let segs = SegmentMap::uniform(n, 4);
+        let mut p = m.par_init(0u64, |pe| pe as u64 * 3);
+        let idx = m.par_init(0usize, |pe| (pe + 1) % n);
+        let mut dst = m.alloc(0u64);
+        m.gather(&p, &idx, &mut dst);
+        let mask = m.par_init_bits(false, |pe| pe % 3 != 0);
+        let sum = m.with_activity_bits(&mask, |m| {
+            m.par_map(&mut p, |_, v| *v += 1);
+            m.reduce_sum(&p)
+        });
+        let scanned = m.scan_or_bits(&mask, &segs);
+        let out = (dst.as_slice().to_vec(), scanned.to_bools(), m.stats, sum);
+        for q in [p, dst] {
+            m.free(q);
+        }
+        m.free(idx);
+        m.free_bits(mask);
+        m.free_bits(scanned);
+        out
+    }
+
+    #[test]
+    fn reset_matches_a_new_machine() {
+        let config = |phys_pes| MachineConfig {
+            phys_pes,
+            ..Default::default()
+        };
+        let mut m = Machine::new(config(16), 96);
+        m.enable_trace();
+        m.arm_faults(FaultPlan::new().with_dead_pe(5).with_memory_flip(3, 2, 1));
+        assert_eq!(m.probe_pes(1), vec![5]);
+        m.retire_pes(&[5]);
+        let mask = m.par_init_bits(false, |pe| pe % 2 == 0);
+        m.with_activity_bits(&mask, |m| {
+            let kept = m.alloc(1u64);
+            let leaked = m.alloc(2u64);
+            m.free(kept);
+            drop(leaked);
+        });
+        small_program(&mut m);
+        assert!(m.stats.dead_pe_skips > 0 && m.pe_memory_used > 0);
+        // Back to the same shape, to a smaller one and to a larger one.
+        for (phys, n_virt) in [(16, 96), (8, 40), (32, 200)] {
+            m.reset(config(phys), n_virt);
+            let mut fresh = Machine::new(config(phys), n_virt);
+            assert_eq!(observables(&m), observables(&fresh), "{n_virt} PEs");
+            assert_eq!(m.pe_memory_used, 0);
+            assert_eq!(m.n_virt(), n_virt);
+            assert_eq!(m.virt_factor(), fresh.virt_factor());
+            assert_eq!(
+                small_program(&mut m),
+                small_program(&mut fresh),
+                "{n_virt} PEs"
+            );
+            assert_eq!(observables(&m), observables(&fresh), "{n_virt} PEs, after");
+        }
+    }
+
+    #[test]
+    fn a_reset_machine_reuses_its_buffers_up_to_its_largest_program() {
+        let mut m = Machine::mp1(100);
+        let (p, b) = (m.alloc(0u64), m.alloc_bits(true));
+        assert_eq!(m.fresh_buffers(), 2);
+        m.free(p);
+        m.free_bits(b);
+        for n_virt in [100, 37, 1] {
+            m.reset(MachineConfig::default(), n_virt);
+            let (p, b) = (m.alloc(5u64), m.alloc_bits(true));
+            assert_eq!(m.fresh_buffers(), 2, "{n_virt} PEs reuse the kept buffers");
+            assert_eq!(p.as_slice(), vec![5u64; n_virt]);
+            assert_eq!(b.count_ones(), n_virt);
+            assert_eq!(m.stats.peak_pe_memory_bytes, 9, "both are charged");
+            m.free(p);
+            m.free_bits(b);
+        }
+        // A buffer read out after the program comes back too.
+        let p = m.alloc(0u64);
+        m.recycle(p.into_vec());
+        m.reset(MachineConfig::default(), 100);
+        let p = m.alloc(0u64);
+        m.free(p);
+        assert_eq!(m.fresh_buffers(), 2);
+        // A larger program drops the small buffers and sizes new ones for
+        // itself, which a smaller program then reuses.
+        m.reset(MachineConfig::default(), 1000);
+        let p = m.alloc(0u64);
+        assert_eq!(m.fresh_buffers(), 3);
+        m.free(p);
+        m.reset(MachineConfig::default(), 100);
+        let p = m.alloc(0u64);
+        m.free(p);
+        assert_eq!(m.fresh_buffers(), 3);
+        // Buffers of one element type never stand in for another's.
+        let p = m.alloc(0u32);
+        m.free(p);
+        assert_eq!(m.fresh_buffers(), 4);
     }
 }

@@ -145,6 +145,27 @@ impl SegmentMap {
         }
     }
 
+    /// [`SegmentMap::holding`] for a walk that only moves forward: `from`
+    /// is a segment boundary at or before `pe` (where the walk's last
+    /// decided segment ended). A uniform map steps from `from` when `pe`
+    /// lies in the segment starting there or the next one, and divides
+    /// only for a longer jump.
+    pub(crate) fn holding_after(&self, from: usize, pe: usize) -> std::ops::Range<usize> {
+        debug_assert!(from <= pe, "the walk moved back: {pe} < {from}");
+        match &self.starts {
+            &Starts::Uniform(seg_len) => {
+                let start = match pe - from {
+                    d if d < seg_len => from,
+                    d if d < 2 * seg_len => from + seg_len,
+                    _ => pe - pe % seg_len,
+                };
+                debug_assert_eq!(start % seg_len, 0, "{from} is not a boundary");
+                start..start + seg_len
+            }
+            Starts::Explicit(_) => self.holding(pe),
+        }
+    }
+
     /// Longest segment length (drives the scan's local pass count).
     pub fn max_segment_len(&self) -> usize {
         (0..self.num_segments())
@@ -219,6 +240,27 @@ mod tests {
         ] {
             for pe in 0..map.len() {
                 assert_eq!(map.holding(pe), map.range_of(map.segment_of(pe)), "PE {pe}");
+            }
+        }
+    }
+
+    #[test]
+    fn holding_after_matches_holding_from_every_earlier_boundary() {
+        for map in [
+            SegmentMap::from_lengths(&[3, 60, 5, 130]),
+            SegmentMap::uniform(192, 64),
+            SegmentMap::uniform(90, 10),
+            SegmentMap::global(7),
+        ] {
+            for s in 0..map.num_segments() {
+                let from = map.start_of(s);
+                for pe in from..map.len() {
+                    assert_eq!(
+                        map.holding_after(from, pe),
+                        map.holding(pe),
+                        "{from} -> {pe}"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
-use crate::engine::{parse_maspar_compiled, MasparOptions};
+use crate::engine::{parse_maspar_compiled, recycle_readback, MasparOptions};
 use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::batch::BatchOutcome;
 use cdg_core::consistency::is_locally_consistent;
@@ -76,13 +76,17 @@ impl Maspar {
         let start = Instant::now();
         let (out, network, parses) = {
             let _root = obsv::span("parse");
-            let out = parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
+            let mut out =
+                parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
             let network = {
                 // Rebuilding the host network re-enters the sequential
                 // primitives, so their spans nest under `readback`.
                 let _rb = obsv::span("readback");
                 out.to_network(req.grammar, sentence)
             };
+            // The network holds what the report needs of the submatrices;
+            // their buffer goes back to this thread's machine.
+            recycle_readback(std::mem::take(&mut out.bits));
             let parses = precedence_graphs(&network, req.max_parses);
             (out, network, parses)
         };
@@ -135,7 +139,11 @@ impl Engine for Maspar {
         "maspar"
     }
 
-    /// The simulated array keeps its own per-call state; `warm` is unused.
+    /// `warm` is unused: the simulated array keeps its warm state per host
+    /// thread instead. Every MasPar parse on a thread runs on that
+    /// thread's one machine, reset to a new machine's state first, so a
+    /// parse's counters, fault plan and retired PEs never reach the next;
+    /// only the host buffers of its plurals are reused.
     fn parse_warm<'g>(
         &self,
         req: &ParseRequest<'g>,

@@ -37,7 +37,7 @@ use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, Part
 use cdg_grammar::{CompiledGrammar, Constraint, Grammar, RoleId, RoleValue, Sentence, Value, Var};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
@@ -378,6 +378,10 @@ impl MasparOutcome {
 /// fault-free one (property-tested in `tests/fault_injection.rs`). When
 /// recovery is impossible the result is a typed [`EngineError`]; there is
 /// no third outcome.
+///
+/// Every parse on a host thread runs on that thread's one simulated
+/// machine, reset first to the state a new machine has: only the host
+/// buffers of freed plurals carry over from one parse to the next.
 pub fn parse_maspar_checked(
     grammar: &Grammar,
     sentence: &Sentence,
@@ -386,8 +390,19 @@ pub fn parse_maspar_checked(
     parse_maspar_compiled(grammar, sentence, opts, None)
 }
 
+thread_local! {
+    /// The simulated machine each host thread parses on, between parses.
+    /// Reset for every parse, so each runs as on a new machine; what it
+    /// keeps across parses is the host buffers of freed plurals, sized to
+    /// the largest sentence the thread has parsed.
+    static MACHINE: Cell<Option<Machine>> = const { Cell::new(None) };
+}
+
 /// [`parse_maspar_checked`] taking the constraint programs from the
-/// grammar's compiled artifact when one is attached.
+/// grammar's compiled artifact when one is attached. The parse runs on
+/// the thread's machine, taken out for the parse and put back after it,
+/// so a parse that panics drops the machine instead of leaving a half-run
+/// one behind.
 pub(crate) fn parse_maspar_compiled(
     grammar: &Grammar,
     sentence: &Sentence,
@@ -397,15 +412,44 @@ pub(crate) fn parse_maspar_compiled(
     let _build = obsv::span("network_build");
     let lay = precheck(grammar, sentence, opts)?;
 
-    let mut machine = Machine::new(opts.machine.clone(), lay.virt_pes());
+    let mut machine = match MACHINE.take() {
+        Some(mut machine) => {
+            machine.reset(opts.machine.clone(), lay.virt_pes());
+            machine
+        }
+        None => Machine::new(opts.machine.clone(), lay.virt_pes()),
+    };
     if let Some(plan) = &opts.faults {
         machine.arm_faults(plan.clone());
     }
     if opts.trace {
         machine.enable_trace();
     }
-    let mut recovery = RecoveryReport::default();
     drop(_build);
+    let out = probe_and_drive(&mut machine, lay, grammar, sentence, opts, compiled);
+    MACHINE.set(Some(machine));
+    out
+}
+
+/// Hand the host buffer of a parse's read-back `bits` to the thread's
+/// machine, once the host is done with it.
+pub(crate) fn recycle_readback(bits: Vec<u64>) {
+    if let Some(mut machine) = MACHINE.take() {
+        machine.recycle(bits);
+        MACHINE.set(Some(machine));
+    }
+}
+
+/// Probe and retire dead PEs when faults are armed, then run the engine.
+fn probe_and_drive(
+    machine: &mut Machine,
+    lay: Layout,
+    grammar: &Grammar,
+    sentence: &Sentence,
+    opts: &MasparOptions,
+    compiled: Option<&CompiledGrammar>,
+) -> Result<MasparOutcome, EngineError> {
+    let mut recovery = RecoveryReport::default();
 
     // --- Probe & retire: clear persistent faults before laying out data.
     if machine.faults_armed() {
@@ -487,7 +531,7 @@ fn precheck(
 /// plurals are bit-sliced ([`PluralBits`], 64 PEs per host word); how the
 /// host stores them is invisible to the simulated machine.
 fn drive(
-    mut machine: Machine,
+    machine: &mut Machine,
     lay: Layout,
     grammar: &Grammar,
     sentence: &Sentence,
@@ -530,16 +574,11 @@ fn drive(
     let _init = obsv::span("arc_init");
     let t = Tables::new(&lay);
     let side = t.side;
-    let valid = init_bits_exact(
-        &mut machine,
-        "valid",
-        retries,
-        &mut recovery,
-        side,
-        |c, r| !t.diagonal(c, r),
-    )?;
+    let valid = init_bits_exact(machine, "valid", retries, &mut recovery, side, |c, r| {
+        !t.diagonal(c, r)
+    })?;
     let block_boundary = init_bits_exact(
-        &mut machine,
+        machine,
         "block-boundary",
         retries,
         &mut recovery,
@@ -548,44 +587,28 @@ fn drive(
     )?;
 
     // Design decision 1: arc matrices first, all ones (Figure 9).
-    let mut bits: Plural<u64> = init_exact(
-        &mut machine,
-        "bits",
-        retries,
-        &mut recovery,
-        side,
-        |c, r| t.init_bits(c, r),
-    )?;
-    let mut alive: Plural<u64> = init_exact(
-        &mut machine,
-        "alive",
-        retries,
-        &mut recovery,
-        side,
-        |c, r| t.init_alive(c, r),
-    )?;
+    let mut bits: Plural<u64> =
+        init_exact(machine, "bits", retries, &mut recovery, side, |c, r| {
+            t.init_bits(c, r)
+        })?;
+    let mut alive: Plural<u64> =
+        init_exact(machine, "alive", retries, &mut recovery, side, |c, r| {
+            t.init_alive(c, r)
+        })?;
 
     // Router index plurals for the alive-mask gathers (phase D).
-    let col_boundary_idx: Plural<usize> = init_exact(
-        &mut machine,
-        "col-idx",
-        retries,
-        &mut recovery,
-        side,
-        |c, _| t.boundary(c),
-    )?;
-    let row_boundary_idx: Plural<usize> = init_exact(
-        &mut machine,
-        "row-idx",
-        retries,
-        &mut recovery,
-        side,
-        |_, r| t.boundary(r),
-    )?;
-    phase(&machine, &mut phases, &mut mark, "init".into());
+    let col_boundary_idx: Plural<usize> =
+        init_exact(machine, "col-idx", retries, &mut recovery, side, |c, _| {
+            t.boundary(c)
+        })?;
+    let row_boundary_idx: Plural<usize> =
+        init_exact(machine, "row-idx", retries, &mut recovery, side, |_, r| {
+            t.boundary(r)
+        })?;
+    phase(machine, &mut phases, &mut mark, "init".into());
     drop(_init);
 
-    let mut degraded: Option<EngineError> = over_time(&machine);
+    let mut degraded: Option<EngineError> = over_time(machine);
 
     // --- Unary propagation on the matrices (design decisions 1 & 4) ---
     let _unary = obsv::span("unary_propagation");
@@ -598,7 +621,7 @@ fn drive(
         // evaluates it on the host and broadcasts keep masks.
         let viol = unary_violations(&t, sentence, &program_of(compiled, grammar, c));
         run_phase(
-            &mut machine,
+            machine,
             retries,
             &mut recovery,
             &format!("unary:{}", c.name),
@@ -609,20 +632,15 @@ fn drive(
                 0
             },
         )?;
-        phase(
-            &machine,
-            &mut phases,
-            &mut mark,
-            format!("unary:{}", c.name),
-        );
-        degraded = over_time(&machine);
+        phase(machine, &mut phases, &mut mark, format!("unary:{}", c.name));
+        degraded = over_time(machine);
     }
     // Immediately zero rows/cols of values the unary pass killed, so the
     // matrices agree with the alive masks before binary propagation.
     if degraded.is_none() {
         let _c = obsv::span("unary:mask");
         run_phase(
-            &mut machine,
+            machine,
             retries,
             &mut recovery,
             "unary:mask",
@@ -641,7 +659,7 @@ fn drive(
                 0
             },
         )?;
-        phase(&machine, &mut phases, &mut mark, "unary:mask".into());
+        phase(machine, &mut phases, &mut mark, "unary:mask".into());
     }
     drop(_unary);
 
@@ -656,7 +674,7 @@ fn drive(
         let program = program_of(compiled, grammar, c);
         let classes = BinaryClasses::new(&t, sentence, &program, &mut class_scratch);
         run_phase(
-            &mut machine,
+            machine,
             retries,
             &mut recovery,
             &format!("binary:{}", c.name),
@@ -668,12 +686,12 @@ fn drive(
             },
         )?;
         phase(
-            &machine,
+            machine,
             &mut phases,
             &mut mark,
             format!("binary:{}", c.name),
         );
-        degraded = over_time(&machine);
+        degraded = over_time(machine);
     }
 
     drop(_binary);
@@ -702,7 +720,7 @@ fn drive(
         iterations += 1;
         let _m = obsv::span("maintain");
         let removed = run_phase(
-            &mut machine,
+            machine,
             retries,
             &mut recovery,
             &format!("maintain:{iterations}"),
@@ -723,7 +741,7 @@ fn drive(
         )?;
         removals_per_iteration.push(removed);
         phase(
-            &machine,
+            machine,
             &mut phases,
             &mut mark,
             format!("maintain:{iterations}"),
@@ -731,18 +749,27 @@ fn drive(
         if opts.early_exit && removed == 0 {
             break;
         }
-        degraded = over_time(&machine);
+        degraded = over_time(machine);
     }
     drop(_filtering);
 
     let estimated_seconds = machine.estimated_seconds();
     let trace = machine.trace().to_vec();
+    // The program is over: read back, and hand the host buffers the
+    // readback does not keep to the machine's next parse.
+    let alive_masks = alive
+        .as_slice()
+        .iter()
+        .step_by(lay.groups)
+        .copied()
+        .collect();
+    machine.free(alive);
+    machine.free(col_boundary_idx);
+    machine.free(row_boundary_idx);
+    machine.free_bits(valid);
+    machine.free_bits(block_boundary);
     Ok(MasparOutcome {
-        alive: alive.as_slice()[..]
-            .iter()
-            .step_by(lay.groups)
-            .copied()
-            .collect(),
+        alive: alive_masks,
         bits: bits.into_vec(),
         stats: machine.stats,
         estimated_seconds,

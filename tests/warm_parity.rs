@@ -4,18 +4,22 @@
 //! parsing — over the 64 differential seeds, both bundled grammars, every
 //! filter strategy, and every engine. The host engines (serial, PRAM)
 //! carry one warm state across requests; every engine must treat the
-//! attached artifact as inert.
+//! attached artifact as inert. The MasPar engine keeps one simulated
+//! machine per host thread, and no state of one parse may reach the next
+//! on it.
 
 use std::sync::Arc;
 
 use bitmat::BitVec;
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::{
-    resolve_compiled, Engine, FilterStrategy, ParseRequest, PrecedenceGraph, Sequential, WarmState,
+    resolve_compiled, Engine, EngineConfig, FilterStrategy, ParseRequest, PrecedenceGraph,
+    Sequential, WarmState,
 };
 use cdg_grammar::{Grammar, Lexicon, Sentence};
 use cdg_parallel::Pram;
-use parsec_maspar::Maspar;
+use maspar_sim::MachineStats;
+use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 
 /// The differential seed count shared with the determinism suite.
 const SEEDS: u64 = 64;
@@ -232,4 +236,106 @@ fn pram_and_maspar_treat_artifact_as_inert() {
         maspar_cases > 0,
         "no unambiguous seed reached the MasPar engine"
     );
+}
+
+/// What a MasPar parse leaves for its caller: the settled network's
+/// fingerprint, the machine's counters and estimate, the per-phase counts
+/// and the PEs recovery retired.
+#[derive(Debug, Clone, PartialEq)]
+struct MasparRun {
+    report: Fingerprint,
+    report_stats: Option<MachineStats>,
+    report_seconds: Option<f64>,
+    alive: Vec<u64>,
+    stats: MachineStats,
+    phases: Vec<(String, MachineStats)>,
+    estimated_seconds: f64,
+    retired_pes: Vec<usize>,
+}
+
+/// One sentence through both MasPar entry points on the calling thread:
+/// the engine's `parse_warm` with `warm`, then `parse_maspar_checked`.
+fn maspar_run(req: &ParseRequest<'_>, warm: &mut WarmState) -> MasparRun {
+    let report = Maspar::default()
+        .parse_warm(req, warm)
+        .expect("maspar parse");
+    let opts = MasparOptions {
+        faults: req.faults.clone(),
+        ..Default::default()
+    };
+    let sentence = req.sentence.as_ref().expect("a sentence");
+    let out = parse_maspar_checked(req.grammar, sentence, &opts).expect("checked parse");
+    MasparRun {
+        report: fingerprint(&report),
+        report_stats: report.machine_stats,
+        report_seconds: report.estimated_seconds,
+        alive: out.alive.clone(),
+        stats: out.stats,
+        phases: out
+            .phases
+            .iter()
+            .map(|p| (p.name.clone(), p.stats))
+            .collect(),
+        estimated_seconds: out.estimated_seconds,
+        retired_pes: out.recovery.retired_pes.clone(),
+    }
+}
+
+/// The MasPar engine keeps one simulated machine per host thread and
+/// reuses its plural buffers, so a parse may leave nothing behind for the
+/// next but those buffers. On one thread: n = 10, n = 3, n = 10 under
+/// the fault plan `--faults 7` builds, then n = 10 clean. Every parse must
+/// equal a cold parse on a thread of its own — the first on that thread,
+/// so on a new machine.
+#[test]
+fn maspar_parses_on_one_thread_leak_no_state() {
+    let g = cdg_grammar::grammars::english::grammar();
+    let lex = cdg_grammar::grammars::english::lexicon(&g);
+    let long = lex
+        .sentence("the big dog sees the cat in the old park")
+        .expect("lexicon words");
+    let short = lex.sentence("the dog runs").expect("lexicon words");
+    let clean = EngineConfig::default();
+    let faulted = EngineConfig::builder()
+        .faults_spec("7")
+        .build()
+        .expect("the CLI's fault spec");
+    assert!(faulted.faults.is_some());
+    let steps = [
+        ("n = 10", &long, &clean),
+        ("n = 3", &short, &clean),
+        ("n = 10, --faults 7", &long, &faulted),
+        ("n = 10 after the faulted parse", &long, &clean),
+    ];
+    let request = |s: &Sentence, config: &EngineConfig| {
+        ParseRequest::with_config(&g, config).sentence(s.clone())
+    };
+
+    let mut warm = WarmState::new();
+    let warm_runs: Vec<MasparRun> = steps
+        .iter()
+        .map(|(_, s, config)| maspar_run(&request(s, config), &mut warm))
+        .collect();
+    for ((name, s, config), got) in steps.iter().zip(&warm_runs) {
+        let cold = std::thread::scope(|scope| {
+            scope
+                .spawn(|| maspar_run(&request(s, config), &mut WarmState::new()))
+                .join()
+                .expect("cold parse thread")
+        });
+        assert_eq!(got, &cold, "{name}: warm run differs from a cold one");
+        assert_eq!(got.report_stats, Some(got.stats), "{name}");
+        assert_eq!(got.report_seconds, Some(got.estimated_seconds), "{name}");
+    }
+    let faulted_run = &warm_runs[2];
+    assert!(!faulted_run.retired_pes.is_empty(), "plan 7 kills PEs");
+    assert!(faulted_run.stats.fault_events() > 0);
+    let after = &warm_runs[3];
+    assert_eq!(format!("{:.6}", after.estimated_seconds), "1.410960");
+    assert!(
+        after.retired_pes.is_empty(),
+        "no retired PE survives a parse"
+    );
+    assert_eq!(after.stats.fault_events(), 0);
+    assert_eq!(after, &warm_runs[0], "the clean n = 10 parses agree");
 }
