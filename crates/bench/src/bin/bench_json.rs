@@ -138,16 +138,7 @@ fn digest_binary(grammar: &Grammar, sentence: &Sentence, eval: EvalStrategy) -> 
     cdg_core::propagate::apply_all_unary(&mut net);
     net.init_arcs();
     cdg_core::propagate::apply_all_binary(&mut net);
-    let mut buf = String::new();
-    for slot in net.slots() {
-        buf.push_str(&format!("{:?};", slot.alive_indices()));
-    }
-    for m in net.arcs_raw() {
-        for r in 0..m.rows() {
-            buf.push_str(&format!("{:?};", m.row(r)));
-        }
-    }
-    fnv1a(buf.as_bytes())
+    digest_arcs(&net)
 }
 
 /// Digest of the network state after the consistency-filtering phase
@@ -165,11 +156,19 @@ fn digest_filter(grammar: &Grammar, sentence: &Sentence, strategy: FilterStrateg
         FilterStrategy::Auto => cdg_core::filter_incremental(&mut net, FILTER_PASSES)
             .expect("the incremental filter cannot fail"),
     };
+    digest_arcs(&net)
+}
+
+/// Digest of a network with its arcs: every slot's alive set, then the
+/// words of every row of every arc's logical matrix (an outer arc read as
+/// the product of its endpoints' alive sets), so the digest does not
+/// depend on which arcs are stored.
+fn digest_arcs(net: &Network<'_>) -> u64 {
     let mut buf = String::new();
     for slot in net.slots() {
         buf.push_str(&format!("{:?};", slot.alive_indices()));
     }
-    for m in net.arcs_raw() {
+    for m in net.logical_arcs() {
         for r in 0..m.rows() {
             buf.push_str(&format!("{:?};", m.row(r)));
         }

@@ -9,8 +9,8 @@
 //!
 //! [`BitVec`] is a fixed-length bitset; [`BitMatrix`] is a row-major packed
 //! boolean matrix with the row/column primitives the parser needs:
-//! `zero_row`, `zero_col`, `row_any`, the masked row AND `row_and_count`,
-//! and `col_occupancy`, the OR of all rows.
+//! `zero_row`, the counting `zero_col`, `row_any`, the masked row AND
+//! `row_and_count_words`, and `col_occupancy`, the OR of all rows.
 
 mod bitvec;
 mod matrix;

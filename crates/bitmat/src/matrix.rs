@@ -105,18 +105,22 @@ impl BitMatrix {
         self.row_mut(r).fill(0);
     }
 
-    /// Set every entry of column `c` to zero — one strided word sweep
-    /// (single column-word mask, `row_words` stride) instead of per-row
-    /// index arithmetic.
-    pub fn zero_col(&mut self, c: usize) {
+    /// Set every entry of column `c` to zero, returning how many were 1 —
+    /// one strided word sweep (single column-word mask, `row_words`
+    /// stride) that counts and clears each row's word together, instead
+    /// of a per-row probe followed by a second sweep.
+    pub fn zero_col(&mut self, c: usize) -> usize {
         assert!(c < self.cols, "column {c} out of range");
         if self.rows == 0 {
-            return;
+            return 0;
         }
-        let mask = !(1u64 << (c % 64));
+        let bit = 1u64 << (c % 64);
+        let mut cleared = 0usize;
         for w in self.words[c / 64..].iter_mut().step_by(self.row_words) {
-            *w &= mask;
+            cleared += (*w & bit != 0) as usize;
+            *w &= !bit;
         }
+        cleared
     }
 
     /// True if row `r` contains at least one 1.
@@ -124,18 +128,12 @@ impl BitMatrix {
         self.row(r).iter().any(|&w| w != 0)
     }
 
-    /// AND row `r` with `mask`, returning how many 1-bits were cleared —
+    /// AND row `r` with `mask` (raw words, one per 64 columns, no bits
+    /// past the last column), returning how many 1-bits were cleared —
     /// the word-parallel arc-row kernel of binary constraint propagation:
     /// one memoized allowed-mask replaces a per-cell interpreter walk, and
     /// the cleared count feeds the `entries_zeroed` statistic exactly as
     /// per-cell zeroing would.
-    pub fn row_and_count(&mut self, r: usize, mask: &BitVec) -> usize {
-        assert_eq!(mask.len(), self.cols, "mask length mismatch");
-        self.row_and_count_words(r, mask.words())
-    }
-
-    /// [`BitMatrix::row_and_count`] with the mask as raw words (one per 64
-    /// columns, no bits past the last column).
     pub fn row_and_count_words(&mut self, r: usize, mask: &[u64]) -> usize {
         assert_eq!(mask.len(), self.row(r).len(), "mask length mismatch");
         let mut cleared = 0usize;
@@ -217,9 +215,10 @@ mod tests {
         m.zero_row(1);
         assert!(!m.row_any(1));
         assert_eq!(m.count_ones(), 12);
-        m.zero_col(2);
+        assert_eq!(m.zero_col(2), 3);
         assert!(!m.col_occupancy().get(2));
         assert_eq!(m.count_ones(), 9);
+        assert_eq!(m.zero_col(2), 0);
         assert!(m.row_any(0));
         assert!(m.col_occupancy().get(0));
     }
@@ -230,14 +229,14 @@ mod tests {
         let mut mask = BitVec::zeros(100);
         mask.set(3, true);
         mask.set(99, true);
-        assert_eq!(m.row_and_count(0, &mask), 98);
+        assert_eq!(m.row_and_count_words(0, mask.words()), 98);
         assert_eq!(m.row(0), mask.words());
         // Re-applying the same mask clears nothing further.
-        assert_eq!(m.row_and_count(0, &mask), 0);
+        assert_eq!(m.row_and_count_words(0, mask.words()), 0);
         // A row that already lacks the masked-out bits loses none.
         m.zero_row(1);
         m.set(1, 3, true);
-        assert_eq!(m.row_and_count(1, &mask), 0);
+        assert_eq!(m.row_and_count_words(1, mask.words()), 0);
         assert!(m.get(1, 3));
     }
 
@@ -287,6 +286,13 @@ mod tests {
             for c in 0..cols {
                 prop_assert_eq!(occ.get(c), dense.iter().any(|row| row[c]));
             }
+            // Count-and-clear every column against the per-bit count.
+            for c in 0..cols {
+                let ones = (0..rows).filter(|&r| m.get(r, c)).count();
+                prop_assert_eq!(m.zero_col(c), ones);
+                prop_assert!((0..rows).all(|r| !m.get(r, c)));
+            }
+            prop_assert_eq!(m.count_ones(), 0);
         }
     }
 }

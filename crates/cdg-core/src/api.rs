@@ -34,7 +34,7 @@ use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
 use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::parser::{parse_with_state, Executor, FilterMode, ParseOptions, ParseOutcome, Serial};
-use crate::pool::{ArcPool, PoolStats};
+use crate::pool::PoolStats;
 use crate::stats::NetStats;
 use cdg_grammar::{compiled, CompiledGrammar, Grammar, Sentence};
 use maspar_sim::{FaultPlan, MachineStats};
@@ -402,15 +402,14 @@ pub trait Engine {
 }
 
 /// Per-worker state that survives across requests in warm serving: the
-/// [`ArcPool`] of recycled arc matrices, the generation-stamped
-/// [`KernelScratch`], and the [`NetSlab`] of slot storage. One request's
-/// buffers become the next request's free list. Reset is by generation
-/// stamp (kernel) and explicit zeroing on acquire (pool), so reuse cannot
-/// leak state between requests and results stay bit-identical to a cold
-/// parse.
+/// generation-stamped [`KernelScratch`], and the [`NetSlab`] of slot
+/// storage and of the [`crate::ArcPool`] of stored arcs' matrices. One
+/// request's buffers become the next request's free list. Reset is by
+/// generation stamp (kernel) and explicit zeroing on acquire (pool), so
+/// reuse cannot leak state between requests and results stay
+/// bit-identical to a cold parse.
 #[derive(Default)]
 pub struct WarmState {
-    pool: ArcPool,
     scratch: KernelScratch,
     slab: NetSlab,
     parses: u64,
@@ -426,9 +425,10 @@ impl WarmState {
         self.parses
     }
 
-    /// The warm pool's acquire/reuse/release ledger.
+    /// The warm pool's acquire/reuse/release ledger over every network
+    /// handed back so far.
     pub fn pool_stats(&self) -> &PoolStats {
-        &self.pool.stats
+        self.slab.pool_stats()
     }
 
     /// Networks built out of recycled slot/pair storage so far.
@@ -439,8 +439,10 @@ impl WarmState {
     /// Run the phase driver ([`parse_with_state`]) on `sentence` under
     /// `req`'s grammar, options and artifact, with `exec` running the
     /// kernel steps and every buffer drawn from this state. Records what
-    /// the parse drew from the arc pool (`pool.acquires`, `pool.recycles`)
-    /// and, from the second request on, the warm reuse counters
+    /// the parse drew from and gave back to the arc pool so far
+    /// (`pool.acquires`, `pool.recycles`, `pool.releases`; the stored arcs
+    /// are released when the network is handed back) and, from the second
+    /// request on, the warm reuse counters
     /// (`warm.pool.reuses`, `warm.slab.reuses`, `warm.scratch.reuses`).
     pub fn run<'g, E: Executor>(
         &mut self,
@@ -448,22 +450,21 @@ impl WarmState {
         sentence: &Sentence,
         exec: &mut E,
     ) -> ParseOutcome<'g> {
-        let pool_before = self.pool.stats;
         let slab_before = self.slab.reuses();
-        let outcome = parse_with_state(
+        let mut outcome = parse_with_state(
             req.grammar,
             sentence,
             req.options,
             req.compiled.clone(),
-            &mut self.pool,
             &mut self.scratch,
             &mut self.slab,
             exec,
         );
-        let acquired = (self.pool.stats.acquires - pool_before.acquires) as u64;
-        let reused = (self.pool.stats.reuses - pool_before.reuses) as u64;
+        let drawn = self.slab.count_draws(&mut outcome.network);
+        let (acquired, reused) = (drawn.acquires as u64, drawn.reuses as u64);
         obsv::counter_add("pool.acquires", acquired);
         obsv::counter_add("pool.recycles", reused);
+        obsv::counter_add("pool.releases", drawn.releases as u64);
         if self.parses > 0 {
             obsv::counter_add("warm.pool.reuses", reused);
             obsv::counter_add("warm.slab.reuses", self.slab.reuses() - slab_before);
@@ -473,21 +474,24 @@ impl WarmState {
         outcome
     }
 
-    /// Parse `sentence` on this state with the serial executor and
-    /// summarize it with up to `req.max_parses` parses, then hand the
-    /// network's storage back for the next sentence: one step of a batch.
+    /// Parse `sentence` on this state with the serial executor, record
+    /// its work ledger ([`record_net_stats`], a no-op while metrics are
+    /// off) and summarize it with up to `req.max_parses` parses, then hand
+    /// the network's storage back for the next sentence: one step of a
+    /// batch.
     pub fn summarize(&mut self, req: &ParseRequest<'_>, sentence: &Sentence) -> BatchOutcome {
         // One root span per sentence so batch traces aggregate cleanly
         // (see `Engine::parse_batch`).
         let _root = obsv::span("parse");
         let mut outcome = self.run(req, sentence, &mut Serial);
+        record_net_stats(&outcome.network.stats);
         let summary = BatchOutcome::summarize(&outcome, req.max_parses);
         self.reclaim(&mut outcome.network);
         summary
     }
 
     /// Hand a consumed report's network allocations back to this warm
-    /// state: arc matrices to the pool, slot/pair storage to the slab.
+    /// state: stored arcs' matrices, slot and pair storage to the slab.
     /// Call once the response has been rendered — the report's network is
     /// left empty (in particular [`ParseReport::summary`] would read
     /// zero alive values afterwards).
@@ -496,11 +500,11 @@ impl WarmState {
     }
 
     fn reclaim(&mut self, network: &mut Network<'_>) {
-        let released = self.pool.stats.releases;
-        network.reclaim(&mut self.pool, &mut self.slab);
+        let released = self.pool_stats().releases;
+        network.reclaim(&mut self.slab);
         obsv::counter_add(
             "pool.releases",
-            (self.pool.stats.releases - released) as u64,
+            (self.pool_stats().releases - released) as u64,
         );
     }
 }

@@ -19,8 +19,8 @@
 //! filter is the default under the kernel evaluator; the P-RAM engine runs
 //! its per-arc step ([`FilterStep::arc`]) in parallel.
 
-use crate::kernel::ones;
-use crate::network::{Network, RoleSlot, SlotId};
+use crate::kernel::{bit, ones};
+use crate::network::{ArcMatrix, Network, RoleSlot, SlotId};
 use crate::parser::{Executor, Serial, Step};
 use bitmat::{BitMatrix, BitVec};
 use std::convert::Infallible;
@@ -57,18 +57,21 @@ pub fn maintain(net: &mut Network<'_>) -> usize {
     removed
 }
 
-/// Whether value `a` of slot `i` has a 1 in every incident arc matrix:
+/// Whether alive value `a` of slot `i` has a 1 in every incident arc:
 /// in its row of arc (i, j) for j > i, in its column for j < i — one bit
 /// of that arc's column occupancy `occ` (computed once per pass by a
-/// single word-parallel matrix scan). Stops at the first arc without
-/// one; `checks` counts the arcs probed.
+/// single word-parallel matrix scan). On an outer arc the row or column
+/// is the other slot's alive set, so it has a 1 iff that slot is
+/// non-empty. Stops at the first arc without one; `checks` counts the
+/// arcs probed.
 fn supported(net: &Network<'_>, occ: &[BitVec], i: SlotId, a: usize, checks: &mut usize) -> bool {
     (0..net.num_slots()).filter(|&j| j != i).all(|j| {
         *checks += 1;
-        if i < j {
-            net.arc(i, j).0.row_any(a)
-        } else {
-            occ[net.arc_index(j, i)].get(a)
+        let (arc, straight) = net.arc(i, j);
+        match arc.matrix {
+            ArcMatrix::Outer => net.slot(j).alive.any(),
+            ArcMatrix::Stored(m) if straight => m.row_any(a),
+            ArcMatrix::Stored(_) => occ[net.arc_index(j, i)].get(a),
         }
     })
 }
@@ -99,8 +102,8 @@ pub(crate) fn filter_with<E: Executor>(
     mut stop: impl FnMut(usize) -> bool,
 ) -> (usize, usize, bool) {
     let mut filter: Option<IncrementalFilter> = None;
-    let (mut total, mut passes) = (0, 0);
-    while net.arcs_ready() && passes < max_passes && !stop(passes) {
+    let (mut total, mut passes, mut settled) = (0, 0, false);
+    while !settled && net.arcs_ready() && passes < max_passes && !stop(passes) {
         let (step, removed, fixpoint) = if incremental {
             let filter = filter.get_or_insert_with(|| {
                 let built = IncrementalFilter::build(net, |s, a| exec.sweep_arcs(s, a));
@@ -118,11 +121,12 @@ pub(crate) fn filter_with<E: Executor>(
         exec.cost(net, step, Some(removed));
         total += removed;
         passes += 1;
-        if fixpoint {
-            return (total, passes, true);
-        }
+        settled = fixpoint;
     }
-    (total, passes, false)
+    if let Some(filter) = filter {
+        filter.release(net);
+    }
+    (total, passes, settled)
 }
 
 /// True if the network is *locally consistent*: no alive role value has an
@@ -138,9 +142,15 @@ pub fn is_locally_consistent(net: &Network<'_>) -> bool {
     })
 }
 
-/// Column occupancy of every arc matrix, in storage order.
+/// Column occupancy of every stored arc, in storage order (empty for an
+/// outer arc, whose support [`supported`] reads off the alive sets).
 fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
-    net.arcs_raw().iter().map(|m| m.col_occupancy()).collect()
+    net.arc_views()
+        .map(|v| match v.matrix {
+            ArcMatrix::Outer => BitVec::zeros(0),
+            ArcMatrix::Stored(m) => m.col_occupancy(),
+        })
+        .collect()
 }
 
 /// The counter-free incremental filter: the paper's zero-row test, run
@@ -171,12 +181,42 @@ fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
 /// of 1-entries each generation zeroes, each counted once.
 ///
 /// The filter's only state is two bitsets per slot: the values ever
-/// queued (never re-queued) and the generation being removed.
+/// queued (never re-queued) and the generation being removed, kept as the
+/// rows of one matrix drawn from the network's arc pool and handed back
+/// when filtering ends ([`IncrementalFilter::release`]), so a warm worker
+/// reuses it from parse to parse.
 pub struct IncrementalFilter {
-    queued: Vec<BitVec>,
-    removed: Vec<BitVec>,
+    marks: Marks,
     /// The next generation, in ascending (slot, value) order.
     queue: Vec<(SlotId, usize)>,
+}
+
+/// The filter's bitsets: row `k` holds slot `k`'s queued values and row
+/// `slots + k` the generation being removed from it, over a row as wide
+/// as the largest domain (bits past a slot's domain stay 0).
+struct Marks {
+    rows: BitMatrix,
+    slots: usize,
+}
+
+impl Marks {
+    fn queued(&self, k: SlotId) -> &[u64] {
+        self.rows.row(k)
+    }
+
+    fn removed(&self, k: SlotId) -> &[u64] {
+        self.rows.row(self.slots + k)
+    }
+}
+
+/// Whether any bit of `words` is set.
+fn any(words: &[u64]) -> bool {
+    words.iter().any(|&w| w != 0)
+}
+
+/// Number of set bits in `words`.
+fn count(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// What one step's arc work reads: the slots' alive sets and the filter's
@@ -185,8 +225,7 @@ pub struct IncrementalFilter {
 /// ([`FilterStep::arc`]).
 pub struct FilterStep<'a> {
     slots: &'a [RoleSlot],
-    queued: &'a [BitVec],
-    removed: &'a [BitVec],
+    marks: &'a Marks,
     /// Every arc as (slot i, slot j, triangular index), in storage order.
     pub pairs: &'a [(SlotId, SlotId, usize)],
     /// Generation 0: every alive, unqueued value is tested.
@@ -194,36 +233,40 @@ pub struct FilterStep<'a> {
 }
 
 impl FilterStep<'_> {
-    /// One arc's share of the step, on the arc's matrix `m` between row
-    /// slot `i` and column slot `j`: zero the removed rows and columns,
-    /// then push into `unsupported` every alive, unqueued value of either
-    /// slot left with no 1 in `m`. Returns the 1-entries zeroed. `words`
-    /// is scratch.
+    /// One arc's share of the step, on arc `arc` between row slot `i` and
+    /// column slot `j`: zero the removed rows and columns, then push into
+    /// `unsupported` every alive, unqueued value of either slot left with
+    /// no 1 in the arc. Returns the 1-entries zeroed. `words` is scratch.
     ///
     /// Dead rows are all-zero, so only the alive rows are visited. At the
     /// build every alive value is tested; after that only the rows that
     /// lost a 1 and the columns that had a 1 in a removed row are. The
     /// column test ORs the surviving rows and stops as soon as every
-    /// candidate is covered.
+    /// candidate is covered. An outer arc is answered from the alive sets
+    /// ([`FilterStep::outer_arc`]).
     pub fn arc(
         &self,
         i: SlotId,
         j: SlotId,
-        m: &mut BitMatrix,
+        arc: &mut ArcMatrix,
         words: &mut Vec<u64>,
         unsupported: &mut Vec<(SlotId, usize)>,
     ) -> usize {
-        let (rows, cols) = (&self.removed[i], &self.removed[j]);
-        if !self.build && rows.none() && cols.none() {
+        let (rows, cols) = (self.marks.removed(i), self.marks.removed(j));
+        if !self.build && !any(rows) && !any(cols) {
             return 0;
         }
+        let m = match arc {
+            ArcMatrix::Outer => return self.outer_arc(i, j, unsupported),
+            ArcMatrix::Stored(m) => m,
+        };
         let mut zeroed = 0usize;
         // `words`: the candidate columns no surviving row covers yet —
         // every column at the build, later those with a 1 in a removed
         // row — narrowed to the alive, unqueued ones.
         words.clear();
         words.resize(m.cols().div_ceil(64), if self.build { !0 } else { 0 });
-        for r in rows.iter_ones() {
+        for r in ones(rows) {
             let row = m.row_mut(r);
             for (x, w) in words.iter_mut().zip(row.iter()) {
                 *x |= w;
@@ -231,17 +274,13 @@ impl FilterStep<'_> {
             }
             row.fill(0);
         }
-        let open = self.slots[j]
-            .alive
-            .words()
-            .iter()
-            .zip(self.queued[j].words());
+        let open = self.slots[j].alive.words().iter().zip(self.marks.queued(j));
         for (x, (&a, &q)) in words.iter_mut().zip(open) {
             *x &= a & !q;
         }
         let mut missing = words.iter().any(|&w| w != 0);
-        let clear = cols.any();
-        let queued = &self.queued[i];
+        let clear = any(cols);
+        let queued = self.marks.queued(i);
         for a in self.slots[i].alive.iter_ones() {
             if !(self.build || clear || missing) {
                 break;
@@ -249,13 +288,13 @@ impl FilterStep<'_> {
             let row = m.row_mut(a);
             let mut lost = 0usize;
             if clear {
-                for (w, &c) in row.iter_mut().zip(cols.words()) {
+                for (w, &c) in row.iter_mut().zip(cols) {
                     lost += (*w & c).count_ones() as usize;
                     *w &= !c;
                 }
                 zeroed += lost;
             }
-            if (self.build || lost > 0) && !queued.get(a) && row.iter().all(|&w| w == 0) {
+            if (self.build || lost > 0) && !bit(queued, a) && !any(row) {
                 unsupported.push((i, a));
             }
             if missing {
@@ -268,6 +307,33 @@ impl FilterStep<'_> {
         unsupported.extend(ones(words).map(|b| (j, b)));
         zeroed
     }
+
+    /// [`FilterStep::arc`] on an outer arc, in O(1) words per slot. Before
+    /// the step the arc was `(A_i ∪ R_i) ⊗ (A_j ∪ R_j)` (A a slot's alive
+    /// set, R the generation being removed) and after it `A_i ⊗ A_j`, so
+    /// it zeroes the difference of the two areas. Every alive row is
+    /// `A_j`: a row that lost a 1 (some column was removed), or any row at
+    /// the build, is unsupported iff `A_j` is empty; the columns likewise
+    /// with the roles swapped.
+    fn outer_arc(&self, i: SlotId, j: SlotId, unsupported: &mut Vec<(SlotId, usize)>) -> usize {
+        let (alive_i, alive_j) = (&self.slots[i].alive, &self.slots[j].alive);
+        let (removed_i, removed_j) = (self.marks.removed(i), self.marks.removed(j));
+        for (k, alive, touched, other) in [
+            (i, alive_i, removed_j, alive_j),
+            (j, alive_j, removed_i, alive_i),
+        ] {
+            if (self.build || any(touched)) && other.none() {
+                let queued = self.marks.queued(k);
+                unsupported.extend(
+                    ones(alive.words())
+                        .filter(|&v| !bit(queued, v))
+                        .map(|v| (k, v)),
+                );
+            }
+        }
+        let (ai, aj) = (alive_i.count_ones(), alive_j.count_ones());
+        (ai + count(removed_i)) * (aj + count(removed_j)) - ai * aj
+    }
 }
 
 /// What a sweep of every arc returns: the 1-entries zeroed and the values
@@ -275,7 +341,7 @@ impl FilterStep<'_> {
 pub type SweepResult = (usize, Vec<(SlotId, usize)>);
 
 /// The serial sweep: [`FilterStep::arc`] over the arcs in storage order.
-pub fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+pub fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
     let mut words = Vec::new();
     let mut unsupported = Vec::new();
     let zeroed = arcs
@@ -293,25 +359,24 @@ impl IncrementalFilter {
     /// which gives the same filter.
     pub fn build(
         net: &mut Network<'_>,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
     ) -> Self {
         assert!(net.arcs_ready(), "incremental filtering needs arc matrices");
-        let bitsets = || -> Vec<BitVec> {
-            net.slots()
-                .iter()
-                .map(|s| BitVec::zeros(s.domain.len()))
-                .collect()
-        };
+        let slots = net.num_slots();
+        let width = net
+            .slots()
+            .iter()
+            .map(|s| s.domain.len())
+            .max()
+            .unwrap_or(0);
         let mut filter = IncrementalFilter {
-            queued: bitsets(),
-            removed: bitsets(),
+            marks: Marks {
+                rows: net.pool_mut().acquire(2 * slots, width),
+                slots,
+            },
             queue: Vec::new(),
         };
-        net.stats.support_inits += net
-            .arcs_raw()
-            .iter()
-            .map(|m| m.rows() + m.cols())
-            .sum::<usize>();
+        net.stats.support_inits += net.arc_sides();
         let (_, unsupported) = filter.run_sweep(net, true, sweep);
         filter.enqueue(unsupported);
         filter
@@ -322,13 +387,12 @@ impl IncrementalFilter {
         &self,
         net: &mut Network<'_>,
         build: bool,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
     ) -> SweepResult {
         let parts = net.parts_mut();
         let step = FilterStep {
             slots: parts.slots,
-            queued: &self.queued,
-            removed: &self.removed,
+            marks: &self.marks,
             pairs: parts.pairs,
             build,
         };
@@ -342,9 +406,14 @@ impl IncrementalFilter {
         unsupported.sort_unstable();
         unsupported.dedup();
         for &(slot, idx) in &unsupported {
-            self.queued[slot].set(idx, true);
+            self.marks.rows.set(slot, idx, true);
         }
         self.queue = unsupported;
+    }
+
+    /// Hand the filter's bitsets back to the network's arc pool.
+    pub fn release(self, net: &mut Network<'_>) {
+        net.pool_mut().release(self.marks.rows);
     }
 
     /// Remove one generation, the arc work run by `sweep` (see
@@ -355,7 +424,7 @@ impl IncrementalFilter {
     pub fn pass(
         &mut self,
         net: &mut Network<'_>,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [BitMatrix]) -> SweepResult,
+        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
     ) -> (usize, bool) {
         let _phase = obsv::span("maintain");
         net.stats.maintain_passes += 1;
@@ -363,12 +432,12 @@ impl IncrementalFilter {
             return (0, true);
         }
         let generation = std::mem::take(&mut self.queue);
-        for mask in &mut self.removed {
-            let len = mask.len();
-            mask.reset(len);
+        let slots = self.marks.slots;
+        for k in slots..2 * slots {
+            self.marks.rows.zero_row(k);
         }
         for &(slot, idx) in &generation {
-            self.removed[slot].set(idx, true);
+            self.marks.rows.set(slots + slot, idx, true);
             net.clear_alive(slot, idx);
         }
         let (zeroed, unsupported) = self.run_sweep(net, false, sweep);
@@ -552,7 +621,11 @@ mod tests {
                 for (a, b) in full.slots().iter().zip(inc.slots()) {
                     assert_eq!(a.alive, b.alive, "`{s}`: alive sets diverged");
                 }
-                assert_eq!(full.arcs_raw(), inc.arcs_raw(), "`{s}`: matrices diverged");
+                assert_eq!(
+                    full.logical_arcs(),
+                    inc.logical_arcs(),
+                    "`{s}`: matrices diverged"
+                );
                 assert_eq!(
                     inc.stats.support_checks - before.support_checks,
                     inc.stats.entries_zeroed - before.entries_zeroed

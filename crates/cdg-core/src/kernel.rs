@@ -43,7 +43,7 @@
 //!
 //!    `False` zeroes a row in one word-parallel sweep, `True`×`True`
 //!    skips it untouched, and every other row is ANDed with its allowed
-//!    column mask (`row_and_count` — the software analogue of the
+//!    column mask (`row_and_count_words` — the software analogue of the
 //!    MasPar's constant-time AND over a row of PEs). Values with equal
 //!    feature signatures (`PairFeatures`: within one slot a verdict
 //!    depends only on the label / modifiee / category the constraint
@@ -65,7 +65,7 @@
 //! Results are bit-identical to the naive path: the mask has a 1 exactly
 //! where the naive per-cell check would keep the entry, dead columns are
 //! already all-zero (so the extra AND there clears nothing), and
-//! `row_and_count` reports exactly the 1→0 transitions that per-cell
+//! `row_and_count_words` reports exactly the 1→0 transitions that per-cell
 //! `zero_arc_entry` calls would have counted.
 //!
 //! Unary constraints run a slot at a time too ([`apply_unary_kernel_with`],
@@ -73,8 +73,8 @@
 //! pass over the alive values where the class is `Unknown`
 //! ([`KernelProgram::unary_lanes`]).
 
-use crate::network::{Network, RoleSlot, SlotId};
-use bitmat::BitMatrix;
+use crate::network::{Acquire, ArcMatrix, Network, RoleSlot, SlotId};
+use crate::pool::ArcPool;
 use cdg_grammar::expr::Var;
 use cdg_grammar::kernel::{
     signature_key, KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding,
@@ -317,7 +317,7 @@ fn count_and(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// Whether bit `i` of `words` is set.
-fn bit(words: &[u64], i: usize) -> bool {
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
     words[i / 64] >> (i % 64) & 1 == 1
 }
 
@@ -504,11 +504,16 @@ fn refine(
     }
 }
 
-/// Apply the sweep's program over arc `(i, j)` with matrix `m`: lane
-/// passes for the row classes, the column classes and each undecided
-/// row's verdicts, applied as word-parallel row masks. The shared inner
-/// loop of the serial and P-RAM kernel engines: each worker owns one arc
-/// matrix, so the parallel engine can call this per-arc race-free.
+/// Apply the sweep's program over arc `(i, j)`: lane passes for the row
+/// classes, the column classes and each undecided row's verdicts, applied
+/// as word-parallel row masks. The shared inner loop of the serial and
+/// P-RAM kernel engines: each worker owns one arc, so the parallel engine
+/// can call this per-arc race-free.
+///
+/// An outer arc ([`ArcMatrix::Outer`]) is stored — its matrix drawn from
+/// `acquire` — at the first write that clears a live pair: a doomed row,
+/// or a row mask that does not cover the column slot's alive set. A mask
+/// that covers it leaves the arc outer.
 ///
 /// Three whole-arc exits run first, on the slot classes alone. Ordering 1
 /// (row value as `x`) passes every pair when the row slot passes as `x`
@@ -520,8 +525,9 @@ pub fn kernel_arc(
     sweep: &PairwiseSweep<'_>,
     i: SlotId,
     j: SlotId,
-    m: &mut BitMatrix,
+    arc: &mut ArcMatrix,
     scratch: &mut KernelScratch,
+    acquire: Acquire<'_>,
 ) -> ArcKernelCounts {
     let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
     if gj.alive == 0 {
@@ -557,7 +563,7 @@ pub fn kernel_arc(
             ..settled
         };
     }
-    kernel_arc_full(sweep, i, j, m, scratch)
+    kernel_arc_full(sweep, i, j, arc, scratch, acquire)
 }
 
 /// [`kernel_arc`] past its whole-arc exits: the row classes, the column
@@ -566,8 +572,9 @@ fn kernel_arc_full(
     sweep: &PairwiseSweep<'_>,
     i: SlotId,
     j: SlotId,
-    m: &mut BitMatrix,
+    arc: &mut ArcMatrix,
     scratch: &mut KernelScratch,
+    acquire: Acquire<'_>,
 ) -> ArcKernelCounts {
     let PairwiseSweep { prog, sentence, .. } = *sweep;
     let (si, sj, gi, gj) = (
@@ -652,9 +659,7 @@ fn kernel_arc_full(
         // so the row's popcount is exactly the naive per-cell clears.
         let doomed = r1f[k] | r2f[k];
         for a in ones(&[doomed]) {
-            let a = k * 64 + a;
-            counts.zeroed += m.row_count_ones(a);
-            m.zero_row(a);
+            counts.zeroed += arc.zero_row(k * 64 + a, &si.alive, &sj.alive, acquire);
         }
         // Every pair of a row passing both orderings survives.
         let passed = r1t[k] & r2t[k];
@@ -713,7 +718,7 @@ fn kernel_arc_full(
         if open.iter().all(|&w| w == 0) {
             // Class-decided: the surviving columns are exactly `base`.
             counts.memo_hits += alive_j;
-            counts.zeroed += m.row_and_count_words(a, base);
+            counts.zeroed += arc.and_row(a, base, &si.alive, &sj.alive, acquire);
             continue;
         }
         let sa = gi.rep[a] as usize;
@@ -756,7 +761,7 @@ fn kernel_arc_full(
                 .1
                 .extend(base.iter().zip(keep.iter()).map(|(b, k)| b | k));
         }
-        counts.zeroed += m.row_and_count_words(a, &masks[sa].1);
+        counts.zeroed += arc.and_row(a, &masks[sa].1, &si.alive, &sj.alive, acquire);
     }
     counts
 }
@@ -810,10 +815,11 @@ pub fn apply_pairwise_kernel_with(
     constraint: &Constraint,
     scratch: &mut KernelScratch,
 ) -> usize {
-    apply_pairwise_kernel_by(net, constraint, scratch, |sweep, arcs, scratch| {
+    apply_pairwise_kernel_by(net, constraint, scratch, |sweep, arcs, pool, scratch| {
         let mut totals = ArcKernelCounts::default();
-        for (m, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
-            totals.absorb(kernel_arc(sweep, i, j, m, scratch));
+        let acquire = &mut |rows, cols| pool.acquire(rows, cols);
+        for (arc, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
+            totals.absorb(kernel_arc(sweep, i, j, arc, scratch, acquire));
         }
         totals
     })
@@ -821,14 +827,20 @@ pub fn apply_pairwise_kernel_with(
 
 /// The pairwise prologue and epilogue every engine shares: resolve the
 /// program, build the network's lane tables if it has none, compute every
-/// slot's signatures and slot classes, hand the [`PairwiseSweep`] and the arc
-/// matrices (in [`PairwiseSweep::pairs`] order) to `sweep`, and record its
-/// counters in the network's stats. Returns entries zeroed.
+/// slot's signatures and slot classes, hand the [`PairwiseSweep`], the
+/// arcs (in [`PairwiseSweep::pairs`] order) and the network's arc pool
+/// (for the arcs a write stores) to `sweep`, and record its counters in
+/// the network's stats. Returns entries zeroed.
 pub fn apply_pairwise_kernel_by(
     net: &mut Network<'_>,
     constraint: &Constraint,
     scratch: &mut KernelScratch,
-    sweep: impl FnOnce(&PairwiseSweep<'_>, &mut [BitMatrix], &mut KernelScratch) -> ArcKernelCounts,
+    sweep: impl FnOnce(
+        &PairwiseSweep<'_>,
+        &mut [ArcMatrix],
+        &mut ArcPool,
+        &mut KernelScratch,
+    ) -> ArcKernelCounts,
 ) -> usize {
     with_program(net, constraint, |net, prog| {
         net.ensure_lane_tables();
@@ -861,7 +873,7 @@ pub fn apply_pairwise_kernel_by(
             lanes: parts.lanes,
             pairs: parts.pairs,
         };
-        let totals = sweep(&view, parts.arcs, scratch);
+        let totals = sweep(&view, parts.arcs, parts.pool, scratch);
         parts.stats.binary_checks += checks + totals.checks;
         parts.stats.kernel_masks += totals.masks_built;
         parts.stats.kernel_memo_hits += totals.memo_hits;
@@ -1011,13 +1023,10 @@ mod tests {
                 }
             }
             assert_eq!(nk.stats.entries_zeroed, nn.stats.entries_zeroed);
+            let (lk, ln) = (nk.logical_arcs(), nn.logical_arcs());
             for (&(i, j, idx), &(i2, j2, idx2)) in nk.arc_pairs().iter().zip(nn.arc_pairs()) {
                 assert_eq!((i, j, idx), (i2, j2, idx2));
-                assert_eq!(
-                    nk.arcs_raw()[idx],
-                    nn.arcs_raw()[idx],
-                    "arc ({i},{j}) diverges for `{text}`"
-                );
+                assert_eq!(lk[idx], ln[idx], "arc ({i},{j}) diverges for `{text}`");
             }
         }
     }
@@ -1082,7 +1091,7 @@ mod tests {
             "a-b-mutual zeroed nothing; the check lost its teeth"
         );
         assert_eq!(zk, zn);
-        assert_eq!(nk.arcs_raw(), nn.arcs_raw());
+        assert_eq!(nk.logical_arcs(), nn.logical_arcs());
         assert_eq!(nk.stats.kernel_masks, 12 * 12, "one mask per a–b arc");
     }
 
@@ -1132,16 +1141,24 @@ mod tests {
             {
                 let mut full_scratch = KernelScratch::new();
                 let mut scratch = KernelScratch::new();
-                apply_pairwise_kernel_by(&mut net, c, &mut scratch, |sweep, arcs, _| {
+                apply_pairwise_kernel_by(&mut net, c, &mut scratch, |sweep, arcs, pool, _| {
                     let mut totals = ArcKernelCounts::default();
                     for (m, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
                         let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
                         let mut full = m.clone();
-                        let want = kernel_arc_full(sweep, i, j, &mut full, &mut full_scratch);
+                        let want = kernel_arc_full(
+                            sweep,
+                            i,
+                            j,
+                            &mut full,
+                            &mut full_scratch,
+                            &mut bitmat::BitMatrix::zeros,
+                        );
                         // The full path's first row pass sizes `r1t`; an
                         // exit leaves a fresh scratch's empty.
                         let mut fresh = KernelScratch::new();
-                        let got = kernel_arc(sweep, i, j, m, &mut fresh);
+                        let got =
+                            kernel_arc(sweep, i, j, m, &mut fresh, &mut |r, c| pool.acquire(r, c));
                         let exited = fresh.r1t.is_empty();
                         let old_exit = gj.alive == 0 || gi.all_pass_as_x && gj.all_pass_as_x;
                         let at = format!("{} on arc ({i},{j}) of `{s}`", c.name);

@@ -54,7 +54,9 @@ pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT
 pub use consistency::{filter_incremental, FilterStep, IncrementalFilter};
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
-pub use network::{EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId};
+pub use network::{
+    ArcMatrix, ArcView, EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId,
+};
 pub use parser::{parse, parse_with_state, FilterMode, ParseOptions, ParseOutcome};
 pub use pool::{ArcPool, PoolStats};
 pub use relax::{parse_relaxed, RelaxLadder, RelaxOutcome};

@@ -1,6 +1,6 @@
 //! The constraint network (CN): nodes, roles, role values, and arc matrices.
 
-use crate::pool::ArcPool;
+use crate::pool::{ArcPool, PoolStats};
 use crate::stats::NetStats;
 use bitmat::{BitMatrix, BitVec};
 use cdg_grammar::expr::Binding;
@@ -80,13 +80,152 @@ impl FilterStrategy {
     }
 }
 
+/// One arc's matrix: `|domain_i| × |domain_j|` bits whose `(a, b)` entry
+/// is 1 while values `a` of the row slot and `b` of the column slot may
+/// coexist.
+///
+/// Most arcs never hold anything but the pairs of their endpoints' alive
+/// values: dead rows and columns are zero (the dead-row invariant), and no
+/// constraint clears a live pair. Such an arc is [`ArcMatrix::Outer`] and
+/// has no storage; its entries are read off the two alive sets, so a
+/// removal zeroes its row and column by itself. An arc is
+/// [`ArcMatrix::Stored`] from the first write that clears a live pair —
+/// or from [`Network::init_arcs`], for two roles of one word whose
+/// category hypotheses differ — until the network is reclaimed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum ArcMatrix {
+    /// Implicitly `alive_i ⊗ alive_j`.
+    #[default]
+    Outer,
+    /// An explicit matrix drawn from the network's [`ArcPool`].
+    Stored(BitMatrix),
+}
+
+/// Where a write that stores an outer arc gets its all-zero `rows × cols`
+/// matrix: the network's [`ArcPool`], or a lock around it when several
+/// workers write arcs at once.
+pub type Acquire<'a> = &'a mut dyn FnMut(usize, usize) -> BitMatrix;
+
+impl ArcMatrix {
+    /// Whether the arc has no storage (see [`ArcMatrix::Outer`]).
+    pub fn is_outer(&self) -> bool {
+        matches!(self, ArcMatrix::Outer)
+    }
+
+    /// Store an outer arc as the matrix it stands for: every alive row of
+    /// `rows` (the row slot's alive set) is `cols` (the column slot's).
+    /// A stored arc is returned as it is.
+    pub fn store(&mut self, rows: &BitVec, cols: &BitVec, acquire: Acquire<'_>) -> &mut BitMatrix {
+        if self.is_outer() {
+            let mut m = acquire(rows.len(), cols.len());
+            for a in rows.iter_ones() {
+                m.row_mut(a).copy_from_slice(cols.words());
+            }
+            *self = ArcMatrix::Stored(m);
+        }
+        match self {
+            ArcMatrix::Stored(m) => m,
+            ArcMatrix::Outer => unreachable!("stored above"),
+        }
+    }
+
+    /// Zero row `r`, storing an outer arc first when the row holds a live
+    /// pair. Returns the 1-entries cleared.
+    pub fn zero_row(
+        &mut self,
+        r: usize,
+        rows: &BitVec,
+        cols: &BitVec,
+        acquire: Acquire<'_>,
+    ) -> usize {
+        if self.is_outer() && !(rows.get(r) && cols.any()) {
+            return 0;
+        }
+        let m = self.store(rows, cols, acquire);
+        let cleared = m.row_count_ones(r);
+        m.zero_row(r);
+        cleared
+    }
+
+    /// AND row `r` with `mask` (raw words, no bits past the last column),
+    /// storing an outer arc first only when the mask clears one of the
+    /// row's live pairs: a mask that covers an alive row's `cols` leaves
+    /// the arc outer. Returns the 1-entries cleared.
+    pub fn and_row(
+        &mut self,
+        r: usize,
+        mask: &[u64],
+        rows: &BitVec,
+        cols: &BitVec,
+        acquire: Acquire<'_>,
+    ) -> usize {
+        if self.is_outer()
+            && !(rows.get(r) && cols.words().iter().zip(mask).any(|(c, m)| c & !m != 0))
+        {
+            return 0;
+        }
+        self.store(rows, cols, acquire).row_and_count_words(r, mask)
+    }
+}
+
+/// One arc's logical matrix, read through its endpoints' alive sets: what
+/// [`ArcMatrix::Outer`] stands for, or the stored matrix.
+#[derive(Debug, Clone, Copy)]
+pub struct ArcView<'a> {
+    pub matrix: &'a ArcMatrix,
+    /// The row slot's alive set.
+    pub rows: &'a BitVec,
+    /// The column slot's alive set.
+    pub cols: &'a BitVec,
+}
+
+impl ArcView<'_> {
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    pub fn is_outer(&self) -> bool {
+        self.matrix.is_outer()
+    }
+
+    /// Entry `(r, c)`.
+    pub fn get(&self, r: usize, c: usize) -> bool {
+        match self.matrix {
+            ArcMatrix::Outer => self.rows.get(r) && self.cols.get(c),
+            ArcMatrix::Stored(m) => m.get(r, c),
+        }
+    }
+
+    /// The logical matrix as an explicit one — for tests and digests,
+    /// which compare arcs whatever their storage.
+    pub fn to_matrix(&self) -> BitMatrix {
+        match self.matrix {
+            ArcMatrix::Outer => {
+                let mut m = BitMatrix::zeros(self.rows(), self.cols());
+                for a in self.rows.iter_ones() {
+                    m.row_mut(a).copy_from_slice(self.cols.words());
+                }
+                m
+            }
+            ArcMatrix::Stored(m) => m.clone(),
+        }
+    }
+}
+
 /// Split borrow of a network for the parallel engines: immutable slots,
-/// sentence, and arc-pair list alongside mutable arc matrices and stats,
+/// sentence, and arc-pair list alongside mutable arcs, pool and stats,
 /// so workers can evaluate constraints while each mutates its own arc
-/// matrix (arcs are distributed one-per-worker — race-free).
+/// (arcs are distributed one-per-worker — race-free). A worker that
+/// stores an outer arc draws its matrix from `pool`.
 pub struct NetParts<'a> {
     pub slots: &'a [RoleSlot],
-    pub arcs: &'a mut [BitMatrix],
+    pub arcs: &'a mut [ArcMatrix],
+    /// Where stored arcs' matrices come from.
+    pub pool: &'a mut ArcPool,
     pub sentence: &'a Sentence,
     /// Every arc as (slot i, slot j, triangular index), i < j, in storage
     /// order (parallel to `arcs`).
@@ -139,9 +278,9 @@ impl RoleSlot {
 }
 
 /// Recycled [`Network`] allocations for a warm worker: slot storage
-/// (domain vectors and alive bitsets), the pair index, and the arc-matrix
-/// container, reclaimed from a finished parse's network via
-/// [`Network::reclaim`] and reused by the next
+/// (domain vectors and alive bitsets), the pair index, the arc container,
+/// and the [`ArcPool`] of stored arcs' matrices, reclaimed from a finished
+/// parse's network via [`Network::reclaim`] and reused by the next
 /// [`Network::build_in`]. Every buffer is cleared and refilled on reuse,
 /// so networks built through a slab are byte-identical to fresh ones —
 /// only allocation traffic differs.
@@ -149,8 +288,9 @@ impl RoleSlot {
 pub struct NetSlab {
     slots: Vec<RoleSlot>,
     pairs: Vec<(SlotId, SlotId, usize)>,
-    arcs: Vec<BitMatrix>,
+    arcs: Vec<ArcMatrix>,
     lanes: LaneTables,
+    pool: ArcPool,
     reuses: u64,
 }
 
@@ -163,24 +303,46 @@ impl NetSlab {
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
+
+    /// The arc pool's ledger over every network built from this slab.
+    pub fn pool_stats(&self) -> &PoolStats {
+        &self.pool.stats
+    }
+
+    /// Move `net`'s draws on the pool this slab lent it into this slab's
+    /// ledger, returning them, so the ledger is current while the network
+    /// is still out; [`Network::reclaim`] adds whatever comes after.
+    pub(crate) fn count_draws(&mut self, net: &mut Network<'_>) -> PoolStats {
+        let drawn = std::mem::take(&mut net.pool.stats);
+        self.pool.stats.absorb(&drawn);
+        drawn
+    }
 }
 
 /// The constraint network for one sentence under one grammar.
 ///
 /// Arcs connect every pair of distinct role slots; arc `(i, j)` for `i < j`
 /// carries a `|domain_i| × |domain_j|` bit matrix whose `(a, b)` entry is 1
-/// while role values `a` and `b` may coexist. Arc matrices exist only after
+/// while role values `a` and `b` may coexist. Arcs exist only after
 /// [`Network::init_arcs`] — the sequential pipeline of the paper builds them
 /// after unary propagation (Figure 3), while the MasPar pipeline builds them
 /// first (design decision 1); both orders are supported and produce the same
 /// final network.
+///
+/// An arc is stored only once it differs from the outer product of its
+/// endpoints' alive sets ([`ArcMatrix`]); read arcs through
+/// [`Network::arc`], [`Network::arc_entry`] or [`Network::arc_views`],
+/// which answer for both kinds. The network draws stored matrices from
+/// its own [`ArcPool`], lent by the [`NetSlab`] it was built from.
 #[derive(Debug, Clone)]
 pub struct Network<'g> {
     grammar: &'g Grammar,
     sentence: Sentence,
     slots: Vec<RoleSlot>,
-    /// Upper-triangular arc matrices; empty until `init_arcs`.
-    arcs: Vec<BitMatrix>,
+    /// Upper-triangular arcs; empty until `init_arcs`.
+    arcs: Vec<ArcMatrix>,
+    /// Where stored arcs' matrices come from (see [`ArcPool`]).
+    pool: ArcPool,
     /// (i, j, triangular index) per arc, i < j — precomputed once at
     /// `init_arcs` time so the propagation and consistency loops iterate a
     /// slice instead of rebuilding a `Vec` per constraint.
@@ -277,6 +439,7 @@ impl<'g> Network<'g> {
             sentence: sentence.clone(),
             slots,
             arcs,
+            pool: slab.pool.lend(),
             pairs,
             arcs_ready: false,
             lanes,
@@ -324,7 +487,7 @@ impl<'g> Network<'g> {
     }
 
     /// Index of arc (i, j), i < j, in the triangular arc vector (the order
-    /// of [`Network::arc_pairs`] and [`Network::arcs_raw`]).
+    /// of [`Network::arc_pairs`] and [`Network::arc_views`]).
     pub fn arc_index(&self, i: SlotId, j: SlotId) -> usize {
         debug_assert!(i < j && j < self.num_slots());
         let n = self.num_slots();
@@ -336,19 +499,14 @@ impl<'g> Network<'g> {
         self.arcs_ready
     }
 
-    /// Construct every arc matrix. Entries start at 1 for pairs of alive
-    /// role values, with two structural exceptions zeroed immediately:
-    /// dead values (rows/columns of values already eliminated stay 0), and
+    /// Construct every arc. Entries start at 1 for pairs of alive role
+    /// values, with two structural exceptions zeroed immediately: dead
+    /// values (rows/columns of values already eliminated stay 0), and
     /// differing category hypotheses for two roles of the same word (each
-    /// word has one part of speech per reading).
+    /// word has one part of speech per reading). Only an arc of the second
+    /// kind that actually pairs two categories is stored; every other arc
+    /// starts outer ([`ArcMatrix::Outer`]).
     pub fn init_arcs(&mut self) {
-        self.init_arcs_with(&mut ArcPool::new());
-    }
-
-    /// [`Network::init_arcs`] drawing matrix storage from `pool` — the
-    /// batched-parsing path. Identical results; recycled buffers start
-    /// all-zero just like fresh ones.
-    pub fn init_arcs_with(&mut self, pool: &mut ArcPool) {
         let _phase = obsv::span("arc_init");
         assert!(!self.arcs_ready, "arcs already initialized");
         let num = self.num_slots();
@@ -364,23 +522,20 @@ impl<'g> Network<'g> {
             for j in (i + 1)..num {
                 pairs.push((i, j, arcs.len()));
                 let (si, sj) = (&self.slots[i], &self.slots[j]);
-                let mut m = pool.acquire(si.domain.len(), sj.domain.len());
                 self.stats.arc_entries_initialized += si.domain.len() * sj.domain.len();
-                if si.word != sj.word {
-                    // Every alive row is the column slot's alive set.
-                    for a in si.alive.iter_ones() {
-                        m.row_mut(a).copy_from_slice(sj.alive.words());
-                    }
-                } else {
-                    for a in si.alive.iter_ones() {
-                        for b in sj.alive.iter_ones() {
-                            if si.domain[a].cat == sj.domain[b].cat {
-                                m.set(a, b, true);
-                            }
+                if si.word != sj.word || !pairs_two_categories(si, sj) {
+                    arcs.push(ArcMatrix::Outer);
+                    continue;
+                }
+                let mut m = self.pool.acquire(si.domain.len(), sj.domain.len());
+                for a in si.alive.iter_ones() {
+                    for b in sj.alive.iter_ones() {
+                        if si.domain[a].cat == sj.domain[b].cat {
+                            m.set(a, b, true);
                         }
                     }
                 }
-                arcs.push(m);
+                arcs.push(ArcMatrix::Stored(m));
             }
         }
         self.arcs = arcs;
@@ -388,16 +543,43 @@ impl<'g> Network<'g> {
         self.arcs_ready = true;
     }
 
-    /// The arc matrix between slots `i` and `j` (`i != j`), together with a
-    /// flag telling whether the caller's `(i, j)` orientation matches the
+    /// Arc `(i, j)` (`i != j`) as a logical view, together with a flag
+    /// telling whether the caller's `(i, j)` orientation matches the
     /// stored row/column orientation.
-    pub fn arc(&self, i: SlotId, j: SlotId) -> (&BitMatrix, bool) {
+    pub fn arc(&self, i: SlotId, j: SlotId) -> (ArcView<'_>, bool) {
         assert!(self.arcs_ready, "arcs not initialized");
         if i < j {
-            (&self.arcs[self.arc_index(i, j)], true)
+            (self.view(self.arc_index(i, j), i, j), true)
         } else {
-            (&self.arcs[self.arc_index(j, i)], false)
+            (self.view(self.arc_index(j, i), j, i), false)
         }
+    }
+
+    fn view(&self, idx: usize, i: SlotId, j: SlotId) -> ArcView<'_> {
+        ArcView {
+            matrix: &self.arcs[idx],
+            rows: &self.slots[i].alive,
+            cols: &self.slots[j].alive,
+        }
+    }
+
+    /// Every arc as a logical view, in [`Network::arc_pairs`] order.
+    pub fn arc_views(&self) -> impl Iterator<Item = ArcView<'_>> + '_ {
+        assert!(self.arcs_ready, "arcs not initialized");
+        self.pairs.iter().map(|&(i, j, idx)| self.view(idx, i, j))
+    }
+
+    /// Every arc's logical matrix, in [`Network::arc_pairs`] order — what
+    /// tests and digests compare, whichever arcs are stored.
+    pub fn logical_arcs(&self) -> Vec<BitMatrix> {
+        self.arc_views().map(|v| v.to_matrix()).collect()
+    }
+
+    /// Rows plus columns over every arc, Σ_{i<j} |dom i| + |dom j|: each
+    /// slot's domain is a side of every arc it meets.
+    pub fn arc_sides(&self) -> usize {
+        let num = self.num_slots();
+        num.saturating_sub(1) * self.slots.iter().map(|s| s.domain.len()).sum::<usize>()
     }
 
     /// Entry of the arc matrix for (slot i, value a) × (slot j, value b).
@@ -410,31 +592,26 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Zero one arc entry (both orientations handled).
+    /// Zero one arc entry (both orientations handled), storing an outer
+    /// arc first when the entry is a live pair.
     pub fn zero_arc_entry(&mut self, i: SlotId, a: usize, j: SlotId, b: usize) {
         assert!(self.arcs_ready, "arcs not initialized");
-        let idx = if i < j {
-            self.arc_index(i, j)
+        let (idx, (ri, r), (ci, c)) = if i < j {
+            (self.arc_index(i, j), (i, a), (j, b))
         } else {
-            self.arc_index(j, i)
+            (self.arc_index(j, i), (j, b), (i, a))
         };
-        let m = &mut self.arcs[idx];
-        let was = if i < j { m.get(a, b) } else { m.get(b, a) };
-        if was {
-            self.stats.entries_zeroed += 1;
-            if i < j {
-                m.set(a, b, false);
-            } else {
-                m.set(b, a, false);
-            }
+        let (rows, cols) = (&self.slots[ri].alive, &self.slots[ci].alive);
+        let arc = &mut self.arcs[idx];
+        if arc.is_outer() && !(rows.get(r) && cols.get(c)) {
+            return;
         }
-    }
-
-    /// Read access to the raw triangular arc storage (same order as
-    /// [`Network::arc_pairs`]).
-    pub fn arcs_raw(&self) -> &[BitMatrix] {
-        assert!(self.arcs_ready, "arcs not initialized");
-        &self.arcs
+        let pool = &mut self.pool;
+        let m = arc.store(rows, cols, &mut |x, y| pool.acquire(x, y));
+        if m.get(r, c) {
+            self.stats.entries_zeroed += 1;
+            m.set(r, c, false);
+        }
     }
 
     /// Split borrow for the parallel engines (see [`NetParts`]).
@@ -443,11 +620,17 @@ impl<'g> Network<'g> {
         NetParts {
             slots: &self.slots,
             arcs: &mut self.arcs,
+            pool: &mut self.pool,
             sentence: &self.sentence,
             pairs: &self.pairs,
             lanes: &self.lanes,
             stats: &mut self.stats,
         }
+    }
+
+    /// The network's arc pool, for the incremental filter's bitsets.
+    pub(crate) fn pool_mut(&mut self) -> &mut ArcPool {
+        &mut self.pool
     }
 
     /// Size the lane tables ([`NetParts::lanes`]) to this network unless
@@ -472,7 +655,9 @@ impl<'g> Network<'g> {
     }
 
     /// Remove role value `idx` of slot `slot`: clear its alive bit and zero
-    /// its row/column in every incident arc matrix (if arcs exist).
+    /// its row/column in every incident stored arc (if arcs exist). An
+    /// outer arc loses the row or column with the alive bit, so it counts
+    /// the other slot's alive values as zeroed and stays outer.
     pub fn remove_value(&mut self, slot: SlotId, idx: usize) {
         if !self.slots[slot].alive.get(idx) {
             return;
@@ -491,16 +676,15 @@ impl<'g> Network<'g> {
                     (other, slot)
                 };
                 let a_idx = self.arc_index(i, j);
-                let m = &mut self.arcs[a_idx];
-                if slot < other {
-                    self.stats.entries_zeroed += m.row_count_ones(idx);
-                    m.zero_row(idx);
-                } else {
-                    // Column zeroing: count first for the stats.
-                    let cnt = (0..m.rows()).filter(|&r| m.get(r, idx)).count();
-                    self.stats.entries_zeroed += cnt;
-                    m.zero_col(idx);
-                }
+                self.stats.entries_zeroed += match &mut self.arcs[a_idx] {
+                    ArcMatrix::Outer => self.slots[other].alive.count_ones(),
+                    ArcMatrix::Stored(m) if slot < other => {
+                        let cleared = m.row_count_ones(idx);
+                        m.zero_row(idx);
+                        cleared
+                    }
+                    ArcMatrix::Stored(m) => m.zero_col(idx),
+                };
             }
         }
     }
@@ -514,16 +698,19 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Hand this network's storage back for the next parse: the arc
-    /// matrices to `pool`, and the slot storage, pair index and arc
-    /// container to `slab` for the next [`Network::build_in`]. The network
-    /// is left empty — call only once every reader of the report is done
-    /// with it (in particular, [`crate::ParseReport::summary`] reads the
-    /// alive sets).
-    pub fn reclaim(&mut self, pool: &mut ArcPool, slab: &mut NetSlab) {
-        for m in self.arcs.drain(..) {
-            pool.release(m);
+    /// Hand this network's storage back to `slab` for the next
+    /// [`Network::build_in`]: the stored arcs' matrices and the lent pool
+    /// (with this parse's pool ledger) to the slab's pool, and the slot
+    /// storage, pair index and arc container. The network is left empty —
+    /// call only once every reader of the report is done with it (in
+    /// particular, [`crate::ParseReport::summary`] reads the alive sets).
+    pub fn reclaim(&mut self, slab: &mut NetSlab) {
+        for arc in self.arcs.drain(..) {
+            if let ArcMatrix::Stored(m) = arc {
+                self.pool.release(m);
+            }
         }
+        slab.pool.absorb(std::mem::take(&mut self.pool));
         slab.slots = std::mem::take(&mut self.slots);
         slab.pairs = std::mem::take(&mut self.pairs);
         slab.arcs = std::mem::take(&mut self.arcs);
@@ -542,6 +729,23 @@ impl<'g> Network<'g> {
     /// Total alive role values across all slots.
     pub fn total_alive(&self) -> usize {
         self.slots.iter().map(|s| s.alive_count()).sum()
+    }
+}
+
+/// Whether some alive value of `si` and some alive value of `sj` carry
+/// differing categories — the one way an initial same-word arc differs
+/// from the outer product of its alive sets.
+fn pairs_two_categories(si: &RoleSlot, sj: &RoleSlot) -> bool {
+    // A slot's first alive category, and whether another one follows: a
+    // slot with two pairs differing categories with any value at all.
+    let cats = |s: &RoleSlot| {
+        let mut cats = s.alive.iter_ones().map(|v| s.domain[v].cat);
+        let first = cats.next();
+        (first, cats.any(|c| Some(c) != first))
+    };
+    match (cats(si), cats(sj)) {
+        ((Some(a), mixed_i), (Some(b), mixed_j)) => mixed_i || mixed_j || a != b,
+        _ => false,
     }
 }
 
@@ -616,8 +820,9 @@ mod tests {
         assert!(straight);
         assert_eq!((m.rows(), m.cols()), (9, 9));
         assert_eq!(net.stats.arc_entries_initialized, 15 * 81);
-        // Initially every entry is 1 (unambiguous words).
-        assert_eq!(m.count_ones(), 81);
+        // Initially every entry is 1 (unambiguous words), with no storage.
+        assert!(m.is_outer());
+        assert_eq!(m.to_matrix().count_ones(), 81);
     }
 
     #[test]

@@ -6,10 +6,8 @@ use crate::consistency::{filter_with, is_locally_consistent, sweep_arcs, FilterS
 use crate::error::{BudgetResource, EngineError, ParseBudget};
 use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
 use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
-use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
-use crate::pool::ArcPool;
+use crate::network::{ArcMatrix, EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
-use bitmat::BitMatrix;
 use cdg_grammar::{Arity, CompiledGrammar, Constraint, Grammar, Sentence};
 use std::sync::Arc;
 use std::time::Instant;
@@ -176,7 +174,7 @@ pub trait Executor {
     }
 
     /// The incremental filter's sweep of every arc ([`FilterStep::arc`]).
-    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
         sweep_arcs(step, arcs)
     }
 
@@ -219,7 +217,6 @@ pub fn parse<'g>(
         sentence,
         options,
         None,
-        &mut ArcPool::new(),
         &mut KernelScratch::new(),
         &mut NetSlab::default(),
         &mut Serial,
@@ -228,9 +225,9 @@ pub fn parse<'g>(
 
 /// The fully warm entry point: [`parse`] that resolves constraint
 /// programs from a pre-built [`CompiledGrammar`] artifact (`None` = the
-/// compile-per-call oracle) and draws arc matrices, kernel scratch and
-/// network storage from caller-owned state that survives across parses
-/// (see [`crate::api::WarmState::run`]). Every piece of reused state is
+/// compile-per-call oracle) and draws kernel scratch and network storage
+/// (stored arcs' matrices included) from caller-owned state that survives
+/// across parses (see [`crate::api::WarmState::run`]). Every piece of reused state is
 /// generation-stamped or re-zeroed on adoption, so results are
 /// byte-identical to a cold [`parse`] — only allocation and compile
 /// traffic differ.
@@ -246,7 +243,6 @@ pub fn parse_with_state<'g, E: Executor>(
     sentence: &Sentence,
     options: ParseOptions,
     compiled: Option<Arc<CompiledGrammar>>,
-    pool: &mut ArcPool,
     scratch: &mut KernelScratch,
     slab: &mut NetSlab,
     exec: &mut E,
@@ -287,8 +283,8 @@ pub fn parse_with_state<'g, E: Executor>(
         }
         _ => true,
     };
-    let mut init_arcs = |net: &mut Network<'g>, exec: &mut E| {
-        net.init_arcs_with(pool);
+    let init_arcs = |net: &mut Network<'g>, exec: &mut E| {
+        net.init_arcs();
         exec.cost(net, Step::ArcInit, Some(0));
     };
 

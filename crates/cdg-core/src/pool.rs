@@ -1,12 +1,19 @@
 //! Arc-matrix allocation pool for batched parsing.
 //!
-//! The O(n⁴) arc matrices dominate the parser's allocation traffic: every
-//! sentence allocates C(nq, 2) bit matrices and drops them when its
-//! [`crate::Network`] is discarded. When parsing a batch, the pool keeps the
-//! backing `Vec<u64>` buffers of a finished sentence and hands them to the
-//! next one (see [`bitmat::BitMatrix::zeros_from`]), so steady-state batch
-//! parsing allocates arc storage only when a sentence needs more or larger
+//! Most arcs of a network never need storage: an arc is *outer*
+//! (implicitly `alive_i ⊗ alive_j`, see [`crate::network::ArcMatrix`])
+//! until a write clears one of its live pairs, and only then is it given a
+//! matrix. Those *stored* arcs still dominate the parser's allocation
+//! traffic, so when parsing a batch the pool keeps the backing `Vec<u64>`
+//! buffers of a finished sentence's stored arcs and hands them to the next
+//! one (see [`bitmat::BitMatrix::zeros_from`]): steady-state batch parsing
+//! allocates arc storage only when a sentence stores more or larger
 //! matrices than any before it.
+//!
+//! A network draws from its own pool, lent to it by the
+//! [`crate::network::NetSlab`] it was built from and absorbed back when the
+//! network is reclaimed, so every phase that stores an arc (arc init, the
+//! binary kernels, the naive evaluator, the MasPar readback) uses it.
 //!
 //! Pooling is invisible to results: a pooled matrix starts all-zero exactly
 //! like a fresh one, so parses are byte-identical with and without a pool
@@ -25,8 +32,17 @@ pub struct PoolStats {
     pub releases: usize,
 }
 
-/// A free-list of `u64` word buffers recycled between arc matrices.
-#[derive(Debug, Default)]
+impl PoolStats {
+    /// Add another ledger's counts to this one.
+    pub fn absorb(&mut self, other: &PoolStats) {
+        self.acquires += other.acquires;
+        self.reuses += other.reuses;
+        self.releases += other.releases;
+    }
+}
+
+/// A free-list of `u64` word buffers recycled between stored arc matrices.
+#[derive(Debug, Clone, Default)]
 pub struct ArcPool {
     bufs: Vec<Vec<u64>>,
     pub stats: PoolStats,
@@ -59,6 +75,22 @@ impl ArcPool {
         }
     }
 
+    /// A pool holding this pool's idle buffers and a zero ledger, leaving
+    /// this one empty: what a network draws from for one parse.
+    pub fn lend(&mut self) -> ArcPool {
+        ArcPool {
+            bufs: std::mem::take(&mut self.bufs),
+            stats: PoolStats::default(),
+        }
+    }
+
+    /// Take back a lent pool: its idle buffers rejoin this free-list and
+    /// its ledger is added to this one's.
+    pub fn absorb(&mut self, mut lent: ArcPool) {
+        self.bufs.append(&mut lent.bufs);
+        self.stats.absorb(&lent.stats);
+    }
+
     /// Buffers currently idle in the free-list.
     pub fn idle_buffers(&self) -> usize {
         self.bufs.len()
@@ -88,6 +120,27 @@ mod tests {
         let m3 = pool.acquire(4, 200);
         assert_eq!(m3, BitMatrix::zeros(4, 200));
         assert_eq!(pool.stats.reuses, 2);
+    }
+
+    #[test]
+    fn a_lent_pool_comes_back_with_its_ledger() {
+        let mut pool = ArcPool::new();
+        let m = pool.acquire(3, 3);
+        pool.release(m);
+        let mut lent = pool.lend();
+        assert_eq!((pool.idle_buffers(), lent.idle_buffers()), (0, 1));
+        let m = lent.acquire(5, 5);
+        lent.release(m);
+        pool.absorb(lent);
+        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(
+            pool.stats,
+            PoolStats {
+                acquires: 2,
+                reuses: 1,
+                releases: 2
+            }
+        );
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use cdg_core::kernel::KernelScratch;
 use cdg_core::network::{NetSlab, Network};
 use cdg_core::parser::{parse_with_state, Executor, ParseOptions, Step};
-use cdg_core::ArcPool;
 use cdg_grammar::{Grammar, Sentence};
 
 /// Step counts from a mesh run.
@@ -112,7 +111,6 @@ impl MeshCdg {
             sentence,
             options,
             None,
-            &mut ArcPool::new(),
             &mut KernelScratch::new(),
             &mut NetSlab::default(),
             &mut stats,

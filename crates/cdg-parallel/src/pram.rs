@@ -2,17 +2,17 @@
 //! phase driver whose kernel steps run slot- or arc-parallel, and which
 //! keeps the P-RAM round ledger.
 
-use bitmat::BitMatrix;
 use cdg_core::consistency::{FilterStep, SweepResult};
 use cdg_core::kernel::{
     apply_pairwise_kernel_by, apply_unary_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch,
 };
-use cdg_core::network::{NetSlab, Network};
+use cdg_core::network::{ArcMatrix, NetSlab, Network};
 use cdg_core::parser::{parse_with_state, Executor, ParseOptions, ParseOutcome, Step};
-use cdg_core::{ArcPool, PrecedenceGraph};
+use cdg_core::PrecedenceGraph;
 use cdg_grammar::kernel::LaneScratch;
 use cdg_grammar::{Constraint, Grammar, Sentence};
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Parallel-step and width accounting for the P-RAM model.
 ///
@@ -36,8 +36,9 @@ impl PramStats {
 
 /// The P-RAM executor: every kernel step fans out — a unary constraint one
 /// worker per slot, a pairwise constraint and the incremental filter's
-/// sweep one worker per arc matrix (race-free by construction) — and each
-/// phase is charged as O(1) rounds:
+/// sweep one worker per arc (race-free by construction; a worker that
+/// stores an outer arc takes its matrix from the network's pool under a
+/// lock) — and each phase is charged as O(1) rounds:
 ///
 /// * role-value generation: one round of O(n²) processors;
 /// * each unary constraint: one round over the alive values, plus one
@@ -74,12 +75,17 @@ impl Executor for PramStats {
         c: &Constraint,
         scratch: &mut KernelScratch,
     ) -> usize {
-        apply_pairwise_kernel_by(net, c, scratch, |sweep, arcs, _| {
+        apply_pairwise_kernel_by(net, c, scratch, |sweep, arcs, pool, _| {
+            let pool = Mutex::new(pool);
             let per_arc: Vec<ArcKernelCounts> = arcs
                 .par_iter_mut()
                 .zip(sweep.pairs.par_iter())
-                .map_init(KernelScratch::new, |scratch, (m, &(i, j, _))| {
-                    kernel_arc(sweep, i, j, m, scratch)
+                .map_init(KernelScratch::new, |scratch, (arc, &(i, j, _))| {
+                    let acquire = &mut |rows, cols| {
+                        let mut pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
+                        pool.acquire(rows, cols)
+                    };
+                    kernel_arc(sweep, i, j, arc, scratch, acquire)
                 })
                 .collect();
             let mut totals = ArcKernelCounts::default();
@@ -90,13 +96,13 @@ impl Executor for PramStats {
         })
     }
 
-    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [BitMatrix]) -> SweepResult {
+    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
         let per_arc: Vec<(usize, Vec<(usize, usize)>)> = arcs
             .par_iter_mut()
             .zip(step.pairs.par_iter())
-            .map_init(Vec::new, |words, (m, &(i, j, _))| {
+            .map_init(Vec::new, |words, (arc, &(i, j, _))| {
                 let mut unsupported = Vec::new();
-                let zeroed = step.arc(i, j, m, words, &mut unsupported);
+                let zeroed = step.arc(i, j, arc, words, &mut unsupported);
                 (zeroed, unsupported)
             })
             .collect();
@@ -116,10 +122,7 @@ impl Executor for PramStats {
             (Step::ArcInit, _) => net.stats.arc_entries_initialized.max(1),
             (Step::Binary, None) => pairwise_width(net).max(1),
             (Step::UnaryPairwise, None) => 1,
-            (Step::FilterBuild, _) => {
-                let inits: usize = net.arcs_raw().iter().map(|m| m.rows() + m.cols()).sum();
-                inits.max(1)
-            }
+            (Step::FilterBuild, _) => net.arc_sides().max(1),
             (Step::Scan, None) => (net.total_alive() * num.saturating_sub(1)).max(1),
             (Step::Unary | Step::Scan | Step::Generation, Some(removed)) if removed > 0 => {
                 removed * num
@@ -201,7 +204,6 @@ pub fn parse_pram<'g>(
         sentence,
         options,
         None,
-        &mut ArcPool::new(),
         &mut KernelScratch::new(),
         &mut NetSlab::default(),
         &mut stats,

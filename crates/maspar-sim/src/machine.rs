@@ -176,8 +176,10 @@ fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Freed host buffers a machine keeps per list, at most.
-const MAX_SPARES: usize = 8;
+/// Freed host buffers a machine keeps per list, at most: room for the
+/// plurals a program holds live at once plus the host copies a verified
+/// phase checkpoints ([`Machine::host_buffer`]).
+const MAX_SPARES: usize = 12;
 
 /// Host buffers of freed plurals, handed to later allocations so the
 /// host allocator is skipped; the simulated charge for an allocation is
@@ -482,14 +484,13 @@ impl Machine {
             move |pe: usize| (nonce ^ (pe as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
         let mut scratch = self.alloc(0u64);
         self.par_map(&mut scratch, move |pe, w| *w = expected(pe));
-        let values = scratch.as_slice().to_vec();
-        self.free(scratch);
         let mut dead = std::collections::BTreeSet::new();
-        for (pe, &v) in values.iter().enumerate() {
+        for (pe, &v) in scratch.as_slice().iter().enumerate() {
             if self.is_enabled(pe) && v != expected(pe) {
                 dead.insert(self.phys_of(pe));
             }
         }
+        self.free(scratch);
         dead.into_iter().collect()
     }
 
@@ -698,6 +699,14 @@ impl Machine {
     /// went with the program.
     pub fn recycle<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
         self.spares.keep(buf);
+    }
+
+    /// An empty host buffer with room for one `T` per PE: a freed
+    /// plural's kept buffer, or a new one when none is kept. For host-side
+    /// copies of plurals (the host reads the array for free); hand it back
+    /// with [`Machine::recycle`], so a later copy reuses it.
+    pub fn host_buffer<T: 'static>(&mut self) -> Vec<T> {
+        self.spares.take::<T>()
     }
 
     /// Allocate a packed boolean plural, charged exactly like

@@ -28,7 +28,6 @@
 //! are bit-identical to the original engine.
 
 use crate::layout::Layout;
-use bitmat::BitVec;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
 use cdg_core::kernel::ones;
 use cdg_core::network::{NetParts, Network};
@@ -254,14 +253,16 @@ impl MasparOutcome {
     }
 
     /// Word-parallel readback. Dead values are removed before the arcs
-    /// exist, so `init_arcs` sets only entries between survivors. Then,
-    /// for each alive arc row, gather one l-bit label chunk per modifiee
-    /// straight out of the packed PE submatrix word, spread it to host
-    /// column positions lj·m + mj through a precomputed per-label-count
-    /// table, and apply the assembled mask with a single word-wise row
-    /// AND. Bits the machine zeroed for pairs with a dead endpoint are
-    /// already zero on the host, so masking with the raw machine row is
-    /// exact.
+    /// exist, so `init_arcs` starts every arc outer: entries only between
+    /// survivors. Then, for each alive arc row, gather one l-bit label
+    /// chunk per modifiee straight out of the packed PE submatrix word,
+    /// spread it to host column positions lj·m + mj through a precomputed
+    /// per-label-count table, and apply the assembled mask with a single
+    /// word-wise row AND. Bits the machine zeroed for pairs with a dead
+    /// endpoint are already zero on the host, so masking with the raw
+    /// machine row is exact. An arc stays outer while every alive row's
+    /// mask covers the column slot's alive set, and is stored at the
+    /// first row whose mask does not.
     ///
     /// Host stats equal [`MasparOutcome::readback_scalar`]'s up to the
     /// observational `bmm_*` counters: the scalar walk zeroes the
@@ -281,11 +282,12 @@ impl MasparOutcome {
         let NetParts {
             slots,
             arcs,
+            pool,
             pairs,
             stats,
             ..
         } = net.parts_mut();
-        let mut mask = BitVec::zeros(0);
+        let acquire = &mut |rows, cols| pool.acquire(rows, cols);
         let mut buf: Vec<u64> = Vec::new();
         // spread[labels][chunk] has bit lj·m set for every label bit lj of
         // `chunk`; shifting the whole pattern left by mj lands each label
@@ -345,9 +347,8 @@ impl MasparOutcome {
                         }
                     }
                 }
-                mask.reset(dom_j);
-                mask.or_assign_raw(&buf);
-                stats.entries_zeroed += arcs[idx].row_and_count(a, &mask);
+                stats.entries_zeroed +=
+                    arcs[idx].and_row(a, &buf, &slots[si].alive, &slots[sj].alive, acquire);
                 stats.bmm_words += m + row_words;
             }
         }
@@ -999,7 +1000,10 @@ where
 /// Execute one mutating phase. Fault-free: run it once. Under faults:
 /// checkpoint `bits`/`alive` on the host, run the phase **twice** (rolling
 /// back in between), and accept only two bit-identical executions; retry
-/// from the checkpoint otherwise. Returns the phase's scalar result.
+/// from the checkpoint otherwise. Returns the phase's scalar result. The
+/// checkpoint and the first run's copies live in the machine's kept host
+/// buffers ([`Machine::host_buffer`]) and go back to it after the phase,
+/// so a warm machine makes none of them anew.
 #[allow(clippy::too_many_arguments)]
 fn run_phase<F>(
     machine: &mut Machine,
@@ -1018,30 +1022,42 @@ where
     }
     let _verify = obsv::span("verify");
     recovery.verified_phases += 1;
-    let golden_bits = bits.as_slice().to_vec();
-    let golden_alive = alive.as_slice().to_vec();
+    let [mut golden_bits, mut golden_alive, mut run1_bits, mut run1_alive] =
+        [(); 4].map(|()| machine.host_buffer::<u64>());
+    copy_into(&mut golden_bits, bits);
+    copy_into(&mut golden_alive, alive);
     let mut attempts = 0;
-    loop {
+    let result = loop {
         attempts += 1;
         let r1 = f(machine, bits, alive);
-        let run1_bits = bits.as_slice().to_vec();
-        let run1_alive = alive.as_slice().to_vec();
+        copy_into(&mut run1_bits, bits);
+        copy_into(&mut run1_alive, alive);
         restore(machine, bits, &golden_bits);
         restore(machine, alive, &golden_alive);
         let r2 = f(machine, bits, alive);
         if r1 == r2 && run1_bits == bits.as_slice() && run1_alive == alive.as_slice() {
-            return Ok(r2);
+            break Ok(r2);
         }
         recovery.phase_retries += 1;
         if attempts >= max_retries {
-            return Err(EngineError::Inconsistent {
+            break Err(EngineError::Inconsistent {
                 phase: name.to_string(),
                 attempts,
             });
         }
         restore(machine, bits, &golden_bits);
         restore(machine, alive, &golden_alive);
+    };
+    for buf in [golden_bits, golden_alive, run1_bits, run1_alive] {
+        machine.recycle(buf);
     }
+    result
+}
+
+/// Overwrite a host buffer with a plural's values.
+fn copy_into(buf: &mut Vec<u64>, p: &Plural<u64>) {
+    buf.clear();
+    buf.extend_from_slice(p.as_slice());
 }
 
 /// Roll a plural back to a host-held golden copy (one broadcast).
@@ -1661,7 +1677,7 @@ mod tests {
             for (sa, sb) in a.slots().iter().zip(b.slots()) {
                 assert_eq!(sa.alive, sb.alive, "`{s}`: alive sets");
             }
-            assert_eq!(a.arcs_raw(), b.arcs_raw(), "`{s}`: arcs");
+            assert_eq!(a.logical_arcs(), b.logical_arcs(), "`{s}`: arcs");
             let mut masked = b.stats;
             // A fully rejected sentence has no alive rows left to mask.
             assert_eq!(masked.bmm_words > 0, b.total_alive() > 0, "`{s}`");

@@ -433,6 +433,46 @@ fn batch_trace_reports_phase_totals() {
     assert!(text.contains("2 span(s)"), "{text}");
 }
 
+/// The value of counter `name` in a `--stats` registry dump.
+fn counter(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` counter in:\n{text}"))
+}
+
+#[test]
+fn batch_stats_print_the_summed_work_ledger() {
+    let lines = ["the dog runs", "she sleeps", "dog the runs"];
+    let path = write_temp("ledger", &format!("{}\n", lines.join("\n")));
+    for engine in ["serial", "pram"] {
+        let out = run(&[
+            "--engine",
+            engine,
+            "--stats",
+            "--batch",
+            path.to_str().unwrap(),
+        ]);
+        let batch = stderr(&out);
+        for name in [
+            "checks.binary",
+            "checks.support",
+            "removals",
+            "filter.iterations",
+        ] {
+            let single: u64 = lines
+                .iter()
+                .map(|l| {
+                    let words: Vec<&str> = l.split(' ').collect();
+                    let args = [&["--engine", engine, "--stats"][..], &words].concat();
+                    counter(&stderr(&run(&args)), name)
+                })
+                .sum();
+            assert_eq!(counter(&batch, name), single, "{engine} {name}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn batch_formal_grammar_lines() {
     let path = write_temp("formal", "ab\naabb\nba\n");
