@@ -118,9 +118,7 @@ impl ArcMatrix {
     pub fn store(&mut self, rows: &BitVec, cols: &BitVec, acquire: Acquire<'_>) -> &mut BitMatrix {
         if self.is_outer() {
             let mut m = acquire(rows.len(), cols.len());
-            for a in rows.iter_ones() {
-                m.row_mut(a).copy_from_slice(cols.words());
-            }
+            fill_outer(&mut m, rows, cols);
             *self = ArcMatrix::Stored(m);
         }
         match self {
@@ -168,6 +166,14 @@ impl ArcMatrix {
     }
 }
 
+/// Set every alive row of the all-zero `m` to the column slot's alive set:
+/// the matrix an outer arc stands for.
+fn fill_outer(m: &mut BitMatrix, rows: &BitVec, cols: &BitVec) {
+    for a in rows.iter_ones() {
+        m.row_mut(a).copy_from_slice(cols.words());
+    }
+}
+
 /// One arc's logical matrix, read through its endpoints' alive sets: what
 /// [`ArcMatrix::Outer`] stands for, or the stored matrix.
 #[derive(Debug, Clone, Copy)]
@@ -206,9 +212,7 @@ impl ArcView<'_> {
         match self.matrix {
             ArcMatrix::Outer => {
                 let mut m = BitMatrix::zeros(self.rows(), self.cols());
-                for a in self.rows.iter_ones() {
-                    m.row_mut(a).copy_from_slice(self.cols.words());
-                }
+                fill_outer(&mut m, self.rows, self.cols);
                 m
             }
             ArcMatrix::Stored(m) => m.clone(),
@@ -584,11 +588,12 @@ impl<'g> Network<'g> {
 
     /// Entry of the arc matrix for (slot i, value a) × (slot j, value b).
     pub fn arc_entry(&self, i: SlotId, a: usize, j: SlotId, b: usize) -> bool {
-        let (m, straight) = self.arc(i, j);
-        if straight {
-            m.get(a, b)
-        } else {
-            m.get(b, a)
+        assert!(self.arcs_ready, "arcs not initialized");
+        let idx = self.arc_index(i.min(j), i.max(j));
+        match &self.arcs[idx] {
+            ArcMatrix::Outer => self.slots[i].alive.get(a) && self.slots[j].alive.get(b),
+            ArcMatrix::Stored(m) if i < j => m.get(a, b),
+            ArcMatrix::Stored(m) => m.get(b, a),
         }
     }
 
