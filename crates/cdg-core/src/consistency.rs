@@ -243,7 +243,7 @@ impl FilterStep<'_> {
     /// lost a 1 and the columns that had a 1 in a removed row are. The
     /// column test ORs the surviving rows and stops as soon as every
     /// candidate is covered. An outer arc is answered from the alive sets
-    /// ([`FilterStep::outer_arc`]).
+    /// (`FilterStep::outer_arc`).
     pub fn arc(
         &self,
         i: SlotId,

@@ -61,6 +61,6 @@ pub mod stats;
 pub use bits::PluralBits;
 pub use fault::{Fault, FaultPlan, FaultWord};
 pub use machine::{Machine, MachineConfig, TraceEntry};
-pub use plural::Plural;
+pub use plural::{OccPlural, Plural};
 pub use scan::SegmentMap;
 pub use stats::{CostModel, MachineStats};

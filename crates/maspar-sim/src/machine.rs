@@ -3,7 +3,7 @@
 
 use crate::bits::{self, PluralBits};
 use crate::fault::{FaultPlan, FaultWord};
-use crate::plural::Plural;
+use crate::plural::{OccPlural, Plural};
 use crate::scan::SegmentMap;
 use crate::stats::{CostModel, MachineStats};
 use rayon::prelude::*;
@@ -92,6 +92,8 @@ pub struct Machine {
     virt_dead: Vec<u64>,
     /// Host buffers of freed plurals, handed to the next allocation.
     spares: Spares,
+    /// PEs the occupancy walks have visited ([`Machine::occupancy_visits`]).
+    occupancy_visits: u64,
     pub stats: MachineStats,
 }
 
@@ -135,32 +137,39 @@ impl Live<'_> {
     }
 
     /// Call `run(lo, hi)` for every maximal run `lo..hi` of live PEs in
-    /// the packed words `words`. Zero words are skipped with one test, and
-    /// runs continue across word boundaries.
+    /// the packed words `words`.
     #[inline]
-    fn runs(&self, words: Range<usize>, mut run: impl FnMut(usize, usize)) {
-        let (mut lo, mut hi) = (0, 0);
-        for w in words {
-            let mut m = self.word(w);
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let len = (!(m >> b)).trailing_zeros() as usize;
-                let start = w * 64 + b;
-                if start != hi {
-                    if lo < hi {
-                        run(lo, hi);
-                    }
-                    lo = start;
+    fn runs(&self, words: Range<usize>, run: impl FnMut(usize, usize)) {
+        runs(words, |w| self.word(w), run)
+    }
+}
+
+/// Call `run(lo, hi)` for every maximal run `lo..hi` of set bits of the
+/// packed words `mask(w)`, `w` in `words`. Zero words are skipped with one
+/// test, and runs continue across word boundaries.
+#[inline]
+fn runs(words: Range<usize>, mask: impl Fn(usize) -> u64, mut run: impl FnMut(usize, usize)) {
+    let (mut lo, mut hi) = (0, 0);
+    for w in words {
+        let mut m = mask(w);
+        while m != 0 {
+            let b = m.trailing_zeros() as usize;
+            let len = (!(m >> b)).trailing_zeros() as usize;
+            let start = w * 64 + b;
+            if start != hi {
+                if lo < hi {
+                    run(lo, hi);
                 }
-                hi = start + len;
-                // Clear the run just taken (adding its lowest bit carries
-                // through it).
-                m &= m.wrapping_add(1 << b);
+                lo = start;
             }
+            hi = start + len;
+            // Clear the run just taken (adding its lowest bit carries
+            // through it).
+            m &= m.wrapping_add(1 << b);
         }
-        if lo < hi {
-            run(lo, hi);
-        }
+    }
+    if lo < hi {
+        run(lo, hi);
     }
 }
 
@@ -174,6 +183,109 @@ fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
             b
         })
     })
+}
+
+/// Which PEs of an occupancy plural a walk visits, and how it keeps the
+/// mask a superset of the nonzero PEs afterwards.
+#[derive(Clone, Copy)]
+enum Walk {
+    /// Every live PE, each of which joins the mask: a write, which may
+    /// make a zero word nonzero.
+    Live,
+    /// The live occupied PEs, each of which drops out of the mask if its
+    /// word is left zero: a body that pays for each PE it is shown.
+    Occupied,
+    /// The live occupied PEs of an AND. A 64-PE word left all zero drops
+    /// out of the mask whole; otherwise the word's bits stay as they were.
+    /// The mask stays coarse, so the walk keeps long runs, and the test
+    /// stops at the word's first nonzero PE.
+    OccupiedAnd,
+}
+
+impl Walk {
+    /// The PEs walked in a 64-PE word whose live and occupied PEs are
+    /// `live` and `occupied`.
+    #[inline]
+    fn word(self, live: u64, occupied: u64) -> u64 {
+        match self {
+            Walk::Live => live,
+            Walk::Occupied | Walk::OccupiedAnd => live & occupied,
+        }
+    }
+
+    /// The occupancy bits of a word whose PEs hold `vals` after a walk of
+    /// its PEs `walked` (not zero); `occupied` are its bits before.
+    #[inline]
+    fn occupied_after(self, vals: &[u64], walked: u64, occupied: u64) -> u64 {
+        match self {
+            Walk::OccupiedAnd if vals.iter().all(|&v| v == 0) => 0,
+            Walk::OccupiedAnd => occupied,
+            Walk::Live => occupied | walked,
+            Walk::Occupied => (occupied & !walked) | passing_bits(vals, walked, |v| v != 0),
+        }
+    }
+}
+
+/// Where a host chunk's walk is in a grid of `side`-PE columns: the column
+/// of its last run and that column's first PE. A chunk's runs come in
+/// ascending order, so a run in the same column pays no division.
+#[derive(Default)]
+struct GridCursor {
+    col: usize,
+    start: usize,
+}
+
+impl GridCursor {
+    /// Call `f(column, rows, slots)` for every piece of the run of `slots`
+    /// from PE `lo` that lies in one column.
+    #[inline]
+    fn pieces<T>(
+        &mut self,
+        side: usize,
+        lo: usize,
+        mut slots: &mut [T],
+        f: &impl Fn(usize, Range<usize>, &mut [T]),
+    ) {
+        if lo >= self.start + side {
+            self.col = lo / side;
+            self.start = self.col * side;
+        }
+        let mut row = lo - self.start;
+        loop {
+            let n = (side - row).min(slots.len());
+            let (column, rest) = std::mem::take(&mut slots).split_at_mut(n);
+            f(self.col, row..row + n, column);
+            if rest.is_empty() {
+                return;
+            }
+            (slots, row) = (rest, 0);
+            self.col += 1;
+            self.start += side;
+        }
+    }
+}
+
+/// The bits of `m` whose PE's word passes `test`, where `vals` are the
+/// words of `m`'s PEs from bit 0. A whole word with many bits to test is
+/// tested eight PEs to a byte, so every shift is a constant.
+#[inline]
+fn passing_bits(vals: &[u64], m: u64, test: impl Fn(u64) -> bool) -> u64 {
+    match <&[u64; 64]>::try_from(vals) {
+        Ok(whole) if m.count_ones() > 8 => {
+            let mut z = 0u64;
+            for (j, eight) in whole.chunks_exact(8).enumerate() {
+                let mut byte = 0u64;
+                for (k, &v) in eight.iter().enumerate() {
+                    byte |= (test(v) as u64) << k;
+                }
+                z |= byte << (8 * j);
+            }
+            z & m
+        }
+        _ => set_bits(m)
+            .filter(|&b| test(vals[b]))
+            .fold(0, |z, b| z | 1 << b),
+    }
 }
 
 /// Freed host buffers a machine keeps per list, at most: room for the
@@ -334,6 +446,7 @@ impl Machine {
             healthy: Vec::new(),
             virt_dead: Vec::new(),
             spares,
+            occupancy_visits: 0,
             stats: MachineStats::default(),
         }
     }
@@ -535,23 +648,35 @@ impl Machine {
         self.stats.dead_pe_skips += skips;
     }
 
+    /// The virtual PEs and bits the memory flips scheduled for instruction
+    /// `op` strike (none when no plan is armed). Dead memory is inert.
+    fn memory_flip_targets(&self, op: u64) -> Vec<(usize, u32)> {
+        let Some(plan) = &self.faults else {
+            return Vec::new();
+        };
+        plan.memory_faults_at(op)
+            .filter(|&(phys, _)| !plan.is_dead(phys))
+            .filter_map(|(phys, bit)| Some((self.lowest_virt_on(phys)?, bit)))
+            .collect()
+    }
+
     /// Apply the memory flips scheduled for instruction `op` to the plural
     /// the instruction just wrote.
     fn apply_memory_flips<T: FaultWord>(&mut self, op: u64, data: &mut [T]) {
-        let hits: Vec<(usize, u32)> = match &self.faults {
-            Some(plan) => plan
-                .memory_faults_at(op)
-                .filter(|&(phys, _)| !plan.is_dead(phys)) // dead memory is inert
-                .collect(),
-            None => return,
-        };
-        for (phys, bit) in hits {
-            if let Some(v) = self.lowest_virt_on(phys) {
-                if v < data.len() {
-                    data[v] = data[v].fault_flip(bit);
-                    self.stats.memory_flips += 1;
-                }
-            }
+        for (v, bit) in self.memory_flip_targets(op) {
+            data[v] = data[v].fault_flip(bit);
+            self.stats.memory_flips += 1;
+        }
+    }
+
+    /// [`Machine::apply_memory_flips`] for an occupancy plural: a flipped
+    /// word may be nonzero, so its PE's occupancy bit is set.
+    fn apply_memory_flips_occ(&mut self, op: u64, p: &mut OccPlural) {
+        let (values, occupied) = p.parts_mut();
+        for (v, bit) in self.memory_flip_targets(op) {
+            values[v] = values[v].fault_flip(bit);
+            occupied[v / 64] |= 1u64 << (v % 64);
+            self.stats.memory_flips += 1;
         }
     }
 
@@ -579,20 +704,9 @@ impl Machine {
     /// flip lands on the same virtual PE's 1-bit word, and a 1-bit word
     /// always flips (`bool::fault_flip` reduces the bit index modulo 1).
     fn apply_memory_flips_bits(&mut self, op: u64, data: &mut PluralBits) {
-        let hits: Vec<(usize, u32)> = match &self.faults {
-            Some(plan) => plan
-                .memory_faults_at(op)
-                .filter(|&(phys, _)| !plan.is_dead(phys))
-                .collect(),
-            None => return,
-        };
-        for (phys, _bit) in hits {
-            if let Some(v) = self.lowest_virt_on(phys) {
-                if v < data.len() {
-                    data.flip(v);
-                    self.stats.memory_flips += 1;
-                }
-            }
+        for (v, _bit) in self.memory_flip_targets(op) {
+            data.flip(v);
+            self.stats.memory_flips += 1;
         }
     }
 
@@ -723,6 +837,25 @@ impl Machine {
         self.spares.keep_words(plural.into_words());
     }
 
+    /// Allocate an occupancy plural, every PE zero and unoccupied, charged
+    /// exactly like `alloc::<u64>`. Its values come from the per-PE
+    /// buffers a freed `Plural<u64>` left, and its mask from the packed
+    /// ones.
+    pub fn alloc_occ(&mut self) -> OccPlural {
+        self.charge_alloc(std::mem::size_of::<u64>());
+        OccPlural::zeroed_in(self.spares.take(), self.spares.take_words(), self.n_virt)
+    }
+
+    /// Host-side readback that takes an occupancy plural's values instead
+    /// of copying them, as [`Plural::into_vec`] does: call it after the
+    /// program's last instruction. The mask's buffer goes back to the
+    /// machine for the next allocation.
+    pub fn read_out(&mut self, plural: OccPlural) -> Vec<u64> {
+        let (values, occupied) = plural.into_parts();
+        self.spares.keep_words(occupied);
+        values
+    }
+
     /// Host buffers this machine has asked the allocator for because it
     /// kept none to hand out, over its whole life ([`Machine::reset`]
     /// keeps the count). Host bookkeeping, not a simulated cost, so it is
@@ -755,6 +888,16 @@ impl Machine {
         op
     }
 
+    /// [`Machine::begin_plural`] for a grid-addressed instruction on a
+    /// plural of `len` PEs in `side`-PE columns.
+    fn begin_grid(&mut self, len: usize, side: usize) -> u64 {
+        assert!(
+            side > 0 && len % side == 0,
+            "grid columns must tile the array: {len} PEs / {side}"
+        );
+        self.begin_plural(&[len])
+    }
+
     // ------------------------------------------------------------------
     // The host walk
     // ------------------------------------------------------------------
@@ -765,8 +908,11 @@ impl Machine {
     // (`enabled & !virt_dead`) a word at a time. Zero words cost one
     // test. `Live::runs` merges live PEs into runs that a body walks as a
     // plain loop over its slots; the word-level kernels use the words
-    // directly. The walk decides only which host loop visits a PE, never
-    // whether the PE runs, so the charges cannot move.
+    // directly. The clear-only instructions on an `OccPlural` narrow the
+    // walk further, to `live ∧ occupied` (see "Occupancy walks"): a PE
+    // they skip holds zero, and they do nothing to a zero word. The walk
+    // decides only which host loop visits a PE, never whether the PE
+    // runs, so the charges cannot move.
 
     /// 64-PE words per host chunk: at least one physical array's worth,
     /// and at most [`MAX_CHUNKS`] chunks. A function of `n_virt` only, so
@@ -888,20 +1034,9 @@ impl Machine {
         side: usize,
         f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
     ) {
-        assert!(
-            side > 0 && p.len() % side == 0,
-            "grid columns must tile the array: {} PEs / {side}",
-            p.len()
-        );
-        let op = self.begin_plural(&[p.len()]);
-        self.visit(p.as_mut_slice(), |_: &mut (), lo, mut slots| {
-            let (mut col, mut row) = (lo / side, lo % side);
-            while !slots.is_empty() {
-                let n = (side - row).min(slots.len());
-                let (column, rest) = std::mem::take(&mut slots).split_at_mut(n);
-                f(col, row..row + n, column);
-                (slots, col, row) = (rest, col + 1, 0);
-            }
+        let op = self.begin_grid(p.len(), side);
+        self.visit(p.as_mut_slice(), |at: &mut GridCursor, lo, slots| {
+            at.pieces(side, lo, slots, &f)
         });
         self.apply_memory_flips(op, p.as_mut_slice());
     }
@@ -992,6 +1127,174 @@ impl Machine {
         let mut p = self.alloc(fill);
         self.par_map(&mut p, |pe, slot| *slot = f(pe));
         p
+    }
+
+    // ------------------------------------------------------------------
+    // Occupancy walks
+    // ------------------------------------------------------------------
+    //
+    // An `OccPlural` carries a host-side mask that covers every PE whose
+    // word may be nonzero. An instruction that can only clear bits leaves
+    // a zero word zero, so it has nothing to do on a PE outside the mask:
+    // its walk visits `live ∧ occupied` instead of `live`, and afterwards
+    // drops from the mask the PEs it left zero (see `Walk` for how
+    // finely). Each opens with the same charge, dead-PE count and fault
+    // points as its dense form, and trace counts come from the activity
+    // mask, so the charges and results are the dense form's; only the
+    // host's visits change. A write that can make a zero word nonzero adds
+    // the PEs it writes to the mask: every live PE for `par_write_grid`,
+    // the struck PE for a memory flip. Dead PEs are skipped as ever, and
+    // their words and bits do not change.
+
+    /// Run `run(state, lo, slots)` for every maximal run of the PEs of `p`
+    /// that `walk` selects, where `state` is the host chunk's, then update
+    /// the mask of each word walked as `walk` says. Returns the PEs walked.
+    fn visit_occ<S: Default>(
+        &self,
+        p: &mut OccPlural,
+        walk: Walk,
+        run: impl Fn(&mut S, usize, &mut [u64]) + Sync,
+    ) -> u64 {
+        let (live, cw) = (self.live(), self.chunk_words());
+        let (values, occupied) = p.parts_mut();
+        let parts = values.chunks_mut(cw * 64).zip(occupied.chunks_mut(cw));
+        let walked = self.sweep(parts, |words, (part, occ)| {
+            let (w0, base) = (words.start, words.start * 64);
+            let mut state = S::default();
+            runs(
+                words.clone(),
+                |w| walk.word(live.word(w), occ[w - w0]),
+                |lo, hi| run(&mut state, lo, &mut part[lo - base..hi - base]),
+            );
+            let mut walked = 0;
+            for (vals, (w, o)) in part.chunks(64).zip(words.zip(occ)) {
+                let m = walk.word(live.word(w), *o);
+                if m != 0 {
+                    walked += m.count_ones() as u64;
+                    *o = walk.occupied_after(vals, m, *o);
+                }
+            }
+            walked
+        });
+        walked.into_iter().sum()
+    }
+
+    /// Write an occupancy plural, addressed like [`Machine::par_map_grid`]:
+    /// for every run of live PEs within one column, `f(column, rows,
+    /// slots)`, which may write any value, so every live PE joins the
+    /// mask. The clear-only walks that follow drop the PEs they find zero.
+    pub fn par_write_grid(
+        &mut self,
+        p: &mut OccPlural,
+        side: usize,
+        f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
+    ) {
+        let op = self.begin_grid(p.len(), side);
+        self.visit_occ(p, Walk::Live, |at: &mut GridCursor, lo, slots| {
+            at.pieces(side, lo, slots, &f)
+        });
+        self.apply_memory_flips_occ(op, p);
+    }
+
+    /// One broadcast instruction: every live PE ANDs its word with a mask
+    /// taken from its grid position, `col_masks[column] & row_masks[row]`
+    /// (PE = column · side + row). An AND leaves a zero word zero, so only
+    /// the live occupied PEs are walked.
+    pub fn par_and_grid(
+        &mut self,
+        p: &mut OccPlural,
+        side: usize,
+        col_masks: &[u64],
+        row_masks: &[u64],
+    ) {
+        let op = self.begin_grid(p.len(), side);
+        let and = |col: usize, rows: Range<usize>, slots: &mut [u64]| {
+            let keep = col_masks[col];
+            for (v, &k) in slots.iter_mut().zip(&row_masks[rows]) {
+                *v &= keep & k;
+            }
+        };
+        self.occupancy_visits +=
+            self.visit_occ(p, Walk::OccupiedAnd, |at: &mut GridCursor, lo, slots| {
+                at.pieces(side, lo, slots, &and)
+            });
+        self.apply_memory_flips_occ(op, p);
+    }
+
+    /// One broadcast instruction reading a second plural: every live PE
+    /// ANDs its word with `mask(src[pe])`. An AND leaves a zero word zero,
+    /// so only the live occupied PEs are walked.
+    pub fn par_and_zip<U: Sync>(
+        &mut self,
+        p: &mut OccPlural,
+        src: &Plural<U>,
+        mask: impl Fn(&U) -> u64 + Sync,
+    ) {
+        let op = self.begin_plural(&[p.len(), src.len()]);
+        let src = src.as_slice();
+        self.occupancy_visits += self.visit_occ(p, Walk::OccupiedAnd, |_: &mut (), lo, slots| {
+            let src = &src[lo..lo + slots.len()];
+            for (v, x) in slots.iter_mut().zip(src) {
+                *v &= mask(x);
+            }
+        });
+        self.apply_memory_flips_occ(op, p);
+    }
+
+    /// [`Machine::par_map_grid`] on the live *occupied* PEs only: for every
+    /// run of them within one column, `f(column, rows, slots)`. `f` must
+    /// leave a zero word zero (it may only clear bits): a live PE outside
+    /// the mask holds zero, and the dense form would have left it so.
+    pub fn par_clear_grid(
+        &mut self,
+        p: &mut OccPlural,
+        side: usize,
+        f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
+    ) {
+        let op = self.begin_grid(p.len(), side);
+        self.occupancy_visits +=
+            self.visit_occ(p, Walk::Occupied, |at: &mut GridCursor, lo, slots| {
+                at.pieces(side, lo, slots, &f)
+            });
+        self.apply_memory_flips_occ(op, p);
+    }
+
+    /// One broadcast instruction: every live PE sets its bit of `dst` to
+    /// `src[pe] & mask != 0` — [`Machine::par_map_bits`] with that body,
+    /// reading only the live occupied PEs of `src`. The test is false on a
+    /// zero word, so a 64-PE word with no occupied live PE is written false
+    /// without being read.
+    pub fn par_any_bits(&mut self, dst: &mut PluralBits, src: &OccPlural, mask: u64) {
+        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
+        assert_eq!(src.len(), self.n_virt, "plural size mismatch");
+        let op = self.charge_plural_op();
+        self.count_dead_skips();
+        let (s, occ, live) = (src.as_slice(), src.occupied(), self.live());
+        let walked = self.sweep(
+            dst.words_mut().chunks_mut(self.chunk_words()),
+            |words, out| {
+                let mut walked = 0;
+                for (w, word) in words.zip(out) {
+                    let m = live.word(w);
+                    let visit = Walk::Occupied.word(m, occ[w]);
+                    walked += visit.count_ones() as u64;
+                    let vals = &s[w * 64..(w * 64 + 64).min(s.len())];
+                    *word = (*word & !m) | passing_bits(vals, visit, |v| v & mask != 0);
+                }
+                walked
+            },
+        );
+        self.occupancy_visits += walked.into_iter().sum::<u64>();
+        self.apply_memory_flips_bits(op, dst);
+    }
+
+    /// PEs the clear-only instructions on occupancy plurals
+    /// ([`Machine::par_and_grid`], [`Machine::par_and_zip`],
+    /// [`Machine::par_clear_grid`], [`Machine::par_any_bits`]) have
+    /// visited since the machine was made or reset. Host bookkeeping, not
+    /// a simulated cost, so it is not part of [`MachineStats`].
+    pub fn occupancy_visits(&self) -> u64 {
+        self.occupancy_visits
     }
 
     // ------------------------------------------------------------------
@@ -2598,5 +2901,187 @@ mod tests {
         let p = m.alloc(0u32);
         m.free(p);
         assert_eq!(m.fresh_buffers(), 4);
+    }
+
+    #[test]
+    fn an_occupancy_plural_comes_back_zeroed_from_the_kept_buffers() {
+        let mut m = Machine::mp1(1000);
+        let mut p = m.alloc_occ();
+        assert_eq!(m.fresh_buffers(), 2, "its values and its mask");
+        assert_eq!(m.stats.peak_pe_memory_bytes, 8, "charged as a u64 plural");
+        m.par_write_grid(&mut p, 10, |c, rows, slots| {
+            for (r, v) in rows.zip(slots) {
+                *v = (c * r) as u64;
+            }
+        });
+        assert!(p.occupied_count() > 0);
+        let values = m.read_out(p);
+        m.recycle(values);
+        for _ in 0..2 {
+            m.reset(MachineConfig::default(), 1000);
+            let q = m.alloc_occ();
+            assert_eq!(m.fresh_buffers(), 2, "the same program size makes none");
+            assert_eq!(q.as_slice(), &[0u64; 1000][..]);
+            assert_eq!(q.occupied_count(), 0);
+            let values = m.read_out(q);
+            m.recycle(values);
+        }
+    }
+
+    // --------------------------------------------------------------
+    // Occupancy walks against their dense forms
+    // --------------------------------------------------------------
+
+    /// A xorshift stream of pseudo-random words.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// One machine of the occupancy differential: its plural `bits` (an
+    /// occupancy plural on one machine, a plain one on the other), a
+    /// second plural to zip with and a packed result.
+    struct Side<P> {
+        m: Machine,
+        bits: P,
+        src: Plural<u64>,
+        flags: PluralBits,
+    }
+
+    /// Build one side: `n_virt` PEs on 1,000 physical ones, dead phys 7
+    /// and 500, and a memory flip on a random PE at each of the first 60
+    /// instructions, so flips land on occupied and unoccupied PEs alike.
+    fn occupancy_side<P>(
+        n_virt: usize,
+        seed: u64,
+        alloc: impl FnOnce(&mut Machine) -> P,
+    ) -> Side<P> {
+        let mut rnd = xorshift(seed);
+        let mut plan = FaultPlan::new().with_dead_pe(7).with_dead_pe(500);
+        for op in 1..=60 {
+            plan = plan.with_memory_flip(op, (rnd() % 1000) as usize, (rnd() % 20) as u32);
+        }
+        let config = MachineConfig {
+            phys_pes: 1000,
+            ..Default::default()
+        };
+        let mut m = Machine::new(config, n_virt);
+        m.arm_faults(plan);
+        m.enable_trace();
+        let bits = alloc(&mut m);
+        let src = m.par_init(0u64, |pe| {
+            (pe as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40
+        });
+        let flags = m.alloc_bits(false);
+        Side {
+            m,
+            bits,
+            src,
+            flags,
+        }
+    }
+
+    /// Run every occupancy instruction beside its dense form on two
+    /// machines: random words, seven in ten zero, under random activity,
+    /// with dead PEs and memory flips. After every instruction both hold
+    /// the same values and flags, counters, op count and trace, and the
+    /// mask covers every nonzero PE.
+    fn occupancy_differential(n_virt: usize, side: usize, seed: u64) {
+        let mut rnd = xorshift(seed ^ 0x5555);
+        let start: Vec<u64> = (0..n_virt)
+            .map(|_| match rnd() % 10 {
+                0..=6 => 0,
+                _ => rnd() & 0xF_FFFF,
+            })
+            .collect();
+        let mut o = occupancy_side(n_virt, seed, |m| m.alloc_occ());
+        let mut d = occupancy_side(n_virt, seed, |m| m.alloc(0u64));
+        let agree = |o: &Side<OccPlural>, d: &Side<Plural<u64>>, step: &str| {
+            let ctx = format!("{n_virt} PEs, seed {seed}, {step}");
+            assert_eq!(o.bits.as_slice(), d.bits.as_slice(), "{ctx}: values");
+            assert_eq!(o.flags.words(), d.flags.words(), "{ctx}: flags");
+            assert_eq!(o.m.stats, d.m.stats, "{ctx}: MachineStats");
+            assert_eq!(o.m.op_count(), d.m.op_count(), "{ctx}: op count");
+            assert_eq!(o.m.trace(), d.m.trace(), "{ctx}: trace");
+            assert!(
+                o.bits.covers_nonzero(),
+                "{ctx}: the mask misses a nonzero PE"
+            );
+        };
+        let fill = |c: usize, rows: Range<usize>, slots: &mut [u64]| {
+            for (r, v) in rows.zip(slots) {
+                *v = start[c * side + r];
+            }
+        };
+        o.m.par_write_grid(&mut o.bits, side, fill);
+        d.m.par_map_grid(&mut d.bits, side, fill);
+        agree(&o, &d, "write");
+        for round in 0..5 {
+            let active: Vec<bool> = (0..n_virt).map(|_| rnd() % 4 != 0).collect();
+            let oact = o.m.par_init_bits(false, |pe| active[pe]);
+            let dact = d.m.par_init_bits(false, |pe| active[pe]);
+            // A keep mask per column and row; every fifth clears all.
+            let mut keep = || match rnd() % 5 {
+                0 => 0,
+                _ => !(1u64 << (rnd() % 20)),
+            };
+            let cols: Vec<u64> = (0..n_virt / side).map(|_| keep()).collect();
+            let rows: Vec<u64> = (0..side).map(|_| keep()).collect();
+            o.m.with_activity_bits(&oact, |m| m.par_and_grid(&mut o.bits, side, &cols, &rows));
+            d.m.with_activity_bits(&dact, |m| {
+                m.par_map_grid(&mut d.bits, side, |c, rs, slots| {
+                    for (v, &k) in slots.iter_mut().zip(&rows[rs]) {
+                        *v &= cols[c] & k;
+                    }
+                })
+            });
+            agree(&o, &d, &format!("round {round}: par_and_grid"));
+            let mask = |&s: &u64| !(s << (s % 7));
+            o.m.with_activity_bits(&oact, |m| m.par_and_zip(&mut o.bits, &o.src, mask));
+            d.m.with_activity_bits(&dact, |m| {
+                m.par_zip(&mut d.bits, &d.src, |_, v, s| *v &= mask(s))
+            });
+            agree(&o, &d, &format!("round {round}: par_and_zip"));
+            // A body that clears one bit of a word, or the whole word.
+            let clear = |c: usize, rows: Range<usize>, slots: &mut [u64]| {
+                for (r, v) in rows.zip(slots) {
+                    match (c * 31 + r * 7 + round) % 6 {
+                        0 => *v = 0,
+                        k => *v &= !(*v >> k & *v),
+                    }
+                }
+            };
+            o.m.with_activity_bits(&oact, |m| m.par_clear_grid(&mut o.bits, side, clear));
+            d.m.with_activity_bits(&dact, |m| m.par_map_grid(&mut d.bits, side, clear));
+            agree(&o, &d, &format!("round {round}: par_clear_grid"));
+            let any = 0xF0F0 >> round;
+            o.m.with_activity_bits(&oact, |m| m.par_any_bits(&mut o.flags, &o.bits, any));
+            d.m.with_activity_bits(&dact, |m| {
+                m.par_map_bits(&mut d.flags, &d.bits, |_, v| v & any != 0)
+            });
+            agree(&o, &d, &format!("round {round}: par_any_bits"));
+            o.m.free_bits(oact);
+            d.m.free_bits(dact);
+        }
+        assert!(o.m.stats.memory_flips > 20, "flips landed: {:?}", o.m.stats);
+        assert!(o.m.stats.dead_pe_skips > 0, "dead PEs counted");
+        assert!(o.m.occupancy_visits() > 0);
+    }
+
+    #[test]
+    fn occupancy_walks_match_their_dense_forms() {
+        // 1,300 PEs fit one host chunk and end in a short word; 20,000
+        // span two chunks, which two threads share.
+        for (n_virt, side) in [(1300, 50), (20_000, 100)] {
+            for seed in [3u64, 17, 2024] {
+                for threads in [1, 2] {
+                    at_threads(threads, || occupancy_differential(n_virt, side, seed));
+                }
+            }
+        }
     }
 }

@@ -45,6 +45,76 @@ impl<T> Plural<T> {
     }
 }
 
+/// A `u64` plural that carries a host-side occupancy mask: one bit per
+/// PE, packed like [`crate::PluralBits`] (bit `pe % 64` of word
+/// `pe / 64`). A PE's bit is set whenever its word may be nonzero, so the
+/// mask is always a superset of the nonzero PEs, never a subset. The
+/// clear-only instructions ([`crate::Machine::par_and_grid`],
+/// [`crate::Machine::par_and_zip`], [`crate::Machine::par_clear_grid`],
+/// [`crate::Machine::par_any_bits`]) walk only the live PEs whose bit is
+/// set; every write keeps the mask a superset. The mask is host
+/// bookkeeping: it changes no charge and no result. Allocate through
+/// [`crate::Machine::alloc_occ`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OccPlural {
+    values: Vec<u64>,
+    occupied: Vec<u64>,
+}
+
+impl OccPlural {
+    /// All PEs zero and unoccupied, in the host buffers `values` and
+    /// `occupied` (their contents are discarded).
+    pub(crate) fn zeroed_in(mut values: Vec<u64>, mut occupied: Vec<u64>, len: usize) -> Self {
+        values.clear();
+        values.resize(len, 0);
+        occupied.clear();
+        occupied.resize(crate::bits::word_count(len), 0);
+        OccPlural { values, occupied }
+    }
+
+    /// Number of virtual PEs.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Host-side raw view (readback of the whole array).
+    pub fn as_slice(&self) -> &[u64] {
+        &self.values
+    }
+
+    /// The occupancy mask, packed 64 PEs to a word.
+    pub(crate) fn occupied(&self) -> &[u64] {
+        &self.occupied
+    }
+
+    /// PEs whose occupancy bit is set.
+    pub fn occupied_count(&self) -> usize {
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Does the mask cover every PE whose word is nonzero?
+    #[cfg(test)]
+    pub(crate) fn covers_nonzero(&self) -> bool {
+        self.values
+            .iter()
+            .enumerate()
+            .all(|(pe, &v)| v == 0 || self.occupied[pe / 64] >> (pe % 64) & 1 == 1)
+    }
+
+    pub(crate) fn parts_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        (&mut self.values, &mut self.occupied)
+    }
+
+    /// The two host buffers, values first.
+    pub(crate) fn into_parts(self) -> (Vec<u64>, Vec<u64>) {
+        (self.values, self.occupied)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

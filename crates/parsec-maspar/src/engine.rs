@@ -34,7 +34,9 @@ use cdg_core::network::{NetParts, Network};
 use cdg_grammar::expr::{Binding, EvalCtx};
 use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding};
 use cdg_grammar::{CompiledGrammar, Constraint, Grammar, RoleId, RoleValue, Sentence, Value, Var};
-use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
+use maspar_sim::{
+    FaultPlan, Machine, MachineConfig, MachineStats, OccPlural, Plural, PluralBits, SegmentMap,
+};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 
@@ -587,11 +589,12 @@ fn drive(
         |c, r| t.block_boundary(c, r),
     )?;
 
-    // Design decision 1: arc matrices first, all ones (Figure 9).
-    let mut bits: Plural<u64> =
-        init_exact(machine, "bits", retries, &mut recovery, side, |c, r| {
-            t.init_bits(c, r)
-        })?;
+    // Design decision 1: arc matrices first, all ones (Figure 9). The
+    // submatrices carry an occupancy mask from here to the readback, so
+    // the clear-only steps walk only the PEs whose submatrix is not zero.
+    let mut bits = init_occ_exact(machine, retries, &mut recovery, side, |c, r| {
+        t.init_bits(c, r)
+    })?;
     let mut alive: Plural<u64> =
         init_exact(machine, "alive", retries, &mut recovery, side, |c, r| {
             t.init_alive(c, r)
@@ -771,7 +774,7 @@ fn drive(
     machine.free_bits(block_boundary);
     Ok(MasparOutcome {
         alive: alive_masks,
-        bits: bits.into_vec(),
+        bits: machine.read_out(bits),
         stats: machine.stats,
         estimated_seconds,
         phases,
@@ -954,11 +957,44 @@ fn grid_words(n_virt: usize, side: usize, f: impl Fn(usize, usize) -> bool) -> V
     words
 }
 
-/// Allocate a plural and write `f(col, row)` into it, re-issuing the write
-/// until the readback matches (the values are pure functions of the PE's
-/// grid position, so the host can verify them directly). Fault-free this
-/// is exactly one alloc + one broadcast, identical to the original
-/// `par_init`.
+/// Re-issue `write` until what it wrote stands. The values are pure
+/// functions of the PE's grid position, so under faults the host verifies
+/// the readback directly; fault-free one write is trusted, as in the
+/// original engine. `write` returns whether its write stands.
+fn until_exact(
+    machine: &mut Machine,
+    name: &str,
+    max_retries: usize,
+    recovery: &mut RecoveryReport,
+    mut write: impl FnMut(&mut Machine) -> bool,
+) -> Result<(), EngineError> {
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        if write(machine) {
+            return Ok(());
+        }
+        recovery.phase_retries += 1;
+        if attempts > max_retries {
+            return Err(EngineError::Inconsistent {
+                phase: format!("init:{name}"),
+                attempts,
+            });
+        }
+    }
+}
+
+/// Does every PE of a grid of `side`-PE columns hold `f(col, row)`?
+fn holds_grid<T: PartialEq>(values: &[T], side: usize, f: impl Fn(usize, usize) -> T) -> bool {
+    values
+        .iter()
+        .enumerate()
+        .all(|(pe, v)| *v == f(pe / side, pe % side))
+}
+
+/// Allocate a plural and write `f(col, row)` into it ([`until_exact`]).
+/// Fault-free this is exactly one alloc + one broadcast, identical to the
+/// original `par_init`.
 fn init_exact<T>(
     machine: &mut Machine,
     name: &str,
@@ -971,30 +1007,36 @@ where
     T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord + 'static,
 {
     let mut p = machine.alloc(T::default());
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        machine.par_map_grid(&mut p, side, |c, rows, slots| {
+    until_exact(machine, name, max_retries, recovery, |m| {
+        m.par_map_grid(&mut p, side, |c, rows, slots| {
             for (r, v) in rows.zip(slots) {
                 *v = f(c, r);
             }
         });
-        if !machine.faults_armed()
-            || p.as_slice()
-                .iter()
-                .enumerate()
-                .all(|(pe, v)| *v == f(pe / side, pe % side))
-        {
-            return Ok(p);
-        }
-        recovery.phase_retries += 1;
-        if attempts > max_retries {
-            return Err(EngineError::Inconsistent {
-                phase: format!("init:{name}"),
-                attempts,
-            });
-        }
-    }
+        !m.faults_armed() || holds_grid(p.as_slice(), side, &f)
+    })?;
+    Ok(p)
+}
+
+/// [`init_exact`] for the submatrices: an occupancy plural, whose mask
+/// takes in every PE the write writes.
+fn init_occ_exact(
+    machine: &mut Machine,
+    max_retries: usize,
+    recovery: &mut RecoveryReport,
+    side: usize,
+    f: impl Fn(usize, usize) -> u64 + Sync,
+) -> Result<OccPlural, EngineError> {
+    let mut p = machine.alloc_occ();
+    until_exact(machine, "bits", max_retries, recovery, |m| {
+        m.par_write_grid(&mut p, side, |c, rows, slots| {
+            for (r, v) in rows.zip(slots) {
+                *v = f(c, r);
+            }
+        });
+        !m.faults_armed() || holds_grid(p.as_slice(), side, &f)
+    })?;
+    Ok(p)
 }
 
 /// Execute one mutating phase. Fault-free: run it once. Under faults:
@@ -1010,12 +1052,12 @@ fn run_phase<F>(
     max_retries: usize,
     recovery: &mut RecoveryReport,
     name: &str,
-    bits: &mut Plural<u64>,
+    bits: &mut OccPlural,
     alive: &mut Plural<u64>,
     f: F,
 ) -> Result<u64, EngineError>
 where
-    F: Fn(&mut Machine, &mut Plural<u64>, &mut Plural<u64>) -> u64,
+    F: Fn(&mut Machine, &mut OccPlural, &mut Plural<u64>) -> u64,
 {
     if !machine.faults_armed() {
         return Ok(f(machine, bits, alive));
@@ -1024,15 +1066,15 @@ where
     recovery.verified_phases += 1;
     let [mut golden_bits, mut golden_alive, mut run1_bits, mut run1_alive] =
         [(); 4].map(|()| machine.host_buffer::<u64>());
-    copy_into(&mut golden_bits, bits);
-    copy_into(&mut golden_alive, alive);
+    copy_into(&mut golden_bits, bits.as_slice());
+    copy_into(&mut golden_alive, alive.as_slice());
     let mut attempts = 0;
     let result = loop {
         attempts += 1;
         let r1 = f(machine, bits, alive);
-        copy_into(&mut run1_bits, bits);
-        copy_into(&mut run1_alive, alive);
-        restore(machine, bits, &golden_bits);
+        copy_into(&mut run1_bits, bits.as_slice());
+        copy_into(&mut run1_alive, alive.as_slice());
+        restore_occ(machine, bits, &golden_bits);
         restore(machine, alive, &golden_alive);
         let r2 = f(machine, bits, alive);
         if r1 == r2 && run1_bits == bits.as_slice() && run1_alive == alive.as_slice() {
@@ -1045,7 +1087,7 @@ where
                 attempts,
             });
         }
-        restore(machine, bits, &golden_bits);
+        restore_occ(machine, bits, &golden_bits);
         restore(machine, alive, &golden_alive);
     };
     for buf in [golden_bits, golden_alive, run1_bits, run1_alive] {
@@ -1055,9 +1097,9 @@ where
 }
 
 /// Overwrite a host buffer with a plural's values.
-fn copy_into(buf: &mut Vec<u64>, p: &Plural<u64>) {
+fn copy_into(buf: &mut Vec<u64>, values: &[u64]) {
     buf.clear();
-    buf.extend_from_slice(p.as_slice());
+    buf.extend_from_slice(values);
 }
 
 /// Roll a plural back to a host-held golden copy (one broadcast).
@@ -1065,9 +1107,17 @@ fn restore(machine: &mut Machine, p: &mut Plural<u64>, golden: &[u64]) {
     machine.par_map(p, |pe, v| *v = golden[pe]);
 }
 
+/// [`restore`] for the submatrices, whose occupancy mask takes in every PE
+/// the write writes. The grid is one column spanning the array, so its
+/// rows are PE ids.
+fn restore_occ(machine: &mut Machine, p: &mut OccPlural, golden: &[u64]) {
+    machine.par_write_grid(p, p.len(), |_, pes, slots| {
+        slots.copy_from_slice(&golden[pes])
+    });
+}
+
 /// Allocate and write a host-verified boolean plural (the bit-sliced
-/// counterpart of [`init_exact`]): one alloc + one broadcast when
-/// fault-free, re-issued until the readback matches otherwise.
+/// counterpart of [`init_exact`]).
 fn init_bits_exact(
     machine: &mut Machine,
     name: &str,
@@ -1078,21 +1128,11 @@ fn init_bits_exact(
 ) -> Result<PluralBits, EngineError> {
     let want = grid_words(machine.n_virt(), side, f);
     let mut p = machine.alloc_bits(false);
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        machine.par_write_bits(&mut p, &want);
-        if !machine.faults_armed() || p.words() == want {
-            return Ok(p);
-        }
-        recovery.phase_retries += 1;
-        if attempts > max_retries {
-            return Err(EngineError::Inconsistent {
-                phase: format!("init:{name}"),
-                attempts,
-            });
-        }
-    }
+    until_exact(machine, name, max_retries, recovery, |m| {
+        m.par_write_bits(&mut p, &want);
+        !m.faults_armed() || p.words() == want
+    })?;
+    Ok(p)
 }
 
 /// Bit li of entry g: role value (group g, label li) violates the
@@ -1129,24 +1169,20 @@ fn every_lane(all: &mut Vec<u64>, n: usize) {
 /// Apply one unary constraint from its violation table (see
 /// [`unary_violations`]): valid PEs zero the submatrix rows and columns of
 /// violating values, and the group boundary PEs clear those values from
-/// the alive masks.
+/// the alive masks. The keep masks only clear bits, so only the occupied
+/// submatrices are walked.
 fn unary_from_table(
     machine: &mut Machine,
     t: &Tables,
     viol: &[u64],
     valid: &PluralBits,
-    bits: &mut Plural<u64>,
+    bits: &mut OccPlural,
     alive: &mut Plural<u64>,
 ) {
     let keep_cols: Vec<u64> = viol.iter().map(|&v| !t.rows_of[v as usize]).collect();
     let keep_rows: Vec<u64> = viol.iter().map(|&v| !t.cols_of[v as usize]).collect();
     machine.with_activity_bits(valid, |m| {
-        m.par_map_grid(bits, t.side, |cg, rows, slots| {
-            let keep = keep_cols[cg];
-            for (b, &k) in slots.iter_mut().zip(&keep_rows[rows]) {
-                *b &= keep & k;
-            }
-        });
+        m.par_and_grid(bits, t.side, &keep_cols, &keep_rows)
     });
     machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
 }
@@ -1318,7 +1354,8 @@ impl BinaryClasses {
 
 /// One binary constraint, compiled to `program` and classified into
 /// `classes`: every valid PE checks the live pairs of its l×l submatrix in
-/// both orderings ([`BinaryClasses::decide_column`]).
+/// both orderings ([`BinaryClasses::decide_column`]). The body only clears
+/// pairs, so an empty submatrix stays empty and the walk skips it.
 fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
@@ -1326,15 +1363,13 @@ fn apply_binary(
     sentence: &Sentence,
     program: &KernelProgram,
     valid: &PluralBits,
-    bits: &mut Plural<u64>,
+    bits: &mut OccPlural,
 ) {
     machine.with_activity_bits(valid, |m| {
-        m.par_map_grid(bits, t.side, |cg, rows, slots| {
-            BINARY_STACK.with_borrow_mut(|stack| {
-                classes.decide_column(t, cg, rows, slots, |x, y| {
-                    holds(program, sentence, x, y, stack)
-                })
-            });
+        m.par_clear_grid(bits, t.side, |cg, rows, slots| {
+            classes.decide_column(t, cg, rows, slots, |x, y| {
+                BINARY_STACK.with_borrow_mut(|stack| holds(program, sentence, x, y, stack))
+            })
         });
     });
 }
@@ -1342,12 +1377,14 @@ fn apply_binary(
 /// Zero every submatrix column/row belonging to a dead role value: two
 /// router gathers fetch the column's and row's alive masks from the
 /// boundary PEs, then one broadcast per side keeps the submatrix lines of
-/// the gathered alive labels (a table lookup on the l-bit mask).
+/// the gathered alive labels (a table lookup on the l-bit mask). The keeps
+/// only clear bits and walk the occupied submatrices; the gathers fill
+/// plurals of their own, on every live PE.
 fn mask_dead(
     machine: &mut Machine,
     t: &Tables,
     valid: &PluralBits,
-    bits: &mut Plural<u64>,
+    bits: &mut OccPlural,
     alive: &Plural<u64>,
     col_idx: &Plural<usize>,
     row_idx: &Plural<usize>,
@@ -1358,11 +1395,11 @@ fn mask_dead(
     machine.gather(alive, col_idx, &mut col_alive);
     machine.gather(alive, row_idx, &mut row_alive);
     machine.with_activity_bits(valid, |m| {
-        m.par_zip(bits, &col_alive, |_, b, &ca| {
-            *b &= t.rows_of[(ca & label_mask) as usize];
+        m.par_and_zip(bits, &col_alive, |&ca| {
+            t.rows_of[(ca & label_mask) as usize]
         });
-        m.par_zip(bits, &row_alive, |_, b, &ra| {
-            *b &= t.cols_of[(ra & label_mask) as usize];
+        m.par_and_zip(bits, &row_alive, |&ra| {
+            t.cols_of[(ra & label_mask) as usize]
         });
     });
     machine.free(col_alive);
@@ -1371,7 +1408,8 @@ fn mask_dead(
 
 /// Maintenance phases A–C for column label `li` (Figure 12). A: each
 /// valid PE ORs its submatrix row for `li` — one masked test, since the
-/// row is a contiguous bit run. B: scanOr within each (column, row
+/// row is a contiguous bit run, and false on an empty submatrix, so only
+/// the occupied ones are read. B: scanOr within each (column, row
 /// word-role) block; the block's OR lands on its boundary PE. C: scanAnd
 /// across the block-boundary PEs of each column (self-arc blocks are
 /// invalid, hence skipped — the figure's "disabled only during the
@@ -1381,13 +1419,12 @@ fn column_support(
     t: &Tables,
     valid: &PluralBits,
     block_boundary: &PluralBits,
-    bits: &Plural<u64>,
+    bits: &OccPlural,
     li: usize,
 ) -> PluralBits {
-    let row = t.rows_of[1 << li];
     let mut loc = machine.alloc_bits(false);
     machine.with_activity_bits(valid, |m| {
-        m.par_map_bits(&mut loc, bits, move |_, b| b & row != 0)
+        m.par_any_bits(&mut loc, bits, t.rows_of[1 << li])
     });
     let block_or = machine.with_activity_bits(valid, |m| m.scan_or_bits(&loc, &t.blocks));
     machine.free_bits(loc);
@@ -1424,7 +1461,7 @@ fn maintain(
     t: &Tables,
     valid: &PluralBits,
     block_boundary: &PluralBits,
-    bits: &mut Plural<u64>,
+    bits: &mut OccPlural,
     alive: &mut Plural<u64>,
     col_idx: &Plural<usize>,
     row_idx: &Plural<usize>,
@@ -1688,20 +1725,20 @@ mod tests {
     }
 
     /// The per-pair binary body the class-decided one replaced: both
-    /// orderings of every live pair through `eval_with`. The oracle for
-    /// [`apply_binary`].
+    /// orderings of every live pair through `eval_with`, on every valid PE
+    /// (a dense walk). The oracle for [`apply_binary`].
     fn apply_binary_per_pair(
         machine: &mut Machine,
         t: &Tables,
         sentence: &Sentence,
         program: &KernelProgram,
         valid: &PluralBits,
-        bits: &mut Plural<u64>,
+        bits: &mut OccPlural,
     ) {
         let l = t.l;
         let label_mask = (1u64 << l) - 1;
         machine.with_activity_bits(valid, |m| {
-            m.par_map_grid(bits, t.side, |cg, rows, slots| {
+            m.par_write_grid(bits, t.side, |cg, rows, slots| {
                 let mut stack = Vec::new();
                 for (rg, b) in rows.zip(slots) {
                     for i in 0..l {
@@ -1732,7 +1769,7 @@ mod tests {
     struct BinaryStart {
         machine: Machine,
         valid: PluralBits,
-        bits: Plural<u64>,
+        bits: OccPlural,
     }
 
     fn before_binary(g: &Grammar, s: &Sentence, lay: &Layout, t: &Tables) -> BinaryStart {
@@ -1743,10 +1780,8 @@ mod tests {
             !t.diagonal(c, r)
         })
         .unwrap();
-        let mut bits = init_exact(&mut machine, "bits", 1, &mut rec, side, |c, r| {
-            t.init_bits(c, r)
-        })
-        .unwrap();
+        let mut bits =
+            init_occ_exact(&mut machine, 1, &mut rec, side, |c, r| t.init_bits(c, r)).unwrap();
         let mut alive = init_exact(&mut machine, "alive", 1, &mut rec, side, |c, r| {
             t.init_alive(c, r)
         })
@@ -1892,6 +1927,75 @@ mod tests {
             .build()
             .unwrap();
         pool.install(|| binary_bodies_agree(&g, &constraints, &s, &mut BodyTally::default()));
+    }
+
+    #[test]
+    fn binary_walks_visit_only_occupied_submatrices() {
+        // The n = 10 sentence past the virtualization cliff: 40,000 PEs,
+        // of which a dense walk would visit every valid one per constraint.
+        let (g, lex) = corpus::standard_setup();
+        let s = corpus::english_sentence(&g, &lex, 10, 10);
+        let lay = Layout::new(&g, &s);
+        let t = Tables::new(&lay);
+        let BinaryStart {
+            mut machine,
+            valid,
+            mut bits,
+        } = before_binary(&g, &s, &lay, &t);
+        let mut scratch = ClassScratch::default();
+        let (mut visits, mut nonzero) = (0, 0);
+        for c in g.binary_constraints() {
+            let program = KernelProgram::compile(&c.expr);
+            let classes = BinaryClasses::new(&t, &s, &program, &mut scratch);
+            let occupied = bits.occupied_count() as u64;
+            let live = bits.as_slice().iter().filter(|&&b| b != 0).count() as u64;
+            let before = machine.occupancy_visits();
+            apply_binary(&mut machine, &t, &classes, &s, &program, &valid, &mut bits);
+            let walked = machine.occupancy_visits() - before;
+            let ctx = format!("constraint {}: {walked} visits", c.name);
+            assert!(walked <= occupied, "{ctx}, {occupied} PEs occupied");
+            assert!(walked >= live, "{ctx}, {live} nonzero submatrices");
+            (visits, nonzero) = (visits + walked, nonzero + live);
+        }
+        let dense = (valid.count_ones() * g.binary_constraints().len()) as u64;
+        assert!(
+            visits * 10 < dense,
+            "{visits} visits ({nonzero} nonzero) against {dense} for dense walks"
+        );
+    }
+
+    /// Host buffers the thread's machine has asked the allocator for.
+    fn thread_fresh_buffers() -> u64 {
+        let machine = MACHINE.take().expect("a parse leaves the thread a machine");
+        let fresh = machine.fresh_buffers();
+        MACHINE.set(Some(machine));
+        fresh
+    }
+
+    #[test]
+    fn a_second_parse_of_the_same_size_makes_no_fresh_buffer() {
+        let (g, lex) = corpus::standard_setup();
+        let s = corpus::english_sentence(&g, &lex, 10, 10);
+        // Fault-free, and under the CLI's `--faults 7`.
+        let plan = FaultPlan::parse_spec("7", 16_384, 2_000).unwrap();
+        for faults in [None, Some(plan)] {
+            let opts = MasparOptions {
+                faults,
+                ..Default::default()
+            };
+            let mut fresh = Vec::new();
+            for _ in 0..2 {
+                let out = parse_maspar_checked(&g, &s, &opts).unwrap();
+                recycle_readback(out.bits);
+                fresh.push(thread_fresh_buffers());
+            }
+            assert_eq!(
+                fresh[0],
+                fresh[1],
+                "faults {}: the second parse made host buffers",
+                opts.faults.is_some()
+            );
+        }
     }
 
     #[test]
