@@ -33,7 +33,6 @@ use cdg_core::{BatchOutcome, EvalStrategy, FilterStrategy};
 use cdg_grammar::grammars::{english, formal};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::mesh::MeshCdg;
-use cdg_parallel::pram::parse_pram;
 use cdg_parallel::Pram;
 use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 
@@ -91,7 +90,13 @@ fn digest_with(grammar: &Grammar, sentence: &Sentence, eval: EvalStrategy) -> u6
 
 /// [`digest_network`] of the P-RAM engine's own network.
 fn digest_pram(grammar: &Grammar, sentence: &Sentence) -> u64 {
-    digest_network(&parse_pram(grammar, sentence, comparable_options()).network)
+    let req = ParseRequest::new(grammar)
+        .sentence(sentence.clone())
+        .options(comparable_options());
+    let report = Pram
+        .parse(&req)
+        .expect("a host engine parses any request without faults");
+    digest_network(&report.network)
 }
 
 /// [`digest_network`] of the mesh engine's own network.

@@ -15,8 +15,10 @@
 
 use bench::run::{maspar_cdg, mesh_cdg, mesh_cky, par_cky, pram_cdg, serial_cdg, serial_cky};
 use bench::{fit_exponent, TextTable};
+use cdg_core::api::{ParseRequest, WarmState};
 use cdg_core::parser::{parse, ParseOptions};
 use cdg_grammar::grammars::paper;
+use cdg_parallel::PramStats;
 use maspar_sim::CostModel;
 use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
@@ -69,8 +71,11 @@ fn throughput() {
         ]);
     };
     run("cdg-serial", &|s| parse(&g, s, opts).roles_nonempty);
+    let pram = ParseRequest::new(&g).options(opts);
     run("cdg-pram (rayon)", &|s| {
-        cdg_parallel::parse_pram(&g, s, opts).roles_nonempty
+        WarmState::new()
+            .run(&pram, s, &mut PramStats::default())
+            .roles_nonempty
     });
     run("cdg-maspar-sim", &|s| {
         parse_maspar_checked(&g, s, &MasparOptions::default())

@@ -1,10 +1,11 @@
 //! Engine runners producing comparable measurements.
 
+use cdg_core::api::{ParseRequest, WarmState};
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::{EvalStrategy, FilterStrategy};
 use cdg_grammar::{Grammar, Sentence};
 use cdg_parallel::mesh::MeshCdg;
-use cdg_parallel::pram::parse_pram;
+use cdg_parallel::PramStats;
 use parsec_maspar::{parse_maspar_checked, MasparOptions};
 use std::time::Instant;
 
@@ -173,14 +174,16 @@ pub fn filter_naive_phase(grammar: &Grammar, sentence: &Sentence) -> Measurement
 
 /// Rayon P-RAM-style CDG (the "CRCW P-RAM" CDG row).
 pub fn pram_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
-    let (outcome, wall) = timed(|| parse_pram(grammar, sentence, comparable_options()));
+    let req = ParseRequest::new(grammar).options(comparable_options());
+    let mut stats = PramStats::default();
+    let (outcome, wall) = timed(|| WarmState::new().run(&req, sentence, &mut stats));
     Measurement {
         engine: "cdg-pram",
         n: sentence.len(),
         wall_secs: wall,
         ops: None,
-        steps: Some(outcome.stats.steps as u64),
-        processors: Some(outcome.stats.max_width as u64),
+        steps: Some(stats.steps as u64),
+        processors: Some(stats.max_width as u64),
         est_secs: None,
         accepted: outcome.roles_nonempty,
     }

@@ -1,9 +1,6 @@
 //! The unified engine API: one request type, one report type, one trait.
 //!
-//! Historically each backend grew its own entry point and option struct:
-//! [`crate::parse`] here, `cdg_parallel::parse_pram`, and
-//! `parsec_maspar::parse_maspar_checked` with `MasparOptions`. The
-//! [`Engine`] trait collapses those three surfaces into one:
+//! The [`Engine`] trait is the one surface every backend parses through:
 //!
 //! ```text
 //! ParseRequest (builder) ──> Engine::parse_warm(&mut WarmState) ──> ParseReport
@@ -23,10 +20,11 @@
 //! report back with [`WarmState::recycle_report`] once done with it.
 //! [`Engine::parse`] is the same body on a fresh state. The engines are
 //! thin: [`Sequential`] and `cdg_parallel::Pram` run the one phase driver
-//! ([`parse_with_state`]) through [`WarmState::run`] with their executor,
-//! the MasPar engine runs its own. The free functions call the same
-//! drivers and return the bare outcome; new code should construct a
-//! request and pick an engine.
+//! through [`WarmState::run`] with their executor and extract with the
+//! one serial search ([`ParseOutcome::parses`]); the MasPar engine runs
+//! its own driver and reads its network back for the same search.
+//! [`crate::parse`] is the serial oracle the tests compare against: a
+//! cold [`WarmState::run`] that returns the bare outcome.
 
 use crate::batch::BatchOutcome;
 use crate::error::{EngineError, ParseBudget};
@@ -213,8 +211,8 @@ impl<'g> ParseRequest<'g> {
     }
 }
 
-/// Unified result of [`Engine::parse`] — the union of the old
-/// `ParseOutcome`, `PramOutcome`, and `MasparOutcome` surfaces.
+/// Unified result of [`Engine::parse`] — the union of the phase driver's
+/// `ParseOutcome` and the MasPar engine's `MasparOutcome`.
 #[derive(Debug)]
 pub struct ParseReport<'g> {
     /// Which engine produced this report (`"serial"`, `"pram"`, `"maspar"`).
@@ -436,9 +434,9 @@ impl WarmState {
         self.slab.reuses()
     }
 
-    /// Run the phase driver ([`parse_with_state`]) on `sentence` under
-    /// `req`'s grammar, options and artifact, with `exec` running the
-    /// kernel steps and every buffer drawn from this state. Records what
+    /// Run the phase driver on `sentence` under `req`'s grammar, options
+    /// and artifact, with `exec` running the kernel steps and every buffer
+    /// drawn from this state: the one way into the driver. Records what
     /// the parse drew from and gave back to the arc pool so far
     /// (`pool.acquires`, `pool.recycles`, `pool.releases`; the stored arcs
     /// are released when the network is handed back) and, from the second
@@ -451,15 +449,7 @@ impl WarmState {
         exec: &mut E,
     ) -> ParseOutcome<'g> {
         let slab_before = self.slab.reuses();
-        let mut outcome = parse_with_state(
-            req.grammar,
-            sentence,
-            req.options,
-            req.compiled.clone(),
-            &mut self.scratch,
-            &mut self.slab,
-            exec,
-        );
+        let mut outcome = parse_with_state(req, sentence, &mut self.scratch, &mut self.slab, exec);
         let drawn = self.slab.count_draws(&mut outcome.network);
         let (acquired, reused) = (drawn.acquires as u64, drawn.reuses as u64);
         obsv::counter_add("pool.acquires", acquired);

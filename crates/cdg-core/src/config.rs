@@ -18,7 +18,6 @@
 //! carries the spelling, not a re-rendering.
 
 use crate::error::ParseBudget;
-use crate::network::{EvalStrategy, FilterStrategy};
 use maspar_sim::{FaultPlan, MachineConfig};
 use std::fmt;
 use std::time::Duration;
@@ -132,11 +131,6 @@ pub struct EngineConfig {
     pub transient: Option<usize>,
     /// Parse-enumeration cap.
     pub max_parses: usize,
-    /// Consistency-filter implementation of the serial and P-RAM engines
-    /// (the MasPar engine filters with the simulated machine's scans).
-    pub filter: FilterStrategy,
-    /// Constraint-evaluation strategy.
-    pub eval: EvalStrategy,
     /// Worker-pool width for the host-parallel engines.
     pub threads: Option<usize>,
 }
@@ -155,8 +149,6 @@ impl Default for EngineConfig {
             faults_spec: None,
             transient: None,
             max_parses: DEFAULT_MAX_PARSES,
-            filter: FilterStrategy::Auto,
-            eval: EvalStrategy::Kernel,
             threads: None,
         }
     }
@@ -201,8 +193,6 @@ impl EngineConfig {
     pub fn parse_options(&self) -> crate::parser::ParseOptions {
         crate::parser::ParseOptions {
             budget: self.budget,
-            eval: self.eval,
-            filter_strategy: self.filter,
             ..crate::parser::ParseOptions::default()
         }
     }
@@ -294,28 +284,6 @@ pub static KEYS: &[KeyDef] = &[
         encode: |c| (c.max_parses != DEFAULT_MAX_PARSES).then(|| c.max_parses.to_string()),
     },
     KeyDef {
-        key: "filter",
-        help: "auto | naive (serial and pram; maspar ignores it)",
-        apply: |b, v| {
-            b.filter = Some(FilterStrategy::parse(v).map_err(|e| invalid("filter", e))?);
-            Ok(())
-        },
-        encode: |c| (c.filter != FilterStrategy::Auto).then(|| c.filter.name().to_string()),
-    },
-    KeyDef {
-        key: "eval",
-        help: "kernel | naive",
-        apply: |b, v| {
-            b.eval = Some(match v {
-                "kernel" => EvalStrategy::Kernel,
-                "naive" => EvalStrategy::Naive,
-                other => return Err(invalid("eval", format!("unknown eval strategy `{other}`"))),
-            });
-            Ok(())
-        },
-        encode: |c| (c.eval == EvalStrategy::Naive).then(|| "naive".to_string()),
-    },
-    KeyDef {
         key: "threads",
         help: "host worker threads (>= 1)",
         apply: |b, v| {
@@ -343,8 +311,6 @@ pub struct EngineConfigBuilder {
     faults_spec: Option<String>,
     transient: Option<usize>,
     max_parses: Option<usize>,
-    filter: Option<FilterStrategy>,
-    eval: Option<EvalStrategy>,
     threads: Option<usize>,
     fault_context: Option<(usize, u64)>,
 }
@@ -375,38 +341,13 @@ impl EngineConfigBuilder {
         self
     }
 
-    pub fn budget_spec(mut self, spec: impl Into<String>) -> Self {
-        self.budget_spec = Some(spec.into());
-        self
-    }
-
-    pub fn class(mut self, class: SloClass) -> Self {
-        self.class = Some(class);
-        self
-    }
-
     pub fn faults_spec(mut self, spec: impl Into<String>) -> Self {
         self.faults_spec = Some(spec.into());
         self
     }
 
-    pub fn transient(mut self, k: usize) -> Self {
-        self.transient = Some(k);
-        self
-    }
-
     pub fn max_parses(mut self, n: usize) -> Self {
         self.max_parses = Some(n);
-        self
-    }
-
-    pub fn filter(mut self, f: FilterStrategy) -> Self {
-        self.filter = Some(f);
-        self
-    }
-
-    pub fn eval(mut self, e: EvalStrategy) -> Self {
-        self.eval = Some(e);
         self
     }
 
@@ -453,8 +394,6 @@ impl EngineConfigBuilder {
             faults_spec: self.faults_spec,
             transient: self.transient,
             max_parses,
-            filter: self.filter.unwrap_or(FilterStrategy::Auto),
-            eval: self.eval.unwrap_or(EvalStrategy::Kernel),
             threads: self.threads,
         })
     }
@@ -474,7 +413,7 @@ mod tests {
     #[test]
     fn every_key_round_trips_through_the_table() {
         let spec = "engine=maspar budget=ms=50,iters=3 class=interactive faults=42 \
-                    transient=2 parses=9 filter=naive eval=naive threads=4";
+                    transient=2 parses=9 threads=4";
         let c = EngineConfig::parse(spec).unwrap();
         assert_eq!(c.engine.as_deref(), Some("maspar"));
         assert_eq!(c.budget.max_filter_iterations, Some(3));
@@ -482,8 +421,6 @@ mod tests {
         assert!(c.faults.is_some());
         assert_eq!(c.transient, Some(2));
         assert_eq!(c.max_parses, 9);
-        assert_eq!(c.filter, FilterStrategy::Naive);
-        assert_eq!(c.eval, EvalStrategy::Naive);
         assert_eq!(c.threads, Some(4));
         let reparsed = EngineConfig::parse(&c.encode()).unwrap();
         assert_eq!(reparsed, c);
@@ -492,7 +429,13 @@ mod tests {
     #[test]
     fn unknown_keys_and_bad_values_are_typed() {
         let mut b = EngineConfig::builder();
-        for (key, value) in [("hats", "false"), ("packed", "false"), ("batch", "mega")] {
+        for (key, value) in [
+            ("hats", "false"),
+            ("packed", "false"),
+            ("batch", "mega"),
+            ("filter", "naive"),
+            ("eval", "naive"),
+        ] {
             assert_eq!(
                 b.set(key, value),
                 Err(ConfigError::UnknownKey { key: key.into() })
@@ -506,12 +449,6 @@ mod tests {
             b.set("parses", "lots"),
             Err(ConfigError::InvalidValue { key: "parses", .. })
         ));
-        for gone in ["incremental", "bmm"] {
-            assert!(matches!(
-                b.set("filter", gone),
-                Err(ConfigError::InvalidValue { key: "filter", .. })
-            ));
-        }
     }
 
     #[test]

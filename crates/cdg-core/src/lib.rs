@@ -57,7 +57,7 @@ pub use extract::PrecedenceGraph;
 pub use network::{
     ArcMatrix, ArcView, EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId,
 };
-pub use parser::{parse, parse_with_state, FilterMode, ParseOptions, ParseOutcome};
+pub use parser::{parse, FilterMode, ParseOptions, ParseOutcome};
 pub use pool::{ArcPool, PoolStats};
-pub use relax::{parse_relaxed, RelaxLadder, RelaxOutcome};
+pub use relax::{RelaxLadder, RelaxOutcome};
 pub use stats::NetStats;

@@ -17,7 +17,8 @@ pub type SlotId = usize;
 /// Both strategies produce bit-identical networks (same removal sets, same
 /// surviving arcs); they differ only in how each verdict is computed. The
 /// kernel path is the default; the naive path is kept as the differential
-/// oracle (`tests/kernel_equivalence.rs`) and for `--naive-eval` runs.
+/// oracle (`tests/kernel_equivalence.rs`), reached through
+/// `ParseRequest::eval`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
     /// Compile each constraint to flat bytecode, evaluate it a slot at a
@@ -58,25 +59,6 @@ impl FilterStrategy {
     /// evaluation. Everything else runs the full scan.
     pub fn incremental(self, eval: EvalStrategy) -> bool {
         self == FilterStrategy::Auto && eval == EvalStrategy::Kernel
-    }
-
-    /// The CLI/wire name ([`FilterStrategy::parse`]'s inverse).
-    pub fn name(self) -> &'static str {
-        match self {
-            FilterStrategy::Auto => "auto",
-            FilterStrategy::Naive => "naive",
-        }
-    }
-
-    /// Parse a CLI/wire name (`auto`, `naive`).
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "auto" => Ok(FilterStrategy::Auto),
-            "naive" => Ok(FilterStrategy::Naive),
-            other => Err(format!(
-                "unknown filter strategy `{other}` (expected auto or naive)"
-            )),
-        }
     }
 }
 

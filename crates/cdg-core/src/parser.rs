@@ -1,15 +1,15 @@
 //! The phase driver: the paper's pipeline written once, run by the
 //! sequential engine and, through an [`Executor`], by the P-RAM and mesh
-//! engines of `cdg-parallel`.
+//! engines of `cdg-parallel`. [`WarmState::run`] is its one entry point.
 
+use crate::api::{ParseRequest, WarmState};
 use crate::consistency::{filter_with, is_locally_consistent, sweep_arcs, FilterStep, SweepResult};
 use crate::error::{BudgetResource, EngineError, ParseBudget};
 use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
 use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
 use crate::network::{ArcMatrix, EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
-use cdg_grammar::{Arity, CompiledGrammar, Constraint, Grammar, Sentence};
-use std::sync::Arc;
+use cdg_grammar::{Arity, Constraint, Grammar, Sentence};
 use std::time::Instant;
 
 /// How much filtering to run after propagation.
@@ -145,7 +145,7 @@ pub enum Step {
     Generation,
 }
 
-/// How an engine runs the phase sequence [`parse_with_state`] drives: the
+/// How an engine runs the phase sequence [`WarmState::run`] drives: the
 /// kernel steps it may fan out, each defaulting to the serial kernel, and
 /// a cost hook for the engine's own step ledger. The naive tree-walk
 /// oracle and the full-scan filter always run the serial code.
@@ -192,7 +192,9 @@ pub struct Serial;
 impl Executor for Serial {}
 
 /// Run the full sequential pipeline: build, unary propagation, arcs, binary
-/// propagation, filtering per `options`.
+/// propagation, filtering per `options`. The serial oracle the tests
+/// compare against: a cold [`WarmState::run`] with the [`Serial`]
+/// executor and no compiled artifact.
 ///
 /// ```
 /// use cdg_core::parser::{parse, ParseOptions};
@@ -212,42 +214,36 @@ pub fn parse<'g>(
     sentence: &Sentence,
     options: ParseOptions,
 ) -> ParseOutcome<'g> {
-    parse_with_state(
-        grammar,
+    WarmState::new().run(
+        &ParseRequest::new(grammar).options(options),
         sentence,
-        options,
-        None,
-        &mut KernelScratch::new(),
-        &mut NetSlab::default(),
         &mut Serial,
     )
 }
 
-/// The fully warm entry point: [`parse`] that resolves constraint
-/// programs from a pre-built [`CompiledGrammar`] artifact (`None` = the
+/// The phase driver behind [`WarmState::run`]: parses under `req`'s
+/// grammar and options, resolves constraint programs from its
+/// [`cdg_grammar::CompiledGrammar`] artifact (`None` = the
 /// compile-per-call oracle) and draws kernel scratch and network storage
-/// (stored arcs' matrices included) from caller-owned state that survives
-/// across parses (see [`crate::api::WarmState::run`]). Every piece of reused state is
-/// generation-stamped or re-zeroed on adoption, so results are
-/// byte-identical to a cold [`parse`] — only allocation and compile
-/// traffic differ.
+/// (stored arcs' matrices included) from the warm state. Every piece of
+/// reused state is generation-stamped or re-zeroed on adoption, so
+/// results are byte-identical to a cold [`parse`] — only allocation and
+/// compile traffic differ.
 ///
-/// This is the one phase driver: `exec` runs the kernel steps and keeps
-/// its engine's step ledger ([`Serial`] for the sequential engine; the
-/// P-RAM and mesh engines pass their own), while the sequence — budget
-/// checkpoints, the phase order, spans, the filter loop — is the same for
-/// every engine, and so are the network and its `NetStats` ledger.
-#[allow(clippy::too_many_arguments)]
-pub fn parse_with_state<'g, E: Executor>(
-    grammar: &'g Grammar,
+/// `exec` runs the kernel steps and keeps its engine's step ledger
+/// ([`Serial`] for the sequential engine; the P-RAM and mesh engines pass
+/// their own), while the sequence — budget checkpoints, the phase order,
+/// spans, the filter loop — is the same for every engine, and so are the
+/// network and its `NetStats` ledger.
+pub(crate) fn parse_with_state<'g, E: Executor>(
+    req: &ParseRequest<'g>,
     sentence: &Sentence,
-    options: ParseOptions,
-    compiled: Option<Arc<CompiledGrammar>>,
     scratch: &mut KernelScratch,
     slab: &mut NetSlab,
     exec: &mut E,
 ) -> ParseOutcome<'g> {
     let start = Instant::now();
+    let options = req.options;
     let budget = options.budget;
     let mut degraded: Option<EngineError> = None;
     let over_time = |start: &Instant| -> Option<EngineError> {
@@ -262,10 +258,10 @@ pub fn parse_with_state<'g, E: Executor>(
         })
     };
 
-    let mut net = Network::build_in(grammar, sentence, slab);
+    let mut net = Network::build_in(req.grammar, sentence, slab);
     net.eval = options.eval;
     net.filter_strategy = options.filter_strategy;
-    net.compiled = compiled;
+    net.compiled = req.compiled.clone();
     exec.cost(&net, Step::Build, Some(0));
 
     // An arc-cell budget is checked *before* materializing the O(n⁴)

@@ -8,15 +8,15 @@
 //! sentence, re-parse under grammars with progressively more constraints
 //! *removed* (via [`cdg_grammar::Grammar::retain_constraints`]) until one
 //! rung accepts, and report exactly which constraints had to be dropped.
+//! Every rung runs on the caller's engine ([`RelaxLadder::climb`]).
 //!
 //! Relaxation only ever *removes* constraints, so every rung's language is
 //! a superset of the previous one; the first accepting rung is therefore
 //! the minimal relaxation along the ladder.
 
+use crate::api::{resolve_compiled, Engine, ParseRequest};
 use crate::error::EngineError;
 use crate::extract::PrecedenceGraph;
-use crate::parser::{parse, ParseOptions};
-use cdg_grammar::{Grammar, Sentence};
 
 /// An ordered sequence of rungs; each rung names the constraints dropped
 /// at that level (cumulative: rung r drops the union of rungs 1..=r).
@@ -68,6 +68,43 @@ impl RelaxLadder {
             ],
         ])
     }
+
+    /// Parse `req` on `engine` at rung `first`, then at each higher rung,
+    /// until one accepts. Rung 0 is the request's own grammar, so a caller
+    /// that has already parsed strictly starts at 1. Each rung attaches its
+    /// own grammar's compiled artifact when `req` carries one, and none
+    /// otherwise. Returns `Ok(None)` when even the most relaxed rung
+    /// rejects, and the engine's typed error when a rung cannot be parsed.
+    pub fn climb(
+        &self,
+        engine: &dyn Engine,
+        req: &ParseRequest<'_>,
+        first: usize,
+    ) -> Result<Option<RelaxOutcome>, EngineError> {
+        for rung in first..=self.len() {
+            let dropped = self.dropped_at(rung);
+            let grammar = req
+                .grammar
+                .retain_constraints(|name| !dropped.iter().any(|d| d == name));
+            let rung_req = ParseRequest {
+                grammar: &grammar,
+                compiled: req.compiled.as_ref().map(|_| resolve_compiled(&grammar)),
+                ..req.clone()
+            };
+            let report = engine.parse(&rung_req)?;
+            if report.accepted {
+                return Ok(Some(RelaxOutcome {
+                    rung,
+                    dropped,
+                    parses: report.parses,
+                    ambiguous: report.ambiguous,
+                    filter_passes: report.filter_passes,
+                    degraded: report.degraded,
+                }));
+            }
+        }
+        Ok(None)
+    }
 }
 
 /// A successful parse found somewhere on the ladder.
@@ -78,9 +115,10 @@ pub struct RelaxOutcome {
     pub rung: usize,
     /// Constraint names dropped at the accepting rung (empty for strict).
     pub dropped: Vec<String>,
-    /// Parses extracted at the accepting rung. Role-value ids reference
-    /// the *original* grammar's symbol tables (relaxation never renumbers
-    /// labels or categories), so rendering against it is valid.
+    /// Parses extracted at the accepting rung, up to the request's
+    /// `max_parses`. Role-value ids reference the *original* grammar's
+    /// symbol tables (relaxation never renumbers labels or categories), so
+    /// rendering against it is valid.
     pub parses: Vec<PrecedenceGraph>,
     /// Whether the accepting network still held multiple readings.
     pub ambiguous: bool,
@@ -90,58 +128,26 @@ pub struct RelaxOutcome {
     pub degraded: Option<EngineError>,
 }
 
-/// Parse strictly, then climb `ladder` until some rung accepts. Returns
-/// `None` when even the most relaxed rung rejects the sentence. `limit`
-/// caps the parses extracted per rung.
-pub fn parse_relaxed(
-    grammar: &Grammar,
-    sentence: &Sentence,
-    options: ParseOptions,
-    ladder: &RelaxLadder,
-    limit: usize,
-) -> Option<RelaxOutcome> {
-    for rung in 0..=ladder.len() {
-        let dropped = ladder.dropped_at(rung);
-        let relaxed;
-        let g = if rung == 0 {
-            grammar
-        } else {
-            relaxed = grammar.retain_constraints(|name| !dropped.iter().any(|d| d == name));
-            &relaxed
-        };
-        let outcome = parse(g, sentence, options);
-        if outcome.accepted() {
-            return Some(RelaxOutcome {
-                rung,
-                dropped,
-                parses: outcome.parses(limit),
-                ambiguous: outcome.ambiguous(),
-                filter_passes: outcome.filter_passes,
-                degraded: outcome.degraded,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Sequential;
     use cdg_grammar::grammars::english;
+    use cdg_grammar::Grammar;
+
+    /// Climb the English ladder from rung 0 on the serial engine.
+    fn climb(g: &Grammar, text: &str) -> Option<RelaxOutcome> {
+        let s = english::lexicon(g).sentence(text).unwrap();
+        let req = ParseRequest::new(g).sentence(s).max_parses(8);
+        RelaxLadder::english_default()
+            .climb(&Sequential, &req, 0)
+            .unwrap()
+    }
 
     #[test]
     fn strict_sentences_accept_at_rung_zero() {
         let g = english::grammar();
-        let lex = english::lexicon(&g);
-        let s = lex.sentence("the dog runs").unwrap();
-        let r = parse_relaxed(
-            &g,
-            &s,
-            ParseOptions::default(),
-            &RelaxLadder::english_default(),
-            8,
-        )
-        .expect("grammatical sentence must parse");
+        let r = climb(&g, "the dog runs").expect("grammatical sentence must parse");
         assert_eq!(r.rung, 0);
         assert!(r.dropped.is_empty());
         assert_eq!(r.parses.len(), 1);
@@ -150,10 +156,7 @@ mod tests {
     #[test]
     fn missing_determiner_recovers_at_rung_one() {
         let g = english::grammar();
-        let lex = english::lexicon(&g);
-        let s = lex.sentence("dog runs in the park").unwrap();
-        let ladder = RelaxLadder::english_default();
-        let r = parse_relaxed(&g, &s, ParseOptions::default(), &ladder, 8)
+        let r = climb(&g, "dog runs in the park")
             .expect("relaxation must recover the dropped determiner");
         assert_eq!(r.rung, 1);
         assert_eq!(r.dropped, vec!["sing-noun-needs-det-left".to_string()]);
@@ -167,11 +170,7 @@ mod tests {
 
     #[test]
     fn word_salad_stays_rejected() {
-        let g = english::grammar();
-        let lex = english::lexicon(&g);
-        let s = lex.sentence("the the the").unwrap();
-        let ladder = RelaxLadder::english_default();
-        assert!(parse_relaxed(&g, &s, ParseOptions::default(), &ladder, 8).is_none());
+        assert!(climb(&english::grammar(), "the the the").is_none());
     }
 
     #[test]

@@ -21,8 +21,6 @@ const FAULTS: &[&str] = &[
     "dead=0,dead=1",
     "dead=3,router=120:5:255,flip=80:3:17",
 ];
-const FILTERS: &[&str] = &["auto", "naive"];
-const EVALS: &[&str] = &["kernel", "naive"];
 
 /// `Some(index into a pool of len)` or `None` (key omitted), uniformly.
 fn opt(len: usize) -> impl Strategy<Value = Option<usize>> {
@@ -33,7 +31,6 @@ fn opt(len: usize) -> impl Strategy<Value = Option<usize>> {
 /// maspar engine (a cross-field `build` rule), so when a fault spec is
 /// drawn alongside a different engine the engine is forced to `maspar` —
 /// the draw still covers engine-present and engine-absent cases.
-#[allow(clippy::too_many_arguments)]
 fn assemble(
     engine: Option<usize>,
     budget: Option<usize>,
@@ -41,8 +38,6 @@ fn assemble(
     faults: Option<usize>,
     transient: Option<usize>,
     parses: Option<usize>,
-    filter: Option<usize>,
-    eval: Option<usize>,
     threads: Option<usize>,
 ) -> Vec<String> {
     let engine = match (engine, faults) {
@@ -61,8 +56,6 @@ fn assemble(
     push("faults", faults.map(|i| FAULTS[i].to_string()));
     push("transient", transient.map(|k| k.to_string()));
     push("parses", parses.map(|n| n.to_string()));
-    push("filter", filter.map(|i| FILTERS[i].to_string()));
-    push("eval", eval.map(|i| EVALS[i].to_string()));
     push("threads", threads.map(|t| t.to_string()));
     tokens
 }
@@ -78,12 +71,10 @@ proptest! {
         faults in opt(FAULTS.len()),
         transient in prop_oneof![(0usize..=5).prop_map(Some), (0usize..1).prop_map(|_| None)],
         parses in prop_oneof![(1usize..=12).prop_map(Some), (0usize..1).prop_map(|_| None)],
-        filter in opt(FILTERS.len()),
-        eval in opt(EVALS.len()),
         threads in prop_oneof![(1usize..=8).prop_map(Some), (0usize..1).prop_map(|_| None)],
     ) {
         let tokens = assemble(
-            engine, budget, class, faults, transient, parses, filter, eval, threads,
+            engine, budget, class, faults, transient, parses, threads,
         );
         let spec = tokens.join(" ");
         let config = EngineConfig::parse(&spec)
@@ -108,10 +99,10 @@ proptest! {
         budget in opt(BUDGETS.len()),
         faults in opt(FAULTS.len()),
         parses in prop_oneof![(1usize..=12).prop_map(Some), (0usize..1).prop_map(|_| None)],
-        eval in opt(EVALS.len()),
+        threads in prop_oneof![(1usize..=8).prop_map(Some), (0usize..1).prop_map(|_| None)],
     ) {
         let spec = assemble(
-            engine, budget, None, faults, None, parses, None, eval, None,
+            engine, budget, None, faults, None, parses, threads,
         )
         .join(" ");
         let config = EngineConfig::parse(&spec).unwrap();

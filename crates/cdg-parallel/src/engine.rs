@@ -1,6 +1,6 @@
 //! The [`Engine`] implementation for the P-RAM backend.
 
-use crate::pram::{PramOutcome, PramStats};
+use crate::pram::PramStats;
 use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
@@ -14,7 +14,9 @@ use std::time::Instant;
 /// process-wide width (the CLI's `--threads`) is left as it was. The
 /// P-RAM pipeline runs the serial engine's phase driver, so a
 /// `ParseRequest::budget` binds at the same checkpoints and the report
-/// comes back degraded exactly when the serial one would.
+/// comes back degraded exactly when the serial one would. Parses come
+/// from the serial extractor ([`cdg_core::ParseOutcome::parses`]) on the
+/// settled network, so they are the serial engine's too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -36,12 +38,9 @@ impl Engine for Pram {
             let mut stats = PramStats::default();
             let (outcome, parses) = {
                 let _root = obsv::span("parse");
-                let outcome = PramOutcome {
-                    outcome: warm.run(req, sentence, &mut stats),
-                    stats,
-                };
+                let outcome = warm.run(req, sentence, &mut stats);
                 let parses = outcome.parses(req.max_parses);
-                (outcome.outcome, parses)
+                (outcome, parses)
             };
             obsv::counter_add("pram.steps", stats.steps as u64);
             obsv::gauge_set("pram.max_width", stats.max_width as f64);

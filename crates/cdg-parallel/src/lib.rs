@@ -15,9 +15,9 @@
 //!
 //! Total: O(k) parallel steps. That is the sequential algorithm with each
 //! phase's loop run in parallel, and the code is built the same way: both
-//! engines here are executors of the one phase driver,
-//! `cdg_core::parser::parse_with_state`, which holds the sequence, the
-//! budgets and the spans. [`pram::PramStats`] runs the unary kernel
+//! engines here are executors of the one phase driver, which
+//! `cdg_core::api::WarmState::run` enters and which holds the sequence,
+//! the budgets and the spans. [`pram::PramStats`] runs the unary kernel
 //! slot-parallel and the pairwise kernel and the filter sweep
 //! arc-parallel, and counts the *parallel steps* and the *maximum width*
 //! (virtual processors) of each phase, so the benchmarks can verify the
@@ -28,14 +28,14 @@
 //! Determinism: every parallel step reads a frozen view and folds its
 //! workers' results in slot or arc order, so the network and its
 //! `NetStats` ledger are the sequential engine's at any thread count
-//! (tested, including proptest equivalence).
+//! (tested, including proptest equivalence). Extraction is the serial
+//! backtracking search on the settled network, as on the paper's front
+//! end, so every engine returns the same parses.
 
 pub mod engine;
-pub mod extract_par;
 pub mod mesh;
 pub mod pram;
 
 pub use engine::Pram;
-pub use extract_par::precedence_graphs_par;
 pub use mesh::{MeshCdg, MeshStats};
-pub use pram::{parse_pram, PramOutcome, PramStats};
+pub use pram::PramStats;

@@ -24,9 +24,9 @@
 //! not need. EXPERIMENTS.md records both the measured exponent and this
 //! note.
 
-use cdg_core::kernel::KernelScratch;
-use cdg_core::network::{NetSlab, Network};
-use cdg_core::parser::{parse_with_state, Executor, ParseOptions, Step};
+use cdg_core::api::{ParseRequest, WarmState};
+use cdg_core::network::Network;
+use cdg_core::parser::{Executor, ParseOptions, Step};
 use cdg_grammar::{Grammar, Sentence};
 
 /// Step counts from a mesh run.
@@ -106,15 +106,8 @@ impl MeshCdg {
         options: ParseOptions,
     ) -> (Network<'g>, MeshStats) {
         let mut stats = MeshStats::default();
-        let outcome = parse_with_state(
-            grammar,
-            sentence,
-            options,
-            None,
-            &mut KernelScratch::new(),
-            &mut NetSlab::default(),
-            &mut stats,
-        );
+        let req = ParseRequest::new(grammar).options(options);
+        let outcome = WarmState::new().run(&req, sentence, &mut stats);
         (outcome.network, stats)
     }
 }

@@ -6,11 +6,10 @@ use cdg_core::consistency::{FilterStep, SweepResult};
 use cdg_core::kernel::{
     apply_pairwise_kernel_by, apply_unary_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch,
 };
-use cdg_core::network::{ArcMatrix, NetSlab, Network};
-use cdg_core::parser::{parse_with_state, Executor, ParseOptions, ParseOutcome, Step};
-use cdg_core::PrecedenceGraph;
+use cdg_core::network::{ArcMatrix, Network};
+use cdg_core::parser::{Executor, Step};
 use cdg_grammar::kernel::LaneScratch;
-use cdg_grammar::{Constraint, Grammar, Sentence};
+use cdg_grammar::Constraint;
 use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
@@ -18,7 +17,23 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// `steps` counts synchronous parallel rounds (the quantity the paper
 /// bounds by O(k)); `max_width` is the largest number of virtual processors
-/// any round would occupy (the paper's O(n⁴)).
+/// any round would occupy (the paper's O(n⁴)). The phase driver keeps
+/// the ledger when it runs with this executor:
+///
+/// ```
+/// use cdg_core::api::{ParseRequest, WarmState};
+/// use cdg_grammar::grammars::paper;
+/// use cdg_parallel::PramStats;
+///
+/// let grammar = paper::grammar();
+/// let sentence = paper::example_sentence(&grammar);
+/// let mut stats = PramStats::default();
+/// let outcome = WarmState::new().run(&ParseRequest::new(&grammar), &sentence, &mut stats);
+/// assert!(outcome.accepted());
+/// // A handful of parallel steps, n⁴-scale width.
+/// assert!(stats.steps < 60);
+/// assert!(stats.max_width > 100);
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PramStats {
     /// Synchronous parallel rounds executed.
@@ -143,88 +158,34 @@ fn pairwise_width(net: &Network<'_>) -> usize {
         .sum()
 }
 
-/// Outcome of a P-RAM parse: the driver's outcome (network, flags,
-/// budget report; reached through `Deref`) plus the round ledger.
-#[derive(Debug)]
-pub struct PramOutcome<'g> {
-    pub outcome: ParseOutcome<'g>,
-    pub stats: PramStats,
-}
-
-impl<'g> std::ops::Deref for PramOutcome<'g> {
-    type Target = ParseOutcome<'g>;
-
-    fn deref(&self) -> &ParseOutcome<'g> {
-        &self.outcome
-    }
-}
-
-impl<'g> std::ops::DerefMut for PramOutcome<'g> {
-    fn deref_mut(&mut self) -> &mut ParseOutcome<'g> {
-        &mut self.outcome
-    }
-}
-
-impl PramOutcome<'_> {
-    /// Enumerate parses with the parallel extractor (identical results to
-    /// the sequential one; see `extract_par`). Empty for an arc-less
-    /// degraded outcome.
-    pub fn parses(&self, limit: usize) -> Vec<PrecedenceGraph> {
-        if !self.network.arcs_ready() {
-            return Vec::new();
-        }
-        crate::extract_par::precedence_graphs_par(&self.network, limit)
-    }
-}
-
-/// The full parallel pipeline: the `cdg-core` phase driver with the P-RAM
-/// executor.
-///
-/// ```
-/// use cdg_parallel::parse_pram;
-/// use cdg_core::parser::ParseOptions;
-/// use cdg_grammar::grammars::paper;
-///
-/// let grammar = paper::grammar();
-/// let sentence = paper::example_sentence(&grammar);
-/// let outcome = parse_pram(&grammar, &sentence, ParseOptions::default());
-/// assert!(outcome.accepted());
-/// // The P-RAM accounting: a handful of parallel steps, n⁴-scale width.
-/// assert!(outcome.stats.steps < 60);
-/// assert!(outcome.stats.max_width > 100);
-/// ```
-pub fn parse_pram<'g>(
-    grammar: &'g Grammar,
-    sentence: &Sentence,
-    options: ParseOptions,
-) -> PramOutcome<'g> {
-    let mut stats = PramStats::default();
-    let outcome = parse_with_state(
-        grammar,
-        sentence,
-        options,
-        None,
-        &mut KernelScratch::new(),
-        &mut NetSlab::default(),
-        &mut stats,
-    );
-    PramOutcome { outcome, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdg_core::parser::FilterMode;
+    use cdg_core::api::{ParseRequest, WarmState};
+    use cdg_core::parser::{FilterMode, ParseOptions, ParseOutcome};
     use cdg_core::{EvalStrategy, NetStats};
     use cdg_grammar::grammars::{english, formal, paper};
+    use cdg_grammar::{Grammar, Sentence};
 
     fn options() -> ParseOptions {
         ParseOptions::default()
     }
 
+    /// The phase driver under the P-RAM executor, and its round ledger.
+    fn run_pram<'g>(
+        grammar: &'g Grammar,
+        sentence: &Sentence,
+        options: ParseOptions,
+    ) -> (ParseOutcome<'g>, PramStats) {
+        let mut stats = PramStats::default();
+        let req = ParseRequest::new(grammar).options(options);
+        let outcome = WarmState::new().run(&req, sentence, &mut stats);
+        (outcome, stats)
+    }
+
     fn assert_equivalent(grammar: &Grammar, sentence: &Sentence) {
         let serial = cdg_core::parse(grammar, sentence, options());
-        let par = parse_pram(grammar, sentence, options());
+        let (par, _) = run_pram(grammar, sentence, options());
         assert_eq!(serial.roles_nonempty, par.roles_nonempty);
         for (a, b) in serial.network.slots().iter().zip(par.network.slots()) {
             assert_eq!(a.alive, b.alive, "alive sets diverge");
@@ -271,7 +232,7 @@ mod tests {
             .iter()
             .map(|&n| {
                 let s = paper::cost_sweep_sentence(&g, n);
-                parse_pram(&g, &s, opts).stats.steps
+                run_pram(&g, &s, opts).1.steps
             })
             .collect();
         let spread = steps.iter().max().unwrap() - steps.iter().min().unwrap();
@@ -289,7 +250,7 @@ mod tests {
             .iter()
             .map(|&n| {
                 let s = paper::cost_sweep_sentence(&g, n);
-                parse_pram(&g, &s, options()).stats.max_width
+                run_pram(&g, &s, options()).1.max_width
             })
             .collect();
         assert!(w[1] > w[0] * 4, "width should grow ~n⁴: {w:?}");
@@ -310,7 +271,7 @@ mod tests {
         let mut serial = cdg_core::parse(&g, &s, options());
         serial.propagate_extra(std::slice::from_ref(&pin));
 
-        let mut par = parse_pram(&g, &s, options());
+        let (mut par, _) = run_pram(&g, &s, options());
         par.propagate_extra(std::slice::from_ref(&pin));
 
         assert_eq!(serial.parses(16), par.parses(16));
@@ -369,7 +330,7 @@ mod tests {
         for opts in option_sets {
             for (g, s) in &cases {
                 let serial = cdg_core::parse(g, s, opts);
-                let par = parse_pram(g, s, opts);
+                let (par, _) = run_pram(g, s, opts);
                 let (mesh, _) = crate::MeshCdg::run(g, s, opts);
                 assert_eq!(serial.filter_passes, par.filter_passes, "`{s}` {opts:?}");
                 let stats = serial.network.stats;
@@ -393,7 +354,7 @@ mod tests {
         let g = english::grammar();
         let lex = english::lexicon(&g);
         let s = lex.sentence("dog the runs").unwrap();
-        let par = parse_pram(&g, &s, options());
+        let (par, _) = run_pram(&g, &s, options());
         assert!(!par.accepted());
     }
 }

@@ -101,10 +101,7 @@ mod tests {
             base
         );
         assert_ne!(request_digest("serial", "the dog runs", "parses=5"), base);
-        assert_ne!(
-            request_digest("serial", "the dog runs", "filter=naive"),
-            base
-        );
+        assert_ne!(request_digest("serial", "the dog runs", "threads=2"), base);
         // Concatenation boundaries matter.
         assert_ne!(
             request_digest("serial", "ab", "c"),

@@ -96,7 +96,7 @@ pub struct ServeConfig {
     /// (capacity `queue_capacity` each), requests routed by the
     /// [`fleet::BandPlan`] and work stealing confined to band siblings.
     /// `1` (the default) runs `workers` threads on the one shard; with
-    /// more shards each shard has one worker thread owning its engines.
+    /// more shards each shard has one worker thread.
     pub shards: usize,
     /// How the fleet cuts sentence lengths into bands (never more bands
     /// than shards).
@@ -132,8 +132,9 @@ impl Default for ServeConfig {
 }
 
 /// Engine instance for one stable name, with the configured machine shape.
-/// Returns `None` for unknown names. Workers construct engines per thread
-/// (they are cheap value types), so nothing here needs to be shared.
+/// Returns `None` for unknown names. Workers construct one per request:
+/// the engines hold only options (the MasPar engine's simulated array is
+/// per thread), so nothing here needs to be shared.
 pub fn engine_for(name: &str, machine: &MachineConfig) -> Option<Box<dyn Engine>> {
     match name {
         "serial" => Some(Box::new(cdg_core::api::Sequential)),

@@ -15,7 +15,7 @@
 //! siblings when idle, die when the shard-fault plan says so. With
 //! `shards == 1` (the default) `workers` threads share shard 0 and its
 //! queue. With more shards, each shard is an independent simulated
-//! MasPar machine: one worker thread that owns its engines and its
+//! MasPar machine: one worker thread with its own simulated array and
 //! bounded queue. Requests are routed by sentence length through the
 //! [`BandPlan`] so every shard's virtualization ratio stays on one side of
 //! the q²n⁴ cliffs, and an idle worker steals only from band siblings — a
@@ -44,13 +44,12 @@ use crate::fleet::BandPlan;
 use crate::queue::{Bounded, PushError};
 use crate::wire::{self, cause_field, render_fields, Request, PROTOCOL_VERSION};
 use crate::{engine_for, ServeConfig, ServeStats, StatsSnapshot};
-use cdg_core::api::{Engine, ParseRequest, WarmState};
+use cdg_core::api::{ParseRequest, WarmState};
 use cdg_core::{EngineConfig, EngineError};
 use cdg_grammar::grammars::{english, paper};
 use cdg_grammar::{CompiledGrammar, Grammar, Lexicon};
 use maspar_sim::MachineStats;
 use parsec_maspar::parse_with_retry;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -352,7 +351,7 @@ impl Server {
             config,
         });
         // One shard: `workers` threads share it. The fleet: one worker
-        // thread per shard, owning its engines.
+        // thread per shard.
         let worker_shards: Vec<usize> = if shard_count == 1 {
             vec![0; shared.config.workers.max(1)]
         } else {
@@ -777,30 +776,6 @@ fn handle_parse(shared: &Arc<Shared>, text: String, config: EngineConfig) -> Str
     shard_down_line(stats, home, job.class)
 }
 
-/// Per-worker engine cache: each worker thread owns its engine instances
-/// (per-shard engine ownership in fleet mode), so the simulated machines
-/// are truly independent and nothing engine-side is shared across shards.
-struct EngineSet {
-    machine: maspar_sim::MachineConfig,
-    engines: HashMap<String, Box<dyn Engine>>,
-}
-
-impl EngineSet {
-    fn new(machine: maspar_sim::MachineConfig) -> Self {
-        EngineSet {
-            machine,
-            engines: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, name: &str) -> &dyn Engine {
-        let machine = &self.machine;
-        &**self.engines.entry(name.to_string()).or_insert_with(|| {
-            engine_for(name, machine).expect("engine name validated at admission")
-        })
-    }
-}
-
 /// Shard worker: serves shard `id`, alone or beside the other workers of
 /// a single-shard server. Pops the shard's queue with a short timeout,
 /// steals from band siblings when idle, and executes the shard's
@@ -815,7 +790,6 @@ fn shard_worker(shared: &Arc<Shared>, id: usize) {
         .filter(|&&s| s != id)
         .map(|&s| &shared.shards[s])
         .collect();
-    let mut engines = EngineSet::new(shared.config.machine.clone());
     // Every worker resolves the artifact through the process-wide
     // registry — a hit, since `Server::start` already built it: one
     // artifact per grammar content hash, fleet-wide. The warm state
@@ -858,7 +832,7 @@ fn shard_worker(shared: &Arc<Shared>, id: usize) {
                 }
             }
         };
-        run_job(shared, my, &mut engines, &mut warm, job);
+        run_job(shared, my, &mut warm, job);
     }
 }
 
@@ -893,13 +867,7 @@ fn kill_shard(shared: &Shared, my: &Shard, siblings: &[&Shard]) {
 
 /// Service one job on this shard, keeping the in-flight gauge and the
 /// shard's serviced clock.
-fn run_job(
-    shared: &Shared,
-    shard: &Shard,
-    engines: &mut EngineSet,
-    warm: &mut WarmState,
-    job: Job,
-) {
+fn run_job(shared: &Shared, shard: &Shard, warm: &mut WarmState, job: Job) {
     let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
     obsv::gauge_max("serve.inflight_peak", inflight as f64);
     // Account the job as serviced before its reply is released: a client
@@ -908,7 +876,7 @@ fn run_job(
     // the roundtrip).
     shard.serviced.fetch_add(1, Ordering::Relaxed);
     obsv::counter_add(shard.series.requests, 1);
-    let response = service_job(shared, shard, engines, warm, &job);
+    let response = service_job(shared, shard, warm, &job);
     // The connection may have hung up; the response is still fully
     // accounted either way.
     let _ = job.reply.send(response);
@@ -917,13 +885,7 @@ fn run_job(
 
 /// Run one admitted job to a response line. Deadline first: parsing for a
 /// caller that already gave up would deepen the overload that delayed it.
-fn service_job(
-    shared: &Shared,
-    shard: &Shard,
-    engines: &mut EngineSet,
-    warm: &mut WarmState,
-    job: &Job,
-) -> String {
+fn service_job(shared: &Shared, shard: &Shard, warm: &mut WarmState, job: &Job) -> String {
     let stats = &shared.stats;
     let start = Instant::now();
     if start > job.deadline {
@@ -952,9 +914,10 @@ fn service_job(
     if warm.parses() > 0 {
         stats.bump(&stats.warm_reuses, "serve.warm.reuses");
     }
-    let engine = engines.get(&job.engine_name);
+    let engine = engine_for(&job.engine_name, &shared.config.machine)
+        .expect("engine name validated at admission");
     let (result, retry_stats) = parse_with_retry(
-        engine,
+        engine.as_ref(),
         &request,
         job.config.transient,
         &shared.config.retry,

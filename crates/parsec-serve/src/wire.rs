@@ -14,8 +14,8 @@
 //!
 //! `PARSE` options are exactly the keys of the unified
 //! [`cdg_core::config::KEYS`] table — `budget=`, `class=`, `faults=`,
-//! `transient=`, `parses=`, `engine=`, `filter=`, `eval=`, `threads=` —
-//! parsed by [`cdg_core::EngineConfigBuilder`],
+//! `transient=`, `parses=`, `engine=`, `threads=` — parsed by
+//! [`cdg_core::EngineConfigBuilder`],
 //! the same path the CLI flags take, so a config key is defined exactly
 //! once. Unknown keys are a *typed* error: `ERR cause=unknown-key
 //! key=<k>` (since wire/2; wire/1 rendered an untyped `proto=` message).
@@ -171,7 +171,7 @@ pub fn decode_cause(value: &str) -> Result<EngineError, String> {
 mod tests {
     use super::*;
     use cdg_core::error::BudgetResource;
-    use cdg_core::{EvalStrategy, FilterStrategy, ParseBudget, SloClass};
+    use cdg_core::{ParseBudget, SloClass};
     use std::time::Duration;
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
     fn full_option_set_parses() {
         let line =
             "PARSE budget=ms=50,iters=3 class=batch faults=7 transient=1 parses=2 engine=maspar \
-             filter=naive eval=naive -- the program runs";
+             threads=2 -- the program runs";
         match parse_request(line, 16).unwrap() {
             Request::Parse { text, config } => {
                 assert_eq!(text, "the program runs");
@@ -210,8 +210,7 @@ mod tests {
                 assert_eq!(config.transient, Some(1));
                 assert_eq!(config.max_parses, 2);
                 assert_eq!(config.engine.as_deref(), Some("maspar"));
-                assert_eq!(config.filter, FilterStrategy::Naive);
-                assert_eq!(config.eval, EvalStrategy::Naive);
+                assert_eq!(config.threads, Some(2));
             }
             other => panic!("{other:?}"),
         }
@@ -238,7 +237,6 @@ mod tests {
         assert!(parse_request("PARSE budget=ms=oops -- x", 16).is_err());
         assert!(parse_request("PARSE class=gold -- x", 16).is_err());
         assert!(parse_request("PARSE parses=0 -- x", 16).is_err());
-        assert!(parse_request("PARSE filter=fast -- x", 16).is_err());
         // Fault PE ids are checked against the configured machine.
         assert!(parse_request("PARSE faults=dead=99 -- x", 16).is_err());
     }
@@ -252,14 +250,15 @@ mod tests {
         assert_eq!(status, "ERR");
         assert!(fields.contains(&("cause".into(), "unknown-key".into())));
         assert!(fields.contains(&("key".into(), "hats".into())));
-        // A removed key is just as unknown.
-        let err = parse_request("PARSE batch=mega -- x", 16).unwrap_err();
-        assert_eq!(
-            err,
-            WireError::UnknownKey {
-                key: "batch".into()
-            }
-        );
+        // A removed key is just as unknown, the oracle selectors included.
+        for (line, key) in [
+            ("PARSE batch=mega -- x", "batch"),
+            ("PARSE filter=naive -- x", "filter"),
+            ("PARSE eval=naive -- x", "eval"),
+        ] {
+            let err = parse_request(line, 16).unwrap_err();
+            assert_eq!(err, WireError::UnknownKey { key: key.into() });
+        }
         // Malformed values stay on the untyped proto= shape.
         let err = parse_request("FROB", 16).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));

@@ -26,12 +26,20 @@ fn main() {
         for seed in [1u64, 2] {
             let sentence = corpus::english_sentence(&grammar, &lexicon, n, seed);
 
+            let request = ParseRequest::new(&grammar)
+                .sentence(sentence.clone())
+                .options(options)
+                .max_parses(64);
             let t = Instant::now();
-            let serial = parse(&grammar, &sentence, options);
+            let serial = Sequential
+                .parse(&request)
+                .expect("a host engine parses any request without faults");
             let serial_t = t.elapsed().as_secs_f64();
 
             let t = Instant::now();
-            let pram = parse_pram(&grammar, &sentence, options);
+            let pram = Pram
+                .parse(&request)
+                .expect("a host engine parses any request without faults");
             let pram_t = t.elapsed().as_secs_f64();
 
             let (mesh_net, mesh_stats) = MeshCdg::run(&grammar, &sentence, options);
@@ -51,13 +59,13 @@ fn main() {
                 assert_eq!(a.alive, c.alive, "serial vs mesh");
                 assert_eq!(a.alive, d.alive, "serial vs maspar");
             }
-            assert_eq!(serial.parses(64), pram.parses(64));
+            assert_eq!(serial.parses, pram.parses);
 
             println!(
                 "{:<4} {:<40} {:>7} {:>10.4} {:>10.4} {:>10} {:>11.3}",
                 n,
                 sentence.to_string(),
-                serial.accepted(),
+                serial.accepted,
                 serial_t,
                 pram_t,
                 mesh_stats.total_steps(),

@@ -14,15 +14,10 @@
 //!   --stats                                      print engine statistics + metrics registry
 //!   --trace[=json]                               print the phase trace (tree, or one JSON line)
 //!   --metrics                                    print the metrics registry snapshot
-//!   --naive-eval                                 use the naive tree-walk evaluator (oracle)
-//!   --filter <auto|naive>                        consistency filter: auto re-tests only the
-//!                                                rows and columns a removal touched (full
-//!                                                rescans under --naive-eval); naive rescans
-//!                                                every pass; serial and pram only, maspar
-//!                                                filters with the machine's own scans
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
-//!   --relax                                      retry rejected sentences with relaxed constraints
+//!   --relax                                      retry rejected sentences with relaxed
+//!                                                constraints, on the chosen engine
 //!   --threads <N>                                worker threads for parallel engines (0 = auto)
 //!   --batch <file|->                             parse one sentence per line of a file (or stdin)
 //!   --version                                    print the version and exit
@@ -91,7 +86,7 @@
 
 use cdg_core::api::{Engine, ParseReport, ParseRequest};
 use cdg_core::config::FAULT_HORIZON_OPS;
-use cdg_core::{parse_relaxed, EngineConfig, EvalStrategy, RelaxLadder};
+use cdg_core::{EngineConfig, RelaxLadder};
 use cdg_grammar::grammars::{english, formal, paper};
 use cdg_grammar::sentence::LexiconError;
 use cdg_grammar::{Grammar, Lexicon, Sentence};
@@ -129,8 +124,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: parsec [--grammar paper|english|anbn|brackets|ww|www] [--grammar-file path] \
          [--engine serial|pram|maspar] [--parses N] [--network] [--dot] [--stats] \
-         [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive] \
-         [--budget spec] [--faults spec] \
+         [--trace[=json]] [--metrics] [--budget spec] [--faults spec] \
          [--relax] [--threads N] [--batch file|-] [--version] <sentence...>\n\
          \x20      parsec serve [SERVE OPTIONS]   (see `parsec serve --help`)"
     );
@@ -192,17 +186,6 @@ fn parse_args() -> Args {
             "--trace" | "--trace=text" => trace = Some(TraceFormat::Text),
             "--trace=json" => trace = Some(TraceFormat::Json),
             "--metrics" => metrics = true,
-            "--naive-eval" => {
-                builder
-                    .set("eval", "naive")
-                    .expect("`naive` is in the eval table");
-            }
-            "--filter" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                builder
-                    .set("filter", &v)
-                    .unwrap_or_else(|e| invalid(format!("bad --filter: {e}")));
-            }
             "--budget" => {
                 let spec = it.next().unwrap_or_else(|| usage());
                 builder
@@ -369,7 +352,7 @@ fn emit_observability(
 
 /// The `--stats` lines: an engine-specific summary on stderr, then the
 /// whole metrics registry (metrics collection is forced on by `--stats`).
-fn emit_stats(args: &Args, report: &ParseReport<'_>, resolved: &cdg_grammar::compiled::Resolved) {
+fn emit_stats(report: &ParseReport<'_>, resolved: &cdg_grammar::compiled::Resolved) {
     let Some(snapshot) = &report.metrics else {
         return;
     };
@@ -420,24 +403,8 @@ fn emit_stats(args: &Args, report: &ParseReport<'_>, resolved: &cdg_grammar::com
                 st.unary_checks, st.binary_checks, st.removals, st.maintain_passes
             );
             eprintln!(
-                "eval {}: {} kernel masks, {} memo hits, {} support checks, {} support inits",
-                if args.config.eval == EvalStrategy::Naive {
-                    "naive"
-                } else {
-                    "kernel"
-                },
-                st.kernel_masks,
-                st.kernel_memo_hits,
-                st.support_checks,
-                st.support_inits
-            );
-            eprintln!(
-                "filter: {}",
-                if args.config.filter.incremental(args.config.eval) {
-                    "incremental"
-                } else {
-                    "naive"
-                }
+                "kernel: {} masks, {} memo hits, {} support checks, {} support inits",
+                st.kernel_masks, st.kernel_memo_hits, st.support_checks, st.support_inits
             );
         }
     }
@@ -768,7 +735,7 @@ fn main() -> ExitCode {
 
     emit_observability(&args, report.engine, &report.trace, &report.metrics);
     if args.stats {
-        emit_stats(&args, &report, &resolved);
+        emit_stats(&report, &resolved);
     }
 
     if args.network {
@@ -789,15 +756,16 @@ fn main() -> ExitCode {
             return ExitCode::from(3);
         }
         if args.relax {
-            let options = args.config.parse_options();
+            // The strict grammar (rung 0) just rejected on this engine.
             let ladder = RelaxLadder::english_default();
-            if let Some(r) = parse_relaxed(
-                &grammar,
-                &sentence,
-                options,
-                &ladder,
-                args.config.max_parses,
-            ) {
+            let relaxed = match ladder.climb(engine.as_ref(), &request, 1) {
+                Ok(relaxed) => relaxed,
+                Err(e) => {
+                    eprintln!("{} engine error: {e}", args.engine);
+                    return ExitCode::from(1);
+                }
+            };
+            if let Some(r) = relaxed {
                 println!(
                     "ACCEPT (relaxed, rung {}): `{sentence}` — {} parse(s) after dropping {} \
                      constraint(s): {}",

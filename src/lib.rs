@@ -58,6 +58,6 @@ pub mod prelude {
     pub use cdg_core::parser::{parse, FilterMode, ParseOptions};
     pub use cdg_core::{Network, PrecedenceGraph};
     pub use cdg_grammar::{Grammar, GrammarBuilder, Lexicon, Sentence};
-    pub use cdg_parallel::{parse_pram, Pram};
+    pub use cdg_parallel::Pram;
     pub use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 }

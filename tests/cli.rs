@@ -182,6 +182,18 @@ fn relax_recovers_a_determiner_dropping_sentence() {
 }
 
 #[test]
+fn relax_climbs_on_the_chosen_engine() {
+    let serial = run(&["--relax", "dog", "runs", "in", "the", "park"]);
+    let pram = run(&[
+        "--engine", "pram", "--relax", "dog", "runs", "in", "the", "park",
+    ]);
+    assert!(pram.status.success(), "stderr: {}", stderr(&pram));
+    let text = stdout(&pram);
+    assert!(text.contains("ACCEPT (relaxed, rung 1)"), "got: {text}");
+    assert_eq!(text, stdout(&serial), "pram and serial relax differently");
+}
+
+#[test]
 fn relax_does_not_accept_word_salad() {
     let out = run(&["--relax", "the", "the", "the"]);
     assert_eq!(out.status.code(), Some(1));

@@ -9,7 +9,7 @@ use cdg_core::api::{Engine, ParseRequest, Sequential, WarmState};
 use cdg_core::parser::{parse, FilterMode, ParseOptions};
 use cdg_core::PrecedenceGraph;
 use cdg_grammar::{Grammar, Sentence};
-use cdg_parallel::{parse_pram, Pram};
+use cdg_parallel::Pram;
 use parsec_maspar::{parse_maspar_checked, MasparOptions};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -63,9 +63,10 @@ fn engines_byte_identical_across_thread_counts() {
         // The serial engine never touches the pool; its result is the
         // thread-count-free reference.
         let reference = fingerprint(&parse(&g, &s, options()).network);
+        let req = ParseRequest::new(&g).sentence(s.clone()).options(options());
         for threads in [1usize, 2, 8] {
             rayon::set_num_threads(threads);
-            let pram = fingerprint(&parse_pram(&g, &s, options()).network);
+            let pram = fingerprint(&Pram.parse(&req).unwrap().network);
             assert_eq!(
                 reference, pram,
                 "pram diverged from serial at {threads} threads, seed {seed} (`{s}`)"

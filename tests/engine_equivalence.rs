@@ -2,11 +2,12 @@
 //! MasPar-simulated) compute identical networks and identical parse sets
 //! on arbitrary inputs — DESIGN.md's central invariant.
 
+use cdg_core::api::{Engine, ParseReport, ParseRequest, Sequential};
 use cdg_core::parser::{parse, FilterMode, ParseOptions};
 use cdg_grammar::grammars::{english, formal};
 use cdg_grammar::{Grammar, Sentence};
-use cdg_parallel::parse_pram;
-use parsec_maspar::{parse_maspar_checked, MasparOptions};
+use cdg_parallel::Pram;
+use parsec_maspar::{parse_maspar_checked, Maspar, MasparOptions};
 use proptest::prelude::*;
 
 fn options() -> ParseOptions {
@@ -18,18 +19,27 @@ fn options() -> ParseOptions {
     }
 }
 
+/// The P-RAM engine's report on `sentence`, with up to 64 parses.
+fn pram_report<'g>(grammar: &'g Grammar, sentence: &Sentence) -> ParseReport<'g> {
+    let req = ParseRequest::new(grammar)
+        .sentence(sentence.clone())
+        .options(options())
+        .max_parses(64);
+    Pram.parse(&req).unwrap()
+}
+
 /// Assert the engines agree on `sentence` (MasPar engine only for
 /// lexically unambiguous input, matching the paper).
 fn assert_all_engines_agree(grammar: &Grammar, sentence: &Sentence) {
     let serial = parse(grammar, sentence, options());
-    let pram = parse_pram(grammar, sentence, options());
+    let pram = pram_report(grammar, sentence);
     assert_eq!(serial.roles_nonempty, pram.roles_nonempty);
     for (a, b) in serial.network.slots().iter().zip(pram.network.slots()) {
         assert_eq!(a.alive, b.alive, "serial vs pram on `{sentence}`");
     }
     assert_eq!(
         serial.parses(64),
-        pram.parses(64),
+        pram.parses,
         "parse sets diverge on `{sentence}`"
     );
     if !sentence.has_lexical_ambiguity() {
@@ -123,8 +133,44 @@ fn ambiguous_sentences_serial_vs_pram() {
     ] {
         if let Ok(s) = lex.sentence(text) {
             let serial = parse(&g, &s, options());
-            let pram = parse_pram(&g, &s, options());
-            assert_eq!(serial.parses(64), pram.parses(64), "`{text}`");
+            let pram = pram_report(&g, &s);
+            assert_eq!(serial.parses(64), pram.parses, "`{text}`");
+        }
+    }
+}
+
+#[test]
+fn every_engine_extracts_the_serial_parse_set_on_cut_grammars() {
+    // A grammar cut to one constraint (as a `.cdg` file or a relax rung
+    // cuts it) leaves many readings, so the `max_parses` cap decides
+    // which ones come back. Every engine extracts with the one serial
+    // search, so every engine returns the serial engine's prefix.
+    let english = english::grammar();
+    let lex = english::lexicon(&english);
+    let she_sleeps = lex.sentence("she sleeps").unwrap();
+    let english = english.retain_constraints(|n| n == "subj-precedes-its-verb");
+    let anbn = formal::anbn_grammar().retain_constraints(|n| n == "b-points-left-at-a");
+    let aab = formal::anbn_sentence(&anbn, "aab");
+    let maspar = Maspar::default();
+    for (grammar, sentence) in [(&english, she_sleeps), (&anbn, aab)] {
+        for max_parses in 1..=8 {
+            let req = ParseRequest::new(grammar)
+                .sentence(sentence.clone())
+                .max_parses(max_parses);
+            let serial = Sequential.parse(&req).unwrap().parses;
+            assert!(!serial.is_empty(), "`{sentence}` accepts");
+            for threads in [1, 2] {
+                let pram = Pram.parse(&req.clone().threads(threads)).unwrap();
+                assert_eq!(
+                    pram.parses, serial,
+                    "pram at {threads} thread(s), `{sentence}`, max_parses {max_parses}"
+                );
+            }
+            let maspar = maspar.parse(&req).unwrap();
+            assert_eq!(
+                maspar.parses, serial,
+                "maspar, `{sentence}`, max_parses {max_parses}"
+            );
         }
     }
 }

@@ -4,8 +4,10 @@
 //! toy English CFG baseline (they were built to cover the same
 //! constructions).
 
+use cdg_core::api::{Engine, ParseRequest};
 use cdg_core::parser::{parse, ParseOptions};
 use cdg_grammar::grammars::english;
+use cdg_parallel::Pram;
 use proptest::prelude::*;
 
 #[test]
@@ -104,7 +106,8 @@ proptest! {
         let good = corpus::english_sentence(&g, &lex, n, seed);
         let bad = corpus::scrambled(&lex, &good, seed ^ 0xDEAD);
         let cdg = parse(&g, &bad, ParseOptions::default()).accepted();
-        let pram = cdg_parallel::parse_pram(&g, &bad, ParseOptions::default()).accepted();
+        let req = ParseRequest::new(&g).sentence(bad.clone());
+        let pram = Pram.parse(&req).unwrap().accepted;
         prop_assert_eq!(cdg, pram);
     }
 }

@@ -27,7 +27,7 @@ use cdg_core::propagate::apply_all_unary;
 use cdg_core::{EvalStrategy, Network};
 use cdg_grammar::grammars::formal;
 use cdg_grammar::{Grammar, Sentence};
-use cdg_parallel::{parse_pram, MeshCdg};
+use cdg_parallel::{MeshCdg, PramStats};
 use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 const FORMAL_LENGTHS: [usize; 8] = [6, 12, 18, 24, 30, 36, 42, 48];
@@ -204,8 +204,9 @@ fn pram_at(threads: usize, g: &Grammar, s: &Sentence, opts: ParseOptions) -> Vec
         .num_threads(threads)
         .build()
         .expect("the shim's pool builder cannot fail");
+    let req = ParseRequest::new(g).options(opts);
     pool.install(|| {
-        let out = parse_pram(g, s, opts);
+        let out = WarmState::new().run(&req, s, &mut PramStats::default());
         out.network.logical_arcs()
     })
 }

@@ -13,11 +13,12 @@
 //! under the default options, the MasPar order (`arcs_before_unary`), the
 //! tree-walk oracle (`eval=naive`) and a filtering bound of 3.
 
+use cdg_core::api::{ParseRequest, WarmState};
 use cdg_core::parser::{FilterMode, ParseOptions};
 use cdg_core::EvalStrategy;
 use cdg_grammar::grammars::formal;
 use cdg_grammar::{Grammar, Sentence};
-use cdg_parallel::{parse_pram, MeshCdg};
+use cdg_parallel::{MeshCdg, PramStats};
 
 /// Columns of [`GOLDEN`], in order.
 const FIELDS: [&str; 8] = [
@@ -118,12 +119,14 @@ fn corpus() -> Vec<(Grammar, Vec<(String, Sentence)>)> {
 }
 
 fn counts(grammar: &Grammar, sentence: &Sentence, options: ParseOptions) -> [usize; 8] {
-    let pram = parse_pram(grammar, sentence, options);
+    let mut pram = PramStats::default();
+    let req = ParseRequest::new(grammar).options(options);
+    let outcome = WarmState::new().run(&req, sentence, &mut pram);
     let (net, mesh) = MeshCdg::run(grammar, sentence, options);
     [
-        pram.stats.steps,
-        pram.stats.max_width,
-        pram.filter_passes,
+        pram.steps,
+        pram.max_width,
+        outcome.filter_passes,
         mesh.cells,
         mesh.grid_side,
         mesh.local_steps,

@@ -6,8 +6,12 @@
 //! stricter, contextually-determined sets back on
 //! (`propagate_extra`) when they apply.
 
+use cdg_core::api::{resolve_compiled, Engine, ParseRequest, Sequential};
 use cdg_core::parser::{parse, ParseOptions};
+use cdg_core::RelaxLadder;
 use cdg_grammar::grammars::english;
+use cdg_parallel::Pram;
+use parsec_maspar::Maspar;
 
 #[test]
 fn core_set_tolerates_a_missing_determiner() {
@@ -120,4 +124,36 @@ fn degradation_is_graceful_not_binary() {
         "one dropped word should preserve more analysis ({near_alive}) than a scramble ({scrambled_alive})"
     );
     assert!(near_alive > 0);
+}
+
+#[test]
+fn relax_ladder_climbs_on_every_engine() {
+    // Each rung runs on the engine it is given, with its own grammar's
+    // artifact when the request carries one, and lands where the serial
+    // engine does.
+    let g = english::grammar();
+    let lex = english::lexicon(&g);
+    let s = lex.sentence("dog runs in the park").unwrap();
+    let req = ParseRequest::new(&g).sentence(s).max_parses(8);
+    let ladder = RelaxLadder::english_default();
+    let serial = ladder
+        .climb(&Sequential, &req, 0)
+        .unwrap()
+        .expect("relaxation recovers the dropped determiner");
+    assert_eq!(serial.rung, 1);
+    assert_eq!(serial.dropped, ["sing-noun-needs-det-left"]);
+    assert!(!serial.parses.is_empty());
+    let attached = req.clone().compiled(resolve_compiled(&g));
+    let engines: [&dyn Engine; 2] = [&Pram, &Maspar::default()];
+    for engine in engines {
+        for req in [&req, &attached] {
+            let r = ladder
+                .climb(engine, req, 0)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{} rejects at every rung", engine.name()));
+            assert_eq!(r.rung, serial.rung, "{}", engine.name());
+            assert_eq!(r.dropped, serial.dropped, "{}", engine.name());
+            assert_eq!(r.parses, serial.parses, "{}", engine.name());
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Scale checks: the engines stay correct (and the counters keep their
 //! asymptotic shape) on sentences well past the paper's 10-word example.
 
+use cdg_core::api::{Engine, ParseRequest};
 use cdg_core::parser::{parse, FilterMode, ParseOptions};
-use cdg_parallel::parse_pram;
+use cdg_parallel::Pram;
 
 #[test]
 fn sixteen_word_sentence_parses_and_engines_agree() {
@@ -14,7 +15,8 @@ fn sixteen_word_sentence_parses_and_engines_agree() {
     };
     let serial = parse(&g, &s, options);
     assert!(serial.roles_nonempty, "`{s}` should parse");
-    let pram = parse_pram(&g, &s, options);
+    let req = ParseRequest::new(&g).sentence(s.clone()).options(options);
+    let pram = Pram.parse(&req).unwrap();
     for (a, b) in serial.network.slots().iter().zip(pram.network.slots()) {
         assert_eq!(a.alive, b.alive);
     }
@@ -31,8 +33,7 @@ fn sixteen_word_sentence_parses_and_engines_agree() {
 
 #[test]
 fn extraction_scales_with_many_parses() {
-    // Plenty of PP attachments: parses multiply, enumeration stays capped
-    // and consistent between the serial and parallel extractors.
+    // Plenty of PP attachments: parses multiply, enumeration stays capped.
     let (g, lex) = corpus::standard_setup();
     let s = lex
         .sentence("the dog sees the cat in the park near the table with the telescope")
@@ -42,8 +43,6 @@ fn extraction_scales_with_many_parses() {
     let n = cdg_core::extract::count_parses(&outcome.network, 10_000);
     assert!(n >= 10, "stacked PPs should be highly ambiguous, got {n}");
     let seq = cdg_core::extract::precedence_graphs(&outcome.network, 50);
-    let par = cdg_parallel::precedence_graphs_par(&outcome.network, 50);
-    assert_eq!(seq, par);
     assert_eq!(seq.len(), 50.min(n));
 }
 

@@ -2,9 +2,10 @@
 //! finite/base agreement, lexical ambiguity, and engine equivalence with
 //! three roles per word.
 
+use cdg_core::api::{Engine, ParseRequest};
 use cdg_core::parser::{parse, FilterMode, ParseOptions};
 use cdg_grammar::grammars::english_aux;
-use cdg_parallel::parse_pram;
+use cdg_parallel::Pram;
 use parsec_maspar::{parse_maspar_checked, MasparOptions};
 
 fn setup() -> (cdg_grammar::Grammar, cdg_grammar::Lexicon) {
@@ -108,11 +109,15 @@ fn engines_agree_at_q3() {
     ] {
         let s = lex.sentence(text).unwrap();
         let serial = parse(&g, &s, options);
-        let pram = parse_pram(&g, &s, options);
+        let req = ParseRequest::new(&g)
+            .sentence(s.clone())
+            .options(options)
+            .max_parses(32);
+        let pram = Pram.parse(&req).unwrap();
         for (a, b) in serial.network.slots().iter().zip(pram.network.slots()) {
             assert_eq!(a.alive, b.alive, "`{text}`");
         }
-        assert_eq!(serial.parses(32), pram.parses(32), "`{text}`");
+        assert_eq!(serial.parses(32), pram.parses, "`{text}`");
     }
 }
 
