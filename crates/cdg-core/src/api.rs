@@ -15,16 +15,19 @@
 //! parses, budget/fault flags, and — when requested — the phase trace and
 //! metrics snapshot from the `obsv` layer.
 //!
-//! [`Engine::parse_warm`] is every engine's one parse body: it draws its
-//! buffers from the caller's [`WarmState`], and the caller hands the
-//! report back with [`WarmState::recycle_report`] once done with it.
-//! [`Engine::parse`] is the same body on a fresh state. The engines are
-//! thin: [`Sequential`] and `cdg_parallel::Pram` run the one phase driver
-//! through [`WarmState::run`] with their executor and extract with the
-//! one serial search ([`ParseOutcome::parses`]); the MasPar engine runs
-//! its own driver and reads its network back for the same search.
-//! [`crate::parse`] is the serial oracle the tests compare against: a
-//! cold [`WarmState::run`] that returns the bare outcome.
+//! An engine supplies one method, [`Engine::run`]: its parse body for
+//! one sentence, drawing buffers from the caller's [`WarmState`]. The
+//! trait owns everything around it: the sentence check, the observability
+//! scope, the `parse` root span and the wall clock ([`Engine::parse_warm`],
+//! [`Engine::parse`]), and the batch loop, whose rows are the same body
+//! summarized ([`Engine::batch_row`], [`Engine::parse_batch`]).
+//! [`Sequential`] and `cdg_parallel::Pram` run the one phase driver
+//! through [`WarmState::run`] with their executor; the MasPar engine runs
+//! its own driver and reads its network back. Every engine then builds
+//! its report with [`ParseReport::from_outcome`], the one place that
+//! extracts parses. [`crate::parse`] is the serial oracle the tests
+//! compare against: a cold [`WarmState::run`] that returns the bare
+//! outcome.
 
 use crate::batch::BatchOutcome;
 use crate::error::{EngineError, ParseBudget};
@@ -200,15 +203,23 @@ impl<'g> ParseRequest<'g> {
         })
     }
 
-    /// The typed rejection host engines give a fault-carrying request.
-    pub fn reject_faults(&self, engine: &str) -> Result<(), EngineError> {
-        if self.faults.is_some() {
+    /// The typed rejection an engine without a fault model gives a
+    /// fault-carrying request (see [`has_fault_model`]).
+    fn reject_faults(&self, engine: &str) -> Result<(), EngineError> {
+        if self.faults.is_some() && !has_fault_model(engine) {
             return Err(EngineError::GrammarError(format!(
                 "engine `{engine}` has no fault model; fault injection requires the maspar engine"
             )));
         }
         Ok(())
     }
+}
+
+/// Whether the engine named `engine` runs a fault model and so takes a
+/// [`FaultPlan`]: only the MasPar simulator does. Both the engines and the
+/// config layer's `faults` key apply this one rule.
+pub fn has_fault_model(engine: &str) -> bool {
+    engine == "maspar"
 }
 
 /// Unified result of [`Engine::parse`] — the union of the phase driver's
@@ -251,22 +262,27 @@ pub struct ParseReport<'g> {
 }
 
 impl<'g> ParseReport<'g> {
-    /// A host engine's report on its driver `outcome` (see
-    /// [`WarmState::run`]): records the `NetStats` ledger and the filter
-    /// passes in the metrics registry, then closes `scope`.
+    /// An engine's report on its settled `outcome`, with up to
+    /// `max_parses` parses: the one place any engine extracts. One search
+    /// both decides acceptance and yields the parses; it seeks at least
+    /// one parse, so `max_parses == 0` still answers acceptance. A
+    /// degraded outcome certifies nothing (see [`ParseOutcome::parses`]):
+    /// it is never accepted and carries no parses. Records the filter
+    /// passes in the metrics registry. The caller fills in what only it
+    /// knows: the MasPar engine's machine fields, and the wall time,
+    /// trace and metrics, which [`Engine::parse_warm`] sets.
     pub fn from_outcome(
         engine: &'static str,
         outcome: ParseOutcome<'g>,
-        parses: Vec<PrecedenceGraph>,
-        start: Instant,
-        scope: ObsvScope,
+        max_parses: usize,
     ) -> Self {
-        record_net_stats(&outcome.network.stats);
         obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
-        let (trace, metrics) = scope.finish();
+        let mut parses = outcome.parses(max_parses.max(1));
+        let accepted = !parses.is_empty();
+        parses.truncate(max_parses);
         ParseReport {
             engine,
-            accepted: outcome.accepted(),
+            accepted,
             ambiguous: outcome.ambiguous(),
             roles_nonempty: outcome.roles_nonempty,
             locally_consistent: outcome.locally_consistent,
@@ -274,11 +290,11 @@ impl<'g> ParseReport<'g> {
             degraded: outcome.degraded,
             fault_recovered: false,
             parses,
-            wall: start.elapsed(),
+            wall: Duration::ZERO,
             machine_stats: None,
             estimated_seconds: None,
-            trace,
-            metrics,
+            trace: None,
+            metrics: None,
             network: outcome.network,
         }
     }
@@ -320,23 +336,30 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// A batch's report on its per-sentence `outcomes`: counts the
-    /// sentences in the metrics registry, then closes `scope`.
-    pub fn from_outcomes(
+    /// Run `rows` as `engine`'s batch under `req`: rejects a fault plan
+    /// the engine cannot honour, arms the request's observability scope
+    /// around the rows, counts the sentences and times the whole batch.
+    /// [`Engine::parse_batch`] hands it the serial loop over
+    /// [`Engine::batch_row`]; an engine that fans rows out hands it its own.
+    pub fn collect(
         engine: &'static str,
-        outcomes: Vec<BatchOutcome>,
-        start: Instant,
-        scope: ObsvScope,
-    ) -> Self {
+        req: &ParseRequest<'_>,
+        rows: impl FnOnce() -> Vec<BatchOutcome>,
+    ) -> Result<Self, EngineError> {
+        req.reject_faults(engine)?;
+        let scope = ObsvScope::begin(req);
+        let start = Instant::now();
+        let outcomes = rows();
         obsv::counter_add("batch.sentences", outcomes.len() as u64);
+        let wall = start.elapsed();
         let (trace, metrics) = scope.finish();
-        BatchReport {
+        Ok(BatchReport {
             engine,
             outcomes,
-            wall: start.elapsed(),
+            wall,
             trace,
             metrics,
-        }
+        })
     }
 
     pub fn accepted(&self) -> usize {
@@ -360,14 +383,36 @@ impl BatchReport {
 /// One parsing backend. Implemented by [`Sequential`] (this crate),
 /// `cdg_parallel::Pram`, and `parsec_maspar::Maspar`.
 ///
+/// An engine implements [`Engine::run`], its parse body for one sentence.
+/// The provided methods own what every engine shares:
+/// [`Engine::parse_warm`] checks the request, arms its observability
+/// scope, opens the `parse` root span and times the body;
+/// [`Engine::parse_batch`] runs [`Engine::batch_row`], the same body
+/// summarized, once per sentence. An engine may override `parse_batch`
+/// to fan rows out (the P-RAM engine fans out the serial engine's).
+///
 /// Span names are shared across implementations so traces are comparable
 /// engine-to-engine (see DESIGN.md §11): `parse` (root), `network_build`,
 /// `fault_probe` (maspar), `arc_init`, `unary_propagation`,
 /// `binary_propagation`, `filtering` with `maintain` children, `verify`
-/// (maspar, under faults), `extraction`.
+/// (maspar, under faults), `readback` (maspar), `extraction`.
 pub trait Engine {
     /// Short stable name, also the `engine` field of trace documents.
     fn name(&self) -> &'static str;
+
+    /// The engine's parse body: parse `sentence` under `req` and report
+    /// it through [`ParseReport::from_outcome`], drawing buffers from
+    /// `warm`. The host engines run [`WarmState::run`] and record its
+    /// work ledger; the MasPar simulator keeps its own per-thread machine
+    /// and ignores `warm`. Called inside the `parse` root span with the
+    /// request's observability armed; the report's wall time, trace and
+    /// metrics are the caller's to fill in.
+    fn run<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        sentence: &Sentence,
+        warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError>;
 
     /// Parse `req.sentence` and report everything the engine knows,
     /// drawing buffers from the caller's [`WarmState`]: pooled arc
@@ -376,27 +421,70 @@ pub trait Engine {
     /// Every reused buffer is zeroed or generation-stamped on adoption, so
     /// the report is bit-identical to one on a fresh state. The report
     /// keeps its network until the caller hands it back with
-    /// [`WarmState::recycle_report`]. The host engines run
-    /// [`WarmState::run`]; the MasPar simulator keeps its own per-call
-    /// state and ignores `warm`.
+    /// [`WarmState::recycle_report`].
     fn parse_warm<'g>(
         &self,
         req: &ParseRequest<'g>,
         warm: &mut WarmState,
-    ) -> Result<ParseReport<'g>, EngineError>;
+    ) -> Result<ParseReport<'g>, EngineError> {
+        let sentence = req.require_sentence()?;
+        req.reject_faults(self.name())?;
+        let scope = ObsvScope::begin(req);
+        let start = Instant::now();
+        let mut report = {
+            let _root = obsv::span("parse");
+            self.run(req, sentence, warm)?
+        };
+        report.wall = start.elapsed();
+        (report.trace, report.metrics) = scope.finish();
+        Ok(report)
+    }
 
     /// [`Engine::parse_warm`] on a fresh [`WarmState`]: a cold parse.
     fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
         self.parse_warm(req, &mut WarmState::new())
     }
 
+    /// One batch row: [`Engine::run`] under its own `parse` root span,
+    /// summarized, with the network handed back to `warm` for the next
+    /// sentence. A sentence the engine cannot take (the MasPar layout, a
+    /// blown budget pre-check, unrecoverable faults) becomes a rejected,
+    /// degraded row instead of failing the whole batch.
+    fn batch_row(
+        &self,
+        req: &ParseRequest<'_>,
+        sentence: &Sentence,
+        warm: &mut WarmState,
+    ) -> BatchOutcome {
+        let _root = obsv::span("parse");
+        match self.run(req, sentence, warm) {
+            Ok(mut report) => {
+                // A batch keeps every row: `summary` clones the parses into
+                // exact allocations; moving them kept the search's spare room.
+                let row = report.summary();
+                warm.recycle_report(&mut report);
+                row
+            }
+            Err(_) => BatchOutcome::failed(),
+        }
+    }
+
     /// Parse a slice of sentences under one request (`req.sentence` is
-    /// ignored), returning per-sentence summaries plus batch observability.
+    /// ignored), one [`Engine::batch_row`] after another on one
+    /// [`WarmState`], returning the rows plus batch observability.
     fn parse_batch(
         &self,
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError>;
+    ) -> Result<BatchReport, EngineError> {
+        BatchReport::collect(self.name(), req, || {
+            let mut warm = WarmState::new();
+            sentences
+                .iter()
+                .map(|s| self.batch_row(req, s, &mut warm))
+                .collect()
+        })
+    }
 }
 
 /// Per-worker state that survives across requests in warm serving: the
@@ -434,6 +522,12 @@ impl WarmState {
         self.slab.reuses()
     }
 
+    /// The storage this state recycles, for an engine that builds its
+    /// network outside the phase driver ([`Network::build_in`]).
+    pub fn slab(&mut self) -> &mut NetSlab {
+        &mut self.slab
+    }
+
     /// Run the phase driver on `sentence` under `req`'s grammar, options
     /// and artifact, with `exec` running the kernel steps and every buffer
     /// drawn from this state: the one way into the driver. Records what
@@ -464,34 +558,14 @@ impl WarmState {
         outcome
     }
 
-    /// Parse `sentence` on this state with the serial executor, record
-    /// its work ledger ([`record_net_stats`], a no-op while metrics are
-    /// off) and summarize it with up to `req.max_parses` parses, then hand
-    /// the network's storage back for the next sentence: one step of a
-    /// batch.
-    pub fn summarize(&mut self, req: &ParseRequest<'_>, sentence: &Sentence) -> BatchOutcome {
-        // One root span per sentence so batch traces aggregate cleanly
-        // (see `Engine::parse_batch`).
-        let _root = obsv::span("parse");
-        let mut outcome = self.run(req, sentence, &mut Serial);
-        record_net_stats(&outcome.network.stats);
-        let summary = BatchOutcome::summarize(&outcome, req.max_parses);
-        self.reclaim(&mut outcome.network);
-        summary
-    }
-
     /// Hand a consumed report's network allocations back to this warm
     /// state: stored arcs' matrices, slot and pair storage to the slab.
     /// Call once the response has been rendered — the report's network is
     /// left empty (in particular [`ParseReport::summary`] would read
     /// zero alive values afterwards).
     pub fn recycle_report(&mut self, report: &mut ParseReport<'_>) {
-        self.reclaim(&mut report.network);
-    }
-
-    fn reclaim(&mut self, network: &mut Network<'_>) {
         let released = self.pool_stats().releases;
-        network.reclaim(&mut self.slab);
+        report.network.reclaim(&mut self.slab);
         obsv::counter_add(
             "pool.releases",
             (self.pool_stats().releases - released) as u64,
@@ -517,17 +591,17 @@ pub fn resolve_compiled(grammar: &Grammar) -> Arc<CompiledGrammar> {
 
 /// RAII scope that arms the `obsv` layer per [`ParseRequest`] and restores
 /// it on the way out — including on early error returns, so a failed parse
-/// never leaves tracing enabled process-wide. Engine implementations call
-/// [`ObsvScope::begin`] first and [`ObsvScope::finish`] last.
+/// never leaves tracing enabled process-wide. [`Engine::parse_warm`] and
+/// [`BatchReport::collect`] open one around the engine's work.
 #[derive(Debug)]
-pub struct ObsvScope {
+struct ObsvScope {
     trace: bool,
     metrics: bool,
     finished: bool,
 }
 
 impl ObsvScope {
-    pub fn begin(req: &ParseRequest<'_>) -> Self {
+    fn begin(req: &ParseRequest<'_>) -> Self {
         if req.trace {
             // Drop any stale roots so the collected trace is this parse's.
             let _ = obsv::take_trace();
@@ -545,7 +619,7 @@ impl ObsvScope {
     }
 
     /// Disarm and collect. Call after the parse body completes.
-    pub fn finish(mut self) -> (Option<Trace>, Option<MetricsSnapshot>) {
+    fn finish(mut self) -> (Option<Trace>, Option<MetricsSnapshot>) {
         self.finished = true;
         let trace = if self.trace {
             obsv::set_tracing(false);
@@ -602,45 +676,18 @@ impl Engine for Sequential {
         "serial"
     }
 
-    fn parse_warm<'g>(
+    fn run<'g>(
         &self,
         req: &ParseRequest<'g>,
+        sentence: &Sentence,
         warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let (outcome, parses) = {
-            let _root = obsv::span("parse");
-            let outcome = warm.run(req, sentence, &mut Serial);
-            let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
-        };
+        let outcome = warm.run(req, sentence, &mut Serial);
+        record_net_stats(&outcome.network.stats);
         Ok(ParseReport::from_outcome(
             self.name(),
             outcome,
-            parses,
-            start,
-            scope,
-        ))
-    }
-
-    fn parse_batch(
-        &self,
-        sentences: &[Sentence],
-        req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError> {
-        req.reject_faults(self.name())?;
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut warm = WarmState::new();
-        let outcomes = sentences.iter().map(|s| warm.summarize(req, s)).collect();
-        Ok(BatchReport::from_outcomes(
-            self.name(),
-            outcomes,
-            start,
-            scope,
+            req.max_parses,
         ))
     }
 }
@@ -660,19 +707,6 @@ mod tests {
         let req = ParseRequest::new(&g);
         match Sequential.parse(&req) {
             Err(EngineError::GrammarError(msg)) => assert!(msg.contains("no sentence")),
-            other => panic!("expected GrammarError, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn faults_are_rejected_by_the_host_engine() {
-        let g = paper::grammar();
-        let s = paper::example_sentence(&g);
-        let req = ParseRequest::new(&g)
-            .sentence(s)
-            .faults(FaultPlan::new().with_dead_pe(3));
-        match Sequential.parse(&req) {
-            Err(EngineError::GrammarError(msg)) => assert!(msg.contains("fault")),
             other => panic!("expected GrammarError, got {other:?}"),
         }
     }

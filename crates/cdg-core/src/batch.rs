@@ -10,11 +10,11 @@
 //! engine fan a batch out across threads: summaries are `Send`, full
 //! networks borrow the grammar and carry per-sentence arc storage.
 //!
-//! Results are byte-identical to calling [`crate::parse`] per sentence: the
-//! warm state only recycles allocations, never state (see [`crate::pool`]).
+//! A row is the engine's own parse summarized (`Engine::batch_row`), so it
+//! equals `Engine::parse(..).summary()` for the same sentence: the warm
+//! state only recycles allocations, never state (see [`crate::pool`]).
 
 use crate::extract::PrecedenceGraph;
-use crate::parser::ParseOutcome;
 
 /// Owned per-sentence summary of a batch parse — everything the callers of
 /// the batch API (CLI, bench harness, tests) consume, detached from the
@@ -41,17 +41,18 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Summarize a full outcome, extracting up to `max_parses` parses.
-    pub fn summarize(outcome: &ParseOutcome<'_>, max_parses: usize) -> Self {
+    /// The row of a sentence the engine could not parse at all: not
+    /// accepted, degraded, nothing alive.
+    pub(crate) fn failed() -> Self {
         BatchOutcome {
-            accepted: outcome.accepted(),
-            ambiguous: outcome.ambiguous(),
-            roles_nonempty: outcome.roles_nonempty,
-            locally_consistent: outcome.locally_consistent,
-            filter_passes: outcome.filter_passes,
-            degraded: outcome.degraded.is_some(),
-            total_alive: outcome.network.total_alive(),
-            parses: outcome.parses(max_parses),
+            accepted: false,
+            ambiguous: false,
+            roles_nonempty: false,
+            locally_consistent: false,
+            filter_passes: 0,
+            degraded: true,
+            total_alive: 0,
+            parses: Vec::new(),
         }
     }
 }
@@ -85,7 +86,17 @@ mod tests {
         assert_eq!(batch.len(), sentences.len());
         for (s, b) in sentences.iter().zip(&batch) {
             let solo = parse(&g, s, ParseOptions::default());
-            assert_eq!(b, &BatchOutcome::summarize(&solo, 100));
+            let oracle = BatchOutcome {
+                accepted: solo.accepted(),
+                ambiguous: solo.ambiguous(),
+                roles_nonempty: solo.roles_nonempty,
+                locally_consistent: solo.locally_consistent,
+                filter_passes: solo.filter_passes,
+                degraded: solo.degraded.is_some(),
+                total_alive: solo.network.total_alive(),
+                parses: solo.parses(100),
+            };
+            assert_eq!(b, &oracle, "`{s}`");
         }
     }
 
@@ -95,7 +106,7 @@ mod tests {
         let mut warm = WarmState::new();
         let req = ParseRequest::new(&g).max_parses(0);
         for s in &sentences {
-            warm.summarize(&req, s);
+            Sequential.batch_row(&req, s, &mut warm);
         }
         // Sentence 1 fills the pool and the slab; sentences 2..n draw
         // from them.

@@ -196,11 +196,6 @@ impl EngineConfig {
             ..crate::parser::ParseOptions::default()
         }
     }
-
-    /// Engine name with the caller's default applied.
-    pub fn engine_or<'a>(&'a self, default: &'a str) -> &'a str {
-        self.engine.as_deref().unwrap_or(default)
-    }
 }
 
 /// One externally spellable config key: its wire/CLI name, value parser,
@@ -378,7 +373,7 @@ impl EngineConfigBuilder {
         }
         if faults.is_some() {
             if let Some(engine) = self.engine.as_deref() {
-                if engine != "maspar" {
+                if !crate::api::has_fault_model(engine) {
                     return Err(ConfigError::Conflict {
                         detail: format!("faults require the maspar engine (got engine={engine})"),
                     });

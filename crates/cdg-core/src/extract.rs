@@ -157,66 +157,19 @@ impl fmt::Display for PrecedenceGraph {
 /// determinism.
 pub fn precedence_graphs(net: &Network<'_>, limit: usize) -> Vec<PrecedenceGraph> {
     let _phase = obsv::span("extraction");
-    assert!(net.arcs_ready(), "extraction needs arc matrices");
-    if limit == 0 || !net.all_roles_nonempty() {
-        return Vec::new();
-    }
-    let nslots = net.num_slots();
-    // Most-constrained-first ordering.
-    let mut order: Vec<SlotId> = (0..nslots).collect();
-    order.sort_by_key(|&s| net.slot(s).alive_count());
-
-    let mut chosen: Vec<(SlotId, usize)> = Vec::with_capacity(nslots);
-    let mut results = Vec::new();
-    search(net, &order, &mut chosen, &mut results, limit);
-
-    let mut graphs: Vec<PrecedenceGraph> = results
-        .into_iter()
-        .map(|choice| {
-            let mut assignment = vec![None; nslots];
-            for &(slot, idx) in &choice {
-                assignment[slot] = Some(net.slot(slot).domain[idx]);
-            }
-            PrecedenceGraph {
-                assignment: assignment.into_iter().map(Option::unwrap).collect(),
-            }
-        })
-        .collect();
+    let mut graphs = Vec::new();
+    search(net, limit, |chosen| {
+        let mut assignment = vec![None; chosen.len()];
+        for &(slot, idx) in chosen {
+            assignment[slot] = Some(net.slot(slot).domain[idx]);
+        }
+        graphs.push(PrecedenceGraph {
+            assignment: assignment.into_iter().map(Option::unwrap).collect(),
+        });
+    });
     graphs.sort();
     graphs.dedup();
     graphs
-}
-
-fn search(
-    net: &Network<'_>,
-    order: &[SlotId],
-    chosen: &mut Vec<(SlotId, usize)>,
-    results: &mut Vec<Vec<(SlotId, usize)>>,
-    limit: usize,
-) {
-    if results.len() >= limit {
-        return;
-    }
-    let depth = chosen.len();
-    if depth == order.len() {
-        results.push(chosen.clone());
-        return;
-    }
-    let slot = order[depth];
-    let s = net.slot(slot);
-    for idx in s.alive.iter_ones() {
-        let consistent = chosen
-            .iter()
-            .all(|&(other, oidx)| net.arc_entry(slot, idx, other, oidx));
-        if consistent {
-            chosen.push((slot, idx));
-            search(net, order, chosen, results, limit);
-            chosen.pop();
-            if results.len() >= limit {
-                return;
-            }
-        }
-    }
 }
 
 /// Does at least one parse exist? (Constructive acceptance — stronger than
@@ -232,32 +185,38 @@ pub fn has_parse(net: &Network<'_>) -> bool {
 /// for multiple *parses*; this is the exact count). Returns
 /// `min(actual, cap)`.
 pub fn count_parses(net: &Network<'_>, cap: usize) -> usize {
+    search(net, cap, |_| {})
+}
+
+/// The one backtracking search: hands each complete, mutually consistent
+/// choice of `(slot, alive index)` to `found`, most-constrained slot
+/// first, and stops after `limit` of them. Returns how many it found.
+fn search(net: &Network<'_>, limit: usize, mut found: impl FnMut(&[(SlotId, usize)])) -> usize {
     assert!(net.arcs_ready(), "extraction needs arc matrices");
-    if cap == 0 || !net.all_roles_nonempty() {
+    if limit == 0 || !net.all_roles_nonempty() {
         return 0;
     }
     let nslots = net.num_slots();
     let mut order: Vec<SlotId> = (0..nslots).collect();
     order.sort_by_key(|&s| net.slot(s).alive_count());
-    let mut chosen: Vec<(SlotId, usize)> = Vec::with_capacity(nslots);
-    let mut count = 0usize;
-    count_rec(net, &order, &mut chosen, &mut count, cap);
+    let mut chosen = Vec::with_capacity(nslots);
+    let mut count = 0;
+    descend(net, &order, &mut chosen, &mut count, limit, &mut found);
     count
 }
 
-fn count_rec(
+fn descend(
     net: &Network<'_>,
     order: &[SlotId],
     chosen: &mut Vec<(SlotId, usize)>,
     count: &mut usize,
-    cap: usize,
+    limit: usize,
+    found: &mut impl FnMut(&[(SlotId, usize)]),
 ) {
-    if *count >= cap {
-        return;
-    }
     let depth = chosen.len();
     if depth == order.len() {
         *count += 1;
+        found(chosen);
         return;
     }
     let slot = order[depth];
@@ -267,38 +226,12 @@ fn count_rec(
             .all(|&(other, oidx)| net.arc_entry(slot, idx, other, oidx));
         if consistent {
             chosen.push((slot, idx));
-            count_rec(net, order, chosen, count, cap);
+            descend(net, order, chosen, count, limit, found);
             chosen.pop();
-            if *count >= cap {
+            if *count >= limit {
                 return;
             }
         }
-    }
-}
-
-/// A summary of how ambiguous the settled network is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AmbiguityReport {
-    /// Alive role values per slot (word-major order).
-    pub alive_per_slot: Vec<usize>,
-    /// Parse count, capped.
-    pub parses: usize,
-    /// The cap used.
-    pub cap: usize,
-}
-
-impl AmbiguityReport {
-    pub fn of(net: &Network<'_>, cap: usize) -> Self {
-        AmbiguityReport {
-            alive_per_slot: net.slots().iter().map(|s| s.alive_count()).collect(),
-            parses: count_parses(net, cap),
-            cap,
-        }
-    }
-
-    /// The paper's quick ambiguity test: any role with several candidates.
-    pub fn roles_ambiguous(&self) -> bool {
-        self.alive_per_slot.iter().any(|&c| c > 1)
     }
 }
 
@@ -443,24 +376,6 @@ mod tests {
         net.init_arcs();
         assert_eq!(count_parses(&net, 7), 7);
         assert_eq!(count_parses(&net, 0), 0);
-    }
-
-    #[test]
-    fn ambiguity_report() {
-        let g = cdg_grammar::grammars::english::grammar();
-        let lex = cdg_grammar::grammars::english::lexicon(&g);
-        let s = lex.sentence("the dog runs in the park").unwrap();
-        let net = full_pipeline(&g, &s);
-        let report = AmbiguityReport::of(&net, 100);
-        assert!(report.roles_ambiguous());
-        assert_eq!(report.parses, 2);
-        assert_eq!(report.alive_per_slot.len(), 12);
-        // The unambiguous example reports one parse and no ambiguity.
-        let (g, s) = parsed_example();
-        let net = full_pipeline(&g, &s);
-        let report = AmbiguityReport::of(&net, 100);
-        assert!(!report.roles_ambiguous());
-        assert_eq!(report.parses, 1);
     }
 
     #[test]

@@ -444,11 +444,6 @@ impl<'g> Network<'g> {
         &self.sentence
     }
 
-    /// n — number of words.
-    pub fn num_words(&self) -> usize {
-        self.sentence.len()
-    }
-
     /// q — roles per word.
     pub fn num_roles(&self) -> usize {
         self.grammar.num_roles()

@@ -5,7 +5,7 @@
 use crate::api::{ParseRequest, WarmState};
 use crate::consistency::{filter_with, is_locally_consistent, sweep_arcs, FilterStep, SweepResult};
 use crate::error::{BudgetResource, EngineError, ParseBudget};
-use crate::extract::{has_parse, precedence_graphs, PrecedenceGraph};
+use crate::extract::{precedence_graphs, PrecedenceGraph};
 use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
 use crate::network::{ArcMatrix, EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
@@ -75,11 +75,10 @@ pub struct ParseOutcome<'g> {
 }
 
 impl<'g> ParseOutcome<'g> {
-    /// Constructive acceptance: at least one complete parse exists. A
-    /// degraded outcome whose arcs were never built cannot certify a
-    /// parse and reports `false`.
+    /// Constructive acceptance: at least one complete parse exists
+    /// ([`ParseOutcome::parses`] finds one).
     pub fn accepted(&self) -> bool {
-        self.roles_nonempty && self.network.arcs_ready() && has_parse(&self.network)
+        !self.parses(1).is_empty()
     }
 
     /// Is the settled network still ambiguous (some role with > 1 value)?
@@ -87,10 +86,11 @@ impl<'g> ParseOutcome<'g> {
         self.network.slots().iter().any(|s| s.alive_count() > 1)
     }
 
-    /// Enumerate up to `limit` parses (empty for an arc-less degraded
-    /// outcome — extraction needs the arc matrices).
+    /// Enumerate up to `limit` parses. A degraded outcome certifies
+    /// nothing and yields none: a budget cut it short, so its network may
+    /// be unfiltered (an unbounded search) or have no arcs at all.
     pub fn parses(&self, limit: usize) -> Vec<PrecedenceGraph> {
-        if !self.network.arcs_ready() {
+        if self.degraded.is_some() {
             return Vec::new();
         }
         precedence_graphs(&self.network, limit)

@@ -99,7 +99,6 @@ impl RelaxLadder {
                     parses: report.parses,
                     ambiguous: report.ambiguous,
                     filter_passes: report.filter_passes,
-                    degraded: report.degraded,
                 }));
             }
         }
@@ -124,8 +123,6 @@ pub struct RelaxOutcome {
     pub ambiguous: bool,
     /// Filter passes spent at the accepting rung.
     pub filter_passes: usize,
-    /// Budget degradation at the accepting rung, if any.
-    pub degraded: Option<EngineError>,
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! The [`Engine`] implementation for the P-RAM backend.
 
 use crate::pram::PramStats;
-use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
+use cdg_core::api::{
+    record_net_stats, BatchReport, Engine, ParseReport, ParseRequest, Sequential, WarmState,
+};
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// The CRCW-P-RAM engine (§2.1): intra-sentence parallelism for single
 /// parses, sentence-parallel fan-out for batches.
@@ -15,8 +16,8 @@ use std::time::Instant;
 /// P-RAM pipeline runs the serial engine's phase driver, so a
 /// `ParseRequest::budget` binds at the same checkpoints and the report
 /// comes back degraded exactly when the serial one would. Parses come
-/// from the serial extractor ([`cdg_core::ParseOutcome::parses`]) on the
-/// settled network, so they are the serial engine's too.
+/// from the one extractor ([`ParseReport::from_outcome`]) on the settled
+/// network, so they are the serial engine's too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -25,62 +26,50 @@ impl Engine for Pram {
         "pram"
     }
 
-    fn parse_warm<'g>(
+    fn run<'g>(
         &self,
         req: &ParseRequest<'g>,
+        sentence: &Sentence,
         warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
         with_width(req, || {
-            let scope = ObsvScope::begin(req);
-            let start = Instant::now();
             let mut stats = PramStats::default();
-            let (outcome, parses) = {
-                let _root = obsv::span("parse");
-                let outcome = warm.run(req, sentence, &mut stats);
-                let parses = outcome.parses(req.max_parses);
-                (outcome, parses)
-            };
+            let outcome = warm.run(req, sentence, &mut stats);
             obsv::counter_add("pram.steps", stats.steps as u64);
             obsv::gauge_set("pram.max_width", stats.max_width as f64);
+            record_net_stats(&outcome.network.stats);
             Ok(ParseReport::from_outcome(
                 self.name(),
                 outcome,
-                parses,
-                start,
-                scope,
+                req.max_parses,
             ))
         })
     }
 
     /// Sentences fan out across the rayon pool, each worker on its own
-    /// [`WarmState`]. Chunk boundaries depend only on the batch length and
-    /// each parse is independent of its neighbours, so the outcomes equal
+    /// [`WarmState`]. A worker would run a row's P-RAM steps one after
+    /// another anyway (nested parallel operations run sequentially), so
+    /// each row is the serial engine's: the same network and report
+    /// without the step ledger's bookkeeping, which made rows about 2×
+    /// slower. Chunk boundaries depend only on the batch length and each
+    /// row is independent of its neighbours, so the outcomes equal
     /// `Sequential`'s at any thread count.
     fn parse_batch(
         &self,
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
-        req.reject_faults(self.name())?;
         with_width(req, || {
-            let scope = ObsvScope::begin(req);
-            let start = Instant::now();
-            // Each worker merges its per-sentence span trees into the
-            // global trace buffer on drop (see `obsv::span`).
-            let outcomes = sentences
-                .par_iter()
-                .map_init(WarmState::new, |warm, sentence| {
-                    warm.summarize(req, sentence)
-                })
-                .collect();
-            Ok(BatchReport::from_outcomes(
-                self.name(),
-                outcomes,
-                start,
-                scope,
-            ))
+            BatchReport::collect(self.name(), req, || {
+                // Each worker merges its per-sentence span trees into the
+                // global trace buffer on drop (see `obsv::span`).
+                sentences
+                    .par_iter()
+                    .map_init(WarmState::new, |warm, sentence| {
+                        Sequential.batch_row(req, sentence, warm)
+                    })
+                    .collect()
+            })
         })
     }
 }
@@ -101,7 +90,6 @@ fn with_width<R: Send>(req: &ParseRequest<'_>, op: impl FnOnce() -> R + Send) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdg_core::api::Sequential;
     use cdg_core::{BudgetResource, ParseBudget};
     use cdg_grammar::grammars::{english, paper};
     use std::sync::Mutex;

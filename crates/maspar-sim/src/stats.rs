@@ -23,10 +23,6 @@ pub struct CostModel {
     pub cycles_per_scan_pass: f64,
     /// Cycles per routed gather slice.
     pub cycles_per_router_slice: f64,
-    /// Cycles per X-Net hop slice. The simulator issues no X-Net shift
-    /// (PARSEC needs only the router), so this weight multiplies
-    /// [`MachineStats::xnet_shifts`], which always reads 0.
-    pub cycles_per_xnet_hop: f64,
 }
 
 impl Default for CostModel {
@@ -43,7 +39,6 @@ impl Default for CostModel {
             cycles_per_plural_slice: 25_000.0,
             cycles_per_scan_pass: 2_000.0,
             cycles_per_router_slice: 10_000.0,
-            cycles_per_xnet_hop: 200.0,
         }
     }
 }
@@ -62,10 +57,6 @@ pub struct MachineStats {
     pub scan_passes: u64,
     /// Routed operations: gathers, plus the remap of a PE retirement.
     pub router_ops: u64,
-    /// X-Net nearest-neighbour hops. Always 0: the simulator issues no
-    /// X-Net shift. Kept so the counter set, and the golden digests that
-    /// hash all of it, stay as they are.
-    pub xnet_shifts: u64,
     /// Router slices (router ops × virtualization factor).
     pub router_slices: u64,
     /// Peak simulated PE-local memory in use, bytes per *physical* PE.
@@ -89,7 +80,6 @@ impl MachineStats {
         self.plural_slices as f64 * cost.cycles_per_plural_slice
             + self.scan_passes as f64 * cost.cycles_per_scan_pass
             + self.router_slices as f64 * cost.cycles_per_router_slice
-            + self.xnet_shifts as f64 * cost.cycles_per_xnet_hop
     }
 
     /// Estimated MP-1 wall time in seconds under `cost`.
@@ -105,7 +95,6 @@ impl MachineStats {
             scan_calls: self.scan_calls - earlier.scan_calls,
             scan_passes: self.scan_passes - earlier.scan_passes,
             router_ops: self.router_ops - earlier.router_ops,
-            xnet_shifts: self.xnet_shifts - earlier.xnet_shifts,
             router_slices: self.router_slices - earlier.router_slices,
             peak_pe_memory_bytes: self.peak_pe_memory_bytes,
             dead_pe_skips: self.dead_pe_skips - earlier.dead_pe_skips,
@@ -130,7 +119,6 @@ impl MachineStats {
         self.scan_calls += other.scan_calls;
         self.scan_passes += other.scan_passes;
         self.router_ops += other.router_ops;
-        self.xnet_shifts += other.xnet_shifts;
         self.router_slices += other.router_slices;
         self.peak_pe_memory_bytes = self.peak_pe_memory_bytes.max(other.peak_pe_memory_bytes);
         self.dead_pe_skips += other.dead_pe_skips;
@@ -151,7 +139,6 @@ mod tests {
             cycles_per_plural_slice: 10.0,
             cycles_per_scan_pass: 5.0,
             cycles_per_router_slice: 20.0,
-            cycles_per_xnet_hop: 1.0,
         };
         let stats = MachineStats {
             plural_ops: 3,
@@ -160,15 +147,11 @@ mod tests {
             scan_passes: 4,
             router_ops: 1,
             router_slices: 2,
-            xnet_shifts: 7,
             peak_pe_memory_bytes: 0,
             ..Default::default()
         };
-        assert_eq!(
-            stats.cycles(&cost),
-            6.0 * 10.0 + 4.0 * 5.0 + 2.0 * 20.0 + 7.0
-        );
-        assert!((stats.estimated_seconds(&cost) - 127.0 / 1e6).abs() < 1e-12);
+        assert_eq!(stats.cycles(&cost), 6.0 * 10.0 + 4.0 * 5.0 + 2.0 * 20.0);
+        assert!((stats.estimated_seconds(&cost) - 120.0 / 1e6).abs() < 1e-12);
     }
 
     #[test]
@@ -180,7 +163,6 @@ mod tests {
             scan_passes: 8,
             router_ops: 2,
             router_slices: 4,
-            xnet_shifts: 9,
             peak_pe_memory_bytes: 100,
             dead_pe_skips: 5,
             ..Default::default()
@@ -192,7 +174,6 @@ mod tests {
             scan_passes: 2,
             router_ops: 1,
             router_slices: 2,
-            xnet_shifts: 4,
             peak_pe_memory_bytes: 100,
             dead_pe_skips: 2,
             ..Default::default()
@@ -201,7 +182,6 @@ mod tests {
         assert_eq!(d.plural_ops, 6);
         assert_eq!(d.scan_passes, 6);
         assert_eq!(d.router_slices, 2);
-        assert_eq!(d.xnet_shifts, 5);
         assert_eq!(d.dead_pe_skips, 3);
         assert_eq!(d.fault_events(), 3);
     }

@@ -39,14 +39,6 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
-impl SpanNode {
-    /// Sum of `dur_ns` over this node and all descendants matching `name`.
-    pub fn total_for(&self, name: &str) -> u64 {
-        let own = if self.name == name { self.dur_ns } else { 0 };
-        own + self.children.iter().map(|c| c.total_for(name)).sum::<u64>()
-    }
-}
-
 struct OpenSpan {
     name: String,
     start: Instant,

@@ -1,95 +1,68 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
 use crate::engine::{parse_maspar_compiled, recycle_readback, MasparOptions};
-use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
-use cdg_core::batch::BatchOutcome;
+use cdg_core::api::{Engine, ParseReport, ParseRequest, WarmState};
 use cdg_core::consistency::is_locally_consistent;
-use cdg_core::extract::precedence_graphs;
-use cdg_core::parser::FilterMode;
+use cdg_core::parser::{FilterMode, ParseOutcome};
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
-use std::time::Instant;
-
-/// The summary a rejected sentence contributes to a batch: not accepted,
-/// degraded, nothing alive.
-fn rejected_outcome() -> BatchOutcome {
-    BatchOutcome {
-        accepted: false,
-        ambiguous: false,
-        roles_nonempty: false,
-        locally_consistent: false,
-        filter_passes: 0,
-        degraded: true,
-        total_alive: 0,
-        parses: Vec::new(),
-    }
-}
+use maspar_sim::MachineConfig;
 
 /// The MasPar MP-1 engine (§2.2): one SIMD parse per sentence on the
 /// simulated PE array, with fault detection/recovery and budget
 /// enforcement.
 ///
-/// The per-request [`ParseRequest`] fields override the embedded
-/// [`MasparOptions`]: `options.budget` and `faults` are taken from the
-/// request, and [`FilterMode`] maps onto the machine's bounded filtering
-/// (`None` → 0 iterations, `Bounded(k)` → k, `Fixpoint` → the configured
-/// iteration cap — design decision 5 has no true fixpoint mode). The
-/// request's compiled artifact, when one is attached, supplies the
-/// constraint programs. `ParseRequest::threads` is ignored: the simulated array's shape comes
-/// from [`MasparOptions::machine`], not the host's core count.
+/// The request supplies everything but the machine: its budget and fault
+/// plan, its compiled artifact when one is attached, and its
+/// [`FilterMode`], which maps onto the machine's bounded filtering
+/// (`None` → 0 iterations, `Bounded(k)` → k, `Fixpoint` → the default
+/// iteration cap — design decision 5 has no true fixpoint mode).
+/// `ParseRequest::threads` is ignored: the simulated array's shape comes
+/// from [`Maspar::machine`], not the host's core count.
 #[derive(Debug, Clone, Default)]
 pub struct Maspar {
-    /// Machine shape, trace flag, recovery retries, and the filter
-    /// iteration cap used for `FilterMode::Fixpoint` requests.
-    pub options: MasparOptions,
+    /// The simulated array: physical PEs, PE memory, cost model.
+    pub machine: MachineConfig,
 }
 
-impl Maspar {
-    /// An engine around specific machine options.
-    pub fn with_options(options: MasparOptions) -> Self {
-        Maspar { options }
+impl Engine for Maspar {
+    fn name(&self) -> &'static str {
+        "maspar"
     }
 
-    fn options_for(&self, req: &ParseRequest<'_>) -> MasparOptions {
-        let mut opts = self.options.clone();
-        opts.budget = req.options.budget;
-        opts.faults = req.faults.clone();
-        match req.options.filter {
-            FilterMode::None => opts.filter_iterations = 0,
-            FilterMode::Bounded(k) => opts.filter_iterations = k,
-            // The machine has no fixpoint detector; keep the configured
-            // bounded cap ("typically fewer than 10 are required").
-            FilterMode::Fixpoint => {}
-        }
-        opts
-    }
-
-    /// One checked parse plus host readback; shared by
-    /// [`Engine::parse_warm`] and [`Engine::parse_batch`] (which arm the
-    /// obsv scope themselves).
-    fn run_core<'g>(
+    /// Each host thread keeps one simulated machine, reset to a new
+    /// machine's state before every parse, so only its plurals' host
+    /// buffers carry over; `warm` lends the readback its network storage.
+    fn run<'g>(
         &self,
         req: &ParseRequest<'g>,
         sentence: &Sentence,
+        warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
-        let opts = self.options_for(req);
-        let start = Instant::now();
-        let (out, network, parses) = {
-            let _root = obsv::span("parse");
-            let mut out =
-                parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
-            let network = {
-                // Rebuilding the host network re-enters the sequential
-                // primitives, so their spans nest under `readback`.
-                let _rb = obsv::span("readback");
-                out.to_network(req.grammar, sentence)
-            };
-            // The network holds what the report needs of the submatrices;
-            // their buffer goes back to this thread's machine.
-            recycle_readback(std::mem::take(&mut out.bits));
-            let parses = precedence_graphs(&network, req.max_parses);
-            (out, network, parses)
+        let defaults = MasparOptions::default();
+        let opts = MasparOptions {
+            machine: self.machine.clone(),
+            filter_iterations: match req.options.filter {
+                FilterMode::None => 0,
+                FilterMode::Bounded(k) => k,
+                // The machine has no fixpoint detector; keep the bounded
+                // cap ("typically fewer than 10 are required").
+                FilterMode::Fixpoint => defaults.filter_iterations,
+            },
+            faults: req.faults.clone(),
+            budget: req.options.budget,
+            ..defaults
         };
+        let mut out = parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
+        let network = {
+            // Rebuilding the host network re-enters the sequential
+            // primitives, so their spans nest under `readback`.
+            let _rb = obsv::span("readback");
+            out.readback_tiled(req.grammar, sentence, warm.slab())
+        };
+        // The network holds what the report needs of the submatrices;
+        // their buffer goes back to this thread's machine.
+        recycle_readback(std::mem::take(&mut out.bits));
         obsv::counter_add("maspar.probes", out.recovery.probes as u64);
         obsv::counter_add("maspar.retired_pes", out.recovery.retired_pes.len() as u64);
         obsv::counter_add(
@@ -109,79 +82,21 @@ impl Maspar {
         obsv::counter_add("maspar.plural_ops", out.stats.plural_ops);
         obsv::counter_add("maspar.router_ops", out.stats.router_ops);
         obsv::counter_add("maspar.scan_calls", out.stats.scan_calls);
-        obsv::histogram_record("filter.passes", out.filter_iterations_run as f64);
         obsv::gauge_set("maspar.estimated_seconds", out.estimated_seconds);
         obsv::gauge_set("maspar.virt_factor", out.virt_factor as f64);
         obsv::gauge_set("maspar.virt_pes", out.layout.virt_pes() as f64);
-        let locally_consistent = is_locally_consistent(&network);
-        Ok(ParseReport {
-            engine: self.name(),
-            accepted: !parses.is_empty(),
-            ambiguous: network.slots().iter().any(|s| s.alive_count() > 1),
+        let outcome = ParseOutcome {
             roles_nonempty: out.roles_nonempty(),
-            locally_consistent,
+            locally_consistent: is_locally_consistent(&network),
             filter_passes: out.filter_iterations_run,
             degraded: out.degraded,
-            fault_recovered: out.recovery.intervened(),
-            parses,
-            wall: start.elapsed(),
-            machine_stats: Some(out.stats),
-            estimated_seconds: Some(out.estimated_seconds),
-            trace: None,
-            metrics: None,
             network,
-        })
-    }
-}
-
-impl Engine for Maspar {
-    fn name(&self) -> &'static str {
-        "maspar"
-    }
-
-    /// `warm` is unused: the simulated array keeps its warm state per host
-    /// thread instead. Every MasPar parse on a thread runs on that
-    /// thread's one machine, reset to a new machine's state first, so a
-    /// parse's counters, fault plan and retired PEs never reach the next;
-    /// only the host buffers of its plurals are reused.
-    fn parse_warm<'g>(
-        &self,
-        req: &ParseRequest<'g>,
-        _warm: &mut WarmState,
-    ) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        let scope = ObsvScope::begin(req);
-        let mut report = self.run_core(req, sentence)?;
-        let (trace, metrics) = scope.finish();
-        report.trace = trace;
-        report.metrics = metrics;
+        };
+        let mut report = ParseReport::from_outcome(self.name(), outcome, req.max_parses);
+        report.fault_recovered = out.recovery.intervened();
+        report.machine_stats = Some(out.stats);
+        report.estimated_seconds = Some(out.estimated_seconds);
         Ok(report)
-    }
-
-    /// Sentences run one after another on the (single) simulated array.
-    /// A sentence the machine cannot take — unsupported layout, blown
-    /// budget pre-check, unrecoverable faults — becomes a rejected,
-    /// `degraded` outcome instead of failing the whole batch.
-    fn parse_batch(
-        &self,
-        sentences: &[Sentence],
-        req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError> {
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut outcomes = Vec::with_capacity(sentences.len());
-        for sentence in sentences {
-            match self.run_core(req, sentence) {
-                Ok(report) => outcomes.push(report.summary()),
-                Err(_) => outcomes.push(rejected_outcome()),
-            }
-        }
-        Ok(BatchReport::from_outcomes(
-            self.name(),
-            outcomes,
-            start,
-            scope,
-        ))
     }
 }
 
@@ -189,7 +104,7 @@ impl Engine for Maspar {
 mod tests {
     use super::*;
     use crate::engine::parse_maspar_checked;
-    use cdg_grammar::grammars::paper;
+    use cdg_grammar::grammars::{english, paper};
     use maspar_sim::FaultPlan;
     use std::sync::Mutex;
 
@@ -272,6 +187,26 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bounded.filter_passes, 1);
+    }
+
+    #[test]
+    fn batch_rows_reuse_the_readback_storage_they_hand_back() {
+        let g = english::grammar();
+        let s = english::lexicon(&g)
+            .sentence("the dog sees the cat in the park")
+            .unwrap();
+        // Unfiltered, the readback stores the arcs binary propagation cut.
+        let req = ParseRequest::new(&g).filter(FilterMode::None);
+        let mut warm = WarmState::new();
+        // Buffers the pool ever had to allocate: what sits idle between rows.
+        let fresh = |w: &WarmState| w.pool_stats().acquires - w.pool_stats().reuses;
+        Maspar::default().batch_row(&req, &s, &mut warm);
+        let (first, acquired) = (fresh(&warm), warm.pool_stats().acquires);
+        for _ in 0..20 {
+            assert!(Maspar::default().batch_row(&req, &s, &mut warm).accepted);
+        }
+        assert!(acquired > 0 && warm.pool_stats().acquires == 21 * acquired);
+        assert_eq!(fresh(&warm), first, "idle buffers grow with the batch");
     }
 
     #[test]

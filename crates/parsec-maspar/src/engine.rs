@@ -18,7 +18,7 @@
 //!    maintenance iteration) is executed **twice** from a host-held golden
 //!    checkpoint of the machine state; the two readbacks (and scalar
 //!    results) must agree bit-for-bit or the phase is rolled back and
-//!    retried, up to `max_recovery_retries`. A transient fault is keyed to
+//!    retried, up to four times. A transient fault is keyed to
 //!    the machine's monotonically increasing instruction counter and so
 //!    fires in at most one of the executions — detection is guaranteed,
 //!    and retries execute past the fault. The redundancy is charged
@@ -30,7 +30,7 @@
 use crate::layout::Layout;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
 use cdg_core::kernel::ones;
-use cdg_core::network::{NetParts, Network};
+use cdg_core::network::{NetParts, NetSlab, Network};
 use cdg_grammar::expr::{Binding, EvalCtx};
 use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding};
 use cdg_grammar::{CompiledGrammar, Constraint, Grammar, RoleId, RoleValue, Sentence, Value, Var};
@@ -69,11 +69,11 @@ pub struct MasparOptions {
     /// Resource limits; `max_wall_time` compares against the deterministic
     /// estimated MP-1 seconds, so budgeted runs reproduce exactly.
     pub budget: ParseBudget,
-    /// How many times a verified phase may be re-executed after a
-    /// detected corruption before giving up with
-    /// [`EngineError::Inconsistent`].
-    pub max_recovery_retries: usize,
 }
+
+/// How many times a verified phase may be re-executed after a detected
+/// corruption before giving up with [`EngineError::Inconsistent`].
+const RECOVERY_RETRIES: usize = 4;
 
 impl Default for MasparOptions {
     fn default() -> Self {
@@ -84,7 +84,6 @@ impl Default for MasparOptions {
             trace: false,
             faults: None,
             budget: ParseBudget::UNLIMITED,
-            max_recovery_retries: 4,
         }
     }
 }
@@ -168,14 +167,6 @@ impl MasparOutcome {
         self.bits[pe] >> self.layout.bit(ci, rj) & 1 == 1
     }
 
-    /// Estimated MP-1 seconds for one named phase.
-    pub fn phase_seconds(&self, name: &str, cost: &maspar_sim::CostModel) -> Option<f64> {
-        self.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.stats.estimated_seconds(cost))
-    }
-
     /// Mean estimated seconds per constraint-propagation phase — the
     /// quantity the paper reports as "less than 10 milliseconds".
     pub fn mean_constraint_seconds(&self, cost: &maspar_sim::CostModel) -> f64 {
@@ -202,7 +193,7 @@ impl MasparOutcome {
     /// the per-entry [`MasparOutcome::readback_scalar`] is its test
     /// oracle. Neither touches the simulated machine.
     pub fn to_network<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
-        self.readback_tiled(grammar, sentence)
+        self.readback_tiled(grammar, sentence, &mut NetSlab::default())
     }
 
     /// Role values the machine killed, as (slot, core domain index). The
@@ -254,17 +245,17 @@ impl MasparOutcome {
         net
     }
 
-    /// Word-parallel readback. Dead values are removed before the arcs
-    /// exist, so `init_arcs` starts every arc outer: entries only between
-    /// survivors. Then, for each alive arc row, gather one l-bit label
-    /// chunk per modifiee straight out of the packed PE submatrix word,
-    /// spread it to host column positions lj·m + mj through a precomputed
-    /// per-label-count table, and apply the assembled mask with a single
-    /// word-wise row AND. Bits the machine zeroed for pairs with a dead
-    /// endpoint are already zero on the host, so masking with the raw
-    /// machine row is exact. An arc stays outer while every alive row's
-    /// mask covers the column slot's alive set, and is stored at the
-    /// first row whose mask does not.
+    /// Word-parallel readback into a network built on `slab`'s storage. Dead
+    /// values are removed before the arcs exist, so `init_arcs` starts every
+    /// arc outer: entries only between survivors. Then, for each alive arc row,
+    /// gather one l-bit label chunk per modifiee straight out of the packed PE
+    /// submatrix word, spread it to host column positions lj·m + mj through a
+    /// precomputed per-label-count table, and apply the assembled mask with a
+    /// single word-wise row AND. Bits the machine zeroed for pairs with a dead
+    /// endpoint are already zero on the host, so masking with the raw machine
+    /// row is exact. An arc stays outer while every alive row's mask covers the
+    /// column slot's alive set, and is stored at the first row whose mask does
+    /// not.
     ///
     /// Host stats equal [`MasparOutcome::readback_scalar`]'s up to the
     /// observational `bmm_*` counters: the scalar walk zeroes the
@@ -272,9 +263,14 @@ impl MasparOutcome {
     /// removal at a time, and this path adds that count directly. (MasPar
     /// input is lexically unambiguous, so `init_arcs` would have set every
     /// one of those entries.)
-    pub fn readback_tiled<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
+    pub fn readback_tiled<'g>(
+        &self,
+        grammar: &'g Grammar,
+        sentence: &Sentence,
+        slab: &mut NetSlab,
+    ) -> Network<'g> {
         let lay = &self.layout;
-        let mut net = Network::build(grammar, sentence);
+        let mut net = Network::build_in(grammar, sentence, slab);
         for (slot, idx) in self.dead_values() {
             net.remove_value(slot, idx);
         }
@@ -573,7 +569,7 @@ fn drive(
     // Validity mask: everything but the self-arc diagonal (Figure 11's
     // disabled PEs). Computed from PE positions — design decision 2: no
     // broadcast needed.
-    let retries = opts.max_recovery_retries.max(1);
+    let retries = RECOVERY_RETRIES;
     let _init = obsv::span("arc_init");
     let t = Tables::new(&lay);
     let side = t.side;

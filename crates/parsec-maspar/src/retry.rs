@@ -172,7 +172,6 @@ pub fn parse_with_retry<'g>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MasparOptions;
     use crate::Maspar;
     use cdg_grammar::grammars::paper;
     use maspar_sim::MachineConfig;
@@ -180,13 +179,12 @@ mod tests {
     /// A 4-PE array: small enough that a plan killing every PE is an
     /// unrecoverable (but typed) failure.
     fn tiny_maspar() -> Maspar {
-        Maspar::with_options(MasparOptions {
+        Maspar {
             machine: MachineConfig {
                 phys_pes: 4,
                 ..Default::default()
             },
-            ..Default::default()
-        })
+        }
     }
 
     fn lethal_plan() -> FaultPlan {

@@ -50,7 +50,7 @@ pub use wire::{
 
 use cdg_core::api::Engine;
 use maspar_sim::MachineConfig;
-use parsec_maspar::{MasparOptions, RetryPolicy};
+use parsec_maspar::RetryPolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -139,12 +139,9 @@ pub fn engine_for(name: &str, machine: &MachineConfig) -> Option<Box<dyn Engine>
     match name {
         "serial" => Some(Box::new(cdg_core::api::Sequential)),
         "pram" => Some(Box::new(cdg_parallel::Pram)),
-        "maspar" => Some(Box::new(parsec_maspar::Maspar::with_options(
-            MasparOptions {
-                machine: machine.clone(),
-                ..Default::default()
-            },
-        ))),
+        "maspar" => Some(Box::new(parsec_maspar::Maspar {
+            machine: machine.clone(),
+        })),
         _ => None,
     }
 }

@@ -82,7 +82,8 @@
 //!
 //! Exit codes: 0 accept (batch: every line accepted), 1 reject or engine
 //! error (batch: some line rejected), 2 usage/input error (batch: any
-//! malformed line), 3 budget-degraded partial outcome with no full parse.
+//! malformed line), 3 budget-degraded partial outcome with no full parse
+//! (batch: no line rejected, some line PARTIAL).
 
 use cdg_core::api::{Engine, ParseReport, ParseRequest};
 use cdg_core::config::FAULT_HORIZON_OPS;
@@ -518,33 +519,38 @@ fn run_batch(args: &Args, engine: &dyn Engine) -> ExitCode {
         }
     };
 
-    let mut accepted = 0usize;
+    // A degraded row (a budget cut, or a sentence the engine could not
+    // take) certifies nothing either way: PARTIAL, counted apart.
     for (text, outcome) in texts.iter().zip(&report.outcomes) {
-        if outcome.accepted {
-            accepted += 1;
+        if outcome.degraded {
+            println!("PARTIAL: `{text}` [degraded]");
+        } else if outcome.accepted {
+            let ambiguous = if outcome.ambiguous {
+                " (ambiguous)"
+            } else {
+                ""
+            };
             println!(
-                "ACCEPT: `{text}` — {}{} parse(s){}",
-                outcome.parses.len(),
-                if outcome.ambiguous {
-                    " (ambiguous)"
-                } else {
-                    ""
-                },
-                if outcome.degraded { " [degraded]" } else { "" },
+                "ACCEPT: `{text}` — {}{ambiguous} parse(s)",
+                outcome.parses.len()
             );
         } else {
-            println!(
-                "REJECT: `{text}`{}",
-                if outcome.degraded { " [degraded]" } else { "" }
-            );
+            println!("REJECT: `{text}`");
         }
     }
     let n = report.outcomes.len();
+    // Degraded rows are never accepted, so the three counts are disjoint.
+    let (accepted, partial) = (report.accepted(), report.degraded());
+    let rejected = n - accepted - partial;
     let secs = report.wall.as_secs_f64();
     println!(
-        "batch: {n} sentence(s), {accepted} accepted, {} rejected{} in {:.3}s \
+        "batch: {n} sentence(s), {accepted} accepted, {rejected} rejected{}{} in {:.3}s \
          ({:.1} sentences/s, engine {}, {} thread(s))",
-        n - accepted,
+        if partial > 0 {
+            format!(", {partial} partial")
+        } else {
+            String::new()
+        },
         if malformed > 0 {
             format!(", {malformed} malformed line(s) skipped")
         } else {
@@ -595,10 +601,12 @@ fn run_batch(args: &Args, engine: &dyn Engine) -> ExitCode {
     }
     if malformed > 0 {
         ExitCode::from(2)
-    } else if accepted == n {
-        ExitCode::SUCCESS
-    } else {
+    } else if rejected > 0 {
         ExitCode::from(1)
+    } else if partial > 0 {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
@@ -742,19 +750,19 @@ fn main() -> ExitCode {
         println!("{}", cdg_core::snapshot::render_network(&report.network));
     }
 
+    if let Some(d) = &report.degraded {
+        // The budget cut the parse short before it could settle: the
+        // network above (with --network) is a usable partial result, but
+        // it certifies no parse, so none was extracted.
+        println!("PARTIAL: {d}");
+        println!(
+            "`{sentence}` was not fully parsed within the budget; \
+             raise --budget for a definitive answer"
+        );
+        return ExitCode::from(3);
+    }
     let graphs = &report.parses;
     if graphs.is_empty() {
-        if let Some(d) = &report.degraded {
-            // The budget cut the parse short before it could settle: the
-            // network above (with --network) is a usable partial result,
-            // but no complete parse can honestly be claimed.
-            println!("PARTIAL: {d}");
-            println!(
-                "`{sentence}` was not fully parsed within the budget; \
-                 raise --budget for a definitive answer"
-            );
-            return ExitCode::from(3);
-        }
         if args.relax {
             // The strict grammar (rung 0) just rejected on this engine.
             let ladder = RelaxLadder::english_default();
@@ -800,9 +808,6 @@ fn main() -> ExitCode {
             args.grammar
         );
         return ExitCode::from(1);
-    }
-    if let Some(d) = &report.degraded {
-        eprintln!("note: parse is budget-degraded ({d}); parses shown may be a superset");
     }
     println!(
         "ACCEPT: `{sentence}` — {}{} parse(s)",

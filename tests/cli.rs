@@ -162,6 +162,67 @@ fn arc_cell_budget_on_a_long_sentence_is_a_flagged_partial_outcome() {
 }
 
 #[test]
+fn a_filter_budget_cut_extracts_nothing_and_exits_at_once() {
+    // `iters=0` stops before the first filter pass, so the network is
+    // unfiltered; a search over it for a parse of this unbalanced string
+    // would not end in any useful time. A budget cut certifies nothing,
+    // so nothing is searched: the parse is reported PARTIAL at once.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_parsec"))
+        .args([
+            "--grammar",
+            "anbn",
+            "--budget",
+            "iters=0",
+            "aaaaaaaabbbbbbbbb",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("child status").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill the runaway parse");
+            child.wait().expect("reap the runaway parse");
+            panic!("`--budget iters=0` still ran after 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("PARTIAL: parse budget exceeded: filter iterations"),
+        "got: {}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn a_budget_cut_batch_line_is_partial_and_counted_apart() {
+    // `cells=10000` fits `the dog runs` but not the nine-word network. A
+    // batch whose other lines all accept exits 3, like one cut parse.
+    let long = "the big dog sees the cat in the old park";
+    for (reject, code, counts) in [
+        ("", 3, "1 accepted, 0 rejected, 1 partial"),
+        ("dog the runs\n", 1, "1 accepted, 1 rejected, 1 partial"),
+    ] {
+        let path = write_temp("budget-batch", &format!("the dog runs\n{reject}{long}\n"));
+        let out = run(&["--budget", "cells=10000", "--batch", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(code), "{text}");
+        assert!(
+            text.contains("ACCEPT: `the dog runs`") && text.contains(counts),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("PARTIAL: `{long}` [degraded]")),
+            "{text}"
+        );
+    }
+}
+
+#[test]
 fn bad_budget_specs_are_usage_errors() {
     let out = run(&["--budget", "fuel=9", "the", "dog", "runs"]);
     assert_eq!(out.status.code(), Some(2));

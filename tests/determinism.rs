@@ -103,10 +103,10 @@ fn batch_parsing_byte_identical_across_thread_counts_and_vs_sequential() {
     let sequential = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
     // The batch summaries must match per-sentence parsing exactly ...
     for (s, summary) in sentences.iter().zip(&sequential) {
-        let solo = parse(&g, s, options());
+        let solo = Sequential.parse(&req.clone().sentence(s.clone())).unwrap();
         assert_eq!(
             summary,
-            &cdg_core::BatchOutcome::summarize(&solo, 64),
+            &solo.summary(),
             "batch summary diverged from solo parse on `{s}`"
         );
     }

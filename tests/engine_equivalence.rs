@@ -174,3 +174,101 @@ fn every_engine_extracts_the_serial_parse_set_on_cut_grammars() {
         }
     }
 }
+
+/// Every engine, P-RAM at one and two threads, by name.
+fn every_engine() -> Vec<(&'static str, Box<dyn Engine>, Option<usize>)> {
+    vec![
+        ("serial", Box::new(Sequential), None),
+        ("pram/1", Box::new(Pram), Some(1)),
+        ("pram/2", Box::new(Pram), Some(2)),
+        ("maspar", Box::new(Maspar::default()), None),
+    ]
+}
+
+/// Acceptance is one search on every engine: a sentence is accepted
+/// exactly when the extractor finds a parse, and `max_parses` caps only
+/// how many come back — `max_parses(0)` still answers acceptance.
+#[test]
+fn engines_agree_on_acceptance_and_parses_at_every_parse_cap() {
+    let g = english::grammar();
+    let lex = english::lexicon(&g);
+    for (text, accepts) in [("the dog runs", true), ("dog the runs", false)] {
+        let sentence = lex.sentence(text).unwrap();
+        for max_parses in 0..=3 {
+            let answers: Vec<(&str, bool, usize)> = every_engine()
+                .into_iter()
+                .map(|(name, engine, threads)| {
+                    let req = ParseRequest::new(&g).sentence(sentence.clone());
+                    let req = ParseRequest {
+                        threads,
+                        ..req.max_parses(max_parses)
+                    };
+                    let report = engine.parse(&req).unwrap();
+                    (name, report.accepted, report.parses.len())
+                })
+                .collect();
+            let want_parses = usize::from(accepts).min(max_parses);
+            for &(name, accepted, parses) in &answers {
+                assert_eq!(
+                    (accepted, parses),
+                    (accepts, want_parses),
+                    "{name} on `{text}` at max_parses {max_parses}: {answers:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A batch row is the engine's own parse summarized: every engine's
+/// `parse_batch` rows equal its `parse(..).summary()` per sentence, on a
+/// corpus that mixes accepts, rejects and an ambiguous sentence.
+#[test]
+fn batch_rows_equal_each_engines_own_parse_summaries() {
+    let g = english::grammar();
+    let lex = english::lexicon(&g);
+    let sentences: Vec<Sentence> = [
+        "the dog runs",
+        "dog the runs",
+        "the dog runs in the park",
+        "runs sees",
+        "she sleeps",
+    ]
+    .iter()
+    .map(|t| lex.sentence(t).unwrap())
+    .collect();
+    for (name, engine, threads) in every_engine() {
+        let req = ParseRequest {
+            threads,
+            ..ParseRequest::new(&g).max_parses(8)
+        };
+        let rows = engine.parse_batch(&sentences, &req).unwrap().outcomes;
+        assert_eq!(rows.len(), sentences.len(), "{name}");
+        assert_eq!(rows.iter().filter(|r| r.accepted).count(), 3, "{name}");
+        for (s, row) in sentences.iter().zip(&rows) {
+            let solo = engine.parse(&req.clone().sentence(s.clone())).unwrap();
+            assert_eq!(row, &solo.summary(), "{name} on `{s}`");
+        }
+    }
+}
+
+/// A fault plan on a host engine is a request error, from `parse` and
+/// from `parse_batch` alike, never a column of degraded rows.
+#[test]
+fn host_engines_reject_a_fault_plan_with_a_typed_error() {
+    let g = english::grammar();
+    let s = english::lexicon(&g).sentence("the dog runs").unwrap();
+    let req = ParseRequest::new(&g).faults(maspar_sim::FaultPlan::new().with_dead_pe(3));
+    for engine in [&Sequential as &dyn Engine, &Pram] {
+        let name = engine.name();
+        let solo = engine.parse(&req.clone().sentence(s.clone()));
+        assert!(
+            matches!(&solo, Err(cdg_core::EngineError::GrammarError(m)) if m.contains("fault")),
+            "{name}: {solo:?}"
+        );
+        let batch = engine.parse_batch(std::slice::from_ref(&s), &req);
+        assert!(
+            matches!(&batch, Err(cdg_core::EngineError::GrammarError(m)) if m.contains("fault")),
+            "{name}: {batch:?}"
+        );
+    }
+}
