@@ -394,7 +394,7 @@ impl Machine {
     /// assert_eq!(m.stats.scan_calls, 1);
     /// ```
     pub fn new(config: MachineConfig, n_virt: usize) -> Self {
-        Machine::with_spares(config, n_virt, Spares::default())
+        Machine::with_spares(config, n_virt, Spares::default(), Vec::new(), Vec::new())
     }
 
     /// Put the machine back in exactly the state `Machine::new(config,
@@ -420,24 +420,36 @@ impl Machine {
     /// ```
     pub fn reset(&mut self, config: MachineConfig, n_virt: usize) {
         let spares = std::mem::take(&mut self.spares);
-        *self = Machine::with_spares(config, n_virt, spares);
+        let enabled = std::mem::take(&mut self.enabled);
+        let stack = std::mem::take(&mut self.activity_stack);
+        *self = Machine::with_spares(config, n_virt, spares, enabled, stack);
     }
 
-    fn with_spares(config: MachineConfig, n_virt: usize, mut spares: Spares) -> Self {
+    /// A new machine's state on the host buffers of an old one: its kept
+    /// spares, and the buffers of its activity mask and stack.
+    fn with_spares(
+        config: MachineConfig,
+        n_virt: usize,
+        mut spares: Spares,
+        mut enabled: Vec<u64>,
+        mut activity_stack: Vec<Vec<u64>>,
+    ) -> Self {
         assert!(n_virt > 0, "a program needs at least one virtual PE");
         assert!(config.phys_pes > 0);
         let virt_factor = n_virt.div_ceil(config.phys_pes) as u64;
-        let mut enabled = vec![!0u64; bits::word_count(n_virt)];
+        enabled.clear();
+        enabled.resize(bits::word_count(n_virt), !0u64);
         if let Some(last) = enabled.last_mut() {
             *last &= bits::tail_mask(n_virt);
         }
+        activity_stack.clear();
         spares.size_for(n_virt);
         Machine {
             config,
             n_virt,
             virt_factor,
             enabled,
-            activity_stack: Vec::new(),
+            activity_stack,
             pe_memory_used: 0,
             trace: None,
             faults: None,
@@ -925,46 +937,45 @@ impl Machine {
 
     /// Run `body(words, part)` for every host chunk, where chunk `i` covers
     /// words `i·cw ..` and `part` is its piece of the instruction's data,
-    /// cut by the caller at the same boundaries. Per-chunk results come
-    /// back in chunk order.
-    fn sweep<P: Send, R: Send>(
+    /// cut by the caller at the same boundaries, and return the sum of the
+    /// chunks' counts. One chunk, or a one-thread pool, maps the parts in
+    /// order on the calling thread without collecting them.
+    fn sweep<P: Send>(
         &self,
         parts: impl Iterator<Item = P>,
-        body: impl Fn(Range<usize>, P) -> R + Sync,
-    ) -> Vec<R> {
+        body: impl Fn(Range<usize>, P) -> u64 + Sync,
+    ) -> u64 {
         let (cw, words) = (self.chunk_words(), bits::word_count(self.n_virt));
-        let mut parts: Vec<(Range<usize>, P)> = parts
+        let parts = parts
             .enumerate()
-            .map(|(i, p)| (i * cw..((i + 1) * cw).min(words), p))
-            .collect();
-        if parts.len() == 1 {
-            let (range, part) = parts.pop().expect("one chunk");
-            return vec![body(range, part)];
+            .map(|(i, p)| (i * cw..((i + 1) * cw).min(words), p));
+        if words <= cw || rayon::current_num_threads() == 1 {
+            return parts.map(|(range, part)| body(range, part)).sum();
         }
         parts
+            .collect::<Vec<_>>()
             .into_par_iter()
             .map(|(range, part)| body(range, part))
-            .collect()
+            .sum()
     }
 
-    /// Run `run(acc, lo, slots)` for every maximal run of live PEs, where
+    /// Run `run(state, lo, slots)` for every maximal run of live PEs, where
     /// `slots` are the run's items of `data` (one per PE, from PE `lo`) and
-    /// `acc` is the chunk's accumulator. Returns the accumulators in chunk
-    /// order.
-    fn visit<T: Send, R: Default + Send>(
+    /// `state` is the chunk's. Returns the sum of the runs' counts.
+    fn visit<T: Send, S: Default>(
         &self,
         data: &mut [T],
-        run: impl Fn(&mut R, usize, &mut [T]) + Sync,
-    ) -> Vec<R> {
+        run: impl Fn(&mut S, usize, &mut [T]) -> u64 + Sync,
+    ) -> u64 {
         let live = self.live();
         let chunk = self.chunk_words() * 64;
         self.sweep(data.chunks_mut(chunk), |words, part| {
             let base = words.start * 64;
-            let mut acc = R::default();
+            let (mut state, mut count) = (S::default(), 0);
             live.runs(words, |lo, hi| {
-                run(&mut acc, lo, &mut part[lo - base..hi - base])
+                count += run(&mut state, lo, &mut part[lo - base..hi - base])
             });
-            acc
+            count
         })
     }
 
@@ -974,6 +985,7 @@ impl Machine {
             for (k, slot) in slots.iter_mut().enumerate() {
                 f(lo + k, slot);
             }
+            0
         });
     }
 
@@ -1004,6 +1016,7 @@ impl Machine {
             for (k, (slot, x)) in slots.iter_mut().zip(src).enumerate() {
                 f(lo + k, slot, x);
             }
+            0
         });
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
@@ -1036,7 +1049,8 @@ impl Machine {
     ) {
         let op = self.begin_grid(p.len(), side);
         self.visit(p.as_mut_slice(), |at: &mut GridCursor, lo, slots| {
-            at.pieces(side, lo, slots, &f)
+            at.pieces(side, lo, slots, &f);
+            0
         });
         self.apply_memory_flips(op, p.as_mut_slice());
     }
@@ -1054,6 +1068,7 @@ impl Machine {
             for pe in (lo.next_multiple_of(stride)..end).step_by(stride) {
                 f(pe, &mut slots[pe - lo]);
             }
+            0
         });
     }
 
@@ -1158,7 +1173,7 @@ impl Machine {
         let (live, cw) = (self.live(), self.chunk_words());
         let (values, occupied) = p.parts_mut();
         let parts = values.chunks_mut(cw * 64).zip(occupied.chunks_mut(cw));
-        let walked = self.sweep(parts, |words, (part, occ)| {
+        self.sweep(parts, |words, (part, occ)| {
             let (w0, base) = (words.start, words.start * 64);
             let mut state = S::default();
             runs(
@@ -1175,8 +1190,7 @@ impl Machine {
                 }
             }
             walked
-        });
-        walked.into_iter().sum()
+        })
     }
 
     /// Write an occupancy plural, addressed like [`Machine::par_map_grid`]:
@@ -1270,7 +1284,7 @@ impl Machine {
         let op = self.charge_plural_op();
         self.count_dead_skips();
         let (s, occ, live) = (src.as_slice(), src.occupied(), self.live());
-        let walked = self.sweep(
+        self.occupancy_visits += self.sweep(
             dst.words_mut().chunks_mut(self.chunk_words()),
             |words, out| {
                 let mut walked = 0;
@@ -1284,7 +1298,6 @@ impl Machine {
                 walked
             },
         );
-        self.occupancy_visits += walked.into_iter().sum::<u64>();
         self.apply_memory_flips_bits(op, dst);
     }
 
@@ -1309,8 +1322,7 @@ impl Machine {
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
-        let saved = self.enabled.clone();
-        self.activity_stack.push(saved);
+        self.push_activity();
         let mask = mask.as_slice();
         for (w, e) in self.enabled.iter_mut().enumerate() {
             let base = w * 64;
@@ -1325,7 +1337,7 @@ impl Machine {
         // Narrowing activity is itself one broadcast test.
         self.charge_plural_op();
         let result = body(self);
-        self.enabled = self.activity_stack.pop().expect("activity stack underflow");
+        self.pop_activity();
         result
     }
 
@@ -1337,15 +1349,29 @@ impl Machine {
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
-        let saved = self.enabled.clone();
-        self.activity_stack.push(saved);
-        for (w, e) in self.enabled.iter_mut().enumerate() {
-            *e &= mask.words()[w];
+        self.push_activity();
+        for (e, &m) in self.enabled.iter_mut().zip(mask.words()) {
+            *e &= m;
         }
         self.charge_plural_op();
         let result = body(self);
-        self.enabled = self.activity_stack.pop().expect("activity stack underflow");
+        self.pop_activity();
         result
+    }
+
+    /// Save the activity set on the stack, in a kept word buffer.
+    fn push_activity(&mut self) {
+        let mut saved = self.spares.take_words();
+        saved.clear();
+        saved.extend_from_slice(&self.enabled);
+        self.activity_stack.push(saved);
+    }
+
+    /// Restore the saved activity set, keeping the narrowed one's buffer.
+    fn pop_activity(&mut self) {
+        let saved = self.activity_stack.pop().expect("activity stack underflow");
+        let narrowed = std::mem::replace(&mut self.enabled, saved);
+        self.spares.keep_words(narrowed);
     }
 
     // ------------------------------------------------------------------
@@ -1372,7 +1398,7 @@ impl Machine {
         let op = self.charge_scan();
         self.count_dead_skips();
         let live = self.live();
-        let partials = self.sweep(
+        let result = self.sweep(
             p.as_slice().chunks(self.chunk_words() * 64),
             |words, vals| {
                 let mut sum = 0u64;
@@ -1387,7 +1413,6 @@ impl Machine {
                 sum
             },
         );
-        let result = partials.into_iter().sum();
         self.corrupt_reduction(op, result)
     }
 
@@ -1476,28 +1501,25 @@ impl Machine {
         self.count_dead_skips();
         let armed = self.faults.is_some();
         let (s, idx) = (src.as_slice(), index.as_slice());
-        let oob: u64 = self
-            .visit(dst.as_mut_slice(), |oob: &mut u64, lo, slots| {
-                let idx = &idx[lo..lo + slots.len()];
-                let mut dropped = 0;
-                for (slot, &target) in slots.iter_mut().zip(idx) {
-                    match s.get(target) {
-                        Some(&v) => *slot = v,
-                        None => dropped += 1,
-                    }
+        let oob = self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
+            let idx = &idx[lo..lo + slots.len()];
+            let mut dropped = 0;
+            for (slot, &target) in slots.iter_mut().zip(idx) {
+                match s.get(target) {
+                    Some(&v) => *slot = v,
+                    None => dropped += 1,
                 }
-                if dropped > 0 {
-                    let pe = lo + idx.iter().position(|&t| t >= s.len()).unwrap_or(0);
-                    assert!(
-                        armed,
-                        "router gather out of range: PE {pe} -> {}",
-                        idx[pe - lo]
-                    );
-                    *oob += dropped;
-                }
-            })
-            .into_iter()
-            .sum();
+            }
+            if dropped > 0 {
+                let pe = lo + idx.iter().position(|&t| t >= s.len()).unwrap_or(0);
+                assert!(
+                    armed,
+                    "router gather out of range: PE {pe} -> {}",
+                    idx[pe - lo]
+                );
+            }
+            dropped
+        });
         self.stats.oob_routes += oob;
         self.apply_router_corruption(op, dst.as_mut_slice());
     }
@@ -1578,6 +1600,7 @@ impl Machine {
                     };
                     *word = (*word & !m) | (v & m);
                 }
+                0
             },
         );
         self.apply_memory_flips_bits(op, dst);

@@ -39,6 +39,7 @@ use maspar_sim::{
 };
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
@@ -287,11 +288,14 @@ impl MasparOutcome {
         } = net.parts_mut();
         let acquire = &mut |rows, cols| pool.acquire(rows, cols);
         let mut buf: Vec<u64> = Vec::new();
-        // spread[labels][chunk] has bit lj·m set for every label bit lj of
-        // `chunk`; shifting the whole pattern left by mj lands each label
-        // at its host column lj·m + mj. One table per column-role label
-        // count, built on first use.
-        let mut spread: Vec<Vec<Vec<u64>>> = vec![Vec::new(); l + 1];
+        // One pattern per l-bit label chunk and column-role label count,
+        // in one flat buffer: pattern `chunk` of a table has bit lj·m set
+        // for every label bit lj of `chunk`, so shifting it left by mj
+        // lands each label at its host column lj·m + mj. `tables[labels]`
+        // is where the table for that label count starts, built on first
+        // use; its patterns are one host row of words each.
+        let mut spread: Vec<u64> = Vec::new();
+        let mut tables: Vec<Option<usize>> = vec![None; l + 1];
         for &(si, sj, idx) in pairs {
             let (alive_i, alive_j) = (slots[si].alive.count_ones(), slots[sj].alive.count_ones());
             stats.entries_zeroed +=
@@ -302,16 +306,19 @@ impl MasparOutcome {
             let dom_j = slots[sj].domain.len();
             debug_assert_eq!(dom_j, labels_j * m);
             let row_words = dom_j.div_ceil(64);
-            let spread = &mut spread[labels_j];
-            if spread.is_empty() {
-                spread.push(vec![0u64; row_words]);
+            let table = *tables[labels_j].get_or_insert_with(|| {
+                // Pattern `chunk` is pattern `chunk` without its lowest
+                // label, plus that label's bit.
+                let start = spread.len();
+                spread.resize(start + row_words, 0);
                 for chunk in 1usize..1 << labels_j {
                     let lj = chunk.trailing_zeros() as usize;
-                    let mut pat = spread[chunk & (chunk - 1)].clone();
-                    pat[(lj * m) / 64] |= 1u64 << ((lj * m) % 64);
-                    spread.push(pat);
+                    let from = start + (chunk & (chunk - 1)) * row_words;
+                    spread.extend_from_within(from..from + row_words);
+                    spread[start + chunk * row_words + (lj * m) / 64] |= 1u64 << ((lj * m) % 64);
                 }
-            }
+                start
+            });
             for a in slots[si].alive.iter_ones() {
                 let (li, mi) = (a / m, a % m);
                 let cg = lay.group(wi, ri, mi);
@@ -329,7 +336,8 @@ impl MasparOutcome {
                     // range even when the word shift straddles or the
                     // modifiee offset exceeds one word.
                     let (wo, bo) = (mj / 64, mj % 64);
-                    for (w, &pat) in spread[chunk].iter().enumerate() {
+                    let pattern = &spread[table + chunk * row_words..][..row_words];
+                    for (w, &pat) in pattern.iter().enumerate() {
                         if pat == 0 {
                             continue;
                         }
@@ -573,66 +581,84 @@ fn drive(
     let _init = obsv::span("arc_init");
     let t = Tables::new(&lay);
     let side = t.side;
-    let valid = init_bits_exact(machine, "valid", retries, &mut recovery, side, |c, r| {
-        !t.diagonal(c, r)
-    })?;
+    let valid = init_bits_exact(machine, "valid", retries, &mut recovery, &t.valid_words())?;
     let block_boundary = init_bits_exact(
         machine,
         "block-boundary",
         retries,
         &mut recovery,
-        side,
-        |c, r| t.block_boundary(c, r),
+        &t.block_boundary_words(),
     )?;
 
     // Design decision 1: arc matrices first, all ones (Figure 9). The
     // submatrices carry an occupancy mask from here to the readback, so
     // the clear-only steps walk only the PEs whose submatrix is not zero.
-    let mut bits = init_occ_exact(machine, retries, &mut recovery, side, |c, r| {
-        t.init_bits(c, r)
+    let mut bits = init_occ_exact(machine, retries, &mut recovery, side, |c, rows, out| {
+        t.init_bits(c, rows, out)
     })?;
-    let mut alive: Plural<u64> =
-        init_exact(machine, "alive", retries, &mut recovery, side, |c, r| {
-            t.init_alive(c, r)
-        })?;
+    let mut alive: Plural<u64> = init_exact(
+        machine,
+        "alive",
+        retries,
+        &mut recovery,
+        side,
+        |c, rows, out| t.init_alive(c, rows, out),
+    )?;
 
     // Router index plurals for the alive-mask gathers (phase D).
-    let col_boundary_idx: Plural<usize> =
-        init_exact(machine, "col-idx", retries, &mut recovery, side, |c, _| {
-            t.boundary(c)
-        })?;
-    let row_boundary_idx: Plural<usize> =
-        init_exact(machine, "row-idx", retries, &mut recovery, side, |_, r| {
-            t.boundary(r)
-        })?;
+    let col_boundary_idx: Plural<usize> = init_exact(
+        machine,
+        "col-idx",
+        retries,
+        &mut recovery,
+        side,
+        |c, _, out| out.fill(t.boundary(c)),
+    )?;
+    let row_boundary_idx: Plural<usize> = init_exact(
+        machine,
+        "row-idx",
+        retries,
+        &mut recovery,
+        side,
+        |_, rows, out| out.copy_from_slice(&t.row_boundaries[rows]),
+    )?;
     phase(machine, &mut phases, &mut mark, "init".into());
     drop(_init);
 
     let mut degraded: Option<EngineError> = over_time(machine);
 
     // --- Unary propagation on the matrices (design decisions 1 & 4) ---
+    // The ACU's tables cover only the role values still alive: `live`
+    // starts with every value, and each unary table takes out the values
+    // it kills. Binary propagation never kills a value, so what unary
+    // propagation leaves is what every binary table covers.
     let _unary = obsv::span("unary_propagation");
+    let mut live = t.every_value();
+    let mut acu = AcuScratch::default();
+    let mut table = UnaryTable::default();
     for c in grammar.unary_constraints() {
         if degraded.is_some() {
             break;
         }
-        let _c = obsv::span_with(|| format!("unary:{}", c.name));
+        let name = format!("unary:{}", c.name);
+        let _c = obsv::span_with(|| name.clone());
         // The unary test depends only on (group, label), so the ACU
         // evaluates it on the host and broadcasts keep masks.
-        let viol = unary_violations(&t, sentence, &program_of(compiled, grammar, c));
+        let program = program_of(compiled, grammar, c);
+        table.build(&t, sentence, &program, &mut live, &mut acu);
         run_phase(
             machine,
             retries,
             &mut recovery,
-            &format!("unary:{}", c.name),
+            &name,
             &mut bits,
             &mut alive,
             |m, bits, alive| {
-                unary_from_table(m, &t, &viol, &valid, bits, alive);
+                unary_from_table(m, &t, &table, &valid, bits, alive);
                 0
             },
         )?;
-        phase(machine, &mut phases, &mut mark, format!("unary:{}", c.name));
+        phase(machine, &mut phases, &mut mark, name);
         degraded = over_time(machine);
     }
     // Immediately zero rows/cols of values the unary pass killed, so the
@@ -665,19 +691,20 @@ fn drive(
 
     // --- Binary propagation ---
     let _binary = obsv::span("binary_propagation");
-    let mut class_scratch = ClassScratch::default();
+    let mut classes = BinaryClasses::default();
     for c in grammar.binary_constraints() {
         if degraded.is_some() {
             break;
         }
-        let _c = obsv::span_with(|| format!("binary:{}", c.name));
+        let name = format!("binary:{}", c.name);
+        let _c = obsv::span_with(|| name.clone());
         let program = program_of(compiled, grammar, c);
-        let classes = BinaryClasses::new(&t, sentence, &program, &mut class_scratch);
+        classes.build(&t, sentence, &program, &live, &mut acu);
         run_phase(
             machine,
             retries,
             &mut recovery,
-            &format!("binary:{}", c.name),
+            &name,
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
@@ -685,12 +712,7 @@ fn drive(
                 0
             },
         )?;
-        phase(
-            machine,
-            &mut phases,
-            &mut mark,
-            format!("binary:{}", c.name),
-        );
+        phase(machine, &mut phases, &mut mark, name);
         degraded = over_time(machine);
     }
 
@@ -719,11 +741,12 @@ fn drive(
         }
         iterations += 1;
         let _m = obsv::span("maintain");
+        let name = format!("maintain:{iterations}");
         let removed = run_phase(
             machine,
             retries,
             &mut recovery,
-            &format!("maintain:{iterations}"),
+            &name,
             &mut bits,
             &mut alive,
             |m, bits, alive| {
@@ -740,12 +763,7 @@ fn drive(
             },
         )?;
         removals_per_iteration.push(removed);
-        phase(
-            machine,
-            &mut phases,
-            &mut mark,
-            format!("maintain:{iterations}"),
-        );
+        phase(machine, &mut phases, &mut mark, name);
         if opts.early_exit && removed == 0 {
             break;
         }
@@ -814,33 +832,38 @@ struct Tables {
     values: Vec<RoleValue>,
     value_at: Vec<usize>,
     starts: Vec<usize>,
+    /// Words per slot in a lane set over every slot
+    /// ([`Tables::lane_words`]).
+    lane_stride: usize,
     /// Lane tables over those slot domains, built on first use.
     lanes: LaneTables,
     /// (word, role) slot and role index of each group.
     slot_of: Vec<usize>,
     role_of: Vec<usize>,
-    /// Initial submatrix per (column role, row role), at `rc·q + rr`.
-    pair_bits: Vec<u64>,
+    /// Initial submatrices of a column of each role, at `rc·G + row`:
+    /// every valid label pair of role `rc` against the row's role.
+    init_rows: Vec<u64>,
+    /// Router index of each row's alive mask ([`Tables::boundary`]).
+    row_boundaries: Vec<usize>,
     /// Every valid label of each role, as an alive mask.
     full: Vec<u64>,
 }
 
 impl Tables {
     fn new(lay: &Layout) -> Tables {
-        let (l, q) = (lay.l, lay.q);
-        let label_masks = |mask_of: &dyn Fn(usize) -> u64| -> Vec<u64> {
-            (0..1usize << l)
-                .map(|a| {
-                    (0..l)
-                        .filter(|&i| a >> i & 1 == 1)
-                        .fold(0, |k, i| k | mask_of(i))
-                })
-                .collect()
+        let (l, q, side) = (lay.l, lay.q, lay.groups);
+        // Mask `a` is mask `a` without its lowest label, plus that
+        // label's line: one OR per mask.
+        let label_masks = |line: fn(&Layout, usize) -> u64| -> Vec<u64> {
+            let mut out = vec![0u64; 1 << l];
+            for a in 1..out.len() {
+                out[a] = out[a & (a - 1)] | line(lay, a.trailing_zeros() as usize);
+            }
+            out
         };
         let virt = lay.virt_pes();
-        let bindings: Vec<Option<Binding>> = (0..lay.groups * l)
-            .map(|k| lay.binding(k / l, k % l))
-            .collect();
+        let bindings: Vec<Option<Binding>> =
+            (0..side * l).map(|k| lay.binding(k / l, k % l)).collect();
         let (mut values, mut value_at, mut starts) = (Vec::new(), Vec::new(), vec![0]);
         for (k, b) in bindings.iter().enumerate() {
             if let Some(b) = b {
@@ -853,69 +876,102 @@ impl Tables {
         }
         let mut lanes = LaneTables::new();
         lanes.reset(starts.len() - 1);
+        let role_of: Vec<usize> = (0..side).map(|g| g / lay.m % q).collect();
+        let role_mask = |r: usize| (1u64 << lay.labels_of_role(r)) - 1;
+        // Column role `rc` against row role `rr`: the label pairs of both.
+        let pair_bits = |rc: usize, rr: usize| {
+            (0..lay.labels_of_role(rc)).fold(0u64, |bits, i| bits | role_mask(rr) << (i * l))
+        };
         Tables {
-            side: lay.groups,
+            side,
             l,
             m: lay.m,
             q,
             blocks: SegmentMap::uniform(virt, lay.m),
-            columns: SegmentMap::uniform(virt, lay.groups),
-            rows_of: label_masks(&|i| lay.row_mask(i)),
-            cols_of: label_masks(&|j| lay.col_mask(j)),
+            columns: SegmentMap::uniform(virt, side),
+            rows_of: label_masks(Layout::row_mask),
+            cols_of: label_masks(Layout::col_mask),
             bindings,
             values,
             value_at,
             starts,
+            lane_stride: (lay.m * l).div_ceil(64),
             lanes,
-            slot_of: (0..lay.groups).map(|g| g / lay.m).collect(),
-            role_of: (0..lay.groups).map(|g| g / lay.m % q).collect(),
-            pair_bits: (0..q * q)
-                .map(|k| {
-                    let (rc, rr) = (k / q, k % q);
-                    let mut bits = 0u64;
-                    for i in 0..lay.labels_of_role(rc) {
-                        for j in 0..lay.labels_of_role(rr) {
-                            bits |= 1u64 << lay.bit(i, j);
-                        }
-                    }
-                    bits
-                })
+            slot_of: (0..side).map(|g| g / lay.m).collect(),
+            init_rows: (0..q * side)
+                .map(|k| pair_bits(k / side, role_of[k % side]))
                 .collect(),
-            full: (0..q)
-                .map(|r| (1u64 << lay.labels_of_role(r)) - 1)
-                .collect(),
+            row_boundaries: (0..side).map(|row| row * side).collect(),
+            role_of,
+            full: (0..q).map(role_mask).collect(),
         }
     }
 
-    /// Is PE (col, row) on the self-arc diagonal (same word and role —
-    /// Figure 11's disabled PEs)?
-    fn diagonal(&self, col: usize, row: usize) -> bool {
-        self.slot_of[col] == self.slot_of[row]
+    /// Number of (word, role) slots.
+    fn slots(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// Is PE (col, row) a valid block boundary — the first PE of a
-    /// (column, row word-role) block of Figure 12's scanOr?
-    fn block_boundary(&self, col: usize, row: usize) -> bool {
-        !self.diagonal(col, row) && self.slot_of[row] * self.m == row
+    /// The rows of column `col`'s diagonal block: the groups of its own
+    /// (word, role) slot, whose PEs hold self-arcs (Figure 11's disabled
+    /// PEs).
+    fn diagonal_rows(&self, col: usize) -> Range<usize> {
+        let start = self.slot_of[col] * self.m;
+        start..start + self.m
     }
 
-    /// Initial submatrix: every valid label pair set, diagonal PEs empty
-    /// (Figure 9: every role value present before unary propagation).
-    fn init_bits(&self, col: usize, row: usize) -> u64 {
-        if self.diagonal(col, row) {
-            0
-        } else {
-            self.pair_bits[self.role_of[col] * self.q + self.role_of[row]]
+    /// The validity mask, packed: every PE but the diagonal blocks.
+    fn valid_words(&self) -> Vec<u64> {
+        let pes = self.side * self.side;
+        let mut words = vec![!0u64; pes.div_ceil(64)];
+        if pes % 64 != 0 {
+            *words.last_mut().expect("a grid has PEs") >>= 64 - pes % 64;
+        }
+        for col in 0..self.side {
+            let rows = self.diagonal_rows(col);
+            clear_run(
+                &mut words,
+                col * self.side + rows.start..col * self.side + rows.end,
+            );
+        }
+        words
+    }
+
+    /// The block-boundary mask, packed: the first PE of every (column, row
+    /// word-role) block of Figure 12's scanOr but the diagonal ones.
+    fn block_boundary_words(&self) -> Vec<u64> {
+        let pes = self.side * self.side;
+        let mut words = vec![0u64; pes.div_ceil(64)];
+        for pe in (0..pes).step_by(self.m) {
+            words[pe / 64] |= 1u64 << (pe % 64);
+        }
+        for col in 0..self.side {
+            let pe = col * self.side + self.diagonal_rows(col).start;
+            words[pe / 64] &= !(1u64 << (pe % 64));
+        }
+        words
+    }
+
+    /// Column `col`'s initial submatrices at `rows`: every valid label
+    /// pair set (Figure 9: every role value present before unary
+    /// propagation), copied from the column role's row template, and the
+    /// diagonal block empty.
+    fn init_bits(&self, col: usize, rows: Range<usize>, out: &mut [u64]) {
+        let base = self.role_of[col] * self.side;
+        out.copy_from_slice(&self.init_rows[base + rows.start..base + rows.end]);
+        let diag = self.diagonal_rows(col);
+        let (lo, hi) = (diag.start.max(rows.start), diag.end.min(rows.end));
+        if lo < hi {
+            out[lo - rows.start..hi - rows.start].fill(0);
         }
     }
 
-    /// Initial alive mask: all valid labels at each column's boundary PE
-    /// (row 0), 0 elsewhere.
-    fn init_alive(&self, col: usize, row: usize) -> u64 {
-        if row == 0 {
-            self.full[self.role_of[col]]
-        } else {
-            0
+    /// Column `col`'s initial alive masks at `rows`: all valid labels at
+    /// the column's boundary PE (row 0), 0 elsewhere.
+    fn init_alive(&self, col: usize, rows: Range<usize>, out: &mut [u64]) {
+        out.fill(0);
+        if rows.start == 0 {
+            out[0] = self.full[self.role_of[col]];
         }
     }
 
@@ -931,26 +987,40 @@ impl Tables {
         )
     }
 
+    /// Slot `k`'s words in a lane set over every slot.
+    fn lane_words(&self, k: usize) -> Range<usize> {
+        let start = k * self.lane_stride;
+        start..start + (self.starts[k + 1] - self.starts[k]).div_ceil(64)
+    }
+
+    /// The lane set over every slot that holds every valid role value:
+    /// what the ACU's tables cover before unary propagation kills any.
+    fn every_value(&self) -> Vec<u64> {
+        let mut set = vec![0u64; self.slots() * self.lane_stride];
+        for k in 0..self.slots() {
+            let lanes = self.starts[k + 1] - self.starts[k];
+            let words = &mut set[self.lane_words(k)];
+            words.fill(!0);
+            clear_run(words, lanes..words.len() * 64);
+        }
+        set
+    }
+
     /// Router index of group `g`'s alive mask: its boundary PE.
     fn boundary(&self, g: usize) -> usize {
         g * self.side
     }
 }
 
-/// `f(col, row)` for every PE of a grid of `side`-PE columns, packed 64
-/// PEs to a word: the table [`Machine::par_write_bits`] broadcasts.
-fn grid_words(n_virt: usize, side: usize, f: impl Fn(usize, usize) -> bool) -> Vec<u64> {
-    let mut words = vec![0u64; n_virt.div_ceil(64)];
-    let mut pe = 0;
-    for col in 0..n_virt / side {
-        for row in 0..side {
-            if f(col, row) {
-                words[pe / 64] |= 1u64 << (pe % 64);
-            }
-            pe += 1;
-        }
+/// Clear bits `run` of the packed `words`, a word at a time.
+fn clear_run(words: &mut [u64], run: Range<usize>) {
+    let mut bit = run.start;
+    while bit < run.end {
+        let (w, b) = (bit / 64, bit % 64);
+        let n = (64 - b).min(run.end - bit);
+        words[w] &= !((!0u64 >> (64 - n)) << b);
+        bit += n;
     }
-    words
 }
 
 /// Re-issue `write` until what it wrote stands. The values are pure
@@ -980,15 +1050,22 @@ fn until_exact(
     }
 }
 
-/// Does every PE of a grid of `side`-PE columns hold `f(col, row)`?
-fn holds_grid<T: PartialEq>(values: &[T], side: usize, f: impl Fn(usize, usize) -> T) -> bool {
-    values
-        .iter()
-        .enumerate()
-        .all(|(pe, v)| *v == f(pe / side, pe % side))
+/// Does every column of a grid of `side`-PE columns hold what the column
+/// body `f` writes into the whole column?
+fn holds_grid<T: Copy + Default + PartialEq>(
+    values: &[T],
+    side: usize,
+    f: impl Fn(usize, Range<usize>, &mut [T]),
+) -> bool {
+    let mut want = vec![T::default(); side];
+    values.chunks(side).enumerate().all(|(col, column)| {
+        f(col, 0..side, &mut want);
+        column == want
+    })
 }
 
-/// Allocate a plural and write `f(col, row)` into it ([`until_exact`]).
+/// Allocate a plural and write it a column piece at a time: `f(col, rows,
+/// out)` writes the PEs of column `col` at `rows` ([`until_exact`]).
 /// Fault-free this is exactly one alloc + one broadcast, identical to the
 /// original `par_init`.
 fn init_exact<T>(
@@ -997,18 +1074,14 @@ fn init_exact<T>(
     max_retries: usize,
     recovery: &mut RecoveryReport,
     side: usize,
-    f: impl Fn(usize, usize) -> T + Sync,
+    f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
 ) -> Result<Plural<T>, EngineError>
 where
     T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord + 'static,
 {
     let mut p = machine.alloc(T::default());
     until_exact(machine, name, max_retries, recovery, |m| {
-        m.par_map_grid(&mut p, side, |c, rows, slots| {
-            for (r, v) in rows.zip(slots) {
-                *v = f(c, r);
-            }
-        });
+        m.par_map_grid(&mut p, side, &f);
         !m.faults_armed() || holds_grid(p.as_slice(), side, &f)
     })?;
     Ok(p)
@@ -1021,15 +1094,11 @@ fn init_occ_exact(
     max_retries: usize,
     recovery: &mut RecoveryReport,
     side: usize,
-    f: impl Fn(usize, usize) -> u64 + Sync,
+    f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
 ) -> Result<OccPlural, EngineError> {
     let mut p = machine.alloc_occ();
     until_exact(machine, "bits", max_retries, recovery, |m| {
-        m.par_write_grid(&mut p, side, |c, rows, slots| {
-            for (r, v) in rows.zip(slots) {
-                *v = f(c, r);
-            }
-        });
+        m.par_write_grid(&mut p, side, &f);
         !m.faults_armed() || holds_grid(p.as_slice(), side, &f)
     })?;
     Ok(p)
@@ -1112,74 +1181,100 @@ fn restore_occ(machine: &mut Machine, p: &mut OccPlural, golden: &[u64]) {
     });
 }
 
-/// Allocate and write a host-verified boolean plural (the bit-sliced
-/// counterpart of [`init_exact`]).
+/// Allocate and write a host-verified boolean plural from its packed
+/// table `want` (the bit-sliced counterpart of [`init_exact`]).
 fn init_bits_exact(
     machine: &mut Machine,
     name: &str,
     max_retries: usize,
     recovery: &mut RecoveryReport,
-    side: usize,
-    f: impl Fn(usize, usize) -> bool + Sync,
+    want: &[u64],
 ) -> Result<PluralBits, EngineError> {
-    let want = grid_words(machine.n_virt(), side, f);
     let mut p = machine.alloc_bits(false);
     until_exact(machine, name, max_retries, recovery, |m| {
-        m.par_write_bits(&mut p, &want);
+        m.par_write_bits(&mut p, want);
         !m.faults_armed() || p.words() == want
     })?;
     Ok(p)
 }
 
-/// Bit li of entry g: role value (group g, label li) violates the
-/// unary constraint compiled to `program`. Evaluated a (word, role) slot
-/// at a time, as [`KernelProgram::unary_lanes`] over the slot's valid
-/// bindings ([`Tables::slot_lanes`]): the slot class first (most unary
-/// constraints are guarded by category or role, and a definite class holds
-/// for every value of the slot), one lane pass where it is `Unknown`.
-fn unary_violations(t: &Tables, sentence: &Sentence, program: &KernelProgram) -> Vec<u64> {
-    let mut scratch = LaneScratch::new();
-    let (mut all, mut doomed) = (Vec::new(), Vec::new());
-    let mut viol = vec![0u64; t.side];
-    for k in 0..t.side / t.m {
-        let (lanes, at) = t.slot_lanes(k);
-        every_lane(&mut all, at.len());
-        doomed.resize(all.len(), 0);
-        program.unary_lanes(sentence, &lanes, &all, &mut scratch, &mut doomed);
-        for lane in ones(&doomed) {
-            viol[at[lane] / t.l] |= 1u64 << (at[lane] % t.l);
+/// One unary constraint's host table: bit li of `viol[g]` is set when role
+/// value (group g, label li) violates it, and the keep masks the
+/// broadcasts AND with follow from those bits.
+#[derive(Debug, Default)]
+struct UnaryTable {
+    viol: Vec<u64>,
+    keep_cols: Vec<u64>,
+    keep_rows: Vec<u64>,
+}
+
+impl UnaryTable {
+    /// The table of the unary constraint compiled to `program`, over the
+    /// role values still in `live`; the violators leave `live`. Evaluated
+    /// a (word, role) slot at a time, as [`KernelProgram::unary_lanes`]
+    /// over the slot's live lanes ([`Tables::slot_lanes`]): the slot class
+    /// first (most unary constraints are guarded by category or role, and
+    /// a definite class holds for every value of the slot), one lane pass
+    /// where it is `Unknown`. A value an earlier table killed is not
+    /// evaluated: its submatrix lines and alive bit are already zero, so
+    /// killing it again would change nothing.
+    fn build(
+        &mut self,
+        t: &Tables,
+        sentence: &Sentence,
+        program: &KernelProgram,
+        live: &mut [u64],
+        scratch: &mut AcuScratch,
+    ) {
+        let AcuScratch {
+            lanes: lane_scratch,
+            pass: doomed,
+            ..
+        } = scratch;
+        let viol = &mut self.viol;
+        viol.clear();
+        viol.resize(t.side, 0);
+        for k in 0..t.slots() {
+            let set = &mut live[t.lane_words(k)];
+            if set.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let (lanes, at) = t.slot_lanes(k);
+            doomed.resize(set.len(), 0);
+            program.unary_lanes(sentence, &lanes, set, lane_scratch, doomed);
+            for lane in ones(doomed) {
+                viol[at[lane] / t.l] |= 1u64 << (at[lane] % t.l);
+            }
+            for (s, &d) in set.iter_mut().zip(doomed.iter()) {
+                *s &= !d;
+            }
         }
-    }
-    viol
-}
-
-/// Set `all` to the lane set holding all of a slot's `n` lanes.
-fn every_lane(all: &mut Vec<u64>, n: usize) {
-    all.clear();
-    all.resize(n.div_ceil(64), !0u64);
-    if n % 64 != 0 {
-        *all.last_mut().expect("a slot has valid bindings") >>= 64 - n % 64;
+        self.keep_cols.clear();
+        self.keep_cols
+            .extend(viol.iter().map(|&v| !t.rows_of[v as usize]));
+        self.keep_rows.clear();
+        self.keep_rows
+            .extend(viol.iter().map(|&v| !t.cols_of[v as usize]));
     }
 }
 
-/// Apply one unary constraint from its violation table (see
-/// [`unary_violations`]): valid PEs zero the submatrix rows and columns of
-/// violating values, and the group boundary PEs clear those values from
-/// the alive masks. The keep masks only clear bits, so only the occupied
-/// submatrices are walked.
+/// Apply one unary constraint from its table ([`UnaryTable::build`]):
+/// valid PEs zero the submatrix rows and columns of violating values, and
+/// the group boundary PEs clear those values from the alive masks. The
+/// keep masks only clear bits, so only the occupied submatrices are
+/// walked.
 fn unary_from_table(
     machine: &mut Machine,
     t: &Tables,
-    viol: &[u64],
+    table: &UnaryTable,
     valid: &PluralBits,
     bits: &mut OccPlural,
     alive: &mut Plural<u64>,
 ) {
-    let keep_cols: Vec<u64> = viol.iter().map(|&v| !t.rows_of[v as usize]).collect();
-    let keep_rows: Vec<u64> = viol.iter().map(|&v| !t.cols_of[v as usize]).collect();
     machine.with_activity_bits(valid, |m| {
-        m.par_and_grid(bits, t.side, &keep_cols, &keep_rows)
+        m.par_and_grid(bits, t.side, &table.keep_cols, &table.keep_rows)
     });
+    let viol = &table.viol;
     machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
 }
 
@@ -1204,68 +1299,81 @@ fn holds(
         .not_false()
 }
 
-/// One group's slot classes under a binary constraint. Bit `li` of
-/// `pass_x` is set when role value (group, li) makes the constraint
-/// definitely true as `x`, whatever `y` is; `pass_y` likewise as `y`;
-/// `fail` when it makes the constraint definitely false as `x` or as `y`.
+/// One group's slot classes under a binary constraint, over the role
+/// values still alive. Bit `li` of `pass_x` is set when role value (group,
+/// li) makes the constraint definitely true as `x`, whatever `y` is;
+/// `pass_y` likewise as `y`; `fail` when it makes the constraint
+/// definitely false as `x` or as `y`. `alive` holds the group's labels
+/// still alive.
 #[derive(Debug, Clone, Copy, Default)]
 struct Class {
     pass_x: u64,
     pass_y: u64,
     fail: u64,
-    /// Every valid label passes as `x` and as `y`: no pair a PE of this
-    /// group holds can fail either ordering.
+    alive: u64,
+    /// Every alive label passes as `x` and as `y`: no pair a PE of this
+    /// group holds can fail either ordering (a dead label holds none).
     settled: bool,
 }
 
-/// The buffers [`BinaryClasses::new`] reuses from one constraint to the
+/// The buffers the ACU's host tables reuse from one constraint to the
 /// next.
 #[derive(Debug, Default)]
-struct ClassScratch {
+struct AcuScratch {
     lanes: LaneScratch,
-    all: Vec<u64>,
     pass: Vec<u64>,
     fail: Vec<u64>,
 }
 
-/// The ACU's class table for one binary constraint, one [`Class`] per
-/// group. Per (word, role) slot and ordering it runs one
-/// [`KernelProgram::eval_lanes`] pass over the slot's valid role values
+/// The ACU's class table for a binary constraint, one [`Class`] per
+/// group, rebuilt in place for each constraint. Per (word, role) slot and ordering it runs one
+/// [`KernelProgram::eval_lanes`] pass over the slot's live role values
 /// ([`Tables::slot_lanes`]) with the other variable
 /// [`PartialBinding::Any`]. By Kleene monotonicity (as in
 /// `cdg_core::kernel::kernel_arc`) a definite verdict there is the verdict
 /// for every binding of the other variable, so a PE body evaluates only
-/// the orderings no class decides.
+/// the orderings no class decides. A dead value's submatrix lines are
+/// zero on every PE and binary propagation kills no value, so the dead
+/// values need no class.
+#[derive(Debug, Default)]
 struct BinaryClasses {
     groups: Vec<Class>,
 }
 
 impl BinaryClasses {
-    fn new(
+    /// The classes of the binary constraint compiled to `program`, over
+    /// the role values in `live`.
+    fn build(
+        &mut self,
         t: &Tables,
         sentence: &Sentence,
         program: &KernelProgram,
-        scratch: &mut ClassScratch,
-    ) -> BinaryClasses {
-        let mut groups = vec![Class::default(); t.side];
-        let ClassScratch {
+        live: &[u64],
+        scratch: &mut AcuScratch,
+    ) {
+        let groups = &mut self.groups;
+        groups.clear();
+        groups.resize(t.side, Class::default());
+        let AcuScratch {
             lanes: lane_scratch,
-            all,
             pass,
             fail,
         } = scratch;
-        for k in 0..t.side / t.m {
+        for k in 0..t.slots() {
+            let set = &live[t.lane_words(k)];
             let (lanes, at) = t.slot_lanes(k);
-            every_lane(all, at.len());
-            pass.resize(all.len(), 0);
-            fail.resize(all.len(), 0);
+            for lane in ones(set) {
+                groups[at[lane] / t.l].alive |= 1u64 << (at[lane] % t.l);
+            }
+            pass.resize(set.len(), 0);
+            fail.resize(set.len(), 0);
             for var in [Var::X, Var::Y] {
                 program.eval_lanes(
                     sentence,
                     &lanes,
                     var,
                     PartialBinding::Any,
-                    all,
+                    set,
                     lane_scratch,
                     pass,
                     fail,
@@ -1284,9 +1392,9 @@ impl BinaryClasses {
             }
         }
         for (g, c) in groups.iter_mut().enumerate() {
-            c.settled = c.pass_x & c.pass_y == t.full[t.role_of[g]];
+            let full = t.full[t.role_of[g]];
+            c.settled = c.pass_x & c.pass_y | (full & !c.alive) == full;
         }
-        BinaryClasses { groups }
     }
 
     /// The binary PE body on one column piece of group `cg`: the PEs of
@@ -1531,6 +1639,17 @@ mod tests {
         assert!(out.is_alive(lay.group(2, needs, rm2), s_label));
     }
 
+    /// Column `col` of a grid plural as the column body `f` writes it.
+    fn column<T: Copy + Default>(
+        t: &Tables,
+        col: usize,
+        f: impl Fn(usize, Range<usize>, &mut [T]),
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); t.side];
+        f(col, 0..t.side, &mut out);
+        out
+    }
+
     #[test]
     fn tables_lay_out_figures_9_to_13() {
         let (g, s) = example();
@@ -1538,15 +1657,17 @@ mod tests {
         let t = Tables::new(&lay);
         // Figure 13: a 3×3 submatrix, all label pairs set; Figure 11's
         // diagonal PEs (column group 0 × row groups 0–2) hold nothing.
-        assert_eq!(t.init_bits(0, 3).count_ones(), 9);
-        for row in 0..3 {
-            assert!(t.diagonal(0, row));
-            assert_eq!(t.init_bits(0, row), 0);
-        }
+        let bits = column(&t, 0, |c, rows, out| t.init_bits(c, rows, out));
+        assert_eq!(bits[3].count_ones(), 9);
+        assert_eq!(t.diagonal_rows(0), 0..3);
+        assert_eq!(bits[..3], [0, 0, 0]);
         // Alive masks live on each column's boundary PE (row 0) only.
-        assert_eq!(t.init_alive(0, 0), 0b111);
-        assert_eq!(t.init_alive(1, 0), 0b111);
-        assert_eq!(t.init_alive(0, 1), 0);
+        let alive = column(&t, 0, |c, rows, out| t.init_alive(c, rows, out));
+        assert_eq!(alive[..2], [0b111, 0]);
+        assert_eq!(
+            column(&t, 1, |c, rows, out| t.init_alive(c, rows, out))[0],
+            0b111
+        );
         // Figure 12's segments tile the array: 108 blocks, 18 columns.
         assert_eq!(t.blocks.num_segments(), 324 / 3);
         assert_eq!(t.columns.num_segments(), 18);
@@ -1557,6 +1678,59 @@ mod tests {
             assert_eq!(t.cols_of[1 << li], lay.col_mask(li));
         }
         assert_eq!(t.rows_of[0b111], (1 << 9) - 1);
+    }
+
+    /// The column bodies and packed masks the init broadcasts write, against
+    /// the per-PE layout: the diagonal of [`Layout::is_diagonal`], the label
+    /// pairs of [`Layout::bit`], the boundary PEs of Figure 12. A column
+    /// piece must equal its rows of the whole column, as the host chunks
+    /// cut it.
+    #[test]
+    fn init_columns_match_the_per_pe_layout() {
+        let (g, lex) = corpus::standard_setup();
+        let mut sentences = vec![example()];
+        for n in 3..=10usize {
+            sentences.push((g.clone(), corpus::english_sentence(&g, &lex, n, n as u64)));
+        }
+        for (g, s) in &sentences {
+            let lay = Layout::new(g, s);
+            let t = Tables::new(&lay);
+            let (valid, boundary) = (t.valid_words(), t.block_boundary_words());
+            let pes = lay.virt_pes();
+            assert_eq!(valid.len(), pes.div_ceil(64), "`{s}`");
+            let bit = |words: &[u64], pe: usize| words[pe / 64] >> (pe % 64) & 1 == 1;
+            assert!((pes..valid.len() * 64).all(|pe| !bit(&valid, pe)), "`{s}`");
+            for col in 0..t.side {
+                let bits = column(&t, col, |c, rows, out| t.init_bits(c, rows, out));
+                let alive = column(&t, col, |c, rows, out| t.init_alive(c, rows, out));
+                let (_, rc, _) = lay.decode_group(col);
+                for row in 0..t.side {
+                    let pe = lay.pe(col, row);
+                    let (_, rr, _) = lay.decode_group(row);
+                    let pairs = (0..lay.labels_of_role(rc))
+                        .flat_map(|i| (0..lay.labels_of_role(rr)).map(move |j| (i, j)))
+                        .fold(0u64, |b, (i, j)| b | 1u64 << lay.bit(i, j));
+                    let diagonal = lay.is_diagonal(pe);
+                    assert_eq!(bit(&valid, pe), !diagonal, "`{s}` PE {pe}");
+                    assert_eq!(bit(&boundary, pe), !diagonal && row % lay.m == 0);
+                    assert_eq!(bits[row], if diagonal { 0 } else { pairs }, "`{s}` PE {pe}");
+                    let want = if row == 0 {
+                        (1u64 << lay.labels_of_role(rc)) - 1
+                    } else {
+                        0
+                    };
+                    assert_eq!(alive[row], want, "`{s}` PE {pe}");
+                    assert_eq!(t.row_boundaries[row], t.boundary(row));
+                }
+                for rows in [1..t.side, 0..t.m + 1, t.m - 1..t.side - 1] {
+                    let mut piece = vec![0u64; rows.len()];
+                    t.init_bits(col, rows.clone(), &mut piece);
+                    assert_eq!(piece, bits[rows.clone()], "`{s}` column {col}");
+                    t.init_alive(col, rows.clone(), &mut piece);
+                    assert_eq!(piece, alive[rows], "`{s}` column {col}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1762,37 +1936,63 @@ mod tests {
 
     /// A machine in the state `drive` leaves it in before binary
     /// propagation: every unary constraint applied, dead values masked.
+    /// `live` holds the role values unary propagation left.
     struct BinaryStart {
         machine: Machine,
         valid: PluralBits,
         bits: OccPlural,
+        alive: Plural<u64>,
+        live: Vec<u64>,
     }
 
-    fn before_binary(g: &Grammar, s: &Sentence, lay: &Layout, t: &Tables) -> BinaryStart {
+    /// [`BinaryStart`] as `drive` reaches it, with unary tables over the
+    /// values still alive; or, with `full_domain`, with every unary table
+    /// over every valid role value, the full-domain reference.
+    fn before_binary(
+        g: &Grammar,
+        s: &Sentence,
+        lay: &Layout,
+        t: &Tables,
+        full_domain: bool,
+    ) -> BinaryStart {
         let mut machine = Machine::new(MachineConfig::default(), lay.virt_pes());
         let mut rec = RecoveryReport::default();
         let side = t.side;
-        let valid = init_bits_exact(&mut machine, "valid", 1, &mut rec, side, |c, r| {
-            !t.diagonal(c, r)
+        let valid = init_bits_exact(&mut machine, "valid", 1, &mut rec, &t.valid_words()).unwrap();
+        let mut bits = init_occ_exact(&mut machine, 1, &mut rec, side, |c, rows, out| {
+            t.init_bits(c, rows, out)
         })
         .unwrap();
-        let mut bits =
-            init_occ_exact(&mut machine, 1, &mut rec, side, |c, r| t.init_bits(c, r)).unwrap();
-        let mut alive = init_exact(&mut machine, "alive", 1, &mut rec, side, |c, r| {
-            t.init_alive(c, r)
+        let mut alive = init_exact(&mut machine, "alive", 1, &mut rec, side, |c, rows, out| {
+            t.init_alive(c, rows, out)
         })
         .unwrap();
-        let col = init_exact(&mut machine, "col", 1, &mut rec, side, |c, _| t.boundary(c)).unwrap();
-        let row = init_exact(&mut machine, "row", 1, &mut rec, side, |_, r| t.boundary(r)).unwrap();
+        let col = init_exact(&mut machine, "col", 1, &mut rec, side, |c, _, out| {
+            out.fill(t.boundary(c))
+        })
+        .unwrap();
+        let row = init_exact(&mut machine, "row", 1, &mut rec, side, |_, rows, out| {
+            out.copy_from_slice(&t.row_boundaries[rows])
+        })
+        .unwrap();
+        let mut live = t.every_value();
+        let (mut scratch, mut table) = (AcuScratch::default(), UnaryTable::default());
         for c in g.unary_constraints() {
-            let viol = unary_violations(t, s, &KernelProgram::compile(&c.expr));
-            unary_from_table(&mut machine, t, &viol, &valid, &mut bits, &mut alive);
+            let program = KernelProgram::compile(&c.expr);
+            if full_domain {
+                table.build(t, s, &program, &mut t.every_value(), &mut scratch);
+            } else {
+                table.build(t, s, &program, &mut live, &mut scratch);
+            }
+            unary_from_table(&mut machine, t, &table, &valid, &mut bits, &mut alive);
         }
         mask_dead(&mut machine, t, &valid, &mut bits, &alive, &col, &row);
         BinaryStart {
             machine,
             valid,
             bits,
+            alive,
+            live,
         }
     }
 
@@ -1867,12 +2067,15 @@ mod tests {
     ) {
         let lay = Layout::new(g, s);
         let t = Tables::new(&lay);
-        let (mut fast, mut slow) = (before_binary(g, s, &lay, &t), before_binary(g, s, &lay, &t));
+        let (mut fast, mut slow) = (
+            before_binary(g, s, &lay, &t, false),
+            before_binary(g, s, &lay, &t, false),
+        );
         let mut direct = fast.bits.as_slice().to_vec();
-        let mut scratch = ClassScratch::default();
+        let (mut scratch, mut classes) = (AcuScratch::default(), BinaryClasses::default());
         for c in constraints {
             let program = KernelProgram::compile(&c.expr);
-            let classes = BinaryClasses::new(&t, s, &program, &mut scratch);
+            classes.build(&t, s, &program, &fast.live, &mut scratch);
             let (valid, bits) = (&fast.valid, &mut fast.bits);
             apply_binary(&mut fast.machine, &t, &classes, s, &program, valid, bits);
             apply_binary_per_pair(
@@ -1891,12 +2094,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn class_decided_binary_body_matches_the_per_pair_reference() {
-        let (g, lex) = corpus::standard_setup();
-        // No class of the grammar's own binary constraints is definitely
-        // false: each reads `y` in its antecedent. This contextual one
-        // fails every subject ahead of its head whatever `y` is.
+    /// The grammar's binary constraints and one contextual one. No class of
+    /// the grammar's own is definitely false: each reads `y` in its
+    /// antecedent. The contextual one fails every subject ahead of its head
+    /// whatever `y` is.
+    fn binary_constraints_and_a_contextual_one(g: &Grammar) -> Vec<Constraint> {
         let mut constraints = g.binary_constraints().to_vec();
         constraints.push(
             g.compile_extra_constraint(
@@ -1905,6 +2107,13 @@ mod tests {
             )
             .unwrap(),
         );
+        constraints
+    }
+
+    #[test]
+    fn class_decided_binary_body_matches_the_per_pair_reference() {
+        let (g, lex) = corpus::standard_setup();
+        let constraints = binary_constraints_and_a_contextual_one(&g);
         let mut tally = BodyTally::default();
         for n in 3..=10usize {
             let s = corpus::english_sentence(&g, &lex, n, n as u64);
@@ -1925,6 +2134,61 @@ mod tests {
         pool.install(|| binary_bodies_agree(&g, &constraints, &s, &mut BodyTally::default()));
     }
 
+    /// The ACU's tables over the values unary propagation left, against the
+    /// full-domain reference that evaluates every valid role value in every
+    /// table: the same submatrices, alive masks and machine counters after
+    /// the binary phase. Unary propagation kills values here, and the
+    /// survivors-only classes settle groups the reference cannot.
+    #[test]
+    fn survivor_tables_match_the_full_domain_reference() {
+        let (g, lex) = corpus::standard_setup();
+        let constraints = binary_constraints_and_a_contextual_one(&g);
+        let (mut killed, mut settled, mut settled_full) = (0, 0, 0);
+        let mut scratch = AcuScratch::default();
+        let (mut ours, mut reference) = (BinaryClasses::default(), BinaryClasses::default());
+        for n in 3..=10usize {
+            let s = corpus::english_sentence(&g, &lex, n, n as u64);
+            for s in [corpus::scrambled(&lex, &s, n as u64 * 37), s] {
+                let lay = Layout::new(&g, &s);
+                let t = Tables::new(&lay);
+                let every = t.every_value();
+                let mut fast = before_binary(&g, &s, &lay, &t, false);
+                let mut full = before_binary(&g, &s, &lay, &t, true);
+                let count = |set: &[u64]| set.iter().map(|w| w.count_ones()).sum::<u32>();
+                killed += count(&every) - count(&fast.live);
+                for c in &constraints {
+                    let program = KernelProgram::compile(&c.expr);
+                    ours.build(&t, &s, &program, &fast.live, &mut scratch);
+                    reference.build(&t, &s, &program, &every, &mut scratch);
+                    for (a, b) in ours.groups.iter().zip(&reference.groups) {
+                        assert!(
+                            a.settled || !b.settled,
+                            "`{s}`: a settled group stays settled"
+                        );
+                        settled += usize::from(a.settled);
+                        settled_full += usize::from(b.settled);
+                    }
+                    let (valid, bits) = (&fast.valid, &mut fast.bits);
+                    apply_binary(&mut fast.machine, &t, &ours, &s, &program, valid, bits);
+                    let (valid, bits) = (&full.valid, &mut full.bits);
+                    apply_binary(&mut full.machine, &t, &reference, &s, &program, valid, bits);
+                }
+                assert_eq!(
+                    fast.bits.as_slice(),
+                    full.bits.as_slice(),
+                    "`{s}`: submatrices"
+                );
+                assert_eq!(fast.alive.as_slice(), full.alive.as_slice(), "`{s}`: alive");
+                assert_eq!(fast.machine.stats, full.machine.stats, "`{s}`: counters");
+            }
+        }
+        assert!(killed > 0, "unary propagation kills values");
+        assert!(
+            settled > settled_full,
+            "{settled} settled groups against {settled_full} over the full domain"
+        );
+    }
+
     #[test]
     fn binary_walks_visit_only_occupied_submatrices() {
         // The n = 10 sentence past the virtualization cliff: 40,000 PEs,
@@ -1937,12 +2201,14 @@ mod tests {
             mut machine,
             valid,
             mut bits,
-        } = before_binary(&g, &s, &lay, &t);
-        let mut scratch = ClassScratch::default();
+            live,
+            ..
+        } = before_binary(&g, &s, &lay, &t, false);
+        let (mut scratch, mut classes) = (AcuScratch::default(), BinaryClasses::default());
         let (mut visits, mut nonzero) = (0, 0);
         for c in g.binary_constraints() {
             let program = KernelProgram::compile(&c.expr);
-            let classes = BinaryClasses::new(&t, &s, &program, &mut scratch);
+            classes.build(&t, &s, &program, &live, &mut scratch);
             let occupied = bits.occupied_count() as u64;
             let live = bits.as_slice().iter().filter(|&&b| b != 0).count() as u64;
             let before = machine.occupancy_visits();
