@@ -72,7 +72,7 @@ fn throughput() {
     };
     run("cdg-serial", &|s| parse(&g, s, opts).roles_nonempty);
     let pram = ParseRequest::new(&g).options(opts);
-    run("cdg-pram (rayon)", &|s| {
+    run("cdg-pram (round ledger)", &|s| {
         WarmState::new()
             .run(&pram, s, &mut PramStats::default())
             .roles_nonempty
@@ -269,7 +269,7 @@ fn fig8() {
             1,
         ));
         series.push((
-            "CDG CRCW P-RAM (rayon)",
+            "CDG CRCW P-RAM (round ledger)",
             "O(n^4)",
             "O(k)",
             "parallel steps",

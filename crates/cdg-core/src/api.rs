@@ -82,7 +82,8 @@ pub struct ParseRequest<'g> {
     /// The host engines have no fault model and reject a request carrying
     /// one with [`EngineError::GrammarError`] rather than ignore it.
     pub faults: Option<FaultPlan>,
-    /// Worker thread hint for batch parsing (`None` = all cores).
+    /// Worker-pool width of a P-RAM batch's sentence fan-out (`None` =
+    /// the process-wide width).
     pub threads: Option<usize>,
     /// Collect a phase trace ([`ParseReport::trace`]).
     pub trace: bool,

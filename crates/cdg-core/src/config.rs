@@ -131,7 +131,8 @@ pub struct EngineConfig {
     pub transient: Option<usize>,
     /// Parse-enumeration cap.
     pub max_parses: usize,
-    /// Worker-pool width for the host-parallel engines.
+    /// Worker-pool width of a P-RAM batch's sentence fan-out (the CLI's
+    /// `--threads` also sets the process-wide pool from it).
     pub threads: Option<usize>,
 }
 

@@ -16,8 +16,9 @@
 //! pass), the differential oracle; and the [`IncrementalFilter`], which
 //! runs the same zero-row/zero-column test but only on the rows and
 //! columns a removal touched, with no support counters. The incremental
-//! filter is the default under the kernel evaluator; the P-RAM engine runs
-//! its per-arc step ([`FilterStep::arc`]) in parallel.
+//! filter is the default under the kernel evaluator. Every host engine
+//! runs this serial code; the P-RAM engine charges each pass as rounds of
+//! its ledger.
 
 use crate::kernel::{bit, ones};
 use crate::network::{ArcMatrix, Network, RoleSlot, SlotId};
@@ -86,8 +87,8 @@ pub fn filter(net: &mut Network<'_>, max_passes: usize) -> (usize, usize, bool) 
 }
 
 /// Filter at most `max_passes` passes, one at a time, with the
-/// [`IncrementalFilter`] (`incremental`) or the full scan; `exec` runs
-/// the incremental filter's arc sweep and is charged each step. `stop` is
+/// [`IncrementalFilter`] (`incremental`) or the full scan, charging each
+/// step to `exec`'s ledger. `stop` is
 /// asked before each pass with the passes run so far and ends the loop
 /// when it returns true, so a budget binds between passes and a pass in
 /// progress always completes. The incremental filter is built lazily, so
@@ -106,12 +107,12 @@ pub(crate) fn filter_with<E: Executor>(
     while !settled && net.arcs_ready() && passes < max_passes && !stop(passes) {
         let (step, removed, fixpoint) = if incremental {
             let filter = filter.get_or_insert_with(|| {
-                let built = IncrementalFilter::build(net, |s, a| exec.sweep_arcs(s, a));
+                let built = IncrementalFilter::build(net);
                 exec.cost(net, Step::FilterBuild, Some(0));
                 built
             });
             exec.cost(net, Step::Generation, None);
-            let (removed, fixpoint) = filter.pass(net, |s, a| exec.sweep_arcs(s, a));
+            let (removed, fixpoint) = filter.pass(net);
             (Step::Generation, removed, fixpoint)
         } else {
             exec.cost(net, Step::Scan, None);
@@ -221,13 +222,10 @@ fn count(words: &[u64]) -> usize {
 
 /// What one step's arc work reads: the slots' alive sets and the filter's
 /// bitsets, frozen for the step. Every arc reads it and writes only its
-/// own matrix, so the arcs can run in any order or in parallel
-/// ([`FilterStep::arc`]).
-pub struct FilterStep<'a> {
+/// own matrix ([`FilterStep::arc`]).
+struct FilterStep<'a> {
     slots: &'a [RoleSlot],
     marks: &'a Marks,
-    /// Every arc as (slot i, slot j, triangular index), in storage order.
-    pub pairs: &'a [(SlotId, SlotId, usize)],
     /// Generation 0: every alive, unqueued value is tested.
     build: bool,
 }
@@ -244,7 +242,7 @@ impl FilterStep<'_> {
     /// column test ORs the surviving rows and stops as soon as every
     /// candidate is covered. An outer arc is answered from the alive sets
     /// (`FilterStep::outer_arc`).
-    pub fn arc(
+    fn arc(
         &self,
         i: SlotId,
         j: SlotId,
@@ -336,31 +334,9 @@ impl FilterStep<'_> {
     }
 }
 
-/// What a sweep of every arc returns: the 1-entries zeroed and the values
-/// left unsupported (in any order, duplicates allowed).
-pub type SweepResult = (usize, Vec<(SlotId, usize)>);
-
-/// The serial sweep: [`FilterStep::arc`] over the arcs in storage order.
-pub fn sweep_arcs(step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
-    let mut words = Vec::new();
-    let mut unsupported = Vec::new();
-    let zeroed = arcs
-        .iter_mut()
-        .zip(step.pairs)
-        .map(|(m, &(i, j, _))| step.arc(i, j, m, &mut words, &mut unsupported))
-        .sum();
-    (zeroed, unsupported)
-}
-
 impl IncrementalFilter {
-    /// Test every alive value once (generation 0), the arc work run by
-    /// `sweep`: [`sweep_arcs`] serially, or any sweep that runs every arc
-    /// once — the P-RAM engine fans [`FilterStep::arc`] across workers —
-    /// which gives the same filter.
-    pub fn build(
-        net: &mut Network<'_>,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
-    ) -> Self {
+    /// Test every alive value once (generation 0).
+    pub fn build(net: &mut Network<'_>) -> Self {
         assert!(net.arcs_ready(), "incremental filtering needs arc matrices");
         let slots = net.num_slots();
         let width = net
@@ -377,26 +353,30 @@ impl IncrementalFilter {
             queue: Vec::new(),
         };
         net.stats.support_inits += net.arc_sides();
-        let (_, unsupported) = filter.run_sweep(net, true, sweep);
+        let (_, unsupported) = filter.sweep(net, true);
         filter.enqueue(unsupported);
         filter
     }
 
-    /// Run `sweep` over every arc against this filter's bitsets.
-    fn run_sweep(
-        &self,
-        net: &mut Network<'_>,
-        build: bool,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
-    ) -> SweepResult {
+    /// Run [`FilterStep::arc`] over every arc, in storage order, against
+    /// this filter's bitsets. Returns the 1-entries zeroed and the values
+    /// left unsupported (in any order, duplicates allowed).
+    fn sweep(&self, net: &mut Network<'_>, build: bool) -> (usize, Vec<(SlotId, usize)>) {
         let parts = net.parts_mut();
         let step = FilterStep {
             slots: parts.slots,
             marks: &self.marks,
-            pairs: parts.pairs,
             build,
         };
-        sweep(&step, parts.arcs)
+        let mut words = Vec::new();
+        let mut unsupported = Vec::new();
+        let zeroed = parts
+            .arcs
+            .iter_mut()
+            .zip(parts.pairs)
+            .map(|(m, &(i, j, _))| step.arc(i, j, m, &mut words, &mut unsupported))
+            .sum();
+        (zeroed, unsupported)
     }
 
     /// Queue `unsupported` as the next generation: sorted into the
@@ -416,16 +396,10 @@ impl IncrementalFilter {
         net.pool_mut().release(self.marks.rows);
     }
 
-    /// Remove one generation, the arc work run by `sweep` (see
-    /// [`IncrementalFilter::build`]), and queue the next. Returns
-    /// (removed, reached_fixpoint); an empty generation is the fixpoint,
-    /// and still counts as a pass, like the full-scan pass that removes
-    /// nothing.
-    pub fn pass(
-        &mut self,
-        net: &mut Network<'_>,
-        sweep: impl FnOnce(&FilterStep<'_>, &mut [ArcMatrix]) -> SweepResult,
-    ) -> (usize, bool) {
+    /// Remove one generation and queue the next. Returns (removed,
+    /// reached_fixpoint); an empty generation is the fixpoint, and still
+    /// counts as a pass, like the full-scan pass that removes nothing.
+    pub fn pass(&mut self, net: &mut Network<'_>) -> (usize, bool) {
         let _phase = obsv::span("maintain");
         net.stats.maintain_passes += 1;
         if self.queue.is_empty() {
@@ -440,7 +414,7 @@ impl IncrementalFilter {
             self.marks.rows.set(slots + slot, idx, true);
             net.clear_alive(slot, idx);
         }
-        let (zeroed, unsupported) = self.run_sweep(net, false, sweep);
+        let (zeroed, unsupported) = self.sweep(net, false);
         net.stats.support_checks += zeroed;
         net.stats.entries_zeroed += zeroed;
         self.enqueue(unsupported);
@@ -607,12 +581,12 @@ mod tests {
             full.init_arcs();
             apply_all_binary(&mut full);
             let mut inc = full.clone();
-            let mut f = IncrementalFilter::build(&mut inc, sweep_arcs);
+            let mut f = IncrementalFilter::build(&mut inc);
             assert!(inc.stats.support_inits > 0);
             loop {
                 let before = inc.stats;
                 let removed_full = maintain(&mut full);
-                let (removed_inc, fixpoint) = f.pass(&mut inc, sweep_arcs);
+                let (removed_inc, fixpoint) = f.pass(&mut inc);
                 assert_eq!(
                     removed_full, removed_inc,
                     "`{s}`: generation sizes diverged"

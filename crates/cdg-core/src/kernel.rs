@@ -30,7 +30,7 @@
 //!    value as `x`) passes every pair when either endpoint says so: the
 //!    row slot passes as `x` everywhere, or the column slot as `y`.
 //!    Ordering 2 (column value as `x`) likewise, roles swapped.
-//!    [`kernel_arc`] skips an arc untouched when both endpoints pass as
+//!    `kernel_arc` skips an arc untouched when both endpoints pass as
 //!    `x` (charging nothing), or when one endpoint passes both
 //!    orderings: the row slot (charging nothing, as the full path would)
 //!    or the column slot (charging the row slot's `Unknown` slot classes,
@@ -69,11 +69,11 @@
 //! `zero_arc_entry` calls would have counted.
 //!
 //! Unary constraints run a slot at a time too ([`apply_unary_kernel_with`],
-//! [`UnarySweep::slot`]): the slot's class with its value open, then one lane
+//! `UnarySweep::slot`): the slot's class with its value open, then one lane
 //! pass over the alive values where the class is `Unknown`
 //! ([`KernelProgram::unary_lanes`]).
 
-use crate::network::{Acquire, ArcMatrix, Network, RoleSlot, SlotId};
+use crate::network::{ArcMatrix, NetParts, Network, RoleSlot, SlotId};
 use crate::pool::ArcPool;
 use cdg_grammar::expr::Var;
 use cdg_grammar::kernel::{
@@ -87,7 +87,7 @@ use std::collections::HashMap;
 /// Two *alive* domain entries share a signature iff the constraint cannot
 /// distinguish them.
 #[derive(Default)]
-pub struct SlotSigs {
+pub(crate) struct SlotSigs {
     /// Per alive domain entry, the first alive entry with its signature
     /// (itself, for the first); dead entries carry `u32::MAX` — the engine
     /// never looks at them.
@@ -111,12 +111,12 @@ pub struct SlotSigs {
     /// roles swapped. So an arc is a no-op when both endpoints pass as `x`,
     /// or when one endpoint passes both as `x` and as `y` — the common
     /// case for label-guarded constraints on slots whose labels never match
-    /// the guard ([`kernel_arc`]).
+    /// the guard (`kernel_arc`).
     pub all_pass_as_x: bool,
     /// True when every alive entry's as-`y` class is true.
     pub all_pass_as_y: bool,
     /// Distinct alive signatures whose as-`x` / as-`y` slot class is
-    /// `Unknown`: what the two row-class passes of [`kernel_arc`] charge
+    /// `Unknown`: what the two row-class passes of `kernel_arc` charge
     /// when no row is doomed.
     pub unknown_x: usize,
     pub unknown_y: usize,
@@ -394,7 +394,7 @@ impl Pass {
     }
 }
 
-/// Reusable scratch state for [`kernel_arc`]: one arc's bitsets as word
+/// Reusable scratch state for `kernel_arc`: one arc's bitsets as word
 /// vectors, resized per arc without reallocating once warm. The
 /// per-row-signature mask table is generation-stamped instead of cleared:
 /// entries from a previous arc read as absent under the current
@@ -448,7 +448,7 @@ impl KernelScratch {
 /// scalar-ledger evaluations (module docs); `memo_hits` the pair verdicts
 /// settled without one.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ArcKernelCounts {
+pub(crate) struct ArcKernelCounts {
     pub zeroed: usize,
     pub checks: usize,
     pub masks_built: usize,
@@ -457,7 +457,7 @@ pub struct ArcKernelCounts {
 
 impl ArcKernelCounts {
     /// Accumulate another arc's counters into this one.
-    pub fn absorb(&mut self, other: ArcKernelCounts) {
+    fn absorb(&mut self, other: ArcKernelCounts) {
         self.zeroed += other.zeroed;
         self.checks += other.checks;
         self.masks_built += other.masks_built;
@@ -506,12 +506,12 @@ fn refine(
 
 /// Apply the sweep's program over arc `(i, j)`: lane passes for the row
 /// classes, the column classes and each undecided row's verdicts, applied
-/// as word-parallel row masks. The shared inner loop of the serial and
-/// P-RAM kernel engines: each worker owns one arc, so the parallel engine
-/// can call this per-arc race-free.
+/// as word-parallel row masks. The inner loop of
+/// [`apply_pairwise_kernel_with`], which every host engine runs: it reads
+/// the sweep and writes arc `(i, j)` alone.
 ///
 /// An outer arc ([`ArcMatrix::Outer`]) is stored — its matrix drawn from
-/// `acquire` — at the first write that clears a live pair: a doomed row,
+/// `pool` — at the first write that clears a live pair: a doomed row,
 /// or a row mask that does not cover the column slot's alive set. A mask
 /// that covers it leaves the arc outer.
 ///
@@ -521,13 +521,13 @@ fn refine(
 /// when the column slot passes as `x` or the row slot passes as `y`. An
 /// arc whose two orderings both pass that way is left untouched, and each
 /// exit charges `checks` exactly what the full path would.
-pub fn kernel_arc(
+pub(crate) fn kernel_arc(
     sweep: &PairwiseSweep<'_>,
     i: SlotId,
     j: SlotId,
     arc: &mut ArcMatrix,
     scratch: &mut KernelScratch,
-    acquire: Acquire<'_>,
+    pool: &mut ArcPool,
 ) -> ArcKernelCounts {
     let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
     if gj.alive == 0 {
@@ -563,10 +563,10 @@ pub fn kernel_arc(
             ..settled
         };
     }
-    kernel_arc_full(sweep, i, j, arc, scratch, acquire)
+    kernel_arc_full(sweep, i, j, arc, scratch, pool)
 }
 
-/// [`kernel_arc`] past its whole-arc exits: the row classes, the column
+/// `kernel_arc` past its whole-arc exits: the row classes, the column
 /// classes and the pair verdicts.
 fn kernel_arc_full(
     sweep: &PairwiseSweep<'_>,
@@ -574,7 +574,7 @@ fn kernel_arc_full(
     j: SlotId,
     arc: &mut ArcMatrix,
     scratch: &mut KernelScratch,
-    acquire: Acquire<'_>,
+    pool: &mut ArcPool,
 ) -> ArcKernelCounts {
     let PairwiseSweep { prog, sentence, .. } = *sweep;
     let (si, sj, gi, gj) = (
@@ -659,7 +659,7 @@ fn kernel_arc_full(
         // so the row's popcount is exactly the naive per-cell clears.
         let doomed = r1f[k] | r2f[k];
         for a in ones(&[doomed]) {
-            counts.zeroed += arc.zero_row(k * 64 + a, &si.alive, &sj.alive, acquire);
+            counts.zeroed += arc.zero_row(k * 64 + a, &si.alive, &sj.alive, pool);
         }
         // Every pair of a row passing both orderings survives.
         let passed = r1t[k] & r2t[k];
@@ -718,7 +718,7 @@ fn kernel_arc_full(
         if open.iter().all(|&w| w == 0) {
             // Class-decided: the surviving columns are exactly `base`.
             counts.memo_hits += alive_j;
-            counts.zeroed += arc.and_row(a, base, &si.alive, &sj.alive, acquire);
+            counts.zeroed += arc.and_row(a, base, &si.alive, &sj.alive, pool);
             continue;
         }
         let sa = gi.rep[a] as usize;
@@ -761,7 +761,7 @@ fn kernel_arc_full(
                 .1
                 .extend(base.iter().zip(keep.iter()).map(|(b, k)| b | k));
         }
-        counts.zeroed += arc.and_row(a, &masks[sa].1, &si.alive, &sj.alive, acquire);
+        counts.zeroed += arc.and_row(a, &masks[sa].1, &si.alive, &sj.alive, pool);
     }
     counts
 }
@@ -769,14 +769,12 @@ fn kernel_arc_full(
 /// What one pairwise constraint application shares across its arcs: the
 /// resolved program, every slot's signatures and slot classes, and the
 /// network's lane tables.
-pub struct PairwiseSweep<'a> {
-    pub prog: &'a KernelProgram,
-    pub sentence: &'a Sentence,
-    pub slots: &'a [RoleSlot],
-    pub sigs: &'a [SlotSigs],
-    pub lanes: &'a LaneTables,
-    /// Every arc as (slot i, slot j, triangular index), in storage order.
-    pub pairs: &'a [(SlotId, SlotId, usize)],
+pub(crate) struct PairwiseSweep<'a> {
+    prog: &'a KernelProgram,
+    sentence: &'a Sentence,
+    slots: &'a [RoleSlot],
+    sigs: &'a [SlotSigs],
+    lanes: &'a LaneTables,
 }
 
 /// Resolve `constraint`'s program from the grammar's compiled artifact
@@ -807,73 +805,38 @@ fn with_program<R>(
 /// constraints (`check_pair` semantics) and unary constraints applied
 /// pairwise with witness semantics — both reduce to "evaluate the
 /// expression in both orderings; the pair survives only if neither is
-/// definitely violated". Returns entries zeroed. The caller-owned scratch
-/// lets a sweep over many constraints reuse the lane, class and mask
-/// buffers instead of reallocating them per constraint.
+/// definitely violated". Resolves the program, builds the network's lane
+/// tables if it has none, computes every slot's signatures and slot
+/// classes, runs `kernel_arc` over the arcs in storage order (a write
+/// that stores an arc draws its matrix from the network's arc pool) and
+/// records the counters in the network's stats. Returns entries zeroed.
+/// The caller-owned scratch lets a sweep over many constraints reuse the
+/// lane, class and mask buffers instead of reallocating them per
+/// constraint.
 pub fn apply_pairwise_kernel_with(
     net: &mut Network<'_>,
     constraint: &Constraint,
     scratch: &mut KernelScratch,
 ) -> usize {
-    apply_pairwise_kernel_by(net, constraint, scratch, |sweep, arcs, pool, scratch| {
-        let mut totals = ArcKernelCounts::default();
-        let acquire = &mut |rows, cols| pool.acquire(rows, cols);
-        for (arc, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
-            totals.absorb(kernel_arc(sweep, i, j, arc, scratch, acquire));
-        }
-        totals
-    })
-}
-
-/// The pairwise prologue and epilogue every engine shares: resolve the
-/// program, build the network's lane tables if it has none, compute every
-/// slot's signatures and slot classes, hand the [`PairwiseSweep`], the
-/// arcs (in [`PairwiseSweep::pairs`] order) and the network's arc pool
-/// (for the arcs a write stores) to `sweep`, and record its counters in
-/// the network's stats. Returns entries zeroed.
-pub fn apply_pairwise_kernel_by(
-    net: &mut Network<'_>,
-    constraint: &Constraint,
-    scratch: &mut KernelScratch,
-    sweep: impl FnOnce(
-        &PairwiseSweep<'_>,
-        &mut [ArcMatrix],
-        &mut ArcPool,
-        &mut KernelScratch,
-    ) -> ArcKernelCounts,
-) -> usize {
     with_program(net, constraint, |net, prog| {
         net.ensure_lane_tables();
         let parts = net.parts_mut();
         // Move the pooled signature tables out of the scratch so they and
-        // the per-arc buffers (borrowed mutably by the sweep) can coexist;
-        // the buffers go back at the end, capacity intact.
+        // the per-arc buffers (borrowed mutably by `kernel_arc`) can
+        // coexist; the tables go back at the end, capacity intact.
         let mut sigs = std::mem::take(&mut scratch.sigs);
-        if sigs.len() < parts.slots.len() {
-            sigs.resize_with(parts.slots.len(), SlotSigs::default);
-        }
-        let mut checks = 0;
-        for (k, (slot, out)) in parts.slots.iter().zip(sigs.iter_mut()).enumerate() {
-            slot_signatures_into(
-                prog,
-                parts.sentence,
-                slot,
-                &lanes_of(parts.lanes, k, slot),
-                &mut scratch.pass.buf,
-                &mut checks,
-                &mut scratch.interner,
-                out,
-            );
-        }
-        let view = PairwiseSweep {
+        let checks = all_signatures(prog, &parts, scratch, &mut sigs);
+        let sweep = PairwiseSweep {
             prog,
             sentence: parts.sentence,
             slots: parts.slots,
             sigs: &sigs,
             lanes: parts.lanes,
-            pairs: parts.pairs,
         };
-        let totals = sweep(&view, parts.arcs, parts.pool, scratch);
+        let mut totals = ArcKernelCounts::default();
+        for (arc, &(i, j, _)) in parts.arcs.iter_mut().zip(parts.pairs) {
+            totals.absorb(kernel_arc(&sweep, i, j, arc, scratch, parts.pool));
+        }
         parts.stats.binary_checks += checks + totals.checks;
         parts.stats.kernel_masks += totals.masks_built;
         parts.stats.kernel_memo_hits += totals.memo_hits;
@@ -883,9 +846,36 @@ pub fn apply_pairwise_kernel_by(
     })
 }
 
+/// Every slot's signatures and slot classes under `prog`, into `sigs`
+/// (one table per slot, capacity kept). Returns the checks charged.
+fn all_signatures(
+    prog: &KernelProgram,
+    parts: &NetParts<'_>,
+    scratch: &mut KernelScratch,
+    sigs: &mut Vec<SlotSigs>,
+) -> usize {
+    if sigs.len() < parts.slots.len() {
+        sigs.resize_with(parts.slots.len(), SlotSigs::default);
+    }
+    let mut checks = 0;
+    for (k, (slot, out)) in parts.slots.iter().zip(sigs.iter_mut()).enumerate() {
+        slot_signatures_into(
+            prog,
+            parts.sentence,
+            slot,
+            &lanes_of(parts.lanes, k, slot),
+            &mut scratch.pass.buf,
+            &mut checks,
+            &mut scratch.interner,
+            out,
+        );
+    }
+    checks
+}
+
 /// What one unary constraint application shares across its slots: the
 /// resolved program, the slots and the network's lane tables.
-pub struct UnarySweep<'a> {
+pub(crate) struct UnarySweep<'a> {
     prog: &'a KernelProgram,
     sentence: &'a Sentence,
     lanes: &'a LaneTables,
@@ -896,9 +886,10 @@ impl UnarySweep<'_> {
     /// One slot of the sweep: `doomed` receives the alive values of slot
     /// `k` the program definitely violates, one bit per domain entry;
     /// returns the slot class ([`KernelProgram::unary_lanes`]). A slot
-    /// with no alive value is skipped. Reads slot `k` only, so the slots
-    /// can run in any order or in parallel.
-    pub fn slot(&self, k: SlotId, scratch: &mut LaneScratch, doomed: &mut Vec<u64>) -> Truth {
+    /// with no alive value is skipped. Reads slot `k` only, so
+    /// [`apply_unary_kernel_with`] runs every slot before it removes any
+    /// value.
+    fn slot(&self, k: SlotId, scratch: &mut LaneScratch, doomed: &mut Vec<u64>) -> Truth {
         let slot = &self.slots[k];
         if !slot.alive.any() {
             return Truth::Unknown;
@@ -916,8 +907,11 @@ impl UnarySweep<'_> {
 
 /// Apply a unary constraint a slot at a time
 /// ([`KernelProgram::unary_lanes`]): the slot class, then one lane pass
-/// over the alive values a class leaves undecided. `unary_checks` still
-/// counts one check per alive value — the naive path's accounting;
+/// over the alive values a class leaves undecided. Every slot's verdicts
+/// are computed first (`UnarySweep::slot`), then the doomed values are
+/// removed through [`Network::remove_value`]: removing a value of one
+/// slot changes no other slot's verdicts. `unary_checks` still counts one
+/// check per alive value — the naive path's accounting;
 /// `kernel_memo_hits` counts the values a slot class decides. The program
 /// is resolved (artifact) or compiled exactly once per call. The network's
 /// lane tables are sized here, so the rows a slot builds for a unary pass
@@ -927,26 +921,6 @@ pub fn apply_unary_kernel_with(
     constraint: &Constraint,
     scratch: &mut KernelScratch,
 ) -> usize {
-    apply_unary_kernel_by(net, constraint, scratch, |sweep, out, lanes| {
-        for (k, (class, doomed)) in out.iter_mut().enumerate() {
-            *class = sweep.slot(k, lanes, doomed);
-        }
-    })
-}
-
-/// The unary prologue and epilogue every engine shares: resolve the
-/// program, size the network's lane tables, hand the [`UnarySweep`] and
-/// one (class, doomed) entry per slot to `sweep` (which fills each with
-/// [`UnarySweep::slot`]), then charge the ledger and remove the doomed
-/// values through [`Network::remove_value`]. Removing a value of one slot
-/// changes no other slot's verdicts, so the removals can wait for the
-/// whole sweep. Returns values removed.
-pub fn apply_unary_kernel_by(
-    net: &mut Network<'_>,
-    constraint: &Constraint,
-    scratch: &mut KernelScratch,
-    sweep: impl FnOnce(&UnarySweep<'_>, &mut [(Truth, Vec<u64>)], &mut LaneScratch),
-) -> usize {
     with_program(net, constraint, |net, prog| {
         net.ensure_lane_tables();
         let num = net.num_slots();
@@ -954,13 +928,16 @@ pub fn apply_unary_kernel_by(
         if out.len() < num {
             out.resize_with(num, || (Truth::Unknown, Vec::new()));
         }
-        let view = UnarySweep {
+        let sweep = UnarySweep {
             prog,
             sentence: net.sentence(),
             lanes: net.lane_tables(),
             slots: net.slots(),
         };
-        sweep(&view, &mut out[..num], &mut scratch.pass.buf.lanes);
+        let lanes = &mut scratch.pass.buf.lanes;
+        for (k, (class, doomed)) in out[..num].iter_mut().enumerate() {
+            *class = sweep.slot(k, lanes, doomed);
+        }
         let (mut checks, mut memo_hits, mut removed) = (0, 0, 0);
         for (k, (class, doomed)) in out[..num].iter().enumerate() {
             let alive = net.slot(k).alive.count_ones();
@@ -1095,7 +1072,7 @@ mod tests {
         assert_eq!(nk.stats.kernel_masks, 12 * 12, "one mask per a–b arc");
     }
 
-    /// Each whole-arc exit of [`kernel_arc`] equals the full path. On
+    /// Each whole-arc exit of `kernel_arc` equals the full path. On
     /// every arc of every binary constraint over a small corpus (and of
     /// every unary constraint applied pairwise on a lexically ambiguous
     /// sentence), wherever the row-both or column-both exit fires, the
@@ -1140,25 +1117,33 @@ mod tests {
                 .chain(pairwise.into_iter().flatten())
             {
                 let mut full_scratch = KernelScratch::new();
-                let mut scratch = KernelScratch::new();
-                apply_pairwise_kernel_by(&mut net, c, &mut scratch, |sweep, arcs, pool, _| {
-                    let mut totals = ArcKernelCounts::default();
-                    for (m, &(i, j, _)) in arcs.iter_mut().zip(sweep.pairs) {
-                        let (gi, gj) = (&sweep.sigs[i], &sweep.sigs[j]);
+                with_program(&mut net, c, |net, prog| {
+                    net.ensure_lane_tables();
+                    let parts = net.parts_mut();
+                    let mut sigs = Vec::new();
+                    all_signatures(prog, &parts, &mut KernelScratch::new(), &mut sigs);
+                    let sweep = PairwiseSweep {
+                        prog,
+                        sentence: parts.sentence,
+                        slots: parts.slots,
+                        sigs: &sigs,
+                        lanes: parts.lanes,
+                    };
+                    for (m, &(i, j, _)) in parts.arcs.iter_mut().zip(parts.pairs) {
+                        let (gi, gj) = (&sigs[i], &sigs[j]);
                         let mut full = m.clone();
                         let want = kernel_arc_full(
-                            sweep,
+                            &sweep,
                             i,
                             j,
                             &mut full,
                             &mut full_scratch,
-                            &mut bitmat::BitMatrix::zeros,
+                            &mut ArcPool::new(),
                         );
                         // The full path's first row pass sizes `r1t`; an
                         // exit leaves a fresh scratch's empty.
                         let mut fresh = KernelScratch::new();
-                        let got =
-                            kernel_arc(sweep, i, j, m, &mut fresh, &mut |r, c| pool.acquire(r, c));
+                        let got = kernel_arc(&sweep, i, j, m, &mut fresh, parts.pool);
                         let exited = fresh.r1t.is_empty();
                         let old_exit = gj.alive == 0 || gi.all_pass_as_x && gj.all_pass_as_x;
                         let at = format!("{} on arc ({i},{j}) of `{s}`", c.name);
@@ -1174,9 +1159,7 @@ mod tests {
                             assert_eq!(got.checks, want.checks, "checks differ: {at}");
                             assert_eq!(got.memo_hits, want.memo_hits, "memo hits differ: {at}");
                         }
-                        totals.absorb(got);
                     }
-                    totals
                 });
             }
         }

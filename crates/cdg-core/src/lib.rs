@@ -51,7 +51,7 @@ pub use api::{
 };
 pub use batch::BatchOutcome;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT_HORIZON_OPS};
-pub use consistency::{filter_incremental, FilterStep, IncrementalFilter};
+pub use consistency::{filter_incremental, IncrementalFilter};
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
 pub use network::{

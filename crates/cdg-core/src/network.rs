@@ -83,23 +83,18 @@ pub enum ArcMatrix {
     Stored(BitMatrix),
 }
 
-/// Where a write that stores an outer arc gets its all-zero `rows × cols`
-/// matrix: the network's [`ArcPool`], or a lock around it when several
-/// workers write arcs at once.
-pub type Acquire<'a> = &'a mut dyn FnMut(usize, usize) -> BitMatrix;
-
 impl ArcMatrix {
     /// Whether the arc has no storage (see [`ArcMatrix::Outer`]).
     pub fn is_outer(&self) -> bool {
         matches!(self, ArcMatrix::Outer)
     }
 
-    /// Store an outer arc as the matrix it stands for: every alive row of
-    /// `rows` (the row slot's alive set) is `cols` (the column slot's).
-    /// A stored arc is returned as it is.
-    pub fn store(&mut self, rows: &BitVec, cols: &BitVec, acquire: Acquire<'_>) -> &mut BitMatrix {
+    /// Store an outer arc as the matrix it stands for, drawn from `pool`:
+    /// every alive row of `rows` (the row slot's alive set) is `cols` (the
+    /// column slot's). A stored arc is returned as it is.
+    pub fn store(&mut self, rows: &BitVec, cols: &BitVec, pool: &mut ArcPool) -> &mut BitMatrix {
         if self.is_outer() {
-            let mut m = acquire(rows.len(), cols.len());
+            let mut m = pool.acquire(rows.len(), cols.len());
             fill_outer(&mut m, rows, cols);
             *self = ArcMatrix::Stored(m);
         }
@@ -116,12 +111,12 @@ impl ArcMatrix {
         r: usize,
         rows: &BitVec,
         cols: &BitVec,
-        acquire: Acquire<'_>,
+        pool: &mut ArcPool,
     ) -> usize {
         if self.is_outer() && !(rows.get(r) && cols.any()) {
             return 0;
         }
-        let m = self.store(rows, cols, acquire);
+        let m = self.store(rows, cols, pool);
         let cleared = m.row_count_ones(r);
         m.zero_row(r);
         cleared
@@ -137,14 +132,14 @@ impl ArcMatrix {
         mask: &[u64],
         rows: &BitVec,
         cols: &BitVec,
-        acquire: Acquire<'_>,
+        pool: &mut ArcPool,
     ) -> usize {
         if self.is_outer()
             && !(rows.get(r) && cols.words().iter().zip(mask).any(|(c, m)| c & !m != 0))
         {
             return 0;
         }
-        self.store(rows, cols, acquire).row_and_count_words(r, mask)
+        self.store(rows, cols, pool).row_and_count_words(r, mask)
     }
 }
 
@@ -202,10 +197,10 @@ impl ArcView<'_> {
     }
 }
 
-/// Split borrow of a network for the parallel engines: immutable slots,
-/// sentence, and arc-pair list alongside mutable arcs, pool and stats,
-/// so workers can evaluate constraints while each mutates its own arc
-/// (arcs are distributed one-per-worker — race-free). A worker that
+/// Split borrow of a network for the arc sweeps (the pairwise kernel, the
+/// incremental filter, the MasPar readback): immutable slots, sentence,
+/// and arc-pair list alongside mutable arcs, pool and stats, so a sweep
+/// can read the slots while it writes each arc in turn. A write that
 /// stores an outer arc draws its matrix from `pool`.
 pub struct NetParts<'a> {
     pub slots: &'a [RoleSlot],
@@ -588,15 +583,14 @@ impl<'g> Network<'g> {
         if arc.is_outer() && !(rows.get(r) && cols.get(c)) {
             return;
         }
-        let pool = &mut self.pool;
-        let m = arc.store(rows, cols, &mut |x, y| pool.acquire(x, y));
+        let m = arc.store(rows, cols, &mut self.pool);
         if m.get(r, c) {
             self.stats.entries_zeroed += 1;
             m.set(r, c, false);
         }
     }
 
-    /// Split borrow for the parallel engines (see [`NetParts`]).
+    /// Split borrow for the arc sweeps (see [`NetParts`]).
     pub fn parts_mut(&mut self) -> NetParts<'_> {
         assert!(self.arcs_ready, "arcs not initialized");
         NetParts {

@@ -1,13 +1,15 @@
-//! The phase driver: the paper's pipeline written once, run by the
-//! sequential engine and, through an [`Executor`], by the P-RAM and mesh
-//! engines of `cdg-parallel`. [`WarmState::run`] is its one entry point.
+//! The phase driver: the paper's pipeline written once, with the serial
+//! kernels, run by every host engine — the sequential engine, and the
+//! P-RAM and mesh engines of `cdg-parallel`, which keep their step
+//! ledgers through an [`Executor`]. [`WarmState::run`] is its one entry
+//! point.
 
 use crate::api::{ParseRequest, WarmState};
-use crate::consistency::{filter_with, is_locally_consistent, sweep_arcs, FilterStep, SweepResult};
+use crate::consistency::{filter_with, is_locally_consistent};
 use crate::error::{BudgetResource, EngineError, ParseBudget};
 use crate::extract::{precedence_graphs, PrecedenceGraph};
-use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
-use crate::network::{ArcMatrix, EvalStrategy, FilterStrategy, NetSlab, Network};
+use crate::kernel::KernelScratch;
+use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
 use crate::propagate::{apply_all_binary_with, apply_all_unary_with, apply_binary, apply_unary};
 use cdg_grammar::{Arity, Constraint, Grammar, Sentence};
 use std::time::Instant;
@@ -145,39 +147,11 @@ pub enum Step {
     Generation,
 }
 
-/// How an engine runs the phase sequence [`WarmState::run`] drives: the
-/// kernel steps it may fan out, each defaulting to the serial kernel, and
-/// a cost hook for the engine's own step ledger. The naive tree-walk
-/// oracle and the full-scan filter always run the serial code.
+/// An engine's step ledger over the phase sequence [`WarmState::run`]
+/// drives. Every engine runs the same serial kernels; an executor only
+/// charges each step to its own model of the machine (the P-RAM's rounds,
+/// the mesh's cell steps).
 pub trait Executor {
-    /// One unary constraint under the kernel evaluator. Returns values
-    /// removed.
-    fn unary(
-        &mut self,
-        net: &mut Network<'_>,
-        c: &Constraint,
-        scratch: &mut KernelScratch,
-    ) -> usize {
-        apply_unary_kernel_with(net, c, scratch)
-    }
-
-    /// One constraint over every arc under the kernel evaluator: a binary
-    /// constraint, or a unary one with witness semantics. Returns entries
-    /// zeroed.
-    fn pairwise(
-        &mut self,
-        net: &mut Network<'_>,
-        c: &Constraint,
-        scratch: &mut KernelScratch,
-    ) -> usize {
-        apply_pairwise_kernel_with(net, c, scratch)
-    }
-
-    /// The incremental filter's sweep of every arc ([`FilterStep::arc`]).
-    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
-        sweep_arcs(step, arcs)
-    }
-
     /// Charge a step to the engine's ledger. Called with `None` before
     /// each unary, pairwise and filtering step and with `Some(n)` after it
     /// (`n` values removed, or entries zeroed for a pairwise step);
@@ -186,7 +160,7 @@ pub trait Executor {
     fn cost(&mut self, _net: &Network<'_>, _step: Step, _done: Option<usize>) {}
 }
 
-/// The sequential engine's executor: every serial default, no ledger.
+/// The sequential engine's executor: no ledger.
 pub struct Serial;
 
 impl Executor for Serial {}
@@ -230,11 +204,11 @@ pub fn parse<'g>(
 /// results are byte-identical to a cold [`parse`] — only allocation and
 /// compile traffic differ.
 ///
-/// `exec` runs the kernel steps and keeps its engine's step ledger
-/// ([`Serial`] for the sequential engine; the P-RAM and mesh engines pass
-/// their own), while the sequence — budget checkpoints, the phase order,
-/// spans, the filter loop — is the same for every engine, and so are the
-/// network and its `NetStats` ledger.
+/// `exec` keeps its engine's step ledger ([`Serial`] for the sequential
+/// engine; the P-RAM and mesh engines pass their own), while the kernels
+/// and the sequence — budget checkpoints, the phase order, spans, the
+/// filter loop — are the same for every engine, and so are the network
+/// and its `NetStats` ledger.
 pub(crate) fn parse_with_state<'g, E: Executor>(
     req: &ParseRequest<'g>,
     sentence: &Sentence,

@@ -8,7 +8,7 @@
 //! [`EvalStrategy::Naive`] path is the paper's literal per-cell tree walk,
 //! kept as the differential oracle. Both produce bit-identical networks.
 
-use crate::kernel::KernelScratch;
+use crate::kernel::{apply_pairwise_kernel_with, apply_unary_kernel_with, KernelScratch};
 use crate::network::{EvalStrategy, Network};
 use crate::parser::{Executor, Serial, Step};
 use cdg_grammar::{Arity, Constraint};
@@ -25,8 +25,8 @@ pub fn apply_unary(net: &mut Network<'_>, constraint: &Constraint) -> usize {
     unary_step(net, &mut Serial, constraint, &mut KernelScratch::new())
 }
 
-/// One unary step of the phase sequence: `exec`'s kernel, or the serial
-/// tree walk under [`EvalStrategy::Naive`], between `exec`'s cost hooks.
+/// One unary step of the phase sequence: the kernel, or the tree walk
+/// under [`EvalStrategy::Naive`], between `exec`'s cost hooks.
 fn unary_step<E: Executor>(
     net: &mut Network<'_>,
     exec: &mut E,
@@ -35,7 +35,7 @@ fn unary_step<E: Executor>(
 ) -> usize {
     exec.cost(net, Step::Unary, None);
     let removed = match net.eval {
-        EvalStrategy::Kernel => exec.unary(net, constraint, scratch),
+        EvalStrategy::Kernel => apply_unary_kernel_with(net, constraint, scratch),
         EvalStrategy::Naive => apply_unary_naive(net, constraint),
     };
     exec.cost(net, Step::Unary, Some(removed));
@@ -43,8 +43,8 @@ fn unary_step<E: Executor>(
 }
 
 /// One pairwise step of the phase sequence — a binary constraint, or a
-/// unary one with witness semantics: `exec`'s kernel, or the serial tree
-/// walk under [`EvalStrategy::Naive`], between `exec`'s cost hooks.
+/// unary one with witness semantics: the kernel, or the tree walk under
+/// [`EvalStrategy::Naive`], between `exec`'s cost hooks.
 fn pairwise_step<E: Executor>(
     net: &mut Network<'_>,
     exec: &mut E,
@@ -57,7 +57,7 @@ fn pairwise_step<E: Executor>(
     };
     exec.cost(net, step, None);
     let zeroed = match net.eval {
-        EvalStrategy::Kernel => exec.pairwise(net, constraint, scratch),
+        EvalStrategy::Kernel => apply_pairwise_kernel_with(net, constraint, scratch),
         EvalStrategy::Naive => apply_pairwise_naive(net, constraint),
     };
     exec.cost(net, step, Some(zeroed));
@@ -92,7 +92,7 @@ pub fn apply_all_unary(net: &mut Network<'_>) -> usize {
     apply_all_unary_with(net, &mut Serial, &mut KernelScratch::new())
 }
 
-/// [`apply_all_unary`] run by `exec` with caller-owned kernel scratch
+/// [`apply_all_unary`] charged to `exec`, with caller-owned kernel scratch
 /// (see [`apply_all_binary_with`]): the unary phase of every engine.
 pub fn apply_all_unary_with<E: Executor>(
     net: &mut Network<'_>,
@@ -194,7 +194,7 @@ pub fn apply_all_binary(net: &mut Network<'_>) -> usize {
     apply_all_binary_with(net, &mut Serial, &mut KernelScratch::new())
 }
 
-/// [`apply_all_binary`] run by `exec` with caller-owned kernel scratch:
+/// [`apply_all_binary`] charged to `exec`, with caller-owned kernel scratch:
 /// the pairwise phase of every engine. One scratch serves the whole
 /// phase — the lane-pass, class and mask buffers are resized or
 /// generation-stamped per arc, so reuse across constraints (and, on a

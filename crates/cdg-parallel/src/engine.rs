@@ -8,16 +8,18 @@ use cdg_core::EngineError;
 use cdg_grammar::Sentence;
 use rayon::prelude::*;
 
-/// The CRCW-P-RAM engine (§2.1): intra-sentence parallelism for single
-/// parses, sentence-parallel fan-out for batches.
+/// The CRCW-P-RAM engine (§2.1): a single parse runs the serial kernels
+/// and keeps the P-RAM round ledger ([`PramStats`]); only a batch runs in
+/// parallel, one sentence per worker.
 ///
-/// `ParseRequest::threads` runs the request on a pool of that width; the
-/// process-wide width (the CLI's `--threads`) is left as it was. The
-/// P-RAM pipeline runs the serial engine's phase driver, so a
-/// `ParseRequest::budget` binds at the same checkpoints and the report
-/// comes back degraded exactly when the serial one would. Parses come
-/// from the one extractor ([`ParseReport::from_outcome`]) on the settled
-/// network, so they are the serial engine's too.
+/// `ParseRequest::threads` sets the width of a batch's sentence fan-out,
+/// on a pool of that width; the process-wide width (the CLI's
+/// `--threads`) is left as it was. A single parse runs the serial
+/// engine's phase driver, so a `ParseRequest::budget` binds at the same
+/// checkpoints and the report comes back degraded exactly when the serial
+/// one would. Parses come from the one extractor
+/// ([`ParseReport::from_outcome`]) on the settled network, so they are
+/// the serial engine's too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -32,34 +34,30 @@ impl Engine for Pram {
         sentence: &Sentence,
         warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
-        with_width(req, || {
-            let mut stats = PramStats::default();
-            let outcome = warm.run(req, sentence, &mut stats);
-            obsv::counter_add("pram.steps", stats.steps as u64);
-            obsv::gauge_set("pram.max_width", stats.max_width as f64);
-            record_net_stats(&outcome.network.stats);
-            Ok(ParseReport::from_outcome(
-                self.name(),
-                outcome,
-                req.max_parses,
-            ))
-        })
+        let mut stats = PramStats::default();
+        let outcome = warm.run(req, sentence, &mut stats);
+        obsv::counter_add("pram.steps", stats.steps as u64);
+        obsv::gauge_set("pram.max_width", stats.max_width as f64);
+        record_net_stats(&outcome.network.stats);
+        Ok(ParseReport::from_outcome(
+            self.name(),
+            outcome,
+            req.max_parses,
+        ))
     }
 
     /// Sentences fan out across the rayon pool, each worker on its own
-    /// [`WarmState`]. A worker would run a row's P-RAM steps one after
-    /// another anyway (nested parallel operations run sequentially), so
-    /// each row is the serial engine's: the same network and report
-    /// without the step ledger's bookkeeping, which made rows about 2×
-    /// slower. Chunk boundaries depend only on the batch length and each
-    /// row is independent of its neighbours, so the outcomes equal
+    /// [`WarmState`]. Each row is the serial engine's: the same network
+    /// and report, without the round ledger a batch row does not report.
+    /// Chunk boundaries depend only on the batch length and each row is
+    /// independent of its neighbours, so the outcomes equal
     /// `Sequential`'s at any thread count.
     fn parse_batch(
         &self,
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
-        with_width(req, || {
+        let fan_out = || {
             BatchReport::collect(self.name(), req, || {
                 // Each worker merges its per-sentence span trees into the
                 // global trace buffer on drop (see `obsv::span`).
@@ -70,20 +68,16 @@ impl Engine for Pram {
                     })
                     .collect()
             })
-        })
-    }
-}
-
-/// Run `op` at the request's `threads` width when it carries one, on a
-/// pool installed for this call alone; at the process-wide width otherwise.
-fn with_width<R: Send>(req: &ParseRequest<'_>, op: impl FnOnce() -> R + Send) -> R {
-    match req.threads {
-        Some(threads) => rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("the shim's pool builder cannot fail")
-            .install(op),
-        None => op(),
+        };
+        // A request width runs on a pool installed for this call alone.
+        match req.threads {
+            Some(threads) => rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the shim's pool builder cannot fail")
+                .install(fan_out),
+            None => fan_out(),
+        }
     }
 }
 

@@ -1,17 +1,9 @@
-//! The CRCW-P-RAM-style engine on rayon: an executor of the `cdg-core`
-//! phase driver whose kernel steps run slot- or arc-parallel, and which
-//! keeps the P-RAM round ledger.
+//! The CRCW-P-RAM round ledger: an executor of the `cdg-core` phase
+//! driver that runs the serial kernels and counts the parallel rounds the
+//! paper's §2.1 machine would take.
 
-use cdg_core::consistency::{FilterStep, SweepResult};
-use cdg_core::kernel::{
-    apply_pairwise_kernel_by, apply_unary_kernel_by, kernel_arc, ArcKernelCounts, KernelScratch,
-};
-use cdg_core::network::{ArcMatrix, Network};
+use cdg_core::network::Network;
 use cdg_core::parser::{Executor, Step};
-use cdg_grammar::kernel::LaneScratch;
-use cdg_grammar::Constraint;
-use rayon::prelude::*;
-use std::sync::{Mutex, PoisonError};
 
 /// Parallel-step and width accounting for the P-RAM model.
 ///
@@ -49,11 +41,8 @@ impl PramStats {
     }
 }
 
-/// The P-RAM executor: every kernel step fans out — a unary constraint one
-/// worker per slot, a pairwise constraint and the incremental filter's
-/// sweep one worker per arc (race-free by construction; a worker that
-/// stores an outer arc takes its matrix from the network's pool under a
-/// lock) — and each phase is charged as O(1) rounds:
+/// The P-RAM executor: the serial kernels, with each phase charged as
+/// O(1) rounds of the paper's machine:
 ///
 /// * role-value generation: one round of O(n²) processors;
 /// * each unary constraint: one round over the alive values, plus one
@@ -63,73 +52,13 @@ impl PramStats {
 ///   it removes any; the incremental filter: one round for its build and
 ///   one per non-empty generation.
 ///
-/// The naive tree-walk oracle and the full scan run serially but are
-/// charged the same rounds. Workers fold their results in slot or arc
-/// order, so the network and its `NetStats` ledger are the serial
-/// engine's at any thread count.
+/// The ledger depends only on the network, never on where a step runs,
+/// so a step's rounds are what a machine with one processor per role
+/// value or per arc entry would take. Running the steps on host threads
+/// does not pay: a step's work is microseconds, below the cost of handing
+/// it to a worker. The network and its `NetStats` ledger are the serial
+/// engine's.
 impl Executor for PramStats {
-    fn unary(
-        &mut self,
-        net: &mut Network<'_>,
-        c: &Constraint,
-        scratch: &mut KernelScratch,
-    ) -> usize {
-        apply_unary_kernel_by(net, c, scratch, |sweep, out, _| {
-            out.par_iter_mut()
-                .enumerate()
-                .map_init(LaneScratch::new, |lanes, (k, (class, doomed))| {
-                    *class = sweep.slot(k, lanes, doomed);
-                })
-                .for_each(|()| ());
-        })
-    }
-
-    fn pairwise(
-        &mut self,
-        net: &mut Network<'_>,
-        c: &Constraint,
-        scratch: &mut KernelScratch,
-    ) -> usize {
-        apply_pairwise_kernel_by(net, c, scratch, |sweep, arcs, pool, _| {
-            let pool = Mutex::new(pool);
-            let per_arc: Vec<ArcKernelCounts> = arcs
-                .par_iter_mut()
-                .zip(sweep.pairs.par_iter())
-                .map_init(KernelScratch::new, |scratch, (arc, &(i, j, _))| {
-                    let acquire = &mut |rows, cols| {
-                        let mut pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
-                        pool.acquire(rows, cols)
-                    };
-                    kernel_arc(sweep, i, j, arc, scratch, acquire)
-                })
-                .collect();
-            let mut totals = ArcKernelCounts::default();
-            for counts in per_arc {
-                totals.absorb(counts);
-            }
-            totals
-        })
-    }
-
-    fn sweep_arcs(&mut self, step: &FilterStep<'_>, arcs: &mut [ArcMatrix]) -> SweepResult {
-        let per_arc: Vec<(usize, Vec<(usize, usize)>)> = arcs
-            .par_iter_mut()
-            .zip(step.pairs.par_iter())
-            .map_init(Vec::new, |words, (arc, &(i, j, _))| {
-                let mut unsupported = Vec::new();
-                let zeroed = step.arc(i, j, arc, words, &mut unsupported);
-                (zeroed, unsupported)
-            })
-            .collect();
-        let mut zeroed = 0;
-        let mut unsupported = Vec::new();
-        for (z, u) in per_arc {
-            zeroed += z;
-            unsupported.extend(u);
-        }
-        (zeroed, unsupported)
-    }
-
     fn cost(&mut self, net: &Network<'_>, step: Step, done: Option<usize>) {
         let num = net.num_slots();
         let width = match (step, done) {

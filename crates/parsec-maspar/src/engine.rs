@@ -286,7 +286,6 @@ impl MasparOutcome {
             stats,
             ..
         } = net.parts_mut();
-        let acquire = &mut |rows, cols| pool.acquire(rows, cols);
         let mut buf: Vec<u64> = Vec::new();
         // One pattern per l-bit label chunk and column-role label count,
         // in one flat buffer: pattern `chunk` of a table has bit lj·m set
@@ -354,7 +353,7 @@ impl MasparOutcome {
                     }
                 }
                 stats.entries_zeroed +=
-                    arcs[idx].and_row(a, &buf, &slots[si].alive, &slots[sj].alive, acquire);
+                    arcs[idx].and_row(a, &buf, &slots[si].alive, &slots[sj].alive, pool);
                 stats.bmm_words += m + row_words;
             }
         }

@@ -56,7 +56,7 @@ pub trait ParallelIterator: Sized + Send {
     type SeqIter: Iterator<Item = Self::Item>;
 
     /// Base items this piece covers (adapters preserve the base index
-    /// space; `flat_map_iter` output length may differ).
+    /// space).
     fn par_len(&self) -> usize;
 
     /// Split into `[0, index)` and `[index, len)` pieces.
@@ -94,32 +94,6 @@ pub trait ParallelIterator: Sized + Send {
             init: Arc::new(init),
             f: Arc::new(f),
             _t: PhantomData,
-        }
-    }
-
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate {
-            base: self,
-            offset: 0,
-        }
-    }
-
-    /// Rayon's cheap flat-map whose inner iterators stay sequential;
-    /// parallelism comes from the outer index space.
-    fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F, U>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(Self::Item) -> U + Send + Sync,
-    {
-        FlatMapIter {
-            base: self,
-            f: Arc::new(f),
-            _u: PhantomData,
         }
     }
 
@@ -218,30 +192,6 @@ impl<'a, T: Sync> ParallelIterator for ParSlice<'a, T> {
 
     fn into_seq(self) -> Self::SeqIter {
         self.slice.iter()
-    }
-}
-
-/// Mutable-slice source (`par_iter_mut()`). Splitting hands disjoint
-/// subslices to different workers — race-free by construction.
-pub struct ParSliceMut<'a, T: Send> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParallelIterator for ParSliceMut<'a, T> {
-    type Item = &'a mut T;
-    type SeqIter = std::slice::IterMut<'a, T>;
-
-    fn par_len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at_mut(index);
-        (ParSliceMut { slice: a }, ParSliceMut { slice: b })
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        self.slice.iter_mut()
     }
 }
 
@@ -426,158 +376,6 @@ where
     }
 }
 
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A, B> ParallelIterator for Zip<A, B>
-where
-    A: ParallelIterator,
-    B: ParallelIterator,
-{
-    type Item = (A::Item, B::Item);
-    type SeqIter = std::iter::Zip<A::SeqIter, B::SeqIter>;
-
-    fn par_len(&self) -> usize {
-        self.a.par_len().min(self.b.par_len())
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a1, a2) = self.a.split_at(index);
-        let (b1, b2) = self.b.split_at(index);
-        (Zip { a: a1, b: b1 }, Zip { a: a2, b: b2 })
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        self.a.into_seq().zip(self.b.into_seq())
-    }
-}
-
-pub struct Enumerate<P> {
-    base: P,
-    offset: usize,
-}
-
-impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
-    type Item = (usize, P::Item);
-    type SeqIter = EnumerateSeq<P::SeqIter>;
-
-    fn par_len(&self) -> usize {
-        self.base.par_len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.base.split_at(index);
-        (
-            Enumerate {
-                base: a,
-                offset: self.offset,
-            },
-            Enumerate {
-                base: b,
-                offset: self.offset + index,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        EnumerateSeq {
-            inner: self.base.into_seq(),
-            next: self.offset,
-        }
-    }
-}
-
-/// `enumerate()` carrying the piece's base offset.
-pub struct EnumerateSeq<I> {
-    inner: I,
-    next: usize,
-}
-
-impl<I: Iterator> Iterator for EnumerateSeq<I> {
-    type Item = (usize, I::Item);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let x = self.inner.next()?;
-        let i = self.next;
-        self.next += 1;
-        Some((i, x))
-    }
-}
-
-pub struct FlatMapIter<P, F, U> {
-    base: P,
-    f: Arc<F>,
-    _u: PhantomData<fn() -> U>,
-}
-
-impl<P, F, U> ParallelIterator for FlatMapIter<P, F, U>
-where
-    P: ParallelIterator,
-    U: IntoIterator,
-    U::Item: Send,
-    F: Fn(P::Item) -> U + Send + Sync,
-{
-    type Item = U::Item;
-    type SeqIter = FlatMapSeq<P::SeqIter, F, U>;
-
-    fn par_len(&self) -> usize {
-        self.base.par_len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (a, b) = self.base.split_at(index);
-        (
-            FlatMapIter {
-                base: a,
-                f: Arc::clone(&self.f),
-                _u: PhantomData,
-            },
-            FlatMapIter {
-                base: b,
-                f: self.f,
-                _u: PhantomData,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        FlatMapSeq {
-            inner: self.base.into_seq(),
-            f: self.f,
-            current: None,
-        }
-    }
-}
-
-pub struct FlatMapSeq<I, F, U: IntoIterator> {
-    inner: I,
-    f: Arc<F>,
-    current: Option<U::IntoIter>,
-}
-
-impl<I, F, U> Iterator for FlatMapSeq<I, F, U>
-where
-    I: Iterator,
-    U: IntoIterator,
-    F: Fn(I::Item) -> U,
-{
-    type Item = U::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(cur) = &mut self.current {
-                if let Some(x) = cur.next() {
-                    return Some(x);
-                }
-            }
-            let base = self.inner.next()?;
-            self.current = Some((self.f)(base).into_iter());
-        }
-    }
-}
-
 // ======================= entry points =======================
 
 /// `into_par_iter()` for owned collections and ranges.
@@ -624,27 +422,5 @@ impl<T: Sync> IntoParallelRefIterator for Vec<T> {
 
     fn par_iter(&self) -> ParSlice<'_, T> {
         ParSlice { slice: self }
-    }
-}
-
-/// `par_iter_mut()` over slices and vectors.
-pub trait IntoParallelRefMutIterator {
-    type Item: Send;
-    fn par_iter_mut(&mut self) -> ParSliceMut<'_, Self::Item>;
-}
-
-impl<T: Send> IntoParallelRefMutIterator for [T] {
-    type Item = T;
-
-    fn par_iter_mut(&mut self) -> ParSliceMut<'_, T> {
-        ParSliceMut { slice: self }
-    }
-}
-
-impl<T: Send> IntoParallelRefMutIterator for Vec<T> {
-    type Item = T;
-
-    fn par_iter_mut(&mut self) -> ParSliceMut<'_, T> {
-        ParSliceMut { slice: self }
     }
 }

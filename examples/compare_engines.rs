@@ -1,4 +1,4 @@
-//! Run every engine — sequential, P-RAM (rayon), 2-D mesh model, and the
+//! Run every engine — sequential, P-RAM round ledger, 2-D mesh model, and the
 //! simulated MasPar — over a deterministic corpus and check they agree,
 //! printing a comparison table (a miniature of Figure 8's measured side).
 //!

@@ -18,7 +18,9 @@
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
 //!   --relax                                      retry rejected sentences with relaxed
 //!                                                constraints, on the chosen engine
-//!   --threads <N>                                worker threads for parallel engines (0 = auto)
+//!   --threads <N>                                host worker threads (0 = auto): the P-RAM
+//!                                                batch's sentence fan-out, the MasPar
+//!                                                simulator's host chunks
 //!   --batch <file|->                             parse one sentence per line of a file (or stdin)
 //!   --version                                    print the version and exit
 //!
