@@ -269,6 +269,7 @@ fn serve_loopback(requests: usize) -> (BenchRow, Vec<String>) {
         speedup_vs_1t: 1.0,
         accepted: all_ok,
         digest: 0, // filled by the caller from the normalized lines
+        processors: None,
     };
     (row, normalized)
 }
@@ -408,6 +409,7 @@ fn row_from(m: Measurement, grammar: &str, threads: usize, digest: u64) -> Bench
         speedup_vs_1t: 1.0,
         accepted: m.accepted,
         digest,
+        processors: m.processors,
     }
 }
 
@@ -698,6 +700,7 @@ fn main() {
         speedup_vs_1t: speedup,
         accepted: accepted_all,
         digest: digest_1t,
+        processors: None,
     };
     rows.push(mk_batch_row(1, wall_1t, 1.0));
     if n_threads > 1 {
@@ -775,6 +778,7 @@ fn main() {
         speedup_vs_1t: speedup,
         accepted: ok,
         digest: fleet_digest,
+        processors: None,
     };
     rows.push(mk_fleet_row(1, fleet_wall_1, 1.0, fleet_ok_1));
     rows.push(mk_fleet_row(4, fleet_wall_4, fleet_speedup, fleet_ok_4));
@@ -897,6 +901,7 @@ fn main() {
             speedup_vs_1t: speedup,
             accepted,
             digest: warm_digest,
+            processors: None,
         };
         rows.push(mk("serve-cold", wall_cold, 1.0));
         rows.push(mk("serve-warm", wall_warm, speedup));

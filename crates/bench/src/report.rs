@@ -36,6 +36,10 @@ pub struct BenchRow {
     /// byte-identical results (the determinism check across thread
     /// counts and machines).
     pub digest: u64,
+    /// Processors the run occupied (P-RAM width, mesh cells, MasPar
+    /// virtual PEs; 1 for serial engines), where the row measures one.
+    /// Absent from rows that do not and from older reports.
+    pub processors: Option<u64>,
 }
 
 impl BenchRow {
@@ -48,7 +52,7 @@ impl BenchRow {
     }
 
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             ("engine".into(), Json::Str(self.engine.clone())),
             ("grammar".into(), Json::Str(self.grammar.clone())),
             ("n".into(), Json::Num(self.n as f64)),
@@ -60,7 +64,11 @@ impl BenchRow {
             ("accepted".into(), Json::Bool(self.accepted)),
             // Digests exceed 2^53; store as a hex string to stay exact.
             ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
-        ])
+        ];
+        if let Some(p) = self.processors {
+            fields.push(("processors".into(), Json::Num(p as f64)));
+        }
+        Json::Obj(fields)
     }
 
     pub fn from_json(v: &Json) -> Result<Self, String> {
@@ -89,6 +97,10 @@ impl BenchRow {
                 .as_str()
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
                 .ok_or("digest not a hex string")?,
+            processors: match v.get("processors") {
+                None => None,
+                Some(p) => Some(p.as_u64().ok_or("processors not an integer")?),
+            },
         })
     }
 }
@@ -288,6 +300,7 @@ mod tests {
             speedup_vs_1t: 2.5,
             accepted: true,
             digest: 0xdead_beef_0042_1234,
+            processors: Some(3),
         }
     }
 
@@ -304,6 +317,23 @@ mod tests {
         assert_eq!(report, back);
         // No traces -> no traces key, so older tooling sees the old shape.
         assert!(!text.contains("\"traces\""));
+    }
+
+    #[test]
+    fn a_row_without_processors_reads_as_absent() {
+        // Reports written before rows carried `processors` (the committed
+        // baseline among them) parse unchanged, with the field absent.
+        let baseline = BenchReport::parse_str(include_str!("../baseline.json")).unwrap();
+        assert!(!baseline.rows.is_empty());
+        assert!(baseline.rows.iter().all(|r| r.processors.is_none()));
+        let mut row = sample_row();
+        row.processors = None;
+        let text = row.to_json().to_pretty();
+        assert!(!text.contains("processors"));
+        assert_eq!(
+            BenchRow::from_json(&crate::json::parse(&text).unwrap()),
+            Ok(row)
+        );
     }
 
     fn sample_trace() -> Json {

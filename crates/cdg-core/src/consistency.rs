@@ -21,7 +21,7 @@
 //! its ledger.
 
 use crate::kernel::{bit, ones};
-use crate::network::{ArcMatrix, Network, RoleSlot, SlotId};
+use crate::network::{triangular_index, ArcMatrix, Network, RoleSlot, SlotId};
 use crate::parser::{Executor, Serial, Step};
 use bitmat::{BitMatrix, BitVec};
 use std::convert::Infallible;
@@ -171,7 +171,8 @@ fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
 /// * generation k+1 is every value whose row or column lost its last 1
 ///   when generation k was zeroed. Only rows with a 1 in a removed column,
 ///   and columns with a 1 in a removed row, can lose support, so only
-///   those are tested again;
+///   those are tested again, and only on the arcs incident to a slot that
+///   lost a value;
 /// * an empty generation is the full-scan pass that removes nothing — the
 ///   fixpoint.
 ///
@@ -181,15 +182,35 @@ fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
 /// rows + columns per arc at the build, and `support_checks` is the number
 /// of 1-entries each generation zeroes, each counted once.
 ///
-/// The filter's only state is two bitsets per slot: the values ever
-/// queued (never re-queued) and the generation being removed, kept as the
-/// rows of one matrix drawn from the network's arc pool and handed back
-/// when filtering ends ([`IncrementalFilter::release`]), so a warm worker
-/// reuses it from parse to parse.
+/// The filter's state is two bitsets per slot — the values ever queued
+/// (never re-queued) and the generation being removed, kept as the rows of
+/// one matrix drawn from the network's arc pool — and its
+/// [`FilterBuffers`], taken from the network. Both are handed back when
+/// filtering ends ([`IncrementalFilter::release`]), so a warm worker
+/// reuses them from parse to parse.
 pub struct IncrementalFilter {
     marks: Marks,
+    bufs: FilterBuffers,
+}
+
+/// The incremental filter's lists, warm across parses (a network lends
+/// them from its [`crate::network::NetSlab`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FilterBuffers {
     /// The next generation, in ascending (slot, value) order.
     queue: Vec<(SlotId, usize)>,
+    /// The generation being removed.
+    current: Vec<(SlotId, usize)>,
+    /// The values one sweep leaves unsupported, in any order.
+    unsupported: Vec<(SlotId, usize)>,
+    /// Per slot, its alive values and its values in the generation being
+    /// removed, counted once per generation.
+    sizes: Vec<(usize, usize)>,
+    /// The slots that lost a value in the generation being removed,
+    /// ascending.
+    touched: Vec<SlotId>,
+    /// One arc's candidate columns (`FilterStep::arc`).
+    words: Vec<u64>,
 }
 
 /// The filter's bitsets: row `k` holds slot `k`'s queued values and row
@@ -215,17 +236,14 @@ fn any(words: &[u64]) -> bool {
     words.iter().any(|&w| w != 0)
 }
 
-/// Number of set bits in `words`.
-fn count(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// What one step's arc work reads: the slots' alive sets and the filter's
-/// bitsets, frozen for the step. Every arc reads it and writes only its
-/// own matrix ([`FilterStep::arc`]).
+/// What one step's arc work reads: the slots' alive sets, the filter's
+/// bitsets and the per-slot sizes, frozen for the step. Every arc reads it
+/// and writes only its own matrix ([`FilterStep::arc`]).
 struct FilterStep<'a> {
     slots: &'a [RoleSlot],
     marks: &'a Marks,
+    /// Per slot, (alive values, values being removed).
+    sizes: &'a [(usize, usize)],
     /// Generation 0: every alive, unqueued value is tested.
     build: bool,
 }
@@ -240,7 +258,7 @@ impl FilterStep<'_> {
     /// build every alive value is tested; after that only the rows that
     /// lost a 1 and the columns that had a 1 in a removed row are. The
     /// column test ORs the surviving rows and stops as soon as every
-    /// candidate is covered. An outer arc is answered from the alive sets
+    /// candidate is covered. An outer arc is answered from the slot sizes
     /// (`FilterStep::outer_arc`).
     fn arc(
         &self,
@@ -250,14 +268,11 @@ impl FilterStep<'_> {
         words: &mut Vec<u64>,
         unsupported: &mut Vec<(SlotId, usize)>,
     ) -> usize {
-        let (rows, cols) = (self.marks.removed(i), self.marks.removed(j));
-        if !self.build && !any(rows) && !any(cols) {
-            return 0;
-        }
         let m = match arc {
             ArcMatrix::Outer => return self.outer_arc(i, j, unsupported),
             ArcMatrix::Stored(m) => m,
         };
+        let (rows, cols) = (self.marks.removed(i), self.marks.removed(j));
         let mut zeroed = 0usize;
         // `words`: the candidate columns no surviving row covers yet —
         // every column at the build, later those with a 1 in a removed
@@ -277,7 +292,7 @@ impl FilterStep<'_> {
             *x &= a & !q;
         }
         let mut missing = words.iter().any(|&w| w != 0);
-        let clear = any(cols);
+        let clear = self.sizes[j].1 > 0;
         let queued = self.marks.queued(i);
         for a in self.slots[i].alive.iter_ones() {
             if !(self.build || clear || missing) {
@@ -306,31 +321,26 @@ impl FilterStep<'_> {
         zeroed
     }
 
-    /// [`FilterStep::arc`] on an outer arc, in O(1) words per slot. Before
-    /// the step the arc was `(A_i ∪ R_i) ⊗ (A_j ∪ R_j)` (A a slot's alive
-    /// set, R the generation being removed) and after it `A_i ⊗ A_j`, so
-    /// it zeroes the difference of the two areas. Every alive row is
-    /// `A_j`: a row that lost a 1 (some column was removed), or any row at
-    /// the build, is unsupported iff `A_j` is empty; the columns likewise
-    /// with the roles swapped.
+    /// [`FilterStep::arc`] on an outer arc, in O(1) per slot off the
+    /// slot sizes. Before the step the arc was `(A_i ∪ R_i) ⊗ (A_j ∪ R_j)`
+    /// (A a slot's alive set, R the generation being removed) and after it
+    /// `A_i ⊗ A_j`, so it zeroes the difference of the two areas. Every
+    /// alive row is `A_j`: a row that lost a 1 (some column was removed),
+    /// or any row at the build, is unsupported iff `A_j` is empty; the
+    /// columns likewise with the roles swapped.
     fn outer_arc(&self, i: SlotId, j: SlotId, unsupported: &mut Vec<(SlotId, usize)>) -> usize {
-        let (alive_i, alive_j) = (&self.slots[i].alive, &self.slots[j].alive);
-        let (removed_i, removed_j) = (self.marks.removed(i), self.marks.removed(j));
-        for (k, alive, touched, other) in [
-            (i, alive_i, removed_j, alive_j),
-            (j, alive_j, removed_i, alive_i),
-        ] {
-            if (self.build || any(touched)) && other.none() {
+        let ((ai, ri), (aj, rj)) = (self.sizes[i], self.sizes[j]);
+        for (k, touched, other) in [(i, rj, aj), (j, ri, ai)] {
+            if (self.build || touched > 0) && other == 0 {
                 let queued = self.marks.queued(k);
                 unsupported.extend(
-                    ones(alive.words())
+                    ones(self.slots[k].alive.words())
                         .filter(|&v| !bit(queued, v))
                         .map(|v| (k, v)),
                 );
             }
         }
-        let (ai, aj) = (alive_i.count_ones(), alive_j.count_ones());
-        (ai + count(removed_i)) * (aj + count(removed_j)) - ai * aj
+        (ai + ri) * (aj + rj) - ai * aj
     }
 }
 
@@ -345,55 +355,89 @@ impl IncrementalFilter {
             .map(|s| s.domain.len())
             .max()
             .unwrap_or(0);
+        let mut bufs = std::mem::take(&mut net.filter_buffers);
+        bufs.queue.clear();
+        bufs.touched.clear();
+        bufs.sizes.clear();
+        bufs.sizes
+            .extend(net.slots().iter().map(|s| (s.alive.count_ones(), 0)));
         let mut filter = IncrementalFilter {
             marks: Marks {
                 rows: net.pool_mut().acquire(2 * slots, width),
                 slots,
             },
-            queue: Vec::new(),
+            bufs,
         };
         net.stats.support_inits += net.arc_sides();
-        let (_, unsupported) = filter.sweep(net, true);
-        filter.enqueue(unsupported);
+        filter.sweep(net, true);
+        filter.enqueue();
         filter
     }
 
-    /// Run [`FilterStep::arc`] over every arc, in storage order, against
-    /// this filter's bitsets. Returns the 1-entries zeroed and the values
-    /// left unsupported (in any order, duplicates allowed).
-    fn sweep(&self, net: &mut Network<'_>, build: bool) -> (usize, Vec<(SlotId, usize)>) {
+    /// Run [`FilterStep::arc`] against this filter's bitsets — over every
+    /// arc, in storage order, at the build; afterwards over the arcs
+    /// incident to a touched slot, each once. Returns the 1-entries
+    /// zeroed; the values left unsupported (in any order, duplicates
+    /// allowed) are in `bufs.unsupported`.
+    fn sweep(&mut self, net: &mut Network<'_>, build: bool) -> usize {
         let parts = net.parts_mut();
+        let FilterBuffers {
+            unsupported,
+            sizes,
+            touched,
+            words,
+            ..
+        } = &mut self.bufs;
         let step = FilterStep {
             slots: parts.slots,
             marks: &self.marks,
+            sizes,
             build,
         };
-        let mut words = Vec::new();
-        let mut unsupported = Vec::new();
-        let zeroed = parts
-            .arcs
-            .iter_mut()
-            .zip(parts.pairs)
-            .map(|(m, &(i, j, _))| step.arc(i, j, m, &mut words, &mut unsupported))
-            .sum();
-        (zeroed, unsupported)
+        unsupported.clear();
+        if build {
+            return parts
+                .arcs
+                .iter_mut()
+                .zip(parts.pairs)
+                .map(|(m, &(i, j, _))| step.arc(i, j, m, words, unsupported))
+                .sum();
+        }
+        let num = parts.slots.len();
+        let mut zeroed = 0;
+        for &t in touched.iter() {
+            for (other, &(_, removed)) in sizes.iter().enumerate() {
+                // An arc between two touched slots is visited from the
+                // lower one.
+                if other == t || other < t && removed > 0 {
+                    continue;
+                }
+                let (i, j) = (t.min(other), t.max(other));
+                let arc = &mut parts.arcs[triangular_index(num, i, j)];
+                zeroed += step.arc(i, j, arc, words, unsupported);
+            }
+        }
+        zeroed
     }
 
-    /// Queue `unsupported` as the next generation: sorted into the
-    /// canonical (slot, value) order [`maintain`] removes in, so removal
-    /// schedules compare bit-equal.
-    fn enqueue(&mut self, mut unsupported: Vec<(SlotId, usize)>) {
-        unsupported.sort_unstable();
-        unsupported.dedup();
-        for &(slot, idx) in &unsupported {
+    /// Queue the values the last sweep left unsupported as the next
+    /// generation: sorted into the canonical (slot, value) order
+    /// [`maintain`] removes in, so removal schedules compare bit-equal.
+    fn enqueue(&mut self) {
+        let bufs = &mut self.bufs;
+        bufs.unsupported.sort_unstable();
+        bufs.unsupported.dedup();
+        for &(slot, idx) in &bufs.unsupported {
             self.marks.rows.set(slot, idx, true);
         }
-        self.queue = unsupported;
+        std::mem::swap(&mut bufs.queue, &mut bufs.unsupported);
     }
 
-    /// Hand the filter's bitsets back to the network's arc pool.
+    /// Hand the filter's bitsets back to the network's arc pool and its
+    /// lists to the network.
     pub fn release(self, net: &mut Network<'_>) {
         net.pool_mut().release(self.marks.rows);
+        net.filter_buffers = self.bufs;
     }
 
     /// Remove one generation and queue the next. Returns (removed,
@@ -402,23 +446,32 @@ impl IncrementalFilter {
     pub fn pass(&mut self, net: &mut Network<'_>) -> (usize, bool) {
         let _phase = obsv::span("maintain");
         net.stats.maintain_passes += 1;
-        if self.queue.is_empty() {
+        if self.bufs.queue.is_empty() {
             return (0, true);
         }
-        let generation = std::mem::take(&mut self.queue);
+        let bufs = &mut self.bufs;
+        std::mem::swap(&mut bufs.current, &mut bufs.queue);
         let slots = self.marks.slots;
-        for k in slots..2 * slots {
-            self.marks.rows.zero_row(k);
+        for &k in &bufs.touched {
+            self.marks.rows.zero_row(slots + k);
+            bufs.sizes[k].1 = 0;
         }
-        for &(slot, idx) in &generation {
+        bufs.touched.clear();
+        for &(slot, idx) in &bufs.current {
             self.marks.rows.set(slots + slot, idx, true);
             net.clear_alive(slot, idx);
+            let size = &mut bufs.sizes[slot];
+            size.0 -= 1;
+            size.1 += 1;
+            if bufs.touched.last() != Some(&slot) {
+                bufs.touched.push(slot);
+            }
         }
-        let (zeroed, unsupported) = self.sweep(net, false);
+        let zeroed = self.sweep(net, false);
         net.stats.support_checks += zeroed;
         net.stats.entries_zeroed += zeroed;
-        self.enqueue(unsupported);
-        (generation.len(), false)
+        self.enqueue();
+        (self.bufs.current.len(), false)
     }
 }
 
@@ -568,14 +621,38 @@ mod tests {
         // Generation g removes exactly what full-scan pass g removes: after
         // every pass the alive sets and matrices are equal, and each
         // generation charges one support check per entry it zeroes.
+        // The n = 47 and n = 48 inputs are long cascades whose later
+        // generations touch few slots.
         let paper_g = paper::grammar();
         let anbn = formal::anbn_grammar();
+        let brackets = formal::brackets_grammar();
+        let mixed: String = (0..24)
+            .map(|k| if k % 2 == 0 { '(' } else { '[' })
+            .collect();
+        let mixed = format!(
+            "{mixed}{}",
+            mixed
+                .chars()
+                .rev()
+                .map(|c| if c == '(' { ')' } else { ']' })
+                .collect::<String>()
+        );
         let cases = [
-            (&paper_g, paper::example_sentence(&paper_g)),
-            (&anbn, formal::anbn_sentence(&anbn, "aaaaabbbbbb")),
-            (&anbn, formal::anbn_sentence(&anbn, "aaaaaabbbbb")),
+            (&paper_g, paper::example_sentence(&paper_g), None),
+            (&anbn, formal::anbn_sentence(&anbn, "aaaaabbbbbb"), None),
+            (&anbn, formal::anbn_sentence(&anbn, "aaaaaabbbbb"), None),
+            (
+                &anbn,
+                formal::anbn_sentence(&anbn, &format!("{}{}", "a".repeat(23), "b".repeat(24))),
+                Some(27),
+            ),
+            (
+                &brackets,
+                formal::brackets_sentence(&brackets, &mixed),
+                None,
+            ),
         ];
-        for (g, s) in cases {
+        for (g, s, generations) in cases {
             let mut full = Network::build(g, &s);
             apply_all_unary(&mut full);
             full.init_arcs();
@@ -607,6 +684,9 @@ mod tests {
                 if fixpoint {
                     break;
                 }
+            }
+            if let Some(generations) = generations {
+                assert_eq!(inc.stats.maintain_passes, generations, "`{s}`: generations");
             }
             assert_eq!(full.stats.removals, inc.stats.removals);
             assert_eq!(full.stats.entries_zeroed, inc.stats.entries_zeroed);

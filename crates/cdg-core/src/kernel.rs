@@ -24,7 +24,9 @@
 //!      [`PartialBinding::Open`] (its `pos`/`role` known, its value not);
 //!    - *column classes* — the same with the roles swapped;
 //!    - *verdicts* — for each row still undecided, its value bound
-//!      against the columns both classes left `Unknown`.
+//!      against the columns both classes left `Unknown`; or, when the
+//!      arc's columns need fewer passes, each such column's value bound
+//!      against the rows that need it.
 //!
 //!    The slot classes alone may settle a whole arc. Ordering 1 (row
 //!    value as `x`) passes every pair when either endpoint says so: the
@@ -49,7 +51,11 @@
 //!    depends only on the label / modifiee / category the constraint
 //!    reads) share every verdict: a pass evaluates the first lane of each
 //!    signature and copies the verdict to the rest, and rows share one
-//!    mask. Column classes run only on arcs with an undecided row.
+//!    mask. Column classes run only on arcs with an undecided row, and an
+//!    ordering's only when the row slot does not pass that ordering by
+//!    its slot classes (then no row reads them: the pass is charged, not
+//!    run). A class-decided row whose mask covers the alive columns is
+//!    not ANDed at all.
 //! 4. **The scalar ledger.** `binary_checks` still counts the evaluations
 //!    the one-value-at-a-time algorithm this replaced would have run:
 //!    two slot classes per distinct alive signature, one row or column
@@ -395,11 +401,8 @@ impl Pass {
 }
 
 /// Reusable scratch state for `kernel_arc`: one arc's bitsets as word
-/// vectors, resized per arc without reallocating once warm. The
-/// per-row-signature mask table is generation-stamped instead of cleared:
-/// entries from a previous arc read as absent under the current
-/// generation, so applying a constraint over hundreds of arcs costs zero
-/// steady-state allocation.
+/// vectors, resized per arc without reallocating once warm, so applying a
+/// constraint over hundreds of arcs costs zero steady-state allocation.
 #[derive(Default)]
 pub struct KernelScratch {
     pass: Pass,
@@ -422,13 +425,17 @@ pub struct KernelScratch {
     c2u: Vec<u64>,
     c12t: Vec<u64>,
     c12u: Vec<u64>,
-    /// One row's undecided columns whose first ordering definitely fails,
-    /// and those that survive both orderings.
-    o1_false: Vec<u64>,
-    keep: Vec<u64>,
-    gen: u64,
-    /// Per row signature, at its first row: (gen, allowed-column mask).
-    masks: Vec<(u64, Vec<u64>)>,
+    /// The rows that need a mask, with the ordering their class passes.
+    mask_rows: Vec<(usize, RowPass)>,
+    /// One ordering's rows to verdict: the signature representatives.
+    reps: Vec<usize>,
+    /// Column-side verdicts: the column signatures some row needs, and
+    /// the rows a verdict changed.
+    cols: Vec<u64>,
+    dirty: Vec<u64>,
+    /// Per row signature, at its first row: the surviving columns (the
+    /// row's mask once its verdicts are in).
+    masks: Vec<Vec<u64>>,
     /// Pooled per-slot signature tables, reused across constraint
     /// applications (and, on a warm worker, across requests).
     sigs: Vec<SlotSigs>,
@@ -436,12 +443,54 @@ pub struct KernelScratch {
     interner: KeyMap,
     /// Per slot, a unary sweep's class and doomed values.
     unary: Vec<(Truth, Vec<u64>)>,
+    /// The unit tests' per-row reference switch and shortcut tallies.
+    #[cfg(test)]
+    shortcuts: tests::Shortcuts,
 }
 
 impl KernelScratch {
     pub fn new() -> Self {
         KernelScratch::default()
     }
+
+    /// Whether `kernel_arc_full` takes its shortcuts: always, except in
+    /// the unit tests' per-row reference.
+    #[cfg(not(test))]
+    fn shortcuts(&self) -> bool {
+        true
+    }
+
+    #[cfg(test)]
+    fn shortcuts(&self) -> bool {
+        !self.shortcuts.off
+    }
+}
+
+/// Which ordering an undecided row's class passes (not both: that row is
+/// passed outright). Ordering 1 binds the row value as `x`, ordering 2 the
+/// column value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowPass {
+    First,
+    Second,
+    Neither,
+}
+
+/// Which side of an arc one ordering's pair verdicts run along: one lane
+/// pass per row signature over the column lanes, or one per column
+/// signature over the row lanes. Both evaluate the same (row, column)
+/// signature pairs, so both charge the same checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Along {
+    Rows,
+    Columns,
+}
+
+/// One endpoint of an arc as the verdict passes see it.
+struct Side<'a> {
+    slot: &'a RoleSlot,
+    sigs: &'a SlotSigs,
+    lanes: LaneSlot<'a>,
 }
 
 /// Counters produced by kernel application over one arc. `checks` are the
@@ -568,6 +617,20 @@ pub(crate) fn kernel_arc(
 
 /// `kernel_arc` past its whole-arc exits: the row classes, the column
 /// classes and the pair verdicts.
+///
+/// Three shortcuts skip work that cannot change the arc, each charging
+/// the ledger what the work would have:
+/// - a column-class pass is not run when the row slot passes that
+///   ordering by its slot classes (ordering 1 when `gi.all_pass_as_x`,
+///   ordering 2 when `gi.all_pass_as_y`): every undecided row's class
+///   then passes it, so no row reads those column classes. The pass is
+///   charged its distinct `Unknown` signatures, `gj.unknown_y` or
+///   `gj.unknown_x`;
+/// - a class-decided row whose mask covers the column slot's alive set is
+///   not ANDed: it clears nothing;
+/// - each ordering's pair verdicts run along the arc's shorter side
+///   ([`verdicts`]): one lane pass per column signature over the row
+///   lanes when that takes fewer passes than one per row signature.
 fn kernel_arc_full(
     sweep: &PairwiseSweep<'_>,
     i: SlotId,
@@ -577,6 +640,7 @@ fn kernel_arc_full(
     pool: &mut ArcPool,
 ) -> ArcKernelCounts {
     let PairwiseSweep { prog, sentence, .. } = *sweep;
+    let shortcuts = scratch.shortcuts();
     let (si, sj, gi, gj) = (
         &sweep.slots[i],
         &sweep.slots[j],
@@ -600,13 +664,25 @@ fn kernel_arc_full(
         c2u,
         c12t,
         c12u,
-        o1_false,
-        keep,
-        gen,
+        mask_rows,
+        reps,
+        cols,
+        dirty,
         masks,
+        #[cfg(test)]
+            shortcuts: tally,
         ..
     } = scratch;
-    let (li, lj) = (lanes_of(sweep.lanes, i, si), lanes_of(sweep.lanes, j, sj));
+    let rows = Side {
+        slot: si,
+        sigs: gi,
+        lanes: lanes_of(sweep.lanes, i, si),
+    };
+    let columns = Side {
+        slot: sj,
+        sigs: gj,
+        lanes: lanes_of(sweep.lanes, j, sj),
+    };
     // Partial bindings standing for "any value of this slot" — pos/role are
     // slot constants, so they resolve definitely even with the value open.
     let open_i = PartialBinding::Open {
@@ -628,7 +704,7 @@ fn kernel_arc_full(
     refine(
         prog,
         sentence,
-        &li,
+        &rows.lanes,
         gi,
         Var::X,
         open_j,
@@ -642,7 +718,7 @@ fn kernel_arc_full(
     refine(
         prog,
         sentence,
-        &li,
+        &rows.lanes,
         gi,
         Var::Y,
         open_j,
@@ -670,16 +746,41 @@ fn kernel_arc_full(
         return counts;
     }
     // Column classes, both orderings (ordering 1 binds the column value as
-    // `y`, so it refines the columns' as-y slot classes).
+    // `y`, so it refines the columns' as-y slot classes). A row slot that
+    // passes an ordering by its slot classes leaves that ordering's column
+    // classes unread: the pass is only charged.
     let alive_j_w = sj.alive.words();
-    for (var, t, f, u) in [
-        (Var::Y, &mut *c1t, &mut *c1f, &mut *c1u),
-        (Var::X, &mut *c2t, &mut *c2f, &mut *c2u),
+    let (charge1, charge2) = (shortcuts && gi.all_pass_as_x, shortcuts && gi.all_pass_as_y);
+    for (var, charge, unknown, t, f, u) in [
+        (
+            Var::Y,
+            charge1,
+            gj.unknown_y,
+            &mut *c1t,
+            &mut *c1f,
+            &mut *c1u,
+        ),
+        (
+            Var::X,
+            charge2,
+            gj.unknown_x,
+            &mut *c2t,
+            &mut *c2f,
+            &mut *c2u,
+        ),
     ] {
+        if charge {
+            counts.checks += unknown;
+            #[cfg(test)]
+            {
+                tally.charged += 1;
+            }
+            continue;
+        }
         refine(
             prog,
             sentence,
-            &lj,
+            &columns.lanes,
             gj,
             var,
             open_i,
@@ -693,77 +794,259 @@ fn kernel_arc_full(
         u.clear();
         u.extend((0..t.len()).map(|k| alive_j_w[k] & !(t[k] | f[k])));
     }
-    c12t.clear();
-    c12t.extend(c1t.iter().zip(c2t.iter()).map(|(a, b)| a & b));
-    c12u.clear();
-    c12u.extend(c1u.iter().zip(c2u.iter()).map(|(a, b)| a | b));
+    if !(charge1 || charge2) {
+        c12t.clear();
+        c12t.extend(c1t.iter().zip(c2t.iter()).map(|(a, b)| a & b));
+        c12u.clear();
+        c12u.extend(c1u.iter().zip(c2u.iter()).map(|(a, b)| a | b));
+    }
+    // Each ordering of an undecided row is `True` or `Unknown`, not both
+    // `True`. It is decided by its own `True` class or, column by column,
+    // by a definite column class; only the columns left `Unknown` for an
+    // undecided ordering need pair verdicts. The surviving columns are
+    // `base` plus those of `open` no definite verdict fails.
+    let sides = |pass: RowPass| -> (&[u64], &[u64]) {
+        match pass {
+            RowPass::First => (c2t, c2u),
+            RowPass::Second => (c1t, c1u),
+            RowPass::Neither => (c12t, c12u),
+        }
+    };
     let first_j = gj.first();
     if masks.len() < si.domain.len() {
-        masks.resize_with(si.domain.len(), || (0, Vec::new()));
+        masks.resize_with(si.domain.len(), Vec::new);
     }
-    *gen += 1;
+    let mut covers_alive: [Option<bool>; 3] = [None; 3];
+    mask_rows.clear();
     for a in ones(undecided) {
-        // Each ordering of the row is `True` or `Unknown` here, not both
-        // `True`. It is decided by its own `True` class or, column by
-        // column, by a definite column class; only the columns left
-        // `Unknown` for an undecided ordering need pair verdicts.
-        let (r1, r2) = (bit(r1t, a), bit(r2t, a));
-        let (base, open): (&[u64], &[u64]) = if r1 {
-            (c2t, c2u)
-        } else if r2 {
-            (c1t, c1u)
-        } else {
-            (c12t, c12u)
+        let kind = match (bit(r1t, a), bit(r2t, a)) {
+            (true, _) => RowPass::First,
+            (_, true) => RowPass::Second,
+            _ => RowPass::Neither,
         };
+        let (base, open) = sides(kind);
         if open.iter().all(|&w| w == 0) {
             // Class-decided: the surviving columns are exactly `base`.
             counts.memo_hits += alive_j;
+            let covered =
+                *covers_alive[kind as usize].get_or_insert_with(|| covers(base, alive_j_w));
+            if shortcuts && covered {
+                // The row holds no 1 outside the alive columns.
+                #[cfg(test)]
+                {
+                    tally.covered += 1;
+                }
+                continue;
+            }
             counts.zeroed += arc.and_row(a, base, &si.alive, &sj.alive, pool);
             continue;
         }
-        let sa = gi.rep[a] as usize;
-        if masks[sa].0 == *gen {
-            // A signature-mate's mask answers the whole row.
-            counts.memo_hits += alive_j;
-        } else {
-            let row = PartialBinding::Bound(si.binding(a));
-            // Ordering 1 (row value as `x`): the open columns' own class
-            // where definite, a lane pass where not.
-            o1_false.clear();
-            o1_false.resize(open.len(), 0);
-            if !r1 {
-                pass.set.clear();
-                pass.set
-                    .extend(open.iter().zip(c1u.iter()).map(|(o, u)| o & u));
-                let ran = pass.run(prog, sentence, &lj, gj, Var::Y, row, &mut counts.checks);
-                for k in 0..open.len() {
-                    o1_false[k] = open[k] & c1f[k] | if ran { pass.f[k] } else { 0 };
-                }
-            }
-            // Ordering 2 (column value as `x`), only where the first did
-            // not definitely fail.
+        if gi.rep[a] as usize == a {
+            // The first row of its signature: its mask starts as `open`
+            // less the columns ordering 1's class fails.
+            let keep = &mut masks[a];
             keep.clear();
-            keep.extend(open.iter().zip(o1_false.iter()).map(|(o, f)| o & !f));
-            if !r2 {
-                pass.set.clear();
-                pass.set.extend((0..open.len()).map(|k| keep[k] & c2u[k]));
-                let ran = pass.run(prog, sentence, &lj, gj, Var::X, row, &mut counts.checks);
-                for k in 0..open.len() {
-                    keep[k] &= !(open[k] & c2f[k] | if ran { pass.f[k] } else { 0 });
-                }
+            if kind == RowPass::First {
+                keep.extend_from_slice(open);
+            } else {
+                keep.extend(open.iter().zip(c1f.iter()).map(|(o, f)| o & !f));
             }
+        }
+        mask_rows.push((a, kind));
+    }
+    if mask_rows.is_empty() {
+        return counts;
+    }
+    // Ordering 1 (row value as `x`) where no row class passes it, then
+    // ordering 2 over what ordering 1 left.
+    for (row_var, needs, unknown) in [
+        (Var::X, RowPass::First, &*c1u),
+        (Var::Y, RowPass::Second, &*c2u),
+    ] {
+        reps.clear();
+        reps.extend(
+            mask_rows
+                .iter()
+                .filter(|&&(a, kind)| kind != needs && gi.rep[a] as usize == a)
+                .map(|&(a, _)| a),
+        );
+        if reps.is_empty() {
+            continue;
+        }
+        let along = if shortcuts {
+            shorter_side(reps, masks, unknown, first_j, cols)
+        } else {
+            Along::Rows
+        };
+        #[cfg(test)]
+        {
+            if along == Along::Columns {
+                tally.along_columns += 1;
+            }
+        }
+        verdicts(
+            sweep,
+            &rows,
+            &columns,
+            row_var,
+            along,
+            reps,
+            unknown,
+            masks,
+            (pass, cols, dirty),
+            &mut counts.checks,
+        );
+    }
+    for &(a, kind) in mask_rows.iter() {
+        let sa = gi.rep[a] as usize;
+        if sa == a {
+            let (base, open) = sides(kind);
             counts.memo_hits += alive_j - count_and(open, first_j);
             counts.masks_built += 1;
-            let entry = &mut masks[sa];
-            entry.0 = *gen;
-            entry.1.clear();
-            entry
-                .1
-                .extend(base.iter().zip(keep.iter()).map(|(b, k)| b | k));
+            // Ordering 2's class fails where no row class passes it.
+            let mask = &mut masks[a];
+            for k in 0..mask.len() {
+                let failed = if kind == RowPass::Second { 0 } else { c2f[k] };
+                mask[k] = base[k] | mask[k] & !failed;
+            }
+        } else {
+            // A signature-mate's mask answers the whole row.
+            counts.memo_hits += alive_j;
         }
-        counts.zeroed += arc.and_row(a, &masks[sa].1, &si.alive, &sj.alive, pool);
+        counts.zeroed += arc.and_row(a, &masks[sa], &si.alive, &sj.alive, pool);
     }
     counts
+}
+
+/// The side one ordering's verdicts take fewer lane passes along: a pass
+/// per row in `reps` with a column signature to verdict, or a pass per
+/// column signature some row needs. Leaves those column signatures (the
+/// columns of `unknown` in some row's mask, first lanes only) in `cols`.
+fn shorter_side(
+    reps: &[usize],
+    masks: &[Vec<u64>],
+    unknown: &[u64],
+    first_j: &[u64],
+    cols: &mut Vec<u64>,
+) -> Along {
+    cols.clear();
+    cols.resize(unknown.len(), 0);
+    let mut row_passes = 0;
+    for &a in reps {
+        let mut any = 0;
+        for (k, c) in cols.iter_mut().enumerate() {
+            let w = masks[a][k] & unknown[k] & first_j[k];
+            *c |= w;
+            any |= w;
+        }
+        row_passes += usize::from(any != 0);
+    }
+    let col_passes: usize = cols.iter().map(|w| w.count_ones() as usize).sum();
+    if col_passes < row_passes {
+        Along::Columns
+    } else {
+        Along::Rows
+    }
+}
+
+/// One ordering's pair verdicts: every row of `reps` (row signature
+/// representatives) loses from its mask in `masks` the columns of
+/// `unknown` whose pair verdict is definitely false, the row value bound
+/// as `row_var`. Along the rows, one lane pass per row over its columns
+/// (the column value as the other variable); along the columns, one lane
+/// pass per column signature in `cols` (left there by [`shorter_side`])
+/// over the rows whose mask holds it, its verdicts then copied to the
+/// column's signature-mates. Each (row, column) signature pair is
+/// evaluated and charged once either way.
+#[allow(clippy::too_many_arguments)] // twice per arc; flat borrows
+fn verdicts(
+    sweep: &PairwiseSweep<'_>,
+    rows: &Side<'_>,
+    columns: &Side<'_>,
+    row_var: Var,
+    along: Along,
+    reps: &[usize],
+    unknown: &[u64],
+    masks: &mut [Vec<u64>],
+    (pass, cols, dirty): (&mut Pass, &mut Vec<u64>, &mut Vec<u64>),
+    checks: &mut usize,
+) {
+    let PairwiseSweep { prog, sentence, .. } = *sweep;
+    let col_var = match row_var {
+        Var::X => Var::Y,
+        Var::Y => Var::X,
+    };
+    match along {
+        Along::Rows => {
+            for &a in reps {
+                let keep = &mut masks[a];
+                pass.set.clear();
+                pass.set
+                    .extend(keep.iter().zip(unknown).map(|(k, u)| k & u));
+                let row = PartialBinding::Bound(rows.slot.binding(a));
+                if pass.run(
+                    prog,
+                    sentence,
+                    &columns.lanes,
+                    columns.sigs,
+                    col_var,
+                    row,
+                    checks,
+                ) {
+                    for (k, f) in keep.iter_mut().zip(&pass.f) {
+                        *k &= !f;
+                    }
+                }
+            }
+        }
+        Along::Columns => {
+            let wi = rows.slot.alive.words().len();
+            dirty.clear();
+            dirty.resize(wi, 0);
+            for b in ones(cols) {
+                let (bk, bb) = (b / 64, 1u64 << (b % 64));
+                pass.set.clear();
+                pass.set.resize(wi, 0);
+                for &a in reps {
+                    if masks[a][bk] & bb != 0 {
+                        pass.set[a / 64] |= 1 << (a % 64);
+                    }
+                }
+                let column = PartialBinding::Bound(columns.slot.binding(b));
+                if pass.run(
+                    prog,
+                    sentence,
+                    &rows.lanes,
+                    rows.sigs,
+                    row_var,
+                    column,
+                    checks,
+                ) {
+                    for a in ones(&pass.f) {
+                        masks[a][bk] &= !bb;
+                        dirty[a / 64] |= 1 << (a % 64);
+                    }
+                }
+            }
+            // A changed row's mates of each column signature follow it.
+            let (first_j, rep_j) = (columns.sigs.first(), &columns.sigs.rep);
+            let alive_j = columns.slot.alive.words();
+            for a in ones(dirty) {
+                let keep = &mut masks[a];
+                for (k, (&live, &fw)) in alive_j.iter().zip(first_j).enumerate() {
+                    let mut mates = live & !fw;
+                    while mates != 0 {
+                        let bit = mates.trailing_zeros() as usize;
+                        mates &= mates - 1;
+                        let r = rep_j[k * 64 + bit] as usize;
+                        if keep[r / 64] >> (r % 64) & 1 == 0 {
+                            keep[k] &= !(1 << bit);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// What one pairwise constraint application shares across its arcs: the
@@ -1165,6 +1448,133 @@ mod tests {
         }
         assert!(row_both > 0, "the row-both exit never fired");
         assert!(column_both > 0, "the column-both exit never fired");
+    }
+
+    /// The per-row reference switch of [`KernelScratch`] and how often
+    /// each shortcut of `kernel_arc_full` fired.
+    #[derive(Default)]
+    pub(super) struct Shortcuts {
+        /// Run the per-row reference: every column-class pass, every
+        /// class-decided AND, and pair verdicts along the rows.
+        pub off: bool,
+        /// Column-class passes charged without running.
+        pub charged: usize,
+        /// Class-decided rows not ANDed because their mask covers the
+        /// column slot's alive set.
+        pub covered: usize,
+        /// Orderings whose verdicts ran along the columns.
+        pub along_columns: usize,
+    }
+
+    /// The shortcuts of `kernel_arc_full` equal the per-row reference. On
+    /// every arc the full path reaches, over the corpus of
+    /// `whole_arc_exits_match_the_full_path` plus longer aⁿbⁿ and bracket
+    /// strings, the shortcut run and the reference run on a clone of the
+    /// matrix leave the same matrix and charge the same ledger; each
+    /// shortcut fires at least once.
+    #[test]
+    fn shortcuts_match_the_per_row_reference() {
+        use cdg_grammar::grammars::formal;
+        let anbn = formal::anbn_grammar();
+        let brackets = formal::brackets_grammar();
+        let ww = formal::ww_grammar();
+        let eng = english::grammar();
+        let lex = english::lexicon(&eng);
+        let (aux, aux_lex) = corpus::extended_setup();
+        let ambiguous = (8u64..)
+            .map(|seed| corpus::english_aux_sentence(&aux, &aux_lex, 8, seed))
+            .find(|s| s.has_lexical_ambiguity())
+            .expect("the extended lexicon has ambiguous base forms");
+        let inputs = [
+            (
+                &anbn,
+                formal::anbn_sentence(&anbn, &corpus::formal::anbn(6)),
+            ),
+            (
+                &anbn,
+                formal::anbn_sentence(&anbn, &corpus::formal::anbn(12)),
+            ),
+            (
+                &brackets,
+                formal::brackets_sentence(&brackets, &corpus::formal::nested_brackets(6)),
+            ),
+            (
+                &brackets,
+                formal::brackets_sentence(&brackets, &corpus::formal::nested_brackets(16)),
+            ),
+            (&ww, formal::ww_sentence(&ww, &corpus::formal::ww(4, 1))),
+            (&eng, corpus::english_sentence(&eng, &lex, 8, 11)),
+            (&eng, corpus::english_sentence(&eng, &lex, 14, 3)),
+            (&aux, ambiguous),
+        ];
+        let mut fired = Shortcuts::default();
+        let mut arcs = 0;
+        for (g, s) in &inputs {
+            let mut net = Network::build(g, s);
+            crate::propagate::apply_all_unary(&mut net);
+            net.init_arcs();
+            let pairwise = s.has_lexical_ambiguity().then(|| g.unary_constraints());
+            for c in g
+                .binary_constraints()
+                .iter()
+                .chain(pairwise.into_iter().flatten())
+            {
+                let mut reference = KernelScratch::new();
+                reference.shortcuts.off = true;
+                let mut fast = KernelScratch::new();
+                with_program(&mut net, c, |net, prog| {
+                    net.ensure_lane_tables();
+                    let parts = net.parts_mut();
+                    let mut sigs = Vec::new();
+                    all_signatures(prog, &parts, &mut KernelScratch::new(), &mut sigs);
+                    let sweep = PairwiseSweep {
+                        prog,
+                        sentence: parts.sentence,
+                        slots: parts.slots,
+                        sigs: &sigs,
+                        lanes: parts.lanes,
+                    };
+                    for (m, &(i, j, _)) in parts.arcs.iter_mut().zip(parts.pairs) {
+                        let (gi, gj) = (&sigs[i], &sigs[j]);
+                        let exits = gj.alive == 0
+                            || gi.all_pass_as_x && (gj.all_pass_as_x || gi.all_pass_as_y)
+                            || gj.all_pass_as_x && gj.all_pass_as_y;
+                        if exits {
+                            continue;
+                        }
+                        arcs += 1;
+                        let mut want_m = m.clone();
+                        let want = kernel_arc_full(
+                            &sweep,
+                            i,
+                            j,
+                            &mut want_m,
+                            &mut reference,
+                            &mut ArcPool::new(),
+                        );
+                        let got = kernel_arc_full(&sweep, i, j, m, &mut fast, parts.pool);
+                        let at = format!("{} on arc ({i},{j}) of `{s}`", c.name);
+                        assert_eq!(*m, want_m, "matrix differs: {at}");
+                        assert_eq!(got.zeroed, want.zeroed, "zeroed differs: {at}");
+                        assert_eq!(got.checks, want.checks, "checks differ: {at}");
+                        assert_eq!(got.masks_built, want.masks_built, "masks differ: {at}");
+                        assert_eq!(got.memo_hits, want.memo_hits, "memo hits differ: {at}");
+                    }
+                });
+                let (r, f) = (&reference.shortcuts, &fast.shortcuts);
+                assert_eq!((r.charged, r.covered, r.along_columns), (0, 0, 0));
+                fired.charged += f.charged;
+                fired.covered += f.covered;
+                fired.along_columns += f.along_columns;
+            }
+        }
+        assert!(arcs > 0, "no arc reached the full path");
+        assert!(fired.charged > 0, "no column-class pass was only charged");
+        assert!(
+            fired.covered > 0,
+            "no covering class-decided row was skipped"
+        );
+        assert!(fired.along_columns > 0, "no verdicts ran along the columns");
     }
 
     #[test]

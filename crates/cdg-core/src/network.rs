@@ -1,5 +1,6 @@
 //! The constraint network (CN): nodes, roles, role values, and arc matrices.
 
+use crate::consistency::FilterBuffers;
 use crate::pool::{ArcPool, PoolStats};
 use crate::stats::NetStats;
 use bitmat::{BitMatrix, BitVec};
@@ -260,7 +261,8 @@ impl RoleSlot {
 
 /// Recycled [`Network`] allocations for a warm worker: slot storage
 /// (domain vectors and alive bitsets), the pair index, the arc container,
-/// and the [`ArcPool`] of stored arcs' matrices, reclaimed from a finished
+/// the incremental filter's lists, and the [`ArcPool`] of stored arcs'
+/// matrices, reclaimed from a finished
 /// parse's network via [`Network::reclaim`] and reused by the next
 /// [`Network::build_in`]. Every buffer is cleared and refilled on reuse,
 /// so networks built through a slab are byte-identical to fresh ones —
@@ -272,6 +274,7 @@ pub struct NetSlab {
     arcs: Vec<ArcMatrix>,
     lanes: LaneTables,
     pool: ArcPool,
+    filter: FilterBuffers,
     reuses: u64,
 }
 
@@ -333,6 +336,9 @@ pub struct Network<'g> {
     /// evaluator. The domains and the sentence are fixed, so each slot's
     /// are built on first use and kept for the parse.
     lanes: LaneTables,
+    /// The incremental filter's per-generation lists, kept from parse to
+    /// parse through the slab.
+    pub(crate) filter_buffers: FilterBuffers,
     /// How propagation evaluates constraints (see [`EvalStrategy`]).
     pub eval: EvalStrategy,
     /// Which filtering implementation the drivers run (see
@@ -424,6 +430,7 @@ impl<'g> Network<'g> {
             pairs,
             arcs_ready: false,
             lanes,
+            filter_buffers: std::mem::take(&mut slab.filter),
             eval: EvalStrategy::default(),
             filter_strategy: FilterStrategy::default(),
             compiled: None,
@@ -465,9 +472,7 @@ impl<'g> Network<'g> {
     /// Index of arc (i, j), i < j, in the triangular arc vector (the order
     /// of [`Network::arc_pairs`] and [`Network::arc_views`]).
     pub fn arc_index(&self, i: SlotId, j: SlotId) -> usize {
-        debug_assert!(i < j && j < self.num_slots());
-        let n = self.num_slots();
-        i * n - i * (i + 1) / 2 + (j - i - 1)
+        triangular_index(self.num_slots(), i, j)
     }
 
     /// Whether arcs have been constructed yet.
@@ -677,7 +682,8 @@ impl<'g> Network<'g> {
     /// Hand this network's storage back to `slab` for the next
     /// [`Network::build_in`]: the stored arcs' matrices and the lent pool
     /// (with this parse's pool ledger) to the slab's pool, and the slot
-    /// storage, pair index and arc container. The network is left empty —
+    /// storage, pair index, arc container, lane tables and filter lists.
+    /// The network is left empty —
     /// call only once every reader of the report is done with it (in
     /// particular, [`crate::ParseReport::summary`] reads the alive sets).
     pub fn reclaim(&mut self, slab: &mut NetSlab) {
@@ -691,6 +697,7 @@ impl<'g> Network<'g> {
         slab.pairs = std::mem::take(&mut self.pairs);
         slab.arcs = std::mem::take(&mut self.arcs);
         slab.lanes = std::mem::take(&mut self.lanes);
+        slab.filter = std::mem::take(&mut self.filter_buffers);
         self.arcs_ready = false;
     }
 
@@ -706,6 +713,13 @@ impl<'g> Network<'g> {
     pub fn total_alive(&self) -> usize {
         self.slots.iter().map(|s| s.alive_count()).sum()
     }
+}
+
+/// Index of arc (i, j), i < j, among the arcs of `num` slots in storage
+/// order.
+pub(crate) fn triangular_index(num: usize, i: SlotId, j: SlotId) -> usize {
+    debug_assert!(i < j && j < num);
+    i * num - i * (i + 1) / 2 + (j - i - 1)
 }
 
 /// Whether some alive value of `si` and some alive value of `sj` carry

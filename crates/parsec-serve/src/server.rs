@@ -649,7 +649,7 @@ fn bump_shed(stats: &ServeStats, reason: &'static str) {
 
 /// Admission: one typed response per `PARSE` line, produced here (cache
 /// hit / shed / dead band) or by whoever inherits the job's reply channel.
-fn handle_parse(shared: &Arc<Shared>, text: String, config: EngineConfig) -> String {
+fn handle_parse(shared: &Arc<Shared>, text: String, mut config: EngineConfig) -> String {
     let stats = &shared.stats;
     stats.bump(&stats.requests, "serve.requests");
     let class = config
@@ -680,9 +680,14 @@ fn handle_parse(shared: &Arc<Shared>, text: String, config: EngineConfig) -> Str
     }
     // Cache lookup before the watermarks: a hit costs no queue slot, which
     // is exactly what makes caching a load-shedding tool and not just a
-    // latency one. Faulted requests bypass the cache entirely.
+    // latency one. Faulted requests bypass the cache entirely. `threads=`
+    // sizes only a batch fan-out, which serve never runs, so it is left
+    // out of the digest: requests that differ only there share an entry.
     let digest = if config.faults.is_none() && shared.config.cache_capacity > 0 {
-        Some(request_digest(&engine_name, &text, &config.encode()))
+        let threads = config.threads.take();
+        let spec = config.encode();
+        config.threads = threads;
+        Some(request_digest(&engine_name, &text, &spec))
     } else {
         None
     };

@@ -105,6 +105,30 @@ fn identical_requests_hit_the_cache() {
 }
 
 #[test]
+fn requests_differing_only_in_threads_share_a_cache_entry() {
+    // `threads=` sizes a batch fan-out; serve parses one sentence per
+    // request, so the key changes no answer and must not split the cache.
+    let handle = Server::start(english_config()).unwrap();
+    let mut client = Client::connect(handle.addr());
+
+    let (status, first) = client.roundtrip("PARSE threads=1 -- the dog runs");
+    assert_eq!(status, "OK");
+    assert_eq!(field(&first, "cached"), "false");
+
+    let (status, second) = client.roundtrip("PARSE threads=2 -- the dog runs");
+    assert_eq!(status, "OK");
+    assert_eq!(field(&second, "cached"), "true");
+    assert_eq!(field(&first, "parses"), field(&second, "parses"));
+
+    let (_, third) = client.roundtrip("PARSE the dog runs");
+    assert_eq!(field(&third, "cached"), "true");
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.cache_misses, 1);
+}
+
+#[test]
 fn lexicon_and_protocol_errors_are_typed() {
     let handle = Server::start(english_config()).unwrap();
     let mut client = Client::connect(handle.addr());
