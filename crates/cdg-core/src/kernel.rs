@@ -903,7 +903,8 @@ fn kernel_arc_full(
             let (base, open) = sides(kind);
             counts.memo_hits += alive_j - count_and(open, first_j);
             counts.masks_built += 1;
-            // Ordering 2's class fails where no row class passes it.
+            // Drop the columns ordering 2's column class fails, unless
+            // the row's own class passes ordering 2.
             let mask = &mut masks[a];
             for k in 0..mask.len() {
                 let failed = if kind == RowPass::Second { 0 } else { c2f[k] };
