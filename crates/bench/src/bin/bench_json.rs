@@ -118,16 +118,36 @@ fn digest_outcome(grammar: &Grammar, sentence: &Sentence) -> u64 {
 }
 
 /// Digest of one MasPar run: final alive masks, every submatrix word, the
-/// full machine-op ledger and the estimated-seconds bits — everything the
+/// machine-op ledger and the estimated-seconds bits — everything the
 /// simulated MP-1 computed, so equal digests mean bit-identical execution.
+///
+/// The ledger is hashed as the named counters below, in the text the
+/// derived `Debug` of `MachineStats` gave them when the digests were
+/// recorded. A counter deleted from `MachineStats` keeps its entry here
+/// at the value it read, so the recorded digests hold.
 fn digest_maspar(grammar: &Grammar, sentence: &Sentence) -> u64 {
     let out = parse_maspar_checked(grammar, sentence, &MasparOptions::default())
         .expect("the MasPar parse fits the simulated machine");
+    let s = &out.stats;
+    let ledger = [
+        ("plural_ops", s.plural_ops),
+        ("plural_slices", s.plural_slices),
+        ("scan_calls", s.scan_calls),
+        ("scan_passes", s.scan_passes),
+        ("router_ops", s.router_ops),
+        ("router_slices", s.router_slices),
+        ("peak_pe_memory_bytes", s.peak_pe_memory_bytes as u64),
+        ("dead_pe_skips", s.dead_pe_skips),
+        ("router_corruptions", s.router_corruptions),
+        ("memory_flips", s.memory_flips),
+        ("oob_routes", s.oob_routes),
+    ]
+    .map(|(name, count)| format!("{name}: {count}"))
+    .join(", ");
     let buf = format!(
-        "{:?};{:?};{:?};{:016x}",
+        "{:?};{:?};MachineStats {{ {ledger} }};{:016x}",
         out.alive,
         out.bits,
-        out.stats,
         out.estimated_seconds.to_bits()
     );
     fnv1a(buf.as_bytes())

@@ -153,8 +153,8 @@ impl fmt::Display for PrecedenceGraph {
 ///
 /// Slots are tried most-constrained-first (smallest alive set), the classic
 /// CSP variable ordering, which keeps the search shallow on filtered
-/// networks; the returned graphs are deduplicated and sorted for
-/// determinism.
+/// networks. The search yields each assignment once; the returned graphs
+/// are sorted for determinism.
 pub fn precedence_graphs(net: &Network<'_>, limit: usize) -> Vec<PrecedenceGraph> {
     let _phase = obsv::span("extraction");
     let mut graphs = Vec::new();
@@ -168,7 +168,6 @@ pub fn precedence_graphs(net: &Network<'_>, limit: usize) -> Vec<PrecedenceGraph
         });
     });
     graphs.sort();
-    graphs.dedup();
     graphs
 }
 
@@ -364,8 +363,14 @@ mod tests {
         ] {
             let s = lex.sentence(text).unwrap();
             let net = full_pipeline(&g, &s);
-            let enumerated = precedence_graphs(&net, 1000).len();
-            assert_eq!(count_parses(&net, 1000), enumerated, "`{text}`");
+            let graphs = precedence_graphs(&net, 1000);
+            // Sorted, so a graph the search yielded twice would sit next
+            // to its copy.
+            assert!(
+                graphs.windows(2).all(|w| w[0] != w[1]),
+                "`{text}`: pairwise distinct"
+            );
+            assert_eq!(count_parses(&net, 1000), graphs.len(), "`{text}`");
         }
     }
 

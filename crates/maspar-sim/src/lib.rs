@@ -23,9 +23,8 @@
 //!   simulated PE-local memory (allocation is charged against the 16 KB
 //!   per-PE budget, scaled by the virtualization factor);
 //! * plural operations ([`Machine::par_map`] and friends) execute one
-//!   broadcast instruction across all *active* PEs — on the host they run
-//!   data-parallel under rayon, which is safe because each PE touches only
-//!   its own slot;
+//!   broadcast instruction across all *active* PEs — on the host each is
+//!   one pass over the array on the calling thread;
 //! * [`Machine::with_activity`] implements MPL's plural `if`: it narrows
 //!   the activity set for the duration of a closure (PEs where the
 //!   condition is false simply sit out the broadcast instructions);
@@ -35,9 +34,7 @@
 //! * [`Machine::gather`] is the global router: every active PE fetches a
 //!   value from an arbitrary source PE in one routed operation.
 //!
-//! Everything is deterministic: no randomness, no dependence on rayon's
-//! scheduling (each PE writes only its own slot; reductions are
-//! order-independent).
+//! Everything is deterministic: no randomness and no host threads.
 //!
 //! # Fault injection
 //!

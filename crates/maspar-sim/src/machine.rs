@@ -6,7 +6,6 @@ use crate::fault::{FaultPlan, FaultWord};
 use crate::plural::{OccPlural, Plural};
 use crate::scan::SegmentMap;
 use crate::stats::{CostModel, MachineStats};
-use rayon::prelude::*;
 use std::any::Any;
 use std::ops::Range;
 
@@ -67,8 +66,8 @@ pub struct Machine {
     virt_factor: u64,
     /// Activity flags per virtual PE, packed 64 to a word (bit `pe % 64`
     /// of word `pe / 64`); the stack implements MPL's plural if. Packed
-    /// because every instruction reads it a word at a time (see
-    /// [`Machine::sweep`]).
+    /// because every instruction reads it a word at a time (see "The host
+    /// walk").
     enabled: Vec<u64>,
     activity_stack: Vec<Vec<u64>>,
     /// Simulated PE-local memory in use (bytes per physical PE).
@@ -107,14 +106,6 @@ pub struct TraceEntry {
     /// PEs active when the operation was broadcast.
     pub active: usize,
 }
-
-/// At most this many host chunks per instruction (see [`Machine::sweep`]).
-const MAX_CHUNKS: usize = 32;
-
-/// Smallest host chunk, in 64-PE words: one 16,384-PE physical array, so
-/// a program that fits the MP-1 unvirtualized runs as one chunk and
-/// starts no pool threads.
-const MIN_CHUNK_WORDS: usize = 256;
 
 /// The PEs an instruction runs on — active and not hosted on a dead
 /// physical PE — read a packed word at a time.
@@ -226,9 +217,9 @@ impl Walk {
     }
 }
 
-/// Where a host chunk's walk is in a grid of `side`-PE columns: the column
-/// of its last run and that column's first PE. A chunk's runs come in
-/// ascending order, so a run in the same column pays no division.
+/// Where a walk is in a grid of `side`-PE columns: the column of its last
+/// run and that column's first PE. A walk's runs come in ascending order,
+/// so a run in the same column pays no division.
 #[derive(Default)]
 struct GridCursor {
     col: usize,
@@ -244,7 +235,7 @@ impl GridCursor {
         side: usize,
         lo: usize,
         mut slots: &mut [T],
-        f: &impl Fn(usize, Range<usize>, &mut [T]),
+        f: &mut impl FnMut(usize, Range<usize>, &mut [T]),
     ) {
         if lo >= self.start + side {
             self.col = lo / side;
@@ -307,7 +298,7 @@ struct Spares {
     /// PEs every kept buffer has room for: the most the machine has run.
     pes: usize,
     /// Buffers of freed per-PE plurals, each a `Vec<T>` of some `T`.
-    per_pe: Vec<Box<dyn Any + Send + Sync>>,
+    per_pe: Vec<Box<dyn Any>>,
     /// Word buffers of freed packed plurals.
     packed: Vec<Vec<u64>>,
     /// Host buffers made because no kept one was there.
@@ -352,7 +343,7 @@ impl Spares {
         })
     }
 
-    fn keep<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
+    fn keep<T: 'static>(&mut self, buf: Vec<T>) {
         if self.per_pe.len() < MAX_SPARES && buf.capacity() >= self.pes {
             self.per_pe.push(Box::new(buf));
         }
@@ -805,7 +796,7 @@ impl Machine {
     /// Allocate a plural value, one `T` per virtual PE, charged against the
     /// 16 KB-per-PE budget (each physical PE holds `virt_factor` layers).
     /// The host array is a freed plural's buffer when one is kept.
-    pub fn alloc<T: Clone + Send + Sync + 'static>(&mut self, init: T) -> Plural<T> {
+    pub fn alloc<T: Clone + 'static>(&mut self, init: T) -> Plural<T> {
         self.charge_alloc(std::mem::size_of::<T>());
         let mut data = self.spares.take::<T>();
         data.resize(self.n_virt, init);
@@ -814,7 +805,7 @@ impl Machine {
 
     /// Release a plural's memory: the budget shrinks, and the host keeps
     /// the buffer for the next allocation.
-    pub fn free<T: Send + Sync + 'static>(&mut self, plural: Plural<T>) {
+    pub fn free<T: 'static>(&mut self, plural: Plural<T>) {
         self.release_alloc(std::mem::size_of::<T>());
         self.spares.keep(plural.into_vec());
     }
@@ -823,7 +814,7 @@ impl Machine {
     /// [`Plural::into_vec`] after the program's last instruction, for the
     /// next allocation. Charges nothing: the plural's simulated memory
     /// went with the program.
-    pub fn recycle<T: Send + Sync + 'static>(&mut self, buf: Vec<T>) {
+    pub fn recycle<T: 'static>(&mut self, buf: Vec<T>) {
         self.spares.keep(buf);
     }
 
@@ -914,10 +905,10 @@ impl Machine {
     // The host walk
     // ------------------------------------------------------------------
     //
-    // Every data-parallel instruction below walks the array through
-    // `sweep`: the array is cut into chunks of whole 64-PE words, the
-    // chunks go to the thread pool, and each chunk reads the live mask
-    // (`enabled & !virt_dead`) a word at a time. Zero words cost one
+    // Every data-parallel instruction below is one pass over the whole
+    // array on the calling thread, as the MP-1's one ACU broadcasts one
+    // instruction to every PE. The pass reads the live mask
+    // (`enabled & !virt_dead`) a word at a time, and zero words cost one
     // test. `Live::runs` merges live PEs into runs that a body walks as a
     // plain loop over its slots; the word-level kernels use the words
     // directly. The clear-only instructions on an `OccPlural` narrow the
@@ -926,92 +917,42 @@ impl Machine {
     // decides only which host loop visits a PE, never whether the PE
     // runs, so the charges cannot move.
 
-    /// 64-PE words per host chunk: at least one physical array's worth,
-    /// and at most [`MAX_CHUNKS`] chunks. A function of `n_virt` only, so
-    /// results are byte-identical at any thread count.
-    fn chunk_words(&self) -> usize {
-        bits::word_count(self.n_virt)
-            .div_ceil(MAX_CHUNKS)
-            .max(MIN_CHUNK_WORDS)
-    }
-
-    /// Run `body(words, part)` for every host chunk, where chunk `i` covers
-    /// words `i·cw ..` and `part` is its piece of the instruction's data,
-    /// cut by the caller at the same boundaries, and return the sum of the
-    /// chunks' counts. One chunk, or a one-thread pool, maps the parts in
-    /// order on the calling thread without collecting them.
-    fn sweep<P: Send>(
-        &self,
-        parts: impl Iterator<Item = P>,
-        body: impl Fn(Range<usize>, P) -> u64 + Sync,
-    ) -> u64 {
-        let (cw, words) = (self.chunk_words(), bits::word_count(self.n_virt));
-        let parts = parts
-            .enumerate()
-            .map(|(i, p)| (i * cw..((i + 1) * cw).min(words), p));
-        if words <= cw || rayon::current_num_threads() == 1 {
-            return parts.map(|(range, part)| body(range, part)).sum();
-        }
-        parts
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(range, part)| body(range, part))
-            .sum()
-    }
-
-    /// Run `run(state, lo, slots)` for every maximal run of live PEs, where
-    /// `slots` are the run's items of `data` (one per PE, from PE `lo`) and
-    /// `state` is the chunk's. Returns the sum of the runs' counts.
-    fn visit<T: Send, S: Default>(
-        &self,
-        data: &mut [T],
-        run: impl Fn(&mut S, usize, &mut [T]) -> u64 + Sync,
-    ) -> u64 {
-        let live = self.live();
-        let chunk = self.chunk_words() * 64;
-        self.sweep(data.chunks_mut(chunk), |words, part| {
-            let base = words.start * 64;
-            let (mut state, mut count) = (S::default(), 0);
-            live.runs(words, |lo, hi| {
-                count += run(&mut state, lo, &mut part[lo - base..hi - base])
+    /// Run `run(lo, slots)` for every maximal run of live PEs, where
+    /// `slots` are the run's items of `data` (one per PE, from PE `lo`).
+    /// Returns the sum of the runs' counts.
+    fn visit<T>(&self, data: &mut [T], mut run: impl FnMut(usize, &mut [T]) -> u64) -> u64 {
+        let mut count = 0;
+        self.live()
+            .runs(0..bits::word_count(self.n_virt), |lo, hi| {
+                count += run(lo, &mut data[lo..hi])
             });
-            count
-        })
+        count
     }
 
-    /// [`Machine::visit`] with the body called per live PE.
-    fn visit_pes<T: Send>(&self, data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        self.visit(data, |_: &mut (), lo, slots| {
+    /// One broadcast instruction: every active PE updates its slot of `p`
+    /// from its PE id.
+    pub fn par_map<T: FaultWord>(&mut self, p: &mut Plural<T>, mut f: impl FnMut(usize, &mut T)) {
+        let op = self.begin_plural(&[p.len()]);
+        self.visit(p.as_mut_slice(), |lo, slots| {
             for (k, slot) in slots.iter_mut().enumerate() {
                 f(lo + k, slot);
             }
             0
         });
-    }
-
-    /// One broadcast instruction: every active PE updates its slot of `p`
-    /// from its PE id.
-    pub fn par_map<T: Send + FaultWord>(
-        &mut self,
-        p: &mut Plural<T>,
-        f: impl Fn(usize, &mut T) + Sync,
-    ) {
-        let op = self.begin_plural(&[p.len()]);
-        self.visit_pes(p.as_mut_slice(), f);
         self.apply_memory_flips(op, p.as_mut_slice());
     }
 
     /// One broadcast instruction reading a second plural: `dst[pe] =
     /// f(pe, dst[pe], src[pe])` on active PEs.
-    pub fn par_zip<T: Send + FaultWord, U: Sync>(
+    pub fn par_zip<T: FaultWord, U>(
         &mut self,
         dst: &mut Plural<T>,
         src: &Plural<U>,
-        f: impl Fn(usize, &mut T, &U) + Sync,
+        mut f: impl FnMut(usize, &mut T, &U),
     ) {
         let op = self.begin_plural(&[dst.len(), src.len()]);
         let src = src.as_slice();
-        self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
+        self.visit(dst.as_mut_slice(), |lo, slots| {
             let src = &src[lo..lo + slots.len()];
             for (k, (slot, x)) in slots.iter_mut().zip(src).enumerate() {
                 f(lo + k, slot, x);
@@ -1041,29 +982,25 @@ impl Machine {
     /// [`Machine::par_map`] addressed by grid position: for every run of
     /// active PEs within one column, `f(column, rows, slots)`, where
     /// `slots` hold the PEs `column · side + row` for `row` in `rows`.
-    pub fn par_map_grid<T: Send + FaultWord>(
+    pub fn par_map_grid<T: FaultWord>(
         &mut self,
         p: &mut Plural<T>,
         side: usize,
-        f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
+        mut f: impl FnMut(usize, Range<usize>, &mut [T]),
     ) {
         let op = self.begin_grid(p.len(), side);
-        self.visit(p.as_mut_slice(), |at: &mut GridCursor, lo, slots| {
-            at.pieces(side, lo, slots, &f);
+        let mut at = GridCursor::default();
+        self.visit(p.as_mut_slice(), |lo, slots| {
+            at.pieces(side, lo, slots, &mut f);
             0
         });
         self.apply_memory_flips(op, p.as_mut_slice());
     }
 
     /// Run `f(pe, slot)` on every live PE of `data` with `pe % stride == 0`.
-    fn visit_strided<T: Send>(
-        &self,
-        data: &mut [T],
-        stride: usize,
-        f: impl Fn(usize, &mut T) + Sync,
-    ) {
+    fn visit_strided<T>(&self, data: &mut [T], stride: usize, mut f: impl FnMut(usize, &mut T)) {
         assert!(stride > 0, "a stride must be positive");
-        self.visit(data, |_: &mut (), lo, slots| {
+        self.visit(data, |lo, slots| {
             let end = lo + slots.len();
             for pe in (lo.next_multiple_of(stride)..end).step_by(stride) {
                 f(pe, &mut slots[pe - lo]);
@@ -1073,11 +1010,11 @@ impl Machine {
     }
 
     /// [`Machine::par_map`] on the PEs with `pe % stride == 0` only.
-    pub fn par_map_strided<T: Send + FaultWord>(
+    pub fn par_map_strided<T: FaultWord>(
         &mut self,
         p: &mut Plural<T>,
         stride: usize,
-        f: impl Fn(usize, &mut T) + Sync,
+        f: impl FnMut(usize, &mut T),
     ) {
         let op = self.begin_plural(&[p.len()]);
         self.visit_strided(p.as_mut_slice(), stride, f);
@@ -1085,12 +1022,12 @@ impl Machine {
     }
 
     /// [`Machine::par_zip`] on the PEs with `pe % stride == 0` only.
-    pub fn par_zip_strided<T: Send + FaultWord, U: Sync>(
+    pub fn par_zip_strided<T: FaultWord, U>(
         &mut self,
         dst: &mut Plural<T>,
         src: &Plural<U>,
         stride: usize,
-        f: impl Fn(usize, &mut T, &U) + Sync,
+        mut f: impl FnMut(usize, &mut T, &U),
     ) {
         let op = self.begin_plural(&[dst.len(), src.len()]);
         let src = src.as_slice();
@@ -1100,13 +1037,13 @@ impl Machine {
 
     /// One broadcast instruction reading two plurals on the PEs with
     /// `pe % stride == 0` only: `dst[pe] = f(pe, dst[pe], a[pe], b[pe])`.
-    pub fn par_zip2_strided<T: Send + FaultWord, U: Sync, V: Sync>(
+    pub fn par_zip2_strided<T: FaultWord, U, V>(
         &mut self,
         dst: &mut Plural<T>,
         a: &Plural<U>,
         b: &Plural<V>,
         stride: usize,
-        f: impl Fn(usize, &mut T, &U, &V) + Sync,
+        mut f: impl FnMut(usize, &mut T, &U, &V),
     ) {
         let op = self.begin_plural(&[dst.len(), a.len(), b.len()]);
         let (a, b) = (a.as_slice(), b.as_slice());
@@ -1123,7 +1060,7 @@ impl Machine {
         dst: &mut Plural<u64>,
         src: &PluralBits,
         stride: usize,
-        f: impl Fn(usize, &mut u64, bool) + Sync,
+        mut f: impl FnMut(usize, &mut u64, bool),
     ) {
         let op = self.begin_plural(&[dst.len(), src.len()]);
         self.visit_strided(dst.as_mut_slice(), stride, |pe, slot| {
@@ -1134,10 +1071,10 @@ impl Machine {
 
     /// Build a fresh plural from PE ids in one instruction (active PEs run
     /// `f`; inactive PEs hold `fill`).
-    pub fn par_init<T: Clone + Send + Sync + FaultWord + 'static>(
+    pub fn par_init<T: Clone + FaultWord + 'static>(
         &mut self,
         fill: T,
-        f: impl Fn(usize) -> T + Sync,
+        mut f: impl FnMut(usize) -> T,
     ) -> Plural<T> {
         let mut p = self.alloc(fill);
         self.par_map(&mut p, |pe, slot| *slot = f(pe));
@@ -1161,36 +1098,31 @@ impl Machine {
     // the struck PE for a memory flip. Dead PEs are skipped as ever, and
     // their words and bits do not change.
 
-    /// Run `run(state, lo, slots)` for every maximal run of the PEs of `p`
-    /// that `walk` selects, where `state` is the host chunk's, then update
-    /// the mask of each word walked as `walk` says. Returns the PEs walked.
-    fn visit_occ<S: Default>(
+    /// Run `run(lo, slots)` for every maximal run of the PEs of `p` that
+    /// `walk` selects, then update the mask of each word walked as `walk`
+    /// says. Returns the PEs walked.
+    fn visit_occ(
         &self,
         p: &mut OccPlural,
         walk: Walk,
-        run: impl Fn(&mut S, usize, &mut [u64]) + Sync,
+        mut run: impl FnMut(usize, &mut [u64]),
     ) -> u64 {
-        let (live, cw) = (self.live(), self.chunk_words());
+        let live = self.live();
         let (values, occupied) = p.parts_mut();
-        let parts = values.chunks_mut(cw * 64).zip(occupied.chunks_mut(cw));
-        self.sweep(parts, |words, (part, occ)| {
-            let (w0, base) = (words.start, words.start * 64);
-            let mut state = S::default();
-            runs(
-                words.clone(),
-                |w| walk.word(live.word(w), occ[w - w0]),
-                |lo, hi| run(&mut state, lo, &mut part[lo - base..hi - base]),
-            );
-            let mut walked = 0;
-            for (vals, (w, o)) in part.chunks(64).zip(words.zip(occ)) {
-                let m = walk.word(live.word(w), *o);
-                if m != 0 {
-                    walked += m.count_ones() as u64;
-                    *o = walk.occupied_after(vals, m, *o);
-                }
+        runs(
+            0..occupied.len(),
+            |w| walk.word(live.word(w), occupied[w]),
+            |lo, hi| run(lo, &mut values[lo..hi]),
+        );
+        let mut walked = 0;
+        for (w, (vals, o)) in values.chunks(64).zip(occupied).enumerate() {
+            let m = walk.word(live.word(w), *o);
+            if m != 0 {
+                walked += m.count_ones() as u64;
+                *o = walk.occupied_after(vals, m, *o);
             }
-            walked
-        })
+        }
+        walked
     }
 
     /// Write an occupancy plural, addressed like [`Machine::par_map_grid`]:
@@ -1201,11 +1133,12 @@ impl Machine {
         &mut self,
         p: &mut OccPlural,
         side: usize,
-        f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
+        mut f: impl FnMut(usize, Range<usize>, &mut [u64]),
     ) {
         let op = self.begin_grid(p.len(), side);
-        self.visit_occ(p, Walk::Live, |at: &mut GridCursor, lo, slots| {
-            at.pieces(side, lo, slots, &f)
+        let mut at = GridCursor::default();
+        self.visit_occ(p, Walk::Live, |lo, slots| {
+            at.pieces(side, lo, slots, &mut f)
         });
         self.apply_memory_flips_occ(op, p);
     }
@@ -1222,31 +1155,31 @@ impl Machine {
         row_masks: &[u64],
     ) {
         let op = self.begin_grid(p.len(), side);
-        let and = |col: usize, rows: Range<usize>, slots: &mut [u64]| {
+        let mut and = |col: usize, rows: Range<usize>, slots: &mut [u64]| {
             let keep = col_masks[col];
             for (v, &k) in slots.iter_mut().zip(&row_masks[rows]) {
                 *v &= keep & k;
             }
         };
-        self.occupancy_visits +=
-            self.visit_occ(p, Walk::OccupiedAnd, |at: &mut GridCursor, lo, slots| {
-                at.pieces(side, lo, slots, &and)
-            });
+        let mut at = GridCursor::default();
+        self.occupancy_visits += self.visit_occ(p, Walk::OccupiedAnd, |lo, slots| {
+            at.pieces(side, lo, slots, &mut and)
+        });
         self.apply_memory_flips_occ(op, p);
     }
 
     /// One broadcast instruction reading a second plural: every live PE
     /// ANDs its word with `mask(src[pe])`. An AND leaves a zero word zero,
     /// so only the live occupied PEs are walked.
-    pub fn par_and_zip<U: Sync>(
+    pub fn par_and_zip<U>(
         &mut self,
         p: &mut OccPlural,
         src: &Plural<U>,
-        mask: impl Fn(&U) -> u64 + Sync,
+        mut mask: impl FnMut(&U) -> u64,
     ) {
         let op = self.begin_plural(&[p.len(), src.len()]);
         let src = src.as_slice();
-        self.occupancy_visits += self.visit_occ(p, Walk::OccupiedAnd, |_: &mut (), lo, slots| {
+        self.occupancy_visits += self.visit_occ(p, Walk::OccupiedAnd, |lo, slots| {
             let src = &src[lo..lo + slots.len()];
             for (v, x) in slots.iter_mut().zip(src) {
                 *v &= mask(x);
@@ -1263,13 +1196,13 @@ impl Machine {
         &mut self,
         p: &mut OccPlural,
         side: usize,
-        f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
+        mut f: impl FnMut(usize, Range<usize>, &mut [u64]),
     ) {
         let op = self.begin_grid(p.len(), side);
-        self.occupancy_visits +=
-            self.visit_occ(p, Walk::Occupied, |at: &mut GridCursor, lo, slots| {
-                at.pieces(side, lo, slots, &f)
-            });
+        let mut at = GridCursor::default();
+        self.occupancy_visits += self.visit_occ(p, Walk::Occupied, |lo, slots| {
+            at.pieces(side, lo, slots, &mut f)
+        });
         self.apply_memory_flips_occ(op, p);
     }
 
@@ -1284,20 +1217,15 @@ impl Machine {
         let op = self.charge_plural_op();
         self.count_dead_skips();
         let (s, occ, live) = (src.as_slice(), src.occupied(), self.live());
-        self.occupancy_visits += self.sweep(
-            dst.words_mut().chunks_mut(self.chunk_words()),
-            |words, out| {
-                let mut walked = 0;
-                for (w, word) in words.zip(out) {
-                    let m = live.word(w);
-                    let visit = Walk::Occupied.word(m, occ[w]);
-                    walked += visit.count_ones() as u64;
-                    let vals = &s[w * 64..(w * 64 + 64).min(s.len())];
-                    *word = (*word & !m) | passing_bits(vals, visit, |v| v & mask != 0);
-                }
-                walked
-            },
-        );
+        let mut walked = 0;
+        for (w, word) in dst.words_mut().iter_mut().enumerate() {
+            let m = live.word(w);
+            let visit = Walk::Occupied.word(m, occ[w]);
+            walked += visit.count_ones() as u64;
+            let vals = &s[w * 64..(w * 64 + 64).min(s.len())];
+            *word = (*word & !m) | passing_bits(vals, visit, |v| v & mask != 0);
+        }
+        self.occupancy_visits += walked;
         self.apply_memory_flips_bits(op, dst);
     }
 
@@ -1398,21 +1326,15 @@ impl Machine {
         let op = self.charge_scan();
         self.count_dead_skips();
         let live = self.live();
-        let result = self.sweep(
-            p.as_slice().chunks(self.chunk_words() * 64),
-            |words, vals| {
-                let mut sum = 0u64;
-                for (w, vals) in words.zip(vals.chunks(64)) {
-                    let m = live.word(w);
-                    if m == !0 {
-                        sum += vals.iter().sum::<u64>();
-                    } else {
-                        sum += set_bits(m).map(|b| vals[b]).sum::<u64>();
-                    }
-                }
-                sum
-            },
-        );
+        let mut result = 0u64;
+        for (w, vals) in p.as_slice().chunks(64).enumerate() {
+            let m = live.word(w);
+            if m == !0 {
+                result += vals.iter().sum::<u64>();
+            } else {
+                result += set_bits(m).map(|b| vals[b]).sum::<u64>();
+            }
+        }
         self.corrupt_reduction(op, result)
     }
 
@@ -1435,7 +1357,7 @@ impl Machine {
         p: &Plural<bool>,
         segs: &SegmentMap,
         identity: bool,
-        op: impl Fn(bool, bool) -> bool + Sync,
+        op: impl Fn(bool, bool) -> bool,
     ) -> Plural<bool> {
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
@@ -1443,26 +1365,21 @@ impl Machine {
         self.count_dead_skips();
         let mut out = self.alloc(identity);
         let src = p.as_slice();
-        let results: Vec<(usize, bool)> = (0..segs.num_segments())
-            .into_par_iter()
-            .map(|s| {
-                let mut acc = identity;
-                for pe in segs.range_of(s) {
-                    if self.is_live(pe) {
-                        acc = op(acc, src[pe]);
-                    }
-                }
-                (segs.start_of(s), acc)
-            })
-            .collect();
         let mut dead_boundaries = 0u64;
-        for (boundary, value) in results {
+        for s in 0..segs.num_segments() {
+            let mut acc = identity;
+            for pe in segs.range_of(s) {
+                if self.is_live(pe) {
+                    acc = op(acc, src[pe]);
+                }
+            }
             // A dead boundary PE cannot receive the deposit: its slot
             // keeps the identity and the loss is counted.
+            let boundary = segs.start_of(s);
             if self.virt_is_dead(boundary) {
                 dead_boundaries += 1;
             } else {
-                out.as_mut_slice()[boundary] = value;
+                out.as_mut_slice()[boundary] = acc;
             }
         }
         self.stats.dead_pe_skips += dead_boundaries;
@@ -1488,7 +1405,7 @@ impl Machine {
     /// out-of-range index (a corrupted index plural) drops that PE's fetch
     /// and counts it in [`MachineStats::oob_routes`]; without faults it is
     /// a program bug and asserts.
-    pub fn gather<T: Copy + Send + Sync + FaultWord>(
+    pub fn gather<T: Copy + FaultWord>(
         &mut self,
         src: &Plural<T>,
         index: &Plural<usize>,
@@ -1501,7 +1418,7 @@ impl Machine {
         self.count_dead_skips();
         let armed = self.faults.is_some();
         let (s, idx) = (src.as_slice(), index.as_slice());
-        let oob = self.visit(dst.as_mut_slice(), |_: &mut (), lo, slots| {
+        let oob = self.visit(dst.as_mut_slice(), |lo, slots| {
             let idx = &idx[lo..lo + slots.len()];
             let mut dropped = 0;
             for (slot, &target) in slots.iter_mut().zip(idx) {
@@ -1564,45 +1481,38 @@ impl Machine {
         &mut self,
         dst: &mut PluralBits,
         src: &Plural<u64>,
-        f: impl Fn(usize, u64) -> bool + Sync,
+        mut f: impl FnMut(usize, u64) -> bool,
     ) {
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
         self.count_dead_skips();
         let (s, live) = (src.as_slice(), self.live());
-        self.sweep(
-            dst.words_mut().chunks_mut(self.chunk_words()),
-            |words, out| {
-                for (w, word) in words.zip(out) {
-                    let m = live.word(w);
-                    if m == 0 {
-                        continue;
-                    }
-                    let base = w * 64;
-                    let v = match s.get(base..base + 64) {
-                        Some(whole) => {
-                            // Eight PEs to a byte, so every shift is a constant.
-                            let mut v = 0u64;
-                            for (j, eight) in whole.chunks_exact(8).enumerate() {
-                                let eight: &[u64; 8] = eight.try_into().expect("chunks of eight");
-                                let pe = base + 8 * j;
-                                let mut byte = 0u64;
-                                for (k, &x) in eight.iter().enumerate() {
-                                    byte |= (f(pe + k, x) as u64) << k;
-                                }
-                                v |= byte << (8 * j);
-                            }
-                            v
+        for (w, word) in dst.words_mut().iter_mut().enumerate() {
+            let m = live.word(w);
+            if m == 0 {
+                continue;
+            }
+            let base = w * 64;
+            let v = match s.get(base..base + 64) {
+                Some(whole) => {
+                    // Eight PEs to a byte, so every shift is a constant.
+                    let mut v = 0u64;
+                    for (j, eight) in whole.chunks_exact(8).enumerate() {
+                        let eight: &[u64; 8] = eight.try_into().expect("chunks of eight");
+                        let pe = base + 8 * j;
+                        let mut byte = 0u64;
+                        for (k, &x) in eight.iter().enumerate() {
+                            byte |= (f(pe + k, x) as u64) << k;
                         }
-                        None => set_bits(m)
-                            .fold(0u64, |v, b| v | (f(base + b, s[base + b]) as u64) << b),
-                    };
-                    *word = (*word & !m) | (v & m);
+                        v |= byte << (8 * j);
+                    }
+                    v
                 }
-                0
-            },
-        );
+                None => set_bits(m).fold(0u64, |v, b| v | (f(base + b, s[base + b]) as u64) << b),
+            };
+            *word = (*word & !m) | (v & m);
+        }
         self.apply_memory_flips_bits(op, dst);
     }
 
@@ -2353,7 +2263,7 @@ mod tests {
 
     /// One instruction under test: it runs on the inputs with the grid's
     /// column height and returns what it wrote (or reduced).
-    type Instruction = Box<dyn Fn(&mut Machine, &mut Inputs, usize) -> Vec<u64> + Sync>;
+    type Instruction = Box<dyn Fn(&mut Machine, &mut Inputs, usize) -> Vec<u64>>;
 
     /// The per-PE reference walk: one plural instruction that tests
     /// `is_live` on every PE in turn.
@@ -2651,29 +2561,18 @@ mod tests {
         SegmentMap::from_lengths(&lengths)
     }
 
-    /// Run `op` on a pool of `threads` threads.
-    fn at_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(op)
-    }
-
     #[test]
     fn word_run_walk_matches_the_per_pe_reference() {
         // Columns of 18, 50 and 200 PEs (taller than a word); no array is
-        // a whole number of words, and 18,000 PEs span two host chunks.
+        // a whole number of words, and 18,000 PEs run 18 layers deep.
         for (n_virt, side, phys) in [(1026, 18, 300), (2050, 50, 300), (18_000, 200, 1000)] {
             assert_ne!(n_virt % 64, 0);
             for (name, op, reference) in &word_run_cases() {
                 let ctx = format!("{name}: {n_virt} PEs, columns of {side}");
                 let want = run_word_case(n_virt, side, phys, reference);
-                for threads in [1, 2] {
-                    let got = at_threads(threads, || run_word_case(n_virt, side, phys, op));
-                    assert_eq!(got.0, want.0, "{ctx}: results at {threads} thread(s)");
-                    assert_eq!(got.1, want.1, "{ctx}: MachineStats at {threads} thread(s)");
-                }
+                let got = run_word_case(n_virt, side, phys, op);
+                assert_eq!(got.0, want.0, "{ctx}: results");
+                assert_eq!(got.1, want.1, "{ctx}: MachineStats");
                 assert!(want.1.dead_pe_skips > 0, "{ctx}: dead PEs counted");
                 assert_eq!(
                     want.1.memory_flips + want.1.router_corruptions,
@@ -2759,8 +2658,8 @@ mod tests {
 
     #[test]
     fn packed_walks_match_the_per_pe_reference() {
-        // 1,300 PEs end in a short word; 16,900 span two host chunks. Both
-        // are whole numbers of 65-PE segments.
+        // 1,300 PEs end in a short word; 16,900 outgrow one 16,384-PE
+        // array. Both are whole numbers of 65-PE segments.
         for n_virt in [1300usize, 16_900] {
             let uniform = SegmentMap::uniform(n_virt, 65);
             let uneven = uneven_segments(n_virt);
@@ -2772,12 +2671,9 @@ mod tests {
                     for (pattern, data) in [("sparse", sparse), ("dense", dense)] {
                         let ctx = format!("{name}: {n_virt} PEs, {map} segments, {pattern}");
                         let want = run_packed_case(n_virt, segs, data, reference);
-                        for threads in [1, 2] {
-                            let got =
-                                at_threads(threads, || run_packed_case(n_virt, segs, data, op));
-                            assert_eq!(got.0, want.0, "{ctx}: results at {threads} thread(s)");
-                            assert_eq!(got.1, want.1, "{ctx}: MachineStats at {threads} thread(s)");
-                        }
+                        let got = run_packed_case(n_virt, segs, data, op);
+                        assert_eq!(got.0, want.0, "{ctx}: results");
+                        assert_eq!(got.1, want.1, "{ctx}: MachineStats");
                         assert!(want.1.dead_pe_skips > 0, "{ctx}: the dead PE is counted");
                     }
                 }
@@ -3097,13 +2993,11 @@ mod tests {
 
     #[test]
     fn occupancy_walks_match_their_dense_forms() {
-        // 1,300 PEs fit one host chunk and end in a short word; 20,000
-        // span two chunks, which two threads share.
+        // 1,300 PEs end in a short word; 20,000 outgrow one 16,384-PE
+        // array.
         for (n_virt, side) in [(1300, 50), (20_000, 100)] {
             for seed in [3u64, 17, 2024] {
-                for threads in [1, 2] {
-                    at_threads(threads, || occupancy_differential(n_virt, side, seed));
-                }
+                occupancy_differential(n_virt, side, seed);
             }
         }
     }

@@ -38,7 +38,7 @@ use maspar_sim::{
     FaultPlan, Machine, MachineConfig, MachineStats, OccPlural, Plural, PluralBits, SegmentMap,
 };
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
@@ -397,18 +397,19 @@ pub fn parse_maspar_checked(
 }
 
 thread_local! {
-    /// The simulated machine each host thread parses on, between parses.
-    /// Reset for every parse, so each runs as on a new machine; what it
-    /// keeps across parses is the host buffers of freed plurals, sized to
-    /// the largest sentence the thread has parsed.
-    static MACHINE: Cell<Option<Machine>> = const { Cell::new(None) };
+    /// The simulated machine each host thread parses on, and the ACU's
+    /// host buffers, between parses. The machine is reset for every parse,
+    /// so each runs as on a new machine; what it keeps across parses is
+    /// the host buffers of freed plurals, sized to the largest sentence the
+    /// thread has parsed.
+    static MACHINE: Cell<Option<(Machine, AcuScratch)>> = const { Cell::new(None) };
 }
 
 /// [`parse_maspar_checked`] taking the constraint programs from the
 /// grammar's compiled artifact when one is attached. The parse runs on
-/// the thread's machine, taken out for the parse and put back after it,
-/// so a parse that panics drops the machine instead of leaving a half-run
-/// one behind.
+/// the thread's machine and ACU buffers, taken out for the parse and put
+/// back after it, so a parse that panics drops them instead of leaving a
+/// half-run machine behind.
 pub(crate) fn parse_maspar_compiled(
     grammar: &Grammar,
     sentence: &Sentence,
@@ -418,12 +419,15 @@ pub(crate) fn parse_maspar_compiled(
     let _build = obsv::span("network_build");
     let lay = precheck(grammar, sentence, opts)?;
 
-    let mut machine = match MACHINE.take() {
-        Some(mut machine) => {
+    let (mut machine, mut acu) = match MACHINE.take() {
+        Some((mut machine, acu)) => {
             machine.reset(opts.machine.clone(), lay.virt_pes());
-            machine
+            (machine, acu)
         }
-        None => Machine::new(opts.machine.clone(), lay.virt_pes()),
+        None => (
+            Machine::new(opts.machine.clone(), lay.virt_pes()),
+            AcuScratch::default(),
+        ),
     };
     if let Some(plan) = &opts.faults {
         machine.arm_faults(plan.clone());
@@ -432,23 +436,32 @@ pub(crate) fn parse_maspar_compiled(
         machine.enable_trace();
     }
     drop(_build);
-    let out = probe_and_drive(&mut machine, lay, grammar, sentence, opts, compiled);
-    MACHINE.set(Some(machine));
+    let out = probe_and_drive(
+        &mut machine,
+        &mut acu,
+        lay,
+        grammar,
+        sentence,
+        opts,
+        compiled,
+    );
+    MACHINE.set(Some((machine, acu)));
     out
 }
 
 /// Hand the host buffer of a parse's read-back `bits` to the thread's
 /// machine, once the host is done with it.
 pub(crate) fn recycle_readback(bits: Vec<u64>) {
-    if let Some(mut machine) = MACHINE.take() {
+    if let Some((mut machine, acu)) = MACHINE.take() {
         machine.recycle(bits);
-        MACHINE.set(Some(machine));
+        MACHINE.set(Some((machine, acu)));
     }
 }
 
 /// Probe and retire dead PEs when faults are armed, then run the engine.
 fn probe_and_drive(
     machine: &mut Machine,
+    acu: &mut AcuScratch,
     lay: Layout,
     grammar: &Grammar,
     sentence: &Sentence,
@@ -484,7 +497,9 @@ fn probe_and_drive(
         }
     }
 
-    drive(machine, lay, grammar, sentence, opts, compiled, recovery)
+    drive(
+        machine, acu, lay, grammar, sentence, opts, compiled, recovery,
+    )
 }
 
 /// `c`'s program from the attached artifact, compiled here only when none
@@ -535,9 +550,12 @@ fn precheck(
 
 /// The engine body: everything from data layout to readback. Boolean
 /// plurals are bit-sliced ([`PluralBits`], 64 PEs per host word); how the
-/// host stores them is invisible to the simulated machine.
+/// host stores them is invisible to the simulated machine. `acu` holds the
+/// ACU's host buffers.
+#[allow(clippy::too_many_arguments)]
 fn drive(
     machine: &mut Machine,
+    acu: &mut AcuScratch,
     lay: Layout,
     grammar: &Grammar,
     sentence: &Sentence,
@@ -633,7 +651,6 @@ fn drive(
     // propagation leaves is what every binary table covers.
     let _unary = obsv::span("unary_propagation");
     let mut live = t.every_value();
-    let mut acu = AcuScratch::default();
     let mut table = UnaryTable::default();
     for c in grammar.unary_constraints() {
         if degraded.is_some() {
@@ -644,7 +661,7 @@ fn drive(
         // The unary test depends only on (group, label), so the ACU
         // evaluates it on the host and broadcasts keep masks.
         let program = program_of(compiled, grammar, c);
-        table.build(&t, sentence, &program, &mut live, &mut acu);
+        table.build(&t, sentence, &program, &mut live, acu);
         run_phase(
             machine,
             retries,
@@ -698,7 +715,7 @@ fn drive(
         let name = format!("binary:{}", c.name);
         let _c = obsv::span_with(|| name.clone());
         let program = program_of(compiled, grammar, c);
-        classes.build(&t, sentence, &program, &live, &mut acu);
+        classes.build(&t, sentence, &program, &live, acu);
         run_phase(
             machine,
             retries,
@@ -707,7 +724,16 @@ fn drive(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &t, &classes, sentence, &program, &valid, bits);
+                apply_binary(
+                    m,
+                    &t,
+                    &classes,
+                    sentence,
+                    &program,
+                    &valid,
+                    bits,
+                    &mut acu.stack,
+                );
                 0
             },
         )?;
@@ -1073,10 +1099,10 @@ fn init_exact<T>(
     max_retries: usize,
     recovery: &mut RecoveryReport,
     side: usize,
-    f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
+    f: impl Fn(usize, Range<usize>, &mut [T]),
 ) -> Result<Plural<T>, EngineError>
 where
-    T: Copy + Default + PartialEq + Send + Sync + maspar_sim::FaultWord + 'static,
+    T: Copy + Default + PartialEq + maspar_sim::FaultWord + 'static,
 {
     let mut p = machine.alloc(T::default());
     until_exact(machine, name, max_retries, recovery, |m| {
@@ -1093,7 +1119,7 @@ fn init_occ_exact(
     max_retries: usize,
     recovery: &mut RecoveryReport,
     side: usize,
-    f: impl Fn(usize, Range<usize>, &mut [u64]) + Sync,
+    f: impl Fn(usize, Range<usize>, &mut [u64]),
 ) -> Result<OccPlural, EngineError> {
     let mut p = machine.alloc_occ();
     until_exact(machine, "bits", max_retries, recovery, |m| {
@@ -1118,10 +1144,10 @@ fn run_phase<F>(
     name: &str,
     bits: &mut OccPlural,
     alive: &mut Plural<u64>,
-    f: F,
+    mut f: F,
 ) -> Result<u64, EngineError>
 where
-    F: Fn(&mut Machine, &mut OccPlural, &mut Plural<u64>) -> u64,
+    F: FnMut(&mut Machine, &mut OccPlural, &mut Plural<u64>) -> u64,
 {
     if !machine.faults_armed() {
         return Ok(f(machine, bits, alive));
@@ -1277,12 +1303,6 @@ fn unary_from_table(
     machine.par_map_strided(alive, t.side, |pe, a| *a &= !viol[pe / t.side]);
 }
 
-thread_local! {
-    /// The kernel evaluator's scratch stack for binary PE bodies, one per
-    /// host thread, so no PE allocates.
-    static BINARY_STACK: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Does one ordering of a pair hold — is the constraint's verdict on it,
 /// `x` then `y`, not definitely false?
 fn holds(
@@ -1322,6 +1342,9 @@ struct AcuScratch {
     lanes: LaneScratch,
     pass: Vec<u64>,
     fail: Vec<u64>,
+    /// The kernel evaluator's stack, lent to the binary PE bodies so no
+    /// PE allocates.
+    stack: Vec<Value>,
 }
 
 /// The ACU's class table for a binary constraint, one [`Class`] per
@@ -1357,6 +1380,7 @@ impl BinaryClasses {
             lanes: lane_scratch,
             pass,
             fail,
+            ..
         } = scratch;
         for k in 0..t.slots() {
             let set = &live[t.lane_words(k)];
@@ -1457,8 +1481,10 @@ impl BinaryClasses {
 
 /// One binary constraint, compiled to `program` and classified into
 /// `classes`: every valid PE checks the live pairs of its l×l submatrix in
-/// both orderings ([`BinaryClasses::decide_column`]). The body only clears
-/// pairs, so an empty submatrix stays empty and the walk skips it.
+/// both orderings ([`BinaryClasses::decide_column`]), on the evaluator
+/// stack `stack`. The body only clears pairs, so an empty submatrix stays
+/// empty and the walk skips it.
+#[allow(clippy::too_many_arguments)]
 fn apply_binary(
     machine: &mut Machine,
     t: &Tables,
@@ -1467,11 +1493,12 @@ fn apply_binary(
     program: &KernelProgram,
     valid: &PluralBits,
     bits: &mut OccPlural,
+    stack: &mut Vec<Value>,
 ) {
     machine.with_activity_bits(valid, |m| {
         m.par_clear_grid(bits, t.side, |cg, rows, slots| {
             classes.decide_column(t, cg, rows, slots, |x, y| {
-                BINARY_STACK.with_borrow_mut(|stack| holds(program, sentence, x, y, stack))
+                holds(program, sentence, x, y, stack)
             })
         });
     });
@@ -1682,8 +1709,8 @@ mod tests {
     /// The column bodies and packed masks the init broadcasts write, against
     /// the per-PE layout: the diagonal of [`Layout::is_diagonal`], the label
     /// pairs of [`Layout::bit`], the boundary PEs of Figure 12. A column
-    /// piece must equal its rows of the whole column, as the host chunks
-    /// cut it.
+    /// piece must equal its rows of the whole column, wherever a run of
+    /// live PEs cuts it.
     #[test]
     fn init_columns_match_the_per_pe_layout() {
         let (g, lex) = corpus::standard_setup();
@@ -2076,7 +2103,16 @@ mod tests {
             let program = KernelProgram::compile(&c.expr);
             classes.build(&t, s, &program, &fast.live, &mut scratch);
             let (valid, bits) = (&fast.valid, &mut fast.bits);
-            apply_binary(&mut fast.machine, &t, &classes, s, &program, valid, bits);
+            apply_binary(
+                &mut fast.machine,
+                &t,
+                &classes,
+                s,
+                &program,
+                valid,
+                bits,
+                &mut scratch.stack,
+            );
             apply_binary_per_pair(
                 &mut slow.machine,
                 &t,
@@ -2123,14 +2159,9 @@ mod tests {
         assert!(tally.skipped_columns > 0, "{tally:?}");
         assert!(tally.class_zeroed > 0, "{tally:?}");
         assert!(tally.evals > 0, "{tally:?}");
-        // Beyond the virtualization cliff an instruction spans three host
-        // chunks, which two threads share.
+        // Beyond the virtualization cliff: three layers per instruction.
         let s = corpus::english_sentence(&g, &lex, 10, 1010);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        pool.install(|| binary_bodies_agree(&g, &constraints, &s, &mut BodyTally::default()));
+        binary_bodies_agree(&g, &constraints, &s, &mut BodyTally::default());
     }
 
     /// The ACU's tables over the values unary propagation left, against the
@@ -2168,9 +2199,27 @@ mod tests {
                         settled_full += usize::from(b.settled);
                     }
                     let (valid, bits) = (&fast.valid, &mut fast.bits);
-                    apply_binary(&mut fast.machine, &t, &ours, &s, &program, valid, bits);
+                    apply_binary(
+                        &mut fast.machine,
+                        &t,
+                        &ours,
+                        &s,
+                        &program,
+                        valid,
+                        bits,
+                        &mut scratch.stack,
+                    );
                     let (valid, bits) = (&full.valid, &mut full.bits);
-                    apply_binary(&mut full.machine, &t, &reference, &s, &program, valid, bits);
+                    apply_binary(
+                        &mut full.machine,
+                        &t,
+                        &reference,
+                        &s,
+                        &program,
+                        valid,
+                        bits,
+                        &mut scratch.stack,
+                    );
                 }
                 assert_eq!(
                     fast.bits.as_slice(),
@@ -2211,7 +2260,16 @@ mod tests {
             let occupied = bits.occupied_count() as u64;
             let live = bits.as_slice().iter().filter(|&&b| b != 0).count() as u64;
             let before = machine.occupancy_visits();
-            apply_binary(&mut machine, &t, &classes, &s, &program, &valid, &mut bits);
+            apply_binary(
+                &mut machine,
+                &t,
+                &classes,
+                &s,
+                &program,
+                &valid,
+                &mut bits,
+                &mut scratch.stack,
+            );
             let walked = machine.occupancy_visits() - before;
             let ctx = format!("constraint {}: {walked} visits", c.name);
             assert!(walked <= occupied, "{ctx}, {occupied} PEs occupied");
@@ -2227,9 +2285,9 @@ mod tests {
 
     /// Host buffers the thread's machine has asked the allocator for.
     fn thread_fresh_buffers() -> u64 {
-        let machine = MACHINE.take().expect("a parse leaves the thread a machine");
-        let fresh = machine.fresh_buffers();
-        MACHINE.set(Some(machine));
+        let warm = MACHINE.take().expect("a parse leaves the thread a machine");
+        let fresh = warm.0.fresh_buffers();
+        MACHINE.set(Some(warm));
         fresh
     }
 

@@ -225,29 +225,6 @@ impl ParallelIterator for ParRange {
     }
 }
 
-/// Owned-vector source (`vec.into_par_iter()`).
-pub struct ParVec<T: Send> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for ParVec<T> {
-    type Item = T;
-    type SeqIter = std::vec::IntoIter<T>;
-
-    fn par_len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn split_at(mut self, index: usize) -> (Self, Self) {
-        let tail = self.items.split_off(index);
-        (self, ParVec { items: tail })
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        self.items.into_iter()
-    }
-}
-
 // ======================= adapters =======================
 
 pub struct Map<P, F, R> {
@@ -378,7 +355,7 @@ where
 
 // ======================= entry points =======================
 
-/// `into_par_iter()` for owned collections and ranges.
+/// `into_par_iter()` for ranges.
 pub trait IntoParallelIterator {
     type Item: Send;
     type Iter: ParallelIterator<Item = Self::Item>;
@@ -391,15 +368,6 @@ impl IntoParallelIterator for std::ops::Range<usize> {
 
     fn into_par_iter(self) -> ParRange {
         ParRange { range: self }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = ParVec<T>;
-
-    fn into_par_iter(self) -> ParVec<T> {
-        ParVec { items: self }
     }
 }
 

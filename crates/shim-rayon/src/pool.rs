@@ -33,26 +33,20 @@ pub(crate) const MAX_CHUNKS: usize = 32;
 /// Runtime override set by [`set_num_threads`]; 0 = no override.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
+/// The width a pool gets when none is asked for: `RAYON_NUM_THREADS`,
+/// else `available_parallelism()`. Read once, as rayon fixes its global
+/// pool's width when it builds the pool: `available_parallelism` reads the
+/// CPU affinity and cgroup quota on every call.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
         std::env::var("RAYON_NUM_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
+            .filter(|&n| n > 0)
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(1)
     })
-}
-
-/// The width a pool gets when none is asked for: `RAYON_NUM_THREADS`,
-/// else `available_parallelism()`.
-fn default_threads() -> usize {
-    let e = env_threads();
-    if e > 0 {
-        return e;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Effective worker count for parallel execution. Mirrors

@@ -18,9 +18,9 @@
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
 //!   --relax                                      retry rejected sentences with relaxed
 //!                                                constraints, on the chosen engine
-//!   --threads <N>                                host worker threads (0 = auto): the P-RAM
-//!                                                batch's sentence fan-out, the MasPar
-//!                                                simulator's host chunks
+//!   --threads <N>                                host worker threads (0 = auto) for the
+//!                                                P-RAM batch's sentence fan-out; the MasPar
+//!                                                simulator runs on the calling thread
 //!   --batch <file|->                             parse one sentence per line of a file (or stdin)
 //!   --version                                    print the version and exit
 //!
