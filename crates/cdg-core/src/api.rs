@@ -325,6 +325,9 @@ impl<'g> ParseReport<'g> {
 #[derive(Debug)]
 pub struct BatchReport {
     pub engine: &'static str,
+    /// Host threads that parsed the rows: 1 unless the engine fans a
+    /// batch out.
+    pub threads: usize,
     /// Per-sentence outcomes, in input order.
     pub outcomes: Vec<BatchOutcome>,
     /// Host wall time for the whole batch.
@@ -337,13 +340,15 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Run `rows` as `engine`'s batch under `req`: rejects a fault plan
-    /// the engine cannot honour, arms the request's observability scope
-    /// around the rows, counts the sentences and times the whole batch.
-    /// [`Engine::parse_batch`] hands it the serial loop over
-    /// [`Engine::batch_row`]; an engine that fans rows out hands it its own.
+    /// Run `rows` as `engine`'s batch on `threads` host threads under
+    /// `req`: rejects a fault plan the engine cannot honour, arms the
+    /// request's observability scope around the rows, counts the sentences
+    /// and times the whole batch. [`Engine::parse_batch`] hands it the
+    /// serial loop over [`Engine::batch_row`]; an engine that fans rows
+    /// out hands it its own.
     pub fn collect(
         engine: &'static str,
+        threads: usize,
         req: &ParseRequest<'_>,
         rows: impl FnOnce() -> Vec<BatchOutcome>,
     ) -> Result<Self, EngineError> {
@@ -356,6 +361,7 @@ impl BatchReport {
         let (trace, metrics) = scope.finish();
         Ok(BatchReport {
             engine,
+            threads,
             outcomes,
             wall,
             trace,
@@ -478,7 +484,7 @@ pub trait Engine {
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
-        BatchReport::collect(self.name(), req, || {
+        BatchReport::collect(self.name(), 1, req, || {
             let mut warm = WarmState::new();
             sentences
                 .iter()

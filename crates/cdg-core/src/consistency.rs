@@ -184,8 +184,8 @@ fn column_occupancies(net: &Network<'_>) -> Vec<BitVec> {
 ///
 /// The filter's state is two bitsets per slot — the values ever queued
 /// (never re-queued) and the generation being removed, kept as the rows of
-/// one matrix drawn from the network's arc pool — and its
-/// [`FilterBuffers`], taken from the network. Both are handed back when
+/// one matrix drawn from the network's arc pool — and its lists
+/// (`FilterBuffers`), taken from the network. Both are handed back when
 /// filtering ends ([`IncrementalFilter::release`]), so a warm worker
 /// reuses them from parse to parse.
 pub struct IncrementalFilter {

@@ -11,7 +11,12 @@
 //!    *bit-identical* to [`CExpr::eval`] (every connective normalizes its
 //!    operands through `Value::from(truth)` exactly as the tree does, and
 //!    short-circuits only where the skipped sub-expression provably cannot
-//!    change the result — evaluation is side-effect-free).
+//!    change the result — evaluation is side-effect-free). A comparison
+//!    whose operands are binding accessors, `(cat (word (pos v)))`,
+//!    `(cat (word (mod v)))` or constants is one op that reads them in
+//!    place, as a comparison of a PE's field with the broadcast stream or
+//!    with another field is one MP-1 instruction; only an operand that
+//!    takes ops of its own goes through the stack.
 //!
 //! 2. **[`PairFeatures`]** — per-variable *feature signatures*: which of
 //!    the role-value components that vary within a slot (label, modifiee,
@@ -32,9 +37,9 @@
 //! set), which is all memoization needs.
 
 use crate::expr::{Binding, CExpr, EvalCtx, Var};
-use crate::ids::{CatId, LabelId, Modifiee, RoleId, RoleValue};
+use crate::ids::{Modifiee, RoleId, RoleValue};
 use crate::sentence::Sentence;
-use crate::value::Value;
+use crate::value::{Truth, Value};
 
 mod lanes;
 
@@ -151,6 +156,16 @@ impl PCtx<'_> {
         }
         sentence_cat(self.sentence, p)
     }
+
+    /// `(cat e)` for a value of `e`: a word reference resolves through
+    /// [`PCtx::cat_at`], `Unknown` stays unknown, anything else is `Nil`.
+    fn cat_of(&self, e: Value) -> Value {
+        match e {
+            Value::WordRef(p) => self.cat_at(p),
+            Value::Unknown => Value::Unknown,
+            _ => Value::Nil,
+        }
+    }
 }
 
 /// `(word e)`: a reference to the word at position `e`, `Nil` when there
@@ -239,34 +254,67 @@ pub fn signature_key(f: FeatureSet, rv: RoleValue) -> u64 {
     key
 }
 
-/// One bytecode operation. Predicates and connectives pop operands pushed
-/// by earlier ops (postfix order); the probe ops implement the tree
-/// evaluator's short-circuits as forward jumps.
+/// The relation of a comparison: the paper's `eq`, `gt` and `lt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KOp {
-    PushBool(bool),
-    PushInt(i64),
-    PushLabel(LabelId),
-    PushCat(CatId),
-    PushRole(RoleId),
-    PushNil,
+enum Rel {
+    Eq,
+    Gt,
+    Lt,
+}
+
+impl Rel {
+    fn apply(self, a: Value, b: Value) -> Truth {
+        match self {
+            Rel::Eq => a.loose_eq(b),
+            Rel::Gt => a.gt(b),
+            Rel::Lt => a.lt(b),
+        }
+    }
+}
+
+/// An operand read in place: what one MP-1 instruction reads from a PE's
+/// fields or the broadcast stream, with no stack traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leaf {
+    /// The top of the stack: an operand that took ops of its own, such as
+    /// `(word (mod v))` or `(cat (word 3))`.
+    Pop,
+    /// Entry `i` of the program's constant pool.
+    Const(u16),
     /// `(lab v)` / `(mod v)` / `(role v)` / `(pos v)` — binding accessors.
     Lab(Var),
     Mod(Var),
     RoleOf(Var),
     Pos(Var),
+    /// `(cat (word (pos v)))`: the category at `v`'s own position.
+    PosCat(Var),
+    /// `(cat (word (mod v)))`: the category of `v`'s modifiee.
+    ModCat(Var),
+}
+
+/// One bytecode operation. Connectives pop operands pushed by earlier ops
+/// (postfix order). A comparison reads each operand in place where it can
+/// (a [`Leaf`]) and pops only the others, so `(eq (lab x) subj)` is one op
+/// where pushing both sides took three. The probe ops implement the tree
+/// evaluator's short-circuits as forward jumps. Constants live in the
+/// program's pool, so an op is no larger than an `i64` push.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KOp {
+    /// Push a leaf's value (never [`Leaf::Pop`]).
+    Push(Leaf),
     /// `(word e)`: pop a position, push a word reference (or Nil/Unknown).
     Word,
     /// `(cat e)`: pop a word reference, push its category.
     Cat,
-    /// Pop two, push the predicate's truth as a `Value`.
-    Eq,
-    Gt,
-    Lt,
+    /// `(rel a b)`: read `b`, then `a` (a [`Leaf::Pop`] operand pops), and
+    /// push the predicate's truth as a `Value`. A comparison of two
+    /// in-place operands is one op, as it is one instruction on the MP-1.
+    Cmp(Rel, Leaf, Leaf),
     /// Pop one, push its Kleene negation.
     Not,
     /// Pop one, push `Value::from(v.truth())` — the normalization every
-    /// connective applies to its first operand.
+    /// connective applies to its first operand, where that operand is not
+    /// already a truth.
     Truthy,
     /// Conjunction fold: pop b then a, push `a.truth().and(b.truth())`.
     AndFold,
@@ -296,6 +344,8 @@ enum KOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProgram {
     ops: Vec<KOp>,
+    /// The constants the program reads, indexed by [`Leaf::Const`].
+    consts: Vec<Value>,
     features: PairFeatures,
     /// Maximum stack depth `eval_with` can reach — lets callers
     /// pre-reserve the scratch stack once.
@@ -303,15 +353,20 @@ pub struct KernelProgram {
 }
 
 impl KernelProgram {
-    /// Lower a compiled expression. Total for every well-formed `CExpr`.
+    /// Lower a compiled expression. Total for every well-formed `CExpr`
+    /// with at most 65,536 distinct constants (the pool's `u16` index);
+    /// the grammar compiler bounds a constraint far below that
+    /// ([`crate::compile::MAX_OPS`]).
     pub fn compile(expr: &CExpr) -> KernelProgram {
-        let mut ops = Vec::new();
-        emit(expr, &mut ops);
+        let mut code = Emitter::default();
+        code.emit(expr);
+        let Emitter { ops, consts } = code;
         assert!(ops.len() <= u32::MAX as usize, "program too large");
         let features = analyze(expr);
         let max_depth = stack_depth(&ops);
         KernelProgram {
             ops,
+            consts,
             features,
             max_depth,
         }
@@ -325,6 +380,21 @@ impl KernelProgram {
     /// Upper bound on the scratch stack depth of [`KernelProgram::eval_with`].
     pub fn max_depth(&self) -> usize {
         self.max_depth
+    }
+
+    /// The value of `leaf` under `ctx`; [`Leaf::Pop`] pops it.
+    #[inline]
+    fn read(&self, ctx: &PCtx<'_>, leaf: Leaf, stack: &mut Vec<Value>) -> Value {
+        match leaf {
+            Leaf::Pop => stack.pop().expect("stack underflow"),
+            Leaf::Const(i) => self.consts[i as usize],
+            Leaf::Lab(v) => ctx.get(v).lab(),
+            Leaf::Mod(v) => ctx.get(v).modifiee(),
+            Leaf::RoleOf(v) => ctx.get(v).role(),
+            Leaf::Pos(v) => ctx.get(v).pos(),
+            Leaf::PosCat(v) => ctx.cat_of(word_of(ctx.sentence, ctx.get(v).pos())),
+            Leaf::ModCat(v) => ctx.cat_of(word_of(ctx.sentence, ctx.get(v).modifiee())),
+        }
     }
 
     /// Evaluate against `ctx`, reusing `stack` as scratch space (cleared on
@@ -363,42 +433,22 @@ impl KernelProgram {
         let mut pc = 0usize;
         while pc < self.ops.len() {
             match self.ops[pc] {
-                KOp::PushBool(b) => stack.push(Value::Bool(b)),
-                KOp::PushInt(i) => stack.push(Value::Int(i)),
-                KOp::PushLabel(l) => stack.push(Value::Label(l)),
-                KOp::PushCat(c) => stack.push(Value::Cat(c)),
-                KOp::PushRole(r) => stack.push(Value::Role(r)),
-                KOp::PushNil => stack.push(Value::Nil),
-                KOp::Lab(v) => stack.push(ctx.get(v).lab()),
-                KOp::Mod(v) => stack.push(ctx.get(v).modifiee()),
-                KOp::RoleOf(v) => stack.push(ctx.get(v).role()),
-                KOp::Pos(v) => stack.push(ctx.get(v).pos()),
+                KOp::Push(leaf) => {
+                    let v = self.read(ctx, leaf, stack);
+                    stack.push(v);
+                }
                 KOp::Word => {
                     let e = stack.pop().expect("stack underflow");
                     stack.push(word_of(ctx.sentence, e));
                 }
                 KOp::Cat => {
                     let e = stack.pop().expect("stack underflow");
-                    stack.push(match e {
-                        Value::WordRef(p) => ctx.cat_at(p),
-                        Value::Unknown => Value::Unknown,
-                        _ => Value::Nil,
-                    });
+                    stack.push(ctx.cat_of(e));
                 }
-                KOp::Eq => {
-                    let b = stack.pop().expect("stack underflow");
-                    let a = stack.pop().expect("stack underflow");
-                    stack.push(Value::from(a.loose_eq(b)));
-                }
-                KOp::Gt => {
-                    let b = stack.pop().expect("stack underflow");
-                    let a = stack.pop().expect("stack underflow");
-                    stack.push(Value::from(a.gt(b)));
-                }
-                KOp::Lt => {
-                    let b = stack.pop().expect("stack underflow");
-                    let a = stack.pop().expect("stack underflow");
-                    stack.push(Value::from(a.lt(b)));
+                KOp::Cmp(rel, a, b) => {
+                    let b = self.read(ctx, b, stack);
+                    let a = self.read(ctx, a, stack);
+                    stack.push(Value::from(rel.apply(a, b)));
                 }
                 KOp::Not => {
                     let a = stack.pop().expect("stack underflow");
@@ -425,21 +475,21 @@ impl KernelProgram {
                 }
                 KOp::JumpIfFalse(target) => {
                     let top = stack.last().expect("stack underflow");
-                    if top.truth() == crate::value::Truth::False {
+                    if top.truth() == Truth::False {
                         pc = target as usize;
                         continue;
                     }
                 }
                 KOp::JumpIfTrue(target) => {
                     let top = stack.last().expect("stack underflow");
-                    if top.truth() == crate::value::Truth::True {
+                    if top.truth() == Truth::True {
                         pc = target as usize;
                         continue;
                     }
                 }
                 KOp::IfShortcut(target) => {
                     let top = stack.last().expect("stack underflow");
-                    if top.truth() == crate::value::Truth::False {
+                    if top.truth() == Truth::False {
                         stack.pop();
                         stack.push(Value::Bool(true));
                         pc = target as usize;
@@ -459,105 +509,154 @@ impl KernelProgram {
     }
 }
 
-/// Emit postfix code for `expr` into `ops`.
-fn emit(expr: &CExpr, ops: &mut Vec<KOp>) {
-    match expr {
-        CExpr::If(a, c) => {
-            emit(a, ops);
-            let shortcut = ops.len();
-            ops.push(KOp::IfShortcut(0)); // patched below
-            emit(c, ops);
-            ops.push(KOp::IfFold);
-            let end = ops.len() as u32;
-            ops[shortcut] = KOp::IfShortcut(end);
-        }
-        CExpr::And(items) => {
-            // acc = True; acc = acc ∧ tᵢ, breaking on a definite False.
-            // The first operand normalizes via Truthy (True ∧ t = t's
-            // truth); later operands fold pairwise. Break targets are
-            // patched to the end once known.
-            if items.is_empty() {
-                ops.push(KOp::PushBool(true));
-                return;
-            }
-            let mut breaks = Vec::new();
-            for (i, e) in items.iter().enumerate() {
-                emit(e, ops);
-                if i == 0 {
-                    ops.push(KOp::Truthy);
-                } else {
-                    ops.push(KOp::AndFold);
-                }
-                if i + 1 < items.len() {
-                    breaks.push(ops.len());
-                    ops.push(KOp::JumpIfFalse(0));
-                }
-            }
-            let end = ops.len() as u32;
-            for b in breaks {
-                ops[b] = KOp::JumpIfFalse(end);
-            }
-        }
-        CExpr::Or(items) => {
-            if items.is_empty() {
-                ops.push(KOp::PushBool(false));
-                return;
-            }
-            let mut breaks = Vec::new();
-            for (i, e) in items.iter().enumerate() {
-                emit(e, ops);
-                if i == 0 {
-                    ops.push(KOp::Truthy);
-                } else {
-                    ops.push(KOp::OrFold);
-                }
-                if i + 1 < items.len() {
-                    breaks.push(ops.len());
-                    ops.push(KOp::JumpIfTrue(0));
-                }
-            }
-            let end = ops.len() as u32;
-            for b in breaks {
-                ops[b] = KOp::JumpIfTrue(end);
-            }
-        }
-        CExpr::Not(e) => {
-            emit(e, ops);
-            ops.push(KOp::Not);
-        }
-        CExpr::Eq(a, b) => {
-            emit(a, ops);
-            emit(b, ops);
-            ops.push(KOp::Eq);
-        }
-        CExpr::Gt(a, b) => {
-            emit(a, ops);
-            emit(b, ops);
-            ops.push(KOp::Gt);
-        }
-        CExpr::Lt(a, b) => {
-            emit(a, ops);
-            emit(b, ops);
-            ops.push(KOp::Lt);
-        }
-        CExpr::Lab(v) => ops.push(KOp::Lab(*v)),
-        CExpr::Mod(v) => ops.push(KOp::Mod(*v)),
-        CExpr::RoleOf(v) => ops.push(KOp::RoleOf(*v)),
-        CExpr::Pos(v) => ops.push(KOp::Pos(*v)),
-        CExpr::Word(e) => {
-            emit(e, ops);
-            ops.push(KOp::Word);
-        }
-        CExpr::Cat(e) => {
-            emit(e, ops);
-            ops.push(KOp::Cat);
-        }
-        CExpr::ConstLabel(l) => ops.push(KOp::PushLabel(*l)),
-        CExpr::ConstCat(c) => ops.push(KOp::PushCat(*c)),
-        CExpr::ConstRole(r) => ops.push(KOp::PushRole(*r)),
-        CExpr::ConstInt(i) => ops.push(KOp::PushInt(*i)),
-        CExpr::ConstNil => ops.push(KOp::PushNil),
+/// The code of a program being lowered: its ops and its constant pool.
+#[derive(Default)]
+struct Emitter {
+    ops: Vec<KOp>,
+    consts: Vec<Value>,
+}
+
+impl Emitter {
+    /// `expr` as an operand read in place, when it is one.
+    fn leaf(&mut self, expr: &CExpr) -> Option<Leaf> {
+        Some(match expr {
+            CExpr::Lab(v) => Leaf::Lab(*v),
+            CExpr::Mod(v) => Leaf::Mod(*v),
+            CExpr::RoleOf(v) => Leaf::RoleOf(*v),
+            CExpr::Pos(v) => Leaf::Pos(*v),
+            CExpr::Cat(e) => match &**e {
+                CExpr::Word(e) => match **e {
+                    CExpr::Pos(v) => Leaf::PosCat(v),
+                    CExpr::Mod(v) => Leaf::ModCat(v),
+                    _ => return None,
+                },
+                _ => return None,
+            },
+            CExpr::ConstLabel(l) => self.constant(Value::Label(*l)),
+            CExpr::ConstCat(c) => self.constant(Value::Cat(*c)),
+            CExpr::ConstRole(r) => self.constant(Value::Role(*r)),
+            CExpr::ConstInt(i) => self.constant(Value::Int(*i)),
+            CExpr::ConstNil => self.constant(Value::Nil),
+            _ => return None,
+        })
     }
+
+    /// The pool entry holding `value`, added on first use.
+    fn constant(&mut self, value: Value) -> Leaf {
+        let i = match self.consts.iter().position(|&c| c == value) {
+            Some(i) => i,
+            None => {
+                self.consts.push(value);
+                self.consts.len() - 1
+            }
+        };
+        Leaf::Const(u16::try_from(i).expect("program too large"))
+    }
+
+    /// A comparison operand: read in place when it can be, else its code
+    /// followed by a pop.
+    fn operand(&mut self, expr: &CExpr) -> Leaf {
+        self.leaf(expr).unwrap_or_else(|| {
+            self.emit(expr);
+            Leaf::Pop
+        })
+    }
+
+    /// Emit postfix code for `expr`.
+    fn emit(&mut self, expr: &CExpr) {
+        if let Some(leaf) = self.leaf(expr) {
+            self.ops.push(KOp::Push(leaf));
+            return;
+        }
+        match expr {
+            CExpr::If(a, c) => {
+                self.emit(a);
+                let shortcut = self.ops.len();
+                self.ops.push(KOp::IfShortcut(0)); // patched below
+                self.emit(c);
+                self.ops.push(KOp::IfFold);
+                let end = self.ops.len() as u32;
+                self.ops[shortcut] = KOp::IfShortcut(end);
+            }
+            CExpr::And(items) => self.fold(items, true),
+            CExpr::Or(items) => self.fold(items, false),
+            CExpr::Not(e) => {
+                self.emit(e);
+                self.ops.push(KOp::Not);
+            }
+            CExpr::Eq(a, b) => self.compare(Rel::Eq, a, b),
+            CExpr::Gt(a, b) => self.compare(Rel::Gt, a, b),
+            CExpr::Lt(a, b) => self.compare(Rel::Lt, a, b),
+            CExpr::Word(e) => {
+                self.emit(e);
+                self.ops.push(KOp::Word);
+            }
+            CExpr::Cat(e) => {
+                self.emit(e);
+                self.ops.push(KOp::Cat);
+            }
+            _ => unreachable!("every accessor and constant is a leaf"),
+        }
+    }
+
+    fn compare(&mut self, rel: Rel, a: &CExpr, b: &CExpr) {
+        let a = self.operand(a);
+        let b = self.operand(b);
+        self.ops.push(KOp::Cmp(rel, a, b));
+    }
+
+    /// A conjunction (`and`) or disjunction: acc = True (False); acc =
+    /// acc ∧ tᵢ (∨), breaking on a definite False (True). The first item
+    /// normalizes via `Truthy` (True ∧ t = t's truth) unless it already
+    /// yields a truth; later items fold pairwise. Break targets are patched
+    /// to the end once known.
+    fn fold(&mut self, items: &[CExpr], and: bool) {
+        if items.is_empty() {
+            let unit = self.constant(Value::Bool(and));
+            self.ops.push(KOp::Push(unit));
+            return;
+        }
+        let mut breaks = Vec::new();
+        for (i, e) in items.iter().enumerate() {
+            self.emit(e);
+            if i > 0 {
+                self.ops.push(if and { KOp::AndFold } else { KOp::OrFold });
+            } else if !yields_truth(e) {
+                self.ops.push(KOp::Truthy);
+            }
+            if i + 1 < items.len() {
+                breaks.push(self.ops.len());
+                self.ops.push(if and {
+                    KOp::JumpIfFalse(0)
+                } else {
+                    KOp::JumpIfTrue(0)
+                });
+            }
+        }
+        let end = self.ops.len() as u32;
+        for b in breaks {
+            self.ops[b] = if and {
+                KOp::JumpIfFalse(end)
+            } else {
+                KOp::JumpIfTrue(end)
+            };
+        }
+    }
+}
+
+/// Whether `expr` always evaluates to `Bool` or `Unknown`: predicates and
+/// connectives do, accessors and constants need not.
+fn yields_truth(expr: &CExpr) -> bool {
+    matches!(
+        expr,
+        CExpr::If(..)
+            | CExpr::And(_)
+            | CExpr::Or(_)
+            | CExpr::Not(_)
+            | CExpr::Eq(..)
+            | CExpr::Gt(..)
+            | CExpr::Lt(..)
+    )
 }
 
 /// The feature-read analysis (module docs: the `Cat` rule is conservative
@@ -606,19 +705,12 @@ fn stack_depth(ops: &[KOp]) -> usize {
     let mut max = 0usize;
     for op in ops {
         match op {
-            KOp::PushBool(_)
-            | KOp::PushInt(_)
-            | KOp::PushLabel(_)
-            | KOp::PushCat(_)
-            | KOp::PushRole(_)
-            | KOp::PushNil
-            | KOp::Lab(_)
-            | KOp::Mod(_)
-            | KOp::RoleOf(_)
-            | KOp::Pos(_) => depth += 1,
-            KOp::Eq | KOp::Gt | KOp::Lt | KOp::AndFold | KOp::OrFold | KOp::IfFold => {
-                depth = depth.saturating_sub(1)
+            KOp::Push(_) => depth += 1,
+            KOp::Cmp(_, a, b) => {
+                let pops = usize::from(*a == Leaf::Pop) + usize::from(*b == Leaf::Pop);
+                depth = depth.saturating_sub(pops) + 1;
             }
+            KOp::AndFold | KOp::OrFold | KOp::IfFold => depth = depth.saturating_sub(1),
             _ => {}
         }
         max = max.max(depth);
@@ -631,6 +723,7 @@ mod tests {
     use super::*;
     use crate::expr::Binding;
     use crate::grammars::{english, paper};
+    use crate::ids::{CatId, LabelId};
     use crate::sentence::{sentence_from_cats, Sentence, SentenceWord};
     use crate::value::Truth;
 
@@ -952,6 +1045,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every comparison operand kind is read in place by some bundled
+    /// constraint, and each bundled grammar's programs stay at most as
+    /// long as they were when comparisons were fused. A ceiling may only
+    /// fall: the grammars ran 731, 157, 209 and 218 ops with every operand
+    /// pushed.
+    #[test]
+    fn comparisons_read_their_operands_in_place() {
+        use crate::grammars::formal;
+        let grammars = [
+            ("english", english::grammar(), 348),
+            ("anbn", formal::anbn_grammar(), 76),
+            ("brackets", formal::brackets_grammar(), 94),
+            ("paper", paper::grammar(), 104),
+        ];
+        let mut fused = std::collections::HashSet::new();
+        for (name, g, ceiling) in &grammars {
+            let mut total = 0;
+            for c in g.unary_constraints().iter().chain(g.binary_constraints()) {
+                let prog = KernelProgram::compile(&c.expr);
+                total += prog.ops.len();
+                for op in &prog.ops {
+                    if let KOp::Cmp(_, a, b) = op {
+                        for leaf in [a, b] {
+                            fused.insert(std::mem::discriminant(leaf));
+                        }
+                    }
+                }
+            }
+            assert!(total <= *ceiling, "{name}: {total} ops, ceiling {ceiling}");
+        }
+        for kind in [
+            Leaf::Const(0),
+            Leaf::Lab(Var::X),
+            Leaf::Mod(Var::X),
+            Leaf::RoleOf(Var::X),
+            Leaf::Pos(Var::X),
+            Leaf::PosCat(Var::X),
+            Leaf::ModCat(Var::X),
+        ] {
+            assert!(
+                fused.contains(&std::mem::discriminant(&kind)),
+                "no bundled comparison reads {kind:?} in place"
+            );
+        }
+        // A constant pool keeps an op as small as an `i64` push was.
+        assert!(std::mem::size_of::<KOp>() <= 16);
     }
 
     #[test]

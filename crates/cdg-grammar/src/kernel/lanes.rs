@@ -13,7 +13,11 @@
 //! category hypothesis, and the category of its modifiee's word are
 //! *lane terms*; comparing one with a scalar reads a precomputed bitset
 //! from [`LaneTables`] (label equality, modifiee point / prefix / suffix
-//! thresholds, category masks), so most ops cost O(words). Connectives
+//! thresholds, category masks), so most ops cost O(words). A comparison's
+//! in-place operands resolve to the same kinds (a lane term or one scalar
+//! value) without touching the stack, so a comparison of a lane field
+//! with a constant pushes only its verdict; the top of the stack is a
+//! local, so an op that replaces it writes no memory. Connectives
 //! combine Kleene `(true, false)` bit planes. Only what has no table —
 //! two lane terms compared with each other, or an access function applied
 //! to a per-lane value — falls back to a loop over the set lanes, using
@@ -27,7 +31,7 @@
 //! cannot move the fold; evaluation has no side effects), so a lane that
 //! would have jumped computes the same value the long way.
 
-use super::{sentence_cat, word_of, KOp, KernelProgram, PCtx, PartialBinding};
+use super::{sentence_cat, word_of, KOp, KernelProgram, Leaf, PCtx, PartialBinding, Rel};
 use crate::expr::{Binding, Var};
 use crate::ids::{CatId, Modifiee, RoleId, RoleValue};
 use crate::sentence::Sentence;
@@ -432,25 +436,6 @@ impl KernelProgram {
     }
 }
 
-fn constant(op: KOp) -> Value {
-    match op {
-        KOp::PushBool(b) => Value::Bool(b),
-        KOp::PushInt(i) => Value::Int(i),
-        KOp::PushLabel(l) => Value::Label(l),
-        KOp::PushCat(c) => Value::Cat(c),
-        KOp::PushRole(r) => Value::Role(r),
-        _ => Value::Nil,
-    }
-}
-
-fn compare(op: KOp, a: Value, b: Value) -> Truth {
-    match op {
-        KOp::Eq => a.loose_eq(b),
-        KOp::Gt => a.gt(b),
-        _ => a.lt(b),
-    }
-}
-
 /// `(t, f)` words of a truth shared by every lane.
 fn planes(tr: Truth) -> (u64, u64) {
     match tr {
@@ -500,6 +485,11 @@ impl LaneRun<'_, '_> {
 
     /// Run `prog` over the lanes `set` of chunk `k` (lanes `64k..64k+64`);
     /// returns the chunk's `(t, f)` words, unmasked.
+    ///
+    /// The top of the stack lives in `top`, and `stack` holds the entries
+    /// under it above a bottom placeholder, so `stack.len()` is the depth
+    /// and the top's value row is `stack.len() - 1`. An op that replaces
+    /// the top writes the local, never the stack.
     fn chunk(
         &self,
         prog: &KernelProgram,
@@ -509,59 +499,60 @@ impl LaneRun<'_, '_> {
     ) -> (u64, u64) {
         let LaneScratch { stack, vals, .. } = scratch;
         stack.clear();
+        let mut top = Entry::of(Lv::S(Value::Nil));
         let mut pc = 0usize;
         while pc < prog.ops.len() {
             let op = prog.ops[pc];
+            pc += 1;
             let d = stack.len();
-            let e = match op {
-                KOp::PushBool(_)
-                | KOp::PushInt(_)
-                | KOp::PushLabel(_)
-                | KOp::PushCat(_)
-                | KOp::PushRole(_)
-                | KOp::PushNil => Entry::of(Lv::S(constant(op))),
-                KOp::Lab(v) if v == self.lane => Entry::of(Lv::Lab),
-                KOp::Mod(v) if v == self.lane => Entry::of(Lv::Mod),
-                KOp::RoleOf(v) if v == self.lane => Entry::of(Lv::S(Value::Role(self.slot.role))),
-                KOp::Pos(v) if v == self.lane => Entry::of(Lv::S(Value::Int(self.slot.pos as i64))),
-                KOp::Lab(_) => Entry::of(Lv::S(self.scalar.lab())),
-                KOp::Mod(_) => Entry::of(Lv::S(self.scalar.modifiee())),
-                KOp::RoleOf(_) => Entry::of(Lv::S(self.scalar.role())),
-                KOp::Pos(_) => Entry::of(Lv::S(self.scalar.pos())),
+            match op {
+                KOp::Push(leaf) => {
+                    stack.push(top);
+                    top = Entry::of(self.leaf(prog, leaf));
+                }
                 KOp::Word => {
-                    let e = stack.pop().expect("stack underflow");
-                    match e.v {
+                    top = match top.v {
                         Lv::S(v) => Entry::of(Lv::S(word_of(self.sentence, v))),
                         Lv::Mod => Entry::of(Lv::ModWord),
-                        _ => self
-                            .per_lane(e, d - 1, k, set, vals, |_, _, v| word_of(self.sentence, v)),
+                        _ => self.per_lane(top, d - 1, k, set, vals, |_, _, v| {
+                            word_of(self.sentence, v)
+                        }),
                     }
                 }
                 KOp::Cat => {
-                    let e = stack.pop().expect("stack underflow");
-                    match e.v {
-                        Lv::S(Value::WordRef(p)) => Entry::of(match self.resolve(p) {
-                            Some(v) => Lv::S(v),
-                            None => Lv::Cat,
-                        }),
-                        Lv::S(Value::Unknown) => Entry::of(Lv::S(Value::Unknown)),
-                        Lv::S(_) => Entry::of(Lv::S(Value::Nil)),
+                    top = match top.v {
+                        Lv::S(v) => Entry::of(self.cat(v)),
                         Lv::ModWord => Entry::of(Lv::ModCat),
                         _ => self
-                            .per_lane(e, d - 1, k, set, vals, |run, lane, v| run.cat_of(lane, v)),
+                            .per_lane(top, d - 1, k, set, vals, |run, lane, v| run.cat_of(lane, v)),
                     }
                 }
-                KOp::Eq | KOp::Gt | KOp::Lt => {
-                    let b = stack.pop().expect("stack underflow");
-                    let a = stack.pop().expect("stack underflow");
-                    self.compare(op, a, b, d - 2, k, set, vals)
+                KOp::Cmp(rel, a, b) => {
+                    // In-place operands are never `Lv::Vals`, so only a
+                    // popped one's depth is read.
+                    let in_place = |leaf| (Entry::of(self.leaf(prog, leaf)), d);
+                    top = match (a, b) {
+                        (Leaf::Pop, Leaf::Pop) => {
+                            let a = stack.pop().expect("stack underflow");
+                            self.compare(rel, (a, d - 2), (top, d - 1), k, set, vals)
+                        }
+                        (Leaf::Pop, b) => {
+                            self.compare(rel, (top, d - 1), in_place(b), k, set, vals)
+                        }
+                        (a, Leaf::Pop) => {
+                            self.compare(rel, in_place(a), (top, d - 1), k, set, vals)
+                        }
+                        (a, b) => {
+                            stack.push(top);
+                            self.compare(rel, in_place(a), in_place(b), k, set, vals)
+                        }
+                    }
                 }
                 KOp::Not | KOp::Truthy => {
-                    let a = stack.pop().expect("stack underflow");
-                    match self.known(a) {
+                    top = match self.known(top) {
                         Some(tr) => Entry::truth(if op == KOp::Not { tr.not() } else { tr }),
                         None => {
-                            let (t, f) = self.bits(a, d - 1, k, set, vals);
+                            let (t, f) = self.bits(top, d - 1, k, set, vals);
                             if op == KOp::Not {
                                 Entry::bits(f, t)
                             } else {
@@ -571,9 +562,8 @@ impl LaneRun<'_, '_> {
                     }
                 }
                 KOp::AndFold | KOp::OrFold | KOp::IfFold => {
-                    let b = stack.pop().expect("stack underflow");
-                    let a = stack.pop().expect("stack underflow");
-                    match (self.known(a), self.known(b)) {
+                    let (a, b) = (stack.pop().expect("stack underflow"), top);
+                    top = match (self.known(a), self.known(b)) {
                         (Some(x), Some(y)) => Entry::truth(match op {
                             KOp::AndFold => x.and(y),
                             KOp::OrFold => x.or(y),
@@ -593,7 +583,6 @@ impl LaneRun<'_, '_> {
                 }
                 KOp::JumpIfFalse(target) | KOp::JumpIfTrue(target) | KOp::IfShortcut(target) => {
                     // Jump only when every set lane would.
-                    let top = *stack.last().expect("stack underflow");
                     let want = match op {
                         KOp::JumpIfTrue(_) => Truth::True,
                         _ => Truth::False,
@@ -607,21 +596,14 @@ impl LaneRun<'_, '_> {
                     };
                     if all {
                         if let KOp::IfShortcut(_) = op {
-                            *stack.last_mut().expect("stack underflow") =
-                                Entry::of(Lv::S(Value::Bool(true)));
+                            top = Entry::of(Lv::S(Value::Bool(true)));
                         }
                         pc = target as usize;
-                    } else {
-                        pc += 1;
                     }
-                    continue;
                 }
-            };
-            stack.push(e);
-            pc += 1;
+            }
         }
-        let top = stack.pop().expect("empty program");
-        debug_assert!(stack.is_empty());
+        debug_assert_eq!(stack.len(), 1, "a program leaves one value");
         match self.known(top) {
             Some(tr) => planes(tr),
             None => self.bits(top, 0, k, set, vals),
@@ -653,6 +635,40 @@ impl LaneRun<'_, '_> {
             f |= fb & 1 << bit;
         }
         (t, f)
+    }
+
+    /// What `leaf` (not [`Leaf::Pop`]) leaves on the stack: the kind the
+    /// push, `word` and `cat` ops it stands for would have left.
+    fn leaf(&self, prog: &KernelProgram, leaf: Leaf) -> Lv {
+        let on_lane = |v: Var| v == self.lane;
+        match leaf {
+            Leaf::Const(i) => Lv::S(prog.consts[i as usize]),
+            Leaf::Lab(v) if on_lane(v) => Lv::Lab,
+            Leaf::Mod(v) if on_lane(v) => Lv::Mod,
+            Leaf::ModCat(v) if on_lane(v) => Lv::ModCat,
+            Leaf::RoleOf(v) if on_lane(v) => Lv::S(Value::Role(self.slot.role)),
+            Leaf::Pos(v) if on_lane(v) => Lv::S(Value::Int(self.slot.pos as i64)),
+            Leaf::PosCat(v) if on_lane(v) => {
+                self.cat(word_of(self.sentence, Value::Int(self.slot.pos as i64)))
+            }
+            Leaf::Lab(_) => Lv::S(self.scalar.lab()),
+            Leaf::Mod(_) => Lv::S(self.scalar.modifiee()),
+            Leaf::RoleOf(_) => Lv::S(self.scalar.role()),
+            Leaf::Pos(_) => Lv::S(self.scalar.pos()),
+            Leaf::PosCat(_) => self.cat(word_of(self.sentence, self.scalar.pos())),
+            Leaf::ModCat(_) => self.cat(word_of(self.sentence, self.scalar.modifiee())),
+            Leaf::Pop => unreachable!("a popped operand is no leaf"),
+        }
+    }
+
+    /// `(cat e)` for a value `e` shared by every lane: the lane's own
+    /// hypothesis where it wins, else one value.
+    fn cat(&self, e: Value) -> Lv {
+        match e {
+            Value::WordRef(p) => self.resolve(p).map_or(Lv::Cat, Lv::S),
+            Value::Unknown => Lv::S(Value::Unknown),
+            _ => Lv::S(Value::Nil),
+        }
     }
 
     /// The category `(cat (word p))` resolves to when the lane's own
@@ -816,30 +832,28 @@ impl LaneRun<'_, '_> {
         (t, u)
     }
 
-    /// A comparison of `a` (depth `d`) with `b` (depth `d + 1`).
-    #[allow(clippy::too_many_arguments)] // per op; flat borrows
+    /// A comparison of `a` with `b`, each with its stack depth.
     fn compare(
         &self,
-        op: KOp,
-        a: Entry,
-        b: Entry,
-        d: usize,
+        rel: Rel,
+        (a, da): (Entry, usize),
+        (b, db): (Entry, usize),
         k: usize,
         set: u64,
         vals: &[Value],
     ) -> Entry {
         match (a.v, b.v) {
-            (Lv::S(x), Lv::S(y)) => Entry::truth(compare(op, x, y)),
+            (Lv::S(x), Lv::S(y)) => Entry::truth(rel.apply(x, y)),
             // A comparison with Unknown is Unknown on every lane.
             (Lv::S(Value::Unknown), _) | (_, Lv::S(Value::Unknown)) => {
                 Entry::of(Lv::S(Value::Unknown))
             }
-            (term, Lv::S(v)) if term.tabled() => self.tabled(op, term, v, k),
+            (term, Lv::S(v)) if term.tabled() => self.tabled(rel, term, v, k),
             (Lv::S(v), term) if term.tabled() => {
-                let flipped = match op {
-                    KOp::Gt => KOp::Lt,
-                    KOp::Lt => KOp::Gt,
-                    op => op,
+                let flipped = match rel {
+                    Rel::Gt => Rel::Lt,
+                    Rel::Lt => Rel::Gt,
+                    Rel::Eq => Rel::Eq,
                 };
                 self.tabled(flipped, term, v, k)
             }
@@ -847,9 +861,9 @@ impl LaneRun<'_, '_> {
                 let (mut t, mut f) = (0, 0);
                 for bit in ones(set) {
                     let lane = k * 64 + bit;
-                    let x = self.value(a, d, lane, bit, vals);
-                    let y = self.value(b, d + 1, lane, bit, vals);
-                    let (tb, fb) = planes(compare(op, x, y));
+                    let x = self.value(a, da, lane, bit, vals);
+                    let y = self.value(b, db, lane, bit, vals);
+                    let (tb, fb) = planes(rel.apply(x, y));
                     t |= tb & 1 << bit;
                     f |= fb & 1 << bit;
                 }
@@ -859,23 +873,23 @@ impl LaneRun<'_, '_> {
     }
 
     /// `term op v` from the tables on chunk `k` (`v` is not `Unknown`).
-    fn tabled(&self, op: KOp, term: Lv, v: Value, k: usize) -> Entry {
+    fn tabled(&self, rel: Rel, term: Lv, v: Value, k: usize) -> Entry {
         let tables = self.t();
-        let row = match (term, op, v) {
+        let row = match (term, rel, v) {
             (Lv::ModCat, _, _) => {
-                let want = match (op, v) {
-                    (KOp::Eq, Value::Cat(_) | Value::Nil) => Some(v),
+                let want = match (rel, v) {
+                    (Rel::Eq, Value::Cat(_) | Value::Nil) => Some(v),
                     _ => None,
                 };
                 let (t, u) = self.modcat(want, k);
                 return Entry::bits(t, !(t | u));
             }
-            (Lv::Lab, KOp::Eq, Value::Label(l)) => tables.label(l.0 as usize),
-            (Lv::Cat, KOp::Eq, Value::Cat(c)) => tables.cat(c),
-            (Lv::Mod, KOp::Eq, Value::Nil) => Some(tables.rows.nil),
-            (Lv::Mod, KOp::Eq, Value::Int(p)) => tables.mod_eq(p),
-            (Lv::Mod, KOp::Gt, Value::Int(p)) => tables.mod_gt(p),
-            (Lv::Mod, KOp::Lt, Value::Int(p)) => tables.mod_lt(p),
+            (Lv::Lab, Rel::Eq, Value::Label(l)) => tables.label(l.0 as usize),
+            (Lv::Cat, Rel::Eq, Value::Cat(c)) => tables.cat(c),
+            (Lv::Mod, Rel::Eq, Value::Nil) => Some(tables.rows.nil),
+            (Lv::Mod, Rel::Eq, Value::Int(p)) => tables.mod_eq(p),
+            (Lv::Mod, Rel::Gt, Value::Int(p)) => tables.mod_gt(p),
+            (Lv::Mod, Rel::Lt, Value::Int(p)) => tables.mod_lt(p),
             // Kind mismatches, and order on non-integers: definitely false.
             _ => None,
         };

@@ -2,9 +2,11 @@
 //! `KernelProgram::eval_lanes` (and of the unary pass
 //! `KernelProgram::unary_lanes`) must equal scalar `eval_partial` with that
 //! lane bound, for the bundled grammars' constraints and for seeded random
-//! constraint ASTs.
+//! constraint ASTs. On the random ones the scalar evaluator itself is held
+//! to the tree evaluator `CExpr::eval`, so a fault shared by both bytecode
+//! evaluators still shows.
 
-use cdg_grammar::expr::{Binding, CExpr, Var};
+use cdg_grammar::expr::{Binding, CExpr, EvalCtx, Var};
 use cdg_grammar::grammars::{english, english_aux, formal, paper};
 use cdg_grammar::kernel::{KernelProgram, LaneScratch, LaneSlot, LaneTables, PartialBinding};
 use cdg_grammar::value::Truth;
@@ -306,6 +308,51 @@ fn lanes_match_scalar_on_bundled_grammars() {
     assert!(checked > 1_000_000, "only {checked} lanes checked");
 }
 
+/// `KernelProgram::eval_with` against `CExpr::eval` in the unary context of
+/// every `stride`-th binding of the slots, and for bound pairs of them;
+/// returns the number of contexts checked.
+fn check_tree(
+    name: &str,
+    expr: &CExpr,
+    prog: &KernelProgram,
+    s: &Sentence,
+    slots: &[Slot],
+    stride: usize,
+) -> usize {
+    let bindings: Vec<Binding> = slots
+        .iter()
+        .flat_map(|slot| {
+            slot.domain.iter().map(|&value| Binding {
+                pos: slot.pos,
+                role: slot.role,
+                value,
+            })
+        })
+        .collect();
+    let mut stack = Vec::new();
+    let mut checked = 0;
+    for (i, x) in bindings.iter().enumerate().filter(|(i, _)| i % stride == 0) {
+        let ctx = EvalCtx::unary(s, *x);
+        assert_eq!(
+            prog.eval_with(&ctx, &mut stack),
+            expr.eval(&ctx),
+            "`{name}` on `{s}`, unary {x:?}"
+        );
+        checked += 1;
+        // A different offset per x walks every y over the x loop.
+        for y in bindings.iter().skip(i % (stride + 1)).step_by(stride) {
+            let ctx = EvalCtx::binary(s, *x, *y);
+            assert_eq!(
+                prog.eval_with(&ctx, &mut stack),
+                expr.eval(&ctx),
+                "`{name}` on `{s}`, {x:?} / {y:?}"
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
 /// A random term (anything a predicate may compare).
 fn term(rng: &mut Rng, g: &Grammar, n: u16) -> CExpr {
     let var = if rng.below(2) == 0 { Var::X } else { Var::Y };
@@ -369,7 +416,7 @@ fn lanes_match_scalar_on_random_constraints() {
     let g = english::grammar();
     let lex = english::lexicon(&g);
     let mut rng = Rng(0xC0FF_EE00_D15C_0123);
-    let mut checked = 0;
+    let (mut checked, mut trees) = (0, 0);
     for text in ["the watch runs", "watch the dog"] {
         let s = lex.sentence(text).expect("in lexicon");
         assert!(s.has_lexical_ambiguity());
@@ -385,8 +432,11 @@ fn lanes_match_scalar_on_random_constraints() {
         for i in 0..150 {
             let expr = predicate(&mut rng, &g, n, 3);
             let prog = KernelProgram::compile(&expr);
-            checked += check_program(&format!("random #{i}"), &prog, &s, &slots, 7, &mut rng);
+            let name = format!("random #{i}");
+            trees += check_tree(&name, &expr, &prog, &s, &slots, 7);
+            checked += check_program(&name, &prog, &s, &slots, 7, &mut rng);
         }
     }
     assert!(checked > 100_000, "only {checked} lanes checked");
+    assert!(trees > 100_000, "only {trees} tree contexts checked");
 }

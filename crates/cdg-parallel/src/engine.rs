@@ -58,7 +58,7 @@ impl Engine for Pram {
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
         let fan_out = || {
-            BatchReport::collect(self.name(), req, || {
+            BatchReport::collect(self.name(), rayon::current_num_threads(), req, || {
                 // Each worker merges its per-sentence span trees into the
                 // global trace buffer on drop (see `obsv::span`).
                 sentences

@@ -565,7 +565,7 @@ fn run_batch(args: &Args, engine: &dyn Engine) -> ExitCode {
             f64::INFINITY
         },
         args.engine,
-        rayon::current_num_threads(),
+        report.threads,
     );
     match args.trace {
         // A per-sentence tree would drown the verdicts; summarize instead.

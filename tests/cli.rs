@@ -333,6 +333,22 @@ fn batch_exit_zero_when_all_accepted_and_threads_are_reported() {
 }
 
 #[test]
+fn batch_reports_one_thread_for_an_engine_that_does_not_fan_out() {
+    let path = write_temp("one-thread", "the dog runs\nshe sleeps\n");
+    let out = run(&[
+        "--engine",
+        "serial",
+        "--threads",
+        "2",
+        "--batch",
+        path.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("engine serial, 1 thread(s)"));
+}
+
+#[test]
 fn batch_results_identical_across_engines_and_thread_counts() {
     let corpus = "the dog runs\ndog the runs\nthe watch runs\nthe dog sees the cat in the park\n";
     let path = write_temp("threads", corpus);
